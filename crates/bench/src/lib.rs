@@ -211,7 +211,9 @@ pub struct FastPathMeasurement {
     pub direct: std::time::Duration,
     /// Wall-clock of building the factorized tables.
     pub build: std::time::Duration,
-    /// Wall-clock of enumerating through the built tables.
+    /// Wall-clock of the by-index scan over the built tables
+    /// ([`hetero_autotune::TabulatedPredictionEvaluator::scan`], EML's path in
+    /// `MethodRunner`).
     pub scan: std::time::Duration,
     /// Model invocations of the direct enumeration.
     pub model_queries_direct: usize,
@@ -250,8 +252,9 @@ impl FastPathMeasurement {
     }
 }
 
-/// Measure EML over `grid` twice — through the direct [`CountingRegressor`]-wrapped
-/// prediction evaluator and through the factorized tables — and compare.
+/// Measure EML over `grid` twice — by enumerating the direct
+/// [`CountingRegressor`]-wrapped prediction evaluator, and by building the factorized
+/// tables and scanning them by index as `MethodRunner` does — and compare.
 pub fn measure_fast_path(
     models: &TrainedModels,
     workload: hetero_platform::WorkloadProfile,
@@ -273,7 +276,9 @@ pub fn measure_fast_path(
     let tabulated = counted.tabulated(grid);
     let t_build = start.elapsed();
     let start = Instant::now();
-    let fast = ParallelEnumeration::new().run_indexed(grid, &tabulated);
+    let fast = tabulated
+        .scan()
+        .expect("bench grids hold at least one configuration");
     let t_scan = start.elapsed();
     assert_eq!(tabulated.fallback_queries(), 0);
 
@@ -286,7 +291,8 @@ pub fn measure_fast_path(
         model_queries_tabulated: tabulated_calls.load(Ordering::Relaxed),
         identical_best: reference.best_index == fast.best_index
             && reference.outcome.best_energy.to_bits() == fast.outcome.best_energy.to_bits()
-            && reference.outcome.best_config == fast.outcome.best_config,
+            && reference.outcome.best_config == fast.outcome.best_config
+            && reference.outcome.evaluations == fast.outcome.evaluations,
     }
 }
 

@@ -22,14 +22,17 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::RwLock;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use hetero_platform::{
     Affinity, ExecutionRequest, HeterogeneousPlatform, Measurement, WorkloadProfile,
 };
 use rayon::prelude::*;
 use wd_ml::Regressor;
-use wd_opt::{CacheStats, DeltaObjective, Objective, Touched};
+use wd_opt::{
+    better_indexed, CacheStats, DeltaObjective, EnumerationError, IndexedOutcome, Objective,
+    OptimizationTrace, Outcome, SearchSpace, Touched,
+};
 
 use crate::config::{ConfigurationSpace, DeviceSetting, SystemConfiguration};
 use crate::features::{device_features, host_features, share_bytes};
@@ -387,6 +390,18 @@ impl DeltaObjective<SystemConfiguration> for PredictionEvaluator {
 /// `(threads, affinity, share permille)` axis.
 type TimeTable = HashMap<(u32, Affinity, u32), f64>;
 
+/// Acquire a read guard on a lazy time table, recovering from poisoning instead of
+/// panicking: a worker that panicked while holding the guard leaves the table
+/// consistent (every insert is a whole entry), so its data is still usable.
+fn read_lock<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Acquire a write guard, recovering from poisoning (see [`read_lock`]).
+fn write_lock<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    lock.write().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Number of table entries scored per batched model call during construction.
 const TABLE_BATCH: usize = 256;
 
@@ -411,12 +426,18 @@ const TABLE_BATCH: usize = 256;
 /// *not* pay off for short annealing walks, which visit too few configurations to
 /// amortise building the tables; those keep querying the models directly.
 ///
+/// [`TabulatedPredictionEvaluator::scan`] enumerates the grid the tables were built
+/// from without building a configuration per grid point — the EML path of
+/// [`crate::MethodRunner`].  As an [`Objective`] the evaluator also scores arbitrary
+/// configurations (sharded campaigns, delta walks).
+///
 /// Configurations outside the tabulated space (an axis value or share the space does
 /// not contain) fall back to the wrapped evaluator's direct model path, so the
 /// evaluator remains total; [`TabulatedPredictionEvaluator::fallback_queries`] counts
 /// how often that happened.
 pub struct TabulatedPredictionEvaluator<'a> {
     inner: &'a PredictionEvaluator,
+    grid: ConfigurationSpace,
     host: TimeTable,
     devices: Vec<TimeTable>,
     table_model_queries: usize,
@@ -479,6 +500,7 @@ impl<'a> TabulatedPredictionEvaluator<'a> {
             host.1 + devices.iter().map(|(_, queries)| queries).sum::<usize>();
         TabulatedPredictionEvaluator {
             inner,
+            grid: space.clone(),
             host: host.0,
             devices: devices.into_iter().map(|(table, _)| table).collect(),
             table_model_queries,
@@ -564,26 +586,29 @@ impl<'a> TabulatedPredictionEvaluator<'a> {
     }
 
     fn host_time(&self, config: &SystemConfiguration) -> f64 {
-        match self.host.get(&(
+        self.host_entry(
             config.host_threads,
             config.host_affinity,
             config.host_permille(),
-        )) {
+        )
+    }
+
+    fn host_entry(&self, threads: u32, affinity: Affinity, permille: u32) -> f64 {
+        match self.host.get(&(threads, affinity, permille)) {
             Some(&time) => time,
             None => {
                 self.fallback_queries.fetch_add(1, Ordering::Relaxed);
-                let bytes = share_bytes(self.inner.workload.bytes, config.host_permille());
+                let bytes = share_bytes(self.inner.workload.bytes, permille);
                 if bytes == 0 {
                     0.0
                 } else {
-                    self.inner
-                        .predict_host(config.host_threads, config.host_affinity, bytes)
+                    self.inner.predict_host(threads, affinity, bytes)
                 }
             }
         }
     }
 
-    fn device_time(&self, index: usize, device: crate::config::DeviceSetting) -> f64 {
+    fn device_time(&self, index: usize, device: DeviceSetting) -> f64 {
         match self
             .devices
             .get(index)
@@ -621,6 +646,93 @@ impl<'a> TabulatedPredictionEvaluator<'a> {
             .map(|(index, &device)| self.device_time(index, device))
             .fold(0.0, f64::max);
         host.max(device)
+    }
+
+    /// One row of times over the grid's splits (at simplex `position`) per
+    /// `(threads, affinity)` of an axis, threads outer — the digit order of
+    /// `config_at`.
+    fn axis_rows(
+        &self,
+        threads: &[u32],
+        affinities: &[Affinity],
+        position: usize,
+        time: impl Fn(u32, Affinity, u32) -> f64,
+    ) -> Vec<Vec<f64>> {
+        threads
+            .iter()
+            .flat_map(|&t| affinities.iter().map(move |&a| (t, a)))
+            .map(|(t, a)| {
+                self.grid
+                    .splits
+                    .iter()
+                    .map(|split| time(t, a, split[position]))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Exhaustive search over the grid the tables were built from, by index.
+    ///
+    /// The grid is visited in [`SearchSpace::config_at`] order — host threads, host
+    /// affinity, then each device's threads and affinity, the split fastest — without
+    /// building a configuration per point: one row of table times over the splits is
+    /// read per `(threads, affinity)` of every axis, the device rows are max-folded
+    /// per device combination, and each point is the host row against one fold.  The
+    /// composition is [`TabulatedPredictionEvaluator::energy`]'s, operation for
+    /// operation, and the reduction is [`better_indexed`], so the outcome (index,
+    /// configuration, energy bits, evaluation count) equals
+    /// [`wd_opt::ParallelEnumeration::run_indexed`] over this evaluator or over the
+    /// direct [`PredictionEvaluator`].  Only the winner is built, through `config_at`.
+    ///
+    /// # Errors
+    ///
+    /// [`EnumerationError::Empty`] for a grid without configurations, and
+    /// [`EnumerationError::MissingConfig`] if the grid cannot build its winner.
+    pub fn scan(&self) -> Result<IndexedOutcome<SystemConfiguration>, EnumerationError> {
+        let grid = &self.grid;
+        // the device max-fold of every device combination, last device fastest
+        let mut folds: Vec<Vec<f64>> = vec![vec![0.0; grid.splits.len()]];
+        for (index, axis) in grid.device_axes.iter().enumerate() {
+            let rows = self.axis_rows(&axis.threads, &axis.affinities, index + 1, |t, a, share| {
+                self.device_time(index, DeviceSetting::new(t, a, share))
+            });
+            folds = folds
+                .iter()
+                .flat_map(|fold| {
+                    rows.iter()
+                        .map(move |row| fold.iter().zip(row).map(|(&f, &t)| f.max(t)).collect())
+                })
+                .collect();
+        }
+        let hosts = self.axis_rows(
+            &grid.host_threads,
+            &grid.host_affinities,
+            0,
+            |t, a, share| self.host_entry(t, a, share),
+        );
+
+        let best = hosts
+            .iter()
+            .flat_map(|host| {
+                folds
+                    .iter()
+                    .flat_map(move |fold| host.iter().zip(fold).map(|(&h, &d)| h.max(d)))
+            })
+            .enumerate()
+            .reduce(better_indexed)
+            .ok_or(EnumerationError::Empty)?;
+        let best_config = grid
+            .config_at(best.0)
+            .ok_or(EnumerationError::MissingConfig { index: best.0 })?;
+        Ok(IndexedOutcome {
+            best_index: best.0,
+            outcome: Outcome {
+                best_config,
+                best_energy: best.1,
+                evaluations: hosts.len() * folds.len() * grid.splits.len(),
+                trace: OptimizationTrace::new(),
+            },
+        })
     }
 }
 
@@ -759,11 +871,11 @@ impl<'a> LazyTabulatedPredictionEvaluator<'a> {
 
     /// Total number of table entries memoized so far across the host and all devices.
     pub fn table_len(&self) -> usize {
-        self.host.read().expect("table lock poisoned").len()
+        read_lock(&self.host).len()
             + self
                 .devices
                 .iter()
-                .map(|table| table.read().expect("table lock poisoned").len())
+                .map(|table| read_lock(table).len())
                 .sum::<usize>()
     }
 
@@ -807,7 +919,7 @@ impl<'a> LazyTabulatedPredictionEvaluator<'a> {
         compute: impl FnOnce() -> (f64, bool),
     ) -> f64 {
         self.probes.fetch_add(1, Ordering::Relaxed);
-        if let Some(&time) = table.read().expect("table lock poisoned").get(&key) {
+        if let Some(&time) = read_lock(table).get(&key) {
             return time;
         }
         let (time, walked_model) = compute();
@@ -816,11 +928,7 @@ impl<'a> LazyTabulatedPredictionEvaluator<'a> {
         }
         // a racing worker may have filled the entry while we computed; the values are
         // identical (models are deterministic), so first insert wins
-        table
-            .write()
-            .expect("table lock poisoned")
-            .entry(key)
-            .or_insert(time);
+        write_lock(table).entry(key).or_insert(time);
         time
     }
 

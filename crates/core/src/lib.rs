@@ -21,11 +21,14 @@
 //! ## The unified evaluation layer
 //!
 //! Both evaluators ([`MeasurementEvaluator`], [`PredictionEvaluator`]) implement the
-//! single [`wd_opt::Objective`] trait — there is no separate evaluator hierarchy.  All
-//! four methods run behind a [`wd_opt::CachedObjective`] (hit/miss counters surfaced
-//! on [`methods::MethodOutcome::cache`]); the enumeration-based methods score the grid
-//! through the batched [`wd_opt::ParallelEnumeration`] path, which reaches the
-//! simulator's rayon-parallel `execute_many`.  The training campaign likewise runs as
+//! single [`wd_opt::Objective`] trait — there is no separate evaluator hierarchy.
+//! Enumeration is uncached, because it never visits a configuration twice: EM scores
+//! the grid through the batched [`wd_opt::ParallelEnumeration`] path, which reaches
+//! the simulator's rayon-parallel `execute_many`, and EML scans its precomputed
+//! per-device tables by index ([`TabulatedPredictionEvaluator::scan`]).  Only SAM
+//! memoises whole configurations, behind a [`wd_opt::CachedObjective`]; SAML and GAML
+//! memoise per-device table entries.  Every method's hit/miss counters are surfaced
+//! on [`methods::MethodOutcome::cache`].  The training campaign likewise runs as
 //! parallel batches.  All parallel paths are bit-identical to their sequential
 //! counterparts.
 //!

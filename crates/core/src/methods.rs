@@ -6,8 +6,7 @@ use std::time::Instant;
 use hetero_platform::{ExecutionStats, HeterogeneousPlatform, WorkloadProfile};
 use wd_obs::{FieldValue, NoopRecorder, Recorder};
 use wd_opt::{
-    CacheStats, CachedObjective, GeneticAlgorithm, Objective, Outcome, ParallelEnumeration,
-    SimulatedAnnealing,
+    CacheStats, CachedObjective, GeneticAlgorithm, Outcome, ParallelEnumeration, SimulatedAnnealing,
 };
 
 use crate::config::{ConfigurationSpace, SystemConfiguration};
@@ -140,14 +139,17 @@ pub struct MethodOutcome {
     pub measured_energy: f64,
     /// Number of configuration evaluations *requested* during the search.
     pub evaluations: usize,
-    /// Hit/miss counters of the evaluation cache the method ran behind.  `misses` is
-    /// the real evaluation cost (not `evaluations`, the request count); the
-    /// granularity depends on the method's fast path:
+    /// Hit/miss counters of the method's evaluation path.  `misses` is the real
+    /// evaluation cost (not `evaluations`, the request count); the granularity
+    /// depends on the method's fast path:
     ///
-    /// * EM/EML/SAM memoize whole configurations ([`wd_opt::CachedObjective`]):
-    ///   `misses` is the number of distinct configurations evaluated — the paper's
-    ///   "number of experiments";
-    /// * SAML memoizes per-device table entries
+    /// * EM/EML enumerate uncached — a grid point is never visited twice — so the
+    ///   counters are `{hits: 0, misses: evaluations}`: every grid point is one of
+    ///   the paper's "experiments";
+    /// * SAM, the only method that memoizes whole configurations
+    ///   ([`wd_opt::CachedObjective`]): `misses` is the number of distinct
+    ///   configurations evaluated;
+    /// * SAML/GAML memoize per-device table entries
     ///   ([`crate::LazyTabulatedPredictionEvaluator::stats`]): `misses` is the number
     ///   of boosted-tree model walks, `hits` every per-device probe answered without
     ///   one.
@@ -163,7 +165,7 @@ pub struct MethodOutcome {
 
 impl MethodOutcome {
     /// The method's real evaluation cost (cache misses): distinct configurations
-    /// scored for EM/EML/SAM, boosted-tree model walks for SAML (see
+    /// scored for EM/EML/SAM, boosted-tree model walks for SAML/GAML (see
     /// [`MethodOutcome::cache`]).
     pub fn experiments(&self) -> usize {
         self.cache.misses
@@ -222,22 +224,26 @@ impl<'a> MethodRunner<'a> {
     ///
     /// Every method evaluates through the unified layer, each on its fast path:
     ///
-    /// * EM/SAM (measurement) run behind a [`CachedObjective`]; enumeration goes
-    ///   through the batched [`ParallelEnumeration`] path;
-    /// * EML scores the grid from *eagerly* precomputed per-device time tables
-    ///   ([`crate::TabulatedPredictionEvaluator`]), behind the same cache;
+    /// * EM enumerates the grid uncached through the batched [`ParallelEnumeration`]
+    ///   path, which reaches the simulator's parallel `execute_many`;
+    /// * EML scans the grid by index over *eagerly* precomputed per-device time
+    ///   tables ([`crate::TabulatedPredictionEvaluator::scan`]), also uncached: no
+    ///   configuration is built per grid point;
+    /// * SAM (measurement) runs behind a [`CachedObjective`], the only
+    ///   whole-configuration cache, because annealing revisits configurations;
     /// * SAML runs the annealer's incremental path
     ///   ([`wd_opt::SimulatedAnnealing::run_delta`]) over *lazily* filled tables
     ///   ([`crate::LazyTabulatedPredictionEvaluator`]): each move re-scores only the
     ///   device it touched, and each distinct `(threads, affinity, share)` triple
     ///   queries the boosted-tree model exactly once — bit-identical to annealing over
-    ///   the direct prediction evaluator.
+    ///   the direct prediction evaluator; GAML runs the genetic search's delta path
+    ///   over the same lazy tables.
     ///
     /// The resulting hit/miss counters are surfaced on the [`MethodOutcome`]; note
     /// their granularity differs per path (see [`MethodOutcome::cache`]).
     ///
     /// Returns an error message if a prediction-based method is requested without
-    /// trained models.
+    /// trained models, or if the enumeration grid is empty.
     pub fn run(&self, method: MethodKind, iterations: usize) -> Result<MethodOutcome, String> {
         self.run_observed(method, iterations, &NoopRecorder)
     }
@@ -249,7 +255,8 @@ impl<'a> MethodRunner<'a> {
     /// carrying wall-clock seconds, iterations, evaluations and energies.
     ///
     /// The recorder only observes: counters are read post-hoc from the same atomics
-    /// the unobserved path maintains, and iteration events are emitted strictly after
+    /// the unobserved path maintains (for the uncached EM/EML, from the outcome's
+    /// evaluation count), and iteration events are emitted strictly after
     /// each trace record, so outcomes are bit-identical to [`MethodRunner::run`].
     pub fn run_observed(
         &self,
@@ -260,27 +267,50 @@ impl<'a> MethodRunner<'a> {
         let started = Instant::now();
         let scope = method.name().to_ascii_lowercase();
         let measurement = MeasurementEvaluator::new(self.platform.clone(), self.workload.clone());
-        let (outcome, cache) = if method.uses_prediction() {
-            let models = self.require_models(method)?;
-            let prediction = models.prediction_evaluator(self.workload.clone());
-            if method.uses_enumeration() {
-                // EML fast path: the energy is separable per device, so the whole
-                // grid is scored from precomputed per-device time tables
-                // (Σ axis sizes model queries instead of |grid| × (N + 1)) —
-                // bit-identical to enumerating through `prediction` directly.
-                self.search(
-                    method,
-                    iterations,
-                    &prediction.tabulated(&self.grid),
-                    recorder,
-                    &scope,
-                )
-            } else {
+        let (outcome, cache) = match method {
+            MethodKind::Em | MethodKind::Eml => {
+                // Enumeration never revisits a configuration, so it runs uncached and
+                // every evaluation is a distinct experiment.
+                let outcome = if method == MethodKind::Em {
+                    ParallelEnumeration::new().try_run(&self.grid, &measurement)
+                } else {
+                    // EML fast path: the energy is separable per device, so the grid
+                    // is scored by index from precomputed per-device time tables
+                    // (Σ axis sizes model queries instead of |grid| × (N + 1)) —
+                    // bit-identical to enumerating through the direct prediction
+                    // evaluator.
+                    let models = self.require_models(method)?;
+                    let prediction = models.prediction_evaluator(self.workload.clone());
+                    let tabulated = prediction.tabulated(&self.grid);
+                    tabulated.scan().map(|indexed| indexed.outcome)
+                }
+                .map_err(|error| format!("{method}: {error}"))?;
+                let cache = CacheStats {
+                    hits: 0,
+                    misses: outcome.evaluations,
+                };
+                if recorder.enabled() {
+                    recorder.counter(&format!("{scope}.cache.hits"), 0);
+                    recorder.counter(&format!("{scope}.cache.misses"), cache.misses as u64);
+                }
+                (outcome, cache)
+            }
+            MethodKind::Sam => {
+                let cached = CachedObjective::new(&measurement);
+                let outcome =
+                    self.annealer(iterations)
+                        .run_observed(&self.space, &cached, recorder, &scope);
+                cached.publish_stats(recorder, &scope);
+                (outcome, cached.stats())
+            }
+            MethodKind::Saml | MethodKind::Gaml => {
                 // SAML/GAML fast path: lazy per-device tables + incremental (delta)
                 // re-scoring of each neighbour move (SAML) or each recombination's
                 // two-parent merge footprint (GAML).  Bit-identical to the classic
                 // direct walk: same RNG stream, same accepted moves, same energies —
                 // only the model cost drops.
+                let models = self.require_models(method)?;
+                let prediction = models.prediction_evaluator(self.workload.clone());
                 let lazy = prediction.lazy_tabulated();
                 let outcome = if method == MethodKind::Gaml {
                     self.genetic(iterations).run_delta_observed(
@@ -300,8 +330,6 @@ impl<'a> MethodRunner<'a> {
                 lazy.publish_stats(recorder, &scope);
                 (outcome, lazy.stats())
             }
-        } else {
-            self.search(method, iterations, &measurement, recorder, &scope)
         };
         Ok(self.finish(
             method,
@@ -312,29 +340,6 @@ impl<'a> MethodRunner<'a> {
             &scope,
             started,
         ))
-    }
-
-    /// Drive one space-exploration strategy over `objective` through the cached layer.
-    fn search<O>(
-        &self,
-        method: MethodKind,
-        iterations: usize,
-        objective: &O,
-        recorder: &dyn Recorder,
-        scope: &str,
-    ) -> (Outcome<SystemConfiguration>, CacheStats)
-    where
-        O: Objective<SystemConfiguration> + Sync,
-    {
-        let cached = CachedObjective::new(objective);
-        let outcome = if method.uses_enumeration() {
-            ParallelEnumeration::new().run(&self.grid, &cached)
-        } else {
-            self.annealer(iterations)
-                .run_observed(&self.space, &cached, recorder, scope)
-        };
-        cached.publish_stats(recorder, scope);
-        (outcome, cached.stats())
     }
 
     fn genetic(&self, iterations: usize) -> GeneticAlgorithm {
@@ -462,7 +467,7 @@ mod tests {
             em.evaluations as u128,
             ConfigurationSpace::tiny().total_configurations()
         );
-        // enumeration never revisits a configuration, so the cache records pure misses
+        // enumeration never revisits a configuration: it runs uncached, all misses
         assert_eq!(em.cache.hits, 0);
         assert_eq!(em.experiments(), em.evaluations);
         assert!(sam.evaluations < em.evaluations);

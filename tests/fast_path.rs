@@ -3,7 +3,9 @@
 //!
 //! * property: the factorized [`TabulatedPredictionEvaluator`] is **bit-identical** to
 //!   the direct [`PredictionEvaluator`] over randomly sampled 1/2/3-accelerator
-//!   configuration spaces;
+//!   configuration spaces, and its by-index `scan` reaches the same winner as
+//!   enumerating the direct evaluator (ties to the earliest index, pinned on a
+//!   plateau);
 //! * property: lazy indexed enumeration (`space_len` / `config_at`) visits exactly the
 //!   same configurations in the same global order as `enumerate()`;
 //! * sharded campaigns over a 3-accelerator space run without ever materialising the
@@ -99,8 +101,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Tabulated energies are bit-identical to the direct prediction path over the
-    /// whole enumeration of random 1/2/3-accelerator spaces, and enumerating through
-    /// the tables never falls back to the models.
+    /// whole enumeration of random 1/2/3-accelerator spaces, enumerating through the
+    /// tables never falls back to the models, and the by-index scan reports the
+    /// direct enumeration's outcome exactly.
     #[test]
     fn tabulated_prediction_is_bit_identical(
         accelerators in 1usize..=3,
@@ -117,6 +120,16 @@ proptest! {
             let fast = tabulated.energy(&config);
             prop_assert_eq!(direct.to_bits(), fast.to_bits(), "config {}", config);
         }
+
+        let scanned = tabulated.scan().unwrap();
+        let reference = ParallelEnumeration::new().run_indexed(&space, &evaluator);
+        prop_assert_eq!(scanned.best_index, reference.best_index);
+        prop_assert_eq!(&scanned.outcome.best_config, &reference.outcome.best_config);
+        prop_assert_eq!(
+            scanned.outcome.best_energy.to_bits(),
+            reference.outcome.best_energy.to_bits()
+        );
+        prop_assert_eq!(scanned.outcome.evaluations, reference.outcome.evaluations);
         prop_assert_eq!(tabulated.fallback_queries(), 0);
     }
 
@@ -153,6 +166,49 @@ proptest! {
             lazy.outcome.best_energy.to_bits(),
             materialized.outcome.best_energy.to_bits()
         );
+    }
+}
+
+/// A regressor predicting the same time for every row: with it every configuration
+/// that gives any side work has the same energy.
+struct Flat;
+
+impl Regressor for Flat {
+    fn fit(&mut self, _data: &Dataset) -> Result<(), MlError> {
+        Ok(())
+    }
+    fn predict_one(&self, _features: &[f64]) -> f64 {
+        1.5
+    }
+    fn is_fitted(&self) -> bool {
+        true
+    }
+    fn name(&self) -> &'static str {
+        "flat"
+    }
+}
+
+#[test]
+fn tabulated_scan_breaks_plateau_ties_towards_the_earliest_index() {
+    for accelerators in 1..=3 {
+        let space = space_from(accelerators, vec![12, 48], vec![30, 240], 0);
+        let evaluator = PredictionEvaluator::new(
+            Box::new(Flat),
+            (0..accelerators)
+                .map(|_| Box::new(Flat) as Box<dyn Regressor + Send + Sync>)
+                .collect(),
+            WorkloadProfile::dna_scan("plateau", 2_000_000_000),
+        );
+        let configs = space.enumerate().unwrap();
+        assert!(configs.iter().all(|config| evaluator.energy(config) == 1.5));
+
+        let scanned = evaluator.tabulated(&space).scan().unwrap();
+        let reference = ParallelEnumeration::new().run_indexed(&space, &evaluator);
+        assert_eq!(scanned.best_index, 0, "{accelerators} accelerators");
+        assert_eq!(reference.best_index, 0);
+        assert_eq!(scanned.outcome.best_config, configs[0]);
+        assert_eq!(scanned.outcome.best_energy.to_bits(), 1.5f64.to_bits());
+        assert_eq!(scanned.outcome.evaluations, configs.len());
     }
 }
 

@@ -4,7 +4,8 @@
 //!   bit-identical to `MethodRunner::run` for every method, recorder or not;
 //! * the telemetry a run publishes into a `Registry` is complete enough to audit the
 //!   run (per-method span, cache/table counters, execution-stat gauges, iteration
-//!   summaries);
+//!   summaries), and the uncached EM/EML enumerations still publish their
+//!   `cache.hits`/`cache.misses` counters as exact `{0, |grid|}` values;
 //! * a `JsonlExporter` file alone — no in-process state — reconstructs each
 //!   method's best-energy series and full optimization trace, bit for bit.
 
@@ -127,6 +128,36 @@ fn registry_telemetry_is_complete_enough_to_audit_a_saml_run() {
         snapshot.gauges["saml.run.measured_energy"].to_bits(),
         outcome.measured_energy.to_bits()
     );
+}
+
+#[test]
+fn enumeration_cache_counters_report_one_miss_per_grid_point() {
+    let (platform, models) = setup();
+    let workload = Genome::Human.workload();
+    let grid = ConfigurationSpace::tiny();
+    let points = grid.total_configurations() as u64;
+    let runner = MethodRunner::new(&platform, &workload, Some(&models), 5).with_grid(grid.clone());
+
+    for method in [MethodKind::Em, MethodKind::Eml] {
+        let registry = Registry::new();
+        let outcome = runner.run_observed(method, 0, &registry).unwrap();
+        let snapshot = registry.snapshot();
+        let scope = method.name().to_ascii_lowercase();
+
+        assert_eq!(
+            snapshot.counters[&format!("{scope}.cache.hits")],
+            0,
+            "{scope}"
+        );
+        assert_eq!(
+            snapshot.counters[&format!("{scope}.cache.misses")],
+            points,
+            "{scope}"
+        );
+        assert_eq!(outcome.cache.hits, 0, "{scope}");
+        assert_eq!(outcome.cache.misses as u64, points, "{scope}");
+        assert_eq!(outcome.evaluations as u64, points, "{scope}");
+    }
 }
 
 #[test]
