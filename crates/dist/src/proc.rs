@@ -13,12 +13,21 @@
 //!   the coordinator re-reads `slots` every poll, so rewriting the manifest
 //!   mid-campaign grows or shrinks the worker fleet (**elastic shard counts**).
 //! * `merged.jsonl` — the authoritative [`JsonlStore`], opened **only** by the
-//!   coordinator (the store's single-writer lock enforces this).  Workers read
-//!   it lock-free at startup to learn which keys are already persisted.
+//!   coordinator (the store's single-writer lock enforces this).  Workers never
+//!   read it: the coordinator answers "what is already durable" from the
+//!   store's in-memory key index and hands each attempt a `.skip` file.  A
+//!   queued range whose every key is already durable is finished on the spot
+//!   — no grant, no spawn, no generation bump (a `range.durable` event) — so a
+//!   warm resume spawns nothing.
 //! * `leases/slot-<i>.lease` — the coordinator-written grant for a slot.  Its
 //!   `gen` line is the **fencing token**: a worker that wakes up after the
 //!   coordinator has re-issued the slot sees a generation mismatch and
 //!   abandons ([`EXIT_FENCED`]) without writing anything further.
+//! * `leases/slot-<i>-g<g>.skip` — the durable index runs of the attempt's
+//!   range (`start end` lines, sorted and merged), written atomically before
+//!   the spawn.  The worker skips exactly these indices; a missing or
+//!   malformed skip file is broken input ([`EXIT_USAGE`]), never "nothing
+//!   durable".
 //! * `leases/slot-<i>-g<g>.beat` — the worker's heartbeat (batches completed),
 //!   scoped to slot *and* generation so a zombie's beats never refresh the
 //!   replacement's lease.
@@ -274,6 +283,12 @@ impl WorkDir {
             .join(format!("leases/slot-{slot}-g{generation}.beat"))
     }
 
+    /// The durable index runs the attempt of `slot` at `generation` skips.
+    pub fn skip(&self, slot: usize, generation: u64) -> PathBuf {
+        self.root
+            .join(format!("leases/slot-{slot}-g{generation}.skip"))
+    }
+
     /// The private segment log for `slot` at `generation`.
     pub fn segment(&self, slot: usize, generation: u64) -> PathBuf {
         self.root
@@ -326,6 +341,87 @@ fn read_kv(path: &Path) -> io::Result<HashMap<String, String>> {
 
 fn kv_number<T: std::str::FromStr>(kv: &HashMap<String, String>, key: &str) -> Option<T> {
     kv.get(key).and_then(|value| value.parse().ok())
+}
+
+/// The indices of one attempt's range whose keys the merged store already
+/// holds, as sorted, disjoint, half-open runs with adjacent runs merged — the
+/// content of a `.skip` file.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct SkipRuns {
+    runs: Vec<Range<usize>>,
+}
+
+impl SkipRuns {
+    /// The durable runs of `range`, read from the store's in-memory key index.
+    fn durable(space: &GridSpace, store: &JsonlStore<(u32, u32)>, range: &Range<usize>) -> Self {
+        let mut skip = SkipRuns::default();
+        for index in range.clone() {
+            if space
+                .config_at(index)
+                .is_some_and(|config| store.lookup(&config).is_some())
+            {
+                skip.extend(index..index + 1);
+            }
+        }
+        skip
+    }
+
+    /// Append a run that starts at or after the last one ends.
+    fn extend(&mut self, run: Range<usize>) {
+        match self.runs.last_mut() {
+            Some(last) if last.end == run.start => last.end = run.end,
+            _ => self.runs.push(run),
+        }
+    }
+
+    /// Whether every index of `range` is durable.
+    fn covers(&self, range: &Range<usize>) -> bool {
+        self.runs.as_slice() == std::slice::from_ref(range)
+    }
+
+    fn contains(&self, index: usize) -> bool {
+        let pos = self.runs.partition_point(|run| run.end <= index);
+        self.runs.get(pos).is_some_and(|run| run.start <= index)
+    }
+
+    fn encode(&self) -> String {
+        self.runs
+            .iter()
+            .map(|run| format!("{} {}\n", run.start, run.end))
+            .collect()
+    }
+
+    /// Parse [`SkipRuns::encode`] output; a line that is not a non-empty run
+    /// starting at or after the previous run's end is malformed.
+    fn decode(text: &str) -> io::Result<Self> {
+        let mut skip = SkipRuns::default();
+        for line in text.lines() {
+            let run = line.split_once(' ').and_then(|(start, end)| {
+                Some(start.parse::<usize>().ok()?..end.parse::<usize>().ok()?)
+            });
+            match run {
+                Some(run)
+                    if run.start < run.end
+                        && skip.runs.last().is_none_or(|last| last.end <= run.start) =>
+                {
+                    skip.extend(run);
+                }
+                _ => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("malformed skip run `{line}`"),
+                    ))
+                }
+            }
+        }
+        Ok(skip)
+    }
+
+    fn read(path: &Path) -> io::Result<Self> {
+        std::fs::read_to_string(path)
+            .and_then(|text| SkipRuns::decode(&text))
+            .map_err(|error| io::Error::new(error.kind(), format!("{}: {error}", path.display())))
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -413,9 +509,10 @@ fn run_worker(args: &[String]) -> io::Result<i32> {
     let work = WorkDir::new(&args.work_dir);
     let manifest = ProcManifest::read(&work.manifest())?;
     let space = manifest.workload.space();
-    // Lock-free snapshot of what is already durable: these keys are never
-    // re-evaluated, which is what bounds recovery work to interrupted batches.
-    let (warm, _) = read_result_records(&work.merged())?;
+    // The coordinator's record of what was durable when it granted this
+    // attempt: these indices are never re-evaluated, which is what bounds
+    // recovery work to interrupted batches.
+    let skip = SkipRuns::read(&work.skip(args.slot, args.generation))?;
     let segment: JsonlStore<(u32, u32)> =
         JsonlStore::open(work.segment(args.slot, args.generation))?;
     let mut fault = std::env::var(WORKER_FAULT_ENV)
@@ -465,7 +562,7 @@ fn run_worker(args: &[String]) -> io::Result<i32> {
                         let mut configs = Vec::new();
                         for i in index..batch_end {
                             if let Some(config) = space.config_at(i) {
-                                if !warm.contains_key(&config.encode_key()) {
+                                if !skip.contains(i) {
                                     configs.push(config);
                                 }
                             }
@@ -492,7 +589,7 @@ fn run_worker(args: &[String]) -> io::Result<i32> {
             let Some(config) = space.config_at(i) else {
                 return Ok(EXIT_USAGE);
             };
-            if warm.contains_key(&config.encode_key()) {
+            if skip.contains(i) {
                 continue;
             }
             energies.push(manifest.workload.evaluate(&config));
@@ -551,6 +648,10 @@ pub struct ProcReport {
     pub verification_evaluations: usize,
     /// Pending ranges split in half to feed slots added mid-campaign.
     pub elastic_splits: usize,
+    /// Queued ranges whose every key was already durable in the merged store,
+    /// finished without a grant or a spawn (a warm resume finishes every
+    /// range this way).
+    pub durable_ranges: usize,
 }
 
 /// What a multi-process campaign returns: the merged outcome (bit-identical to
@@ -607,8 +708,9 @@ fn salvage_segment(store: &JsonlStore<(u32, u32)>, segment: &Path) -> Result<usi
         }
     }
     if salvaged > 0 {
-        // Respawned workers read the merged log lock-free at startup; flush so
-        // the salvage is visible to them.
+        // The segment's keys count as durable from now on (later grants skip
+        // them), so they must be on disk in the merged log before the
+        // coordinator acts on them: a coordinator crash cannot lose them.
         store.flush()?;
     }
     Ok(salvaged)
@@ -760,8 +862,9 @@ impl ProcCampaign {
     /// [`ProcCampaign::run`] with the transport lifecycle published to
     /// `recorder` under `scope`: `worker.spawned` / `worker.exited` per
     /// process, `worker.fenced` per staleness fence, `worker.respawned` per
-    /// retry or steal, plus the underlying campaign's own events from the
-    /// final verification pass.
+    /// retry or steal, `range.durable` (`start`, `len`) per range finished
+    /// unspawned because the merged store already held every key, plus the
+    /// underlying campaign's own events from the final verification pass.
     pub fn run_observed(
         &self,
         spec: &WorkloadSpec,
@@ -862,10 +965,29 @@ impl ProcCampaign {
                 if live.iter().any(|w| w.slot == slot && !w.fenced) {
                     continue;
                 }
-                let Some(pos) = pending.iter().position(|p| p.ready_at <= now) else {
+                // Take the next ready range that still has work; a range whose
+                // every key is already durable is finished here, unspawned.
+                let mut next = None;
+                while let Some(pos) = pending.iter().position(|p| p.ready_at <= now) {
+                    let item = pending.remove(pos);
+                    let skip = SkipRuns::durable(&space, &store, &item.range);
+                    if !skip.covers(&item.range) {
+                        next = Some((item, skip));
+                        break;
+                    }
+                    report.durable_ranges += 1;
+                    recorder.event(
+                        scope,
+                        "range.durable",
+                        &[
+                            ("start", FieldValue::U64(item.range.start as u64)),
+                            ("len", FieldValue::U64(item.range.len() as u64)),
+                        ],
+                    );
+                }
+                let Some((item, skip)) = next else {
                     break;
                 };
-                let item = pending.remove(pos);
                 slot_gens[slot] += 1;
                 let generation = slot_gens[slot];
                 write_atomic(
@@ -876,6 +998,8 @@ impl ProcCampaign {
                     ),
                 )
                 .map_err(CampaignError::Transport)?;
+                write_atomic(&work.skip(slot, generation), &skip.encode())
+                    .map_err(CampaignError::Transport)?;
                 let log =
                     File::create(work.log(slot, generation)).map_err(CampaignError::Transport)?;
                 let err_log = log.try_clone().map_err(CampaignError::Transport)?;
@@ -1234,10 +1358,115 @@ mod tests {
     }
 
     #[test]
+    fn skip_runs_round_trip_merge_adjacent_runs_and_reject_malformed_lines() {
+        let mut skip = SkipRuns::default();
+        for run in [0..3, 3..5, 7..8, 9..12] {
+            skip.extend(run);
+        }
+        assert_eq!(skip.runs, vec![0..5, 7..8, 9..12]);
+        assert_eq!(skip.encode(), "0 5\n7 8\n9 12\n");
+        assert_eq!(SkipRuns::decode(&skip.encode()).unwrap(), skip);
+        assert_eq!(SkipRuns::decode("0 3\n3 5\n7 8\n9 12\n").unwrap(), skip);
+        let hits: Vec<usize> = (0..14).filter(|&i| skip.contains(i)).collect();
+        assert_eq!(hits, [0, 1, 2, 3, 4, 7, 9, 10, 11]);
+        assert!(!skip.covers(&(0..5)));
+        assert!(SkipRuns::decode("2 6\n").unwrap().covers(&(2..6)));
+        assert!(!SkipRuns::decode("2 6\n").unwrap().covers(&(2..7)));
+
+        // An empty file is a valid "nothing durable".
+        let empty = SkipRuns::decode("").unwrap();
+        assert_eq!(empty, SkipRuns::default());
+        assert_eq!(empty.encode(), "");
+        assert!(!empty.contains(0));
+
+        for bad in ["0", "0 x", " 0 5", "5 5", "4 2", "0 5\n3 8", "4 5\n0 1"] {
+            let err = SkipRuns::decode(bad).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn durable_runs_come_from_the_store_key_index() {
+        let dir = std::env::temp_dir().join(format!("wd-proc-durable-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let space = GridSpace {
+            width: 4,
+            height: 3,
+        };
+        let store: JsonlStore<(u32, u32)> = JsonlStore::open(dir.join("merged.jsonl")).unwrap();
+        for index in [1, 2, 3, 6, 9, 10] {
+            store.record(&space.config_at(index).unwrap(), 0.0);
+        }
+        assert_eq!(
+            SkipRuns::durable(&space, &store, &(0..12)).runs,
+            vec![1..4, 6..7, 9..11]
+        );
+        assert!(SkipRuns::durable(&space, &store, &(1..4)).covers(&(1..4)));
+        assert_eq!(
+            SkipRuns::durable(&space, &store, &(4..6)),
+            SkipRuns::default()
+        );
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn worker_needs_a_well_formed_skip_file_and_honours_it() {
+        let dir = std::env::temp_dir().join(format!("wd-proc-skip-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let work = WorkDir::new(&dir);
+        work.create().unwrap();
+        ProcManifest {
+            workload: WorkloadSpec::GridBowl {
+                width: 4,
+                height: 4,
+                center_x: 1,
+                center_y: 1,
+            },
+            slots: 1,
+            batch: 4,
+            total: 16,
+        }
+        .write(&work.manifest())
+        .unwrap();
+        write_atomic(&work.grant(0), "gen 1\nstart 0\nend 16\n").unwrap();
+        let root = dir.display().to_string();
+        let args: Vec<String> = [
+            "--work-dir",
+            &root,
+            "--slot",
+            "0",
+            "--generation",
+            "1",
+            "--start",
+            "0",
+            "--end",
+            "16",
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+
+        // Missing or malformed: broken input, not "nothing durable".
+        assert_eq!(worker_main(&args), EXIT_USAGE);
+        std::fs::write(work.skip(0, 1), "0 4\n2 9\n").unwrap();
+        assert_eq!(worker_main(&args), EXIT_USAGE);
+        assert!(!work.done(0, 1).exists());
+
+        std::fs::write(work.skip(0, 1), "0 4\n10 12\n").unwrap();
+        assert_eq!(worker_main(&args), EXIT_OK);
+        let done = read_kv(&work.done(0, 1)).unwrap();
+        assert_eq!(kv_number::<usize>(&done, "evaluations"), Some(10));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn work_dir_layout_is_generation_scoped() {
         let work = WorkDir::new("/w");
         assert_eq!(work.grant(2), Path::new("/w/leases/slot-2.lease"));
         assert_eq!(work.beat(2, 7), Path::new("/w/leases/slot-2-g7.beat"));
+        assert_eq!(work.skip(2, 7), Path::new("/w/leases/slot-2-g7.skip"));
         assert_eq!(work.segment(0, 1), Path::new("/w/segments/seg-0-g1.jsonl"));
         assert_eq!(work.done(0, 1), Path::new("/w/segments/slot-0-g1.done"));
         assert_eq!(work.log(3, 2), Path::new("/w/logs/slot-3-g2.log"));

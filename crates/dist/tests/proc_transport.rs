@@ -11,13 +11,13 @@ use std::process::Command;
 use std::sync::Mutex;
 use std::time::Duration;
 
-use wd_dist::proc::{ProcManifest, WorkDir, EXIT_FENCED};
+use wd_dist::proc::{ProcManifest, WorkDir, EXIT_FENCED, RANGES_PER_SLOT};
 use wd_dist::{
-    read_result_records, CampaignOutcome, ConfigKey, FaultEvent, FaultKind, FaultPlan, MemoryStore,
-    ProcCampaign, ProcOutcome, WorkloadSpec,
+    read_result_records, CampaignOutcome, ConfigKey, FaultEvent, FaultKind, FaultPlan, JsonlStore,
+    MemoryStore, ProcCampaign, ProcOutcome, ResultStore, WorkloadSpec,
 };
 use wd_obs::{FieldValue, Recorder};
-use wd_opt::Objective;
+use wd_opt::{Objective, SearchSpace};
 
 fn worker_bin() -> &'static str {
     env!("CARGO_BIN_EXE_wd-worker")
@@ -136,6 +136,86 @@ fn fault_free_fleet_matches_the_single_process_reference() {
     assert!(kinds.iter().any(|k| k == "merged"));
 
     assert_bit_identical(&got, &reference(&spec, 4, 16), &spec, &dir);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn warm_resume_finishes_every_range_without_a_spawn() {
+    let spec = bowl(36, 20); // 720 configurations, 12 ranges of 60
+    let dir = scratch_dir("warm");
+    let slots = 3;
+    let campaign = ProcCampaign::new(slots)
+        .with_batch_size(16)
+        .with_worker_bin(worker_bin());
+    let cold = campaign.run(&spec, &dir).expect("cold campaign");
+    assert_eq!(cold.report.durable_ranges, 0);
+    assert_eq!(cold.report.worker_evaluations, 720);
+
+    let work = WorkDir::new(&dir);
+    let pids = std::fs::read_to_string(work.pids()).expect("pids ledger");
+    let (records, _) = read_result_records(&work.merged()).expect("read merged log");
+
+    // Every key is durable: the coordinator finishes each queued range from
+    // its store index, spawning nothing and evaluating nothing.
+    let recorder = CollectingRecorder::default();
+    let warm = campaign
+        .run_observed(&spec, &dir, &recorder, "proc")
+        .expect("warm resume");
+    assert_eq!(warm.report.spawned, 0, "report: {:?}", warm.report);
+    assert_eq!(warm.report.durable_ranges, slots * RANGES_PER_SLOT);
+    assert_eq!(warm.report.worker_evaluations, 0);
+    assert_eq!(warm.report.verification_evaluations, 0);
+    assert_eq!(
+        std::fs::read_to_string(work.pids()).expect("pids ledger"),
+        pids
+    );
+    let durable_events = recorder
+        .kinds()
+        .iter()
+        .filter(|kind| *kind == "range.durable")
+        .count();
+    assert_eq!(durable_events, slots * RANGES_PER_SLOT);
+
+    assert_bit_identical(&warm, &reference(&spec, slots, 16), &spec, &dir);
+    let (resumed, _) = read_result_records(&work.merged()).expect("read merged log");
+    assert_eq!(resumed.len(), records.len());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn partially_durable_store_evaluates_only_the_missing_keys() {
+    let spec = bowl(40, 27); // 1080 configurations, 12 ranges of 90
+    let dir = scratch_dir("partial");
+    let work = WorkDir::new(&dir);
+    std::fs::create_dir_all(&dir).expect("work dir");
+    // Every 3rd key is durable before the campaign starts, so each range's
+    // skip file holds dozens of one-index runs.
+    let space = spec.space();
+    let total = 40 * 27;
+    let prepopulated = {
+        let store: JsonlStore<(u32, u32)> =
+            JsonlStore::open_with_context(work.merged(), &spec.encode()).expect("open merged");
+        let mut count = 0;
+        for index in (0..total).step_by(3) {
+            let config = space.config_at(index).expect("index in range");
+            store.record(&config, spec.evaluate(&config));
+            count += 1;
+        }
+        store.flush().expect("flush merged");
+        count
+    };
+
+    let got = ProcCampaign::new(3)
+        .with_batch_size(8)
+        .with_worker_bin(worker_bin())
+        .run(&spec, &dir)
+        .expect("campaign over a partially durable store");
+    assert_eq!(got.report.worker_evaluations, total - prepopulated);
+    assert_eq!(got.report.salvaged_records, total - prepopulated);
+    assert_eq!(got.report.durable_ranges, 0);
+    assert_eq!(got.report.verification_evaluations, 0);
+
+    assert_bit_identical(&got, &reference(&spec, 3, 8), &spec, &dir);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

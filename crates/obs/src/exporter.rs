@@ -8,6 +8,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::recorder::{FieldValue, IterationEvent, Recorder};
+use crate::sync::lock;
 use crate::{escape_json, EVENT_SCHEMA_VERSION};
 
 /// A recorder that appends every event to a JSON-lines file.
@@ -70,31 +71,20 @@ impl JsonlExporter {
 
     /// Flush the underlying writer and surface the first parked write error, if any.
     pub fn flush(&self) -> io::Result<()> {
-        if let Some(err) = self
-            .write_error
-            .lock()
-            .expect("exporter error slot poisoned")
-            .take()
-        {
+        if let Some(err) = lock(&self.write_error).take() {
             return Err(err);
         }
-        self.writer
-            .lock()
-            .expect("exporter writer poisoned")
-            .flush()
+        lock(&self.writer).flush()
     }
 
     fn append_line(&self, line: &str) {
-        let mut error_slot = self
-            .write_error
-            .lock()
-            .expect("exporter error slot poisoned");
+        let mut error_slot = lock(&self.write_error);
         if error_slot.is_some() {
             // a previous write failed: drop the event instead of recording a stream
             // with a silent gap before this point
             return;
         }
-        let mut writer = self.writer.lock().expect("exporter writer poisoned");
+        let mut writer = lock(&self.writer);
         let outcome = writeln!(writer, "{line}").and_then(|()| writer.flush());
         match outcome {
             Ok(()) => {

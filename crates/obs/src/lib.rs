@@ -59,6 +59,7 @@ pub mod exporter;
 pub mod recorder;
 pub mod registry;
 pub mod replay;
+mod sync;
 
 pub use exporter::JsonlExporter;
 pub use recorder::{FieldValue, IterationEvent, NoopRecorder, Recorder};

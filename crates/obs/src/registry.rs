@@ -4,6 +4,7 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use crate::recorder::{FieldValue, IterationEvent, Recorder};
+use crate::sync::lock;
 
 /// Aggregate of one histogram: count, sum and range of the observed values.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -133,7 +134,7 @@ impl Registry {
 
     /// A point-in-time copy of everything recorded so far.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let inner = self.inner.lock().expect("metrics registry poisoned");
+        let inner = lock(&self.inner);
         MetricsSnapshot {
             counters: inner.counters.clone(),
             gauges: inner.gauges.clone(),
@@ -147,17 +148,17 @@ impl Registry {
 
 impl Recorder for Registry {
     fn counter(&self, name: &str, delta: u64) {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
+        let mut inner = lock(&self.inner);
         *inner.counters.entry(name.to_string()).or_insert(0) += delta;
     }
 
     fn gauge(&self, name: &str, value: f64) {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
+        let mut inner = lock(&self.inner);
         inner.gauges.insert(name.to_string(), value);
     }
 
     fn observe(&self, name: &str, value: f64) {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
+        let mut inner = lock(&self.inner);
         match inner.histograms.get_mut(name) {
             Some(summary) => summary.record(value),
             None => {
@@ -169,7 +170,7 @@ impl Recorder for Registry {
     }
 
     fn span(&self, name: &str, seconds: f64, fields: &[(&str, FieldValue)]) {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
+        let mut inner = lock(&self.inner);
         match inner.spans.get_mut(name) {
             Some(summary) => summary.record(seconds),
             None => {
@@ -192,7 +193,7 @@ impl Recorder for Registry {
     }
 
     fn iteration(&self, scope: &str, event: IterationEvent) {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
+        let mut inner = lock(&self.inner);
         match inner.iterations.get_mut(scope) {
             Some(summary) => summary.record(event),
             None => {
@@ -204,7 +205,7 @@ impl Recorder for Registry {
     }
 
     fn event(&self, scope: &str, kind: &str, _fields: &[(&str, FieldValue)]) {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
+        let mut inner = lock(&self.inner);
         *inner.events.entry(format!("{scope}/{kind}")).or_insert(0) += 1;
     }
 }
