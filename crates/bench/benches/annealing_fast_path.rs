@@ -4,7 +4,7 @@
 //! * `annealing_fast_path` — SAML walks on the paper's Table-I space and on the
 //!   2-accelerator bench space, three ways each: the classic walk (full
 //!   re-evaluation of the direct prediction models on every proposal), the
-//!   incremental walk over *eagerly* built tables (the enumeration-style build that
+//!   incremental walk over *eagerly* prefilled tables (the enumeration-style fill that
 //!   only pays off on huge budgets), and the incremental walk over *lazy*
 //!   fill-on-first-touch tables (`run_delta` + `LazyTabulatedPredictionEvaluator` —
 //!   the path `MethodRunner` wires for SAML).

@@ -3,8 +3,8 @@
 //!
 //! * `tabulated_vs_direct` — EML on a 2-accelerator grid through the direct
 //!   [`PredictionEvaluator`] versus the factorized
-//!   [`hetero_autotune::TabulatedPredictionEvaluator`] scanned by index, as
-//!   `MethodRunner` runs EML.  An instrumented objective
+//!   [`hetero_autotune::LazyTabulatedPredictionEvaluator`] filled in batches and
+//!   scanned by index, as `MethodRunner` runs EML.  An instrumented objective
 //!   (`wd_bench::counting_prediction_evaluator`, which counts every boosted-tree
 //!   model invocation) proves the fast path performs ≥ 5× fewer model queries while
 //!   returning a bit-identical best configuration and energy;
@@ -88,11 +88,11 @@ fn bench_tabulated_vs_direct(c: &mut Criterion) {
         b.iter(|| ParallelEnumeration::new().run_indexed(&grid, &prediction));
     });
     group.bench_function("eml_tabulated_total", |b| {
-        b.iter(|| prediction.tabulated(&grid).scan());
+        b.iter(|| prediction.lazy_tabulated().scan(&grid));
     });
     group.bench_function("eml_tabulated_scan_only", |b| {
         let tabulated = prediction.tabulated(&grid);
-        b.iter(|| tabulated.scan());
+        b.iter(|| tabulated.scan(&grid));
     });
     group.finish();
 }

@@ -209,15 +209,15 @@ pub struct FastPathMeasurement {
     pub grid_configs: usize,
     /// Wall-clock of enumerating the direct prediction evaluator.
     pub direct: std::time::Duration,
-    /// Wall-clock of building the factorized tables.
+    /// Wall-clock of prefilling the factorized tables.
     pub build: std::time::Duration,
-    /// Wall-clock of the by-index scan over the built tables
-    /// ([`hetero_autotune::TabulatedPredictionEvaluator::scan`], EML's path in
+    /// Wall-clock of the by-index scan over the prefilled tables
+    /// ([`hetero_autotune::LazyTabulatedPredictionEvaluator::scan`], EML's path in
     /// `MethodRunner`).
     pub scan: std::time::Duration,
     /// Model invocations of the direct enumeration.
     pub model_queries_direct: usize,
-    /// Model invocations of the factorized path (table construction only).
+    /// Model invocations of the factorized path (the prefill only).
     pub model_queries_tabulated: usize,
     /// Whether both paths agreed on the best index and its energy bits.
     pub identical_best: bool,
@@ -253,8 +253,8 @@ impl FastPathMeasurement {
 }
 
 /// Measure EML over `grid` twice — by enumerating the direct
-/// [`CountingRegressor`]-wrapped prediction evaluator, and by building the factorized
-/// tables and scanning them by index as `MethodRunner` does — and compare.
+/// [`CountingRegressor`]-wrapped prediction evaluator, and by prefilling the
+/// factorized tables and scanning them by index as `MethodRunner` does — and compare.
 pub fn measure_fast_path(
     models: &TrainedModels,
     workload: hetero_platform::WorkloadProfile,
@@ -275,12 +275,17 @@ pub fn measure_fast_path(
     let start = Instant::now();
     let tabulated = counted.tabulated(grid);
     let t_build = start.elapsed();
+    let prefilled = tabulated.model_queries();
     let start = Instant::now();
     let fast = tabulated
-        .scan()
+        .scan(grid)
         .expect("bench grids hold at least one configuration");
     let t_scan = start.elapsed();
-    assert_eq!(tabulated.fallback_queries(), 0);
+    assert_eq!(
+        tabulated.model_queries(),
+        prefilled,
+        "the scan walks no model"
+    );
 
     FastPathMeasurement {
         grid_configs,
@@ -296,7 +301,7 @@ pub fn measure_fast_path(
     }
 }
 
-/// One direct-vs-eager-vs-lazy SAML measurement on an annealing space (see
+/// One direct-vs-prefilled-vs-lazy SAML measurement on an annealing space (see
 /// [`measure_annealing_fast_path`]).
 pub struct AnnealingMeasurement {
     /// Number of configurations in the annealing space.
@@ -309,16 +314,17 @@ pub struct AnnealingMeasurement {
     pub accepted_moves: usize,
     /// Wall-clock of the classic walk: full re-evaluation of the direct models.
     pub direct: std::time::Duration,
-    /// Wall-clock of eagerly building the full per-device tables.
+    /// Wall-clock of eagerly prefilling the full per-device tables.
     pub eager_build: std::time::Duration,
-    /// Wall-clock of the delta walk over the eager tables (excluding the build).
+    /// Wall-clock of the delta walk over the prefilled tables (excluding the
+    /// prefill).
     pub eager_walk: std::time::Duration,
     /// Wall-clock of the delta walk over the lazy (fill-on-first-touch) tables.
     pub lazy: std::time::Duration,
     /// Model invocations of the direct walk.
     pub model_queries_direct: usize,
-    /// Model invocations of the eager path (table construction; the walk itself
-    /// performs none).
+    /// Model invocations of the eager path (the prefill; the walk itself performs
+    /// none).
     pub model_queries_eager: usize,
     /// Model invocations of the lazy path (first-touch fills only).
     pub model_queries_lazy: usize,
@@ -328,7 +334,7 @@ pub struct AnnealingMeasurement {
 }
 
 impl AnnealingMeasurement {
-    /// Total wall-clock of the eager path (table build + walk).
+    /// Total wall-clock of the eager path (prefill + walk).
     pub fn eager_total(&self) -> std::time::Duration {
         self.eager_build + self.eager_walk
     }
@@ -371,7 +377,7 @@ impl AnnealingMeasurement {
 
 /// Run one SAML walk (budget `iterations`, fixed `seed`) over `space` three ways —
 /// classic full re-evaluation of the direct models, the incremental
-/// (`run_delta`) walk over eagerly built tables, and the incremental walk over lazy
+/// (`run_delta`) walk over eagerly prefilled tables, and the incremental walk over lazy
 /// fill-on-first-touch tables — counting boosted-tree invocations via
 /// [`CountingRegressor`] and checking all three trajectories agree bit for bit.
 pub fn measure_annealing_fast_path(
@@ -396,12 +402,13 @@ pub fn measure_annealing_fast_path(
     let start = Instant::now();
     let eager_tables = eager_counted.tabulated(space);
     let t_build = start.elapsed();
+    let prefilled = eager_tables.model_queries();
     let start = Instant::now();
     let eager = sa.run_delta(space, &eager_tables);
     let t_eager_walk = start.elapsed();
     assert_eq!(
-        eager_tables.fallback_queries(),
-        0,
+        eager_tables.model_queries(),
+        prefilled,
         "the walk stays in-space"
     );
 

@@ -295,12 +295,12 @@ impl PredictionEvaluator {
         host.max(device)
     }
 
-    /// Build the factorized fast path for exhaustive searches over `space`: a
-    /// [`TabulatedPredictionEvaluator`] whose per-device time tables are precomputed
-    /// with batched, rayon-parallel model queries.  See the type docs for when this
-    /// pays off.
-    pub fn tabulated(&self, space: &ConfigurationSpace) -> TabulatedPredictionEvaluator<'_> {
-        TabulatedPredictionEvaluator::new(self, space)
+    /// The factorized fast path for exhaustive searches over `space`: a
+    /// [`LazyTabulatedPredictionEvaluator`] whose per-device time tables are prefilled
+    /// with batched, rayon-parallel model queries, so enumerating `space` walks no
+    /// model.
+    pub fn tabulated(&self, space: &ConfigurationSpace) -> LazyTabulatedPredictionEvaluator<'_> {
+        self.lazy_tabulated().prefill(space)
     }
 
     /// Build the factorized fast path for *local-search* walks: a
@@ -388,9 +388,12 @@ impl DeltaObjective<SystemConfiguration> for PredictionEvaluator {
 
 /// One per-device time table of the factorized fast path, keyed by that device's own
 /// `(threads, affinity, share permille)` axis.
-type TimeTable = HashMap<(u32, Affinity, u32), f64>;
+type TimeTable = HashMap<TableKey, f64>;
 
-/// Acquire a read guard on a lazy time table, recovering from poisoning instead of
+/// A `(threads, affinity, share permille)` triple of one device's axis.
+type TableKey = (u32, Affinity, u32);
+
+/// Acquire a read guard on a time table, recovering from poisoning instead of
 /// panicking: a worker that panicked while holding the guard leaves the table
 /// consistent (every insert is a whole entry), so its data is still usable.
 fn read_lock<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
@@ -402,421 +405,35 @@ fn write_lock<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     lock.write().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Number of table entries scored per batched model call during construction.
+/// Number of table entries scored per batched model call during a prefill.
 const TABLE_BATCH: usize = 256;
 
-/// The factorized prediction fast path for exhaustive (enumeration) searches.
+/// The factorized prediction fast path: per-device time tables behind every
+/// prediction-based method (EML's scan, SAML/GAML walks, sharded EML campaigns, the
+/// adaptive refinement controller).
 ///
 /// The energy `E = max(T_host, max_d T_d)` is *separable*: each device's predicted
 /// time depends only on that device's own `(threads, affinity, share)` triple, never
-/// on the other devices.  An N-way grid of `|host axis| × Π_d |axis_d| × |splits|`
-/// configurations therefore needs only `Σ_d |threads_d| × |affinities_d| × |shares_d|`
-/// *distinct* model queries — the per-device tables this evaluator precomputes — after
-/// which scoring any configuration is a handful of table lookups and a max-fold,
-/// with **zero** boosted-tree walks.
+/// on the other devices.  The evaluator keeps one table per device over those
+/// triples, so any configuration is scored by a handful of table probes and a
+/// max-fold, and each distinct triple walks its boosted-tree model once.
 ///
-/// Construction queries the models once per table entry through the batched,
-/// rayon-parallel [`wd_ml::Regressor::predict_batch`] path; results are **bit-identical**
-/// to [`PredictionEvaluator`] (the tables store exactly what `predict_host` /
-/// `predict_device_on` would return, and the max-composition replicates
-/// [`PredictionEvaluator::energy`] operation for operation).
+/// The tables fill two ways, into the same entries:
 ///
-/// Tabulation pays off when many configurations share axis values — enumeration (EM's
-/// grid visits every table entry thousands of times) and sharded campaigns.  It does
-/// *not* pay off for short annealing walks, which visit too few configurations to
-/// amortise building the tables; those keep querying the models directly.
+/// * **on first touch** — every probe of a missing entry queries the model, so a
+///   SAML/GAML walk, which revisits the same few dozen axis values constantly, pays
+///   for the distinct triples it visits, not for its length or the space's size;
+/// * **in batches** — [`LazyTabulatedPredictionEvaluator::prefill`] and
+///   [`LazyTabulatedPredictionEvaluator::scan`] fill every missing entry of a whole
+///   space through rayon-parallel [`wd_ml::Regressor::predict_batch`] calls: an N-way
+///   grid of `|host axis| × Π_d |axis_d| × |splits|` configurations costs
+///   `Σ_d |threads_d| × |affinities_d| × |shares_d|` model queries.
 ///
-/// [`TabulatedPredictionEvaluator::scan`] enumerates the grid the tables were built
-/// from without building a configuration per grid point — the EML path of
-/// [`crate::MethodRunner`].  As an [`Objective`] the evaluator also scores arbitrary
-/// configurations (sharded campaigns, delta walks).
-///
-/// Configurations outside the tabulated space (an axis value or share the space does
-/// not contain) fall back to the wrapped evaluator's direct model path, so the
-/// evaluator remains total; [`TabulatedPredictionEvaluator::fallback_queries`] counts
-/// how often that happened.
-pub struct TabulatedPredictionEvaluator<'a> {
-    inner: &'a PredictionEvaluator,
-    grid: ConfigurationSpace,
-    host: TimeTable,
-    devices: Vec<TimeTable>,
-    table_model_queries: usize,
-    fallback_queries: AtomicUsize,
-}
-
-impl<'a> TabulatedPredictionEvaluator<'a> {
-    /// Precompute the host table and one table per accelerator of `space`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `space` describes more accelerators than `inner` has models for.
-    pub fn new(inner: &'a PredictionEvaluator, space: &ConfigurationSpace) -> Self {
-        assert!(
-            space.accelerator_count() <= inner.device_models.len(),
-            "space describes {} accelerators but only {} device models are trained",
-            space.accelerator_count(),
-            inner.device_models.len()
-        );
-        let bytes = inner.workload.bytes;
-
-        // distinct share values per simplex position (column 0 is the host)
-        let shares_of = |position: usize| {
-            let mut shares: Vec<u32> = space.splits.iter().map(|split| split[position]).collect();
-            shares.sort_unstable();
-            shares.dedup();
-            shares
-        };
-
-        let host = Self::build_table(
-            inner.host_model.as_ref(),
-            &space.host_threads,
-            &space.host_affinities,
-            &shares_of(0),
-            bytes,
-            host_features,
-            // exactly `predict_host`: clamp the raw prediction at zero
-            &|prediction| prediction.max(0.0),
-        );
-        let overhead = inner.device_fixed_overhead;
-        let devices: Vec<(TimeTable, usize)> = space
-            .device_axes
-            .iter()
-            .enumerate()
-            .map(|(index, axis)| {
-                Self::build_table(
-                    inner.device_models[index].as_ref(),
-                    &axis.threads,
-                    &axis.affinities,
-                    &shares_of(index + 1),
-                    bytes,
-                    device_features,
-                    // exactly `predict_device_on`: add the offload overhead, clamp
-                    &|prediction| (prediction + overhead).max(0.0),
-                )
-            })
-            .collect();
-
-        let table_model_queries =
-            host.1 + devices.iter().map(|(_, queries)| queries).sum::<usize>();
-        TabulatedPredictionEvaluator {
-            inner,
-            grid: space.clone(),
-            host: host.0,
-            devices: devices.into_iter().map(|(table, _)| table).collect(),
-            table_model_queries,
-            fallback_queries: AtomicUsize::new(0),
-        }
-    }
-
-    /// Tabulate one device axis: zero shares short-circuit to 0 (as the direct path
-    /// does), everything else is scored through batched, rayon-parallel model calls.
-    /// Returns the table and the number of model queries it cost.
-    fn build_table(
-        model: &(dyn Regressor + Send + Sync),
-        threads: &[u32],
-        affinities: &[Affinity],
-        shares: &[u32],
-        total_bytes: u64,
-        featurize: fn(u32, Affinity, u64) -> Vec<f64>,
-        finish: &(dyn Fn(f64) -> f64 + Sync),
-    ) -> (TimeTable, usize) {
-        let mut table = TimeTable::with_capacity(threads.len() * affinities.len() * shares.len());
-        let mut queried: Vec<(u32, Affinity, u32)> = Vec::new();
-        for &t in threads {
-            for &a in affinities {
-                for &share in shares {
-                    if share_bytes(total_bytes, share) == 0 {
-                        // a side that receives no work reports 0, without a model query
-                        table.insert((t, a, share), 0.0);
-                    } else {
-                        queried.push((t, a, share));
-                    }
-                }
-            }
-        }
-
-        let predictions: Vec<Vec<f64>> = queried
-            .chunks(TABLE_BATCH)
-            .collect::<Vec<_>>()
-            .into_par_iter()
-            .map(|chunk| {
-                let mut width = 0;
-                let mut matrix: Vec<f64> = Vec::new();
-                for &(t, a, share) in chunk {
-                    let row = featurize(t, a, share_bytes(total_bytes, share));
-                    width = row.len();
-                    matrix.extend(row);
-                }
-                model
-                    .predict_batch(&matrix, width)
-                    .into_iter()
-                    .map(finish)
-                    .collect()
-            })
-            .collect();
-        for (chunk, chunk_predictions) in queried.chunks(TABLE_BATCH).zip(predictions) {
-            for (&key, &time) in chunk.iter().zip(&chunk_predictions) {
-                table.insert(key, time);
-            }
-        }
-        (table, queried.len())
-    }
-
-    /// Number of model queries spent building the tables — the *entire* model cost of
-    /// any number of subsequent evaluations.
-    pub fn table_model_queries(&self) -> usize {
-        self.table_model_queries
-    }
-
-    /// Total number of table entries across the host and all devices.
-    pub fn table_len(&self) -> usize {
-        self.host.len() + self.devices.iter().map(TimeTable::len).sum::<usize>()
-    }
-
-    /// How many evaluations had to fall back to the direct model path because the
-    /// configuration lay outside the tabulated space (0 for enumeration over the
-    /// space the tables were built from).
-    pub fn fallback_queries(&self) -> usize {
-        self.fallback_queries.load(Ordering::Relaxed)
-    }
-
-    /// The wrapped direct evaluator.
-    pub fn inner(&self) -> &PredictionEvaluator {
-        self.inner
-    }
-
-    fn host_time(&self, config: &SystemConfiguration) -> f64 {
-        self.host_entry(
-            config.host_threads,
-            config.host_affinity,
-            config.host_permille(),
-        )
-    }
-
-    fn host_entry(&self, threads: u32, affinity: Affinity, permille: u32) -> f64 {
-        match self.host.get(&(threads, affinity, permille)) {
-            Some(&time) => time,
-            None => {
-                self.fallback_queries.fetch_add(1, Ordering::Relaxed);
-                let bytes = share_bytes(self.inner.workload.bytes, permille);
-                if bytes == 0 {
-                    0.0
-                } else {
-                    self.inner.predict_host(threads, affinity, bytes)
-                }
-            }
-        }
-    }
-
-    fn device_time(&self, index: usize, device: DeviceSetting) -> f64 {
-        match self
-            .devices
-            .get(index)
-            .and_then(|table| table.get(&(device.threads, device.affinity, device.permille)))
-        {
-            Some(&time) => time,
-            None => {
-                self.fallback_queries.fetch_add(1, Ordering::Relaxed);
-                let bytes = share_bytes(self.inner.workload.bytes, device.permille);
-                if bytes == 0 {
-                    0.0
-                } else {
-                    self.inner
-                        .predict_device_on(index, device.threads, device.affinity, bytes)
-                }
-            }
-        }
-    }
-
-    /// The optimization energy `E = max(T_host, max_d T_d)` by table lookup +
-    /// max-composition — the same fold, in the same order, as
-    /// [`PredictionEvaluator::energy`].
-    pub fn energy(&self, config: &SystemConfiguration) -> f64 {
-        assert!(
-            config.accelerator_count() <= self.inner.device_models.len(),
-            "configuration describes {} accelerators but only {} device models are trained",
-            config.accelerator_count(),
-            self.inner.device_models.len()
-        );
-        let host = self.host_time(config);
-        let device = config
-            .devices()
-            .iter()
-            .enumerate()
-            .map(|(index, &device)| self.device_time(index, device))
-            .fold(0.0, f64::max);
-        host.max(device)
-    }
-
-    /// One row of times over the grid's splits (at simplex `position`) per
-    /// `(threads, affinity)` of an axis, threads outer — the digit order of
-    /// `config_at`.
-    fn axis_rows(
-        &self,
-        threads: &[u32],
-        affinities: &[Affinity],
-        position: usize,
-        time: impl Fn(u32, Affinity, u32) -> f64,
-    ) -> Vec<Vec<f64>> {
-        threads
-            .iter()
-            .flat_map(|&t| affinities.iter().map(move |&a| (t, a)))
-            .map(|(t, a)| {
-                self.grid
-                    .splits
-                    .iter()
-                    .map(|split| time(t, a, split[position]))
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// Exhaustive search over the grid the tables were built from, by index.
-    ///
-    /// The grid is visited in [`SearchSpace::config_at`] order — host threads, host
-    /// affinity, then each device's threads and affinity, the split fastest — without
-    /// building a configuration per point: one row of table times over the splits is
-    /// read per `(threads, affinity)` of every axis, the device rows are max-folded
-    /// per device combination, and each point is the host row against one fold.  The
-    /// composition is [`TabulatedPredictionEvaluator::energy`]'s, operation for
-    /// operation, and the reduction is [`better_indexed`], so the outcome (index,
-    /// configuration, energy bits, evaluation count) equals
-    /// [`wd_opt::ParallelEnumeration::run_indexed`] over this evaluator or over the
-    /// direct [`PredictionEvaluator`].  Only the winner is built, through `config_at`.
-    ///
-    /// # Errors
-    ///
-    /// [`EnumerationError::Empty`] for a grid without configurations, and
-    /// [`EnumerationError::MissingConfig`] if the grid cannot build its winner.
-    pub fn scan(&self) -> Result<IndexedOutcome<SystemConfiguration>, EnumerationError> {
-        let grid = &self.grid;
-        // the device max-fold of every device combination, last device fastest
-        let mut folds: Vec<Vec<f64>> = vec![vec![0.0; grid.splits.len()]];
-        for (index, axis) in grid.device_axes.iter().enumerate() {
-            let rows = self.axis_rows(&axis.threads, &axis.affinities, index + 1, |t, a, share| {
-                self.device_time(index, DeviceSetting::new(t, a, share))
-            });
-            folds = folds
-                .iter()
-                .flat_map(|fold| {
-                    rows.iter()
-                        .map(move |row| fold.iter().zip(row).map(|(&f, &t)| f.max(t)).collect())
-                })
-                .collect();
-        }
-        let hosts = self.axis_rows(
-            &grid.host_threads,
-            &grid.host_affinities,
-            0,
-            |t, a, share| self.host_entry(t, a, share),
-        );
-
-        let best = hosts
-            .iter()
-            .flat_map(|host| {
-                folds
-                    .iter()
-                    .flat_map(move |fold| host.iter().zip(fold).map(|(&h, &d)| h.max(d)))
-            })
-            .enumerate()
-            .reduce(better_indexed)
-            .ok_or(EnumerationError::Empty)?;
-        let best_config = grid
-            .config_at(best.0)
-            .ok_or(EnumerationError::MissingConfig { index: best.0 })?;
-        Ok(IndexedOutcome {
-            best_index: best.0,
-            outcome: Outcome {
-                best_config,
-                best_energy: best.1,
-                evaluations: hosts.len() * folds.len() * grid.splits.len(),
-                trace: OptimizationTrace::new(),
-            },
-        })
-    }
-}
-
-impl Objective<SystemConfiguration> for TabulatedPredictionEvaluator<'_> {
-    fn evaluate(&self, config: &SystemConfiguration) -> f64 {
-        self.energy(config)
-    }
-
-    /// Batched scoring: pure table lookups.  Deliberately sequential — the lookups
-    /// are ~ns each and the enumeration drivers already spread batches over rayon
-    /// workers, so fanning out *inside* the batch would only add thread overhead.
-    fn evaluate_batch(&self, configs: &[SystemConfiguration]) -> Vec<f64> {
-        configs.iter().map(|config| self.energy(config)).collect()
-    }
-}
-
-/// Incremental evaluation over the precomputed tables: a move re-probes only the
-/// touched devices' tables (out-of-space values still fall back to the direct model
-/// path, counted by [`TabulatedPredictionEvaluator::fallback_queries`]).
-impl DeltaObjective<SystemConfiguration> for TabulatedPredictionEvaluator<'_> {
-    type State = PredictedTimes;
-
-    fn evaluate_with_state(&self, config: &SystemConfiguration) -> (f64, PredictedTimes) {
-        assert!(
-            config.accelerator_count() <= self.inner.device_models.len(),
-            "configuration describes {} accelerators but only {} device models are trained",
-            config.accelerator_count(),
-            self.inner.device_models.len()
-        );
-        let host = self.host_time(config);
-        let devices: Vec<f64> = config
-            .devices()
-            .iter()
-            .enumerate()
-            .map(|(index, &device)| self.device_time(index, device))
-            .collect();
-        let device = devices.iter().copied().fold(0.0, f64::max);
-        (host.max(device), (host, devices))
-    }
-
-    fn evaluate_move(
-        &self,
-        base: &SystemConfiguration,
-        state: &PredictedTimes,
-        config: &SystemConfiguration,
-        touched: &Touched,
-    ) -> (f64, PredictedTimes) {
-        assert!(
-            config.accelerator_count() <= self.inner.device_models.len(),
-            "configuration describes {} accelerators but only {} device models are trained",
-            config.accelerator_count(),
-            self.inner.device_models.len()
-        );
-        recompose_move(
-            base,
-            state,
-            config,
-            touched,
-            || self.host_time(config),
-            |index, device| self.device_time(index, device),
-        )
-    }
-}
-
-/// The factorized prediction fast path for **local-search** walks (SAM/SAML, tabu,
-/// hill climbing, the adaptive refinement controller).
-///
-/// Like [`TabulatedPredictionEvaluator`] it exploits the separability of the energy
-/// `E = max(T_host, max_d T_d)` — each device's predicted time depends only on that
-/// device's own `(threads, affinity, share)` triple — but where the eager variant
-/// pays `Σ_d |axis_d|` model queries *up front* (which only enumeration amortises),
-/// the lazy variant starts with **empty** tables and fills each entry the first time
-/// a walk touches it.  A 2 000-iteration SAML walk revisits the same few dozen axis
-/// values constantly, so after a short warm-up every move is answered from the tables
-/// and the total model cost is bounded by the number of *distinct* triples visited —
-/// not by the walk length, and not by the space size.
-///
-/// Memoization is keyed by value, so the evaluator is total: a configuration outside
-/// any particular space simply fills its own entries through the same direct model
-/// path, making every energy **bit-identical** to [`PredictionEvaluator`] on every
-/// configuration (the tables store exactly what `predict_host` / `predict_device_on`
-/// would return, zero shares short-circuit to 0 without a model query, and the
-/// max-composition replicates [`PredictionEvaluator::energy`] operation for
-/// operation).
+/// Memoization is keyed by value, so the evaluator is total and every energy is
+/// **bit-identical** to [`PredictionEvaluator`] on every configuration: the tables
+/// store exactly what `predict_host` / `predict_device_on` would return, zero shares
+/// short-circuit to 0 without a model query, and the max-composition replicates
+/// [`PredictionEvaluator::energy`] operation for operation.
 ///
 /// The tables live behind [`RwLock`]s, so one evaluator can be shared across rayon
 /// workers (e.g. the convergence study's parallel annealing repeats); under a race
@@ -850,6 +467,124 @@ impl<'a> LazyTabulatedPredictionEvaluator<'a> {
         }
     }
 
+    /// Fill every entry of `space`'s axes the tables do not hold yet, in batches (see
+    /// the type docs), and return the evaluator.  Enumerating `space` afterwards walks
+    /// no model.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `space` describes more accelerators than `inner` has models for.
+    pub fn prefill(self, space: &ConfigurationSpace) -> Self {
+        self.fill(space);
+        self
+    }
+
+    /// The batched fill behind [`LazyTabulatedPredictionEvaluator::prefill`].
+    fn fill(&self, space: &ConfigurationSpace) {
+        assert!(
+            space.accelerator_count() <= self.devices.len(),
+            "space describes {} accelerators but only {} device models are trained",
+            space.accelerator_count(),
+            self.devices.len()
+        );
+        let inner = self.inner;
+        // distinct share values per simplex position (column 0 is the host)
+        let keys = |threads: &[u32], affinities: &[Affinity], position: usize| {
+            let mut shares: Vec<u32> = space.splits.iter().map(|split| split[position]).collect();
+            shares.sort_unstable();
+            shares.dedup();
+            let mut keys = Vec::with_capacity(threads.len() * affinities.len() * shares.len());
+            for &t in threads {
+                for &a in affinities {
+                    keys.extend(shares.iter().map(|&share| (t, a, share)));
+                }
+            }
+            keys
+        };
+
+        self.fill_table(
+            &self.host,
+            keys(&space.host_threads, &space.host_affinities, 0),
+            inner.host_model.as_ref(),
+            host_features,
+            // exactly `predict_host`: clamp the raw prediction at zero
+            &|prediction| prediction.max(0.0),
+        );
+        let overhead = inner.device_fixed_overhead;
+        for (index, axis) in space.device_axes.iter().enumerate() {
+            self.fill_table(
+                &self.devices[index],
+                keys(&axis.threads, &axis.affinities, index + 1),
+                inner.device_models[index].as_ref(),
+                device_features,
+                // exactly `predict_device_on`: add the offload overhead, clamp
+                &|prediction| (prediction + overhead).max(0.0),
+            );
+        }
+    }
+
+    /// Fill the `keys` one table does not hold yet: zero shares short-circuit to 0 (as
+    /// the direct path does), everything else is scored outside the lock through
+    /// batched, rayon-parallel model calls counted in `model_queries`.
+    fn fill_table(
+        &self,
+        table: &RwLock<TimeTable>,
+        keys: Vec<TableKey>,
+        model: &(dyn Regressor + Send + Sync),
+        featurize: fn(u32, Affinity, u64) -> Vec<f64>,
+        finish: &(dyn Fn(f64) -> f64 + Sync),
+    ) {
+        let total_bytes = self.inner.workload.bytes;
+        let missing: Vec<TableKey> = {
+            let table = read_lock(table);
+            keys.into_iter()
+                .filter(|key| !table.contains_key(key))
+                .collect()
+        };
+        if missing.is_empty() {
+            return;
+        }
+        // a side that receives no work reports 0, without a model query
+        let (zeros, queried): (Vec<TableKey>, Vec<TableKey>) = missing
+            .into_iter()
+            .partition(|&(_, _, share)| share_bytes(total_bytes, share) == 0);
+
+        let predictions: Vec<Vec<f64>> = queried
+            .chunks(TABLE_BATCH)
+            .collect::<Vec<_>>()
+            .into_par_iter()
+            .map(|chunk| {
+                let mut width = 0;
+                let mut matrix: Vec<f64> = Vec::new();
+                for &(t, a, share) in chunk {
+                    let row = featurize(t, a, share_bytes(total_bytes, share));
+                    width = row.len();
+                    matrix.extend(row);
+                }
+                model
+                    .predict_batch(&matrix, width)
+                    .into_iter()
+                    .map(finish)
+                    .collect()
+            })
+            .collect();
+        self.model_queries
+            .fetch_add(queried.len(), Ordering::Relaxed);
+
+        // a racing worker may have filled an entry meanwhile; the values are identical
+        // (models are deterministic), so first insert wins
+        let mut table = write_lock(table);
+        table.reserve(zeros.len() + queried.len());
+        for key in zeros {
+            table.entry(key).or_insert(0.0);
+        }
+        for (chunk, chunk_predictions) in queried.chunks(TABLE_BATCH).zip(predictions) {
+            for (&key, &time) in chunk.iter().zip(&chunk_predictions) {
+                table.entry(key).or_insert(time);
+            }
+        }
+    }
+
     /// The wrapped direct evaluator.
     pub fn inner(&self) -> &PredictionEvaluator {
         self.inner
@@ -857,14 +592,16 @@ impl<'a> LazyTabulatedPredictionEvaluator<'a> {
 
     /// Total number of per-device table probes served so far (every energy evaluation
     /// performs one probe for the host plus one per accelerator; a delta re-evaluation
-    /// probes only the touched components).
+    /// probes only the touched components).  Batched fills and
+    /// [`LazyTabulatedPredictionEvaluator::scan`] probe nothing.
     pub fn probes(&self) -> usize {
         self.probes.load(Ordering::Relaxed)
     }
 
-    /// Number of boosted-tree model walks performed so far — the *entire* model cost
-    /// of the walk, bounded by the number of distinct `(threads, affinity, share)`
-    /// triples visited (plus any racing duplicate fills under concurrent use).
+    /// Number of boosted-tree model walks performed so far, by probes and batched
+    /// fills alike — the *entire* model cost of the evaluator, bounded by the number
+    /// of distinct `(threads, affinity, share)` triples filled (plus any racing
+    /// duplicate fills under concurrent use).
     pub fn model_queries(&self) -> usize {
         self.model_queries.load(Ordering::Relaxed)
     }
@@ -915,7 +652,7 @@ impl<'a> LazyTabulatedPredictionEvaluator<'a> {
     fn probe(
         &self,
         table: &RwLock<TimeTable>,
-        key: (u32, Affinity, u32),
+        key: TableKey,
         compute: impl FnOnce() -> (f64, bool),
     ) -> f64 {
         self.probes.fetch_add(1, Ordering::Relaxed);
@@ -1003,6 +740,110 @@ impl<'a> LazyTabulatedPredictionEvaluator<'a> {
         let device = devices.into_iter().fold(0.0, f64::max);
         host.max(device)
     }
+
+    /// Exhaustive search over `grid`, by index — EML's path in [`crate::MethodRunner`].
+    ///
+    /// First fills the grid's missing table entries in batches, as
+    /// [`LazyTabulatedPredictionEvaluator::prefill`] does.  Then the grid is visited in
+    /// [`SearchSpace::config_at`] order — host threads, host affinity, then each
+    /// device's threads and affinity, the split fastest — without building a
+    /// configuration per point: under one read guard per table, one row of times over
+    /// the splits is read per `(threads, affinity)` of every axis, the device rows are
+    /// max-folded per device combination, and each point is the host row against one
+    /// fold.  The composition is [`LazyTabulatedPredictionEvaluator::energy`]'s,
+    /// operation for operation, and the reduction is [`better_indexed`], so the
+    /// outcome (index, configuration, energy bits, evaluation count) equals
+    /// [`wd_opt::ParallelEnumeration::run_indexed`] over this evaluator or over the
+    /// direct [`PredictionEvaluator`].  Only the winner is built, through `config_at`.
+    /// The scan counts no probes; its model cost is the fill's, in `model_queries`.
+    ///
+    /// # Errors
+    ///
+    /// [`EnumerationError::Empty`] for a grid without configurations, and
+    /// [`EnumerationError::MissingConfig`] if the grid cannot build its winner.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grid` describes more accelerators than the evaluator has models for.
+    pub fn scan(
+        &self,
+        grid: &ConfigurationSpace,
+    ) -> Result<IndexedOutcome<SystemConfiguration>, EnumerationError> {
+        self.fill(grid);
+        // the device max-fold of every device combination, last device fastest
+        let mut folds: Vec<Vec<f64>> = vec![vec![0.0; grid.splits.len()]];
+        for (index, axis) in grid.device_axes.iter().enumerate() {
+            let table = read_lock(&self.devices[index]);
+            let rows = axis_rows(
+                &grid.splits,
+                &axis.threads,
+                &axis.affinities,
+                index + 1,
+                |t, a, share| table[&(t, a, share)],
+            );
+            drop(table);
+            folds = folds
+                .iter()
+                .flat_map(|fold| {
+                    rows.iter()
+                        .map(move |row| fold.iter().zip(row).map(|(&f, &t)| f.max(t)).collect())
+                })
+                .collect();
+        }
+        let table = read_lock(&self.host);
+        let hosts = axis_rows(
+            &grid.splits,
+            &grid.host_threads,
+            &grid.host_affinities,
+            0,
+            |t, a, share| table[&(t, a, share)],
+        );
+        drop(table);
+
+        let best = hosts
+            .iter()
+            .flat_map(|host| {
+                folds
+                    .iter()
+                    .flat_map(move |fold| host.iter().zip(fold).map(|(&h, &d)| h.max(d)))
+            })
+            .enumerate()
+            .reduce(better_indexed)
+            .ok_or(EnumerationError::Empty)?;
+        let best_config = grid
+            .config_at(best.0)
+            .ok_or(EnumerationError::MissingConfig { index: best.0 })?;
+        Ok(IndexedOutcome {
+            best_index: best.0,
+            outcome: Outcome {
+                best_config,
+                best_energy: best.1,
+                evaluations: hosts.len() * folds.len() * grid.splits.len(),
+                trace: OptimizationTrace::new(),
+            },
+        })
+    }
+}
+
+/// One row of times over `splits` (at simplex `position`) per `(threads, affinity)`
+/// of an axis, threads outer — the digit order of `config_at`.
+fn axis_rows(
+    splits: &[Vec<u32>],
+    threads: &[u32],
+    affinities: &[Affinity],
+    position: usize,
+    time: impl Fn(u32, Affinity, u32) -> f64,
+) -> Vec<Vec<f64>> {
+    threads
+        .iter()
+        .flat_map(|&t| affinities.iter().map(move |&a| (t, a)))
+        .map(|(t, a)| {
+            splits
+                .iter()
+                .map(|split| time(t, a, split[position]))
+                .collect()
+        })
+        .collect()
 }
 
 impl Objective<SystemConfiguration> for LazyTabulatedPredictionEvaluator<'_> {
@@ -1221,7 +1062,7 @@ mod tests {
         let tabulated = evaluator.tabulated(&space);
         let table_queries =
             HOST_CALLS.load(Ordering::Relaxed) + DEVICE_CALLS.load(Ordering::Relaxed);
-        assert_eq!(tabulated.table_model_queries(), table_queries);
+        assert_eq!(tabulated.model_queries(), table_queries);
         // the factorization collapses |grid| × 2 queries to Σ axis sizes
         assert!(
             table_queries * 5 <= direct_queries,
@@ -1240,16 +1081,16 @@ mod tests {
             HOST_CALLS.load(Ordering::Relaxed) + DEVICE_CALLS.load(Ordering::Relaxed),
             table_queries
         );
-        assert_eq!(tabulated.fallback_queries(), 0);
+        assert_eq!(tabulated.model_queries(), table_queries);
 
-        // a configuration outside the space falls back to the direct path, identically
+        // a configuration outside the space fills its own entries, identically
         let outside =
             SystemConfiguration::with_host_percent(48, Affinity::None, 240, Affinity::Balanced, 55);
         assert_eq!(
             tabulated.energy(&outside).to_bits(),
             evaluator.energy(&outside).to_bits()
         );
-        assert!(tabulated.fallback_queries() > 0);
+        assert!(tabulated.model_queries() > table_queries);
 
         // the batched path matches too
         let batched = tabulated.evaluate_batch(&configs);
@@ -1447,7 +1288,7 @@ mod tests {
     }
 
     #[test]
-    fn eager_tabulated_delta_matches_the_direct_delta() {
+    fn prefilled_delta_matches_the_direct_delta() {
         use wd_opt::SearchSpace as _;
         use wd_opt::Touched;
         static HOST_CALLS: AtomicUsize = AtomicUsize::new(0);
@@ -1455,6 +1296,7 @@ mod tests {
         let evaluator = counting_wavy_evaluator(&HOST_CALLS, &DEVICE_CALLS);
         let space = crate::config::ConfigurationSpace::tiny();
         let tabulated = evaluator.tabulated(&space);
+        let prefilled = tabulated.model_queries();
 
         let configs = space.enumerate().unwrap();
         let (_, mut state) = tabulated.evaluate_with_state(&configs[0]);
@@ -1466,7 +1308,7 @@ mod tests {
             state = next;
             previous = config.clone();
         }
-        assert_eq!(tabulated.fallback_queries(), 0);
+        assert_eq!(tabulated.model_queries(), prefilled);
     }
 
     #[test]

@@ -24,10 +24,12 @@
 //! single [`wd_opt::Objective`] trait — there is no separate evaluator hierarchy.
 //! Enumeration is uncached, because it never visits a configuration twice: EM scores
 //! the grid through the batched [`wd_opt::ParallelEnumeration`] path, which reaches
-//! the simulator's rayon-parallel `execute_many`, and EML scans its precomputed
-//! per-device tables by index ([`TabulatedPredictionEvaluator::scan`]).  Only SAM
-//! memoises whole configurations, behind a [`wd_opt::CachedObjective`]; SAML and GAML
-//! memoise per-device table entries.  Every method's hit/miss counters are surfaced
+//! the simulator's rayon-parallel `execute_many`.  One tabulating evaluator,
+//! [`LazyTabulatedPredictionEvaluator`], holds the per-device time tables behind every
+//! prediction method: EML fills them in batches and scans them by index
+//! ([`LazyTabulatedPredictionEvaluator::scan`]), SAML and GAML fill them on first
+//! touch.  Only SAM memoises whole configurations, behind a
+//! [`wd_opt::CachedObjective`].  Every method's hit/miss counters are surfaced
 //! on [`methods::MethodOutcome::cache`].  The training campaign likewise runs as
 //! parallel batches.  All parallel paths are bit-identical to their sequential
 //! counterparts.
@@ -67,7 +69,6 @@ pub use config::{ConfigurationSpace, DeviceAxis, DeviceSetting, SystemConfigurat
 pub use dist::{campaign_context, run_enumeration_sharded};
 pub use evaluator::{
     LazyTabulatedPredictionEvaluator, MeasurementEvaluator, PredictedTimes, PredictionEvaluator,
-    TabulatedPredictionEvaluator,
 };
 pub use experiments::{workload_mix, CaseConvergence, ConvergenceStudy};
 pub use methods::{MethodKind, MethodOutcome, MethodProperties, MethodRunner};

@@ -226,14 +226,14 @@ impl<'a> MethodRunner<'a> {
     ///
     /// * EM enumerates the grid uncached through the batched [`ParallelEnumeration`]
     ///   path, which reaches the simulator's parallel `execute_many`;
-    /// * EML scans the grid by index over *eagerly* precomputed per-device time
-    ///   tables ([`crate::TabulatedPredictionEvaluator::scan`]), also uncached: no
-    ///   configuration is built per grid point;
+    /// * EML scans the grid by index over per-device time tables it fills in
+    ///   batches first ([`crate::LazyTabulatedPredictionEvaluator::scan`]), also
+    ///   uncached: no configuration is built per grid point;
     /// * SAM (measurement) runs behind a [`CachedObjective`], the only
     ///   whole-configuration cache, because annealing revisits configurations;
     /// * SAML runs the annealer's incremental path
-    ///   ([`wd_opt::SimulatedAnnealing::run_delta`]) over *lazily* filled tables
-    ///   ([`crate::LazyTabulatedPredictionEvaluator`]): each move re-scores only the
+    ///   ([`wd_opt::SimulatedAnnealing::run_delta`]) over the same tables filled on
+    ///   first touch ([`crate::LazyTabulatedPredictionEvaluator`]): each move re-scores only the
     ///   device it touched, and each distinct `(threads, affinity, share)` triple
     ///   queries the boosted-tree model exactly once — bit-identical to annealing over
     ///   the direct prediction evaluator; GAML runs the genetic search's delta path
@@ -243,7 +243,8 @@ impl<'a> MethodRunner<'a> {
     /// their granularity differs per path (see [`MethodOutcome::cache`]).
     ///
     /// Returns an error message if a prediction-based method is requested without
-    /// trained models, or if the enumeration grid is empty.
+    /// trained models or with a grid (EML) or space (SAML, GAML) that describes more
+    /// accelerators than the models cover, or if the enumeration grid is empty.
     pub fn run(&self, method: MethodKind, iterations: usize) -> Result<MethodOutcome, String> {
         self.run_observed(method, iterations, &NoopRecorder)
     }
@@ -279,10 +280,12 @@ impl<'a> MethodRunner<'a> {
                     // (Σ axis sizes model queries instead of |grid| × (N + 1)) —
                     // bit-identical to enumerating through the direct prediction
                     // evaluator.
-                    let models = self.require_models(method)?;
+                    let models = self.require_models(method, &self.grid)?;
                     let prediction = models.prediction_evaluator(self.workload.clone());
-                    let tabulated = prediction.tabulated(&self.grid);
-                    tabulated.scan().map(|indexed| indexed.outcome)
+                    prediction
+                        .lazy_tabulated()
+                        .scan(&self.grid)
+                        .map(|indexed| indexed.outcome)
                 }
                 .map_err(|error| format!("{method}: {error}"))?;
                 let cache = CacheStats {
@@ -309,7 +312,7 @@ impl<'a> MethodRunner<'a> {
                 // two-parent merge footprint (GAML).  Bit-identical to the classic
                 // direct walk: same RNG stream, same accepted moves, same energies —
                 // only the model cost drops.
-                let models = self.require_models(method)?;
+                let models = self.require_models(method, &self.space)?;
                 let prediction = models.prediction_evaluator(self.workload.clone());
                 let lazy = prediction.lazy_tabulated();
                 let outcome = if method == MethodKind::Gaml {
@@ -358,10 +361,24 @@ impl<'a> MethodRunner<'a> {
         SimulatedAnnealing::with_budget_and_range(iterations.max(8), 2.0, 0.02, seed)
     }
 
-    fn require_models(&self, method: MethodKind) -> Result<&TrainedModels, String> {
-        self.models.ok_or_else(|| {
+    /// The trained models `method` predicts with over `space`, which must describe no
+    /// more accelerators than there are device models.
+    fn require_models(
+        &self,
+        method: MethodKind,
+        space: &ConfigurationSpace,
+    ) -> Result<&TrainedModels, String> {
+        let models = self.models.ok_or_else(|| {
             format!("{method} requires trained prediction models; run the training campaign first")
-        })
+        })?;
+        if space.accelerator_count() > models.device_models.len() {
+            return Err(format!(
+                "{method}: the configuration space describes {} accelerators but only {} device models are trained",
+                space.accelerator_count(),
+                models.device_models.len()
+            ));
+        }
+        Ok(models)
     }
 
     #[allow(clippy::too_many_arguments)] // internal plumbing shared by run/run_observed
@@ -450,6 +467,21 @@ mod tests {
         assert!(runner.run(MethodKind::Saml, 50).is_err());
         assert!(runner.run(MethodKind::Eml, 50).is_err());
         assert!(runner.run(MethodKind::Sam, 50).is_ok());
+    }
+
+    #[test]
+    fn prediction_methods_reject_spaces_wider_than_the_models() {
+        let platform = platform();
+        let workload = Genome::Cat.workload();
+        let models = TrainingCampaign::reduced().run(&platform, BoostingParams::fast());
+        assert_eq!(models.device_models.len(), 1);
+        let runner = MethodRunner::new(&platform, &workload, Some(&models), 1)
+            .with_grid(ConfigurationSpace::tiny_multi())
+            .with_space(ConfigurationSpace::tiny_multi());
+        for method in [MethodKind::Eml, MethodKind::Saml, MethodKind::Gaml] {
+            let error = runner.run(method, 50).unwrap_err();
+            assert!(error.contains("2 accelerators"), "{method}: {error}");
+        }
     }
 
     #[test]

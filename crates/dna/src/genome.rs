@@ -1,13 +1,10 @@
 //! The genomes used in the paper's evaluation.
 //!
-//! The paper analyses real GenBank sequences of four organisms.  We reproduce them with
-//! seeded synthetic sequences of the same nominal size; a scale factor shrinks them for
-//! in-memory test/example runs while the *nominal* sizes feed the platform simulator so
-//! simulated execution times match the paper's regime.
+//! The paper analyses real GenBank sequences of four organisms.  Only their nominal
+//! sizes matter to the tuner: they feed the platform simulator, so simulated execution
+//! times match the paper's regime.
 
 use hetero_platform::WorkloadProfile;
-
-use crate::sequence::DnaSequence;
 
 /// One of the four organisms of the paper's evaluation (Section IV-A).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -46,27 +43,6 @@ impl Genome {
         }
     }
 
-    /// Typical GC content of the organism (approximate; only used for synthesis).
-    pub fn gc_content(&self) -> f64 {
-        match self {
-            Genome::Human => 0.41,
-            Genome::Mouse => 0.42,
-            Genome::Cat => 0.42,
-            Genome::Dog => 0.41,
-        }
-    }
-
-    /// Parse a genome from its lowercase name.
-    pub fn parse(name: &str) -> Option<Genome> {
-        match name.trim().to_ascii_lowercase().as_str() {
-            "human" => Some(Genome::Human),
-            "mouse" => Some(Genome::Mouse),
-            "cat" => Some(Genome::Cat),
-            "dog" => Some(Genome::Dog),
-            _ => None,
-        }
-    }
-
     /// Workload profile describing a scan of the *full nominal-size* genome — the input
     /// the platform simulator works with.
     pub fn workload(&self) -> WorkloadProfile {
@@ -77,21 +53,6 @@ impl Genome {
     /// fraction" training parameter, expressed in 0..=1).
     pub fn workload_fraction(&self, fraction: f64) -> WorkloadProfile {
         self.workload().fraction(fraction)
-    }
-
-    /// Synthesize an in-memory sequence of `nominal_bytes() / scale_down` bases, seeded
-    /// per organism so repeated calls return the same data.
-    ///
-    /// `scale_down = 1` would synthesise the full multi-gigabyte genome; tests and
-    /// examples typically use `scale_down` of 1 000 – 100 000.
-    pub fn synthesize(&self, scale_down: u64) -> DnaSequence {
-        let scale_down = scale_down.max(1);
-        let length = (self.nominal_bytes() / scale_down).max(1) as usize;
-        let seed = 0xD4A_5EED ^ (*self as u64);
-        let mut sequence = DnaSequence::random(length, self.gc_content(), seed);
-        // give the sequence its organism name
-        sequence = DnaSequence::from_ascii(self.name(), sequence.bases());
-        sequence
     }
 }
 
@@ -114,12 +75,10 @@ mod tests {
     }
 
     #[test]
-    fn names_round_trip() {
+    fn display_is_the_name() {
         for g in Genome::ALL {
-            assert_eq!(Genome::parse(g.name()), Some(g));
             assert_eq!(format!("{g}"), g.name());
         }
-        assert_eq!(Genome::parse("yeti"), None);
     }
 
     #[test]
@@ -129,26 +88,5 @@ mod tests {
         assert_eq!(w.name, "cat");
         let half = Genome::Cat.workload_fraction(0.5);
         assert_eq!(half.bytes, 1_215_000_000);
-    }
-
-    #[test]
-    fn synthesis_is_deterministic_and_scaled() {
-        let a = Genome::Dog.synthesize(100_000);
-        let b = Genome::Dog.synthesize(100_000);
-        assert_eq!(a.bases(), b.bases());
-        assert_eq!(a.len() as u64, Genome::Dog.nominal_bytes() / 100_000);
-        assert_eq!(a.name(), "dog");
-        // different organisms differ
-        let c = Genome::Cat.synthesize(100_000);
-        assert_ne!(a.bases(), c.bases());
-    }
-
-    #[test]
-    fn scale_down_zero_is_clamped() {
-        // scale_down = 0 would divide by zero; it is clamped to 1, which would be the
-        // full genome — far too large to synthesise here, so only check the arithmetic
-        // via a large scale factor.
-        let s = Genome::Human.synthesize(10_000_000);
-        assert_eq!(s.len(), 317);
     }
 }

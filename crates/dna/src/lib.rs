@@ -1,54 +1,28 @@
 //! # dna-analysis
 //!
-//! A finite-automata based DNA sequence (motif) analysis library, modelled after the
-//! PaREM-generated application used in *Memeti & Pllana, Combinatorial Optimization of
-//! Work Distribution on Heterogeneous Systems, ICPP Workshops 2016*.
+//! The paper's genomes and their workload profiles, as used in *Memeti & Pllana,
+//! Combinatorial Optimization of Work Distribution on Heterogeneous Systems, ICPP
+//! Workshops 2016*.
 //!
-//! The application searches large DNA sequences (gigabytes of `A`/`C`/`G`/`T`
-//! characters) for a set of motifs.  Motifs may use IUPAC degenerate codes.  The motif
-//! set is compiled into an NFA and then, via subset construction, into a dense DFA that
-//! scans the sequence one byte at a time; the scan is embarrassingly parallel after
-//! chunking the sequence with a small overlap.
-//!
-//! The crate also provides seeded synthetic genome generators matching the sizes of the
-//! real GenBank sequences used in the paper (human 3.17 GB, mouse 2.77 GB, cat 2.43 GB,
-//! dog 2.38 GB) — scaled down by a configurable factor so that tests and examples run
-//! in memory — and a bridge to [`hetero_platform::WorkloadProfile`] so that the
-//! autotuner can reason about DNA jobs.
+//! The paper tunes a finite-automata DNA scan over the GenBank sequences of four
+//! organisms (human 3.17 GB, mouse 2.77 GB, cat 2.43 GB, dog 2.38 GB).  The tuner sees
+//! that application only through its execution times, so each [`Genome`] supplies its
+//! name, its nominal size and the [`hetero_platform::WorkloadProfile`] of scanning it,
+//! which the platform simulator turns into host and device times.
 //!
 //! ## Example
 //!
 //! ```
-//! use dna_analysis::{DnaSequence, MotifSet, DfaMatcher, ParallelScanner};
+//! use dna_analysis::Genome;
 //!
-//! let sequence = DnaSequence::random(100_000, 0.42, 7);
-//! let motifs = MotifSet::parse(&["ACGT", "TATA", "GGN"]).unwrap();
-//! let dfa = DfaMatcher::compile(&motifs);
-//!
-//! let sequential = dfa.count_matches(sequence.bases());
-//! let parallel = ParallelScanner::new(4).count_matches(&dfa, sequence.bases());
-//! assert_eq!(sequential, parallel);
+//! let human = Genome::Human.workload();
+//! assert_eq!(human.bytes, 3_170_000_000);
+//! assert_eq!(Genome::Human.workload_fraction(0.5).bytes, 1_585_000_000);
 //! ```
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod alphabet;
-pub mod dfa;
 pub mod genome;
-pub mod matcher;
-pub mod nfa;
-pub mod parallel;
-pub mod pattern;
-pub mod sequence;
-pub mod workload;
 
-pub use alphabet::Base;
-pub use dfa::Dfa;
 pub use genome::Genome;
-pub use matcher::{DfaMatcher, MatchStats};
-pub use nfa::Nfa;
-pub use parallel::ParallelScanner;
-pub use pattern::{Motif, MotifSet, PatternError};
-pub use sequence::DnaSequence;
-pub use workload::DnaWorkload;

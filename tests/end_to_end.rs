@@ -2,7 +2,7 @@
 
 use workdist::autotune::{Autotuner, ConfigurationSpace, MethodKind};
 use workdist::dna::Genome;
-use workdist::platform::{Affinity, HeterogeneousPlatform};
+use workdist::platform::{Affinity, ExecutionConfig, HeterogeneousPlatform};
 
 #[test]
 fn quick_autotuner_runs_all_four_methods_and_beats_the_baselines() {
@@ -161,4 +161,59 @@ fn facade_reexports_are_usable_together() {
         )
         .unwrap();
     assert!(measurement.t_total > 0.0);
+}
+
+#[test]
+fn genome_workloads_drive_the_simulator() {
+    // Each genome reaches the platform simulator as its nominal-size workload profile:
+    // nominal sizes in, plausible execution times out.
+    let platform = HeterogeneousPlatform::emil().without_noise();
+    for genome in Genome::ALL {
+        let profile = genome.workload();
+        assert_eq!(profile.bytes, genome.nominal_bytes());
+
+        let host = platform
+            .execute_host_only(&profile, &ExecutionConfig::new(48, Affinity::Scatter))
+            .unwrap();
+        let device = platform
+            .execute_device_only(&profile, &ExecutionConfig::new(240, Affinity::Balanced))
+            .unwrap();
+        // paper anchors: host-only runs take well under 1 s at 48 threads, device-only
+        // runs are slower but in the same order of magnitude
+        assert!(
+            host.t_total > 0.3 && host.t_total < 1.2,
+            "{genome}: host {}",
+            host.t_total
+        );
+        assert!(
+            device.t_total > host.t_total && device.t_total < 2.0,
+            "{genome}: device {}",
+            device.t_total
+        );
+    }
+}
+
+#[test]
+fn larger_genomes_take_longer() {
+    let platform = HeterogeneousPlatform::emil().without_noise();
+    let cfg = ExecutionConfig::new(48, Affinity::Scatter);
+    let mut times: Vec<(u64, f64)> = Genome::ALL
+        .iter()
+        .map(|g| {
+            (
+                g.nominal_bytes(),
+                platform
+                    .execute_host_only(&g.workload(), &cfg)
+                    .unwrap()
+                    .t_total,
+            )
+        })
+        .collect();
+    times.sort_by_key(|(bytes, _)| *bytes);
+    for pair in times.windows(2) {
+        assert!(
+            pair[1].1 >= pair[0].1,
+            "time must grow with genome size: {times:?}"
+        );
+    }
 }

@@ -1,11 +1,12 @@
 //! Acceptance tests for the zero-materialization enumeration + factorized prediction
 //! fast path:
 //!
-//! * property: the factorized [`TabulatedPredictionEvaluator`] is **bit-identical** to
-//!   the direct [`PredictionEvaluator`] over randomly sampled 1/2/3-accelerator
-//!   configuration spaces, and its by-index `scan` reaches the same winner as
-//!   enumerating the direct evaluator (ties to the earliest index, pinned on a
-//!   plateau);
+//! * property: the factorized [`LazyTabulatedPredictionEvaluator`] is
+//!   **bit-identical** to the direct [`PredictionEvaluator`] over randomly sampled
+//!   1/2/3-accelerator configuration spaces, and its by-index `scan`, from cold or
+//!   partially warm tables, reaches the same winner as enumerating the direct
+//!   evaluator (ties to the earliest index, pinned on a plateau) while walking each
+//!   table entry's model once;
 //! * property: lazy indexed enumeration (`space_len` / `config_at`) visits exactly the
 //!   same configurations in the same global order as `enumerate()`;
 //! * sharded campaigns over a 3-accelerator space run without ever materialising the
@@ -18,8 +19,11 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use workdist::autotune::{
-    ConfigurationSpace, DeviceAxis, MethodKind, MethodRunner, PredictionEvaluator, TrainingCampaign,
+    ConfigurationSpace, DeviceAxis, LazyTabulatedPredictionEvaluator, MethodKind, MethodRunner,
+    PredictionEvaluator, TrainingCampaign,
 };
 use workdist::dist::{MemoryStore, ShardedCampaign};
 use workdist::ml::{BoostingParams, Dataset, MlError, Regressor};
@@ -100,10 +104,11 @@ fn wavy_evaluator(accelerators: usize, bytes: u64) -> PredictionEvaluator {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Tabulated energies are bit-identical to the direct prediction path over the
-    /// whole enumeration of random 1/2/3-accelerator spaces, enumerating through the
-    /// tables never falls back to the models, and the by-index scan reports the
-    /// direct enumeration's outcome exactly.
+    /// Prefilled energies are bit-identical to the direct prediction path over the
+    /// whole enumeration of random 1/2/3-accelerator spaces, enumerating the
+    /// prefilled tables walks no model, and the by-index scan over partially warm
+    /// tables (`warm` random configurations scored first) reports the direct
+    /// enumeration's outcome exactly while walking each entry's model once.
     #[test]
     fn tabulated_prediction_is_bit_identical(
         accelerators in 1usize..=3,
@@ -111,17 +116,27 @@ proptest! {
         device_threads in proptest::sample::select(vec![vec![30u32, 240], vec![60], vec![8, 64, 448]]),
         step_index in 0usize..3,
         bytes in 500_000_000u64..4_000_000_000,
+        warm in 0usize..4,
+        warm_seed in 0u64..1_000,
     ) {
         let space = space_from(accelerators, host_threads, device_threads, step_index);
         let evaluator = wavy_evaluator(accelerators, bytes);
         let tabulated = evaluator.tabulated(&space);
+        let cold_queries = tabulated.model_queries();
         for config in space.enumerate().unwrap() {
             let direct = evaluator.energy(&config);
             let fast = tabulated.energy(&config);
             prop_assert_eq!(direct.to_bits(), fast.to_bits(), "config {}", config);
         }
+        prop_assert_eq!(tabulated.model_queries(), cold_queries);
 
-        let scanned = tabulated.scan().unwrap();
+        let tables = LazyTabulatedPredictionEvaluator::new(&evaluator);
+        let mut rng = StdRng::seed_from_u64(warm_seed);
+        for _ in 0..warm {
+            let config = space.random(&mut rng);
+            prop_assert_eq!(tables.energy(&config).to_bits(), evaluator.energy(&config).to_bits());
+        }
+        let scanned = tables.scan(&space).unwrap();
         let reference = ParallelEnumeration::new().run_indexed(&space, &evaluator);
         prop_assert_eq!(scanned.best_index, reference.best_index);
         prop_assert_eq!(&scanned.outcome.best_config, &reference.outcome.best_config);
@@ -130,7 +145,8 @@ proptest! {
             reference.outcome.best_energy.to_bits()
         );
         prop_assert_eq!(scanned.outcome.evaluations, reference.outcome.evaluations);
-        prop_assert_eq!(tabulated.fallback_queries(), 0);
+        // the warm entries are not walked again: each non-zero-share entry once
+        prop_assert_eq!(tables.model_queries(), cold_queries);
     }
 
     /// Lazy indexed enumeration serves exactly the `enumerate()` sequence: same
@@ -202,7 +218,7 @@ fn tabulated_scan_breaks_plateau_ties_towards_the_earliest_index() {
         let configs = space.enumerate().unwrap();
         assert!(configs.iter().all(|config| evaluator.energy(config) == 1.5));
 
-        let scanned = evaluator.tabulated(&space).scan().unwrap();
+        let scanned = evaluator.lazy_tabulated().scan(&space).unwrap();
         let reference = ParallelEnumeration::new().run_indexed(&space, &evaluator);
         assert_eq!(scanned.best_index, 0, "{accelerators} accelerators");
         assert_eq!(reference.best_index, 0);
