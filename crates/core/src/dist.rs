@@ -46,7 +46,6 @@ impl ConfigKey for SystemConfiguration {
                 self.host_permille()
             )
         } else {
-            use std::fmt::Write as _;
             let mut key = format!(
                 "{}|{}|{}",
                 self.host_threads,
@@ -54,14 +53,12 @@ impl ConfigKey for SystemConfiguration {
                 self.host_permille()
             );
             for device in self.devices() {
-                write!(
-                    key,
+                key.push_str(&format!(
                     "|{}|{}|{}",
                     device.threads,
                     device.affinity.name(),
                     device.permille
-                )
-                .expect("writing to a String cannot fail");
+                ));
             }
             key
         }

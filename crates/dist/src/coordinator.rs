@@ -1,111 +1,30 @@
 //! The campaign coordinator: shard, evaluate, merge.
 //!
 //! A [`ShardedCampaign`] partitions an enumerable [`SearchSpace`] with a deterministic
-//! [`ShardPlan`], evaluates every shard concurrently (one rayon task per shard — each
-//! task standing in for one node of a cluster) through the batched
-//! [`wd_opt::ParallelEnumeration`] path, and merges the per-shard bests with
-//! [`wd_opt::better_indexed`] over global enumeration indices.  The merge is a strict
-//! minimum under the `(energy, index)` order, so the campaign result is bit-identical
-//! to a single-node scan for every shard count and every completion order.
+//! [`wd_opt::ShardPlan`], scans every shard concurrently (one rayon task per shard —
+//! each task standing in for one node of a cluster), and merges the per-shard bests
+//! with [`wd_opt::better_indexed`] over global enumeration indices.  The merge is a
+//! strict minimum under the `(energy, index)` order, so the campaign result is
+//! bit-identical to a single-node scan for every shard count and every completion
+//! order.
 //!
-//! Every evaluation flows through a [`StoreBackedObjective`]: results already present
-//! in the campaign's [`ResultStore`] are returned without touching the objective, and
-//! fresh results are recorded as they are produced.  Against a warm store a repeated
-//! (or killed-and-restarted) campaign therefore performs **zero** new evaluations.
+//! [`ShardedCampaign::run`] is the fault-free case of the supervised runner
+//! ([`crate::supervisor`]): the same [`crate::scheduler::Scheduler`] hands out the
+//! shards and the same store-first scan evaluates them.  Results already present in
+//! the campaign's [`ResultStore`] are returned without touching the objective, and
+//! fresh results are recorded as they are produced, so against a warm store a
+//! repeated (or killed-and-restarted) campaign performs **zero** new evaluations.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-use rayon::prelude::*;
-
-use wd_obs::{FieldValue, NoopRecorder, Recorder};
+use wd_obs::{NoopRecorder, Recorder};
 use wd_opt::enumeration::DEFAULT_BATCH_SIZE;
-use wd_opt::{
-    better_indexed, CacheStats, EnumerationError, Objective, OptimizationTrace, Outcome,
-    ParallelEnumeration, SearchSpace, ShardPlan, ShardView,
-};
+use wd_opt::{better_indexed, CacheStats, Objective, SearchSpace};
 
 use crate::error::CampaignError;
+use crate::fault::FaultPlan;
+use crate::scheduler::RetryPolicy;
 use crate::store::ResultStore;
-
-/// An [`Objective`] adapter that answers from a [`ResultStore`] when possible and
-/// records every fresh evaluation back into it.
-///
-/// The hit/miss counters mirror [`wd_opt::CachedObjective`] semantics: hits are
-/// requests answered by the store, misses are requests that reached the inner
-/// objective.  Unlike `CachedObjective` the adapter does not deduplicate within a
-/// batch — the enumeration drivers it serves never repeat a configuration inside one
-/// batch (duplicates would be evaluated redundantly but identically).
-pub struct StoreBackedObjective<'a, O: ?Sized, R: ?Sized> {
-    inner: &'a O,
-    store: &'a R,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-}
-
-impl<'a, O: ?Sized, R: ?Sized> StoreBackedObjective<'a, O, R> {
-    /// Route `inner` through `store`.
-    pub fn new(inner: &'a O, store: &'a R) -> Self {
-        StoreBackedObjective {
-            inner,
-            store,
-            hits: AtomicUsize::new(0),
-            misses: AtomicUsize::new(0),
-        }
-    }
-
-    /// Hit/miss counters of this adapter (not of the whole store).
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl<C, O, R> Objective<C> for StoreBackedObjective<'_, O, R>
-where
-    C: Clone,
-    O: Objective<C> + ?Sized,
-    R: ResultStore<C> + ?Sized,
-{
-    fn evaluate(&self, config: &C) -> f64 {
-        if let Some(energy) = self.store.lookup(config) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return energy;
-        }
-        let energy = self.inner.evaluate(config);
-        self.store.record(config, energy);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        energy
-    }
-
-    fn evaluate_batch(&self, configs: &[C]) -> Vec<f64> {
-        let mut energies = vec![0.0f64; configs.len()];
-        let mut pending: Vec<usize> = Vec::new();
-        for (index, slot) in self.store.lookup_batch(configs).into_iter().enumerate() {
-            match slot {
-                Some(energy) => energies[index] = energy,
-                None => pending.push(index),
-            }
-        }
-        self.hits
-            .fetch_add(configs.len() - pending.len(), Ordering::Relaxed);
-        if pending.is_empty() {
-            return energies;
-        }
-
-        let pending_configs: Vec<C> = pending.iter().map(|&i| configs[i].clone()).collect();
-        let fresh = self.inner.evaluate_batch(&pending_configs);
-        debug_assert_eq!(fresh.len(), pending_configs.len());
-        self.store.record_batch(&pending_configs, &fresh);
-        self.misses.fetch_add(pending.len(), Ordering::Relaxed);
-        for (&index, &energy) in pending.iter().zip(&fresh) {
-            energies[index] = energy;
-        }
-        energies
-    }
-}
 
 /// What one shard (one simulated node) reported back to the coordinator.
 #[derive(Debug, Clone, PartialEq)]
@@ -154,16 +73,6 @@ impl<C> CampaignOutcome<C> {
     pub fn experiments(&self) -> usize {
         self.stats.misses
     }
-
-    /// Convert into the optimizer-level [`Outcome`] shape.
-    pub fn into_outcome(self) -> Outcome<C> {
-        Outcome {
-            best_config: self.best_config,
-            best_energy: self.best_energy,
-            evaluations: self.evaluations,
-            trace: OptimizationTrace::new(),
-        }
-    }
 }
 
 /// Merge per-shard `(global_index, energy)` bests.  The reduction is associative and
@@ -182,7 +91,7 @@ pub struct ShardedCampaign {
     /// Number of shards (simulated nodes) to partition the space into; clamped to the
     /// space cardinality at run time.
     pub shard_count: usize,
-    /// Batch size of the per-shard [`ParallelEnumeration`] driver.
+    /// Evaluation batch size of each shard's scan.
     pub batch_size: usize,
 }
 
@@ -206,15 +115,15 @@ impl ShardedCampaign {
     ///
     /// On spaces with indexed access ([`SearchSpace::space_len`] /
     /// [`SearchSpace::config_at`]) the campaign is **zero-materialization**: every
-    /// shard is a lazy [`ShardView::lazy`] over its global index range and streams
-    /// configurations through the batched enumeration driver one chunk at a time —
-    /// the full configuration `Vec` never exists, so peak allocation is bounded by
-    /// `batch_size` per concurrent shard, not by the space cardinality.  Spaces
-    /// without indexed access fall back to materialising the enumeration once.
+    /// shard streams its global index range one batch at a time and folds its best
+    /// by index, so the full configuration `Vec` never exists — peak allocation is
+    /// bounded by `batch_size` per concurrent shard, not by the space cardinality —
+    /// and only the global winner is built again at the end.  Spaces without
+    /// indexed access fall back to materialising the enumeration once.
     ///
-    /// The result is bit-identical to
-    /// [`ParallelEnumeration::run`] on the whole space, for every shard count,
-    /// batch size and shard completion order.  The store is flushed before returning.
+    /// The result is bit-identical to [`wd_opt::ParallelEnumeration::run`] on the
+    /// whole space, for every shard count, batch size and shard completion order.
+    /// The store is flushed before returning.
     ///
     /// # Errors
     ///
@@ -241,9 +150,9 @@ impl ShardedCampaign {
     /// [`ShardedCampaign::run`] with the campaign's lifecycle published to `recorder`
     /// under `scope`: a `shard_started` / `shard_completed` event pair per shard
     /// (index, range, best, evaluations, store hits/misses) and one final `merged`
-    /// event carrying the campaign result.  The recorder only observes — it sees
-    /// shard completions in whatever order rayon finishes them, while the merge stays
-    /// order-independent — so outcomes are bit-identical to the unobserved run.
+    /// event carrying the campaign result.  This is
+    /// [`ShardedCampaign::run_supervised_observed`] under [`FaultPlan::none`]; the
+    /// recorder only observes, so outcomes are bit-identical to the unobserved run.
     pub fn run_observed<S, O, R>(
         &self,
         space: &S,
@@ -258,109 +167,16 @@ impl ShardedCampaign {
         O: Objective<S::Config> + Sync,
         R: ResultStore<S::Config> + Sync,
     {
-        let (materialized, total) = match space.space_len() {
-            Some(len) => (None, len),
-            None => {
-                let configs = space.enumerate().ok_or(CampaignError::NotEnumerable)?;
-                let len = configs.len();
-                (Some(configs), len)
-            }
-        };
-        if total == 0 {
-            return Err(CampaignError::EmptySpace);
-        }
-        let plan = ShardPlan::new(total, self.shard_count);
-
-        let reports: Vec<ShardReport> = (0..plan.shard_count())
-            .collect::<Vec<_>>()
-            .into_par_iter()
-            .map(|shard| -> Result<ShardReport, CampaignError> {
-                let range = plan.range(shard);
-                if recorder.enabled() {
-                    recorder.event(
-                        scope,
-                        "shard_started",
-                        &[
-                            ("shard", FieldValue::U64(shard as u64)),
-                            ("start", FieldValue::U64(range.start as u64)),
-                            ("len", FieldValue::U64(range.len() as u64)),
-                        ],
-                    );
-                }
-                let view = match &materialized {
-                    Some(configs) => ShardView::new(space, &configs[range.clone()], range.start),
-                    None => ShardView::lazy(space, range.clone()),
-                };
-                let backed = StoreBackedObjective::new(objective, store);
-                let indexed = ParallelEnumeration::with_batch_size(self.batch_size)
-                    .try_run_indexed(&view, &backed)
-                    .map_err(|error| match error {
-                        // shard-local indices translate back to global ones
-                        EnumerationError::MissingConfig { index } => CampaignError::MissingConfig {
-                            index: view.global_index(index),
-                        },
-                        EnumerationError::NotEnumerable => CampaignError::NotEnumerable,
-                        EnumerationError::Empty => CampaignError::EmptySpace,
-                    })?;
-                let report = ShardReport {
-                    shard_index: shard,
-                    best_index: view.global_index(indexed.best_index),
-                    best_energy: indexed.outcome.best_energy,
-                    evaluations: indexed.outcome.evaluations,
-                    stats: backed.stats(),
-                    range,
-                };
-                if recorder.enabled() {
-                    recorder.event(
-                        scope,
-                        "shard_completed",
-                        &[
-                            ("shard", FieldValue::U64(shard as u64)),
-                            ("best_index", FieldValue::U64(report.best_index as u64)),
-                            ("best_energy", FieldValue::F64(report.best_energy)),
-                            ("evaluations", FieldValue::U64(report.evaluations as u64)),
-                            ("hits", FieldValue::U64(report.stats.hits as u64)),
-                            ("misses", FieldValue::U64(report.stats.misses as u64)),
-                        ],
-                    );
-                }
-                Ok(report)
-            })
-            .collect::<Result<_, _>>()?;
-
-        let (best_index, best_energy) = merge_shard_bests(reports.iter().map(ShardReport::best))
-            .ok_or(CampaignError::EmptySpace)?;
-        let stats: CacheStats = reports.iter().map(|report| report.stats).sum();
-        if recorder.enabled() {
-            recorder.event(
-                scope,
-                "merged",
-                &[
-                    ("shards", FieldValue::U64(reports.len() as u64)),
-                    ("best_index", FieldValue::U64(best_index as u64)),
-                    ("best_energy", FieldValue::F64(best_energy)),
-                    ("hits", FieldValue::U64(stats.hits as u64)),
-                    ("misses", FieldValue::U64(stats.misses as u64)),
-                ],
-            );
-        }
-        store.record_stats(stats);
-        store.flush()?;
-
-        let best_config = match materialized {
-            Some(mut configs) => configs.swap_remove(best_index),
-            None => space
-                .config_at(best_index)
-                .ok_or(CampaignError::MissingConfig { index: best_index })?,
-        };
-        Ok(CampaignOutcome {
-            best_config,
-            best_energy,
-            best_index,
-            evaluations: reports.iter().map(|report| report.evaluations).sum(),
-            stats,
-            shards: reports,
-        })
+        self.run_supervised_observed(
+            space,
+            objective,
+            store,
+            &FaultPlan::none(),
+            &RetryPolicy::default(),
+            recorder,
+            scope,
+        )
+        .map(|supervised| supervised.outcome)
     }
 }
 
@@ -369,7 +185,7 @@ mod tests {
     use super::*;
     use crate::store::MemoryStore;
     use wd_opt::space::GridSpace;
-    use wd_opt::CountingObjective;
+    use wd_opt::{CountingObjective, ParallelEnumeration};
 
     fn bowl(config: &(u32, u32)) -> f64 {
         let dx = config.0 as f64 - 13.0;
@@ -441,9 +257,9 @@ mod tests {
             0,
             "a lazy campaign must never materialise the space"
         );
-        // every configuration streamed by index, plus one re-materialisation of each
-        // shard's local best and one of the global winner
-        assert_eq!(instrumented.config_at_calls(), 500 + 4 + 1);
+        // every configuration streamed by index, plus one re-materialisation of the
+        // global winner (shards fold their bests by index)
+        assert_eq!(instrumented.config_at_calls(), 500 + 1);
         assert!(objective.1.load(Ordering::Relaxed) <= batch_size);
 
         // and the result is bit-identical to the forced-materialization fallback

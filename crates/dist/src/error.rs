@@ -29,9 +29,9 @@ pub enum CampaignError {
     /// is not resumable, so the error is surfaced rather than swallowed (the merged
     /// result would silently re-evaluate everything next run).
     Store(io::Error),
-    /// A supervised campaign ran out of retry budget everywhere: this index range
-    /// was abandoned by its shard, every work-stealer, and the coordinator's final
-    /// drain.
+    /// A campaign ran out of retry budget: this index range exhausted the tries
+    /// of its own slot and of the slot that stole it, or no live slot was left
+    /// to take it.
     RangeAbandoned {
         /// The global enumeration-index range left uncovered.
         range: Range<usize>,

@@ -2,10 +2,11 @@
 //!
 //! A [`FaultPlan`] is an explicit, finite schedule of [`FaultEvent`]s: *worker slot
 //! `s`, on its `a`-th attempt, fails after scanning `b` batches, in this way*.  The
-//! supervisor ([`crate::supervisor`]) consults the plan at every attempt and routes
-//! the scheduled failure through the matching wrapper — [`FaultyObjective`] for
-//! evaluation errors, [`FaultyStore`] for torn writes — so every fault fires at a
-//! reproducible point of the scan, independent of thread interleaving.
+//! scheduler ([`crate::scheduler`]) looks up each grant's fault in the plan; the
+//! supervisor routes it through the matching wrapper — [`FaultyObjective`] for
+//! evaluation errors, [`FaultyStore`] for torn writes — and the process transport
+//! hands it to the worker, so every fault fires at a reproducible point of the
+//! scan, independent of thread interleaving.
 //!
 //! Because the schedule is finite and every attempt consumes at most one event
 //! (attempt counters only move forward), a supervised campaign under *any* plan
@@ -26,7 +27,7 @@ use wd_opt::Objective;
 use crate::store::ResultStore;
 
 /// The failure modes the harness can inject.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
     /// The objective fails to produce energies for a batch (the batch is *not*
     /// recorded; the attempt aborts before the store sees anything).
@@ -69,7 +70,7 @@ impl FaultKind {
 /// One scheduled failure: worker slot `slot`, on its `attempt`-th attempt (a
 /// per-slot counter covering its own range *and* any ranges it steals), fails after
 /// completing `after_batches` scan batches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FaultEvent {
     /// Executing worker slot the fault targets (the plan position of the worker,
     /// not of the range it happens to be scanning).
@@ -98,7 +99,7 @@ impl fmt::Display for FaultEvent {
 }
 
 /// A finite, reproducible schedule of [`FaultEvent`]s.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct FaultPlan {
     events: Vec<FaultEvent>,
 }

@@ -8,10 +8,10 @@
 //! machine.  This crate scales that campaign out and makes it durable:
 //!
 //! * [`ShardedCampaign`] cuts any enumerable [`wd_opt::SearchSpace`] into
-//!   deterministic contiguous shards ([`wd_opt::ShardPlan`]), evaluates each shard
-//!   concurrently — one task per shard, each standing in for a node — through the
-//!   batched [`wd_opt::ParallelEnumeration`] path, and merges per-shard bests with
-//!   the lowest-energy/earliest-global-index rule ([`wd_opt::better_indexed`]).  The
+//!   deterministic contiguous shards ([`wd_opt::ShardPlan`]), scans each shard
+//!   concurrently — one task per shard, each standing in for a node — in
+//!   store-first batches, and merges per-shard bests with the
+//!   lowest-energy/earliest-global-index rule ([`wd_opt::better_indexed`]).  The
 //!   merged result is **bit-identical** to a single-node run for every shard count,
 //!   batch size and shard completion order.
 //! * [`ResultStore`] persists every `(configuration, energy)` pair as it is produced
@@ -23,7 +23,10 @@
 //!   leases on a logical clock, capped-exponential-backoff retries, work-stealing
 //!   of dead shards and idempotent store-first recovery, with deterministic fault
 //!   injection ([`FaultPlan`]) to prove the whole stack converges to the
-//!   bit-identical fault-free answer.  [`JsonlStore::open_recovering`] quarantines
+//!   bit-identical fault-free answer.  [`ShardedCampaign::run`] is its fault-free
+//!   case, and [`ProcCampaign`] runs the same policy across worker processes: one
+//!   pure [`scheduler::Scheduler`] makes every queue, retry, steal and abandon
+//!   decision for both.  [`JsonlStore::open_recovering`] quarantines
 //!   corrupt lines instead of dropping them, and [`JsonlStore::rollback`] restores
 //!   any retained compaction generation.
 //!
@@ -63,13 +66,12 @@ pub mod error;
 pub mod fault;
 pub mod key;
 pub mod proc;
+pub mod scheduler;
 pub mod store;
 pub mod supervisor;
 mod sync;
 
-pub use coordinator::{
-    merge_shard_bests, CampaignOutcome, ShardReport, ShardedCampaign, StoreBackedObjective,
-};
+pub use coordinator::{merge_shard_bests, CampaignOutcome, ShardReport, ShardedCampaign};
 pub use error::CampaignError;
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultyObjective, FaultyStore};
 pub use key::ConfigKey;
@@ -77,10 +79,9 @@ pub use proc::{
     ProcCampaign, ProcManifest, ProcOutcome, ProcReport, WorkDir, WorkloadSpec,
     PROC_MANIFEST_VERSION,
 };
+pub use scheduler::RetryPolicy;
 pub use store::{
     read_result_records, CompactionReport, JsonlStore, MemoryStore, RecoveryReport, ResultStore,
     StoreIoStats, DEFAULT_RETAINED_GENERATIONS, STORE_SCHEMA_VERSION,
 };
-pub use supervisor::{
-    AttemptRecord, FailureReason, RetryPolicy, SupervisedOutcome, SupervisionReport,
-};
+pub use supervisor::{AttemptRecord, FailureReason, SupervisedOutcome, SupervisionReport};

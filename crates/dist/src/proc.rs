@@ -4,7 +4,9 @@
 //! protocol below.  This is the process-transport half of the fault-tolerance
 //! story: where [`crate::supervisor`] simulates worker failure on a logical
 //! clock inside one process, this module survives a real `kill -9` of any
-//! worker at any point.
+//! worker at any point.  Both drive the same [`Scheduler`], which makes every
+//! queue, retry, steal and abandon decision; this module only moves files,
+//! processes and heartbeats, passing elapsed time in backoff ticks.
 //!
 //! ## On-disk protocol (everything lives under one work directory)
 //!
@@ -74,8 +76,8 @@ use crate::coordinator::{CampaignOutcome, ShardedCampaign};
 use crate::error::CampaignError;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::key::ConfigKey;
+use crate::scheduler::{Event, Grant, RetryPolicy, Scheduler, Verdict};
 use crate::store::{read_result_records, JsonlStore, ResultStore};
-use crate::supervisor::RetryPolicy;
 
 /// Schema header of the campaign manifest file.
 pub const PROC_MANIFEST_VERSION: &str = "wd-dist-proc-manifest/v1";
@@ -664,19 +666,10 @@ pub struct ProcOutcome {
     pub report: ProcReport,
 }
 
-struct PendingRange {
-    range: Range<usize>,
-    attempt: usize,
-    stolen: bool,
-    ready_at: Instant,
-}
-
 struct LiveWorker {
     slot: usize,
     generation: u64,
     range: Range<usize>,
-    attempt: usize,
-    stolen: bool,
     fenced: bool,
     child: Child,
     beat_value: Option<u64>,
@@ -716,10 +709,41 @@ fn salvage_segment(store: &JsonlStore<(u32, u32)>, segment: &Path) -> Result<usi
     Ok(salvaged)
 }
 
+/// Write `slot`'s grant file: the lease generation (fencing token) and range.
+fn write_grant(
+    work: &WorkDir,
+    slot: usize,
+    generation: u64,
+    range: &Range<usize>,
+) -> Result<(), CampaignError> {
+    write_atomic(
+        &work.grant(slot),
+        &format!(
+            "gen {generation}\nstart {}\nend {}\n",
+            range.start, range.end
+        ),
+    )
+    .map_err(CampaignError::Transport)
+}
+
+/// Everything one coordinator run drives: the work directory, the merged
+/// store, the scheduler, and the live worker processes.
+struct Fleet<'a> {
+    work: WorkDir,
+    space: GridSpace,
+    store: JsonlStore<(u32, u32)>,
+    worker_bin: PathBuf,
+    scheduler: Scheduler<'a>,
+    live: Vec<LiveWorker>,
+    report: ProcReport,
+    recorder: &'a dyn Recorder,
+    scope: &'a str,
+}
+
 /// A campaign run across real worker processes (see the module docs for the
 /// protocol).  The coordinator spawns `wd-worker` children, watches exit
-/// statuses and heartbeats, fences stalled leases, salvages every segment, and
-/// retries or steals ranges with the shared [`RetryPolicy`].
+/// statuses and heartbeats, fences stalled leases and salvages every segment;
+/// what runs where, and every retry or steal, is the [`Scheduler`]'s decision.
 #[derive(Debug, Clone)]
 pub struct ProcCampaign {
     shard_count: usize,
@@ -768,7 +792,8 @@ impl ProcCampaign {
 
     /// Inject a deterministic fault schedule (delivered to workers through
     /// [`WORKER_FAULT_ENV`], keyed by slot and the slot's cumulative attempt
-    /// counter, exactly like the in-process supervisor).
+    /// counter, exactly as in the in-process supervisor: both use the
+    /// [`Scheduler`]'s counters).
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
         self
@@ -895,361 +920,25 @@ impl ProcCampaign {
             .map_err(CampaignError::Transport)?;
 
         let plan = ShardPlan::new(total, self.shard_count.saturating_mul(RANGES_PER_SLOT));
-        let started = Instant::now();
-        let mut pending: Vec<PendingRange> = plan
-            .ranges()
-            .into_iter()
-            .filter(|range| !range.is_empty())
-            .map(|range| PendingRange {
-                range,
-                attempt: 0,
-                stolen: false,
-                ready_at: started,
-            })
-            .collect();
-        let mut slot_gens: Vec<u64> = vec![0; self.shard_count];
-        // Cumulative per-slot attempt counters, the key space of
-        // [`FaultPlan::fate`] (matching the in-process supervisor's semantics).
-        let mut slot_attempts: Vec<usize> = vec![0; self.shard_count];
-        let mut live: Vec<LiveWorker> = Vec::new();
-        let mut report = ProcReport::default();
-        let mut zombie_grace_since: Option<Instant> = None;
+        let mut fleet = Fleet {
+            work,
+            space,
+            store,
+            worker_bin,
+            scheduler: Scheduler::new(plan.ranges(), self.shard_count, self.policy, &self.faults),
+            live: Vec::new(),
+            report: ProcReport::default(),
+            recorder,
+            scope,
+        };
+        let driven = self.drive(&mut fleet);
+        // Every exit path reaps what is still running (settled zombies, or the
+        // whole fleet when the campaign failed).
+        shutdown_workers(&mut fleet.live);
+        driven?;
+        fleet.report.dead_slots = fleet.scheduler.dead_slots();
 
-        loop {
-            if started.elapsed() > self.max_duration {
-                shutdown_workers(&mut live);
-                return Err(CampaignError::Transport(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    format!(
-                        "campaign did not settle within {:?}: {} range(s) still pending",
-                        self.max_duration,
-                        pending.len()
-                    ),
-                )));
-            }
-
-            // Elasticity: the manifest's slot count is re-read every poll.
-            let slots = ProcManifest::read(&work.manifest())
-                .map(|m| m.slots.max(1))
-                .unwrap_or(self.shard_count);
-            if slot_gens.len() < slots {
-                slot_gens.resize(slots, 0);
-                slot_attempts.resize(slots, 0);
-            }
-            // More free capacity than queued work → split the largest queued
-            // range so new slots have something to pull.
-            let active = live.iter().filter(|w| !w.fenced).count();
-            while slots.saturating_sub(active) > pending.len() {
-                let splittable = pending
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, p)| p.range.len() >= 2 * self.batch_size)
-                    .max_by_key(|(_, p)| p.range.len())
-                    .map(|(pos, _)| pos);
-                let Some(pos) = splittable else { break };
-                let mid = pending[pos].range.start + pending[pos].range.len() / 2;
-                let tail = mid..pending[pos].range.end;
-                pending[pos].range = pending[pos].range.start..mid;
-                pending.push(PendingRange {
-                    range: tail,
-                    attempt: 0,
-                    stolen: pending[pos].stolen,
-                    ready_at: pending[pos].ready_at,
-                });
-                report.elastic_splits += 1;
-            }
-
-            // Spawn ready ranges onto free slots.
-            let now = Instant::now();
-            for slot in 0..slots {
-                if live.iter().any(|w| w.slot == slot && !w.fenced) {
-                    continue;
-                }
-                // Take the next ready range that still has work; a range whose
-                // every key is already durable is finished here, unspawned.
-                let mut next = None;
-                while let Some(pos) = pending.iter().position(|p| p.ready_at <= now) {
-                    let item = pending.remove(pos);
-                    let skip = SkipRuns::durable(&space, &store, &item.range);
-                    if !skip.covers(&item.range) {
-                        next = Some((item, skip));
-                        break;
-                    }
-                    report.durable_ranges += 1;
-                    recorder.event(
-                        scope,
-                        "range.durable",
-                        &[
-                            ("start", FieldValue::U64(item.range.start as u64)),
-                            ("len", FieldValue::U64(item.range.len() as u64)),
-                        ],
-                    );
-                }
-                let Some((item, skip)) = next else {
-                    break;
-                };
-                slot_gens[slot] += 1;
-                let generation = slot_gens[slot];
-                write_atomic(
-                    &work.grant(slot),
-                    &format!(
-                        "gen {generation}\nstart {}\nend {}\n",
-                        item.range.start, item.range.end
-                    ),
-                )
-                .map_err(CampaignError::Transport)?;
-                write_atomic(&work.skip(slot, generation), &skip.encode())
-                    .map_err(CampaignError::Transport)?;
-                let log =
-                    File::create(work.log(slot, generation)).map_err(CampaignError::Transport)?;
-                let err_log = log.try_clone().map_err(CampaignError::Transport)?;
-                let mut command = Command::new(&worker_bin);
-                command
-                    .arg("--work-dir")
-                    .arg(work.root())
-                    .arg("--slot")
-                    .arg(slot.to_string())
-                    .arg("--generation")
-                    .arg(generation.to_string())
-                    .arg("--start")
-                    .arg(item.range.start.to_string())
-                    .arg("--end")
-                    .arg(item.range.end.to_string())
-                    .stdin(Stdio::null())
-                    .stdout(Stdio::from(log))
-                    .stderr(Stdio::from(err_log));
-                let slot_attempt = slot_attempts[slot];
-                slot_attempts[slot] += 1;
-                if let Some(event) = self.faults.fate(slot, slot_attempt) {
-                    command.env(
-                        WORKER_FAULT_ENV,
-                        format!(
-                            "{}:{}:{}",
-                            event.kind.code(),
-                            event.after_batches,
-                            self.stall_ms
-                        ),
-                    );
-                }
-                let child = command.spawn().map_err(CampaignError::Transport)?;
-                if let Ok(mut pids) = OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(work.pids())
-                {
-                    let _ = writeln!(pids, "{slot} {generation} {}", child.id());
-                }
-                report.spawned += 1;
-                recorder.event(
-                    scope,
-                    "worker.spawned",
-                    &[
-                        ("slot", FieldValue::U64(slot as u64)),
-                        ("generation", FieldValue::U64(generation)),
-                        ("start", FieldValue::U64(item.range.start as u64)),
-                        ("len", FieldValue::U64(item.range.len() as u64)),
-                        ("attempt", FieldValue::U64(item.attempt as u64)),
-                    ],
-                );
-                if item.attempt > 0 || item.stolen {
-                    report.respawned += 1;
-                    recorder.event(
-                        scope,
-                        "worker.respawned",
-                        &[
-                            ("slot", FieldValue::U64(slot as u64)),
-                            ("generation", FieldValue::U64(generation)),
-                            ("attempt", FieldValue::U64(item.attempt as u64)),
-                            ("stolen", FieldValue::Bool(item.stolen)),
-                        ],
-                    );
-                }
-                live.push(LiveWorker {
-                    slot,
-                    generation,
-                    range: item.range,
-                    attempt: item.attempt,
-                    stolen: item.stolen,
-                    fenced: false,
-                    child,
-                    beat_value: None,
-                    beat_changed: now,
-                });
-            }
-
-            // Reap exits and watch heartbeats.
-            let mut index = 0;
-            while index < live.len() {
-                let status = live[index]
-                    .child
-                    .try_wait()
-                    .map_err(CampaignError::Transport)?;
-                if let Some(status) = status {
-                    let worker = live.remove(index);
-                    // Salvage whatever the attempt persisted, clean exit or not;
-                    // the merge only fills keys the merged log does not hold.
-                    report.salvaged_records +=
-                        salvage_segment(&store, &work.segment(worker.slot, worker.generation))?;
-                    let code = status.code();
-                    let done = read_kv(&work.done(worker.slot, worker.generation)).ok();
-                    let completed = code == Some(EXIT_OK) && done.is_some();
-                    recorder.event(
-                        scope,
-                        "worker.exited",
-                        &[
-                            ("slot", FieldValue::U64(worker.slot as u64)),
-                            ("generation", FieldValue::U64(worker.generation)),
-                            // `u64::MAX` encodes "no exit code" (killed by signal).
-                            (
-                                "code",
-                                FieldValue::U64(code.map(|c| c as i64 as u64).unwrap_or(u64::MAX)),
-                            ),
-                            ("completed", FieldValue::Bool(completed)),
-                            ("fenced", FieldValue::Bool(worker.fenced)),
-                        ],
-                    );
-                    if worker.fenced {
-                        // Its range was requeued when the lease was fenced.
-                        if code == Some(EXIT_FENCED) {
-                            report.fenced_exits += 1;
-                        }
-                    } else if completed {
-                        report.completed += 1;
-                        report.worker_evaluations += done
-                            .as_ref()
-                            .and_then(|kv| kv_number::<usize>(kv, "evaluations"))
-                            .unwrap_or(0);
-                    } else {
-                        report.failed_attempts += 1;
-                        let next_attempt = worker.attempt + 1;
-                        if next_attempt >= self.policy.max_attempts.max(1) {
-                            if worker.stolen {
-                                shutdown_workers(&mut live);
-                                return Err(CampaignError::RangeAbandoned {
-                                    range: worker.range,
-                                });
-                            }
-                            report.steals += 1;
-                            if !report.dead_slots.contains(&worker.slot) {
-                                report.dead_slots.push(worker.slot);
-                            }
-                            pending.push(PendingRange {
-                                range: worker.range,
-                                attempt: 0,
-                                stolen: true,
-                                ready_at: Instant::now(),
-                            });
-                        } else {
-                            let ticks = u32::try_from(self.policy.backoff_ticks(worker.attempt))
-                                .unwrap_or(u32::MAX);
-                            pending.push(PendingRange {
-                                range: worker.range,
-                                attempt: next_attempt,
-                                stolen: worker.stolen,
-                                ready_at: Instant::now() + self.tick * ticks,
-                            });
-                        }
-                    }
-                    continue;
-                }
-                if live[index].fenced {
-                    index += 1;
-                    continue;
-                }
-                let beat_path = work.beat(live[index].slot, live[index].generation);
-                let beat: Option<u64> = read_kv(&beat_path)
-                    .ok()
-                    .and_then(|kv| kv_number(&kv, "batches"));
-                if beat != live[index].beat_value {
-                    live[index].beat_value = beat;
-                    live[index].beat_changed = Instant::now();
-                    index += 1;
-                    continue;
-                }
-                if live[index].beat_changed.elapsed() < self.stale_after {
-                    index += 1;
-                    continue;
-                }
-                // The heartbeat went stale: fence the lease.  Bumping the
-                // grant's generation is the token rotation — the zombie's next
-                // fence check fails and it abandons; meanwhile its range goes
-                // back to the queue and its partial segment is salvaged now.
-                let slot = live[index].slot;
-                let generation = live[index].generation;
-                let attempt = live[index].attempt;
-                let stolen = live[index].stolen;
-                let range = live[index].range.clone();
-                live[index].fenced = true;
-                slot_gens[slot] += 1;
-                write_atomic(
-                    &work.grant(slot),
-                    &format!(
-                        "gen {}\nstart {}\nend {}\n",
-                        slot_gens[slot], range.start, range.end
-                    ),
-                )
-                .map_err(CampaignError::Transport)?;
-                report.fenced += 1;
-                report.failed_attempts += 1;
-                recorder.event(
-                    scope,
-                    "worker.fenced",
-                    &[
-                        ("slot", FieldValue::U64(slot as u64)),
-                        ("generation", FieldValue::U64(generation)),
-                        ("new_generation", FieldValue::U64(slot_gens[slot])),
-                    ],
-                );
-                report.salvaged_records +=
-                    salvage_segment(&store, &work.segment(slot, generation))?;
-                let next_attempt = attempt + 1;
-                if next_attempt >= self.policy.max_attempts.max(1) {
-                    if stolen {
-                        shutdown_workers(&mut live);
-                        return Err(CampaignError::RangeAbandoned { range });
-                    }
-                    report.steals += 1;
-                    if !report.dead_slots.contains(&slot) {
-                        report.dead_slots.push(slot);
-                    }
-                    pending.push(PendingRange {
-                        range,
-                        attempt: 0,
-                        stolen: true,
-                        ready_at: Instant::now(),
-                    });
-                } else {
-                    let ticks =
-                        u32::try_from(self.policy.backoff_ticks(attempt)).unwrap_or(u32::MAX);
-                    pending.push(PendingRange {
-                        range,
-                        attempt: next_attempt,
-                        stolen,
-                        ready_at: Instant::now() + self.tick * ticks,
-                    });
-                }
-                index += 1;
-            }
-
-            if pending.is_empty() && live.iter().all(|w| w.fenced) {
-                if live.is_empty() {
-                    break;
-                }
-                // Only fenced zombies remain.  Give each a grace window to
-                // observe the rotated token and abandon on its own (that path
-                // is the fencing proof); reap forcibly after that.
-                let since = *zombie_grace_since.get_or_insert(Instant::now());
-                if since.elapsed() > self.grace() {
-                    shutdown_workers(&mut live);
-                    break;
-                }
-            } else {
-                zombie_grace_since = None;
-            }
-            std::thread::sleep(self.poll_interval);
-        }
-
-        store.flush()?;
+        fleet.store.flush()?;
         // The verification pass doubles as the merge proof: re-running the
         // in-process campaign over the merged store yields the canonical
         // outcome (bit-identical to a fault-free run by construction), and the
@@ -1257,9 +946,280 @@ impl ProcCampaign {
         let counting = CountingObjective::new(spec);
         let outcome = ShardedCampaign::new(self.shard_count)
             .with_batch_size(self.batch_size)
-            .run_observed(&space, &counting, &store, recorder, scope)?;
-        report.verification_evaluations = counting.evaluations();
-        Ok(ProcOutcome { outcome, report })
+            .run_observed(&fleet.space, &counting, &fleet.store, recorder, scope)?;
+        fleet.report.verification_evaluations = counting.evaluations();
+        Ok(ProcOutcome {
+            outcome,
+            report: fleet.report,
+        })
+    }
+
+    /// The coordinator's poll loop: resize, grant, reap, fence — until every
+    /// range is committed and only fenced zombies (if any) remain.
+    fn drive(&self, fleet: &mut Fleet<'_>) -> Result<(), CampaignError> {
+        let started = Instant::now();
+        let tick = self.tick.as_nanos().max(1);
+        let mut zombie_grace_since: Option<Instant> = None;
+        loop {
+            if started.elapsed() > self.max_duration {
+                return Err(CampaignError::Transport(io::Error::new(
+                    io::ErrorKind::TimedOut,
+                    format!(
+                        "campaign did not settle within {:?}: {} range(s) still pending",
+                        self.max_duration,
+                        fleet.scheduler.open()
+                    ),
+                )));
+            }
+            let now = u64::try_from(started.elapsed().as_nanos() / tick).unwrap_or(u64::MAX);
+
+            // Elasticity: the manifest's slot count is re-read every poll.
+            let slots = ProcManifest::read(&fleet.work.manifest())
+                .map(|m| m.slots.max(1))
+                .unwrap_or(self.shard_count);
+            if slots != fleet.scheduler.fleet() {
+                fleet.report.elastic_splits += fleet
+                    .scheduler
+                    .resize(slots, self.batch_size.saturating_mul(2))?;
+            }
+
+            for slot in 0..slots {
+                // A range whose every key is already durable is finished by the
+                // scheduler on the spot, unspawned.
+                let mut skip = SkipRuns::default();
+                let grant = fleet.scheduler.next(slot, now, |range| {
+                    skip = SkipRuns::durable(&fleet.space, &fleet.store, range);
+                    let covered = skip.covers(range);
+                    if covered {
+                        fleet.report.durable_ranges += 1;
+                        fleet.recorder.event(
+                            fleet.scope,
+                            "range.durable",
+                            &[
+                                ("start", FieldValue::U64(range.start as u64)),
+                                ("len", FieldValue::U64(range.len() as u64)),
+                            ],
+                        );
+                    }
+                    covered
+                });
+                if let Some(grant) = grant {
+                    let worker = self.spawn(fleet, &grant, &skip)?;
+                    fleet.live.push(worker);
+                }
+            }
+
+            self.reap(fleet, now)?;
+
+            if fleet.scheduler.is_done() && fleet.live.iter().all(|w| w.fenced) {
+                if fleet.live.is_empty() {
+                    return Ok(());
+                }
+                // Only fenced zombies remain.  Give each a grace window to
+                // observe the rotated token and abandon on its own (that path
+                // is the fencing proof); they are reaped forcibly after that.
+                let since = *zombie_grace_since.get_or_insert(Instant::now());
+                if since.elapsed() > self.grace() {
+                    return Ok(());
+                }
+            } else {
+                zombie_grace_since = None;
+            }
+            std::thread::sleep(self.poll_interval);
+        }
+    }
+
+    /// Write the grant and skip files of `grant` and start its worker process.
+    fn spawn(
+        &self,
+        fleet: &mut Fleet<'_>,
+        grant: &Grant,
+        skip: &SkipRuns,
+    ) -> Result<LiveWorker, CampaignError> {
+        let work = &fleet.work;
+        let (slot, generation) = (grant.slot, grant.generation);
+        write_grant(work, slot, generation, &grant.range)?;
+        write_atomic(&work.skip(slot, generation), &skip.encode())
+            .map_err(CampaignError::Transport)?;
+        let log = File::create(work.log(slot, generation)).map_err(CampaignError::Transport)?;
+        let err_log = log.try_clone().map_err(CampaignError::Transport)?;
+        let mut command = Command::new(&fleet.worker_bin);
+        command
+            .arg("--work-dir")
+            .arg(work.root())
+            .arg("--slot")
+            .arg(slot.to_string())
+            .arg("--generation")
+            .arg(generation.to_string())
+            .arg("--start")
+            .arg(grant.range.start.to_string())
+            .arg("--end")
+            .arg(grant.range.end.to_string())
+            .stdin(Stdio::null())
+            .stdout(Stdio::from(log))
+            .stderr(Stdio::from(err_log));
+        if let Some(event) = grant.fault {
+            command.env(
+                WORKER_FAULT_ENV,
+                format!(
+                    "{}:{}:{}",
+                    event.kind.code(),
+                    event.after_batches,
+                    self.stall_ms
+                ),
+            );
+        }
+        let child = command.spawn().map_err(CampaignError::Transport)?;
+        if let Ok(mut pids) = OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(work.pids())
+        {
+            let _ = writeln!(pids, "{slot} {generation} {}", child.id());
+        }
+        let (recorder, scope) = (fleet.recorder, fleet.scope);
+        fleet.report.spawned += 1;
+        recorder.event(
+            scope,
+            "worker.spawned",
+            &[
+                ("slot", FieldValue::U64(slot as u64)),
+                ("generation", FieldValue::U64(generation)),
+                ("start", FieldValue::U64(grant.range.start as u64)),
+                ("len", FieldValue::U64(grant.range.len() as u64)),
+                ("attempt", FieldValue::U64(grant.tries as u64)),
+            ],
+        );
+        if grant.tries > 0 || grant.stolen_from.is_some() {
+            fleet.report.respawned += 1;
+            recorder.event(
+                scope,
+                "worker.respawned",
+                &[
+                    ("slot", FieldValue::U64(slot as u64)),
+                    ("generation", FieldValue::U64(generation)),
+                    ("attempt", FieldValue::U64(grant.tries as u64)),
+                    ("stolen", FieldValue::Bool(grant.stolen_from.is_some())),
+                ],
+            );
+        }
+        Ok(LiveWorker {
+            slot,
+            generation,
+            range: grant.range.clone(),
+            fenced: false,
+            child,
+            beat_value: None,
+            beat_changed: Instant::now(),
+        })
+    }
+
+    /// Reap exited workers and fence the ones whose heartbeat went stale,
+    /// reporting both to the scheduler.
+    fn reap(&self, fleet: &mut Fleet<'_>, now: u64) -> Result<(), CampaignError> {
+        let (recorder, scope) = (fleet.recorder, fleet.scope);
+        let mut index = 0;
+        while index < fleet.live.len() {
+            let status = fleet.live[index]
+                .child
+                .try_wait()
+                .map_err(CampaignError::Transport)?;
+            if let Some(status) = status {
+                let worker = fleet.live.remove(index);
+                let (slot, generation) = (worker.slot, worker.generation);
+                // Salvage whatever the attempt persisted, clean exit or not;
+                // the merge only fills keys the merged log does not hold.
+                fleet.report.salvaged_records +=
+                    salvage_segment(&fleet.store, &fleet.work.segment(slot, generation))?;
+                let code = status.code();
+                let done = read_kv(&fleet.work.done(slot, generation)).ok();
+                let completed = code == Some(EXIT_OK) && done.is_some();
+                recorder.event(
+                    scope,
+                    "worker.exited",
+                    &[
+                        ("slot", FieldValue::U64(slot as u64)),
+                        ("generation", FieldValue::U64(generation)),
+                        // `u64::MAX` encodes "no exit code" (killed by signal).
+                        (
+                            "code",
+                            FieldValue::U64(code.map(|c| c as i64 as u64).unwrap_or(u64::MAX)),
+                        ),
+                        ("completed", FieldValue::Bool(completed)),
+                        ("fenced", FieldValue::Bool(worker.fenced)),
+                    ],
+                );
+                let event = if completed {
+                    Event::Completed
+                } else {
+                    Event::Failed
+                };
+                let report = &mut fleet.report;
+                match fleet.scheduler.report(slot, generation, event, now)? {
+                    // A fenced zombie: its range was requeued at the fence.
+                    Verdict::Stale => report.fenced_exits += usize::from(code == Some(EXIT_FENCED)),
+                    Verdict::Committed => {
+                        report.completed += 1;
+                        report.worker_evaluations += done
+                            .as_ref()
+                            .and_then(|kv| kv_number::<usize>(kv, "evaluations"))
+                            .unwrap_or(0);
+                    }
+                    Verdict::Retry { .. } => report.failed_attempts += 1,
+                    Verdict::Stolen => {
+                        report.failed_attempts += 1;
+                        report.steals += 1;
+                    }
+                }
+                continue;
+            }
+
+            let worker = &mut fleet.live[index];
+            index += 1;
+            if worker.fenced {
+                continue;
+            }
+            let beat: Option<u64> = read_kv(&fleet.work.beat(worker.slot, worker.generation))
+                .ok()
+                .and_then(|kv| kv_number(&kv, "batches"));
+            if beat != worker.beat_value {
+                worker.beat_value = beat;
+                worker.beat_changed = Instant::now();
+                continue;
+            }
+            if worker.beat_changed.elapsed() < self.stale_after {
+                continue;
+            }
+            // The heartbeat went stale: fence the lease.  The scheduler rotates
+            // the generation (the fencing token) and the grant file carries it,
+            // so the zombie's next fence check fails and it abandons; meanwhile
+            // its range goes back for a retry and its partial segment is
+            // salvaged now.
+            worker.fenced = true;
+            let (slot, generation) = (worker.slot, worker.generation);
+            let verdict = fleet
+                .scheduler
+                .report(slot, generation, Event::Fenced, now)?;
+            let new_generation = fleet.scheduler.generation(slot);
+            write_grant(&fleet.work, slot, new_generation, &worker.range)?;
+            fleet.report.fenced += 1;
+            fleet.report.failed_attempts += 1;
+            if let Verdict::Stolen = verdict {
+                fleet.report.steals += 1;
+            }
+            recorder.event(
+                scope,
+                "worker.fenced",
+                &[
+                    ("slot", FieldValue::U64(slot as u64)),
+                    ("generation", FieldValue::U64(generation)),
+                    ("new_generation", FieldValue::U64(new_generation)),
+                ],
+            );
+            fleet.report.salvaged_records +=
+                salvage_segment(&fleet.store, &fleet.work.segment(slot, generation))?;
+        }
+        Ok(())
     }
 }
 

@@ -60,8 +60,6 @@ fn contract_scope_sees_the_real_entry_points() {
         ("ConfigurationSpace", "crossover_move"),
         ("GridSpace", "neighbor_move"),
         ("GridSpace", "crossover_move"),
-        ("ShardView", "neighbor_move"),
-        ("ShardView", "crossover_move"),
         ("SearchSpace", "neighbor_move"),
         ("SearchSpace", "crossover_move"),
     ] {

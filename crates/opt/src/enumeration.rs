@@ -290,9 +290,9 @@ impl ParallelEnumeration {
     /// Run the exhaustive batched search and also report the enumeration-order index of
     /// the best configuration.
     ///
-    /// The index is what distributed drivers (one [`crate::ShardView`] per node) need:
-    /// translating shard-local indices to global ones and merging with
-    /// [`crate::better_indexed`] reproduces the single-node result exactly.
+    /// The index is what distributed drivers need: merging per-node bests by global
+    /// enumeration index with [`crate::better_indexed`] reproduces the single-node
+    /// result exactly.
     ///
     /// # Panics
     ///

@@ -82,7 +82,7 @@ pub use outcome::{better_indexed, IndexedOutcome, Outcome, ResilienceStats};
 pub use random_search::RandomSearch;
 pub use sa::SimulatedAnnealing;
 pub use schedule::CoolingSchedule;
-pub use shard::{ShardPlan, ShardView};
+pub use shard::ShardPlan;
 pub use space::{InstrumentedSpace, MaterializedOnly, SearchSpace};
 pub use tabu::TabuSearch;
 pub use trace::{IterationRecord, OptimizationTrace};

@@ -48,8 +48,7 @@ pub struct ResilienceStats {
     pub retries: usize,
     /// Lease expiries observed (a stalled shard fencing itself off).
     pub lease_expiries: usize,
-    /// Ranges taken over from a dead shard by a surviving one (or by the
-    /// coordinator's final drain).
+    /// Ranges taken over from a dead shard by a surviving one.
     pub steals: usize,
 }
 

@@ -1,27 +1,17 @@
 //! Deterministic sharding of enumerable search spaces.
 //!
-//! A distributed campaign cuts one enumerable [`SearchSpace`] into contiguous shards,
-//! hands each shard to a different node, and merges the per-shard bests.  Two pieces
-//! make that reproducible regardless of node count or completion order:
-//!
-//! * [`ShardPlan`] — the pure arithmetic of the partition: shard `i` of `n` always
-//!   covers the same contiguous index range of the enumeration order, with sizes
-//!   differing by at most one configuration;
-//! * [`ShardView`] — a [`SearchSpace`] over one shard's slice of the enumerated
-//!   configurations, so the existing enumeration drivers
-//!   ([`crate::ParallelEnumeration`]) run unchanged on a shard.
+//! A distributed campaign cuts one enumerable [`crate::SearchSpace`] into contiguous
+//! shards, hands each shard to a different node, and merges the per-shard bests.
+//! [`ShardPlan`] is the pure arithmetic of the partition: shard `i` of `n` always
+//! covers the same contiguous index range of the enumeration order, with sizes
+//! differing by at most one configuration.
 //!
 //! Merging per-shard results is the job of [`crate::better_indexed`] over *global*
-//! indices (`shard range start + shard-local index`): since that reduction is a strict
-//! minimum under the `(energy, index)` order, the merged outcome is bit-identical to a
-//! single-node scan for every shard count and every merge order.
+//! enumeration indices: since that reduction is a strict minimum under the
+//! `(energy, index)` order, the merged outcome is bit-identical to a single-node scan
+//! for every shard count and every merge order.
 
 use std::ops::Range;
-
-use rand::rngs::StdRng;
-use rand::Rng;
-
-use crate::space::SearchSpace;
 
 /// The deterministic partition of `total` enumeration indices into contiguous shards.
 ///
@@ -41,11 +31,6 @@ impl ShardPlan {
             total,
             shards: requested_shards.clamp(1, total.max(1)),
         }
-    }
-
-    /// Number of configurations being partitioned.
-    pub fn total(&self) -> usize {
-        self.total
     }
 
     /// Effective number of shards (after clamping).
@@ -77,161 +62,12 @@ impl ShardPlan {
     }
 }
 
-/// One shard of an enumerable search space: a contiguous range of the parent's
-/// enumeration order, itself usable as a [`SearchSpace`].
-///
-/// Two backings exist:
-///
-/// * [`ShardView::new`] — a borrowed slice of the parent's materialised enumeration
-///   (the classic form);
-/// * [`ShardView::lazy`] — just the index range, served on demand through the
-///   parent's [`SearchSpace::config_at`].  Nothing is materialised up front, so a
-///   sharded campaign over a lazy view allocates at most one evaluation batch per
-///   worker at a time.
-///
-/// Enumeration-related queries ([`SearchSpace::enumerate`],
-/// [`SearchSpace::cardinality`], [`SearchSpace::random`]) are restricted to the shard;
-/// move operators ([`SearchSpace::neighbor`], [`SearchSpace::crossover`]) delegate to
-/// the parent space and may therefore leave the shard — shard views are meant for the
-/// enumeration drivers, not for walking heuristics.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardView<'a, S: SearchSpace> {
-    parent: &'a S,
-    /// Materialised backing; `None` means the shard is served lazily by index.
-    configs: Option<&'a [S::Config]>,
-    len: usize,
-    offset: usize,
-}
-
-impl<'a, S: SearchSpace> ShardView<'a, S> {
-    /// View `configs` (the parent's enumeration slice starting at global index
-    /// `offset`) as a search space of its own.
-    pub fn new(parent: &'a S, configs: &'a [S::Config], offset: usize) -> Self {
-        ShardView {
-            parent,
-            len: configs.len(),
-            configs: Some(configs),
-            offset,
-        }
-    }
-
-    /// View the global index range `range` of `parent`'s enumeration order as a lazy
-    /// search space: configurations are produced one at a time through
-    /// [`SearchSpace::config_at`], never as a whole.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the parent does not support indexed access
-    /// ([`SearchSpace::space_len`] is `None`) or if `range` exceeds its length.
-    pub fn lazy(parent: &'a S, range: Range<usize>) -> Self {
-        let parent_len = parent
-            .space_len()
-            .expect("lazy shard views require a space with indexed access");
-        assert!(
-            range.end <= parent_len,
-            "shard range {range:?} exceeds the space length {parent_len}"
-        );
-        ShardView {
-            parent,
-            configs: None,
-            len: range.len(),
-            offset: range.start,
-        }
-    }
-
-    /// Global enumeration index of the first configuration of this shard.
-    pub fn offset(&self) -> usize {
-        self.offset
-    }
-
-    /// Number of configurations in this shard.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the shard is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Translate a shard-local enumeration index to the parent's global index.
-    pub fn global_index(&self, local: usize) -> usize {
-        self.offset + local
-    }
-
-    /// The shard-local configuration at `local`, from the slice or the parent.
-    fn fetch(&self, local: usize) -> S::Config {
-        match self.configs {
-            Some(configs) => configs[local].clone(),
-            None => self
-                .parent
-                .config_at(self.offset + local)
-                .expect("lazy shard ranges are validated against the space length"),
-        }
-    }
-}
-
-impl<S: SearchSpace> SearchSpace for ShardView<'_, S> {
-    type Config = S::Config;
-
-    fn random(&self, rng: &mut StdRng) -> S::Config {
-        self.fetch(rng.gen_range(0..self.len))
-    }
-
-    fn neighbor(&self, config: &S::Config, rng: &mut StdRng) -> S::Config {
-        self.parent.neighbor(config, rng)
-    }
-
-    fn neighbor_move(
-        &self,
-        config: &S::Config,
-        rng: &mut StdRng,
-    ) -> (S::Config, crate::delta::Touched) {
-        self.parent.neighbor_move(config, rng)
-    }
-
-    fn cardinality(&self) -> Option<u128> {
-        Some(self.len as u128)
-    }
-
-    fn enumerate(&self) -> Option<Vec<S::Config>> {
-        Some((0..self.len).map(|local| self.fetch(local)).collect())
-    }
-
-    fn space_len(&self) -> Option<usize> {
-        // both backings serve `config_at`: the slice directly, the lazy view through
-        // the parent's indexed access (guaranteed by `ShardView::lazy`)
-        Some(self.len)
-    }
-
-    fn config_at(&self, index: usize) -> Option<S::Config> {
-        if index >= self.len {
-            return None;
-        }
-        Some(self.fetch(index))
-    }
-
-    fn crossover(&self, parent_a: &S::Config, parent_b: &S::Config, rng: &mut StdRng) -> S::Config {
-        self.parent.crossover(parent_a, parent_b, rng)
-    }
-
-    fn crossover_move(
-        &self,
-        parent_a: &S::Config,
-        parent_b: &S::Config,
-        rng: &mut StdRng,
-    ) -> (S::Config, crate::delta::Touched) {
-        self.parent.crossover_move(parent_a, parent_b, rng)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::outcome::better_indexed;
-    use crate::space::GridSpace;
+    use crate::space::{GridSpace, SearchSpace};
     use crate::ParallelEnumeration;
-    use rand::SeedableRng;
 
     #[test]
     fn plan_partitions_every_index_exactly_once() {
@@ -269,64 +105,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_view_exposes_exactly_its_slice() {
-        let space = GridSpace {
-            width: 6,
-            height: 5,
-        };
-        let configs = space.enumerate().unwrap();
-        let plan = ShardPlan::new(configs.len(), 4);
-        let range = plan.range(2);
-        let view = ShardView::new(&space, &configs[range.clone()], range.start);
-
-        assert_eq!(view.len(), range.len());
-        assert_eq!(view.offset(), range.start);
-        assert_eq!(view.cardinality(), Some(range.len() as u128));
-        assert_eq!(view.enumerate().unwrap(), configs[range.clone()].to_vec());
-        assert_eq!(view.global_index(3), range.start + 3);
-
-        let mut rng = StdRng::seed_from_u64(1);
-        for _ in 0..100 {
-            let sampled = view.random(&mut rng);
-            assert!(configs[range.clone()].contains(&sampled));
-        }
-    }
-
-    #[test]
-    fn lazy_shard_views_match_slice_backed_views() {
-        let space = GridSpace {
-            width: 11,
-            height: 7,
-        };
-        let configs = space.enumerate().unwrap();
-        let plan = ShardPlan::new(configs.len(), 3);
-        for shard in 0..plan.shard_count() {
-            let range = plan.range(shard);
-            let sliced = ShardView::new(&space, &configs[range.clone()], range.start);
-            let lazy = ShardView::lazy(&space, range.clone());
-            assert_eq!(lazy.len(), sliced.len());
-            assert_eq!(lazy.offset(), sliced.offset());
-            assert_eq!(lazy.enumerate(), sliced.enumerate());
-            assert_eq!(lazy.space_len(), Some(range.len()));
-            for local in 0..range.len() {
-                assert_eq!(lazy.config_at(local), sliced.config_at(local));
-            }
-            assert_eq!(lazy.config_at(range.len()), None);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "lazy shard views require a space with indexed access")]
-    fn lazy_shard_views_require_indexed_parents() {
-        let space = GridSpace {
-            width: 4,
-            height: 4,
-        };
-        let hidden = crate::space::MaterializedOnly::new(&space);
-        let _ = ShardView::lazy(&hidden, 0..4);
-    }
-
-    #[test]
     fn sharded_scan_merged_by_global_index_matches_the_full_scan() {
         let space = GridSpace {
             width: 23,
@@ -342,13 +120,10 @@ mod tests {
                 .ranges()
                 .into_iter()
                 .map(|range| {
-                    let view = ShardView::new(&space, &configs[range.clone()], range.start);
-                    let indexed =
-                        ParallelEnumeration::with_batch_size(7).run_indexed(&view, &objective);
-                    (
-                        view.global_index(indexed.best_index),
-                        indexed.outcome.best_energy,
-                    )
+                    range
+                        .map(|index| (index, objective(&configs[index])))
+                        .reduce(better_indexed)
+                        .unwrap()
                 })
                 .reduce(better_indexed)
                 .unwrap();

@@ -7,7 +7,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use wd_opt::space::GridSpace;
-use wd_opt::{InstrumentedSpace, MaterializedOnly, SearchSpace, ShardView, Touched};
+use wd_opt::{InstrumentedSpace, MaterializedOnly, SearchSpace, Touched};
 
 /// After replaying the same move sequence through two RNG clones, both streams must
 /// be at the same position: drawing once more yields the same value.
@@ -82,11 +82,8 @@ fn wrappers_forward_moves_verbatim() {
         width: 9,
         height: 11,
     };
-    let configs = grid.enumerate().unwrap();
     let instrumented = InstrumentedSpace::new(&grid);
     let materialized_only = MaterializedOnly::new(&grid);
-    let shard = ShardView::new(&grid, &configs, 0);
-    let lazy_shard = ShardView::lazy(&grid, 0..configs.len());
 
     for seed in 0..16u64 {
         let mut setup = StdRng::seed_from_u64(seed ^ 0xBEEF);
@@ -99,10 +96,6 @@ fn wrappers_forward_moves_verbatim() {
         assert_eq!(instrumented.neighbor_move(&current, &mut rng), base);
         let mut rng = StdRng::seed_from_u64(seed);
         assert_eq!(materialized_only.neighbor_move(&current, &mut rng), base);
-        let mut rng = StdRng::seed_from_u64(seed);
-        assert_eq!(shard.neighbor_move(&current, &mut rng), base);
-        let mut rng = StdRng::seed_from_u64(seed);
-        assert_eq!(lazy_shard.neighbor_move(&current, &mut rng), base);
 
         let mut base_rng = StdRng::seed_from_u64(seed);
         let base = grid.crossover_move(&current, &other, &mut base_rng);
@@ -116,10 +109,6 @@ fn wrappers_forward_moves_verbatim() {
             materialized_only.crossover_move(&current, &other, &mut rng),
             base
         );
-        let mut rng = StdRng::seed_from_u64(seed);
-        assert_eq!(shard.crossover_move(&current, &other, &mut rng), base);
-        let mut rng = StdRng::seed_from_u64(seed);
-        assert_eq!(lazy_shard.crossover_move(&current, &other, &mut rng), base);
     }
 }
 

@@ -286,8 +286,8 @@ fn sharded_three_accelerator_campaign_never_materializes_the_grid() {
     );
     assert_eq!(
         instrumented.config_at_calls(),
-        total + shards + 1,
-        "every config streams once, plus per-shard and global winner re-materialisation"
+        total + 1,
+        "every config streams once, plus the global winner's re-materialisation"
     );
     assert!(
         objective.max.load(Ordering::Relaxed) <= batch_size,
