@@ -2,8 +2,9 @@
 //!
 //! Shared plumbing for the reproduction harness: the [`repro`](../repro/index.html)
 //! binary regenerates every table and figure of the paper's evaluation section, and the
-//! Criterion benches measure the cost of the individual components (DFA scanning, model
-//! training/prediction, the optimization methods themselves).
+//! Criterion benches measure the cost of the individual components (the simulated
+//! platform, model training/prediction, the evaluation layer, the optimization methods
+//! themselves).
 //!
 //! The heavy lifting lives in [`hetero_autotune`]; this crate only decides which
 //! experiments to run at which scale and formats the results the way the paper's tables

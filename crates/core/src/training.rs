@@ -361,7 +361,9 @@ impl TrainingCampaign {
 
     /// Execute the campaign as `shard_count` contiguous shards per side — each shard
     /// standing in for one node of a measurement cluster — and fit one prediction
-    /// model per device from the concatenated records.
+    /// model per device from the concatenated records.  The host and device models
+    /// are fitted concurrently; each fit depends only on its own side's records, so
+    /// the result does not depend on how the fits are scheduled.
     ///
     /// Sharding is invisible in the result: shards are contiguous slices of the
     /// deterministic experiment order (a [`wd_opt::ShardPlan`] partition) concatenated
@@ -387,27 +389,33 @@ impl TrainingCampaign {
             self.device_axes.len(),
             platform.accelerator_count()
         );
-        let host_records = self.generate(platform, Side::Host, shard_count);
-        let (host_model, host_accuracy) =
-            self.fit_side(&host_records, host_feature_names(), boosting);
-
-        let mut device_models = Vec::with_capacity(self.device_axes.len());
-        let mut device_accuracies = Vec::with_capacity(self.device_axes.len());
-        let mut device_experiments = 0usize;
-        for index in 0..self.device_axes.len() {
-            let records = self.generate(platform, Side::Device(index), shard_count);
-            let (model, accuracy) = self.fit_side(&records, device_feature_names(), boosting);
-            device_experiments += records.len();
-            device_models.push(model);
-            device_accuracies.push(accuracy);
-        }
+        // every side's records first (each side a parallel batch), then one boosted
+        // fit per side, all sides concurrently; results come back in side order
+        let sides: Vec<(Side, Vec<ExperimentRecord>)> = std::iter::once(Side::Host)
+            .chain((0..self.device_axes.len()).map(Side::Device))
+            .map(|side| (side, self.generate(platform, side, shard_count)))
+            .collect();
+        let host_experiments = sides[0].1.len();
+        let device_experiments = sides[1..].iter().map(|(_, records)| records.len()).sum();
+        let mut fits: Vec<(BoostedTreesRegressor, AccuracyReport)> = sides
+            .into_par_iter()
+            .map(|(side, records)| {
+                let names = match side {
+                    Side::Host => host_feature_names(),
+                    Side::Device(_) => device_feature_names(),
+                };
+                self.fit_side(&records, names, boosting)
+            })
+            .collect();
+        let (device_models, device_accuracies) = fits.split_off(1).into_iter().unzip();
+        let (host_model, host_accuracy) = fits.remove(0);
 
         TrainedModels {
             host_model,
             device_models,
             host_accuracy,
             device_accuracies,
-            host_experiments: host_records.len(),
+            host_experiments,
             device_experiments,
         }
     }
@@ -612,6 +620,43 @@ mod tests {
             assert_eq!(
                 sharded.device_accuracy().rows,
                 single.device_accuracy().rows
+            );
+        }
+    }
+
+    #[test]
+    fn concurrent_side_fits_match_serial_fits() {
+        // three sides (host + two accelerators) exercise the parallel map's chunking
+        let platform = HeterogeneousPlatform::emil_with_gpu();
+        let campaign = TrainingCampaign::reduced_for(&platform);
+        let boosting = BoostingParams::fast();
+        let models = campaign.run(&platform, boosting);
+        let serial = |side: Side, names: Vec<String>| {
+            let records = campaign.generate(&platform, side, 1);
+            campaign.fit_side(&records, names, boosting)
+        };
+
+        let (host_model, host_accuracy) = serial(Side::Host, host_feature_names());
+        assert_eq!(
+            format!("{:?}", models.host_model),
+            format!("{host_model:?}")
+        );
+        assert_eq!(
+            format!("{:?}", models.host_accuracy),
+            format!("{host_accuracy:?}")
+        );
+        assert_eq!(models.device_models.len(), 2);
+        for index in 0..2 {
+            let (model, accuracy) = serial(Side::Device(index), device_feature_names());
+            assert_eq!(
+                format!("{:?}", models.device_models[index]),
+                format!("{model:?}"),
+                "device {index}"
+            );
+            assert_eq!(
+                format!("{:?}", models.device_accuracies[index]),
+                format!("{accuracy:?}"),
+                "device {index}"
             );
         }
     }

@@ -5,6 +5,8 @@
 //! of the current ensemble, combined with a shrinkage (learning-rate) factor and
 //! optional row subsampling (stochastic gradient boosting).
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -12,7 +14,7 @@ use rand::SeedableRng;
 use crate::dataset::Dataset;
 use crate::error::MlError;
 use crate::model::Regressor;
-use crate::tree::{select_child, RegressionTree, TreeParams, LEAF};
+use crate::tree::{select_child, RankedColumns, RegressionTree, SplitScratch, TreeParams, LEAF};
 
 /// Hyper-parameters of the boosted ensemble.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -321,12 +323,16 @@ impl FlatForest {
 }
 
 /// A fitted gradient-boosted tree ensemble.
+///
+/// The fitted trees and their flat arena are immutable once `fit` returns, so clones
+/// share them: handing a model to each new evaluator costs two reference counts, not
+/// a copy of the forest.
 #[derive(Debug, Clone)]
 pub struct BoostedTreesRegressor {
     params: BoostingParams,
     base_prediction: f64,
-    trees: Vec<RegressionTree>,
-    flat: FlatForest,
+    trees: Arc<[RegressionTree]>,
+    flat: Arc<FlatForest>,
     fitted: bool,
 }
 
@@ -336,8 +342,8 @@ impl BoostedTreesRegressor {
         BoostedTreesRegressor {
             params,
             base_prediction: 0.0,
-            trees: Vec::new(),
-            flat: FlatForest::default(),
+            trees: Arc::new([]),
+            flat: Arc::default(),
             fitted: false,
         }
     }
@@ -450,8 +456,8 @@ impl Regressor for BoostedTreesRegressor {
         if data.is_empty() {
             return Err(MlError::EmptyDataset);
         }
-        self.trees.clear();
-        self.flat = FlatForest::default();
+        self.trees = Arc::new([]);
+        self.flat = Arc::default();
         self.base_prediction = data.target_mean();
         let mut rng = StdRng::seed_from_u64(self.params.seed);
 
@@ -461,21 +467,26 @@ impl Regressor for BoostedTreesRegressor {
         let sample_size = ((n as f64) * self.params.subsample.clamp(0.05, 1.0)).ceil() as usize;
         let sample_size = sample_size.clamp(1, n);
         let mut all_indices: Vec<usize> = (0..n).collect();
+        // rank-encode the features once; the split search of every node of every tree
+        // reads these tables, and the scratch and sample buffers are reused per tree
+        let columns = RankedColumns::new(data);
+        let mut scratch = SplitScratch::default();
+        let mut sample: Vec<usize> = Vec::with_capacity(sample_size);
+        let mut trees = Vec::with_capacity(self.params.n_estimators);
 
         for _ in 0..self.params.n_estimators {
             for i in 0..n {
                 residuals[i] = data.target(i) - predictions[i];
             }
 
-            let indices: Vec<usize> = if sample_size == n {
-                all_indices.clone()
-            } else {
+            if sample_size != n {
                 all_indices.shuffle(&mut rng);
-                all_indices[..sample_size].to_vec()
-            };
+            }
+            sample.clear();
+            sample.extend_from_slice(&all_indices[..sample_size]);
 
             let mut tree = RegressionTree::new(self.params.tree);
-            tree.fit_on_indices(data, &residuals, &indices)?;
+            tree.fit_ranked(&columns, &residuals, &mut sample, &mut scratch)?;
 
             // batched residual update over the just-fitted tree's flat arrays
             // (bit-identical to the per-row `tree.predict_one` loop)
@@ -485,9 +496,10 @@ impl Regressor for BoostedTreesRegressor {
                 self.params.learning_rate,
                 &mut predictions,
             );
-            self.trees.push(tree);
+            trees.push(tree);
         }
-        self.flat = FlatForest::from_trees(&self.trees);
+        self.flat = Arc::new(FlatForest::from_trees(&trees));
+        self.trees = trees.into();
         self.fitted = true;
         Ok(())
     }
@@ -683,6 +695,49 @@ mod tests {
         assert!(model.predict_batch(&[], 2).is_empty());
         assert!(model.predict_batch_reference(&[], 2).is_empty());
         assert!(model.predict_batch_blocked(&[], 2).is_empty());
+    }
+
+    /// The boosting loop before rank encoding: fresh index copies per tree and the
+    /// sort-based split search.
+    fn reference_trees(params: BoostingParams, data: &Dataset) -> Vec<RegressionTree> {
+        let mut rng = StdRng::seed_from_u64(params.seed);
+        let n = data.len();
+        let mut predictions = vec![data.target_mean(); n];
+        let sample_size = ((n as f64) * params.subsample.clamp(0.05, 1.0)).ceil() as usize;
+        let sample_size = sample_size.clamp(1, n);
+        let mut all_indices: Vec<usize> = (0..n).collect();
+        let mut trees = Vec::new();
+        for _ in 0..params.n_estimators {
+            let residuals: Vec<f64> = (0..n).map(|i| data.target(i) - predictions[i]).collect();
+            let indices: Vec<usize> = if sample_size == n {
+                all_indices.clone()
+            } else {
+                all_indices.shuffle(&mut rng);
+                all_indices[..sample_size].to_vec()
+            };
+            let tree = crate::tree::reference::fit(params.tree, data, &residuals, &indices);
+            for (i, prediction) in predictions.iter_mut().enumerate() {
+                *prediction += params.learning_rate * tree.predict_one(data.features(i));
+            }
+            trees.push(tree);
+        }
+        trees
+    }
+
+    #[test]
+    fn fits_are_bit_identical_to_the_sorting_oracle() {
+        let data = synthetic(400);
+        for params in [
+            BoostingParams::fast(),
+            BoostingParams {
+                n_estimators: 25,
+                ..BoostingParams::default()
+            },
+        ] {
+            let mut model = BoostedTreesRegressor::new(params);
+            model.fit(&data).unwrap();
+            assert_eq!(*model.trees, *reference_trees(params, &data));
+        }
     }
 
     #[test]

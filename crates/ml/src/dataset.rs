@@ -106,7 +106,7 @@ impl Dataset {
     }
 
     /// Append row `i` of `source` without revalidation (rows already passed `push`).
-    fn push_row_from(&mut self, source: &Dataset, i: usize) {
+    pub(crate) fn push_row_from(&mut self, source: &Dataset, i: usize) {
         self.values.extend_from_slice(source.features(i));
         self.targets.push(source.targets[i]);
     }

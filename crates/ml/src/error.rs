@@ -19,6 +19,13 @@ pub enum MlError {
         /// Description of where the value was found.
         context: String,
     },
+    /// A row index names no row of the dataset.
+    IndexOutOfRange {
+        /// The offending index.
+        index: usize,
+        /// Number of rows in the dataset.
+        rows: usize,
+    },
     /// The model has not been fitted yet.
     NotFitted,
     /// Model-specific failure (e.g. a singular normal-equation system).
@@ -42,6 +49,9 @@ impl fmt::Display for MlError {
             }
             MlError::NonFiniteValue { context } => {
                 write!(f, "non-finite value encountered in {context}")
+            }
+            MlError::IndexOutOfRange { index, rows } => {
+                write!(f, "row index {index} is out of range for {rows} rows")
             }
             MlError::NotFitted => write!(f, "model has not been fitted"),
             MlError::FitFailed { reason } => write!(f, "model fitting failed: {reason}"),
@@ -67,6 +77,7 @@ mod tests {
         for e in [
             MlError::EmptyDataset,
             MlError::NotFitted,
+            MlError::IndexOutOfRange { index: 9, rows: 4 },
             MlError::NonFiniteValue {
                 context: "row 4".into(),
             },

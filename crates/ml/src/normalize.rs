@@ -76,13 +76,15 @@ impl Normalizer {
     }
 
     /// Normalise a whole dataset (targets are left untouched).
-    pub fn transform_dataset(&self, data: &Dataset) -> Dataset {
+    ///
+    /// Fails with [`MlError::NonFiniteValue`] when a normalised value overflows
+    /// (a feature far outside the range the normaliser was fitted on).
+    pub fn transform_dataset(&self, data: &Dataset) -> Result<Dataset, MlError> {
         let mut out = Dataset::new(data.feature_names().to_vec());
         for i in 0..data.len() {
-            out.push(self.transform_row(data.features(i)), data.target(i))
-                .expect("transformed row has the same arity");
+            out.push(self.transform_row(data.features(i)), data.target(i))?;
         }
-        out
+        Ok(out)
     }
 }
 
@@ -102,7 +104,7 @@ mod tests {
     fn minmax_maps_into_unit_interval() {
         let d = dataset();
         let norm = Normalizer::fit(&d, Normalization::MinMax).unwrap();
-        let t = norm.transform_dataset(&d);
+        let t = norm.transform_dataset(&d).unwrap();
         for &v in t.feature_matrix() {
             assert!((0.0..=1.0).contains(&v));
         }
@@ -116,7 +118,7 @@ mod tests {
     fn zscore_centres_and_scales() {
         let d = dataset();
         let norm = Normalizer::fit(&d, Normalization::ZScore).unwrap();
-        let t = norm.transform_dataset(&d);
+        let t = norm.transform_dataset(&d).unwrap();
         for feature in 0..2 {
             let mean: f64 =
                 (0..t.len()).map(|i| t.features(i)[feature]).sum::<f64>() / t.len() as f64;
@@ -128,7 +130,7 @@ mod tests {
     fn none_is_identity() {
         let d = dataset();
         let norm = Normalizer::fit(&d, Normalization::None).unwrap();
-        assert_eq!(norm.transform_dataset(&d), d);
+        assert_eq!(norm.transform_dataset(&d).unwrap(), d);
     }
 
     #[test]
@@ -138,9 +140,22 @@ mod tests {
         d.push(vec![4.0], 2.0).unwrap();
         for strategy in [Normalization::MinMax, Normalization::ZScore] {
             let norm = Normalizer::fit(&d, strategy).unwrap();
-            let t = norm.transform_dataset(&d);
+            let t = norm.transform_dataset(&d).unwrap();
             assert!(t.feature_matrix().iter().all(|v| v.is_finite()));
         }
+    }
+
+    #[test]
+    fn overflowing_normalisation_is_a_typed_error() {
+        // the fitted range overflows to infinity, so the max maps to inf / inf
+        let mut d = Dataset::new(vec!["x".into()]);
+        d.push(vec![-1e308], 1.0).unwrap();
+        d.push(vec![1e308], 2.0).unwrap();
+        let norm = Normalizer::fit(&d, Normalization::MinMax).unwrap();
+        assert!(matches!(
+            norm.transform_dataset(&d),
+            Err(MlError::NonFiniteValue { .. })
+        ));
     }
 
     #[test]

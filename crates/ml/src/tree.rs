@@ -4,6 +4,25 @@
 //! threshold) pair with the largest variance reduction, and each leaf predicts the mean
 //! target of its training rows.  Trees are the weak learner of
 //! [`crate::boosting::BoostedTreesRegressor`].
+//!
+//! # Rank-encoded split search
+//!
+//! A node's candidate thresholds come from its rows ordered by feature value.  Rather
+//! than sort a `(value, target)` list for every node × feature, a fit rank-encodes
+//! each feature column once: a dense rank under [`f64::total_cmp`], so distinct bit
+//! patterns (`-0.0` and `0.0` included) get distinct ranks.  Each node then
+//! counting-sorts its *current* row order by rank.  A counting sort is stable, so it
+//! yields exactly the permutation a stable `sort_by(total_cmp)` of the same rows
+//! yields.  A column with many more levels than the node has rows (a fine-grained
+//! input size at a small node) takes that comparison sort instead.  The autotuner's
+//! features take few levels (a thread count, a one-hot affinity, an input size), so
+//! nearly every node sorts in linear time.
+//!
+//! The contract is bit-identity with the per-node sort: with the same order, every
+//! prefix-sum addition, every `boundary == next` candidate test on the `f64` values,
+//! the candidate stride and the strict `sse < best` tie-break see the same numbers in
+//! the same sequence, and the in-place partition of the rows is unchanged.  The unit
+//! tests keep the sort-based search as an oracle and compare fitted trees node for node.
 
 use crate::dataset::Dataset;
 use crate::error::MlError;
@@ -16,8 +35,11 @@ pub struct TreeParams {
     pub max_depth: usize,
     /// Minimum number of training rows in a leaf.
     pub min_samples_leaf: usize,
-    /// Maximum number of candidate thresholds examined per feature (quantile pruning of
-    /// the split search keeps training fast on large datasets).
+    /// Bound on the candidate thresholds examined per feature.  The node's rows,
+    /// sorted by the feature, are split only after positions that are multiples of
+    /// the stride `max(rows / max_split_candidates, 1)` (and only where the value
+    /// changes), so a node of `rows` rows evaluates at most about this many splits per
+    /// feature.  The stride is positional: it does not look at the value distribution.
     pub max_split_candidates: usize,
 }
 
@@ -58,6 +80,111 @@ pub const LEAF: u32 = u32::MAX;
 pub(crate) fn select_child(left: u32, right: u32, go_left: bool) -> u32 {
     let mask = (go_left as u32).wrapping_neg();
     (left & mask) | (right & !mask)
+}
+
+/// A node orders its rows with a comparison sort instead of a counting sort when a
+/// column has more than this many levels per row of the node (the counting sort
+/// costs one pass over the column's levels, which would dominate a small node).
+const COUNTING_SORT_MAX_LEVELS_PER_ROW: usize = 4;
+
+/// The features of a dataset, column-major and rank-encoded once per fit: the input of
+/// the split search (see the module documentation).
+#[derive(Debug)]
+pub(crate) struct RankedColumns {
+    rows: usize,
+    /// `values[feature * rows + row]`, the dataset's feature matrix transposed.
+    values: Vec<f64>,
+    /// Dense rank of the matching `values` entry within its column under `total_cmp`.
+    ranks: Vec<u32>,
+    /// Number of distinct values (ranks) per column.
+    levels: Vec<usize>,
+}
+
+impl RankedColumns {
+    /// Transpose and rank-encode every feature column of `data`.
+    pub(crate) fn new(data: &Dataset) -> Self {
+        let rows = data.len();
+        let width = data.n_features();
+        let mut values = Vec::with_capacity(rows * width);
+        let mut ranks = vec![0u32; rows * width];
+        let mut levels = Vec::with_capacity(width);
+        let mut order: Vec<usize> = Vec::with_capacity(rows);
+        for feature in 0..width {
+            let start = values.len();
+            values.extend((0..rows).map(|row| data.features(row)[feature]));
+            let column = &values[start..];
+            order.clear();
+            order.extend(0..rows);
+            order.sort_unstable_by(|&a, &b| column[a].total_cmp(&column[b]));
+            let column_ranks = &mut ranks[start..start + rows];
+            let mut level = 0u32;
+            for (k, &row) in order.iter().enumerate() {
+                if k > 0 && column[order[k - 1]].total_cmp(&column[row]).is_ne() {
+                    level += 1;
+                }
+                column_ranks[row] = level;
+            }
+            levels.push(if rows == 0 { 0 } else { level as usize + 1 });
+        }
+        RankedColumns {
+            rows,
+            values,
+            ranks,
+            levels,
+        }
+    }
+
+    /// Feature `feature` of row `row`.
+    fn value(&self, row: usize, feature: usize) -> f64 {
+        self.values[feature * self.rows + row]
+    }
+
+    /// Fill `scratch.pairs` with `(value, target)` of `feature` for `indices`, in the
+    /// order a stable sort of `indices` by value under `total_cmp` gives.
+    fn sort_pairs(
+        &self,
+        feature: usize,
+        targets: &[f64],
+        indices: &[usize],
+        scratch: &mut SplitScratch,
+    ) {
+        let column = feature * self.rows..(feature + 1) * self.rows;
+        let values = &self.values[column.clone()];
+        let pairs = &mut scratch.pairs;
+        let levels = self.levels[feature];
+        if levels > COUNTING_SORT_MAX_LEVELS_PER_ROW * indices.len() {
+            pairs.clear();
+            pairs.extend(indices.iter().map(|&i| (values[i], targets[i])));
+            pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
+            return;
+        }
+        let ranks = &self.ranks[column];
+        // counts[r + 1] = rows of rank r; after the prefix sum, counts[r] is the first
+        // slot of rank r, and placing rows in `indices` order keeps the sort stable
+        let counts = &mut scratch.counts;
+        counts.clear();
+        counts.resize(levels + 1, 0);
+        for &i in indices {
+            counts[ranks[i] as usize + 1] += 1;
+        }
+        for level in 1..=levels {
+            counts[level] += counts[level - 1];
+        }
+        pairs.clear();
+        pairs.resize(indices.len(), (0.0, 0.0));
+        for &i in indices {
+            let slot = &mut counts[ranks[i] as usize];
+            pairs[*slot] = (values[i], targets[i]);
+            *slot += 1;
+        }
+    }
+}
+
+/// Buffers the split search reuses across features, nodes and trees.
+#[derive(Debug, Default)]
+pub(crate) struct SplitScratch {
+    counts: Vec<usize>,
+    pairs: Vec<(f64, f64)>,
 }
 
 /// A fitted tree flattened into structure-of-arrays form for cache-friendly inference:
@@ -231,35 +358,68 @@ impl RegressionTree {
 
     /// Fit the tree on a subset of rows (by index) against externally supplied targets
     /// (the boosting residuals).  `targets[i]` corresponds to `data.features(i)`.
+    ///
+    /// Rejects an empty dataset or index list, a `targets` slice of the wrong length
+    /// and an index past the last row, each as a typed [`MlError`].
     pub fn fit_on_indices(
         &mut self,
         data: &Dataset,
         targets: &[f64],
         indices: &[usize],
     ) -> Result<(), MlError> {
-        if data.is_empty() || indices.is_empty() {
+        let mut work = indices.to_vec();
+        self.fit_ranked(
+            &RankedColumns::new(data),
+            targets,
+            &mut work,
+            &mut SplitScratch::default(),
+        )
+    }
+
+    /// [`RegressionTree::fit_on_indices`] over a caller-owned rank encoding of the
+    /// dataset and reusable buffers.  `work` holds the row indices and is permuted in
+    /// place.
+    pub(crate) fn fit_ranked(
+        &mut self,
+        columns: &RankedColumns,
+        targets: &[f64],
+        work: &mut [usize],
+        scratch: &mut SplitScratch,
+    ) -> Result<(), MlError> {
+        let rows = columns.rows;
+        if rows == 0 || work.is_empty() {
             return Err(MlError::EmptyDataset);
         }
-        if targets.len() != data.len() {
+        if targets.len() != rows {
             return Err(MlError::DimensionMismatch {
-                expected: data.len(),
+                expected: rows,
                 actual: targets.len(),
             });
         }
+        if let Some(&index) = work.iter().find(|&&i| i >= rows) {
+            return Err(MlError::IndexOutOfRange { index, rows });
+        }
         self.nodes.clear();
-        let mut work = indices.to_vec();
-        self.build(data, targets, &mut work, 0);
+        let params = self.params;
+        self.build(columns, targets, work, 0, &mut |indices: &[usize]| {
+            Self::best_split(&params, columns, targets, indices, scratch)
+        });
         Ok(())
     }
 
     /// Recursively build the subtree for `indices`, returning the node index.
-    fn build(
+    /// `split` finds the best `(feature, threshold)` of a node's rows, if any.
+    fn build<S>(
         &mut self,
-        data: &Dataset,
+        columns: &RankedColumns,
         targets: &[f64],
         indices: &mut [usize],
         depth: usize,
-    ) -> usize {
+        split: &mut S,
+    ) -> usize
+    where
+        S: FnMut(&[usize]) -> Option<(usize, f64)>,
+    {
         let mean = indices.iter().map(|&i| targets[i]).sum::<f64>() / indices.len() as f64;
 
         if depth >= self.params.max_depth
@@ -269,13 +429,13 @@ impl RegressionTree {
             return self.push(Node::Leaf { prediction: mean });
         }
 
-        match self.best_split(data, targets, indices) {
+        match split(indices) {
             None => self.push(Node::Leaf { prediction: mean }),
             Some((feature, threshold)) => {
                 // partition indices in place
                 let mut split_point = 0;
                 for i in 0..indices.len() {
-                    if data.features(indices[i])[feature] <= threshold {
+                    if columns.value(indices[i], feature) <= threshold {
                         indices.swap(i, split_point);
                         split_point += 1;
                     }
@@ -287,8 +447,8 @@ impl RegressionTree {
                 // up at index 0
                 let node_index = self.push(Node::Leaf { prediction: mean });
                 let (left_slice, right_slice) = indices.split_at_mut(split_point);
-                let left = self.build(data, targets, left_slice, depth + 1);
-                let right = self.build(data, targets, right_slice, depth + 1);
+                let left = self.build(columns, targets, left_slice, depth + 1, split);
+                let right = self.build(columns, targets, right_slice, depth + 1, split);
                 self.nodes[node_index] = Node::Split {
                     feature,
                     threshold,
@@ -343,12 +503,14 @@ impl RegressionTree {
         indices.iter().all(|&i| (targets[i] - first).abs() < 1e-12)
     }
 
-    /// Find the (feature, threshold) pair with the largest SSE reduction.
+    /// Find the (feature, threshold) pair with the largest SSE reduction, scanning
+    /// each feature's rows in the order [`RankedColumns::sort_pairs`] gives.
     fn best_split(
-        &self,
-        data: &Dataset,
+        params: &TreeParams,
+        columns: &RankedColumns,
         targets: &[f64],
         indices: &[usize],
+        scratch: &mut SplitScratch,
     ) -> Option<(usize, f64)> {
         let total_sum: f64 = indices.iter().map(|&i| targets[i]).sum();
         let total_sq: f64 = indices.iter().map(|&i| targets[i] * targets[i]).sum();
@@ -357,15 +519,11 @@ impl RegressionTree {
 
         let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, sse)
 
-        for feature in 0..data.n_features() {
-            // candidate thresholds: sorted unique values (quantile-pruned)
-            let mut values: Vec<(f64, f64)> = indices
-                .iter()
-                .map(|&i| (data.features(i)[feature], targets[i]))
-                .collect();
-            values.sort_by(|a, b| a.0.total_cmp(&b.0));
+        for feature in 0..columns.levels.len() {
+            columns.sort_pairs(feature, targets, indices, scratch);
+            let values = &scratch.pairs;
 
-            let stride = (values.len() / self.params.max_split_candidates).max(1);
+            let stride = (values.len() / params.max_split_candidates).max(1);
 
             // prefix sums for O(1) SSE evaluation at each split position
             let mut left_sum = 0.0;
@@ -383,8 +541,8 @@ impl RegressionTree {
                 }
                 let left_n = (k + 1) as f64;
                 let right_n = n - left_n;
-                if (left_n as usize) < self.params.min_samples_leaf
-                    || (right_n as usize) < self.params.min_samples_leaf
+                if (left_n as usize) < params.min_samples_leaf
+                    || (right_n as usize) < params.min_samples_leaf
                 {
                     k += 1;
                     continue;
@@ -445,6 +603,98 @@ impl Regressor for RegressionTree {
 
     fn name(&self) -> &'static str {
         "regression-tree"
+    }
+}
+
+/// The per-node comparison sort the rank-encoded split search replaced, kept verbatim
+/// as the oracle of the bit-identity tests.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    /// Fit a tree on `indices` with the sort-based split search (the recursive build
+    /// and its in-place partition are the ones the ranked fit uses).
+    pub(crate) fn fit(
+        params: TreeParams,
+        data: &Dataset,
+        targets: &[f64],
+        indices: &[usize],
+    ) -> RegressionTree {
+        let mut tree = RegressionTree::new(params);
+        let mut work = indices.to_vec();
+        let columns = RankedColumns::new(data);
+        tree.build(&columns, targets, &mut work, 0, &mut |rows: &[usize]| {
+            best_split(&params, data, targets, rows)
+        });
+        tree
+    }
+
+    /// Find the (feature, threshold) pair with the largest SSE reduction.
+    fn best_split(
+        params: &TreeParams,
+        data: &Dataset,
+        targets: &[f64],
+        indices: &[usize],
+    ) -> Option<(usize, f64)> {
+        let total_sum: f64 = indices.iter().map(|&i| targets[i]).sum();
+        let total_sq: f64 = indices.iter().map(|&i| targets[i] * targets[i]).sum();
+        let n = indices.len() as f64;
+        let parent_sse = total_sq - total_sum * total_sum / n;
+
+        let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, sse)
+
+        for feature in 0..data.n_features() {
+            // candidate thresholds: sorted unique values (quantile-pruned)
+            let mut values: Vec<(f64, f64)> = indices
+                .iter()
+                .map(|&i| (data.features(i)[feature], targets[i]))
+                .collect();
+            values.sort_by(|a, b| a.0.total_cmp(&b.0));
+
+            let stride = (values.len() / params.max_split_candidates).max(1);
+
+            // prefix sums for O(1) SSE evaluation at each split position
+            let mut left_sum = 0.0;
+            let mut left_sq = 0.0;
+            let mut k = 0usize;
+            while k + 1 < values.len() {
+                left_sum += values[k].1;
+                left_sq += values[k].1 * values[k].1;
+                let boundary = values[k].0;
+                // only evaluate at value changes, respecting the candidate stride
+                let next = values[k + 1].0;
+                if boundary == next || !(k + 1).is_multiple_of(stride) {
+                    k += 1;
+                    continue;
+                }
+                let left_n = (k + 1) as f64;
+                let right_n = n - left_n;
+                if (left_n as usize) < params.min_samples_leaf
+                    || (right_n as usize) < params.min_samples_leaf
+                {
+                    k += 1;
+                    continue;
+                }
+                let right_sum = total_sum - left_sum;
+                let right_sq = total_sq - left_sq;
+                let sse = (left_sq - left_sum * left_sum / left_n)
+                    + (right_sq - right_sum * right_sum / right_n);
+                let threshold = (boundary + next) / 2.0;
+                if best.is_none_or(|(_, _, b)| sse < b) {
+                    best = Some((feature, threshold, sse));
+                }
+                k += 1;
+            }
+        }
+
+        best.and_then(|(feature, threshold, sse)| {
+            // require an actual improvement over the parent
+            if sse < parent_sse - 1e-12 {
+                Some((feature, threshold))
+            } else {
+                None
+            }
+        })
     }
 }
 
@@ -590,6 +840,149 @@ mod tests {
             tree.predict_one(&[3.0]).to_bits(),
             flat.predict_one(&[3.0]).to_bits()
         );
+    }
+
+    #[test]
+    fn out_of_range_indices_are_a_typed_error() {
+        let d = step_dataset();
+        let mut tree = RegressionTree::new(TreeParams::default());
+        assert_eq!(
+            tree.fit_on_indices(&d, d.targets(), &[0, 3, 10]),
+            Err(MlError::IndexOutOfRange {
+                index: 10,
+                rows: 10
+            })
+        );
+        assert!(!tree.is_fitted());
+        assert!(tree.fit_on_indices(&d, d.targets(), &[0, 3, 9]).is_ok());
+    }
+
+    /// Stable comparison sort of `(value, target)` over `indices`: the order the
+    /// rank-encoded search must reproduce.
+    fn stably_sorted(data: &Dataset, feature: usize, indices: &[usize]) -> Vec<(u64, u64)> {
+        let mut pairs: Vec<(f64, f64)> = indices
+            .iter()
+            .map(|&i| (data.features(i)[feature], data.target(i)))
+            .collect();
+        pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
+        pairs
+            .into_iter()
+            .map(|(v, t)| (v.to_bits(), t.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn both_sort_branches_match_a_stable_sort() {
+        // column 0 mixes -0.0 and 0.0 among few levels; column 1 is all distinct
+        let mut d = Dataset::new(vec!["signed".into(), "fine".into()]);
+        for i in 0..200 {
+            let signed = [-0.0, 0.0, 1.0, -1.0][i % 4];
+            d.push(vec![signed, ((i * 37) % 200) as f64 * 0.5], i as f64)
+                .unwrap();
+        }
+        let columns = RankedColumns::new(&d);
+        assert_eq!(columns.levels, vec![4, 200]);
+        let mut scratch = SplitScratch::default();
+        let large: Vec<usize> = (0..200).rev().collect();
+        let small: Vec<usize> = vec![7, 3, 150, 3, 42, 8, 199, 0];
+        for indices in [&large, &small] {
+            for feature in 0..2 {
+                // the fine column of the small set takes the comparison sort
+                let counting =
+                    columns.levels[feature] <= COUNTING_SORT_MAX_LEVELS_PER_ROW * indices.len();
+                assert_eq!(counting, !(feature == 1 && indices.len() == small.len()));
+                columns.sort_pairs(feature, d.targets(), indices, &mut scratch);
+                let got: Vec<(u64, u64)> = scratch
+                    .pairs
+                    .iter()
+                    .map(|(v, t)| (v.to_bits(), t.to_bits()))
+                    .collect();
+                assert_eq!(
+                    got,
+                    stably_sorted(&d, feature, indices),
+                    "feature {feature}"
+                );
+            }
+        }
+    }
+
+    /// Rows with a low-cardinality thread count, a column mixing `-0.0` and `0.0`, a
+    /// constant, a one-hot flag and a high-cardinality size; a prefix of the rows is
+    /// repeated as exact duplicates.
+    fn oracle_dataset(rows: &[(usize, usize, u8, u32, u32)], duplicates: usize) -> Dataset {
+        let mut d = Dataset::new(
+            ["threads", "signed", "constant", "flag", "size"]
+                .iter()
+                .map(|name| name.to_string())
+                .collect(),
+        );
+        let repeated = rows.iter().chain(rows.iter().take(duplicates));
+        for &(threads, signed, flag, size, noise) in repeated {
+            let threads = [2.0, 6.0, 12.0, 24.0, 48.0][threads];
+            let signed: f64 = [-0.0, 0.0, 0.5][signed];
+            let size = f64::from(size) / 997.0;
+            let target = 10.0 / threads
+                + f64::from(flag) * 1.5
+                + size * 3.0
+                + if signed.is_sign_negative() { 0.25 } else { 0.0 }
+                + f64::from(noise % 4) * 0.125;
+            d.push(vec![threads, signed, 3.5, f64::from(flag), size], target)
+                .unwrap();
+        }
+        d
+    }
+
+    /// A random index set over `rows` rows: a shuffled prefix, with some indices
+    /// repeated.
+    fn oracle_indices(rows: usize, seed: u64, keep: f64, repeats: usize) -> Vec<usize> {
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+        let mut indices: Vec<usize> = (0..rows).collect();
+        indices.shuffle(&mut rand::rngs::StdRng::seed_from_u64(seed));
+        indices.truncate(((rows as f64 * keep).ceil() as usize).clamp(1, rows));
+        let head: Vec<usize> = indices.iter().copied().take(repeats).collect();
+        indices.extend(head);
+        indices
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        /// The rank-encoded split search fits the same trees as the per-node
+        /// comparison sort, node for node and bit for bit.
+        #[test]
+        fn ranked_fits_are_bit_identical_to_the_sorting_oracle(
+            rows in proptest::collection::vec(
+                (0usize..5, 0usize..3, 0u8..2, 0u32..997, 0u32..64),
+                1..160,
+            ),
+            duplicates in 0usize..24,
+            seed in 0u64..1_000_000,
+            keep in 0.05f64..=1.0,
+            repeats in 0usize..4,
+            residual_shift in -2.0f64..2.0,
+        ) {
+            let data = oracle_dataset(&rows, duplicates);
+            let indices = oracle_indices(data.len(), seed, keep, repeats);
+            // boosting fits residuals, not raw targets
+            let residuals: Vec<f64> = data.targets().iter().map(|t| t - residual_shift).collect();
+            let fast = crate::BoostingParams::fast().tree;
+            let fine = TreeParams { max_depth: 7, min_samples_leaf: 1, max_split_candidates: 5 };
+            for params in [TreeParams::default(), fast, fine] {
+                for targets in [data.targets(), residuals.as_slice()] {
+                    let expected = reference::fit(params, &data, targets, &indices);
+                    let mut tree = RegressionTree::new(params);
+                    tree.fit_on_indices(&data, targets, &indices).unwrap();
+                    proptest::prop_assert_eq!(&tree, &expected);
+                    let (got, want) = (tree.flatten(), expected.flatten());
+                    proptest::prop_assert_eq!(&got.feature, &want.feature);
+                    let bits = |flat: &FlatTree| -> Vec<u64> {
+                        flat.threshold.iter().map(|v| v.to_bits()).collect()
+                    };
+                    proptest::prop_assert_eq!(bits(&got), bits(&want));
+                }
+            }
+        }
     }
 
     #[test]

@@ -100,9 +100,7 @@ where
             } else {
                 &mut train
             };
-            destination
-                .push(data.features(row).to_vec(), data.target(row))
-                .expect("row matches schema");
+            destination.push_row_from(data, row);
         }
         if train.is_empty() || test.is_empty() {
             continue;

@@ -35,7 +35,7 @@ proptest! {
     #[test]
     fn minmax_is_bounded(data in arb_dataset(60)) {
         let normalizer = Normalizer::fit(&data, Normalization::MinMax).unwrap();
-        let transformed = normalizer.transform_dataset(&data);
+        let transformed = normalizer.transform_dataset(&data).unwrap();
         for &value in transformed.feature_matrix() {
             prop_assert!((-1e-9..=1.0 + 1e-9).contains(&value));
         }
