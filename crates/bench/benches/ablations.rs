@@ -1,9 +1,7 @@
-//! Ablation benches for the design choices called out in DESIGN.md:
+//! Ablation benches for the reproduction's design choices:
 //!
 //! * cooling schedule of the annealer (geometric — the paper's choice — vs. linear vs.
 //!   logarithmic),
-//! * choice of meta-heuristic (simulated annealing vs. hill climbing, tabu search,
-//!   genetic algorithm and random search at an equal evaluation budget),
 //! * choice of regression model (boosted trees — the paper's choice — vs. linear and
 //!   Poisson regression).
 //!
@@ -21,10 +19,7 @@ use wd_ml::{
     metrics, BoostedTreesRegressor, BoostingParams, Dataset, LinearRegressor, PoissonRegressor,
     Regressor,
 };
-use wd_opt::{
-    CoolingSchedule, Enumeration, GeneticAlgorithm, HillClimbing, RandomSearch, SimulatedAnnealing,
-    TabuSearch,
-};
+use wd_opt::{CoolingSchedule, Enumeration, SimulatedAnnealing};
 
 const BUDGET: usize = 1000;
 
@@ -77,45 +72,6 @@ fn ablation_cooling_schedules(c: &mut Criterion) {
             .with_schedule(CoolingSchedule::Logarithmic);
         sa.max_iterations = BUDGET;
         b.iter(|| sa.run(&space, &objective));
-    });
-    group.finish();
-}
-
-fn ablation_heuristics(c: &mut Criterion) {
-    let objective = setup(Genome::Mouse);
-    let space = ConfigurationSpace::paper();
-    let em = Enumeration::parallel().run(&ConfigurationSpace::enumeration_grid(), &objective);
-
-    let sa = SimulatedAnnealing::with_budget_and_range(BUDGET, 2.0, 0.02, 5);
-    let hill = HillClimbing::with_budget(BUDGET, 5);
-    let tabu = TabuSearch::with_budget(BUDGET / 8, 5); // 8 candidates per iteration
-    let genetic = GeneticAlgorithm::with_budget(BUDGET, 5);
-    let random = RandomSearch::new(BUDGET, 5);
-
-    let results = [
-        ("simulated annealing (paper)", sa.run(&space, &objective)),
-        ("hill climbing", hill.run(&space, &objective)),
-        ("tabu search", tabu.run(&space, &objective)),
-        ("genetic algorithm", genetic.run(&space, &objective)),
-        ("random search", random.run(&space, &objective)),
-    ];
-    for (name, outcome) in &results {
-        println!(
-            "heuristic {name:<28}: best {:.3} s ({:+.1} % vs EM, {} evaluations)",
-            outcome.best_energy,
-            100.0 * (outcome.best_energy - em.best_energy) / em.best_energy,
-            outcome.evaluations
-        );
-    }
-
-    let mut group = c.benchmark_group("ablation_heuristics");
-    group.sample_size(10);
-    group.bench_function("simulated_annealing", |b| {
-        b.iter(|| sa.run(&space, &objective))
-    });
-    group.bench_function("hill_climbing", |b| b.iter(|| hill.run(&space, &objective)));
-    group.bench_function("random_search", |b| {
-        b.iter(|| random.run(&space, &objective))
     });
     group.finish();
 }
@@ -303,7 +259,6 @@ fn ablation_accelerator_count(c: &mut Criterion) {
 criterion_group!(
     benches,
     ablation_cooling_schedules,
-    ablation_heuristics,
     ablation_regressors,
     ablation_workload_kinds,
     ablation_noise,

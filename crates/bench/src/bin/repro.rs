@@ -13,6 +13,9 @@
 //!   table6 table7                 percent / absolute difference to the EM optimum
 //!   table8 table9                 speedups vs. host-only / device-only
 //!   all                           everything above
+//!   model-selection               Section III-B: k-fold cross-validated MAPE / RMSE
+//!                                 of boosted trees vs. linear vs. Poisson regression
+//!                                 on the training campaign, host and each device
 //!   bench-enumeration             enumeration fast-path measurements; also writes
 //!                                 the BENCH_enumeration.json perf-trajectory artifact
 //!   bench-annealing               incremental-annealing fast-path measurements
@@ -33,6 +36,8 @@
 //! whole reproduction finishes in a few seconds; the default reproduces the paper-scale
 //! campaign (7 200 training experiments, 19 926-point enumeration per genome).
 //!
+//! An unknown artifact name is a usage error (exit status 2).
+//!
 //! `--metrics PATH` writes a `wd_obs` metrics snapshot (schema
 //! [`wd_obs::METRICS_SCHEMA_VERSION`])
 //! to `PATH` when the run finishes: one span per artifact rendered, a span for the
@@ -44,11 +49,29 @@ use std::collections::BTreeSet;
 use dna_analysis::Genome;
 use hetero_autotune::experiments::{motivation_experiment, SpeedupBaseline};
 use hetero_autotune::report::{fmt2, fmt3, format_table};
-use hetero_autotune::{ConfigurationSpace, MethodKind, TrainingCampaign};
+use hetero_autotune::{ConfigurationSpace, MethodKind, ModelComparison, TrainingCampaign};
 use hetero_platform::{Affinity, DeviceSpec, HeterogeneousPlatform};
 use wd_bench::{render_budget_table, render_speedup_table, PaperStudy, Scale};
 use wd_ml::ErrorHistogram;
 use wd_obs::{FieldValue, Recorder, Registry};
+
+/// The paper's artifacts, in the order `all` regenerates them.
+const PAPER_ARTIFACTS: [&str; 15] = [
+    "table1", "table2", "table3", "fig2", "fig5", "fig6", "fig7", "fig8", "table4", "table5",
+    "fig9", "table6", "table7", "table8", "table9",
+];
+
+/// Artifacts `all` leaves out: the model-selection table and the perf measurements.
+const EXTRA_ARTIFACTS: [&str; 5] = [
+    "model-selection",
+    "bench-enumeration",
+    "bench-annealing",
+    "bench-prediction",
+    "bench-observability",
+];
+
+/// Folds of the `model-selection` cross-validation.
+const MODEL_SELECTION_FOLDS: usize = 5;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -82,14 +105,15 @@ fn main() {
     if artifacts.is_empty() {
         usage("no artifact requested");
     }
+    if let Some(unknown) = artifacts.iter().find(|name| {
+        name.as_str() != "all"
+            && !PAPER_ARTIFACTS.contains(&name.as_str())
+            && !EXTRA_ARTIFACTS.contains(&name.as_str())
+    }) {
+        usage(&format!("unknown artifact `{unknown}`"));
+    }
     if artifacts.contains("all") {
-        artifacts = [
-            "table1", "table2", "table3", "fig2", "fig5", "fig6", "fig7", "fig8", "table4",
-            "table5", "fig9", "table6", "table7", "table8", "table9",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        artifacts = PAPER_ARTIFACTS.iter().map(|s| s.to_string()).collect();
     }
 
     let needs_models = artifacts.iter().any(|a| {
@@ -116,6 +140,7 @@ fn main() {
             "table2" => table2(),
             "table3" => table3(),
             "fig2" => fig2(seed),
+            "model-selection" => model_selection(scale, seed),
             "bench-enumeration" => bench_enumeration(scale),
             "bench-annealing" => bench_annealing(scale, seed),
             "bench-prediction" => bench_prediction(scale, seed),
@@ -239,9 +264,9 @@ fn usage(message: &str) -> ! {
     }
     eprintln!(
         "usage: repro [--quick] [--seed N] [--metrics PATH] <artifact>...\n\
-         artifacts: table1 table2 table3 fig2 fig5 fig6 fig7 fig8 table4 table5 fig9 \
-         table6 table7 table8 table9 all bench-enumeration bench-annealing \
-         bench-prediction bench-observability"
+         artifacts: {} all {}",
+        PAPER_ARTIFACTS.join(" "),
+        EXTRA_ARTIFACTS.join(" "),
     );
     std::process::exit(if message.is_empty() { 0 } else { 2 });
 }
@@ -519,6 +544,53 @@ fn table4or5(study: &PaperStudy, host: bool) {
     };
     println!("{caption}");
     println!("{}", format_table(&headers, &[absolute_row, percent_row]));
+}
+
+/// Section III-B: cross-validated prediction error of each candidate model family on
+/// the training campaign, host and every accelerator (boosted trees are the paper's
+/// choice).
+fn model_selection(scale: Scale, seed: u64) {
+    let platform = HeterogeneousPlatform::emil_with_seed(seed);
+    let comparison = ModelComparison::run(
+        &platform,
+        &scale.campaign(),
+        scale.boosting(),
+        MODEL_SELECTION_FOLDS,
+        seed,
+    )
+    .unwrap_or_else(|err| {
+        eprintln!("error: model comparison failed: {err}");
+        std::process::exit(1);
+    });
+    let mut sides = vec![("host".to_string(), &comparison.host)];
+    for (index, scores) in comparison.devices.iter().enumerate() {
+        let label = if comparison.devices.len() == 1 {
+            "device".to_string()
+        } else {
+            format!("device {index}")
+        };
+        sides.push((label, scores));
+    }
+    let mut headers = vec!["Model".to_string()];
+    for (label, _) in &sides {
+        headers.push(format!("{label} MAPE [%]"));
+        headers.push(format!("{label} RMSE [s]"));
+    }
+    let rows: Vec<Vec<String>> = (0..comparison.host.len())
+        .map(|family| {
+            let mut row = vec![comparison.host[family].family.to_string()];
+            for (_, scores) in &sides {
+                row.push(fmt3(scores[family].mape));
+                row.push(fmt3(scores[family].rmse));
+            }
+            row
+        })
+        .collect();
+    println!(
+        "Section III-B: {MODEL_SELECTION_FOLDS}-fold cross-validated prediction error per \
+         model family"
+    );
+    println!("{}", format_table(&headers, &rows));
 }
 
 /// Fig. 9: per-genome convergence of SAML/SAM towards the EM optimum.
@@ -851,15 +923,4 @@ fn bench_observability(scale: Scale, seed: u64, recorder: &dyn Recorder) {
         recorder.counter("bench.observability.bytes_written", m.bytes_written);
     }
     m.assert_noop_is_free();
-}
-
-// ensure the helper crate links even when only static tables are printed
-#[allow(unused)]
-fn genomes() -> Vec<Genome> {
-    Genome::ALL.to_vec()
-}
-
-#[allow(unused)]
-fn campaigns() -> (TrainingCampaign, TrainingCampaign) {
-    (TrainingCampaign::paper(), TrainingCampaign::reduced())
 }

@@ -231,46 +231,6 @@ impl SystemConfiguration {
             .collect()
     }
 
-    /// A copy with the host share replaced by `host_permille` (clamped to 0..=1000)
-    /// and the accelerator shares rescaled proportionally to fill the remainder —
-    /// the move the adaptive refinement controller makes.  Rounding residue goes to
-    /// the largest accelerator share so the invariant holds exactly.
-    pub fn with_host_permille(&self, host_permille: u32) -> Self {
-        let host_permille = host_permille.min(1000);
-        let remainder = 1000 - host_permille;
-        let old_total: u32 = self.devices.iter().map(|d| d.permille).sum();
-        let mut devices = self.devices.clone();
-        if old_total == 0 {
-            // all devices were idle: give the remainder to the first one
-            for d in devices.iter_mut() {
-                d.permille = 0;
-            }
-            devices[0].permille = remainder;
-        } else {
-            let mut assigned = 0u32;
-            for d in devices.iter_mut() {
-                d.permille =
-                    (u64::from(d.permille) * u64::from(remainder) / u64::from(old_total)) as u32;
-                assigned += d.permille;
-            }
-            // deterministic largest-remainder fix-up: the residue joins the largest share
-            let residue = remainder - assigned;
-            let largest = devices
-                .iter()
-                .enumerate()
-                .max_by_key(|(i, d)| (d.permille, usize::MAX - i))
-                .map(|(i, _)| i)
-                .expect("at least one device");
-            devices[largest].permille += residue;
-        }
-        SystemConfiguration {
-            host_threads: self.host_threads,
-            host_affinity: self.host_affinity,
-            host_permille,
-            devices,
-        }
-    }
-
     /// The CPU-only baseline configuration used by the paper's Table VIII
     /// (48 host threads, everything on the host).
     pub fn host_only_baseline() -> Self {
@@ -1028,36 +988,6 @@ mod tests {
             120,
         );
         assert_eq!(clamped.host_permille(), 1000);
-    }
-
-    #[test]
-    fn with_host_permille_rebalances_device_shares() {
-        let cfg = SystemConfiguration::new(
-            48,
-            Affinity::Scatter,
-            400,
-            vec![
-                DeviceSetting::new(240, Affinity::Balanced, 450),
-                DeviceSetting::new(448, Affinity::Balanced, 150),
-            ],
-        )
-        .unwrap();
-        let moved = cfg.with_host_permille(700);
-        assert_eq!(moved.host_permille(), 700);
-        let split = moved.split();
-        assert_eq!(split.iter().sum::<u32>(), 1000);
-        // proportions preserved (450:150 = 3:1 over the remaining 300)
-        assert_eq!(split[1], 225);
-        assert_eq!(split[2], 75);
-        // partition stays valid at every host share
-        for permille in [0u32, 1, 333, 999, 1000, 1500] {
-            let p = cfg.with_host_permille(permille).partition();
-            assert!((p.host_fraction() - f64::from(permille.min(1000)) / 1000.0).abs() < 1e-12);
-        }
-        // all-idle devices: the remainder lands on the first device
-        let host_only = SystemConfiguration::host_only_baseline_for(2);
-        let reopened = host_only.with_host_permille(600);
-        assert_eq!(reopened.split(), vec![600, 400, 0]);
     }
 
     #[test]

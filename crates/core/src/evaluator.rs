@@ -305,9 +305,9 @@ impl PredictionEvaluator {
 
     /// Build the factorized fast path for *local-search* walks: a
     /// [`LazyTabulatedPredictionEvaluator`] whose per-device time tables start empty
-    /// and are filled on first touch, so a SAM/SAML walk (or the adaptive refinement
-    /// controller) pays one model query per *distinct* `(threads, affinity, share)`
-    /// triple it ever visits instead of one per device per move.
+    /// and are filled on first touch, so a SAM/SAML walk pays one model query per
+    /// *distinct* `(threads, affinity, share)` triple it ever visits instead of one
+    /// per device per move.
     pub fn lazy_tabulated(&self) -> LazyTabulatedPredictionEvaluator<'_> {
         LazyTabulatedPredictionEvaluator::new(self)
     }
@@ -409,8 +409,7 @@ fn write_lock<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 const TABLE_BATCH: usize = 256;
 
 /// The factorized prediction fast path: per-device time tables behind every
-/// prediction-based method (EML's scan, SAML/GAML walks, sharded EML campaigns, the
-/// adaptive refinement controller).
+/// prediction-based method (EML's scan, SAML/GAML walks, sharded EML campaigns).
 ///
 /// The energy `E = max(T_host, max_d T_d)` is *separable*: each device's predicted
 /// time depends only on that device's own `(threads, affinity, share)` triple, never
@@ -723,13 +722,6 @@ impl<'a> LazyTabulatedPredictionEvaluator<'a> {
             .map(|(index, &device)| self.device_time(index, device))
             .collect();
         (host, devices)
-    }
-
-    /// Predicted `(T_host, T_device)` where `T_device` is the slowest accelerator —
-    /// the oracle shape [`crate::AdaptiveRefinement::refine_with`] consumes.
-    pub fn evaluate_times(&self, config: &SystemConfiguration) -> (f64, f64) {
-        let (host, devices) = self.evaluate_all_times(config);
-        (host, devices.into_iter().fold(0.0, f64::max))
     }
 
     /// The optimization energy `E = max(T_host, max_d T_d)` by memoized table probe +

@@ -50,7 +50,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod adaptive;
 pub mod autotuner;
 pub mod config;
 pub mod dist;
@@ -63,7 +62,6 @@ pub mod report;
 pub mod speedup;
 pub mod training;
 
-pub use adaptive::{AdaptiveRefinement, RefinementOutcome};
 pub use autotuner::Autotuner;
 pub use config::{ConfigurationSpace, DeviceAxis, DeviceSetting, SystemConfiguration};
 pub use dist::{campaign_context, run_enumeration_sharded};

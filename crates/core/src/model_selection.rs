@@ -11,7 +11,7 @@
 use hetero_platform::HeterogeneousPlatform;
 use wd_ml::{
     k_fold_cross_validation, BoostedTreesRegressor, BoostingParams, Dataset, LinearRegressor,
-    PoissonRegressor,
+    MlError, PoissonRegressor,
 };
 
 use crate::training::TrainingCampaign;
@@ -74,24 +74,27 @@ pub struct ModelComparison {
 impl ModelComparison {
     /// Compare all families with `folds`-fold cross-validation on the campaign's data
     /// (every accelerator of the platform is cross-validated separately).
+    ///
+    /// Fails with the first cross-validation error, e.g. [`MlError::EmptyDataset`] when
+    /// a side of the campaign yields no rows.
     pub fn run(
         platform: &HeterogeneousPlatform,
         campaign: &TrainingCampaign,
         boosting: BoostingParams,
         folds: usize,
         seed: u64,
-    ) -> Self {
+    ) -> Result<Self, MlError> {
         let host_data = campaign.host_dataset(platform);
         let devices = (0..campaign.device_axes.len())
             .map(|index| {
                 let device_data = campaign.device_dataset(platform, index);
                 Self::score_all(&device_data, boosting, folds, seed)
             })
-            .collect();
-        ModelComparison {
-            host: Self::score_all(&host_data, boosting, folds, seed),
+            .collect::<Result<_, _>>()?;
+        Ok(ModelComparison {
+            host: Self::score_all(&host_data, boosting, folds, seed)?,
             devices,
-        }
+        })
     }
 
     fn score_all(
@@ -99,7 +102,7 @@ impl ModelComparison {
         boosting: BoostingParams,
         folds: usize,
         seed: u64,
-    ) -> Vec<FamilyScore> {
+    ) -> Result<Vec<FamilyScore>, MlError> {
         ModelFamily::ALL
             .iter()
             .map(|&family| {
@@ -113,13 +116,12 @@ impl ModelComparison {
                     ModelFamily::Poisson => {
                         k_fold_cross_validation(data, folds, seed, PoissonRegressor::new)
                     }
-                }
-                .expect("campaign data is non-empty");
-                FamilyScore {
+                }?;
+                Ok(FamilyScore {
                     family,
                     mape: cv.mean_mape(),
                     rmse: cv.mean_rmse(),
-                }
+                })
             })
             .collect()
     }
@@ -129,14 +131,10 @@ impl ModelComparison {
         Self::best_of(&self.host)
     }
 
-    /// The family with the lowest MAPE on the first accelerator's data.
-    pub fn best_device_family(&self) -> ModelFamily {
-        Self::best_of(&self.devices[0])
-    }
-
-    /// The family with the lowest MAPE on accelerator `index`'s data.
-    pub fn best_device_family_for(&self, index: usize) -> ModelFamily {
-        Self::best_of(&self.devices[index])
+    /// The family with the lowest MAPE on accelerator `index`'s data, or `None` when
+    /// the platform has no accelerator `index`.
+    pub fn best_device_family_for(&self, index: usize) -> Option<ModelFamily> {
+        self.devices.get(index).map(|scores| Self::best_of(scores))
     }
 
     fn best_of(scores: &[FamilyScore]) -> ModelFamily {
@@ -163,16 +161,17 @@ mod tests {
             BoostingParams::fast(),
             4,
             3,
-        );
+        )
+        .unwrap();
         assert_eq!(comparison.host.len(), 3);
         assert_eq!(comparison.devices.len(), 1);
         assert_eq!(comparison.devices[0].len(), 3);
         assert_eq!(comparison.best_host_family(), ModelFamily::BoostedTrees);
-        assert_eq!(comparison.best_device_family(), ModelFamily::BoostedTrees);
         assert_eq!(
             comparison.best_device_family_for(0),
-            comparison.best_device_family()
+            Some(ModelFamily::BoostedTrees)
         );
+        assert_eq!(comparison.best_device_family_for(1), None);
         for score in comparison
             .host
             .iter()
@@ -181,6 +180,22 @@ mod tests {
             assert!(score.mape.is_finite() && score.mape >= 0.0);
             assert!(score.rmse.is_finite() && score.rmse >= 0.0);
         }
+    }
+
+    #[test]
+    fn an_empty_campaign_is_a_typed_error() {
+        let campaign = TrainingCampaign {
+            genomes: vec![],
+            ..TrainingCampaign::reduced()
+        };
+        let result = ModelComparison::run(
+            &HeterogeneousPlatform::emil(),
+            &campaign,
+            BoostingParams::fast(),
+            4,
+            3,
+        );
+        assert_eq!(result, Err(MlError::EmptyDataset));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! * [`LinearRegressor`] and [`PoissonRegressor`] — the baselines the paper reports
 //!   having considered,
 //! * [`RegressionTree`] — the CART building block,
-//! * dataset handling, normalisation, train/test splitting and the error metrics the
+//! * dataset handling, train/test splitting and the error metrics the
 //!   paper reports (absolute error, percent error, error histograms).
 //!
 //! ## Example
@@ -41,7 +41,6 @@ pub mod error;
 pub mod linear;
 pub mod metrics;
 pub mod model;
-pub mod normalize;
 pub mod poisson;
 pub mod tree;
 pub mod validation;
@@ -52,7 +51,6 @@ pub use error::MlError;
 pub use linear::LinearRegressor;
 pub use metrics::ErrorHistogram;
 pub use model::Regressor;
-pub use normalize::{Normalization, Normalizer};
 pub use poisson::PoissonRegressor;
 pub use tree::{FlatTree, RegressionTree, TreeParams};
-pub use validation::{k_fold_cross_validation, permutation_importance, CrossValidation};
+pub use validation::{k_fold_cross_validation, CrossValidation};

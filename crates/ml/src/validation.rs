@@ -1,10 +1,8 @@
-//! Model validation utilities: k-fold cross-validation and permutation feature
-//! importance.
+//! Model validation: k-fold cross-validation.
 //!
-//! The paper uses a single 50/50 train/evaluation split; these utilities extend that
-//! protocol so the model-selection ablation (boosted trees vs. linear vs. Poisson) can
-//! be run with lower variance and so the relative weight of each configuration
-//! parameter in the prediction can be quantified.
+//! The paper uses a single 50/50 train/evaluation split; k-fold extends that protocol
+//! so the model-selection comparison (boosted trees vs. linear vs. Poisson) runs with
+//! lower variance.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -123,43 +121,6 @@ where
     })
 }
 
-/// Permutation feature importance: how much the model's RMSE on `data` degrades when
-/// one feature column is randomly shuffled.  Returns one (name, importance) pair per
-/// feature, where importance is the *increase* in RMSE (≥ 0 up to shuffling noise);
-/// larger values mean the model relies on that feature more.
-pub fn permutation_importance<M: Regressor>(
-    model: &M,
-    data: &Dataset,
-    seed: u64,
-) -> Vec<(String, f64)> {
-    if data.is_empty() {
-        return Vec::new();
-    }
-    let baseline_predictions = predict_dataset(model, data);
-    let baseline_rmse = metrics::root_mean_squared_error(data.targets(), &baseline_predictions);
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let width = data.n_features();
-    let mut importances = Vec::with_capacity(width);
-    for feature in 0..width {
-        // shuffle one column while keeping the rest intact, directly in a copy of the
-        // row-major matrix (no per-row buffers)
-        let mut column: Vec<f64> = (0..data.len()).map(|i| data.features(i)[feature]).collect();
-        column.shuffle(&mut rng);
-        let mut shuffled = data.feature_matrix().to_vec();
-        for (row, &value) in column.iter().enumerate() {
-            shuffled[row * width + feature] = value;
-        }
-        let predictions = model.predict_batch(&shuffled, width);
-        let rmse = metrics::root_mean_squared_error(data.targets(), &predictions);
-        importances.push((
-            data.feature_names()[feature].clone(),
-            (rmse - baseline_rmse).max(0.0),
-        ));
-    }
-    importances
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,24 +163,9 @@ mod tests {
     }
 
     #[test]
-    fn permutation_importance_identifies_the_informative_feature() {
-        let data = dataset(400);
-        let mut model = BoostedTreesRegressor::new(BoostingParams::fast());
-        model.fit(&data).unwrap();
-        let importance = permutation_importance(&model, &data, 7);
-        assert_eq!(importance.len(), 2);
-        let signal = importance.iter().find(|(n, _)| n == "signal").unwrap().1;
-        let noise = importance.iter().find(|(n, _)| n == "noise").unwrap().1;
-        assert!(
-            signal > 10.0 * noise.max(1e-6),
-            "signal importance {signal} should dwarf noise importance {noise}"
-        );
-    }
-
-    #[test]
     fn zero_feature_datasets_still_produce_one_prediction_per_row() {
         // Regression test: the row-major predict_batch matrix cannot represent rows
-        // of zero features, so the validation helpers must fall back to predict_one —
+        // of zero features, so cross-validation must fall back to predict_one —
         // a zero-feature dataset yields the mean model, not empty/NaN metrics.
         let mut data = Dataset::new(vec![]);
         for i in 0..12 {
@@ -232,16 +178,5 @@ mod tests {
         assert_eq!(cv.fold_mape.len(), 3);
         assert!(cv.mean_mape().is_finite());
         assert!(cv.mean_rmse().is_finite() && cv.mean_rmse() > 0.0);
-
-        let mut model = BoostedTreesRegressor::new(BoostingParams::fast());
-        model.fit(&data).unwrap();
-        assert!(permutation_importance(&model, &data, 1).is_empty());
-    }
-
-    #[test]
-    fn permutation_importance_on_empty_data_is_empty() {
-        let model = LinearRegressor::new();
-        let empty = Dataset::new(vec!["x".into()]);
-        assert!(permutation_importance(&model, &empty, 1).is_empty());
     }
 }

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use wd_ml::{
     metrics, BoostedTreesRegressor, BoostingParams, Dataset, ErrorHistogram, LinearRegressor,
-    Normalization, Normalizer, RegressionTree, Regressor, TreeParams,
+    RegressionTree, Regressor, TreeParams,
 };
 
 fn arb_dataset(max_rows: usize) -> impl Strategy<Value = Dataset> {
@@ -29,16 +29,6 @@ proptest! {
         prop_assert_eq!(train_a.len() + test_a.len(), data.len());
         prop_assert_eq!(train_a, train_b);
         prop_assert_eq!(test_a, test_b);
-    }
-
-    /// Min-max normalisation maps every training feature into [0, 1].
-    #[test]
-    fn minmax_is_bounded(data in arb_dataset(60)) {
-        let normalizer = Normalizer::fit(&data, Normalization::MinMax).unwrap();
-        let transformed = normalizer.transform_dataset(&data).unwrap();
-        for &value in transformed.feature_matrix() {
-            prop_assert!((-1e-9..=1.0 + 1e-9).contains(&value));
-        }
     }
 
     /// A regression tree's predictions on its own training data never have a larger

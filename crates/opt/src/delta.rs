@@ -19,8 +19,7 @@
 //! [`Touched::Unknown`], which delta objectives must treat as "anything may have
 //! changed" (diff the configurations, or fall back to a full evaluation).
 //!
-//! The drivers ([`crate::SimulatedAnnealing::run_delta`],
-//! [`crate::HillClimbing::run_delta`], [`crate::TabuSearch::run_delta`],
+//! The drivers ([`crate::SimulatedAnnealing::run_delta`] and
 //! [`crate::GeneticAlgorithm::run_delta`]) are built so
 //! that a correct `DeltaObjective` produces **bit-identical trajectories** to the full
 //! re-evaluation path (`run`): same RNG stream, same accepted moves, same energies.

@@ -140,11 +140,14 @@ impl GeneticAlgorithm {
             .map(|(config, (energy, state))| (config, energy, state))
             .collect();
 
-        let mut best = population
-            .iter()
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .map(|(config, energy, _)| (config.clone(), *energy))
-            .expect("population is non-empty");
+        // the first strict `total_cmp` minimum, as `min_by` would pick it; the
+        // population holds at least two scored individuals
+        let mut best = (population[0].0.clone(), population[0].1);
+        for (config, energy, _) in &population[1..] {
+            if energy.total_cmp(&best.1).is_lt() {
+                best = (config.clone(), *energy);
+            }
+        }
 
         for generation in 0..p.generations {
             // sort ascending by energy for elitism
@@ -229,15 +232,14 @@ impl GeneticAlgorithm {
 }
 
 fn tournament_index<C, S>(population: &[(C, f64, S)], size: usize, rng: &mut StdRng) -> usize {
-    let size = size.max(1);
-    let mut best: Option<usize> = None;
-    for _ in 0..size {
+    let mut best = rng.gen_range(0..population.len());
+    for _ in 1..size.max(1) {
         let candidate = rng.gen_range(0..population.len());
-        if best.is_none_or(|b| population[candidate].1 < population[b].1) {
-            best = Some(candidate);
+        if population[candidate].1 < population[best].1 {
+            best = candidate;
         }
     }
-    best.expect("tournament size >= 1")
+    best
 }
 
 #[cfg(test)]

@@ -6,9 +6,8 @@
 //!
 //! The paper's proposal uses **Simulated Annealing** (Section III-A, Fig. 3) to explore
 //! the space of system configurations and compares it against exhaustive
-//! **enumeration**.  Section III-A also lists the alternative meta-heuristics the
-//! authors considered (genetic algorithms, tabu search, local search); those are
-//! provided here as well so the ablation benches can compare them.
+//! **enumeration**.  Of the alternative meta-heuristics Section III-A lists, the
+//! genetic algorithm is provided as well: it drives the GAML method.
 //!
 //! The crate is generic: anything implementing [`SearchSpace`] (how to sample and
 //! perturb configurations) and [`Objective`] (how to score one configuration — lower is
@@ -20,11 +19,10 @@
 //! [`CachedObjective`] adds config-keyed memoization (with [`CacheStats`] hit/miss
 //! counters) on top of any objective, and [`ParallelEnumeration`] drives an exhaustive
 //! search through the batched path.  Separable objectives additionally implement
-//! [`DeltaObjective`], the incremental-evaluation contract: the local-search drivers
-//! ([`SimulatedAnnealing::run_delta`], [`HillClimbing::run_delta`],
-//! [`TabuSearch::run_delta`]) then re-score each neighbour move by recomputing only
-//! the components the move touched ([`SearchSpace::neighbor_move`]), bit-identically
-//! to full re-evaluation.
+//! [`DeltaObjective`], the incremental-evaluation contract: the drivers
+//! ([`SimulatedAnnealing::run_delta`], [`GeneticAlgorithm::run_delta`]) then re-score
+//! each move by recomputing only the components the move touched
+//! ([`SearchSpace::neighbor_move`]), bit-identically to full re-evaluation.
 //!
 //! ## Example
 //!
@@ -61,28 +59,22 @@
 pub mod delta;
 pub mod enumeration;
 pub mod genetic;
-pub mod hill_climbing;
 pub mod objective;
 pub mod outcome;
-pub mod random_search;
 pub mod sa;
 pub mod schedule;
 pub mod shard;
 pub mod space;
 mod sync;
-pub mod tabu;
 pub mod trace;
 
 pub use delta::{DeltaObjective, FullDelta, Touched};
 pub use enumeration::{Enumeration, EnumerationError, ParallelEnumeration};
 pub use genetic::{GeneticAlgorithm, GeneticParams};
-pub use hill_climbing::HillClimbing;
 pub use objective::{CacheStats, CachedObjective, CountingObjective, Objective};
 pub use outcome::{better_indexed, IndexedOutcome, Outcome, ResilienceStats};
-pub use random_search::RandomSearch;
 pub use sa::SimulatedAnnealing;
 pub use schedule::CoolingSchedule;
 pub use shard::ShardPlan;
 pub use space::{InstrumentedSpace, MaterializedOnly, SearchSpace};
-pub use tabu::TabuSearch;
 pub use trace::{IterationRecord, OptimizationTrace};

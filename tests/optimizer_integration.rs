@@ -1,10 +1,10 @@
 //! Integration tests of the generic optimizers against the work-distribution objective.
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use workdist::autotune::{ConfigurationSpace, MeasurementEvaluator, MethodKind};
 use workdist::dna::Genome;
-use workdist::opt::{
-    Enumeration, GeneticAlgorithm, HillClimbing, RandomSearch, SimulatedAnnealing, TabuSearch,
-};
+use workdist::opt::{Enumeration, GeneticAlgorithm, Objective, SearchSpace, SimulatedAnnealing};
 use workdist::platform::HeterogeneousPlatform;
 
 /// The evaluator *is* the objective: `MeasurementEvaluator` implements
@@ -19,26 +19,25 @@ fn every_heuristic_beats_random_sampling_of_equal_budget() {
     let space = ConfigurationSpace::paper();
     let budget = 600;
 
-    let random = RandomSearch::new(budget, 17).run(&space, &objective);
+    // the baseline: the best of `budget` uniformly random configurations
+    let mut rng = StdRng::seed_from_u64(17);
+    let random_best = (0..budget)
+        .map(|_| objective.evaluate(&space.random(&mut rng)))
+        .fold(f64::INFINITY, f64::min);
     let annealing =
         SimulatedAnnealing::with_budget_and_range(budget, 2.0, 0.02, 17).run(&space, &objective);
-    let hill = HillClimbing::with_budget(budget, 17).run(&space, &objective);
-    let tabu = TabuSearch::with_budget(budget / 8, 17).run(&space, &objective);
     let genetic = GeneticAlgorithm::with_budget(budget, 17).run(&space, &objective);
 
-    // all structured heuristics should do at least as well as random sampling (small
+    // the structured heuristics should do at least as well as random sampling (small
     // tolerance for the stochastic nature of the comparison)
     for (name, outcome) in [
         ("simulated annealing", &annealing),
-        ("hill climbing", &hill),
-        ("tabu search", &tabu),
         ("genetic algorithm", &genetic),
     ] {
         assert!(
-            outcome.best_energy <= random.best_energy * 1.10,
-            "{name} ({}) should not be clearly worse than random search ({})",
+            outcome.best_energy <= random_best * 1.10,
+            "{name} ({}) should not be clearly worse than random sampling ({random_best})",
             outcome.best_energy,
-            random.best_energy
         );
     }
 }
