@@ -4,22 +4,20 @@
 //! * `tabulated_vs_direct` — EML on a 2-accelerator grid through the direct
 //!   [`PredictionEvaluator`] versus the factorized
 //!   [`hetero_autotune::LazyTabulatedPredictionEvaluator`] filled in batches and
-//!   scanned by index, as `MethodRunner` runs EML.  An instrumented objective
-//!   (`wd_bench::counting_prediction_evaluator`, which counts every boosted-tree
-//!   model invocation) proves the fast path performs ≥ 5× fewer model queries while
-//!   returning a bit-identical best configuration and energy;
+//!   scanned by index, as `MethodRunner` runs EML;
 //! * `lazy_vs_materialized` — streaming indexed enumeration versus the classic
 //!   materialise-the-whole-`Vec` path, on the paper's Table-I grid and on a
 //!   3-accelerator space whose grid would be expensive to materialise repeatedly.
 //!
-//! The printed summary doubles as the acceptance evidence; the criterion groups
-//! track the wall-clock trajectory.
+//! The groups track wall-clock only.  The exact model-query counts of the same EML
+//! runs (7 920 direct vs 110 tabulated walks on this grid) and their bit-identity
+//! are asserted by the `model_query_counts` integration test.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dna_analysis::Genome;
 use hetero_autotune::{ConfigurationSpace, DeviceAxis, TrainingCampaign};
 use hetero_platform::{Affinity, HeterogeneousPlatform};
-use wd_bench::{measure_fast_path, two_accel_bench_grid};
+use wd_bench::two_accel_bench_grid;
 use wd_ml::BoostingParams;
 use wd_opt::{MaterializedOnly, ParallelEnumeration};
 
@@ -38,44 +36,7 @@ fn three_accel_space() -> ConfigurationSpace {
     )
 }
 
-/// One-shot evidence for the acceptance criteria: model-invocation counts and
-/// wall-clock of direct vs. tabulated EML, with a bit-identity check.  The
-/// measurement logic is shared with the `repro bench-enumeration` artifact
-/// (`wd_bench::measure_fast_path`), so the criterion trajectory and the CI JSON
-/// always describe the same experiment.
-fn print_fast_path_summary() {
-    let platform = HeterogeneousPlatform::emil_with_gpu();
-    let models = TrainingCampaign::reduced_for(&platform).run(&platform, BoostingParams::fast());
-    let grid = two_accel_bench_grid();
-    let m = measure_fast_path(&models, Genome::Human.workload(), &grid);
-
-    println!(
-        "EML on the 2-accelerator grid ({} configurations):",
-        m.grid_configs
-    );
-    println!(
-        "  direct prediction enumeration  {:>12.2?}  ({} model invocations)",
-        m.direct, m.model_queries_direct
-    );
-    println!(
-        "  factorized: build tables       {:>12.2?}  ({} model invocations)",
-        m.build, m.model_queries_tabulated
-    );
-    println!(
-        "  factorized: scan the grid      {:>12.2?}  (0 model invocations)",
-        m.scan
-    );
-    println!(
-        "  speedup {:.1}x wall-clock, {:.1}x fewer model invocations",
-        m.direct.as_secs_f64() / m.tabulated_total().as_secs_f64(),
-        m.query_reduction(),
-    );
-    m.assert_fast_path_won();
-}
-
 fn bench_tabulated_vs_direct(c: &mut Criterion) {
-    print_fast_path_summary();
-
     let platform = HeterogeneousPlatform::emil_with_gpu();
     let models = TrainingCampaign::reduced_for(&platform).run(&platform, BoostingParams::fast());
     let workload = Genome::Human.workload();

@@ -9,11 +9,8 @@
 //! The printed summary doubles as the acceptance evidence: all four trajectories
 //! are bit-identical, replaying the exporter's JSONL file reconstructs the walk's
 //! best-energy series from the file alone, and the NoopRecorder costs < 2 %
-//! wall-clock (asserted on best-of-repeats minima via
-//! [`wd_bench::ObservabilityMeasurement::assert_noop_is_free`]).  The measurement
-//! logic is shared with the `repro bench-observability` artifact
-//! (`wd_bench::measure_observability_overhead`), so the criterion trajectory and
-//! the CI JSON always describe the same experiment.
+//! wall-clock (asserted on the median paired ratio via
+//! [`wd_bench::ObservabilityMeasurement::assert_noop_is_free`]).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dna_analysis::Genome;
@@ -81,26 +78,23 @@ fn bench_observability_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("observability_overhead");
     group.bench_function("saml_2000_unobserved", |b| {
         b.iter(|| {
-            let (counted, _calls) =
-                wd_bench::counting_prediction_evaluator(&models, workload.clone());
-            let tables = counted.lazy_tabulated();
+            let prediction = models.prediction_evaluator(workload.clone());
+            let tables = prediction.lazy_tabulated();
             sa.run_delta(&space, &tables)
         })
     });
     group.bench_function("saml_2000_noop_recorder", |b| {
         b.iter(|| {
-            let (counted, _calls) =
-                wd_bench::counting_prediction_evaluator(&models, workload.clone());
-            let tables = counted.lazy_tabulated();
+            let prediction = models.prediction_evaluator(workload.clone());
+            let tables = prediction.lazy_tabulated();
             sa.run_delta_observed(&space, &tables, &NoopRecorder, "saml")
         })
     });
     group.bench_function("saml_2000_registry_recorder", |b| {
         b.iter(|| {
             let registry = Registry::new();
-            let (counted, _calls) =
-                wd_bench::counting_prediction_evaluator(&models, workload.clone());
-            let tables = counted.lazy_tabulated();
+            let prediction = models.prediction_evaluator(workload.clone());
+            let tables = prediction.lazy_tabulated();
             sa.run_delta_observed(&space, &tables, &registry, "saml")
         })
     });

@@ -10,8 +10,8 @@
 //! builders feed [`wd_ml::Regressor::predict_batch`]): the seed kernel (checked,
 //! branchy), the cache-blocked branch-free kernel, and — under `--features simd` —
 //! the explicit-SIMD lane.  Bit-identity and the ≥ 2× blocked-over-seed speedup are
-//! asserted via the shared `repro bench-prediction` measurement, so the criterion
-//! trajectory and the CI JSON describe the same experiment.
+//! asserted first (`wd_bench::measure_prediction_kernel`), so `--test` mode runs the
+//! gate too.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hetero_autotune::features::host_features;

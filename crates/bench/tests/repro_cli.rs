@@ -12,11 +12,23 @@ fn repro(args: &[&str]) -> Output {
 
 #[test]
 fn unknown_artifact_is_a_usage_error() {
-    let output = repro(&["--quick", "tabel6"]);
-    assert_eq!(output.status.code(), Some(2));
-    assert!(output.stdout.is_empty());
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(stderr.contains("unknown artifact `tabel6`"), "{stderr}");
+    // a typo, and the retired perf-measurement artifacts
+    let retired = ["enumeration", "annealing", "prediction", "observability"]
+        .map(|measurement| format!("bench-{measurement}"));
+    for name in std::iter::once("tabel6").chain(retired.iter().map(String::as_str)) {
+        let output = repro(&["--quick", name]);
+        assert_eq!(output.status.code(), Some(2), "{name}");
+        assert!(output.stdout.is_empty(), "{name}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains(&format!("unknown artifact `{name}`")),
+            "{stderr}"
+        );
+        assert!(
+            stderr.contains("all model-selection\n"),
+            "model-selection is the only extra artifact: {stderr}"
+        );
+    }
 }
 
 #[test]

@@ -114,10 +114,8 @@ impl Autotuner {
 
     /// Train (or return the already-trained) prediction models.
     pub fn models(&mut self) -> &TrainedModels {
-        if self.models.is_none() {
-            self.models = Some(self.campaign.run(&self.platform, self.boosting));
-        }
-        self.models.as_ref().expect("models were just trained")
+        self.models
+            .get_or_insert_with(|| self.campaign.run(&self.platform, self.boosting))
     }
 
     /// Run one of the paper's methods with the given simulated-annealing iteration
