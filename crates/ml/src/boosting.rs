@@ -5,7 +5,9 @@
 //! of the current ensemble, combined with a shrinkage (learning-rate) factor and
 //! optional row subsampling (stochastic gradient boosting).
 
-use std::sync::Arc;
+use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -81,14 +83,14 @@ const LANES: usize = 8;
 /// [`crate::FlatTree`] arrays concatenated (child indices rebased), plus one root
 /// offset per tree.  All inference *and* the training-time diagnostics
 /// ([`BoostedTreesRegressor::staged_training_mse`]) walk these four arrays; the
-/// per-tree [`RegressionTree`] arenas are kept only for structural introspection.
+/// per-tree [`RegressionTree`] arenas are dropped once the arena is built.
 ///
 /// `min_width` is the validation computed once at [`FlatForest::from_trees`]
 /// time: rows at least that wide cannot index out of bounds at any split node,
 /// which lets the batch kernels drop the per-node
 /// `features.get(..).unwrap_or(0.0)` check.  Narrower rows (legal — missing
 /// features read as 0.0) take the checked walk.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct FlatForest {
     feature: Vec<u32>,
     threshold: Vec<f64>,
@@ -322,17 +324,151 @@ impl FlatForest {
     }
 }
 
+/// Most cells a forest may have and still get a [`CellMemo`]; a forest with more
+/// thresholds than this predicts by walking its trees every time.
+const MAX_MEMO_CELLS: usize = 1 << 20;
+
+/// Bits of an empty memo slot: a NaN payload no arithmetic produces.  A walk
+/// that yields exactly these bits is returned but not stored.
+const EMPTY_SLOT: u64 = u64::MAX;
+
+/// The threshold-cell memo of a fitted forest.
+///
+/// Every split tests `value <= threshold`, so a row's path through every tree
+/// is decided by where each feature value falls among that feature's distinct
+/// split thresholds (its *cuts*).  A row's **cell** is, per feature, the number
+/// of cuts strictly below its value; two rows in one cell reach the same leaves
+/// in the same order and get bit-identical predictions.  A missing feature reads
+/// as 0.0, as the checked walk does, and a NaN, which goes right at every split,
+/// takes the bucket above every cut.
+///
+/// The feature with the most cuts indexes inside a row of slots; the others
+/// select the row.  Rows are allocated on first store, so memory grows with the
+/// cells the tuner actually visits, and slots are atomics, so every clone of the
+/// model (they share the memo through the `Arc`) fills and reads it
+/// concurrently.  Racing walks of one cell store identical bits.
+struct CellMemo {
+    /// Sorted distinct cuts of every feature below the forest's `min_width`.
+    cuts: Vec<Vec<f64>>,
+    /// The feature whose bucket indexes inside a row.
+    inner: usize,
+    /// Row-index stride of every feature (0 for `inner`).
+    strides: Vec<usize>,
+    /// Slots per row: `inner`'s cuts plus one.
+    row_width: usize,
+    rows: Box<[OnceLock<Box<[AtomicU64]>>]>,
+}
+
+/// A cell's position in a [`CellMemo`].
+#[derive(Clone, Copy)]
+struct CellIndex {
+    row: usize,
+    slot: usize,
+}
+
+impl CellMemo {
+    /// The memo of `forest`, or `None` when it has more than [`MAX_MEMO_CELLS`]
+    /// cells.
+    fn new(forest: &FlatForest) -> Option<Self> {
+        let mut cuts = vec![Vec::new(); forest.min_width];
+        for (&feature, &threshold) in forest.feature.iter().zip(&forest.threshold) {
+            // a NaN threshold sends every value right, whatever the cell
+            if feature != LEAF && !threshold.is_nan() {
+                cuts[feature as usize].push(threshold);
+            }
+        }
+        for feature_cuts in &mut cuts {
+            feature_cuts.sort_by(f64::total_cmp);
+            // -0.0 and 0.0 compare equal, so they are one cut
+            feature_cuts.dedup();
+        }
+        let cells = cuts
+            .iter()
+            .try_fold(1usize, |cells, c| cells.checked_mul(c.len() + 1))
+            .filter(|&cells| cells <= MAX_MEMO_CELLS)?;
+        let inner = (0..cuts.len())
+            .max_by_key(|&feature| cuts[feature].len())
+            .unwrap_or(0);
+        let mut strides = vec![0; cuts.len()];
+        let mut rows = 1;
+        for (feature, feature_cuts) in cuts.iter().enumerate() {
+            if feature != inner {
+                strides[feature] = rows;
+                rows *= feature_cuts.len() + 1;
+            }
+        }
+        Some(CellMemo {
+            row_width: cells / rows,
+            cuts,
+            inner,
+            strides,
+            rows: (0..rows).map(|_| OnceLock::new()).collect(),
+        })
+    }
+
+    /// The cell of `features` (missing features read as 0.0, extra ones are
+    /// ignored: no split reads them).
+    #[inline]
+    fn cell(&self, features: &[f64]) -> CellIndex {
+        let mut cell = CellIndex { row: 0, slot: 0 };
+        for (feature, cuts) in self.cuts.iter().enumerate() {
+            let value = features.get(feature).copied().unwrap_or(0.0);
+            let bucket = if value.is_nan() {
+                cuts.len()
+            } else {
+                cuts.partition_point(|&cut| cut < value)
+            };
+            if feature == self.inner {
+                cell.slot = bucket;
+            } else {
+                cell.row += bucket * self.strides[feature];
+            }
+        }
+        cell
+    }
+
+    /// The stored prediction of `cell`, if any.  `Relaxed` suffices: a slot
+    /// publishes only its own bits, and its row is published by the `OnceLock`.
+    #[inline]
+    fn get(&self, cell: CellIndex) -> Option<f64> {
+        let bits = self.rows[cell.row].get()?[cell.slot].load(Ordering::Relaxed);
+        (bits != EMPTY_SLOT).then(|| f64::from_bits(bits))
+    }
+
+    /// Store the walked prediction of `cell`, allocating its row on first use.
+    fn set(&self, cell: CellIndex, prediction: f64) {
+        let row = self.rows[cell.row].get_or_init(|| {
+            (0..self.row_width)
+                .map(|_| AtomicU64::new(EMPTY_SLOT))
+                .collect()
+        });
+        row[cell.slot].store(prediction.to_bits(), Ordering::Relaxed);
+    }
+}
+
+/// Prints the memo's shape only: which cells are filled depends on what the
+/// model has predicted, and a model's `Debug` string must not.
+impl fmt::Debug for CellMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CellMemo")
+            .field("cuts", &self.cuts.iter().map(Vec::len).collect::<Vec<_>>())
+            .field("rows", &self.rows.len())
+            .finish()
+    }
+}
+
 /// A fitted gradient-boosted tree ensemble.
 ///
-/// The fitted trees and their flat arena are immutable once `fit` returns, so clones
-/// share them: handing a model to each new evaluator costs two reference counts, not
-/// a copy of the forest.
+/// The flat arena and its [`CellMemo`] are fixed once `fit` returns (the memo only
+/// fills in), so clones share them: handing a model to each new evaluator costs two
+/// reference counts, not a copy of the forest, and every clone serves the cells any
+/// other clone has walked.
 #[derive(Debug, Clone)]
 pub struct BoostedTreesRegressor {
     params: BoostingParams,
     base_prediction: f64,
-    trees: Arc<[RegressionTree]>,
     flat: Arc<FlatForest>,
+    memo: Option<Arc<CellMemo>>,
     fitted: bool,
 }
 
@@ -342,8 +478,8 @@ impl BoostedTreesRegressor {
         BoostedTreesRegressor {
             params,
             base_prediction: 0.0,
-            trees: Arc::new([]),
             flat: Arc::default(),
+            memo: None,
             fitted: false,
         }
     }
@@ -360,7 +496,7 @@ impl BoostedTreesRegressor {
 
     /// Number of trees in the fitted ensemble.
     pub fn tree_count(&self) -> usize {
-        self.trees.len()
+        self.flat.tree_count()
     }
 
     /// Training loss (mean squared error on the training set) after every boosting
@@ -442,6 +578,39 @@ impl BoostedTreesRegressor {
             .predict_simd(rows, width, self.base_prediction, self.params.learning_rate)
     }
 
+    /// The dispatched batch kernel behind [`Regressor::predict_batch`], without
+    /// the memo.
+    fn walk_batch(&self, rows: &[f64], width: usize) -> Vec<f64> {
+        #[cfg(feature = "simd")]
+        {
+            self.predict_batch_simd(rows, width)
+        }
+        #[cfg(not(feature = "simd"))]
+        {
+            self.predict_batch_blocked(rows, width)
+        }
+    }
+
+    /// Walk every tree for one row.
+    fn walk_one(&self, features: &[f64]) -> f64 {
+        // the flat arena holds exactly the fitted trees, in boosting order, so the
+        // accumulation is bit-identical to walking the per-tree arenas
+        let mut prediction = self.base_prediction;
+        if features.len() >= self.flat.min_width {
+            for &root in &self.flat.roots {
+                // SAFETY: the row covers every split feature (checked above) and
+                // the root comes from the arena built in `from_trees`.
+                prediction += self.params.learning_rate
+                    * unsafe { self.flat.leaf_unchecked(root as usize, features) };
+            }
+        } else {
+            for tree in 0..self.flat.tree_count() {
+                prediction += self.params.learning_rate * self.flat.leaf(tree, features);
+            }
+        }
+        prediction
+    }
+
     fn check_batch_shape(rows: &[f64], width: usize) {
         assert!(
             width > 0 && rows.len().is_multiple_of(width),
@@ -456,8 +625,8 @@ impl Regressor for BoostedTreesRegressor {
         if data.is_empty() {
             return Err(MlError::EmptyDataset);
         }
-        self.trees = Arc::new([]);
         self.flat = Arc::default();
+        self.memo = None;
         self.base_prediction = data.target_mean();
         let mut rng = StdRng::seed_from_u64(self.params.seed);
 
@@ -498,49 +667,70 @@ impl Regressor for BoostedTreesRegressor {
             );
             trees.push(tree);
         }
-        self.flat = Arc::new(FlatForest::from_trees(&trees));
-        self.trees = trees.into();
+        let flat = FlatForest::from_trees(&trees);
+        self.memo = CellMemo::new(&flat).map(Arc::new);
+        self.flat = Arc::new(flat);
         self.fitted = true;
         Ok(())
     }
 
+    /// Served from the [`CellMemo`] when the row's cell was walked before (by
+    /// any clone of this model); otherwise the trees are walked and the cell
+    /// stored.  Bit-identical either way.
     fn predict_one(&self, features: &[f64]) -> f64 {
-        // the flat arena holds exactly the fitted trees, in boosting order, so the
-        // accumulation is bit-identical to walking the per-tree arenas
-        let mut prediction = self.base_prediction;
-        if features.len() >= self.flat.min_width {
-            for &root in &self.flat.roots {
-                // SAFETY: the row covers every split feature (checked above) and
-                // the root comes from the arena built in `from_trees`.
-                prediction += self.params.learning_rate
-                    * unsafe { self.flat.leaf_unchecked(root as usize, features) };
-            }
-        } else {
-            for tree in 0..self.flat.tree_count() {
-                prediction += self.params.learning_rate * self.flat.leaf(tree, features);
-            }
+        let Some(memo) = self.memo.as_deref() else {
+            return self.walk_one(features);
+        };
+        let cell = memo.cell(features);
+        if let Some(prediction) = memo.get(cell) {
+            return prediction;
         }
+        let prediction = self.walk_one(features);
+        memo.set(cell, prediction);
         prediction
     }
 
-    /// Real batched inference over a row-major feature matrix: cache-blocked
-    /// row×tree tiling of the flat arena with branch-free, bounds-check-free
-    /// node stepping (the width was validated against the forest's widest split
-    /// feature at `from_trees` time); with `--features simd` the blocked kernel
-    /// additionally steps 8 rows per tree in lockstep.  Per row the additions
-    /// happen in the same order as [`Regressor::predict_one`], so every lane is
-    /// bit-identical to the default row loop.  Rows narrower than the widest
-    /// split feature take the checked reference walk (missing features read as
-    /// 0.0).
+    /// Real batched inference over a row-major feature matrix.  Rows whose
+    /// cell the [`CellMemo`] holds are served from it; the rest are gathered into
+    /// one sub-batch for the walk kernel and their cells stored.  The kernel is
+    /// cache-blocked row×tree tiling of the flat arena with branch-free,
+    /// bounds-check-free node stepping (the width was validated against the
+    /// forest's widest split feature at `from_trees` time); with `--features
+    /// simd` it additionally steps 8 rows per tree in lockstep.  Per row the
+    /// additions happen in the same order as [`Regressor::predict_one`], so every
+    /// lane is bit-identical to the default row loop.  Rows narrower than the
+    /// widest split feature take the checked reference walk (missing features
+    /// read as 0.0).
     fn predict_batch(&self, rows: &[f64], width: usize) -> Vec<f64> {
-        #[cfg(feature = "simd")]
-        {
-            self.predict_batch_simd(rows, width)
+        let Some(memo) = self.memo.as_deref() else {
+            return self.walk_batch(rows, width);
+        };
+        if rows.is_empty() {
+            return Vec::new();
         }
-        #[cfg(not(feature = "simd"))]
-        {
-            self.predict_batch_blocked(rows, width)
+        Self::check_batch_shape(rows, width);
+        let mut predictions = Vec::with_capacity(rows.len() / width);
+        let mut misses = Vec::new();
+        let mut miss_rows = Vec::new();
+        for (index, row) in rows.chunks_exact(width).enumerate() {
+            let cell = memo.cell(row);
+            match memo.get(cell) {
+                Some(prediction) => predictions.push(prediction),
+                None => {
+                    predictions.push(0.0);
+                    misses.push((index, cell));
+                    miss_rows.extend_from_slice(row);
+                }
+            }
         }
+        if !misses.is_empty() {
+            let walked = self.walk_batch(&miss_rows, width);
+            for ((index, cell), prediction) in misses.into_iter().zip(walked) {
+                predictions[index] = prediction;
+                memo.set(cell, prediction);
+            }
+        }
+        predictions
     }
 
     fn is_fitted(&self) -> bool {
@@ -736,8 +926,202 @@ mod tests {
         ] {
             let mut model = BoostedTreesRegressor::new(params);
             model.fit(&data).unwrap();
-            assert_eq!(*model.trees, *reference_trees(params, &data));
+            let expected = FlatForest::from_trees(&reference_trees(params, &data));
+            assert_eq!(*model.flat, expected);
         }
+    }
+
+    /// A random dataset of `width` features mixing a few repeated levels with
+    /// continuous values, so forests get both shared and singleton cuts.
+    fn random_dataset(seed: u64, width: usize, rows: usize) -> Dataset {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let names = (0..width).map(|f| format!("x{f}")).collect();
+        let mut data = Dataset::new(names);
+        for _ in 0..rows {
+            let row: Vec<f64> = (0..width)
+                .map(|_| {
+                    if rng.gen_bool(0.5) {
+                        f64::from(rng.gen_range(0u32..4))
+                    } else {
+                        rng.gen_range(-10.0..10.0)
+                    }
+                })
+                .collect();
+            let y = row
+                .iter()
+                .enumerate()
+                .map(|(f, x)| (f + 1) as f64 * x)
+                .sum::<f64>()
+                + if row[0] > 1.0 { 3.0 } else { 0.0 };
+            data.push(row, y).unwrap();
+        }
+        data
+    }
+
+    /// Probe values of every feature: each cut, its neighbours one ulp away,
+    /// signed zeros, infinities and NaN.
+    fn edge_values(model: &BoostedTreesRegressor) -> Vec<Vec<f64>> {
+        let memo = model.memo.as_deref().expect("small forests get a memo");
+        memo.cuts
+            .iter()
+            .map(|cuts| {
+                let mut values = vec![0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+                for &cut in cuts {
+                    values.extend([cut, cut.next_up(), cut.next_down()]);
+                }
+                values
+            })
+            .collect()
+    }
+
+    /// `count` row-major rows of `width` values drawn from the per-feature
+    /// `values` (features beyond them draw from the first feature's).
+    fn probe_rows(values: &[Vec<f64>], width: usize, count: usize, seed: u64) -> Vec<f64> {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..count * width)
+            .map(|i| {
+                let pool = values.get(i % width).unwrap_or(&values[0]);
+                pool[rng.gen_range(0..pool.len())]
+            })
+            .collect()
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        /// Served from a cold or a warm memo, one row at a time or in batches
+        /// mixing hits and misses, every prediction has the bits of the unmemoized
+        /// reference walk: on cuts and their ulp neighbours, signed zeros,
+        /// infinities, NaN, and rows narrower and wider than the forest.
+        #[test]
+        fn memoized_predictions_are_bit_identical_to_the_reference_walk(
+            seed in 0u64..1_000_000,
+            width in 1usize..4,
+            rows in 8usize..60,
+        ) {
+            let data = random_dataset(seed, width, rows);
+            let mut model = BoostedTreesRegressor::new(BoostingParams::fast());
+            model.fit(&data).unwrap();
+            let min_width = model.flat.min_width;
+            proptest::prop_assume!(min_width > 0);
+            let values = edge_values(&model);
+            // one model per entry point, each shared by every probe width, so
+            // wide, full and narrow rows read cells the others filled
+            let mut batched = model.clone();
+            batched.fit(&data).unwrap();
+            for probe_width in [min_width, min_width + 1, min_width - 1] {
+                if probe_width == 0 {
+                    continue;
+                }
+                let probes = probe_rows(&values, probe_width, 64, seed ^ probe_width as u64);
+                let reference = bits(&model.predict_batch_reference(&probes, probe_width));
+
+                // one row at a time: the first pass fills the memo, the second reads it
+                for pass in ["cold", "warm"] {
+                    let one: Vec<f64> = probes
+                        .chunks_exact(probe_width)
+                        .map(|row| model.predict_one(row))
+                        .collect();
+                    proptest::prop_assert_eq!(&bits(&one), &reference, "{} predict_one", pass);
+                }
+
+                // batches: half the rows first, then all of them (hits and misses)
+                let half = probes.len() / probe_width / 2 * probe_width;
+                let first = batched.predict_batch(&probes[..half], probe_width);
+                proptest::prop_assert_eq!(&bits(&first), &reference[..half / probe_width]);
+                let mixed = batched.predict_batch(&probes, probe_width);
+                proptest::prop_assert_eq!(&bits(&mixed), &reference, "mixed batch");
+            }
+            // an empty row reads every feature as 0.0
+            let zeros = model.predict_batch_reference(&vec![0.0; min_width], min_width);
+            proptest::prop_assert_eq!(model.predict_one(&[]).to_bits(), zeros[0].to_bits());
+        }
+    }
+
+    #[test]
+    fn concurrent_fills_store_the_reference_bits() {
+        use rayon::prelude::*;
+        let data = random_dataset(11, 3, 80);
+        let mut model = BoostedTreesRegressor::new(BoostingParams::fast());
+        model.fit(&data).unwrap();
+        let probes = probe_rows(&edge_values(&model), 3, 512, 5);
+        let reference = bits(&model.predict_batch_reference(&probes, 3));
+        // each worker serves its own clone, half of them row by row and half in
+        // batches; every clone fills the one shared memo
+        let chunks: Vec<(usize, &[f64])> = probes.chunks(3 * 16).enumerate().collect();
+        let served: Vec<Vec<f64>> = chunks
+            .into_par_iter()
+            .map(|(index, chunk)| {
+                let clone = model.clone();
+                if index % 2 == 0 {
+                    chunk
+                        .chunks_exact(3)
+                        .map(|row| clone.predict_one(row))
+                        .collect()
+                } else {
+                    clone.predict_batch(chunk, 3)
+                }
+            })
+            .collect();
+        assert_eq!(bits(&served.concat()), reference);
+        // and the filled memo serves the same bits again
+        assert_eq!(bits(&model.predict_batch(&probes, 3)), reference);
+    }
+
+    #[test]
+    fn predicting_changes_no_debug_string_and_refits_start_a_fresh_memo() {
+        let data = random_dataset(3, 2, 60);
+        let other = random_dataset(4, 2, 60);
+        let mut model = BoostedTreesRegressor::new(BoostingParams::fast());
+        model.fit(&data).unwrap();
+        let debug = format!("{model:?}");
+        let probes = probe_rows(&edge_values(&model), 2, 200, 9);
+        let reference = bits(&model.predict_batch_reference(&probes, 2));
+        assert_eq!(bits(&model.predict_batch(&probes, 2)), reference);
+        assert_eq!(format!("{model:?}"), debug, "a warm memo must not print");
+
+        // a refitted clone neither disturbs the original nor reads its cells
+        let mut refit = model.clone();
+        refit.fit(&other).unwrap();
+        let mut fresh = BoostedTreesRegressor::new(BoostingParams::fast());
+        fresh.fit(&other).unwrap();
+        assert_eq!(format!("{refit:?}"), format!("{fresh:?}"));
+        assert_eq!(
+            bits(&refit.predict_batch(&probes, 2)),
+            bits(&fresh.predict_batch_reference(&probes, 2))
+        );
+        let one: Vec<f64> = probes
+            .chunks_exact(2)
+            .map(|row| model.predict_one(row))
+            .collect();
+        assert_eq!(bits(&one), reference);
+        assert_eq!(format!("{model:?}"), debug);
+    }
+
+    #[test]
+    fn forests_with_too_many_cells_walk_every_time() {
+        // five continuous features with hundreds of cuts each: far past the bound
+        let data = random_dataset(21, 5, 600);
+        let mut model = BoostedTreesRegressor::new(BoostingParams {
+            n_estimators: 60,
+            ..BoostingParams::default()
+        });
+        model.fit(&data).unwrap();
+        assert!(model.memo.is_none());
+        let rows = data.feature_matrix();
+        let reference = bits(&model.predict_batch_reference(rows, 5));
+        assert_eq!(bits(&model.predict_batch(rows, 5)), reference);
+        let one: Vec<f64> = rows
+            .chunks_exact(5)
+            .map(|row| model.predict_one(row))
+            .collect();
+        assert_eq!(bits(&one), reference);
     }
 
     #[test]
