@@ -7,7 +7,7 @@ use rand::Rng;
 
 use crate::Strategy;
 
-/// Length specification for [`vec`]: a range of admissible lengths.
+/// Length specification for [`vec()`]: a range of admissible lengths.
 #[derive(Debug, Clone)]
 pub struct SizeRange {
     min: usize,
@@ -52,7 +52,7 @@ pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S
     }
 }
 
-/// Strategy returned by [`vec`].
+/// Strategy returned by [`vec()`].
 pub struct VecStrategy<S> {
     element: S,
     size: SizeRange,

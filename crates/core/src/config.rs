@@ -10,6 +10,8 @@
 //! exactly enumerable — the properties every method in [`wd_opt`] relies on.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, OnceLock};
 
 use hetero_platform::{Affinity, ExecutionConfig, Partition};
 use rand::rngs::StdRng;
@@ -62,7 +64,58 @@ pub struct SystemConfiguration {
     /// Thread affinity on the host (`none` / `scatter` / `compact`).
     pub host_affinity: Affinity,
     host_permille: u32,
-    devices: Vec<DeviceSetting>,
+    devices: Devices,
+}
+
+/// The accelerator settings of a [`SystemConfiguration`]: the paper's single
+/// accelerator is stored inline, more go on the heap.  Equality, hashing and `Debug`
+/// go through the slice, so they match a `Vec<DeviceSetting>` exactly (store keys,
+/// cache hashes and `Debug` text do not depend on the representation).
+#[derive(Clone)]
+enum Devices {
+    One(DeviceSetting),
+    Many(Box<[DeviceSetting]>),
+}
+
+impl Devices {
+    fn as_slice(&self) -> &[DeviceSetting] {
+        match self {
+            Devices::One(device) => std::slice::from_ref(device),
+            Devices::Many(devices) => devices,
+        }
+    }
+}
+
+impl FromIterator<DeviceSetting> for Devices {
+    fn from_iter<I: IntoIterator<Item = DeviceSetting>>(devices: I) -> Self {
+        let mut devices = devices.into_iter();
+        match (devices.next(), devices.next()) {
+            (Some(one), None) => Devices::One(one),
+            (first, second) => {
+                Devices::Many(first.into_iter().chain(second).chain(devices).collect())
+            }
+        }
+    }
+}
+
+impl PartialEq for Devices {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for Devices {}
+
+impl Hash for Devices {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
+    }
+}
+
+impl fmt::Debug for Devices {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.as_slice().fmt(f)
+    }
 }
 
 impl SystemConfiguration {
@@ -97,7 +150,7 @@ impl SystemConfiguration {
             host_threads,
             host_affinity,
             host_permille,
-            devices,
+            devices: devices.into_iter().collect(),
         })
     }
 
@@ -117,29 +170,28 @@ impl SystemConfiguration {
             host_threads,
             host_affinity,
             host_permille,
-            devices: vec![DeviceSetting::new(
+            devices: Devices::One(DeviceSetting::new(
                 device_threads,
                 device_affinity,
                 1000 - host_permille,
-            )],
+            )),
         }
     }
 
     /// Internal constructor for values expected to satisfy the invariant (space
-    /// enumeration, key decoding after validation).  The invariant is still checked —
-    /// `ConfigurationSpace`'s `splits` field is public, so a hand-built space could
-    /// otherwise mint invalid configurations in release builds and resurrect the
-    /// duplicate-store-key bug the invariant exists to prevent.
-    pub(crate) fn from_validated(
+    /// enumeration and moves).  The invariant is still checked in every build
+    /// profile, so a bad split list can never mint invalid configurations and
+    /// resurrect the duplicate-store-key bug the invariant exists to prevent.
+    fn from_validated(
         host_threads: u32,
         host_affinity: Affinity,
         host_permille: u32,
-        devices: Vec<DeviceSetting>,
+        devices: Devices,
     ) -> Self {
         assert_eq!(
-            host_permille + devices.iter().map(|d| d.permille).sum::<u32>(),
+            host_permille + devices.as_slice().iter().map(|d| d.permille).sum::<u32>(),
             1000,
-            "shares must sum to 1000 permille (is a hand-built ConfigurationSpace::splits entry invalid?)"
+            "shares must sum to 1000 permille (is a ConfigurationSpace split invalid?)"
         );
         SystemConfiguration {
             host_threads,
@@ -156,27 +208,27 @@ impl SystemConfiguration {
 
     /// Per-accelerator settings.
     pub fn devices(&self) -> &[DeviceSetting] {
-        &self.devices
+        self.devices.as_slice()
     }
 
     /// Settings of accelerator `index`.
     pub fn device(&self, index: usize) -> DeviceSetting {
-        self.devices[index]
+        self.devices()[index]
     }
 
     /// Number of accelerators this configuration describes.
     pub fn accelerator_count(&self) -> usize {
-        self.devices.len()
+        self.devices().len()
     }
 
     /// Thread count of the first accelerator (the paper's single-device view).
     pub fn device_threads(&self) -> u32 {
-        self.devices[0].threads
+        self.devices()[0].threads
     }
 
     /// Affinity of the first accelerator (the paper's single-device view).
     pub fn device_affinity(&self) -> Affinity {
-        self.devices[0].affinity
+        self.devices()[0].affinity
     }
 
     /// Host share as a fraction in `[0, 1]`.
@@ -207,9 +259,9 @@ impl SystemConfiguration {
     /// The N-way workload partition this configuration describes.  The share invariant
     /// guarantees the partition passes [`Partition::new`]'s validation.
     pub fn partition(&self) -> Partition {
-        let mut fractions = Vec::with_capacity(self.devices.len() + 1);
+        let mut fractions = Vec::with_capacity(self.accelerator_count() + 1);
         fractions.push(self.host_fraction());
-        fractions.extend(self.devices.iter().map(DeviceSetting::fraction));
+        fractions.extend(self.devices().iter().map(DeviceSetting::fraction));
         Partition::new(fractions).expect("the share invariant implies a valid partition")
     }
 
@@ -220,12 +272,12 @@ impl SystemConfiguration {
 
     /// Execution configuration of the first accelerator.
     pub fn device_execution(&self) -> ExecutionConfig {
-        ExecutionConfig::new(self.devices[0].threads, self.devices[0].affinity)
+        ExecutionConfig::new(self.device_threads(), self.device_affinity())
     }
 
     /// Execution configurations of all accelerators, in device order.
     pub fn device_executions(&self) -> Vec<ExecutionConfig> {
-        self.devices
+        self.devices()
             .iter()
             .map(|d| ExecutionConfig::new(d.threads, d.affinity))
             .collect()
@@ -244,7 +296,11 @@ impl SystemConfiguration {
             host_threads: 48,
             host_affinity: Affinity::Scatter,
             host_permille: 1000,
-            devices: vec![DeviceSetting::new(2, Affinity::Balanced, 0); accelerators],
+            devices: std::iter::repeat_n(
+                DeviceSetting::new(2, Affinity::Balanced, 0),
+                accelerators,
+            )
+            .collect(),
         }
     }
 
@@ -264,23 +320,24 @@ impl SystemConfiguration {
             host_threads: 2,
             host_affinity: Affinity::Scatter,
             host_permille: 0,
-            devices,
+            devices: devices.into_iter().collect(),
         }
     }
 
     /// The share vector `[host, device1, ..., deviceN]` in permille.
     pub fn split(&self) -> Vec<u32> {
-        let mut split = Vec::with_capacity(self.devices.len() + 1);
-        split.push(self.host_permille);
-        split.extend(self.devices.iter().map(|d| d.permille));
-        split
+        self.shares().collect()
+    }
+
+    /// [`SystemConfiguration::split`] without the allocation.
+    fn shares(&self) -> impl Iterator<Item = u32> + Clone + '_ {
+        std::iter::once(self.host_permille).chain(self.devices().iter().map(|d| d.permille))
     }
 }
 
 impl fmt::Display for SystemConfiguration {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.devices.len() == 1 {
-            let device = self.devices[0];
+        if let [device] = self.devices() {
             write!(
                 f,
                 "host {{threads: {}, affinity: {}}}, device {{threads: {}, affinity: {}}}, split {:.1}/{:.1}",
@@ -297,7 +354,7 @@ impl fmt::Display for SystemConfiguration {
                 "host {{threads: {}, affinity: {}}}",
                 self.host_threads, self.host_affinity
             )?;
-            for (i, device) in self.devices.iter().enumerate() {
+            for (i, device) in self.devices().iter().enumerate() {
                 write!(
                     f,
                     ", device{} {{threads: {}, affinity: {}}}",
@@ -307,7 +364,7 @@ impl fmt::Display for SystemConfiguration {
                 )?;
             }
             write!(f, ", split {:.1}", self.host_percent())?;
-            for device in &self.devices {
+            for device in self.devices() {
                 write!(f, "/{:.1}", device.fraction() * 100.0)?;
             }
             Ok(())
@@ -379,7 +436,11 @@ impl DeviceAxis {
 /// (`[host, device1, ..., deviceN]`, each summing to 1000) — for one accelerator this
 /// is the paper's scalar "workload fraction" parameter, for N accelerators it is a
 /// discrete simplex (see [`ConfigurationSpace::simplex_splits`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The split list is fixed at construction ([`ConfigurationSpace::splits`] reads it),
+/// so the split-move index the neighbour moves use, built on first use and shared by
+/// clones, can never go stale.  Equality and `Debug` ignore the index.
+#[derive(Clone)]
 pub struct ConfigurationSpace {
     /// Candidate host thread counts.
     pub host_threads: Vec<u32>,
@@ -387,12 +448,157 @@ pub struct ConfigurationSpace {
     pub host_affinities: Vec<Affinity>,
     /// One axis per accelerator.
     pub device_axes: Vec<DeviceAxis>,
-    /// Candidate workload splits (`[host, device1, ..., deviceN]` permille vectors,
-    /// each summing to 1000, each of length `device_axes.len() + 1`).
-    pub splits: Vec<Vec<u32>>,
+    splits: Vec<Vec<u32>>,
+    split_moves: Arc<OnceLock<SplitMoves>>,
+}
+
+impl PartialEq for ConfigurationSpace {
+    fn eq(&self, other: &Self) -> bool {
+        self.host_threads == other.host_threads
+            && self.host_affinities == other.host_affinities
+            && self.device_axes == other.device_axes
+            && self.splits == other.splits
+    }
+}
+
+impl Eq for ConfigurationSpace {}
+
+impl fmt::Debug for ConfigurationSpace {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ConfigurationSpace")
+            .field("host_threads", &self.host_threads)
+            .field("host_affinities", &self.host_affinities)
+            .field("device_axes", &self.device_axes)
+            .field("splits", &self.splits)
+            .finish()
+    }
+}
+
+/// How many L1-nearest splits a local split move draws from (`2 × 8`).
+const SPLIT_WINDOW: usize = 16;
+
+/// The split-move index of a [`ConfigurationSpace`]: where a configuration's split
+/// first occurs in the split list (one hash probe instead of a scan), and per list
+/// position the [`SPLIT_WINDOW`] L1-nearest other positions a local move draws from
+/// (filled on the position's first move, instead of a scan and a sort per move).
+struct SplitMoves {
+    /// Open-addressing table over the distinct splits, probed linearly from the
+    /// Fibonacci hash of the shares: each slot holds the position of a split's first
+    /// occurrence, [`SplitMoves::EMPTY`] marks a free slot.  At most half full.
+    slots: Box<[u32]>,
+    /// `64 − log2(slots.len())`: the hash's top bits pick the first slot.
+    shift: u32,
+    /// `min(SPLIT_WINDOW, splits − 1)`: how many neighbours every position has.
+    window: usize,
+    /// Per list position, its nearest other positions in `(distance, position)`
+    /// order (the first `window` entries are used).
+    nearest: Box<[OnceLock<[u32; SPLIT_WINDOW]>]>,
+}
+
+impl SplitMoves {
+    const EMPTY: u32 = u32::MAX;
+
+    fn new(splits: &[Vec<u32>]) -> Self {
+        assert!(
+            splits.len() < Self::EMPTY as usize,
+            "too many splits for the split-move index"
+        );
+        let bits = (2 * splits.len())
+            .max(2)
+            .next_power_of_two()
+            .trailing_zeros();
+        let mut moves = SplitMoves {
+            slots: vec![Self::EMPTY; 1 << bits].into_boxed_slice(),
+            shift: 64 - bits,
+            window: SPLIT_WINDOW.min(splits.len().saturating_sub(1)),
+            nearest: splits.iter().map(|_| OnceLock::new()).collect(),
+        };
+        for (position, split) in splits.iter().enumerate() {
+            let slot = moves.probe(splits, split.iter().copied());
+            // a duplicate finds its first occurrence and leaves it in place
+            if moves.slots[slot] == Self::EMPTY {
+                moves.slots[slot] = position as u32;
+            }
+        }
+        moves
+    }
+
+    /// The slot holding `shares`, or the free slot where it would go.
+    fn probe(&self, splits: &[Vec<u32>], shares: impl Iterator<Item = u32> + Clone) -> usize {
+        let hash = shares.clone().fold(0u64, |hash, share| {
+            (hash.rotate_left(5) ^ u64::from(share)).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        });
+        let mask = self.slots.len() - 1;
+        let mut slot = (hash >> self.shift) as usize;
+        loop {
+            match self.slots[slot] {
+                Self::EMPTY => return slot,
+                position if splits[position as usize].iter().copied().eq(shares.clone()) => {
+                    return slot
+                }
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// The position of `config`'s split's first occurrence in the list, 0 if absent.
+    fn position(&self, splits: &[Vec<u32>], config: &SystemConfiguration) -> usize {
+        match self.slots[self.probe(splits, config.shares())] {
+            Self::EMPTY => 0,
+            position => position as usize,
+        }
+    }
+
+    /// The `window` L1-nearest positions to `current` (never `current` itself), in
+    /// `(distance, position)` order.
+    fn nearest(&self, splits: &[Vec<u32>], current: usize) -> &[u32] {
+        let nearest = self.nearest[current].get_or_init(|| {
+            let here = &splits[current];
+            // insertion into a sorted buffer: positions arrive in increasing order, so
+            // a tie never displaces an earlier position
+            let mut best = [(u64::MAX, u32::MAX); SPLIT_WINDOW];
+            let last = self.window - 1;
+            for (position, split) in splits.iter().enumerate() {
+                if position == current {
+                    continue;
+                }
+                let distance: u64 = split
+                    .iter()
+                    .zip(here)
+                    .map(|(&a, &b)| u64::from(a.abs_diff(b)))
+                    .sum();
+                let candidate = (distance, position as u32);
+                if candidate < best[last] {
+                    let mut slot = last;
+                    while slot > 0 && candidate < best[slot - 1] {
+                        best[slot] = best[slot - 1];
+                        slot -= 1;
+                    }
+                    best[slot] = candidate;
+                }
+            }
+            best.map(|(_, position)| position)
+        });
+        &nearest[..self.window]
+    }
 }
 
 impl ConfigurationSpace {
+    fn from_parts(
+        host_threads: Vec<u32>,
+        host_affinities: Vec<Affinity>,
+        device_axes: Vec<DeviceAxis>,
+        splits: Vec<Vec<u32>>,
+    ) -> Self {
+        ConfigurationSpace {
+            host_threads,
+            host_affinities,
+            device_axes,
+            splits,
+            split_moves: Arc::default(),
+        }
+    }
+
     /// A single-accelerator space from the paper's parameterization: explicit host
     /// permille candidates, one device axis.
     pub fn two_way(
@@ -402,18 +608,18 @@ impl ConfigurationSpace {
         device_affinities: Vec<Affinity>,
         host_permilles: Vec<u32>,
     ) -> Self {
-        ConfigurationSpace {
+        Self::from_parts(
             host_threads,
             host_affinities,
-            device_axes: vec![DeviceAxis::new(device_threads, device_affinities)],
-            splits: host_permilles
+            vec![DeviceAxis::new(device_threads, device_affinities)],
+            host_permilles
                 .into_iter()
                 .map(|p| {
                     assert!(p <= 1000, "host permille {p} out of range");
                     vec![p, 1000 - p]
                 })
                 .collect(),
-        }
+        )
     }
 
     /// A multi-accelerator space: the paper's host axis, one [`DeviceAxis`] per
@@ -451,12 +657,7 @@ impl ConfigurationSpace {
             steps_permille.len()
         );
         let splits = Self::simplex_splits_heterogeneous(steps_permille);
-        ConfigurationSpace {
-            host_threads,
-            host_affinities,
-            device_axes,
-            splits,
-        }
+        Self::from_parts(host_threads, host_affinities, device_axes, splits)
     }
 
     /// All share vectors `[host, device1, ..., deviceN]` whose entries are multiples
@@ -574,6 +775,17 @@ impl ConfigurationSpace {
         self.device_axes.len()
     }
 
+    /// Candidate workload splits (`[host, device1, ..., deviceN]` permille vectors,
+    /// each summing to 1000, each of length `device_axes.len() + 1`).
+    pub fn splits(&self) -> &[Vec<u32>] {
+        &self.splits
+    }
+
+    fn split_moves(&self) -> &SplitMoves {
+        self.split_moves
+            .get_or_init(|| SplitMoves::new(&self.splits))
+    }
+
     /// Number of configurations in the space (the paper's Eq. 1: the product of the
     /// parameter value-range sizes).
     pub fn total_configurations(&self) -> u128 {
@@ -610,23 +822,39 @@ impl ConfigurationSpace {
         values.iter().position(|v| v == value).unwrap_or(0)
     }
 
-    /// A local move on the split list: pick uniformly among the `2 * max_step` splits
-    /// *nearest by L1 distance* to the current one (ties broken by list order), with
-    /// the usual occasional uniform jump.
+    /// A local move on the split list: pick uniformly among the [`SPLIT_WINDOW`]
+    /// splits *nearest by L1 distance* to the current one (ties broken by list order),
+    /// with the usual occasional uniform jump.
     ///
     /// Nudging the *index* instead would be wrong for N ≥ 2 accelerators: the simplex
     /// list is ordered lexicographically, so index-adjacent entries straddling a
     /// host-share boundary are semantically distant (`[0, 1000, 0]` is next to
     /// `[100, 0, 900]`) and a "small" nudge would teleport an entire device share.
-    /// For one accelerator the L1-nearest window reproduces the old ±`max_step`
-    /// index walk exactly.
-    fn nudge_split(&self, current: usize, max_step: usize, rng: &mut StdRng) -> usize {
+    /// For one accelerator on an evenly spaced list the window holds the 8 splits on
+    /// each side of the current one, each drawn with probability 1/16; within 8
+    /// positions of either end it reaches further into the open side so it still
+    /// holds 16, and a list of at most 16 splits puts all the others in it.  A local
+    /// move therefore never stays put and never piles up on the end split.
+    fn nudge_split(&self, current: usize, rng: &mut StdRng) -> usize {
         if self.splits.len() <= 1 {
             return 0;
         }
         if rng.gen_bool(0.1) {
             return rng.gen_range(0..self.splits.len());
         }
+        let nearest = self.split_moves().nearest(&self.splits, current);
+        nearest[rng.gen_range(0..nearest.len())] as usize
+    }
+
+    /// The brute-force split move the index replaces: a scan for the split's
+    /// position, then a distance sort of every other split on each local move.
+    #[cfg(test)]
+    fn split_position_by_scan(&self, config: &SystemConfiguration) -> usize {
+        Self::index_of(&self.splits, &config.split())
+    }
+
+    #[cfg(test)]
+    fn nearest_splits_by_scan(&self, current: usize, max_step: usize) -> Vec<usize> {
         let here = &self.splits[current];
         let mut by_distance: Vec<(u64, usize)> = self
             .splits
@@ -646,7 +874,19 @@ impl ConfigurationSpace {
         by_distance.select_nth_unstable(window - 1);
         by_distance.truncate(window);
         by_distance.sort_unstable();
-        by_distance[rng.gen_range(0..window)].1
+        by_distance.into_iter().map(|(_, index)| index).collect()
+    }
+
+    #[cfg(test)]
+    fn nudge_split_by_scan(&self, current: usize, max_step: usize, rng: &mut StdRng) -> usize {
+        if self.splits.len() <= 1 {
+            return 0;
+        }
+        if rng.gen_bool(0.1) {
+            return rng.gen_range(0..self.splits.len());
+        }
+        let nearest = self.nearest_splits_by_scan(current, max_step);
+        nearest[rng.gen_range(0..nearest.len())]
     }
 
     /// Build a configuration from axis values and a split vector.
@@ -714,7 +954,7 @@ impl SearchSpace for ConfigurationSpace {
             .map(|d| (d.threads, d.affinity))
             .collect();
         debug_assert_eq!(device_values.len(), self.device_axes.len());
-        let mut split_index = Self::index_of(&self.splits, &config.split());
+        let mut split_index = self.split_moves().position(&self.splits, config);
 
         // perturb one parameter most of the time, occasionally two, so the walk can
         // escape ridges that require coordinated changes
@@ -732,7 +972,7 @@ impl SearchSpace for ConfigurationSpace {
                         self.host_affinities[Self::sample_index(&self.host_affinities, rng)];
                 }
                 2 => {
-                    split_index = self.nudge_split(split_index, 8, rng);
+                    split_index = self.nudge_split(split_index, rng);
                 }
                 p => {
                     let device = ((p - 3) / 2) as usize;
@@ -1385,11 +1625,18 @@ mod tests {
 
     #[test]
     fn hand_built_spaces_cannot_mint_invalid_configurations() {
-        // `splits` is a public field; a bad entry must fail loudly (in every build
-        // profile) instead of silently producing a configuration that evaluates like
-        // another split but occupies its own persistent-store key.
-        let mut space = ConfigurationSpace::tiny();
-        space.splits.push(vec![1200, 0]);
+        // a bad split entry must fail loudly (in every build profile) instead of
+        // silently producing a configuration that evaluates like another split but
+        // occupies its own persistent-store key
+        let tiny = ConfigurationSpace::tiny();
+        let mut splits = tiny.splits().to_vec();
+        splits.push(vec![1200, 0]);
+        let space = ConfigurationSpace::from_parts(
+            tiny.host_threads,
+            tiny.host_affinities,
+            tiny.device_axes,
+            splits,
+        );
         assert!(std::panic::catch_unwind(|| space.enumerate()).is_err());
     }
 
@@ -1426,6 +1673,188 @@ mod tests {
             far_moves < samples / 10,
             "{far_moves}/{samples} split moves teleported across the simplex"
         );
+    }
+
+    /// Checks the split-move index of `space` against the brute-force scans: the
+    /// position of every listed split (and of an unlisted one), every position's
+    /// window, and the draws of a few split moves from every position.
+    fn assert_split_moves_match_the_scans(space: &ConfigurationSpace, seed: u64) {
+        let moves = space.split_moves();
+        let host = (space.host_threads[0], space.host_affinities[0]);
+        let devices = |split: &[u32]| -> Vec<DeviceSetting> {
+            space
+                .device_axes
+                .iter()
+                .zip(&split[1..])
+                .map(|(axis, &permille)| {
+                    DeviceSetting::new(axis.threads[0], axis.affinities[0], permille)
+                })
+                .collect()
+        };
+        let mut unlisted = vec![0; space.accelerator_count() + 1];
+        unlisted[0] = 1;
+        *unlisted.last_mut().unwrap() += 999;
+        let configs = space.splits().iter().chain([&unlisted]).map(|split| {
+            SystemConfiguration::new(host.0, host.1, split[0], devices(split)).unwrap()
+        });
+        for config in configs {
+            assert_eq!(
+                moves.position(space.splits(), &config),
+                space.split_position_by_scan(&config),
+                "{:?}",
+                config.split()
+            );
+        }
+        for current in 0..space.splits().len() {
+            if space.splits().len() > 1 {
+                let nearest: Vec<usize> = moves
+                    .nearest(space.splits(), current)
+                    .iter()
+                    .map(|&position| position as usize)
+                    .collect();
+                assert_eq!(
+                    nearest,
+                    space.nearest_splits_by_scan(current, 8),
+                    "position {current}"
+                );
+            }
+            let mut indexed = StdRng::seed_from_u64(seed ^ current as u64);
+            let mut scanned = indexed.clone();
+            for _ in 0..8 {
+                assert_eq!(
+                    space.nudge_split(current, &mut indexed),
+                    space.nudge_split_by_scan(current, 8, &mut scanned)
+                );
+            }
+            assert_eq!(indexed.gen::<u64>(), scanned.gen::<u64>());
+        }
+    }
+
+    /// Smallest step per accelerator count, so a three-accelerator simplex stays at
+    /// a few hundred splits.
+    const MIN_STEPS: [u32; 3] = [10, 50, 100];
+    const STEPS: [u32; 8] = [10, 25, 50, 100, 125, 200, 250, 500];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// The split-move index is exact on simplex spaces with 1–3 accelerators,
+        /// uniform or per-device steps, in list order or shuffled with duplicates.
+        #[test]
+        fn split_move_index_matches_the_brute_force_scans(
+            accelerators in 1usize..=3,
+            steps in proptest::collection::vec(0usize..8, 4),
+            uniform in 0u8..2,
+            scramble in 0u8..2,
+            seed in 0u64..1_000_000,
+        ) {
+            let steps: Vec<u32> = (0..=accelerators)
+                .map(|position| {
+                    let step = if uniform == 1 { steps[0] } else { steps[position] };
+                    STEPS[step].max(MIN_STEPS[accelerators - 1])
+                })
+                .collect();
+            let axis = DeviceAxis::new(vec![60, 240], vec![Affinity::Balanced]);
+            let mut space = ConfigurationSpace::multi_accelerator_heterogeneous(
+                vec![12, 48],
+                vec![Affinity::Scatter],
+                vec![axis; accelerators],
+                &steps,
+            );
+            if scramble == 1 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut splits = space.splits().to_vec();
+                for _ in 0..splits.len() / 2 + 1 {
+                    let duplicate = splits[rng.gen_range(0..splits.len())].clone();
+                    splits.push(duplicate);
+                }
+                for i in (1..splits.len()).rev() {
+                    splits.swap(i, rng.gen_range(0..=i));
+                }
+                space = ConfigurationSpace::from_parts(
+                    space.host_threads,
+                    space.host_affinities,
+                    space.device_axes,
+                    splits,
+                );
+            }
+            assert_split_moves_match_the_scans(&space, seed);
+        }
+
+        /// The same on hand-built one-accelerator lists: unsorted, with duplicates,
+        /// from a single split (no split move at all) to fewer than 16 (the window
+        /// is every other split) to more.
+        #[test]
+        fn split_move_index_matches_the_scans_on_hand_built_lists(
+            host_shares in proptest::collection::vec(0u32..=40, 1..40),
+            seed in 0u64..1_000_000,
+        ) {
+            let space = ConfigurationSpace::two_way(
+                vec![4, 48],
+                vec![Affinity::Scatter],
+                vec![60, 240],
+                vec![Affinity::Balanced],
+                host_shares.into_iter().map(|share| share * 25).collect(),
+            );
+            assert_split_moves_match_the_scans(&space, seed);
+        }
+    }
+
+    #[test]
+    fn a_space_equals_its_clone_after_its_index_is_built() {
+        let space = ConfigurationSpace::tiny_multi();
+        let pristine = space.clone();
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut config = space.random(&mut rng);
+        for _ in 0..200 {
+            config = space.neighbor(&config, &mut rng);
+        }
+        assert!(
+            space.split_moves.get().is_some(),
+            "the walk built the index"
+        );
+        assert_eq!(space, space.clone());
+        assert_eq!(space, pristine);
+        assert_eq!(format!("{space:?}"), format!("{pristine:?}"));
+        // a fresh space over the same lists is equal too, index or not
+        assert_eq!(space, ConfigurationSpace::tiny_multi());
+    }
+
+    #[test]
+    fn one_accelerator_configurations_round_trip_through_inline_devices() {
+        let inline = SystemConfiguration::with_host_percent(
+            24,
+            Affinity::Scatter,
+            60,
+            Affinity::Compact,
+            40,
+        );
+        let built = SystemConfiguration::new(
+            24,
+            Affinity::Scatter,
+            400,
+            vec![DeviceSetting::new(60, Affinity::Compact, 600)],
+        )
+        .unwrap();
+        assert!(matches!(inline.devices, Devices::One(_)));
+        assert_eq!(inline, built);
+        // `Debug` and `Hash` see the slice, exactly as for a `Vec<DeviceSetting>`
+        assert!(format!("{inline:?}").contains("devices: [DeviceSetting { threads: 60"));
+        fn hash_of(value: &impl Hash) -> u64 {
+            let mut hasher = std::collections::hash_map::DefaultHasher::new();
+            value.hash(&mut hasher);
+            hasher.finish()
+        }
+        let as_vec = (
+            24u32,
+            Affinity::Scatter,
+            400u32,
+            vec![DeviceSetting::new(60, Affinity::Compact, 600)],
+        );
+        assert_eq!(hash_of(&inline), hash_of(&as_vec));
+        let two = SystemConfiguration::device_only_baseline_for(2);
+        assert!(matches!(two.devices, Devices::Many(_)));
+        assert_eq!(two.accelerator_count(), 2);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!   across processes;
 //! * [`run_enumeration_sharded`] runs EM or EML as a [`ShardedCampaign`] — one
 //!   simulated node per shard — and returns the usual [`MethodOutcome`], bit-identical
-//!   to the single-node [`MethodRunner`] result;
+//!   to the single-node [`MethodRunner`](crate::MethodRunner) result;
 //! * [`ConvergenceStudy::run_sharded`] is the convergence study with its enumeration
 //!   references driven through sharded campaigns.
 

@@ -12,7 +12,7 @@
 //!   fast evaluation mode that makes EML and SAML possible.
 //!
 //! Both implement [`Objective<SystemConfiguration>`] directly, so any optimizer in
-//! [`wd_opt`] — enumeration, simulated annealing, the ablation heuristics — consumes
+//! [`wd_opt`] — enumeration, simulated annealing, the genetic search — consumes
 //! them without adapters, and both override [`Objective::evaluate_batch`]:
 //! measurement batches go through the platform's parallel
 //! [`HeterogeneousPlatform::execute_many`], prediction batches fan out over rayon
@@ -489,7 +489,7 @@ impl<'a> LazyTabulatedPredictionEvaluator<'a> {
         let inner = self.inner;
         // distinct share values per simplex position (column 0 is the host)
         let keys = |threads: &[u32], affinities: &[Affinity], position: usize| {
-            let mut shares: Vec<u32> = space.splits.iter().map(|split| split[position]).collect();
+            let mut shares: Vec<u32> = space.splits().iter().map(|split| split[position]).collect();
             shares.sort_unstable();
             shares.dedup();
             let mut keys = Vec::with_capacity(threads.len() * affinities.len() * shares.len());
@@ -763,11 +763,11 @@ impl<'a> LazyTabulatedPredictionEvaluator<'a> {
     ) -> Result<IndexedOutcome<SystemConfiguration>, EnumerationError> {
         self.fill(grid);
         // the device max-fold of every device combination, last device fastest
-        let mut folds: Vec<Vec<f64>> = vec![vec![0.0; grid.splits.len()]];
+        let mut folds: Vec<Vec<f64>> = vec![vec![0.0; grid.splits().len()]];
         for (index, axis) in grid.device_axes.iter().enumerate() {
             let table = read_lock(&self.devices[index]);
             let rows = axis_rows(
-                &grid.splits,
+                grid.splits(),
                 &axis.threads,
                 &axis.affinities,
                 index + 1,
@@ -784,7 +784,7 @@ impl<'a> LazyTabulatedPredictionEvaluator<'a> {
         }
         let table = read_lock(&self.host);
         let hosts = axis_rows(
-            &grid.splits,
+            grid.splits(),
             &grid.host_threads,
             &grid.host_affinities,
             0,
@@ -810,7 +810,7 @@ impl<'a> LazyTabulatedPredictionEvaluator<'a> {
             outcome: Outcome {
                 best_config,
                 best_energy: best.1,
-                evaluations: hosts.len() * folds.len() * grid.splits.len(),
+                evaluations: hosts.len() * folds.len() * grid.splits().len(),
                 trace: OptimizationTrace::new(),
             },
         })

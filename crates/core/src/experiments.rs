@@ -383,7 +383,7 @@ impl ConvergenceStudy {
         self.difference_rows(|saml, em| 100.0 * (saml - em).abs() / em)
     }
 
-    /// Table VII: absolute difference [s] between SAML and EM.
+    /// Table VII: absolute difference \[s\] between SAML and EM.
     pub fn absolute_difference_rows(&self) -> Vec<(String, Vec<f64>)> {
         self.difference_rows(|saml, em| (saml - em).abs())
     }

@@ -1,6 +1,8 @@
 //! The four optimization methods of the paper (Table II): EM, EML, SAM and SAML.
 
+use std::borrow::Cow;
 use std::fmt;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use hetero_platform::{ExecutionStats, HeterogeneousPlatform, WorkloadProfile};
@@ -176,10 +178,23 @@ impl MethodOutcome {
 pub struct MethodRunner<'a> {
     platform: &'a HeterogeneousPlatform,
     workload: &'a WorkloadProfile,
-    space: ConfigurationSpace,
-    grid: ConfigurationSpace,
+    space: Cow<'a, ConfigurationSpace>,
+    grid: Cow<'a, ConfigurationSpace>,
     models: Option<&'a TrainedModels>,
     seed: u64,
+}
+
+/// The paper's search space and enumeration grid, built once per process: every
+/// runner borrows them, so a request neither rebuilds them nor their split-move
+/// index.
+fn paper_spaces() -> &'static (ConfigurationSpace, ConfigurationSpace) {
+    static SPACES: OnceLock<(ConfigurationSpace, ConfigurationSpace)> = OnceLock::new();
+    SPACES.get_or_init(|| {
+        (
+            ConfigurationSpace::paper(),
+            ConfigurationSpace::enumeration_grid(),
+        )
+    })
 }
 
 impl<'a> MethodRunner<'a> {
@@ -192,11 +207,12 @@ impl<'a> MethodRunner<'a> {
         models: Option<&'a TrainedModels>,
         seed: u64,
     ) -> Self {
+        let (space, grid) = paper_spaces();
         MethodRunner {
             platform,
             workload,
-            space: ConfigurationSpace::paper(),
-            grid: ConfigurationSpace::enumeration_grid(),
+            space: Cow::Borrowed(space),
+            grid: Cow::Borrowed(grid),
             models,
             seed,
         }
@@ -204,13 +220,13 @@ impl<'a> MethodRunner<'a> {
 
     /// Replace the simulated-annealing search space.
     pub fn with_space(mut self, space: ConfigurationSpace) -> Self {
-        self.space = space;
+        self.space = Cow::Owned(space);
         self
     }
 
     /// Replace the enumeration grid.
     pub fn with_grid(mut self, grid: ConfigurationSpace) -> Self {
-        self.grid = grid;
+        self.grid = Cow::Owned(grid);
         self
     }
 
@@ -273,7 +289,7 @@ impl<'a> MethodRunner<'a> {
                 // Enumeration never revisits a configuration, so it runs uncached and
                 // every evaluation is a distinct experiment.
                 let outcome = if method == MethodKind::Em {
-                    ParallelEnumeration::new().try_run(&self.grid, &measurement)
+                    ParallelEnumeration::new().try_run(&*self.grid, &measurement)
                 } else {
                     // EML fast path: the energy is separable per device, so the grid
                     // is scored by index from precomputed per-device time tables
@@ -302,7 +318,7 @@ impl<'a> MethodRunner<'a> {
                 let cached = CachedObjective::new(&measurement);
                 let outcome =
                     self.annealer(iterations)
-                        .run_observed(&self.space, &cached, recorder, &scope);
+                        .run_observed(&*self.space, &cached, recorder, &scope);
                 cached.publish_stats(recorder, &scope);
                 (outcome, cached.stats())
             }
@@ -317,14 +333,14 @@ impl<'a> MethodRunner<'a> {
                 let lazy = prediction.lazy_tabulated();
                 let outcome = if method == MethodKind::Gaml {
                     self.genetic(iterations).run_delta_observed(
-                        &self.space,
+                        &*self.space,
                         &lazy,
                         recorder,
                         &scope,
                     )
                 } else {
                     self.annealer(iterations).run_delta_observed(
-                        &self.space,
+                        &*self.space,
                         &lazy,
                         recorder,
                         &scope,

@@ -254,7 +254,7 @@ pub struct WorkDir {
 
 impl WorkDir {
     /// A layout rooted at `root` (nothing is created until
-    /// [`WorkDir::create`]).
+    /// `WorkDir::create`).
     pub fn new(root: impl Into<PathBuf>) -> Self {
         WorkDir { root: root.into() }
     }

@@ -459,7 +459,7 @@ impl fmt::Debug for CellMemo {
 
 /// A fitted gradient-boosted tree ensemble.
 ///
-/// The flat arena and its [`CellMemo`] are fixed once `fit` returns (the memo only
+/// The flat arena and its `CellMemo` are fixed once `fit` returns (the memo only
 /// fills in), so clones share them: handing a model to each new evaluator costs two
 /// reference counts, not a copy of the forest, and every clone serves the cells any
 /// other clone has walked.
@@ -674,7 +674,7 @@ impl Regressor for BoostedTreesRegressor {
         Ok(())
     }
 
-    /// Served from the [`CellMemo`] when the row's cell was walked before (by
+    /// Served from the `CellMemo` when the row's cell was walked before (by
     /// any clone of this model); otherwise the trees are walked and the cell
     /// stored.  Bit-identical either way.
     fn predict_one(&self, features: &[f64]) -> f64 {
@@ -691,7 +691,7 @@ impl Regressor for BoostedTreesRegressor {
     }
 
     /// Real batched inference over a row-major feature matrix.  Rows whose
-    /// cell the [`CellMemo`] holds are served from it; the rest are gathered into
+    /// cell the `CellMemo` holds are served from it; the rest are gathered into
     /// one sub-batch for the walk kernel and their cells stored.  The kernel is
     /// cache-blocked row×tree tiling of the flat arena with branch-free,
     /// bounds-check-free node stepping (the width was validated against the

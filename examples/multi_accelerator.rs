@@ -67,7 +67,7 @@ fn main() {
     println!(
         "\nthree-way space: {} configurations ({} splits on the 10 % simplex)",
         grid.total_configurations(),
-        grid.splits.len()
+        grid.splits().len()
     );
 
     // --- 3. EM / SAML through the standard method pipeline ------------------------

@@ -198,10 +198,10 @@ fn heterogeneous_step_space_anneals_through_the_fast_path() {
     let uniform =
         ConfigurationSpace::multi_accelerator(vec![12, 48], vec![Affinity::Scatter], axes(), 100);
     assert!(
-        heterogeneous.splits.len() * 3 < uniform.splits.len(),
+        heterogeneous.splits().len() * 3 < uniform.splits().len(),
         "coarse slow-device steps must shrink the simplex ({} vs {})",
-        heterogeneous.splits.len(),
-        uniform.splits.len()
+        heterogeneous.splits().len(),
+        uniform.splits().len()
     );
 
     let (evaluator, _calls) = wavy_evaluator(2, 3_170_000_000);
@@ -213,5 +213,5 @@ fn heterogeneous_step_space_anneals_through_the_fast_path() {
     assert_eq!(full.best_energy.to_bits(), fast.best_energy.to_bits());
     assert_eq!(full.trace.records(), fast.trace.records());
     // every split the walk visited lies on the heterogeneous grid
-    assert!(heterogeneous.splits.contains(&fast.best_config.split()));
+    assert!(heterogeneous.splits().contains(&fast.best_config.split()));
 }
