@@ -136,7 +136,14 @@ impl Autotuner {
     }
 
     /// Speedup of an outcome against the host-only and device-only baselines.
-    pub fn speedup(&self, outcome: &MethodOutcome) -> SpeedupReport {
+    ///
+    /// # Errors
+    ///
+    /// The [`hetero_platform::PlatformError`] of a baseline the platform cannot run.
+    pub fn speedup(
+        &self,
+        outcome: &MethodOutcome,
+    ) -> Result<SpeedupReport, hetero_platform::PlatformError> {
         SpeedupReport::for_combined_time(&self.platform, &self.workload, outcome.measured_energy)
     }
 }
@@ -174,7 +181,7 @@ mod tests {
             .with_grid(ConfigurationSpace::tiny())
             .with_space(ConfigurationSpace::tiny());
         let em = tuner.run(MethodKind::Em, 0).unwrap();
-        let speedup = tuner.speedup(&em);
+        let speedup = tuner.speedup(&em).unwrap();
         assert!(speedup.host_only_seconds > 0.0);
         assert!(speedup.device_only_seconds > 0.0);
         assert!(

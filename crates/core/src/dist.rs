@@ -18,7 +18,7 @@ use wd_opt::OptimizationTrace;
 
 use crate::config::{ConfigurationSpace, DeviceSetting, SystemConfiguration};
 use crate::evaluator::MeasurementEvaluator;
-use crate::experiments::ConvergenceStudy;
+use crate::experiments::{ConvergenceStudy, MeasuredTables};
 use crate::methods::{MethodKind, MethodOutcome};
 use crate::training::TrainedModels;
 
@@ -123,7 +123,8 @@ impl ConfigKey for SystemConfiguration {
 /// [`campaign_context`] so cross-objective reuse fails loudly instead.
 ///
 /// Returns an error for the annealing methods (they are sequential walks; sharding
-/// does not apply) and for EML without trained models.
+/// does not apply), for EML without trained models, for EM over a grid with a
+/// configuration the platform cannot run, and if the platform cannot run the winner.
 pub fn run_enumeration_sharded<R>(
     platform: &HeterogeneousPlatform,
     workload: &WorkloadProfile,
@@ -163,10 +164,15 @@ where
             campaign.run(grid, &prediction.tabulated(grid), store)
         }
     } else {
+        measurement
+            .check_space(grid)
+            .map_err(|error| format!("{method}: {error}"))?;
         campaign.run(grid, &measurement, store)
     }
     .map_err(|error| format!("sharded campaign failed: {error}"))?;
-    let measured = measurement.measure(&outcome.best_config);
+    let measured = measurement
+        .measure(&outcome.best_config)
+        .map_err(|error| format!("{method}: {error}"))?;
     Ok(MethodOutcome {
         method,
         best_config: outcome.best_config,
@@ -240,11 +246,11 @@ impl ConvergenceStudy {
             .iter()
             .map(|&genome| (genome.name().to_string(), Some(genome), genome.workload()))
             .collect();
-        let reference = |workload: &WorkloadProfile, _case_seed: u64, method: MethodKind| {
+        let reference = |tables: &MeasuredTables<'_>, _case_seed: u64, method: MethodKind| {
             let store = MemoryStore::new();
             run_enumeration_sharded(
                 platform,
-                workload,
+                tables.inner().workload(),
                 Some(models),
                 method,
                 grid,

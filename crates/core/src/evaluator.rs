@@ -11,21 +11,32 @@
 //! * [`PredictionEvaluator`] — queries the trained host/device regression models, the
 //!   fast evaluation mode that makes EML and SAML possible.
 //!
-//! Both implement [`Objective<SystemConfiguration>`] directly, so any optimizer in
-//! [`wd_opt`] — enumeration, simulated annealing, the genetic search — consumes
-//! them without adapters, and both override [`Objective::evaluate_batch`]:
-//! measurement batches go through the platform's parallel
-//! [`HeterogeneousPlatform::execute_many`], prediction batches fan out over rayon
-//! workers.  Wrap an evaluator in [`wd_opt::CachedObjective`] to memoize repeated
-//! configurations (the paper's methods re-visit configurations constantly under
-//! simulated annealing).
+//! Both implement [`Objective<SystemConfiguration>`] directly — one execution or one
+//! model query per side and configuration — so any optimizer in [`wd_opt`]
+//! (enumeration, simulated annealing, the genetic search) consumes them without
+//! adapters, and both override [`Objective::evaluate_batch`]: measurement batches go
+//! through the platform's parallel [`HeterogeneousPlatform::execute_many`], prediction
+//! batches fan out over rayon workers.
+//!
+//! Both are also *separable*: the host's time and each accelerator's time depend only
+//! on that side's own `(threads, affinity, share)`, for the simulator
+//! ([`HeterogeneousPlatform::host_time`] / [`HeterogeneousPlatform::device_time`]) as
+//! for the models.  Both therefore implement [`SideTimes`], and one tabulating
+//! evaluator, [`LazyTabulatedEvaluator`], puts per-side time tables in front of
+//! either: filled on first touch or in batches, composed by Eq. 2's max-fold, and
+//! scanned by index over a whole grid.  EM and EML are the same scan
+//! ([`LazyTabulatedEvaluator::scan`]) over measured and predicted tables; SAM's misses
+//! (SAM memoises whole configurations behind a [`wd_opt::CachedObjective`]) are
+//! measured-table probes; SAML/GAML walk prediction tables filled on first touch.
+//! Every tabulated energy is bit-identical to its evaluator's direct path.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use hetero_platform::{
-    Affinity, ExecutionRequest, HeterogeneousPlatform, Measurement, WorkloadProfile,
+    Affinity, ExecutionConfig, ExecutionRequest, HeterogeneousPlatform, Measurement, PlatformError,
+    WorkloadProfile,
 };
 use rayon::prelude::*;
 use wd_ml::Regressor;
@@ -42,6 +53,49 @@ use crate::features::{device_features, host_features, share_bytes};
 /// [`PredictionEvaluator::evaluate_all_times`] returns, retained between neighbour
 /// moves so untouched devices are never re-scored.
 pub type PredictedTimes = (f64, Vec<f64>);
+
+/// A `(threads, affinity, share permille)` triple: one side's knobs, and the key of
+/// that side's time table.
+pub type SideKey = (u32, Affinity, u32);
+
+/// A separable source of per-side times: what a [`LazyTabulatedEvaluator`] tabulates.
+///
+/// Side 0 is the host and side `i + 1` accelerator `i`.  A side's time depends only
+/// on the side and its [`SideKey`], never on the other sides, and is deterministic, so
+/// a table can store exactly what the source returns and Eq. 2's max-fold over the
+/// sides gives the source's energy for any configuration.
+pub trait SideTimes: Sync {
+    /// Number of accelerators the source can time.
+    fn accelerators(&self) -> usize;
+
+    /// Whether a configuration of `accelerators` accelerators can be scored at all;
+    /// the tables score one that cannot `+∞`.
+    fn scores(&self, accelerators: usize) -> bool;
+
+    /// The time of `side` under `key`, or `None` for a side that receives no work: it
+    /// reports 0 and costs nothing.  A side that cannot run reports `+∞`.
+    fn side_time(&self, side: usize, key: SideKey) -> Option<f64>;
+
+    /// [`SideTimes::side_time`] of every key, in order.  The default scores the keys
+    /// on rayon workers.
+    fn side_times(&self, side: usize, keys: &[SideKey]) -> Vec<Option<f64>> {
+        keys.par_iter()
+            .map(|&key| self.side_time(side, key))
+            .collect()
+    }
+}
+
+fn host_key(config: &SystemConfiguration) -> SideKey {
+    (
+        config.host_threads,
+        config.host_affinity,
+        config.host_permille(),
+    )
+}
+
+fn device_key(device: DeviceSetting) -> SideKey {
+    (device.threads, device.affinity, device.permille)
+}
 
 /// Re-score `config` against `base`'s retained per-device times: recompute the
 /// components `touched` may cover (component 0 is the host, component `i + 1` is
@@ -84,6 +138,14 @@ fn recompose_move(
 
 /// Evaluation by "measurement": one simulated execution per query, bound to one
 /// workload.
+///
+/// The platform is separable, so [`MeasurementEvaluator::lazy_tabulated`] puts
+/// *measured per-side tables* in front of it: each distinct `(threads, affinity,
+/// share)` of the host or of an accelerator is simulated once
+/// ([`HeterogeneousPlatform::host_time`] / [`HeterogeneousPlatform::device_time`]) and
+/// every configuration is scored by table probes — bit-identical to this evaluator's
+/// own [`Objective`] path, which stays one real [`HeterogeneousPlatform::execute`] per
+/// configuration.  EM scans such tables and SAM's misses probe them.
 #[derive(Debug, Clone)]
 pub struct MeasurementEvaluator {
     platform: HeterogeneousPlatform,
@@ -123,31 +185,126 @@ impl MeasurementEvaluator {
     /// The full simulated [`Measurement`] of running the workload under `config` —
     /// the exact execution behind [`MeasurementEvaluator::energy`], with the
     /// [`hetero_platform::ExecutionStats`] breakdown kept instead of discarded.
-    pub fn measure(&self, config: &SystemConfiguration) -> Measurement {
-        self.platform
-            .execute(
-                &self.workload,
-                &config.partition(),
-                &config.host_execution(),
-                &config.device_executions(),
-            )
-            .unwrap_or_else(|err| panic!("invalid configuration {config}: {err}"))
+    ///
+    /// # Errors
+    ///
+    /// The [`PlatformError`] of a configuration the platform cannot run.
+    pub fn measure(&self, config: &SystemConfiguration) -> Result<Measurement, PlatformError> {
+        self.platform.execute(
+            &self.workload,
+            &config.partition(),
+            &config.host_execution(),
+            &config.device_executions(),
+        )
     }
 
     /// Measured `(T_host, T_device)` for running the workload under `config`.
     /// A device that receives no work reports 0.
-    pub fn evaluate_times(&self, config: &SystemConfiguration) -> (f64, f64) {
-        let measurement = self.measure(config);
-        (measurement.t_host, measurement.t_device)
+    ///
+    /// # Errors
+    ///
+    /// The [`PlatformError`] of a configuration the platform cannot run.
+    pub fn evaluate_times(
+        &self,
+        config: &SystemConfiguration,
+    ) -> Result<(f64, f64), PlatformError> {
+        self.measure(config)
+            .map(|measurement| (measurement.t_host, measurement.t_device))
     }
 
-    /// The optimization energy `E = max(T_host, T_device)` (Eq. 2).
+    /// The optimization energy `E = max(T_host, T_device)` (Eq. 2); `+∞` for a
+    /// configuration the platform cannot run.
     pub fn energy(&self, config: &SystemConfiguration) -> f64 {
-        let (host, device) = self.evaluate_times(config);
-        host.max(device)
+        self.evaluate_times(config)
+            .map_or(f64::INFINITY, |(host, device)| host.max(device))
+    }
+
+    /// Measured per-side tables over this evaluator, empty and filled on first touch
+    /// or by [`LazyTabulatedEvaluator::scan`]; see the type docs.  Every run that
+    /// scores through one set of tables pays each side simulation once.
+    pub fn lazy_tabulated(&self) -> LazyTabulatedEvaluator<'_, MeasurementEvaluator> {
+        LazyTabulatedEvaluator::new(self)
+    }
+
+    /// Check that the platform can run every configuration of `space`: the space
+    /// describes the platform's accelerator count, and every thread count and
+    /// affinity of a side that some split gives work is valid for that side.
+    ///
+    /// # Errors
+    ///
+    /// The [`PlatformError`] [`MeasurementEvaluator::measure`] would report for the
+    /// first offending side.
+    pub fn check_space(&self, space: &ConfigurationSpace) -> Result<(), PlatformError> {
+        if !self.scores(space.accelerator_count()) {
+            return Err(PlatformError::InvalidPartition {
+                reason: format!(
+                    "the space describes {} accelerator(s) but the platform has {}",
+                    space.accelerator_count(),
+                    self.platform.accelerator_count()
+                ),
+            });
+        }
+        if self.workload.bytes == 0 {
+            return Err(PlatformError::EmptyWorkload);
+        }
+        let loaded = |position: usize| space.splits().iter().any(|split| split[position] > 0);
+        let configs = |threads: &[u32], affinities: &[Affinity]| {
+            threads
+                .iter()
+                .flat_map(|&t| affinities.iter().map(move |&a| ExecutionConfig::new(t, a)))
+                .collect::<Vec<_>>()
+        };
+        if loaded(0) {
+            for cfg in configs(&space.host_threads, &space.host_affinities) {
+                self.platform.validate_host(&cfg)?;
+            }
+        }
+        for (index, axis) in space.device_axes.iter().enumerate() {
+            if loaded(index + 1) {
+                for cfg in configs(&axis.threads, &axis.affinities) {
+                    self.platform.validate_accelerator(index, &cfg)?;
+                }
+            }
+        }
+        Ok(())
     }
 }
 
+impl SideTimes for MeasurementEvaluator {
+    fn accelerators(&self) -> usize {
+        self.platform.accelerator_count()
+    }
+
+    /// Exactly the platform's accelerator count, as [`HeterogeneousPlatform::execute`]
+    /// requires.
+    fn scores(&self, accelerators: usize) -> bool {
+        accelerators == self.platform.accelerator_count()
+    }
+
+    /// One side simulation; a zero share is idle without one, a side that cannot run
+    /// its share is `+∞`.
+    fn side_time(&self, side: usize, (threads, affinity, permille): SideKey) -> Option<f64> {
+        if permille == 0 {
+            return None;
+        }
+        // the fraction exactly as `SystemConfiguration::partition` builds it
+        let fraction = f64::from(permille) / 1000.0;
+        let cfg = ExecutionConfig::new(threads, affinity);
+        let time = match side {
+            0 => self.platform.host_time(&self.workload, fraction, &cfg),
+            _ => self
+                .platform
+                .device_time(side - 1, &self.workload, fraction, &cfg),
+        };
+        Some(time.unwrap_or(f64::INFINITY))
+    }
+}
+
+/// Measured energies, one real execution per configuration.  A configuration the
+/// platform cannot run — a side with work but an unsupported thread count or
+/// affinity, or an accelerator count other than the platform's — scores `+∞`, so a
+/// search never picks it; [`MeasurementEvaluator::measure`] reports why it cannot
+/// run.
 impl Objective<SystemConfiguration> for MeasurementEvaluator {
     fn evaluate(&self, config: &SystemConfiguration) -> f64 {
         self.energy(config)
@@ -161,11 +318,10 @@ impl Objective<SystemConfiguration> for MeasurementEvaluator {
         self.platform
             .execute_many(&self.workload, &requests)
             .into_iter()
-            .zip(configs)
-            .map(|(result, config)| {
-                let measurement =
-                    result.unwrap_or_else(|err| panic!("invalid configuration {config}: {err}"));
-                measurement.t_host.max(measurement.t_device)
+            .map(|result| {
+                result.map_or(f64::INFINITY, |measurement| {
+                    measurement.t_host.max(measurement.t_device)
+                })
             })
             .collect()
     }
@@ -262,21 +418,24 @@ impl PredictionEvaluator {
         self.predict_device_on(0, threads, affinity, bytes)
     }
 
+    fn assert_arity(&self, accelerators: usize) {
+        assert!(
+            accelerators <= self.device_models.len(),
+            "configuration describes {accelerators} accelerators but only {} device models are trained",
+            self.device_models.len()
+        );
+    }
+
     /// Predicted host time plus one predicted time per accelerator for running the
     /// workload under `config`.  A device that receives no work reports 0.
     pub fn evaluate_all_times(&self, config: &SystemConfiguration) -> (f64, Vec<f64>) {
-        assert!(
-            config.accelerator_count() <= self.device_models.len(),
-            "configuration describes {} accelerators but only {} device models are trained",
-            config.accelerator_count(),
-            self.device_models.len()
-        );
-        let host = self.config_host_time(config);
+        self.assert_arity(config.accelerator_count());
+        let host = self.side_time(0, host_key(config)).unwrap_or(0.0);
         let devices = config
             .devices()
             .iter()
             .enumerate()
-            .map(|(index, &device)| self.config_device_time(index, device))
+            .map(|(index, &device)| self.side_time(index + 1, device_key(device)).unwrap_or(0.0))
             .collect();
         (host, devices)
     }
@@ -309,29 +468,86 @@ impl PredictionEvaluator {
     /// *distinct* `(threads, affinity, share)` triple it ever visits instead of one
     /// per device per move.
     pub fn lazy_tabulated(&self) -> LazyTabulatedPredictionEvaluator<'_> {
-        LazyTabulatedPredictionEvaluator::new(self)
+        LazyTabulatedEvaluator::new(self)
+    }
+}
+
+impl SideTimes for PredictionEvaluator {
+    fn accelerators(&self) -> usize {
+        self.device_models.len()
     }
 
-    /// The host time of `config` exactly as [`PredictionEvaluator::evaluate_all_times`]
-    /// computes it (zero share short-circuits to 0 without a model query).
-    fn config_host_time(&self, config: &SystemConfiguration) -> f64 {
-        let bytes = share_bytes(self.workload.bytes, config.host_permille());
+    /// At most as many accelerators as there are device models (the direct path
+    /// panics on more).
+    fn scores(&self, accelerators: usize) -> bool {
+        accelerators <= self.device_models.len()
+    }
+
+    /// One model query, exactly `predict_host` / `predict_device_on`; a share of zero
+    /// bytes is idle without one.
+    fn side_time(&self, side: usize, (threads, affinity, permille): SideKey) -> Option<f64> {
+        let bytes = share_bytes(self.workload.bytes, permille);
         if bytes == 0 {
-            0.0
+            None
+        } else if side == 0 {
+            Some(self.predict_host(threads, affinity, bytes))
         } else {
-            self.predict_host(config.host_threads, config.host_affinity, bytes)
+            Some(self.predict_device_on(side - 1, threads, affinity, bytes))
         }
     }
 
-    /// The time of accelerator `index` under setting `device`, exactly as
-    /// [`PredictionEvaluator::evaluate_all_times`] computes it.
-    fn config_device_time(&self, index: usize, device: DeviceSetting) -> f64 {
-        let bytes = share_bytes(self.workload.bytes, device.permille);
-        if bytes == 0 {
-            0.0
-        } else {
-            self.predict_device_on(index, device.threads, device.affinity, bytes)
+    /// Batched model queries: the keys with work are scored through rayon-parallel
+    /// [`Regressor::predict_batch`] calls of `TABLE_BATCH` rows each.
+    fn side_times(&self, side: usize, keys: &[SideKey]) -> Vec<Option<f64>> {
+        let total_bytes = self.workload.bytes;
+        let queried: Vec<(usize, SideKey)> = keys
+            .iter()
+            .copied()
+            .enumerate()
+            .filter(|&(_, (_, _, share))| share_bytes(total_bytes, share) != 0)
+            .collect();
+        let (model, featurize, overhead) = match side {
+            0 => (
+                &self.host_model,
+                host_features as fn(_, _, _) -> Vec<f64>,
+                None,
+            ),
+            _ => (
+                &self.device_models[side - 1],
+                device_features as fn(_, _, _) -> Vec<f64>,
+                Some(self.device_fixed_overhead),
+            ),
+        };
+        // exactly `predict_host` (clamp at zero) or `predict_device_on` (add the
+        // offload overhead, clamp)
+        let finish = |prediction: f64| match overhead {
+            None => prediction.max(0.0),
+            Some(overhead) => (prediction + overhead).max(0.0),
+        };
+        let predictions: Vec<Vec<f64>> = queried
+            .chunks(TABLE_BATCH)
+            .collect::<Vec<_>>()
+            .into_par_iter()
+            .map(|chunk| {
+                let mut width = 0;
+                let mut matrix: Vec<f64> = Vec::new();
+                for &(_, (t, a, share)) in chunk {
+                    let row = featurize(t, a, share_bytes(total_bytes, share));
+                    width = row.len();
+                    matrix.extend(row);
+                }
+                model
+                    .predict_batch(&matrix, width)
+                    .into_iter()
+                    .map(finish)
+                    .collect()
+            })
+            .collect();
+        let mut times = vec![None; keys.len()];
+        for (&(position, _), time) in queried.iter().zip(predictions.into_iter().flatten()) {
+            times[position] = Some(time);
         }
+        times
     }
 }
 
@@ -369,29 +585,20 @@ impl DeltaObjective<SystemConfiguration> for PredictionEvaluator {
         config: &SystemConfiguration,
         touched: &Touched,
     ) -> (f64, PredictedTimes) {
-        assert!(
-            config.accelerator_count() <= self.device_models.len(),
-            "configuration describes {} accelerators but only {} device models are trained",
-            config.accelerator_count(),
-            self.device_models.len()
-        );
+        self.assert_arity(config.accelerator_count());
         recompose_move(
             base,
             state,
             config,
             touched,
-            || self.config_host_time(config),
-            |index, device| self.config_device_time(index, device),
+            || self.side_time(0, host_key(config)).unwrap_or(0.0),
+            |index, device| self.side_time(index + 1, device_key(device)).unwrap_or(0.0),
         )
     }
 }
 
-/// One per-device time table of the factorized fast path, keyed by that device's own
-/// `(threads, affinity, share permille)` axis.
-type TimeTable = HashMap<TableKey, f64>;
-
-/// A `(threads, affinity, share permille)` triple of one device's axis.
-type TableKey = (u32, Affinity, u32);
+/// One side's time table, keyed by that side's own [`SideKey`] axis.
+type TimeTable = HashMap<SideKey, f64>;
 
 /// Acquire a read guard on a time table, recovering from poisoning instead of
 /// panicking: a worker that panicked while holding the guard leaves the table
@@ -408,215 +615,123 @@ fn write_lock<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 /// Number of table entries scored per batched model call during a prefill.
 const TABLE_BATCH: usize = 256;
 
-/// The factorized prediction fast path: per-device time tables behind every
-/// prediction-based method (EML's scan, SAML/GAML walks, sharded EML campaigns).
+/// The factorized fast path over a [`SideTimes`] source: per-side time tables of its
+/// own, in front of a borrowed source.  Over the models
+/// ([`LazyTabulatedPredictionEvaluator`]) it is behind every prediction-based method
+/// (EML's scan, SAML/GAML walks, sharded EML campaigns); over a
+/// [`MeasurementEvaluator`] ([`MeasurementEvaluator::lazy_tabulated`]) it holds the
+/// measured tables EM scans and SAM's misses probe.
 ///
-/// The energy `E = max(T_host, max_d T_d)` is *separable*: each device's predicted
-/// time depends only on that device's own `(threads, affinity, share)` triple, never
-/// on the other devices.  The evaluator keeps one table per device over those
-/// triples, so any configuration is scored by a handful of table probes and a
-/// max-fold, and each distinct triple walks its boosted-tree model once.
+/// The energy `E = max(T_host, max_d T_d)` is *separable*: each side's time depends
+/// only on that side's own `(threads, affinity, share)` triple, never on the other
+/// sides.  The evaluator keeps one table per side over those triples, so any
+/// configuration is scored by a handful of table probes and a max-fold, and each
+/// distinct triple is computed once — one boosted-tree walk for the models, one side
+/// simulation for the platform.
 ///
 /// The tables fill two ways, into the same entries:
 ///
-/// * **on first touch** — every probe of a missing entry queries the model, so a
+/// * **on first touch** — every probe of a missing entry queries the source, so a
 ///   SAML/GAML walk, which revisits the same few dozen axis values constantly, pays
 ///   for the distinct triples it visits, not for its length or the space's size;
-/// * **in batches** — [`LazyTabulatedPredictionEvaluator::prefill`] and
-///   [`LazyTabulatedPredictionEvaluator::scan`] fill every missing entry of a whole
-///   space through rayon-parallel [`wd_ml::Regressor::predict_batch`] calls: an N-way
-///   grid of `|host axis| × Π_d |axis_d| × |splits|` configurations costs
-///   `Σ_d |threads_d| × |affinities_d| × |shares_d|` model queries.
+/// * **in batches** — [`LazyTabulatedEvaluator::prefill`] and
+///   [`LazyTabulatedEvaluator::scan`] fill every missing entry of a whole space
+///   through [`SideTimes::side_times`] (rayon-parallel
+///   [`wd_ml::Regressor::predict_batch`] calls for the models): an N-way grid of
+///   `|host axis| × Π_d |axis_d| × |splits|` configurations costs
+///   `Σ_d |threads_d| × |affinities_d| × |shares_d|` queries.
 ///
 /// Memoization is keyed by value, so the evaluator is total and every energy is
-/// **bit-identical** to [`PredictionEvaluator`] on every configuration: the tables
-/// store exactly what `predict_host` / `predict_device_on` would return, zero shares
-/// short-circuit to 0 without a model query, and the max-composition replicates
-/// [`PredictionEvaluator::energy`] operation for operation.
+/// **bit-identical** to the source's direct path on every configuration: the tables
+/// store exactly what the source returns (`predict_host` / `predict_device_on` for
+/// the models, [`HeterogeneousPlatform::host_time`] /
+/// [`HeterogeneousPlatform::device_time`] for the platform), idle sides short-circuit
+/// to 0 without a query, and the max-composition replicates
+/// [`PredictionEvaluator::energy`] and [`HeterogeneousPlatform::execute`] operation
+/// for operation.  A configuration the source cannot score ([`SideTimes::scores`])
+/// scores `+∞`.
 ///
 /// The tables live behind [`RwLock`]s, so one evaluator can be shared across rayon
 /// workers (e.g. the convergence study's parallel annealing repeats); under a race
-/// two workers may redundantly query the model for the same fresh entry — the values
-/// are identical, one wins the insert, and [`LazyTabulatedPredictionEvaluator::model_queries`]
-/// counts both walks (it reports real model cost, not distinct entries).
+/// two workers may redundantly query the source for the same fresh entry — the values
+/// are identical, one wins the insert, and [`LazyTabulatedEvaluator::model_queries`]
+/// counts both queries (it reports real cost, not distinct entries).
 ///
 /// Implements [`DeltaObjective`], so the incremental drivers
 /// ([`wd_opt::SimulatedAnnealing::run_delta`] and friends) re-probe only the devices
 /// a neighbour move touched: an accepted move costs O(1) table probes and — once the
-/// tables are warm — zero model queries.
-pub struct LazyTabulatedPredictionEvaluator<'a> {
-    inner: &'a PredictionEvaluator,
-    host: RwLock<TimeTable>,
-    devices: Vec<RwLock<TimeTable>>,
+/// tables are warm — zero queries.
+pub struct LazyTabulatedEvaluator<'a, S> {
+    inner: &'a S,
+    /// One table per side: the host, then each accelerator.
+    sides: Vec<RwLock<TimeTable>>,
     probes: AtomicUsize,
-    model_queries: AtomicUsize,
+    queries: AtomicUsize,
 }
 
-impl<'a> LazyTabulatedPredictionEvaluator<'a> {
-    /// Wrap `inner` with empty tables (one per trained device model).
-    pub fn new(inner: &'a PredictionEvaluator) -> Self {
-        LazyTabulatedPredictionEvaluator {
+/// The tabulating evaluator over the trained models: the prediction methods' fast
+/// path.
+pub type LazyTabulatedPredictionEvaluator<'a> = LazyTabulatedEvaluator<'a, PredictionEvaluator>;
+
+impl<'a, S: SideTimes> LazyTabulatedEvaluator<'a, S> {
+    /// Wrap `inner` with empty tables (one per side it can time).
+    pub fn new(inner: &'a S) -> Self {
+        LazyTabulatedEvaluator {
             inner,
-            host: RwLock::new(TimeTable::new()),
-            devices: (0..inner.device_models.len())
+            sides: (0..=inner.accelerators())
                 .map(|_| RwLock::new(TimeTable::new()))
                 .collect(),
             probes: AtomicUsize::new(0),
-            model_queries: AtomicUsize::new(0),
+            queries: AtomicUsize::new(0),
         }
     }
 
     /// Fill every entry of `space`'s axes the tables do not hold yet, in batches (see
-    /// the type docs), and return the evaluator.  Enumerating `space` afterwards walks
-    /// no model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `space` describes more accelerators than `inner` has models for.
+    /// the type docs), and return the evaluator.  Enumerating `space` afterwards
+    /// queries nothing.  A space `inner` cannot score fills nothing.
     pub fn prefill(self, space: &ConfigurationSpace) -> Self {
         self.fill(space);
         self
     }
 
-    /// The batched fill behind [`LazyTabulatedPredictionEvaluator::prefill`].
-    fn fill(&self, space: &ConfigurationSpace) {
-        assert!(
-            space.accelerator_count() <= self.devices.len(),
-            "space describes {} accelerators but only {} device models are trained",
-            space.accelerator_count(),
-            self.devices.len()
-        );
-        let inner = self.inner;
-        // distinct share values per simplex position (column 0 is the host)
-        let keys = |threads: &[u32], affinities: &[Affinity], position: usize| {
-            let mut shares: Vec<u32> = space.splits().iter().map(|split| split[position]).collect();
-            shares.sort_unstable();
-            shares.dedup();
-            let mut keys = Vec::with_capacity(threads.len() * affinities.len() * shares.len());
-            for &t in threads {
-                for &a in affinities {
-                    keys.extend(shares.iter().map(|&share| (t, a, share)));
-                }
-            }
-            keys
-        };
-
-        self.fill_table(
-            &self.host,
-            keys(&space.host_threads, &space.host_affinities, 0),
-            inner.host_model.as_ref(),
-            host_features,
-            // exactly `predict_host`: clamp the raw prediction at zero
-            &|prediction| prediction.max(0.0),
-        );
-        let overhead = inner.device_fixed_overhead;
-        for (index, axis) in space.device_axes.iter().enumerate() {
-            self.fill_table(
-                &self.devices[index],
-                keys(&axis.threads, &axis.affinities, index + 1),
-                inner.device_models[index].as_ref(),
-                device_features,
-                // exactly `predict_device_on`: add the offload overhead, clamp
-                &|prediction| (prediction + overhead).max(0.0),
-            );
-        }
-    }
-
-    /// Fill the `keys` one table does not hold yet: zero shares short-circuit to 0 (as
-    /// the direct path does), everything else is scored outside the lock through
-    /// batched, rayon-parallel model calls counted in `model_queries`.
-    fn fill_table(
-        &self,
-        table: &RwLock<TimeTable>,
-        keys: Vec<TableKey>,
-        model: &(dyn Regressor + Send + Sync),
-        featurize: fn(u32, Affinity, u64) -> Vec<f64>,
-        finish: &(dyn Fn(f64) -> f64 + Sync),
-    ) {
-        let total_bytes = self.inner.workload.bytes;
-        let missing: Vec<TableKey> = {
-            let table = read_lock(table);
-            keys.into_iter()
-                .filter(|key| !table.contains_key(key))
-                .collect()
-        };
-        if missing.is_empty() {
-            return;
-        }
-        // a side that receives no work reports 0, without a model query
-        let (zeros, queried): (Vec<TableKey>, Vec<TableKey>) = missing
-            .into_iter()
-            .partition(|&(_, _, share)| share_bytes(total_bytes, share) == 0);
-
-        let predictions: Vec<Vec<f64>> = queried
-            .chunks(TABLE_BATCH)
-            .collect::<Vec<_>>()
-            .into_par_iter()
-            .map(|chunk| {
-                let mut width = 0;
-                let mut matrix: Vec<f64> = Vec::new();
-                for &(t, a, share) in chunk {
-                    let row = featurize(t, a, share_bytes(total_bytes, share));
-                    width = row.len();
-                    matrix.extend(row);
-                }
-                model
-                    .predict_batch(&matrix, width)
-                    .into_iter()
-                    .map(finish)
-                    .collect()
-            })
-            .collect();
-        self.model_queries
-            .fetch_add(queried.len(), Ordering::Relaxed);
-
-        // a racing worker may have filled an entry meanwhile; the values are identical
-        // (models are deterministic), so first insert wins
-        let mut table = write_lock(table);
-        table.reserve(zeros.len() + queried.len());
-        for key in zeros {
-            table.entry(key).or_insert(0.0);
-        }
-        for (chunk, chunk_predictions) in queried.chunks(TABLE_BATCH).zip(predictions) {
-            for (&key, &time) in chunk.iter().zip(&chunk_predictions) {
-                table.entry(key).or_insert(time);
-            }
-        }
-    }
-
-    /// The wrapped direct evaluator.
-    pub fn inner(&self) -> &PredictionEvaluator {
+    /// The wrapped source.
+    pub fn inner(&self) -> &'a S {
         self.inner
     }
 
     /// Total number of per-device table probes served so far (every energy evaluation
     /// performs one probe for the host plus one per accelerator; a delta re-evaluation
     /// probes only the touched components).  Batched fills and
-    /// [`LazyTabulatedPredictionEvaluator::scan`] probe nothing.
+    /// [`LazyTabulatedEvaluator::scan`] probe nothing.
     pub fn probes(&self) -> usize {
         self.probes.load(Ordering::Relaxed)
     }
 
-    /// Number of boosted-tree model walks performed so far, by probes and batched
-    /// fills alike — the *entire* model cost of the evaluator, bounded by the number
-    /// of distinct `(threads, affinity, share)` triples filled (plus any racing
+    /// Number of source queries — boosted-tree model walks, or side simulations over
+    /// a [`MeasurementEvaluator`] — performed so far, by probes and batched fills
+    /// alike: the *entire* query cost of the evaluator, bounded by the number of
+    /// distinct `(threads, affinity, share)` triples with work filled (plus any racing
     /// duplicate fills under concurrent use).
     pub fn model_queries(&self) -> usize {
-        self.model_queries.load(Ordering::Relaxed)
+        self.queries.load(Ordering::Relaxed)
+    }
+
+    /// Table entries memoized so far per side: the host first, then each
+    /// accelerator.  Idle entries (zero shares) count, though they cost no query.
+    pub fn table_lens(&self) -> Vec<usize> {
+        self.sides
+            .iter()
+            .map(|table| read_lock(table).len())
+            .collect()
     }
 
     /// Total number of table entries memoized so far across the host and all devices.
     pub fn table_len(&self) -> usize {
-        read_lock(&self.host).len()
-            + self
-                .devices
-                .iter()
-                .map(|table| read_lock(table).len())
-                .sum::<usize>()
+        self.table_lens().into_iter().sum()
     }
 
     /// Hit/miss counters at the *per-device probe* granularity: `misses` is the number
-    /// of model walks performed (the real evaluation cost), `hits` every probe
+    /// of source queries performed (the real evaluation cost), `hits` every probe
     /// answered without one (warm table entries and zero-share short-circuits).
     pub fn stats(&self) -> CacheStats {
         let misses = self.model_queries();
@@ -645,127 +760,148 @@ impl<'a> LazyTabulatedPredictionEvaluator<'a> {
         );
     }
 
-    /// Probe one table, filling the entry through `compute` on first touch.
-    /// `compute` returns the time plus whether it walked a model (zero-share entries
-    /// are filled for free).
-    fn probe(
-        &self,
-        table: &RwLock<TimeTable>,
-        key: TableKey,
-        compute: impl FnOnce() -> (f64, bool),
-    ) -> f64 {
+    /// Probe one side's table, querying the source on first touch.
+    fn probe(&self, side: usize, key: SideKey) -> f64 {
         self.probes.fetch_add(1, Ordering::Relaxed);
-        if let Some(&time) = read_lock(table).get(&key) {
+        if let Some(&time) = read_lock(&self.sides[side]).get(&key) {
             return time;
         }
-        let (time, walked_model) = compute();
-        if walked_model {
-            self.model_queries.fetch_add(1, Ordering::Relaxed);
-        }
+        let time = match self.inner.side_time(side, key) {
+            Some(time) => {
+                self.queries.fetch_add(1, Ordering::Relaxed);
+                time
+            }
+            None => 0.0,
+        };
         // a racing worker may have filled the entry while we computed; the values are
-        // identical (models are deterministic), so first insert wins
-        write_lock(table).entry(key).or_insert(time);
+        // identical, so first insert wins
+        write_lock(&self.sides[side]).entry(key).or_insert(time);
         time
     }
 
-    fn host_time(&self, config: &SystemConfiguration) -> f64 {
-        let key = (
-            config.host_threads,
-            config.host_affinity,
-            config.host_permille(),
-        );
-        self.probe(&self.host, key, || {
-            let bytes = share_bytes(self.inner.workload.bytes, key.2);
-            if bytes == 0 {
-                (0.0, false)
-            } else {
-                (self.inner.predict_host(key.0, key.1, bytes), true)
-            }
-        })
-    }
-
-    fn device_time(&self, index: usize, device: DeviceSetting) -> f64 {
-        let key = (device.threads, device.affinity, device.permille);
-        self.probe(&self.devices[index], key, || {
-            let bytes = share_bytes(self.inner.workload.bytes, device.permille);
-            if bytes == 0 {
-                (0.0, false)
-            } else {
-                (
-                    self.inner
-                        .predict_device_on(index, device.threads, device.affinity, bytes),
-                    true,
-                )
-            }
-        })
-    }
-
-    fn assert_arity(&self, config: &SystemConfiguration) {
-        assert!(
-            config.accelerator_count() <= self.inner.device_models.len(),
-            "configuration describes {} accelerators but only {} device models are trained",
-            config.accelerator_count(),
-            self.inner.device_models.len()
-        );
-    }
-
-    /// Predicted host time plus one predicted time per accelerator, served from (and
-    /// memoized into) the tables — bit-identical to
-    /// [`PredictionEvaluator::evaluate_all_times`].
+    /// The host time plus one time per accelerator, served from (and memoized into)
+    /// the tables — bit-identical to [`PredictionEvaluator::evaluate_all_times`] over
+    /// the models; every side `+∞` for a configuration the source cannot score.
     pub fn evaluate_all_times(&self, config: &SystemConfiguration) -> (f64, Vec<f64>) {
-        self.assert_arity(config);
-        let host = self.host_time(config);
+        if !self.inner.scores(config.accelerator_count()) {
+            return (
+                f64::INFINITY,
+                vec![f64::INFINITY; config.accelerator_count()],
+            );
+        }
+        let host = self.probe(0, host_key(config));
         let devices = config
             .devices()
             .iter()
             .enumerate()
-            .map(|(index, &device)| self.device_time(index, device))
+            .map(|(index, &device)| self.probe(index + 1, device_key(device)))
             .collect();
         (host, devices)
     }
 
     /// The optimization energy `E = max(T_host, max_d T_d)` by memoized table probe +
     /// max-composition — the same fold, in the same order, as
-    /// [`PredictionEvaluator::energy`].
+    /// [`PredictionEvaluator::energy`] and [`HeterogeneousPlatform::execute`].
     pub fn energy(&self, config: &SystemConfiguration) -> f64 {
-        let (host, devices) = self.evaluate_all_times(config);
-        let device = devices.into_iter().fold(0.0, f64::max);
+        if !self.inner.scores(config.accelerator_count()) {
+            return f64::INFINITY;
+        }
+        let host = self.probe(0, host_key(config));
+        let device = config
+            .devices()
+            .iter()
+            .enumerate()
+            .map(|(index, &device)| self.probe(index + 1, device_key(device)))
+            .fold(0.0, f64::max);
         host.max(device)
     }
 
-    /// Exhaustive search over `grid`, by index — EML's path in [`crate::MethodRunner`].
+    /// Fill every entry of `space`'s axes the tables do not hold yet, one batched
+    /// [`SideTimes::side_times`] call per side.
+    fn fill(&self, space: &ConfigurationSpace) {
+        if !self.inner.scores(space.accelerator_count()) {
+            return;
+        }
+        // every (threads, affinity) of an axis against the distinct share values of
+        // its simplex position (column 0 is the host)
+        let keys = |threads: &[u32], affinities: &[Affinity], position: usize| {
+            let mut shares: Vec<u32> = space.splits().iter().map(|split| split[position]).collect();
+            shares.sort_unstable();
+            shares.dedup();
+            let mut keys = Vec::with_capacity(threads.len() * affinities.len() * shares.len());
+            for &t in threads {
+                for &a in affinities {
+                    keys.extend(shares.iter().map(|&share| (t, a, share)));
+                }
+            }
+            keys
+        };
+        self.fill_side(0, keys(&space.host_threads, &space.host_affinities, 0));
+        for (index, axis) in space.device_axes.iter().enumerate() {
+            self.fill_side(index + 1, keys(&axis.threads, &axis.affinities, index + 1));
+        }
+    }
+
+    /// Fill the `keys` one side's table does not hold yet, computed outside the lock.
+    fn fill_side(&self, side: usize, keys: Vec<SideKey>) {
+        let missing: Vec<SideKey> = {
+            let table = read_lock(&self.sides[side]);
+            keys.into_iter()
+                .filter(|key| !table.contains_key(key))
+                .collect()
+        };
+        if missing.is_empty() {
+            return;
+        }
+        let times = self.inner.side_times(side, &missing);
+        self.queries
+            .fetch_add(times.iter().flatten().count(), Ordering::Relaxed);
+        // a racing worker may have filled an entry meanwhile; first insert wins
+        let mut table = write_lock(&self.sides[side]);
+        table.reserve(missing.len());
+        for (key, time) in missing.into_iter().zip(times) {
+            table.entry(key).or_insert(time.unwrap_or(0.0));
+        }
+    }
+
+    /// Exhaustive search over `grid`, by index — EML's path over the models and EM's
+    /// over measured tables in [`crate::MethodRunner`].
     ///
     /// First fills the grid's missing table entries in batches, as
-    /// [`LazyTabulatedPredictionEvaluator::prefill`] does.  Then the grid is visited in
+    /// [`LazyTabulatedEvaluator::prefill`] does.  Then the grid is visited in
     /// [`SearchSpace::config_at`] order — host threads, host affinity, then each
     /// device's threads and affinity, the split fastest — without building a
     /// configuration per point: under one read guard per table, one row of times over
     /// the splits is read per `(threads, affinity)` of every axis, the device rows are
     /// max-folded per device combination, and each point is the host row against one
-    /// fold.  The composition is [`LazyTabulatedPredictionEvaluator::energy`]'s,
-    /// operation for operation, and the reduction is [`better_indexed`], so the
-    /// outcome (index, configuration, energy bits, evaluation count) equals
+    /// fold.  The composition is [`LazyTabulatedEvaluator::energy`]'s, operation for
+    /// operation, and the reduction is [`better_indexed`], so the outcome (index,
+    /// configuration, energy bits, evaluation count) equals
     /// [`wd_opt::ParallelEnumeration::run_indexed`] over this evaluator or over the
-    /// direct [`PredictionEvaluator`].  Only the winner is built, through `config_at`.
-    /// The scan counts no probes; its model cost is the fill's, in `model_queries`.
+    /// direct source.  Only the winner is built, through `config_at`.  The scan counts
+    /// no probes; its query cost is the fill's, in `model_queries`.  Over a grid the
+    /// source cannot score, every point is `+∞` and the first one wins.
     ///
     /// # Errors
     ///
     /// [`EnumerationError::Empty`] for a grid without configurations, and
     /// [`EnumerationError::MissingConfig`] if the grid cannot build its winner.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grid` describes more accelerators than the evaluator has models for.
     pub fn scan(
         &self,
         grid: &ConfigurationSpace,
     ) -> Result<IndexedOutcome<SystemConfiguration>, EnumerationError> {
+        if !self.inner.scores(grid.accelerator_count()) {
+            let evaluations = grid.space_len().unwrap_or(0);
+            if evaluations == 0 {
+                return Err(EnumerationError::Empty);
+            }
+            return indexed_outcome(grid, (0, f64::INFINITY), evaluations);
+        }
         self.fill(grid);
         // the device max-fold of every device combination, last device fastest
         let mut folds: Vec<Vec<f64>> = vec![vec![0.0; grid.splits().len()]];
         for (index, axis) in grid.device_axes.iter().enumerate() {
-            let table = read_lock(&self.devices[index]);
+            let table = read_lock(&self.sides[index + 1]);
             let rows = axis_rows(
                 grid.splits(),
                 &axis.threads,
@@ -782,7 +918,7 @@ impl<'a> LazyTabulatedPredictionEvaluator<'a> {
                 })
                 .collect();
         }
-        let table = read_lock(&self.host);
+        let table = read_lock(&self.sides[0]);
         let hosts = axis_rows(
             grid.splits(),
             &grid.host_threads,
@@ -802,19 +938,28 @@ impl<'a> LazyTabulatedPredictionEvaluator<'a> {
             .enumerate()
             .reduce(better_indexed)
             .ok_or(EnumerationError::Empty)?;
-        let best_config = grid
-            .config_at(best.0)
-            .ok_or(EnumerationError::MissingConfig { index: best.0 })?;
-        Ok(IndexedOutcome {
-            best_index: best.0,
-            outcome: Outcome {
-                best_config,
-                best_energy: best.1,
-                evaluations: hosts.len() * folds.len() * grid.splits().len(),
-                trace: OptimizationTrace::new(),
-            },
-        })
+        indexed_outcome(grid, best, hosts.len() * folds.len() * grid.splits().len())
     }
+}
+
+/// The outcome of a scan whose best is `best`, building only the winner.
+fn indexed_outcome(
+    grid: &ConfigurationSpace,
+    best: (usize, f64),
+    evaluations: usize,
+) -> Result<IndexedOutcome<SystemConfiguration>, EnumerationError> {
+    let best_config = grid
+        .config_at(best.0)
+        .ok_or(EnumerationError::MissingConfig { index: best.0 })?;
+    Ok(IndexedOutcome {
+        best_index: best.0,
+        outcome: Outcome {
+            best_config,
+            best_energy: best.1,
+            evaluations,
+            trace: OptimizationTrace::new(),
+        },
+    })
 }
 
 /// One row of times over `splits` (at simplex `position`) per `(threads, affinity)`
@@ -838,7 +983,7 @@ fn axis_rows(
         .collect()
 }
 
-impl Objective<SystemConfiguration> for LazyTabulatedPredictionEvaluator<'_> {
+impl<S: SideTimes> Objective<SystemConfiguration> for LazyTabulatedEvaluator<'_, S> {
     fn evaluate(&self, config: &SystemConfiguration) -> f64 {
         self.energy(config)
     }
@@ -846,8 +991,8 @@ impl Objective<SystemConfiguration> for LazyTabulatedPredictionEvaluator<'_> {
 
 /// Incremental evaluation over the memoized tables: an accepted move re-probes only
 /// the touched components, so long walks cost O(1) probes per move and amortized
-/// zero model queries.
-impl DeltaObjective<SystemConfiguration> for LazyTabulatedPredictionEvaluator<'_> {
+/// zero queries.
+impl<S: SideTimes> DeltaObjective<SystemConfiguration> for LazyTabulatedEvaluator<'_, S> {
     type State = PredictedTimes;
 
     fn evaluate_with_state(&self, config: &SystemConfiguration) -> (f64, PredictedTimes) {
@@ -863,14 +1008,16 @@ impl DeltaObjective<SystemConfiguration> for LazyTabulatedPredictionEvaluator<'_
         config: &SystemConfiguration,
         touched: &Touched,
     ) -> (f64, PredictedTimes) {
-        self.assert_arity(config);
+        if !self.inner.scores(config.accelerator_count()) {
+            return self.evaluate_with_state(config);
+        }
         recompose_move(
             base,
             state,
             config,
             touched,
-            || self.host_time(config),
-            |index, device| self.device_time(index, device),
+            || self.probe(0, host_key(config)),
+            |index, device| self.probe(index + 1, device_key(device)),
         )
     }
 }
@@ -899,7 +1046,7 @@ mod tests {
             Affinity::Balanced,
             60,
         );
-        let (host, device) = evaluator.evaluate_times(&cfg);
+        let (host, device) = evaluator.evaluate_times(&cfg).unwrap();
         assert!(host > 0.0 && device > 0.0);
         assert_eq!(evaluator.energy(&cfg), host.max(device));
     }
@@ -908,12 +1055,12 @@ mod tests {
     fn host_only_and_device_only_have_one_sided_times() {
         let evaluator = evaluator();
         let host_only = SystemConfiguration::host_only_baseline();
-        let (host, device) = evaluator.evaluate_times(&host_only);
+        let (host, device) = evaluator.evaluate_times(&host_only).unwrap();
         assert!(host > 0.0);
         assert_eq!(device, 0.0);
 
         let device_only = SystemConfiguration::device_only_baseline();
-        let (host, device) = evaluator.evaluate_times(&device_only);
+        let (host, device) = evaluator.evaluate_times(&device_only).unwrap();
         assert_eq!(host, 0.0);
         assert!(device > 0.0);
     }

@@ -18,9 +18,12 @@ use rayon::prelude::*;
 use wd_ml::BoostingParams;
 
 use crate::config::{ConfigurationSpace, SystemConfiguration};
-use crate::evaluator::MeasurementEvaluator;
+use crate::evaluator::{LazyTabulatedEvaluator, MeasurementEvaluator};
 use crate::methods::{MethodKind, MethodOutcome, MethodRunner};
 use crate::training::{TrainedModels, TrainingCampaign};
+
+/// One study case's measured per-side tables, shared by its EM and SAM runs.
+pub(crate) type MeasuredTables<'a> = LazyTabulatedEvaluator<'a, MeasurementEvaluator>;
 
 /// The iteration budgets reported in the paper's Tables VI–IX and Fig. 9.
 pub fn paper_iteration_budgets() -> Vec<usize> {
@@ -272,8 +275,9 @@ impl ConvergenceStudy {
         )
     }
 
-    /// The study engine shared by the genome, workload and sharded drivers: EM/EML
-    /// through the default [`MethodRunner`] enumeration path.
+    /// The study engine shared by the genome and workload drivers: EM/EML through the
+    /// default [`MethodRunner`] enumeration path, EM over the case's shared measured
+    /// tables.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_cases_scaled(
         platform: &HeterogeneousPlatform,
@@ -285,8 +289,8 @@ impl ConvergenceStudy {
         grid: &ConfigurationSpace,
         space: &ConfigurationSpace,
     ) -> Self {
-        let reference = |workload: &WorkloadProfile, case_seed: u64, method: MethodKind| {
-            MethodRunner::new(platform, workload, Some(models), case_seed)
+        let reference = |tables: &MeasuredTables<'_>, case_seed: u64, method: MethodKind| {
+            MethodRunner::from_tables(tables, Some(models), case_seed)
                 .with_grid(grid.clone())
                 .with_space(space.clone())
                 .run(method, 0)
@@ -300,6 +304,10 @@ impl ConvergenceStudy {
     /// The innermost engine: the caller supplies how the enumeration references (EM
     /// and EML) are produced — the sharded driver routes them through a
     /// `wd_dist::ShardedCampaign` — while the annealing methods always run locally.
+    ///
+    /// Each case's EM reference (when the caller runs it over the tables it is given)
+    /// and its SAM runs share one set of measured per-side tables, so each side
+    /// simulation is paid once per case.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_cases(
         platform: &HeterogeneousPlatform,
@@ -310,14 +318,14 @@ impl ConvergenceStudy {
         repeats: usize,
         grid: &ConfigurationSpace,
         space: &ConfigurationSpace,
-        reference: &(dyn Fn(&WorkloadProfile, u64, MethodKind) -> MethodOutcome + Sync),
+        reference: &(dyn Fn(&MeasuredTables<'_>, u64, MethodKind) -> MethodOutcome + Sync),
     ) -> Self {
         let repeats = repeats.max(1);
 
         // run one method at every budget, `repeats` times in parallel (each annealing
         // repeat has an independent seed, so repeats are order-independent), keeping
         // the run with the median measured execution time
-        let run_annealer = |workload: &WorkloadProfile, method: MethodKind, case_seed: u64| {
+        let run_annealer = |tables: &MeasuredTables<'_>, method: MethodKind, case_seed: u64| {
             budgets
                 .iter()
                 .map(|&budget| {
@@ -327,7 +335,7 @@ impl ConvergenceStudy {
                         .map(|repeat| {
                             let run_seed =
                                 case_seed ^ (repeat as u64).wrapping_mul(0xA076_1D64_78BD_642F);
-                            MethodRunner::new(platform, workload, Some(models), run_seed)
+                            MethodRunner::from_tables(tables, Some(models), run_seed)
                                 .with_grid(grid.clone())
                                 .with_space(space.clone())
                                 .run(method, budget)
@@ -344,12 +352,13 @@ impl ConvergenceStudy {
             .iter()
             .map(|(label, genome, workload)| {
                 let case_seed = seed ^ label_seed(label);
-                let em = reference(workload, case_seed, MethodKind::Em);
-                let eml = reference(workload, case_seed, MethodKind::Eml);
-                let sam = run_annealer(workload, MethodKind::Sam, case_seed);
-                let saml = run_annealer(workload, MethodKind::Saml, case_seed);
-                let gaml = run_annealer(workload, MethodKind::Gaml, case_seed);
                 let measurement = MeasurementEvaluator::new(platform.clone(), workload.clone());
+                let tables = measurement.lazy_tabulated();
+                let em = reference(&tables, case_seed, MethodKind::Em);
+                let eml = reference(&tables, case_seed, MethodKind::Eml);
+                let sam = run_annealer(&tables, MethodKind::Sam, case_seed);
+                let saml = run_annealer(&tables, MethodKind::Saml, case_seed);
+                let gaml = run_annealer(&tables, MethodKind::Gaml, case_seed);
                 use wd_opt::Objective as _;
                 let accelerators = platform.accelerator_count();
                 let baselines = measurement.evaluate_batch(&[

@@ -22,14 +22,14 @@
 //!
 //! Both evaluators ([`MeasurementEvaluator`], [`PredictionEvaluator`]) implement the
 //! single [`wd_opt::Objective`] trait — there is no separate evaluator hierarchy.
-//! Enumeration is uncached, because it never visits a configuration twice: EM scores
-//! the grid through the batched [`wd_opt::ParallelEnumeration`] path, which reaches
-//! the simulator's rayon-parallel `execute_many`.  One tabulating evaluator,
-//! [`LazyTabulatedPredictionEvaluator`], holds the per-device time tables behind every
-//! prediction method: EML fills them in batches and scans them by index
-//! ([`LazyTabulatedPredictionEvaluator::scan`]), SAML and GAML fill them on first
-//! touch.  Only SAM memoises whole configurations, behind a
-//! [`wd_opt::CachedObjective`].  Every method's hit/miss counters are surfaced
+//! Both are separable per side, and one tabulating evaluator,
+//! [`LazyTabulatedEvaluator`] over a [`SideTimes`] source, holds the per-side time
+//! tables behind every method: EM and EML fill measured and predicted tables in
+//! batches and scan them by index ([`LazyTabulatedEvaluator::scan`]) — enumeration
+//! is uncached at the configuration level, because it never visits a configuration
+//! twice — and SAML and GAML fill prediction tables on first touch.  Only SAM
+//! memoises whole configurations, behind a [`wd_opt::CachedObjective`] whose misses
+//! are measured-table probes.  Every method's hit/miss counters are surfaced
 //! on [`methods::MethodOutcome::cache`].  The training campaign likewise runs as
 //! parallel batches.  All parallel paths are bit-identical to their sequential
 //! counterparts.
@@ -66,7 +66,8 @@ pub use autotuner::Autotuner;
 pub use config::{ConfigurationSpace, DeviceAxis, DeviceSetting, SystemConfiguration};
 pub use dist::{campaign_context, run_enumeration_sharded};
 pub use evaluator::{
-    LazyTabulatedPredictionEvaluator, MeasurementEvaluator, PredictedTimes, PredictionEvaluator,
+    LazyTabulatedEvaluator, LazyTabulatedPredictionEvaluator, MeasurementEvaluator, PredictedTimes,
+    PredictionEvaluator, SideKey, SideTimes,
 };
 pub use experiments::{workload_mix, CaseConvergence, ConvergenceStudy};
 pub use methods::{MethodKind, MethodOutcome, MethodProperties, MethodRunner};

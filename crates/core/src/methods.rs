@@ -7,12 +7,10 @@ use std::time::Instant;
 
 use hetero_platform::{ExecutionStats, HeterogeneousPlatform, WorkloadProfile};
 use wd_obs::{FieldValue, NoopRecorder, Recorder};
-use wd_opt::{
-    CacheStats, CachedObjective, GeneticAlgorithm, Outcome, ParallelEnumeration, SimulatedAnnealing,
-};
+use wd_opt::{CacheStats, CachedObjective, GeneticAlgorithm, Outcome, SimulatedAnnealing};
 
 use crate::config::{ConfigurationSpace, SystemConfiguration};
-use crate::evaluator::MeasurementEvaluator;
+use crate::evaluator::{LazyTabulatedEvaluator, MeasurementEvaluator};
 use crate::training::TrainedModels;
 
 /// One of the paper's optimization methods.
@@ -147,12 +145,15 @@ pub struct MethodOutcome {
     ///
     /// * EM/EML enumerate uncached — a grid point is never visited twice — so the
     ///   counters are `{hits: 0, misses: evaluations}`: every grid point is one of
-    ///   the paper's "experiments";
+    ///   the paper's "experiments", even though the scan behind it composes each
+    ///   point from per-side tables (measured for EM, predicted for EML);
     /// * SAM, the only method that memoizes whole configurations
     ///   ([`wd_opt::CachedObjective`]): `misses` is the number of distinct
-    ///   configurations evaluated;
+    ///   configurations evaluated — the paper's cost — each one a probe of the
+    ///   measured tables, which simulate a side only on its first touch
+    ///   ([`crate::LazyTabulatedEvaluator::model_queries`] counts those);
     /// * SAML/GAML memoize per-device table entries
-    ///   ([`crate::LazyTabulatedPredictionEvaluator::stats`]): `misses` is the number
+    ///   ([`crate::LazyTabulatedEvaluator::stats`]): `misses` is the number
     ///   of boosted-tree model walks, `hits` every per-device probe answered without
     ///   one.
     pub cache: CacheStats,
@@ -175,13 +176,25 @@ impl MethodOutcome {
 }
 
 /// Runs the paper's methods on one workload.
+///
+/// EM and SAM score through measured per-side tables
+/// ([`MeasurementEvaluator::lazy_tabulated`]): fresh ones per run for a runner built
+/// with [`MethodRunner::new`], or one set shared by every runner built with
+/// [`MethodRunner::from_tables`] over them, so each side simulation is paid once.
 pub struct MethodRunner<'a> {
-    platform: &'a HeterogeneousPlatform,
-    workload: &'a WorkloadProfile,
+    measurement: Measured<'a>,
     space: Cow<'a, ConfigurationSpace>,
     grid: Cow<'a, ConfigurationSpace>,
     models: Option<&'a TrainedModels>,
     seed: u64,
+}
+
+/// Where a runner's measured per-side tables live.
+enum Measured<'a> {
+    /// Fresh tables per run over the runner's own evaluator.
+    Own(Box<MeasurementEvaluator>),
+    /// Tables shared with every other runner built over them.
+    Shared(&'a LazyTabulatedEvaluator<'a, MeasurementEvaluator>),
 }
 
 /// The paper's search space and enumeration grid, built once per process: every
@@ -207,10 +220,29 @@ impl<'a> MethodRunner<'a> {
         models: Option<&'a TrainedModels>,
         seed: u64,
     ) -> Self {
+        let measurement = MeasurementEvaluator::new(platform.clone(), workload.clone());
+        Self::with_measurement(Measured::Own(Box::new(measurement)), models, seed)
+    }
+
+    /// Create a runner whose EM and SAM runs score through `tables` — measured
+    /// per-side tables shared with every other run over them, on their evaluator's
+    /// platform and workload — with the paper's search space and enumeration grid.
+    pub fn from_tables(
+        tables: &'a LazyTabulatedEvaluator<'a, MeasurementEvaluator>,
+        models: Option<&'a TrainedModels>,
+        seed: u64,
+    ) -> Self {
+        Self::with_measurement(Measured::Shared(tables), models, seed)
+    }
+
+    fn with_measurement(
+        measurement: Measured<'a>,
+        models: Option<&'a TrainedModels>,
+        seed: u64,
+    ) -> Self {
         let (space, grid) = paper_spaces();
         MethodRunner {
-            platform,
-            workload,
+            measurement,
             space: Cow::Borrowed(space),
             grid: Cow::Borrowed(grid),
             models,
@@ -240,13 +272,16 @@ impl<'a> MethodRunner<'a> {
     ///
     /// Every method evaluates through the unified layer, each on its fast path:
     ///
-    /// * EM enumerates the grid uncached through the batched [`ParallelEnumeration`]
-    ///   path, which reaches the simulator's parallel `execute_many`;
-    /// * EML scans the grid by index over per-device time tables it fills in
-    ///   batches first ([`crate::LazyTabulatedPredictionEvaluator::scan`]), also
-    ///   uncached: no configuration is built per grid point;
+    /// * EM and EML run the same scan
+    ///   ([`crate::LazyTabulatedEvaluator::scan`]): the grid by index over per-side
+    ///   time tables filled in batches first, measured for EM and predicted for
+    ///   EML.  Both are
+    ///   uncached at the configuration level: no configuration is built per grid
+    ///   point, and each grid point counts as one experiment;
     /// * SAM (measurement) runs behind a [`CachedObjective`], the only
-    ///   whole-configuration cache, because annealing revisits configurations;
+    ///   whole-configuration cache, because annealing revisits configurations; each
+    ///   miss is a probe of the runner's measured tables, which simulates only the
+    ///   sides it has not seen before;
     /// * SAML runs the annealer's incremental path
     ///   ([`wd_opt::SimulatedAnnealing::run_delta`]) over the same tables filled on
     ///   first touch ([`crate::LazyTabulatedPredictionEvaluator`]): each move re-scores only the
@@ -260,7 +295,9 @@ impl<'a> MethodRunner<'a> {
     ///
     /// Returns an error message if a prediction-based method is requested without
     /// trained models or with a grid (EML) or space (SAML, GAML) that describes more
-    /// accelerators than the models cover, or if the enumeration grid is empty.
+    /// accelerators than the models cover, if a measurement-based method is given a
+    /// grid (EM) or space (SAM) with a configuration the platform cannot run, if the
+    /// enumeration grid is empty, or if the platform cannot run the winner.
     pub fn run(&self, method: MethodKind, iterations: usize) -> Result<MethodOutcome, String> {
         self.run_observed(method, iterations, &NoopRecorder)
     }
@@ -283,26 +320,31 @@ impl<'a> MethodRunner<'a> {
     ) -> Result<MethodOutcome, String> {
         let started = Instant::now();
         let scope = method.name().to_ascii_lowercase();
-        let measurement = MeasurementEvaluator::new(self.platform.clone(), self.workload.clone());
+        let own;
+        let tables = match &self.measurement {
+            Measured::Own(measurement) => {
+                own = measurement.lazy_tabulated();
+                &own
+            }
+            Measured::Shared(tables) => *tables,
+        };
         let (outcome, cache) = match method {
             MethodKind::Em | MethodKind::Eml => {
                 // Enumeration never revisits a configuration, so it runs uncached and
-                // every evaluation is a distinct experiment.
+                // every evaluation is a distinct experiment.  The energy is separable
+                // per side, so the grid is scored by index from per-side time tables
+                // (Σ axis sizes side queries instead of |grid| × (N + 1)) —
+                // bit-identical to enumerating through one execution or one model
+                // query per side and configuration.
                 let outcome = if method == MethodKind::Em {
-                    ParallelEnumeration::new().try_run(&*self.grid, &measurement)
+                    self.require_runnable(method, &self.grid)?;
+                    tables.scan(&self.grid)
                 } else {
-                    // EML fast path: the energy is separable per device, so the grid
-                    // is scored by index from precomputed per-device time tables
-                    // (Σ axis sizes model queries instead of |grid| × (N + 1)) —
-                    // bit-identical to enumerating through the direct prediction
-                    // evaluator.
                     let models = self.require_models(method, &self.grid)?;
-                    let prediction = models.prediction_evaluator(self.workload.clone());
-                    prediction
-                        .lazy_tabulated()
-                        .scan(&self.grid)
-                        .map(|indexed| indexed.outcome)
+                    let prediction = models.prediction_evaluator(self.workload().clone());
+                    prediction.lazy_tabulated().scan(&self.grid)
                 }
+                .map(|indexed| indexed.outcome)
                 .map_err(|error| format!("{method}: {error}"))?;
                 let cache = CacheStats {
                     hits: 0,
@@ -315,7 +357,8 @@ impl<'a> MethodRunner<'a> {
                 (outcome, cache)
             }
             MethodKind::Sam => {
-                let cached = CachedObjective::new(&measurement);
+                self.require_runnable(method, &self.space)?;
+                let cached = CachedObjective::new(tables);
                 let outcome =
                     self.annealer(iterations)
                         .run_observed(&*self.space, &cached, recorder, &scope);
@@ -329,7 +372,7 @@ impl<'a> MethodRunner<'a> {
                 // direct walk: same RNG stream, same accepted moves, same energies —
                 // only the model cost drops.
                 let models = self.require_models(method, &self.space)?;
-                let prediction = models.prediction_evaluator(self.workload.clone());
+                let prediction = models.prediction_evaluator(self.workload().clone());
                 let lazy = prediction.lazy_tabulated();
                 let outcome = if method == MethodKind::Gaml {
                     self.genetic(iterations).run_delta_observed(
@@ -350,15 +393,18 @@ impl<'a> MethodRunner<'a> {
                 (outcome, lazy.stats())
             }
         };
-        Ok(self.finish(
-            method,
-            outcome,
-            cache,
-            &measurement,
-            recorder,
-            &scope,
-            started,
-        ))
+        self.finish(method, outcome, cache, recorder, &scope, started)
+    }
+
+    fn measurement(&self) -> &MeasurementEvaluator {
+        match &self.measurement {
+            Measured::Own(measurement) => measurement,
+            Measured::Shared(tables) => tables.inner(),
+        }
+    }
+
+    fn workload(&self) -> &WorkloadProfile {
+        self.measurement().workload()
     }
 
     fn genetic(&self, iterations: usize) -> GeneticAlgorithm {
@@ -375,6 +421,18 @@ impl<'a> MethodRunner<'a> {
         // hundredths of a second between neighbouring configurations).
         let seed = self.seed ^ (iterations as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         SimulatedAnnealing::with_budget_and_range(iterations.max(8), 2.0, 0.02, seed)
+    }
+
+    /// Reject a grid or space with a configuration the platform cannot run before
+    /// `method` searches it.
+    fn require_runnable(
+        &self,
+        method: MethodKind,
+        space: &ConfigurationSpace,
+    ) -> Result<(), String> {
+        self.measurement()
+            .check_space(space)
+            .map_err(|error| format!("{method}: {error}"))
     }
 
     /// The trained models `method` predicts with over `space`, which must describe no
@@ -397,18 +455,20 @@ impl<'a> MethodRunner<'a> {
         Ok(models)
     }
 
-    #[allow(clippy::too_many_arguments)] // internal plumbing shared by run/run_observed
+    /// Re-measure the winner with one real execution and assemble the outcome.
     fn finish(
         &self,
         method: MethodKind,
         outcome: Outcome<SystemConfiguration>,
         cache: CacheStats,
-        measurement: &MeasurementEvaluator,
         recorder: &dyn Recorder,
         scope: &str,
         started: Instant,
-    ) -> MethodOutcome {
-        let measured = measurement.measure(&outcome.best_config);
+    ) -> Result<MethodOutcome, String> {
+        let measured = self
+            .measurement()
+            .measure(&outcome.best_config)
+            .map_err(|error| format!("{method}: {error}"))?;
         let measured_energy = measured.t_host.max(measured.t_device);
         if recorder.enabled() {
             measured.stats.publish(recorder, scope);
@@ -425,7 +485,7 @@ impl<'a> MethodRunner<'a> {
                 ],
             );
         }
-        MethodOutcome {
+        Ok(MethodOutcome {
             method,
             best_config: outcome.best_config,
             search_energy: outcome.best_energy,
@@ -434,7 +494,7 @@ impl<'a> MethodRunner<'a> {
             cache,
             stats: measured.stats,
             trace: outcome.trace,
-        }
+        })
     }
 }
 

@@ -1,7 +1,7 @@
 //! Speedup accounting against the CPU-only and accelerator-only baselines
 //! (the paper's Tables VIII and IX).
 
-use hetero_platform::{ExecutionStats, HeterogeneousPlatform, WorkloadProfile};
+use hetero_platform::{ExecutionStats, HeterogeneousPlatform, PlatformError, WorkloadProfile};
 
 use crate::config::SystemConfiguration;
 use crate::evaluator::MeasurementEvaluator;
@@ -28,24 +28,29 @@ impl SpeedupReport {
     /// Measure the baselines for `workload` on `platform` and compare them with a
     /// combined execution time obtained elsewhere.  The baselines' full
     /// [`ExecutionStats`] breakdowns are kept on the report.
+    ///
+    /// # Errors
+    ///
+    /// The [`PlatformError`] of a baseline the platform cannot run (e.g. for an empty
+    /// workload).
     pub fn for_combined_time(
         platform: &HeterogeneousPlatform,
         workload: &WorkloadProfile,
         combined_seconds: f64,
-    ) -> Self {
+    ) -> Result<Self, PlatformError> {
         let accelerators = platform.accelerator_count();
         let evaluator = MeasurementEvaluator::new(platform.clone(), workload.clone());
         let host_only =
-            evaluator.measure(&SystemConfiguration::host_only_baseline_for(accelerators));
+            evaluator.measure(&SystemConfiguration::host_only_baseline_for(accelerators))?;
         let device_only =
-            evaluator.measure(&SystemConfiguration::device_only_baseline_for(accelerators));
-        SpeedupReport {
+            evaluator.measure(&SystemConfiguration::device_only_baseline_for(accelerators))?;
+        Ok(SpeedupReport {
             host_only_seconds: host_only.t_host.max(host_only.t_device),
             device_only_seconds: device_only.t_host.max(device_only.t_device),
             combined_seconds,
             host_stats: Some(host_only.stats),
             device_stats: Some(device_only.stats),
-        }
+        })
     }
 
     /// Speedup of the combined execution over the host-only baseline (Table VIII).
@@ -89,7 +94,7 @@ mod tests {
             hetero_platform::Affinity::Balanced,
             65,
         ));
-        let report = SpeedupReport::for_combined_time(&platform, &workload, combined);
+        let report = SpeedupReport::for_combined_time(&platform, &workload, combined).unwrap();
         // Paper: 1.37–1.95× over host-only and 1.64–2.36× over device-only.
         assert!(
             report.speedup_vs_host() > 1.15 && report.speedup_vs_host() < 2.3,
@@ -142,7 +147,7 @@ mod tests {
     fn baselines_follow_the_platform_accelerator_count() {
         let platform = HeterogeneousPlatform::emil_with_gpu().without_noise();
         let workload = Genome::Human.workload();
-        let report = SpeedupReport::for_combined_time(&platform, &workload, 0.4);
+        let report = SpeedupReport::for_combined_time(&platform, &workload, 0.4).unwrap();
         assert!(report.host_only_seconds > 0.0);
         assert!(report.device_only_seconds > 0.0);
         assert!(report.speedup_vs_host().is_finite());

@@ -17,7 +17,7 @@ use crate::device::{DeviceKind, DeviceSpec};
 use crate::error::PlatformError;
 use crate::noise::NoiseModel;
 use crate::offload::OffloadModel;
-use crate::perf_model::PerfModel;
+use crate::perf_model::{ComputeBreakdown, PerfModel};
 use crate::workload::WorkloadProfile;
 
 /// Thread count and affinity for one device — the per-device half of a *system
@@ -180,6 +180,14 @@ pub struct Measurement {
     pub stats: ExecutionStats,
 }
 
+/// One side's simulated run: its time plus the parts of it
+/// [`HeterogeneousPlatform::execute`] folds into the [`ExecutionStats`].
+struct SideRun {
+    time: f64,
+    compute: ComputeBreakdown,
+    transfer: f64,
+}
+
 /// A simulated heterogeneous node.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HeterogeneousPlatform {
@@ -268,6 +276,11 @@ impl HeterogeneousPlatform {
     /// total time is the maximum of the per-device times; the device time includes the
     /// offload launch overhead and PCIe transfers, with the input transfer overlapping
     /// device compute (double-buffered streaming).
+    ///
+    /// Each side's time depends only on that side's own threads, affinity and share:
+    /// `t_host` is exactly [`HeterogeneousPlatform::host_time`] and each accelerator's
+    /// time exactly [`HeterogeneousPlatform::device_time`] for the same inputs, which
+    /// is what lets a caller tabulate the simulator side by side.
     pub fn execute(
         &self,
         workload: &WorkloadProfile,
@@ -279,31 +292,18 @@ impl HeterogeneousPlatform {
 
         let mut stats = ExecutionStats::default();
 
-        // --- host side -----------------------------------------------------------
         let host_share = workload.fraction(partition.host_fraction());
-        let t_host = if host_share.is_empty() {
-            0.0
-        } else {
-            let breakdown = self.perf.compute_time(
-                &self.host,
-                host_cfg.affinity,
-                host_cfg.threads,
-                &host_share,
-            );
-            stats.host_bytes = host_share.bytes;
-            stats.host_threads = host_cfg.threads;
-            stats.host_rate = breakdown.aggregate_rate;
-            stats.host_compute_seconds = breakdown.parallel + breakdown.serial;
-            let noise = self.noise.factor(&[
-                0x01,
-                u64::from(host_cfg.threads),
-                host_cfg.affinity as u64,
-                host_share.bytes,
-            ]);
-            breakdown.total() * noise
+        let t_host = match self.host_run(&host_share, host_cfg) {
+            None => 0.0,
+            Some(run) => {
+                stats.host_bytes = host_share.bytes;
+                stats.host_threads = host_cfg.threads;
+                stats.host_rate = run.compute.aggregate_rate;
+                stats.host_compute_seconds = run.compute.parallel + run.compute.serial;
+                run.time
+            }
         };
 
-        // --- accelerator side ----------------------------------------------------
         let mut t_device_max: f64 = 0.0;
         for (idx, accel) in self.accelerators.iter().enumerate() {
             let fraction = partition
@@ -312,46 +312,19 @@ impl HeterogeneousPlatform {
                 .copied()
                 .unwrap_or(0.0);
             let share = workload.fraction(fraction);
-            if share.is_empty() {
-                continue;
-            }
             let cfg = device_cfgs[idx];
-            let breakdown = self
-                .perf
-                .compute_time(accel, cfg.affinity, cfg.threads, &share);
-            let result_bytes =
-                (share.bytes as f64 * share.result_bytes_per_input_byte).ceil() as u64;
-            let transfer_in = self.offload.transfer_to_device(share.bytes);
-            let transfer_back = self.offload.transfer_to_host(result_bytes);
-
-            // The input stream is double-buffered: chunks are scanned while the next
-            // chunk is in flight, so transfer and compute overlap.
-            let overlapped = breakdown.parallel.max(transfer_in);
-            let t_device = self.offload.launch_overhead_s
-                + breakdown.setup
-                + breakdown.serial
-                + breakdown.spawn
-                + overlapped
-                + transfer_back;
-
-            let noise = self.noise.factor(&[
-                0x10 + idx as u64,
-                u64::from(cfg.threads),
-                cfg.affinity as u64,
-                share.bytes,
-            ]);
-            let t_device = t_device * noise;
-
+            let Some(run) = self.device_run(idx, accel, &share, &cfg) else {
+                continue;
+            };
             stats.device_bytes += share.bytes;
             stats.device_threads += cfg.threads;
-            stats.device_rate += breakdown.aggregate_rate;
-            stats.transfer_seconds += transfer_in + transfer_back;
+            stats.device_rate += run.compute.aggregate_rate;
+            stats.transfer_seconds += run.transfer;
             stats.launch_seconds += self.offload.launch_overhead_s;
             stats.device_compute_seconds = stats
                 .device_compute_seconds
-                .max(breakdown.parallel + breakdown.serial);
-
-            t_device_max = t_device_max.max(t_device);
+                .max(run.compute.parallel + run.compute.serial);
+            t_device_max = t_device_max.max(run.time);
         }
 
         Ok(Measurement {
@@ -359,6 +332,118 @@ impl HeterogeneousPlatform {
             t_device: t_device_max,
             t_total: t_host.max(t_device_max),
             stats,
+        })
+    }
+
+    /// The host's time for running `fraction` of `workload` under `cfg` — the
+    /// `t_host` [`HeterogeneousPlatform::execute`] reports for any partition with
+    /// that host fraction, bit for bit (0 when the share holds no bytes).
+    ///
+    /// # Errors
+    ///
+    /// [`PlatformError::EmptyWorkload`] for a zero-byte workload; when `fraction > 0`,
+    /// the error `execute` reports for a host configuration that cannot run.
+    pub fn host_time(
+        &self,
+        workload: &WorkloadProfile,
+        fraction: f64,
+        cfg: &ExecutionConfig,
+    ) -> Result<f64, PlatformError> {
+        Self::check_workload(workload)?;
+        if fraction > 0.0 {
+            self.validate_host(cfg)?;
+        }
+        Ok(self
+            .host_run(&workload.fraction(fraction), cfg)
+            .map_or(0.0, |run| run.time))
+    }
+
+    /// Accelerator `index`'s time for running `fraction` of `workload` under `cfg`,
+    /// offload included — the time [`HeterogeneousPlatform::execute`] folds into
+    /// `t_device` for that accelerator, bit for bit (0 when the share holds no bytes).
+    ///
+    /// # Errors
+    ///
+    /// [`PlatformError::InvalidPartition`] for an index the platform has no
+    /// accelerator for, [`PlatformError::EmptyWorkload`] for a zero-byte workload;
+    /// when `fraction > 0`, the error `execute` reports for a device configuration
+    /// that cannot run.
+    pub fn device_time(
+        &self,
+        index: usize,
+        workload: &WorkloadProfile,
+        fraction: f64,
+        cfg: &ExecutionConfig,
+    ) -> Result<f64, PlatformError> {
+        let accel = self.accelerator(index)?;
+        Self::check_workload(workload)?;
+        if fraction > 0.0 {
+            self.validate_device(accel, cfg)?;
+        }
+        Ok(self
+            .device_run(index, accel, &workload.fraction(fraction), cfg)
+            .map_or(0.0, |run| run.time))
+    }
+
+    /// The host's side of one execution, `None` for an empty share.
+    fn host_run(&self, share: &WorkloadProfile, cfg: &ExecutionConfig) -> Option<SideRun> {
+        if share.is_empty() {
+            return None;
+        }
+        let compute = self
+            .perf
+            .compute_time(&self.host, cfg.affinity, cfg.threads, share);
+        let noise = self.noise.factor(&[
+            0x01,
+            u64::from(cfg.threads),
+            cfg.affinity as u64,
+            share.bytes,
+        ]);
+        Some(SideRun {
+            time: compute.total() * noise,
+            compute,
+            transfer: 0.0,
+        })
+    }
+
+    /// Accelerator `idx`'s side of one execution, `None` for an empty share.
+    fn device_run(
+        &self,
+        idx: usize,
+        accel: &DeviceSpec,
+        share: &WorkloadProfile,
+        cfg: &ExecutionConfig,
+    ) -> Option<SideRun> {
+        if share.is_empty() {
+            return None;
+        }
+        let compute = self
+            .perf
+            .compute_time(accel, cfg.affinity, cfg.threads, share);
+        let result_bytes = (share.bytes as f64 * share.result_bytes_per_input_byte).ceil() as u64;
+        let transfer_in = self.offload.transfer_to_device(share.bytes);
+        let transfer_back = self.offload.transfer_to_host(result_bytes);
+
+        // The input stream is double-buffered: chunks are scanned while the next
+        // chunk is in flight, so transfer and compute overlap.
+        let overlapped = compute.parallel.max(transfer_in);
+        let time = self.offload.launch_overhead_s
+            + compute.setup
+            + compute.serial
+            + compute.spawn
+            + overlapped
+            + transfer_back;
+
+        let noise = self.noise.factor(&[
+            0x10 + idx as u64,
+            u64::from(cfg.threads),
+            cfg.affinity as u64,
+            share.bytes,
+        ]);
+        Some(SideRun {
+            time: time * noise,
+            compute,
+            transfer: transfer_in + transfer_back,
         })
     }
 
@@ -451,9 +536,7 @@ impl HeterogeneousPlatform {
         host_cfg: &ExecutionConfig,
         device_cfgs: &[ExecutionConfig],
     ) -> Result<(), PlatformError> {
-        if workload.bytes == 0 {
-            return Err(PlatformError::EmptyWorkload);
-        }
+        Self::check_workload(workload)?;
         if partition.accelerator_count() != self.accelerators.len() {
             return Err(PlatformError::InvalidPartition {
                 reason: format!(
@@ -477,13 +560,56 @@ impl HeterogeneousPlatform {
         }
 
         if partition.host_fraction() > 0.0 {
-            self.validate_device(&self.host, host_cfg)?;
+            self.validate_host(host_cfg)?;
         }
         for (idx, accel) in self.accelerators.iter().enumerate() {
             let fraction = partition.device_fractions()[idx];
             if fraction > 0.0 {
                 self.validate_device(accel, &device_cfgs[idx])?;
             }
+        }
+        Ok(())
+    }
+
+    /// Check that the host can run `cfg`: the validation
+    /// [`HeterogeneousPlatform::execute`] applies to a host that receives work.
+    ///
+    /// # Errors
+    ///
+    /// The error `execute` reports for that host configuration.
+    pub fn validate_host(&self, cfg: &ExecutionConfig) -> Result<(), PlatformError> {
+        self.validate_device(&self.host, cfg)
+    }
+
+    /// Check that accelerator `index` exists and can run `cfg`: the validation
+    /// [`HeterogeneousPlatform::execute`] applies to an accelerator that receives work.
+    ///
+    /// # Errors
+    ///
+    /// [`PlatformError::InvalidPartition`] for an index the platform has no
+    /// accelerator for, else the error `execute` reports for that configuration.
+    pub fn validate_accelerator(
+        &self,
+        index: usize,
+        cfg: &ExecutionConfig,
+    ) -> Result<(), PlatformError> {
+        self.validate_device(self.accelerator(index)?, cfg)
+    }
+
+    fn accelerator(&self, index: usize) -> Result<&DeviceSpec, PlatformError> {
+        self.accelerators
+            .get(index)
+            .ok_or_else(|| PlatformError::InvalidPartition {
+                reason: format!(
+                    "accelerator {index} does not exist (the platform has {})",
+                    self.accelerators.len()
+                ),
+            })
+    }
+
+    fn check_workload(workload: &WorkloadProfile) -> Result<(), PlatformError> {
+        if workload.bytes == 0 {
+            return Err(PlatformError::EmptyWorkload);
         }
         Ok(())
     }
@@ -893,6 +1019,48 @@ mod tests {
             results[1],
             Err(PlatformError::TooManyThreads { .. })
         ));
+    }
+
+    #[test]
+    fn per_side_times_compose_execute_bit_for_bit() {
+        let platform = HeterogeneousPlatform::emil_with_gpu();
+        let workload = human();
+        let gpu = ExecutionConfig::new(448, Affinity::Balanced);
+        let m = platform
+            .execute(
+                &workload,
+                &Partition::new(vec![0.5, 0.3, 0.2]).unwrap(),
+                &host48(),
+                &[phi240(), gpu],
+            )
+            .unwrap();
+        let host = platform.host_time(&workload, 0.5, &host48()).unwrap();
+        let phi = platform.device_time(0, &workload, 0.3, &phi240()).unwrap();
+        let gpu = platform.device_time(1, &workload, 0.2, &gpu).unwrap();
+        assert_eq!(m.t_host.to_bits(), host.to_bits());
+        assert_eq!(m.t_device.to_bits(), phi.max(gpu).to_bits());
+
+        // an idle side reports 0 and, as in `execute`, is not validated
+        let invalid = ExecutionConfig::new(0, Affinity::None);
+        assert_eq!(platform.host_time(&workload, 0.0, &invalid), Ok(0.0));
+        assert_eq!(platform.device_time(1, &workload, 0.0, &invalid), Ok(0.0));
+        // a side with work reports `execute`'s errors
+        let too_many = ExecutionConfig::new(64, Affinity::Scatter);
+        assert!(matches!(
+            platform.host_time(&workload, 0.5, &too_many),
+            Err(PlatformError::TooManyThreads { .. })
+        ));
+        assert!(matches!(
+            platform.device_time(0, &workload.fraction(0.0), 0.5, &phi240()),
+            Err(PlatformError::EmptyWorkload)
+        ));
+        assert!(matches!(
+            platform.device_time(2, &workload, 0.5, &phi240()),
+            Err(PlatformError::InvalidPartition { .. })
+        ));
+        assert!(platform.validate_accelerator(2, &phi240()).is_err());
+        assert!(platform.validate_host(&too_many).is_err());
+        assert!(platform.validate_host(&host48()).is_ok());
     }
 
     #[test]

@@ -19,7 +19,9 @@ fn tune(label: &str, workload: WorkloadProfile) {
     let outcome = tuner
         .run(MethodKind::Sam, 1200)
         .expect("SAM needs no models");
-    let speedup = tuner.speedup(&outcome);
+    let speedup = tuner
+        .speedup(&outcome)
+        .expect("the baselines run on this platform");
     println!("{label}");
     println!("  best configuration : {}", outcome.best_config);
     println!("  execution time     : {:.3} s", outcome.measured_energy);

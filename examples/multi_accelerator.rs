@@ -122,7 +122,8 @@ fn main() {
     );
 
     // --- 5. baselines -------------------------------------------------------------
-    let speedup = SpeedupReport::for_combined_time(&platform, &workload, em.measured_energy);
+    let speedup = SpeedupReport::for_combined_time(&platform, &workload, em.measured_energy)
+        .expect("the baselines run on this platform");
     println!(
         "\nhost-only: {:.3} s ({:.2}x slower than the best three-way split)",
         speedup.host_only_seconds,

@@ -58,7 +58,9 @@ fn main() {
         outcome.measured_energy
     );
 
-    let speedup = tuner.speedup(&outcome);
+    let speedup = tuner
+        .speedup(&outcome)
+        .expect("the baselines run on this platform");
     println!("\ncompared with the baselines:");
     println!(
         "  host-only (48 threads)   : {:.3} s",

@@ -32,7 +32,7 @@ fn quick_autotuner_runs_all_four_methods_and_beats_the_baselines() {
 
     // The optimum of the combined execution beats both single-device baselines
     // (the paper's headline performance result).
-    let speedup = tuner.speedup(&em);
+    let speedup = tuner.speedup(&em).unwrap();
     assert!(
         speedup.speedup_vs_host() > 1.0,
         "speedup vs host {}",

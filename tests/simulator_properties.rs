@@ -52,7 +52,7 @@ proptest! {
     #[test]
     fn every_configuration_evaluates(config in arb_config(), gb in 1u64..4) {
         let evaluator = evaluator_for(gb * 1_000_000_000);
-        let (host, device) = evaluator.evaluate_times(&config);
+        let (host, device) = evaluator.evaluate_times(&config).unwrap();
         prop_assert!(host.is_finite() && host >= 0.0);
         prop_assert!(device.is_finite() && device >= 0.0);
         let energy = evaluator.energy(&config);
