@@ -11,7 +11,6 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dna_analysis::Genome;
-use hetero_autotune::experiments::workload_mix;
 use hetero_autotune::features::host_feature_names;
 use hetero_autotune::{ConfigurationSpace, MeasurementEvaluator, TrainingCampaign};
 use hetero_platform::HeterogeneousPlatform;
@@ -143,44 +142,6 @@ fn ablation_regressors(c: &mut Criterion) {
     group.finish();
 }
 
-fn ablation_workload_kinds(c: &mut Criterion) {
-    // ROADMAP "More workloads": the DNA scan is no longer the only profile through the
-    // pipeline — compare the optimum and the SA quality across the three
-    // WorkloadProfile kinds at the same input size.
-    let platform = HeterogeneousPlatform::emil();
-    let workloads = workload_mix(2_000_000_000);
-
-    let mut evaluated = Vec::new();
-    for workload in &workloads {
-        let objective = MeasurementEvaluator::new(platform.clone(), workload.clone());
-        let em = Enumeration::parallel().run(&ConfigurationSpace::enumeration_grid(), &objective);
-        let sa = SimulatedAnnealing::with_budget_and_range(BUDGET, 2.0, 0.02, 11)
-            .run(&ConfigurationSpace::paper(), &objective);
-        println!(
-            "workload {:<14}: EM optimum {:.3} s at {:.0} % host | SA({BUDGET}) {:.3} s ({:+.1} % vs EM)",
-            workload.name,
-            em.best_energy,
-            em.best_config.host_percent(),
-            sa.best_energy,
-            100.0 * (sa.best_energy - em.best_energy) / em.best_energy,
-        );
-        evaluated.push((workload.name.clone(), objective));
-    }
-
-    let mut group = c.benchmark_group("ablation_workload_kinds");
-    group.sample_size(10);
-    let space = ConfigurationSpace::paper();
-    for (name, objective) in &evaluated {
-        group.bench_function(name.as_str(), |b| {
-            b.iter(|| {
-                SimulatedAnnealing::with_budget_and_range(BUDGET, 2.0, 0.02, 11)
-                    .run(&space, objective)
-            });
-        });
-    }
-    group.finish();
-}
-
 fn ablation_noise(c: &mut Criterion) {
     // How much does measurement noise change the evaluated energy surface?
     let workload = Genome::Dog.workload();
@@ -260,7 +221,6 @@ criterion_group!(
     benches,
     ablation_cooling_schedules,
     ablation_regressors,
-    ablation_workload_kinds,
     ablation_noise,
     ablation_accelerator_count
 );

@@ -569,7 +569,7 @@ fn model_selection(scale: Scale, seed: u64) {
 
 /// Fig. 9: per-genome convergence of SAML/SAM towards the EM optimum.
 fn fig9(study: &PaperStudy) {
-    for genome in study.convergence.cases.iter().filter_map(|c| c.genome) {
+    for genome in study.convergence.cases.iter().map(|c| c.genome) {
         let series = study
             .convergence
             .figure9_series(genome)

@@ -22,8 +22,8 @@ use crate::evaluator::{LazyTabulatedEvaluator, MeasurementEvaluator};
 use crate::methods::{MethodKind, MethodOutcome, MethodRunner};
 use crate::training::{TrainedModels, TrainingCampaign};
 
-/// One study case's measured per-side tables, shared by its EM and SAM runs.
-pub(crate) type MeasuredTables<'a> = LazyTabulatedEvaluator<'a, MeasurementEvaluator>;
+/// One study case's measured per-side tables, shared by all its methods' runs.
+type MeasuredTables<'a> = LazyTabulatedEvaluator<'a, MeasurementEvaluator>;
 
 /// The iteration budgets reported in the paper's Tables VI–IX and Fig. 9.
 pub fn paper_iteration_budgets() -> Vec<usize> {
@@ -117,26 +117,13 @@ pub fn prediction_study(
     campaign.run(platform, boosting)
 }
 
-/// The three [`WorkloadProfile`] kinds at one input size: the paper's DNA scan plus
-/// the synthetic compute-bound and streaming (transfer-bound) workloads.  This is the
-/// standard mix the multi-workload studies and benches iterate over (ROADMAP "More
-/// workloads").
-pub fn workload_mix(bytes: u64) -> Vec<WorkloadProfile> {
-    vec![
-        WorkloadProfile::dna_scan("dna-scan", bytes),
-        WorkloadProfile::compute_bound("compute-bound", bytes, 6.0),
-        WorkloadProfile::streaming("streaming", bytes),
-    ]
-}
-
-/// Convergence results for one workload case (one genome of the paper's study, or any
-/// other [`WorkloadProfile`]).
+/// Convergence results for one genome of the paper's study.
 #[derive(Debug, Clone)]
 pub struct CaseConvergence {
-    /// Row label of this case in the tables (genome name or workload name).
+    /// Row label of this case in the tables (the genome name).
     pub label: String,
-    /// The genome, when this case came from the paper's per-genome study.
-    pub genome: Option<Genome>,
+    /// The genome this case analyses.
+    pub genome: Genome,
     /// The workload being analysed.
     pub workload: WorkloadProfile,
     /// Enumeration + Measurements (the reference optimum).
@@ -157,14 +144,12 @@ pub struct CaseConvergence {
     pub device_only_seconds: f64,
 }
 
-/// The convergence study behind the paper's Fig. 9 and Tables VI–IX, generalised to
-/// arbitrary workload cases.
+/// The convergence study behind the paper's Fig. 9 and Tables VI–IX.
 #[derive(Debug, Clone)]
 pub struct ConvergenceStudy {
     /// The simulated-annealing iteration budgets examined.
     pub budgets: Vec<usize>,
-    /// Per-case results (one per genome for the paper's study, one per workload for
-    /// the multi-workload studies).
+    /// Per-case results, one per genome.
     pub cases: Vec<CaseConvergence>,
 }
 
@@ -215,14 +200,10 @@ impl ConvergenceStudy {
         seed: u64,
         repeats: usize,
     ) -> Self {
-        let cases: Vec<(String, Option<Genome>, WorkloadProfile)> = genomes
-            .iter()
-            .map(|&genome| (genome.name().to_string(), Some(genome), genome.workload()))
-            .collect();
-        Self::run_cases_scaled(
+        Self::run_scaled(
             platform,
             models,
-            &cases,
+            genomes,
             budgets,
             seed,
             repeats,
@@ -231,97 +212,31 @@ impl ConvergenceStudy {
         )
     }
 
-    /// Run the study over arbitrary workload profiles (ROADMAP "More workloads"): the
-    /// compute-bound and streaming kinds go through exactly the same EM/EML/SAM/SAML
-    /// pipeline as the paper's DNA scans.  Case labels are the workload names.
-    pub fn run_workloads(
-        platform: &HeterogeneousPlatform,
-        models: &TrainedModels,
-        workloads: &[WorkloadProfile],
-        budgets: &[usize],
-        seed: u64,
-    ) -> Self {
-        Self::run_workloads_scaled(
-            platform,
-            models,
-            workloads,
-            budgets,
-            seed,
-            3,
-            &ConfigurationSpace::enumeration_grid(),
-            &ConfigurationSpace::paper(),
-        )
-    }
-
-    /// [`ConvergenceStudy::run_workloads`] with explicit repeats, enumeration grid and
-    /// annealing space — the knob tests and benches use to shrink the study.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_workloads_scaled(
-        platform: &HeterogeneousPlatform,
-        models: &TrainedModels,
-        workloads: &[WorkloadProfile],
-        budgets: &[usize],
-        seed: u64,
-        repeats: usize,
-        grid: &ConfigurationSpace,
-        space: &ConfigurationSpace,
-    ) -> Self {
-        let cases: Vec<(String, Option<Genome>, WorkloadProfile)> = workloads
-            .iter()
-            .map(|workload| (workload.name.clone(), None, workload.clone()))
-            .collect();
-        Self::run_cases_scaled(
-            platform, models, &cases, budgets, seed, repeats, grid, space,
-        )
-    }
-
-    /// The study engine shared by the genome and workload drivers: EM/EML through the
-    /// default [`MethodRunner`] enumeration path, EM over the case's shared measured
-    /// tables.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_cases_scaled(
-        platform: &HeterogeneousPlatform,
-        models: &TrainedModels,
-        cases: &[(String, Option<Genome>, WorkloadProfile)],
-        budgets: &[usize],
-        seed: u64,
-        repeats: usize,
-        grid: &ConfigurationSpace,
-        space: &ConfigurationSpace,
-    ) -> Self {
-        let reference = |tables: &MeasuredTables<'_>, case_seed: u64, method: MethodKind| {
-            MethodRunner::from_tables(tables, Some(models), case_seed)
-                .with_grid(grid.clone())
-                .with_space(space.clone())
-                .run(method, 0)
-                .expect("enumeration methods cannot fail with models present")
-        };
-        Self::run_cases(
-            platform, models, cases, budgets, seed, repeats, grid, space, &reference,
-        )
-    }
-
-    /// The innermost engine: the caller supplies how the enumeration references (EM
-    /// and EML) are produced — the sharded driver routes them through a
-    /// `wd_dist::ShardedCampaign` — while the annealing methods always run locally.
+    /// The study engine behind [`ConvergenceStudy::run_with_repeats`], with explicit
+    /// enumeration grid and annealing space (the knob tests use to shrink the study).
     ///
-    /// Each case's EM reference (when the caller runs it over the tables it is given)
-    /// and its SAM runs share one set of measured per-side tables, so each side
-    /// simulation is paid once per case.
+    /// Each case's EM and SAM runs share one set of measured per-side tables, so each
+    /// side simulation is paid once per case.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_cases(
+    pub(crate) fn run_scaled(
         platform: &HeterogeneousPlatform,
         models: &TrainedModels,
-        cases: &[(String, Option<Genome>, WorkloadProfile)],
+        genomes: &[Genome],
         budgets: &[usize],
         seed: u64,
         repeats: usize,
         grid: &ConfigurationSpace,
         space: &ConfigurationSpace,
-        reference: &(dyn Fn(&MeasuredTables<'_>, u64, MethodKind) -> MethodOutcome + Sync),
     ) -> Self {
         let repeats = repeats.max(1);
 
+        // every method of a case runs over its one set of measured tables
+        let run = |tables: &MeasuredTables<'_>, method: MethodKind, budget, run_seed| {
+            MethodRunner::from_tables(tables, Some(models), run_seed)
+                .with_grid(grid.clone())
+                .with_space(space.clone())
+                .run(method, budget)
+        };
         // run one method at every budget, `repeats` times in parallel (each annealing
         // repeat has an independent seed, so repeats are order-independent), keeping
         // the run with the median measured execution time
@@ -335,10 +250,7 @@ impl ConvergenceStudy {
                         .map(|repeat| {
                             let run_seed =
                                 case_seed ^ (repeat as u64).wrapping_mul(0xA076_1D64_78BD_642F);
-                            MethodRunner::from_tables(tables, Some(models), run_seed)
-                                .with_grid(grid.clone())
-                                .with_space(space.clone())
-                                .run(method, budget)
+                            run(tables, method, budget, run_seed)
                                 .expect("annealing methods cannot fail with models present")
                         })
                         .collect();
@@ -348,14 +260,20 @@ impl ConvergenceStudy {
                 .collect::<Vec<_>>()
         };
 
-        let cases = cases
+        let cases = genomes
             .iter()
-            .map(|(label, genome, workload)| {
+            .map(|&genome| {
+                let label = genome.name();
                 let case_seed = seed ^ label_seed(label);
+                let workload = genome.workload();
                 let measurement = MeasurementEvaluator::new(platform.clone(), workload.clone());
                 let tables = measurement.lazy_tabulated();
-                let em = reference(&tables, case_seed, MethodKind::Em);
-                let eml = reference(&tables, case_seed, MethodKind::Eml);
+                let reference = |method| {
+                    run(&tables, method, 0, case_seed)
+                        .expect("enumeration methods cannot fail with models present")
+                };
+                let em = reference(MethodKind::Em);
+                let eml = reference(MethodKind::Eml);
                 let sam = run_annealer(&tables, MethodKind::Sam, case_seed);
                 let saml = run_annealer(&tables, MethodKind::Saml, case_seed);
                 let gaml = run_annealer(&tables, MethodKind::Gaml, case_seed);
@@ -366,9 +284,9 @@ impl ConvergenceStudy {
                     SystemConfiguration::device_only_baseline_for(accelerators),
                 ]);
                 CaseConvergence {
-                    label: label.clone(),
-                    genome: *genome,
-                    workload: workload.clone(),
+                    label: label.to_string(),
+                    genome,
+                    workload,
                     em,
                     eml,
                     sam,
@@ -447,11 +365,11 @@ impl ConvergenceStudy {
     /// Fig. 9 data for one genome: `(budget, SAML, SAM)` measured execution times plus
     /// the EM and EML reference lines.
     pub fn figure9_series(&self, genome: Genome) -> Option<Figure9Series> {
-        let case = self.cases.iter().find(|c| c.genome == Some(genome))?;
+        let case = self.cases.iter().find(|c| c.genome == genome)?;
         self.case_series(&case.label)
     }
 
-    /// Fig.-9-shaped data for one case, by label (works for the workload studies too).
+    /// Fig.-9-shaped data for one case, by label.
     pub fn case_series(&self, label: &str) -> Option<Figure9Series> {
         self.cases
             .iter()
@@ -471,7 +389,7 @@ impl ConvergenceStudy {
 /// The data behind one sub-plot of the paper's Fig. 9.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Figure9Series {
-    /// Case label of this sub-plot (genome or workload name).
+    /// Case label of this sub-plot (the genome name).
     pub label: String,
     /// Iteration budgets (x-axis).
     pub budgets: Vec<usize>,
@@ -554,76 +472,37 @@ mod tests {
     fn convergence_study_on_a_tiny_space_is_consistent() {
         let platform = platform();
         let models = TrainingCampaign::reduced().run(&platform, BoostingParams::fast());
-        // shrink the study so the test stays fast: tiny grid, two budgets, one genome
-        let workload = Genome::Cat.workload();
-        let runner = MethodRunner::new(&platform, &workload, Some(&models), 3)
-            .with_grid(ConfigurationSpace::tiny())
-            .with_space(ConfigurationSpace::tiny());
-        let em = runner.run(MethodKind::Em, 0).unwrap();
-        let saml = runner.run(MethodKind::Saml, 200).unwrap();
-        assert!(em.measured_energy > 0.0);
-        // EM is optimal on the grid, so SAML (restricted to the same space) cannot beat
-        // it by more than the measurement noise
-        assert!(saml.measured_energy >= em.measured_energy * 0.9);
-    }
-
-    #[test]
-    fn workload_mix_covers_all_three_profile_kinds() {
-        let mix = workload_mix(1_000_000_000);
-        assert_eq!(mix.len(), 3);
-        let names: Vec<&str> = mix.iter().map(|w| w.name.as_str()).collect();
-        assert_eq!(names, vec!["dna-scan", "compute-bound", "streaming"]);
-        for workload in &mix {
-            workload.validate().unwrap();
-            assert_eq!(workload.bytes, 1_000_000_000);
-        }
-        // the kinds are genuinely different regimes
-        assert!(mix[1].cost_factor > mix[0].cost_factor);
-        assert!(mix[2].cost_factor < mix[0].cost_factor);
-    }
-
-    #[test]
-    fn convergence_study_runs_compute_bound_and_streaming_workloads() {
-        let platform = platform();
-        let models = TrainingCampaign::reduced().run(&platform, BoostingParams::fast());
-        let study = ConvergenceStudy::run_workloads_scaled(
-            &platform,
-            &models,
-            &workload_mix(800_000_000),
-            &[100],
-            7,
-            1,
-            &ConfigurationSpace::tiny(),
-            &ConfigurationSpace::tiny(),
-        );
-        assert_eq!(study.cases.len(), 3);
-        for case in &study.cases {
-            assert!(case.genome.is_none());
-            assert!(case.em.measured_energy > 0.0, "{}", case.label);
-            assert!(case.host_only_seconds > 0.0 && case.device_only_seconds > 0.0);
-            assert_eq!(case.saml.len(), 1);
-            // EM is optimal on the shared grid, so SAML cannot beat it by more than
-            // the measurement noise
+        // shrink the study so the test stays fast: tiny grid, one budget; the DNA scan
+        // plus the compute-bound and streaming (transfer-bound) workload kinds
+        let compute = WorkloadProfile::compute_bound("compute-bound", 800_000_000, 6.0);
+        let streaming = WorkloadProfile::streaming("streaming", 800_000_000);
+        let dna = Genome::Cat.workload();
+        assert!(compute.cost_factor > dna.cost_factor);
+        assert!(streaming.cost_factor < dna.cost_factor);
+        for workload in [&dna, &compute, &streaming] {
+            let runner = MethodRunner::new(&platform, workload, Some(&models), 3)
+                .with_grid(ConfigurationSpace::tiny())
+                .with_space(ConfigurationSpace::tiny());
+            let em = runner.run(MethodKind::Em, 0).unwrap();
+            let saml = runner.run(MethodKind::Saml, 200).unwrap();
+            assert!(em.measured_energy > 0.0, "{}", workload.name);
+            // EM is optimal on the grid, so SAML (restricted to the same space) cannot
+            // beat it by more than the measurement noise
             assert!(
-                case.saml[0].1.measured_energy >= case.em.measured_energy * 0.9,
+                saml.measured_energy >= em.measured_energy * 0.9,
                 "{}",
-                case.label
+                workload.name
             );
+            if workload.name == "streaming" {
+                // transfer-bound: offloading rarely pays off, so the optimum keeps a
+                // clear majority of the work on the host
+                assert!(
+                    em.best_config.host_permille() >= 500,
+                    "streaming optimum sent {} permille to the host",
+                    em.best_config.host_permille()
+                );
+            }
         }
-        // rows carry the workload names plus the average row
-        let rows = study.percent_difference_rows();
-        assert_eq!(rows.len(), 4);
-        assert!(rows.iter().any(|(label, _)| label == "streaming"));
-        assert!(study.case_series("compute-bound").is_some());
-        assert!(study.case_series("no-such-case").is_none());
-        // streaming workloads are transfer-bound: offloading rarely pays off, so the
-        // optimum keeps a clear majority of the work on the host
-        let streaming = &study.cases[2];
-        assert!(
-            streaming.em.best_config.host_permille() >= 500,
-            "streaming optimum sent {} permille to the host",
-            streaming.em.best_config.host_permille()
-        );
     }
 
     #[test]
@@ -632,10 +511,10 @@ mod tests {
         let models = TrainingCampaign::reduced().run(&platform, BoostingParams::fast());
         let tiny = ConfigurationSpace::tiny();
         let (seed, budget) = (11u64, 120usize);
-        let study = ConvergenceStudy::run_cases_scaled(
+        let study = ConvergenceStudy::run_scaled(
             &platform,
             &models,
-            &[("cat".to_string(), Some(Genome::Cat), Genome::Cat.workload())],
+            &[Genome::Cat],
             &[budget],
             seed,
             1,

@@ -69,7 +69,7 @@ pub use evaluator::{
     LazyTabulatedEvaluator, LazyTabulatedPredictionEvaluator, MeasurementEvaluator, PredictedTimes,
     PredictionEvaluator, SideKey, SideTimes,
 };
-pub use experiments::{workload_mix, CaseConvergence, ConvergenceStudy};
+pub use experiments::{CaseConvergence, ConvergenceStudy};
 pub use methods::{MethodKind, MethodOutcome, MethodProperties, MethodRunner};
 pub use model_selection::{ModelComparison, ModelFamily};
 pub use speedup::SpeedupReport;

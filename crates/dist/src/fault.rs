@@ -275,8 +275,9 @@ impl<'a, O: ?Sized> FaultyObjective<'a, O> {
 /// line in its place ([`ResultStore::inject_torn_write`]), and trips a flag the
 /// supervisor checks to abort the attempt — the footprint of a worker crashing in
 /// the middle of `write(2)`.  The lost record is simply absent, so the retry
-/// re-evaluates exactly that configuration; the torn line is what
-/// [`crate::JsonlStore::open_recovering`] later quarantines.
+/// re-evaluates exactly that configuration; the torn line is what a later
+/// [`crate::JsonlStore::open`] skips and counts in
+/// [`crate::JsonlStore::skipped_lines`].
 pub struct FaultyStore<'a, R: ?Sized> {
     inner: &'a R,
     fault: Option<FaultEvent>,

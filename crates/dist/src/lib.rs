@@ -26,9 +26,8 @@
 //!   bit-identical fault-free answer.  [`ShardedCampaign::run`] is its fault-free
 //!   case, and [`ProcCampaign`] runs the same policy across worker processes: one
 //!   pure [`scheduler::Scheduler`] makes every queue, retry, steal and abandon
-//!   decision for both.  [`JsonlStore::open_recovering`] quarantines
-//!   corrupt lines instead of dropping them, and [`JsonlStore::rollback`] restores
-//!   any retained compaction generation.
+//!   decision for both.  A torn line is skipped on reload and counted in
+//!   [`JsonlStore::skipped_lines`], never half-parsed into a record.
 //!
 //! ## Example
 //!
@@ -81,7 +80,6 @@ pub use proc::{
 };
 pub use scheduler::RetryPolicy;
 pub use store::{
-    read_result_records, CompactionReport, JsonlStore, MemoryStore, RecoveryReport, ResultStore,
-    StoreIoStats, DEFAULT_RETAINED_GENERATIONS, STORE_SCHEMA_VERSION,
+    read_result_records, JsonlStore, MemoryStore, ResultStore, StoreIoStats, STORE_SCHEMA_VERSION,
 };
 pub use supervisor::{AttemptRecord, FailureReason, SupervisedOutcome, SupervisionReport};

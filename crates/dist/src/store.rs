@@ -85,9 +85,9 @@ pub trait ResultStore<C> {
 
     /// Fault-injection seam used by the chaos harness ([`crate::fault::FaultyStore`]):
     /// durably append a torn (truncated, unparseable) record line — the footprint a
-    /// crash in the middle of a batch append leaves behind.  Recovery passes must
-    /// quarantine such lines instead of dropping them silently.  Purely in-memory
-    /// stores have nothing durable to tear; the default is a no-op.
+    /// crash in the middle of a batch append leaves behind.  A reload must skip such
+    /// lines (and count them in [`JsonlStore::skipped_lines`]), never half-parse them.
+    /// Purely in-memory stores have nothing durable to tear; the default is a no-op.
     fn inject_torn_write(&self, hint: &str) {
         let _ = hint;
     }
@@ -183,8 +183,8 @@ where
 /// **Single-writer guard.**  A JSONL log has exactly one append stream: interleaved
 /// appends from two processes would tear each other's batch boundaries.  Opening a
 /// store therefore acquires an advisory `<path>.lock` sentinel (created with
-/// `create_new`, carrying the holder's PID and the store generation); a second open
-/// of the same live log — from this or any other process — fails loudly with
+/// `create_new`, carrying the holder's PID); a second open of the same live log —
+/// from this or any other process — fails loudly with
 /// [`io::ErrorKind::WouldBlock`] instead of silently interleaving records.  A lock
 /// whose holder process is gone (a `kill -9`'d worker) is stale and is taken over
 /// after the staleness check.  The lock is released when the store is dropped;
@@ -197,11 +197,8 @@ pub struct JsonlStore<C> {
     stats: Mutex<CacheStats>,
     write_error: Mutex<Option<io::Error>>,
     skipped_lines: usize,
-    corrupt_lines: Vec<String>,
     context: Option<String>,
     schema: Option<String>,
-    generation: AtomicU64,
-    retain_generations: usize,
     io: IoCounters,
     // held for RAII only: dropping the store removes the `<path>.lock` sentinel
     _lock: StoreLock,
@@ -249,17 +246,15 @@ impl StoreLock {
     /// stale — the footprint of a killed writer — and is removed and re-acquired;
     /// an existing sentinel with a live holder fails the open with
     /// [`io::ErrorKind::WouldBlock`].
-    fn acquire(store_path: &Path, generation: u64) -> io::Result<StoreLock> {
+    fn acquire(store_path: &Path) -> io::Result<StoreLock> {
         let path = Self::lock_path(store_path);
         // two rounds: the first may find (and clear) a stale holder, the second
         // re-attempts the atomic create; losing both means a live contender
         for _ in 0..2 {
             match OpenOptions::new().write(true).create_new(true).open(&path) {
                 Ok(mut sentinel) => {
-                    sentinel.write_all(
-                        format!("{{\"pid\":{},\"gen\":{generation}}}\n", std::process::id())
-                            .as_bytes(),
-                    )?;
+                    sentinel
+                        .write_all(format!("{{\"pid\":{}}}\n", std::process::id()).as_bytes())?;
                     sentinel.flush()?;
                     return Ok(StoreLock { path });
                 }
@@ -334,12 +329,10 @@ struct IoCounters {
     loaded_bytes: u64,
     appended_records: AtomicU64,
     appended_bytes: AtomicU64,
-    compactions: AtomicU64,
-    compacted_dropped: AtomicU64,
 }
 
 /// A point-in-time copy of one [`JsonlStore`]'s I/O counters — how much this store
-/// instance read at load time and has written (and compacted away) since.
+/// instance read at load time and has written since.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreIoStats {
     /// Result records loaded from the file when this instance was opened.
@@ -352,89 +345,23 @@ pub struct StoreIoStats {
     pub appended_records: u64,
     /// Bytes durably appended by this instance (including newlines).
     pub appended_bytes: u64,
-    /// Number of [`JsonlStore::compact`] passes this instance ran.
-    pub compactions: u64,
-    /// Duplicate records dropped across those compaction passes.
-    pub compacted_dropped: u64,
 }
 
-/// The schema version stamped into the header line of freshly created (and
-/// compacted) stores, e.g. `{"schema":"wd-dist-store/v2"}`.  Stores written before
-/// the header existed load fine (their version reads as `None`); future migrations
-/// key off this stamp to detect old layouts.
+/// The schema version stamped into the header line of freshly created stores,
+/// e.g. `{"schema":"wd-dist-store/v2"}`.  Stores written before the header existed
+/// load fine (their version reads as `None`); future migrations key off this stamp
+/// to detect old layouts.
 pub const STORE_SCHEMA_VERSION: &str = "wd-dist-store/v2";
-
-/// Default number of `.gen-N` rollback snapshots a store retains (the most recent
-/// K generations; older snapshots are pruned after each [`JsonlStore::compact`]
-/// pass).  Long-lived stores compact on every recovery and periodically under
-/// overlapping campaigns, so without a cap snapshots accumulate one full log copy
-/// per compaction without bound.  Override per store with
-/// [`JsonlStore::with_generation_retention`].
-pub const DEFAULT_RETAINED_GENERATIONS: usize = 4;
-
-/// What one [`JsonlStore::compact`] pass did: how many result records the rewritten
-/// log kept versus dropped as duplicates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompactionReport {
-    /// Result records in the log before compaction (including duplicates).
-    pub records_before: usize,
-    /// Distinct keys kept (one record each) after compaction.
-    pub records_after: usize,
-}
-
-impl CompactionReport {
-    /// Number of duplicate records the rewrite dropped.
-    pub fn dropped(&self) -> usize {
-        self.records_before - self.records_after
-    }
-}
-
-/// What [`JsonlStore::open_recovering`] found and did: how many corrupt lines were
-/// quarantined (never silently dropped), where they went, and whether the log was
-/// rewritten clean.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecoveryReport {
-    /// Corrupt (torn, truncated, foreign) lines moved to the quarantine sidecar.
-    pub quarantined: usize,
-    /// Intact result records the recovered store holds.
-    pub records: usize,
-    /// The `<log>.quarantine` sidecar file corrupt lines are appended to.
-    pub sidecar: PathBuf,
-    /// The store's generation after recovery (recovery compacts, so a rewrite
-    /// bumps the generation and retains the pre-recovery log as `.gen-N`).
-    pub generation: u64,
-    /// Whether a recovery rewrite actually ran (`false` for an already-clean log).
-    pub rewritten: bool,
-}
-
-impl RecoveryReport {
-    /// Publish this report to `recorder` as a `store.recovered` event under
-    /// `scope`.  Clean opens (nothing quarantined, no rewrite) emit nothing.
-    pub fn publish(&self, recorder: &dyn Recorder, scope: &str) {
-        if !self.rewritten || !recorder.enabled() {
-            return;
-        }
-        recorder.event(
-            scope,
-            "store.recovered",
-            &[
-                (
-                    "quarantined",
-                    wd_obs::FieldValue::U64(self.quarantined as u64),
-                ),
-                ("records", wd_obs::FieldValue::U64(self.records as u64)),
-                ("generation", wd_obs::FieldValue::U64(self.generation)),
-            ],
-        );
-    }
-}
 
 enum Record {
     Result(String, f64),
     Stats(CacheStats),
     Context(String),
     Schema(String),
-    Generation(u64),
+    /// The `{"gen":N}` header that logs compacted by earlier versions of this
+    /// crate carry; recognised so those logs still load without skipped lines,
+    /// and otherwise ignored.
+    LegacyGeneration,
 }
 
 /// Extract the value of a `"name":"<value>"` string field.
@@ -494,8 +421,8 @@ fn parse_line(line: &str) -> Option<Record> {
         };
         return Some(Record::Result(key.to_string(), energy));
     }
-    if let Some(generation) = json_uint_field(line, "gen") {
-        return Some(Record::Generation(generation));
+    if json_uint_field(line, "gen").is_some() {
+        return Some(Record::LegacyGeneration);
     }
     if line.contains("\"stats\"") {
         return Some(Record::Stats(CacheStats {
@@ -516,10 +443,8 @@ impl<C: ConfigKey> JsonlStore<C> {
         let mut map = HashMap::new();
         let mut stats = CacheStats::default();
         let mut skipped = 0usize;
-        let mut corrupt = Vec::new();
         let mut context = None;
         let mut schema = None;
-        let mut generation = 0u64;
         let mut saw_lines = false;
         let mut loaded_records = 0u64;
         let mut loaded_bytes = 0u64;
@@ -540,11 +465,8 @@ impl<C: ConfigKey> JsonlStore<C> {
                     Some(Record::Stats(loaded)) => stats += loaded,
                     Some(Record::Context(loaded)) => context = Some(loaded),
                     Some(Record::Schema(loaded)) => schema = Some(loaded),
-                    Some(Record::Generation(loaded)) => generation = loaded,
-                    None => {
-                        skipped += 1;
-                        corrupt.push(line);
-                    }
+                    Some(Record::LegacyGeneration) => {}
+                    None => skipped += 1,
                 }
             }
             // a log killed mid-append can end in a partial line with no newline;
@@ -555,7 +477,7 @@ impl<C: ConfigKey> JsonlStore<C> {
         }
         // the single-writer lock is taken before the append handle (and before the
         // seal write), so a second opener can never interleave with this one
-        let lock = StoreLock::acquire(&path, generation)?;
+        let lock = StoreLock::acquire(&path)?;
         let mut writer = BufWriter::new(OpenOptions::new().create(true).append(true).open(&path)?);
         if needs_seal {
             // `loaded_bytes` already counted the phantom newline of the partial
@@ -570,11 +492,8 @@ impl<C: ConfigKey> JsonlStore<C> {
             stats: Mutex::new(stats),
             write_error: Mutex::new(None),
             skipped_lines: skipped,
-            corrupt_lines: corrupt,
             context,
             schema,
-            generation: AtomicU64::new(generation),
-            retain_generations: DEFAULT_RETAINED_GENERATIONS,
             io: IoCounters {
                 loaded_records,
                 loaded_bytes,
@@ -606,11 +525,19 @@ impl<C: ConfigKey> JsonlStore<C> {
     /// silently consume energies recorded under a different objective.  Stores with
     /// existing records but no stamp (created via [`JsonlStore::open`]) are rejected
     /// too — their provenance is unknown.
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::InvalidInput`] when `context` holds a `"`, `\`, `\n` or
+    /// `\r` (checked before the file or its lock is touched), plus the errors of
+    /// [`JsonlStore::open`] and the context check above.
     pub fn open_with_context(path: impl AsRef<Path>, context: &str) -> io::Result<Self> {
-        assert!(
-            !context.contains(['"', '\\', '\n', '\r']),
-            "store contexts must be JSON-string-safe: {context:?}"
-        );
+        if context.contains(['"', '\\', '\n', '\r']) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("store contexts must be JSON-string-safe: {context:?}"),
+            ));
+        }
         let store = Self::open(path)?;
         match store.context.as_deref() {
             Some(existing) if existing == context => Ok(store),
@@ -658,247 +585,9 @@ impl<C: ConfigKey> JsonlStore<C> {
 
     /// The schema version this store's file was stamped with *when it was loaded*
     /// ([`STORE_SCHEMA_VERSION`] for stores created by this code; `None` for stores
-    /// written before the header existed).  [`JsonlStore::compact`] stamps the
-    /// current version into the file; reopen to observe it on an old store.
+    /// written before the header existed).
     pub fn schema_version(&self) -> Option<&str> {
         self.schema.as_deref()
-    }
-
-    /// The store's current generation: 0 for a log that was never compacted,
-    /// incremented by every [`JsonlStore::compact`] pass.  Each compaction retains
-    /// the pre-compaction log verbatim as `<path>.gen-<N>` (N = the generation it
-    /// snapshots), giving point-in-time rollback via [`JsonlStore::rollback`].
-    pub fn generation(&self) -> u64 {
-        self.generation.load(Ordering::Relaxed)
-    }
-
-    fn generation_path(path: &Path, generation: u64) -> PathBuf {
-        PathBuf::from(format!("{}.gen-{generation}", path.display()))
-    }
-
-    /// Path of the retained snapshot for `generation` (which may or may not exist;
-    /// see [`JsonlStore::retained_generations`]).
-    pub fn generation_file(&self, generation: u64) -> PathBuf {
-        Self::generation_path(&self.path, generation)
-    }
-
-    /// Generations with a retained `.gen-N` snapshot on disk, ascending.
-    pub fn retained_generations(&self) -> Vec<u64> {
-        (0..self.generation())
-            .filter(|&generation| Self::generation_path(&self.path, generation).exists())
-            .collect()
-    }
-
-    /// Cap the number of `.gen-N` rollback snapshots this store keeps (default
-    /// [`DEFAULT_RETAINED_GENERATIONS`]).  After every [`JsonlStore::compact`]
-    /// pass, only the most recent `keep` snapshots survive; older ones are pruned.
-    /// `keep == 0` retains nothing (every compaction immediately deletes the
-    /// snapshot it just wrote, trading rollback for minimum disk).
-    pub fn with_generation_retention(mut self, keep: usize) -> Self {
-        self.retain_generations = keep;
-        self
-    }
-
-    /// Remove `.gen-N` snapshots older than the retention window ending at the
-    /// current generation.  Missing files are fine (never retained, pruned
-    /// earlier, or removed by hand).
-    fn prune_generations(&self) {
-        let next = self.generation();
-        for old in 0..next.saturating_sub(self.retain_generations as u64) {
-            let _ = std::fs::remove_file(Self::generation_path(&self.path, old));
-        }
-    }
-
-    /// Roll the log at `path` back to the retained snapshot of `generation` and
-    /// reopen it.
-    ///
-    /// The snapshot is copied over the live log through a temporary sibling file
-    /// and an atomic rename, so a crash mid-rollback leaves the live log intact.
-    /// The rolled-back store reports `generation()` == `generation` again, and the
-    /// snapshot file itself is kept (rolling forward again stays possible).
-    ///
-    /// # Errors
-    ///
-    /// [`io::ErrorKind::NotFound`] when no `.gen-<generation>` snapshot is
-    /// retained, plus any I/O error of the copy/rename/reopen.
-    pub fn rollback(path: impl AsRef<Path>, generation: u64) -> io::Result<Self> {
-        let path = path.as_ref();
-        let snapshot = Self::generation_path(path, generation);
-        if !snapshot.exists() {
-            return Err(io::Error::new(
-                io::ErrorKind::NotFound,
-                format!(
-                    "no retained generation-{generation} snapshot at {}",
-                    snapshot.display()
-                ),
-            ));
-        }
-        let tmp = PathBuf::from(format!("{}.rollback-tmp", path.display()));
-        std::fs::copy(&snapshot, &tmp)?;
-        std::fs::rename(&tmp, path)?;
-        Self::open(path)
-    }
-
-    /// Open the store at `path`, quarantining corrupt lines instead of only
-    /// skipping them.
-    ///
-    /// A clean log opens exactly like [`JsonlStore::open`] and reports
-    /// `rewritten: false`.  When the log holds corrupt lines (torn batch appends,
-    /// truncated tails, foreign text), each one is appended verbatim to the
-    /// `<path>.quarantine` sidecar — evidence is preserved, never silently
-    /// dropped — and the log is then compacted, which rewrites it clean and
-    /// retains the pre-recovery log as a `.gen-N` snapshot.  Forward the returned
-    /// [`RecoveryReport`] to observability with [`RecoveryReport::publish`].
-    pub fn open_recovering(path: impl AsRef<Path>) -> io::Result<(Self, RecoveryReport)> {
-        let mut store = Self::open(path)?;
-        let sidecar = PathBuf::from(format!("{}.quarantine", store.path.display()));
-        if store.corrupt_lines.is_empty() {
-            let report = RecoveryReport {
-                quarantined: 0,
-                records: store.len(),
-                sidecar,
-                generation: store.generation(),
-                rewritten: false,
-            };
-            return Ok((store, report));
-        }
-        {
-            let mut side = BufWriter::new(
-                OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(&sidecar)?,
-            );
-            for line in &store.corrupt_lines {
-                writeln!(side, "{line}")?;
-            }
-            side.flush()?;
-        }
-        store.compact()?;
-        let quarantined = store.corrupt_lines.len();
-        // the log is clean now; the evidence lives in the sidecar
-        store.corrupt_lines.clear();
-        store.skipped_lines = 0;
-        let report = RecoveryReport {
-            quarantined,
-            records: store.len(),
-            sidecar,
-            generation: store.generation(),
-            rewritten: true,
-        };
-        Ok((store, report))
-    }
-
-    /// Rewrite the append-only log keeping **one record per key** — the lowest energy
-    /// wins, ties keep the earliest record — plus a fresh [`STORE_SCHEMA_VERSION`]
-    /// header, the context stamp (when present) and a single merged stats line.
-    ///
-    /// Overlapping campaigns against one store append duplicate records without
-    /// bound (the coordinator records every evaluated batch); compaction bounds the
-    /// file again.  Keys keep their first-occurrence order, so compacting is
-    /// deterministic.  The rewrite goes through a temporary sibling file that is
-    /// atomically renamed over the log, and the in-memory map is reloaded from the
-    /// kept records, so concurrent appends block (the writer is locked for the
-    /// duration) but are never lost.
-    ///
-    /// Note the merge rule: the in-memory map of a *live* store is last-write-wins,
-    /// which for the deterministic objectives the coordinator runs is
-    /// indistinguishable (duplicate records carry identical energies).  Compaction
-    /// applies the coordinator's lowest-energy/earliest rule, so hand-written logs
-    /// with conflicting duplicates resolve to the merged best.
-    ///
-    /// Every pass first retains the pre-compaction log verbatim as
-    /// `<path>.gen-<N>` (N = the current [`JsonlStore::generation`]) and stamps
-    /// `{"gen":N+1}` into the rewritten log, so any earlier state can be restored
-    /// with [`JsonlStore::rollback`].  The copy happens *before* the atomic
-    /// rename: a crash between the two leaves the live log untouched and at worst
-    /// a redundant snapshot behind.  Snapshots older than the retention cap
-    /// ([`DEFAULT_RETAINED_GENERATIONS`], tunable via
-    /// [`JsonlStore::with_generation_retention`]) are pruned after each pass, so
-    /// long-lived stores keep a bounded rollback window instead of one full log
-    /// copy per compaction forever.
-    pub fn compact(&self) -> io::Result<CompactionReport> {
-        let mut writer = lock(&self.writer);
-        writer.flush()?;
-
-        // retain the current log for point-in-time rollback before rewriting it
-        let generation = self.generation.load(Ordering::Relaxed);
-        std::fs::copy(&self.path, Self::generation_path(&self.path, generation))?;
-
-        // re-read the log: the in-memory map holds only the last write per key, the
-        // merge rule needs every duplicate in file order
-        let mut order: Vec<String> = Vec::new();
-        let mut merged: HashMap<String, f64> = HashMap::new();
-        let mut stats = CacheStats::default();
-        let mut records_before = 0usize;
-        for line in BufReader::new(File::open(&self.path)?).split(b'\n') {
-            let line = String::from_utf8(line?).unwrap_or_default();
-            if line.trim().is_empty() {
-                continue;
-            }
-            match parse_line(&line) {
-                Some(Record::Result(key, energy)) => {
-                    records_before += 1;
-                    match merged.get_mut(&key) {
-                        None => {
-                            order.push(key.clone());
-                            merged.insert(key, energy);
-                        }
-                        // strictly lower replaces; an equal energy keeps the earliest
-                        Some(best) => {
-                            if energy.total_cmp(best).is_lt() {
-                                *best = energy;
-                            }
-                        }
-                    }
-                }
-                Some(Record::Stats(loaded)) => stats += loaded,
-                // context/schema/generation are re-stamped below; foreign lines
-                // are dropped (use open_recovering to quarantine them first)
-                Some(Record::Context(_))
-                | Some(Record::Schema(_))
-                | Some(Record::Generation(_))
-                | None => {}
-            }
-        }
-
-        // write the compacted log next to the original, then rename over it
-        let tmp_path = self.path.with_extension("compact-tmp");
-        {
-            let mut tmp = BufWriter::new(File::create(&tmp_path)?);
-            writeln!(tmp, "{{\"schema\":\"{STORE_SCHEMA_VERSION}\"}}")?;
-            writeln!(tmp, "{{\"gen\":{}}}", generation + 1)?;
-            if let Some(context) = &self.context {
-                writeln!(tmp, "{{\"context\":\"{context}\"}}")?;
-            }
-            for key in &order {
-                writeln!(tmp, "{}", Self::result_line(key, merged[key]))?;
-            }
-            writeln!(
-                tmp,
-                "{{\"stats\":{{\"hits\":{},\"misses\":{}}}}}",
-                stats.hits, stats.misses
-            )?;
-            tmp.flush()?;
-        }
-        std::fs::rename(&tmp_path, &self.path)?;
-
-        // swap in a fresh append handle (the old one points at the replaced inode)
-        *writer = BufWriter::new(OpenOptions::new().append(true).open(&self.path)?);
-
-        let report = CompactionReport {
-            records_before,
-            records_after: order.len(),
-        };
-        self.io.compactions.fetch_add(1, Ordering::Relaxed);
-        self.io
-            .compacted_dropped
-            .fetch_add(report.dropped() as u64, Ordering::Relaxed);
-        self.generation.store(generation + 1, Ordering::Relaxed);
-        self.prune_generations();
-        *write_lock(&self.map) = merged;
-        *lock(&self.stats) = stats;
-        Ok(report)
     }
 
     /// Decode every stored record back into configurations (records whose key no
@@ -911,7 +600,7 @@ impl<C: ConfigKey> JsonlStore<C> {
     }
 
     /// This instance's I/O counters: records/bytes read at load time and durably
-    /// appended (or compacted away) since.
+    /// appended since.
     pub fn io_stats(&self) -> StoreIoStats {
         StoreIoStats {
             loaded_records: self.io.loaded_records,
@@ -919,8 +608,6 @@ impl<C: ConfigKey> JsonlStore<C> {
             skipped_lines: self.skipped_lines as u64,
             appended_records: self.io.appended_records.load(Ordering::Relaxed),
             appended_bytes: self.io.appended_bytes.load(Ordering::Relaxed),
-            compactions: self.io.compactions.load(Ordering::Relaxed),
-            compacted_dropped: self.io.compacted_dropped.load(Ordering::Relaxed),
         }
     }
 
@@ -938,8 +625,6 @@ impl<C: ConfigKey> JsonlStore<C> {
             ("skipped_lines", io.skipped_lines),
             ("appended_records", io.appended_records),
             ("appended_bytes", io.appended_bytes),
-            ("compactions", io.compactions),
-            ("compacted_dropped", io.compacted_dropped),
         ] {
             recorder.counter(&format!("{scope}.store.{name}"), value);
         }
@@ -1231,93 +916,6 @@ mod tests {
     }
 
     #[test]
-    fn compaction_keeps_one_record_per_key_lowest_energy_wins() {
-        let path = temp_path("compact");
-        let _ = std::fs::remove_file(&path);
-        let store: JsonlStore<u32> =
-            JsonlStore::open_with_context(&path, "em|human|compact-test").unwrap();
-        // overlapping campaigns: key 1 improves, key 2 worsens, key 3 ties, key 4 once
-        store.record(&1, 5.0);
-        store.record(&2, 1.0);
-        store.record(&1, 3.0);
-        store.record(&2, 2.0);
-        store.record(&3, 7.0);
-        store.record(&3, 7.0);
-        store.record(&4, 4.0);
-        store.record_stats(CacheStats { hits: 5, misses: 7 });
-        store.record_stats(CacheStats { hits: 1, misses: 0 });
-        store.flush().unwrap();
-
-        let report = store.compact().unwrap();
-        assert_eq!(
-            report,
-            CompactionReport {
-                records_before: 7,
-                records_after: 4
-            }
-        );
-        assert_eq!(report.dropped(), 3);
-
-        // the live map now follows the merge rule (lowest wins)
-        assert_eq!(store.lookup(&1), Some(3.0));
-        assert_eq!(store.lookup(&2), Some(1.0));
-        assert_eq!(store.lookup(&3), Some(7.0));
-        assert_eq!(store.lookup(&4), Some(4.0));
-        assert_eq!(store.len(), 4);
-        assert_eq!(store.recorded_stats(), CacheStats { hits: 6, misses: 7 });
-
-        // appends after compaction land in the rewritten file
-        store.record(&5, 9.0);
-        store.flush().unwrap();
-
-        // a reopened store sees the compacted log: header + generation + context +
-        // 5 records + stats, nothing skipped, context intact
-        let snapshot = store.generation_file(0);
-        drop(store); // release the single-writer lock before reopening
-        let reopened: JsonlStore<u32> =
-            JsonlStore::open_with_context(&path, "em|human|compact-test").unwrap();
-        assert_eq!(reopened.schema_version(), Some(STORE_SCHEMA_VERSION));
-        assert_eq!(reopened.skipped_lines(), 0);
-        assert_eq!(reopened.len(), 5);
-        assert_eq!(reopened.generation(), 1);
-        assert_eq!(reopened.lookup(&1), Some(3.0));
-        assert_eq!(reopened.lookup(&5), Some(9.0));
-        assert_eq!(reopened.recorded_stats(), CacheStats { hits: 6, misses: 7 });
-        let contents = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(contents.lines().count(), 1 + 1 + 1 + 4 + 1 + 1);
-        std::fs::remove_file(&path).unwrap();
-        std::fs::remove_file(snapshot).unwrap();
-    }
-
-    #[test]
-    fn compaction_preserves_exact_bits_and_is_idempotent() {
-        let path = temp_path("compact-bits");
-        let _ = std::fs::remove_file(&path);
-        let store: JsonlStore<u32> = JsonlStore::open(&path).unwrap();
-        let awkward = 0.1 + 0.2;
-        store.record(&11, awkward);
-        store.record(&11, awkward + 1.0);
-        store.record(&12, 1e-300);
-        store.compact().unwrap();
-        assert_eq!(store.lookup(&11).unwrap().to_bits(), awkward.to_bits());
-
-        let again = store.compact().unwrap();
-        assert_eq!(again.records_before, again.records_after);
-        assert_eq!(again.dropped(), 0);
-
-        let snapshots = [store.generation_file(0), store.generation_file(1)];
-        drop(store); // release the single-writer lock before reopening
-        let reopened: JsonlStore<u32> = JsonlStore::open(&path).unwrap();
-        assert_eq!(reopened.lookup(&11).unwrap().to_bits(), awkward.to_bits());
-        assert_eq!(reopened.lookup(&12).unwrap().to_bits(), 1e-300f64.to_bits());
-        assert_eq!(reopened.generation(), 2);
-        std::fs::remove_file(&path).unwrap();
-        for snapshot in snapshots {
-            std::fs::remove_file(snapshot).unwrap();
-        }
-    }
-
-    #[test]
     fn second_append_handle_on_a_live_log_fails_loudly() {
         let path = temp_path("single-writer");
         let _ = std::fs::remove_file(&path);
@@ -1368,36 +966,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_retention_prunes_generations_beyond_the_cap() {
-        let path = temp_path("retention");
-        let _ = std::fs::remove_file(&path);
-        let store: JsonlStore<u32> = JsonlStore::open(&path)
-            .unwrap()
-            .with_generation_retention(2);
-        for round in 0..5u32 {
-            store.record(&round, f64::from(round));
-            store.compact().unwrap();
-        }
-        assert_eq!(store.generation(), 5);
-        // only the most recent 2 of the 5 snapshots survive
-        assert_eq!(store.retained_generations(), vec![3, 4]);
-        for pruned in 0..3 {
-            assert!(!store.generation_file(pruned).exists());
-        }
-        // the retained window still rolls back
-        let snapshots = [store.generation_file(3), store.generation_file(4)];
-        drop(store);
-        let rolled: JsonlStore<u32> = JsonlStore::rollback(&path, 3).unwrap();
-        assert_eq!(rolled.generation(), 3);
-        assert_eq!(rolled.lookup(&4), None, "post-snapshot writes are gone");
-        drop(rolled);
-        std::fs::remove_file(&path).unwrap();
-        for snapshot in snapshots {
-            std::fs::remove_file(snapshot).unwrap();
-        }
-    }
-
-    #[test]
     fn read_result_records_tolerates_torn_tails_and_missing_files() {
         let path = temp_path("raw-read");
         let _ = std::fs::remove_file(&path);
@@ -1420,7 +988,7 @@ mod tests {
     }
 
     #[test]
-    fn io_counters_track_loads_appends_and_compactions() {
+    fn io_counters_track_loads_and_appends() {
         let path = temp_path("io-counters");
         let _ = std::fs::remove_file(&path);
         {
@@ -1433,24 +1001,19 @@ mod tests {
 
             store.record(&1, 1.0);
             store.record_batch(&[2, 3], &[2.0, 2.0]);
-            store.record(&2, 5.0); // duplicate key, dropped by compaction
+            store.record(&2, 5.0); // duplicate key: a fourth result line on disk
             store.record_stats(CacheStats { hits: 1, misses: 4 });
             store.flush().unwrap();
             let io = store.io_stats();
             assert_eq!(io.appended_records, 1 + 4 + 1);
             let on_disk = std::fs::metadata(&path).unwrap().len();
             assert_eq!(io.appended_bytes, on_disk);
-
-            let report = store.compact().unwrap();
-            assert_eq!(report.dropped(), 1);
-            let io = store.io_stats();
-            assert_eq!(io.compactions, 1);
-            assert_eq!(io.compacted_dropped, 1);
         }
-        // a reopened store counts what it loaded (3 results) byte for byte
+        // a reopened store counts what it loaded (4 result lines, 3 keys) byte for byte
         let store: JsonlStore<u32> = JsonlStore::open(&path).unwrap();
+        assert_eq!(store.len(), 3);
         let io = store.io_stats();
-        assert_eq!(io.loaded_records, 3);
+        assert_eq!(io.loaded_records, 4);
         assert_eq!(io.loaded_bytes, std::fs::metadata(&path).unwrap().len());
         assert_eq!(io.skipped_lines, 0);
         assert_eq!(io.appended_records, 0);
@@ -1461,7 +1024,7 @@ mod tests {
         let snapshot = registry.snapshot();
         assert_eq!(
             snapshot.counters.get("campaign.store.loaded_records"),
-            Some(&3)
+            Some(&4)
         );
         assert_eq!(
             snapshot.counters.get("campaign.store.appended_records"),
@@ -1470,7 +1033,6 @@ mod tests {
         // and a disabled recorder costs nothing and records nothing
         store.publish_io(&wd_obs::NoopRecorder, "campaign");
         std::fs::remove_file(&path).unwrap();
-        std::fs::remove_file(store.generation_file(0)).unwrap();
     }
 
     #[test]
@@ -1503,86 +1065,7 @@ mod tests {
     }
 
     #[test]
-    fn recovery_quarantines_corrupt_lines_and_rewrites_the_log_clean() {
-        let path = temp_path("recover");
-        let _ = std::fs::remove_file(&path);
-        {
-            let store: JsonlStore<u32> = JsonlStore::open(&path).unwrap();
-            store.record_batch(&[1, 2, 3], &[1.0, 2.0, 3.0]);
-            store.flush().unwrap();
-        }
-        // two corrupt lines: foreign text and a torn record
-        let mut contents = std::fs::read_to_string(&path).unwrap();
-        contents.push_str("not json at all\n");
-        contents.push_str("{\"config\":\"4\",\"ener");
-        std::fs::write(&path, &contents).unwrap();
-
-        let (store, report) = JsonlStore::<u32>::open_recovering(&path).unwrap();
-        assert_eq!(report.quarantined, 2);
-        assert_eq!(report.records, 3);
-        assert!(report.rewritten);
-        assert_eq!(report.generation, 1);
-        assert_eq!(store.len(), 3);
-        assert_eq!(store.lookup(&2), Some(2.0));
-
-        // the corrupt lines are preserved verbatim in the sidecar, not dropped
-        let quarantine = std::fs::read_to_string(&report.sidecar).unwrap();
-        assert!(quarantine.contains("not json at all"));
-        assert!(quarantine.contains("{\"config\":\"4\",\"ener"));
-
-        // the rewritten log is clean: reopening skips nothing
-        drop(store);
-        let (clean, clean_report) = JsonlStore::<u32>::open_recovering(&path).unwrap();
-        assert_eq!(clean.skipped_lines(), 0);
-        assert!(!clean_report.rewritten);
-        assert_eq!(clean_report.quarantined, 0);
-
-        // recovery publishes a store.recovered event; clean opens stay silent
-        let registry = wd_obs::Registry::new();
-        report.publish(&registry, "campaign");
-        clean_report.publish(&registry, "campaign");
-        let snapshot = registry.snapshot();
-        assert_eq!(snapshot.events.get("campaign/store.recovered"), Some(&1));
-
-        std::fs::remove_file(&path).unwrap();
-        std::fs::remove_file(&report.sidecar).unwrap();
-        std::fs::remove_file(clean.generation_file(0)).unwrap();
-    }
-
-    #[test]
-    fn rollback_restores_a_retained_generation() {
-        let path = temp_path("rollback");
-        let _ = std::fs::remove_file(&path);
-        let store: JsonlStore<u32> = JsonlStore::open(&path).unwrap();
-        store.record(&1, 1.0);
-        store.flush().unwrap();
-        assert_eq!(store.generation(), 0);
-        assert!(store.retained_generations().is_empty());
-
-        // generation 0 -> 1: snapshot retained, then diverge
-        store.compact().unwrap();
-        assert_eq!(store.generation(), 1);
-        store.record(&2, 2.0);
-        store.flush().unwrap();
-        assert_eq!(store.retained_generations(), vec![0]);
-        drop(store);
-
-        // rolling back to generation 0 restores the pre-compaction state
-        let rolled: JsonlStore<u32> = JsonlStore::rollback(&path, 0).unwrap();
-        assert_eq!(rolled.generation(), 0);
-        assert_eq!(rolled.lookup(&1), Some(1.0));
-        assert_eq!(rolled.lookup(&2), None, "post-snapshot writes are gone");
-
-        // rolling back to a generation that was never retained is refused
-        let missing = JsonlStore::<u32>::rollback(&path, 9).unwrap_err();
-        assert_eq!(missing.kind(), io::ErrorKind::NotFound);
-
-        std::fs::remove_file(&path).unwrap();
-        std::fs::remove_file(rolled.generation_file(0)).unwrap();
-    }
-
-    #[test]
-    fn injected_torn_writes_are_unparseable_and_recoverable() {
+    fn injected_torn_writes_are_unparseable() {
         let path = temp_path("inject-torn");
         let _ = std::fs::remove_file(&path);
         {
@@ -1595,14 +1078,61 @@ mod tests {
         let reloaded: JsonlStore<u32> = JsonlStore::open(&path).unwrap();
         assert_eq!(reloaded.len(), 1);
         assert_eq!(reloaded.skipped_lines(), 1);
+        assert_eq!(reloaded.lookup(&1), Some(1.0));
         drop(reloaded);
-        // ... and recovery quarantines it
-        let (recovered, report) = JsonlStore::<u32>::open_recovering(&path).unwrap();
-        assert_eq!(report.quarantined, 1);
-        assert_eq!(recovered.len(), 1);
         std::fs::remove_file(&path).unwrap();
-        std::fs::remove_file(&report.sidecar).unwrap();
-        std::fs::remove_file(recovered.generation_file(0)).unwrap();
+    }
+
+    #[test]
+    fn unsafe_contexts_are_refused_before_touching_the_file() {
+        let path = temp_path("unsafe-context");
+        let _ = std::fs::remove_file(&path);
+        // a workload name is caller input; a quote in it would tear the context line
+        for context in [
+            "em|my\"run|1",
+            "em|back\\slash|1",
+            "em|line\nbreak|1",
+            "cr\r",
+        ] {
+            let err = JsonlStore::<u32>::open_with_context(&path, context).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{context:?}");
+            assert!(!path.exists(), "no store file for {context:?}");
+            assert!(
+                !StoreLock::lock_path(&path).exists(),
+                "no lock for {context:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn logs_compacted_by_earlier_versions_still_load_cleanly() {
+        // the shape earlier versions' compaction wrote: schema, a `{"gen":N}` header,
+        // the context stamp, one record per key, one merged stats line
+        let path = temp_path("legacy-gen");
+        let awkward: f64 = 0.1 + 0.2;
+        std::fs::write(
+            &path,
+            format!(
+                "{{\"schema\":\"{STORE_SCHEMA_VERSION}\"}}\n\
+                 {{\"gen\":1}}\n\
+                 {{\"context\":\"em|human|legacy\"}}\n\
+                 {}\n{}\n\
+                 {{\"stats\":{{\"hits\":6,\"misses\":7}}}}\n",
+                JsonlStore::<u32>::result_line("1", 3.0),
+                JsonlStore::<u32>::result_line("2", awkward),
+            ),
+        )
+        .unwrap();
+        let store: JsonlStore<u32> =
+            JsonlStore::open_with_context(&path, "em|human|legacy").unwrap();
+        assert_eq!(store.skipped_lines(), 0);
+        assert_eq!(store.schema_version(), Some(STORE_SCHEMA_VERSION));
+        assert_eq!(store.len(), 2);
+        assert_eq!(store.lookup(&1), Some(3.0));
+        assert_eq!(store.lookup(&2).unwrap().to_bits(), awkward.to_bits());
+        assert_eq!(store.recorded_stats(), CacheStats { hits: 6, misses: 7 });
+        drop(store);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

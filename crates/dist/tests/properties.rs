@@ -8,12 +8,9 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use wd_dist::{
-    merge_shard_bests, JsonlStore, MemoryStore, ResultStore, ShardReport, ShardedCampaign,
-    STORE_SCHEMA_VERSION,
-};
+use wd_dist::{merge_shard_bests, MemoryStore, ShardReport, ShardedCampaign};
 use wd_opt::space::GridSpace;
-use wd_opt::{CacheStats, CountingObjective, ParallelEnumeration};
+use wd_opt::{CountingObjective, ParallelEnumeration};
 
 /// A deterministic objective with deliberately many exact ties (energies are small
 /// integers), so the lowest-energy/earliest-global-index merge rule is exercised on
@@ -107,80 +104,6 @@ proptest! {
         prop_assert_eq!(warm.best_energy.to_bits(), cold.best_energy.to_bits());
         prop_assert_eq!(warm.best_index, cold.best_index);
         prop_assert_eq!(warm.stats.hits, (width * height) as usize);
-    }
-
-    /// Compaction preserves the per-key merged best (lowest energy, ties by the
-    /// earliest record), round-trips the accumulated `CacheStats`, stamps the schema
-    /// header, and the store keeps answering (and persisting) lookups afterwards.
-    #[test]
-    fn compaction_preserves_the_merged_best_and_roundtrips_stats(
-        records in proptest::collection::vec((0u32..12, -4.0f64..4.0), 1..60),
-        hits in 0usize..10_000,
-        misses in 0usize..10_000,
-        case in 0u64..u64::MAX,
-    ) {
-        let path = std::env::temp_dir().join(format!(
-            "wd_dist-compaction-prop-{}-{case:x}.jsonl",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
-
-        // the merged best per key: first-lowest in record order
-        let mut expected: std::collections::HashMap<u32, f64> = std::collections::HashMap::new();
-        for &(key, energy) in &records {
-            expected
-                .entry(key)
-                .and_modify(|best| {
-                    if energy.total_cmp(best).is_lt() {
-                        *best = energy;
-                    }
-                })
-                .or_insert(energy);
-        }
-        let stats = CacheStats { hits, misses };
-
-        let store: JsonlStore<u32> = JsonlStore::open(&path).unwrap();
-        for &(key, energy) in &records {
-            store.record(&key, energy);
-        }
-        store.record_stats(stats);
-        let report = store.compact().unwrap();
-        prop_assert_eq!(report.records_before, records.len());
-        prop_assert_eq!(report.records_after, expected.len());
-
-        // the live store follows the merge rule, bit for bit
-        prop_assert_eq!(store.len(), expected.len());
-        for (&key, &energy) in &expected {
-            prop_assert_eq!(store.lookup(&key).unwrap().to_bits(), energy.to_bits());
-        }
-        prop_assert_eq!(store.recorded_stats(), stats);
-
-        // appends after compaction persist
-        store.record(&99, 0.5);
-        store.flush().unwrap();
-
-        // release the single-writer lock, then a reopened store agrees exactly
-        let snapshots: Vec<_> = store
-            .retained_generations()
-            .iter()
-            .map(|&generation| store.generation_file(generation))
-            .collect();
-        drop(store);
-        let reopened: JsonlStore<u32> = JsonlStore::open(&path).unwrap();
-        prop_assert_eq!(reopened.schema_version(), Some(STORE_SCHEMA_VERSION));
-        prop_assert_eq!(reopened.skipped_lines(), 0);
-        prop_assert_eq!(reopened.len(), expected.len() + 1);
-        for (&key, &energy) in &expected {
-            prop_assert_eq!(reopened.lookup(&key).unwrap().to_bits(), energy.to_bits());
-        }
-        prop_assert_eq!(reopened.recorded_stats(), stats);
-        prop_assert_eq!(reopened.lookup(&99), Some(0.5));
-        drop(reopened);
-
-        for snapshot in snapshots {
-            let _ = std::fs::remove_file(snapshot);
-        }
-        std::fs::remove_file(&path).unwrap();
     }
 }
 

@@ -1,12 +1,13 @@
 //! Fault-tolerant sharded campaign: deterministic fault injection, supervised
-//! recovery, and crash-consistent store maintenance.
+//! recovery, and a warm resume from a torn store.
 //!
 //! Runs the paper's EM campaign under a hostile fault schedule — an evaluation
 //! error, a shard death, a stalled worker and a torn store append — and shows the
 //! supervised runner converging to the **bit-identical** result of a fault-free
 //! run, with every supervision decision exported as JSONL telemetry.  Afterwards
-//! the store is recovered (the torn half-record is quarantined, never silently
-//! dropped) and rolled back to a retained compaction generation.
+//! the store is reopened: each torn half-record the plan fired is skipped (and
+//! counted), never half-parsed, and a repeated campaign over the reopened store
+//! is answered without a single evaluation and with the same best, bit for bit.
 //!
 //! ```sh
 //! cargo run --release --example fault_tolerant_campaign
@@ -17,10 +18,11 @@ use workdist::autotune::{
     campaign_context, ConfigurationSpace, MeasurementEvaluator, MethodKind, SystemConfiguration,
 };
 use workdist::dist::{
-    FaultPlan, JsonlStore, MemoryStore, ResultStore, RetryPolicy, ShardedCampaign,
+    FailureReason, FaultPlan, JsonlStore, MemoryStore, ResultStore, RetryPolicy, ShardedCampaign,
 };
 use workdist::dna::Genome;
 use workdist::obs::JsonlExporter;
+use workdist::opt::CountingObjective;
 use workdist::platform::HeterogeneousPlatform;
 
 fn main() {
@@ -104,34 +106,41 @@ fn main() {
     );
     drop(store);
 
-    // recover the store: torn half-records are quarantined, the log is rewritten
-    // clean, and the pre-recovery log is retained as a .gen-N snapshot
-    let (recovered, report) =
-        JsonlStore::<SystemConfiguration>::open_recovering(&store_path).expect("recover the store");
+    // warm resume: every torn write the plan fired left one unparseable line,
+    // which the reopened store skips; the intact records answer the whole grid
+    let torn_writes = supervised
+        .supervision
+        .attempts
+        .iter()
+        .filter(|attempt| attempt.failure == Some(FailureReason::TornWrite))
+        .count();
+    let reopened: JsonlStore<SystemConfiguration> =
+        JsonlStore::open_with_context(&store_path, &context).expect("reopen the result store");
     println!(
-        "store recovery: {} corrupt line(s) quarantined to {}, {} records kept, generation {}",
-        report.quarantined,
-        report.sidecar.display(),
-        report.records,
-        report.generation
+        "reopened store: {} records, {} torn line(s) skipped ({torn_writes} torn write(s) fired)",
+        reopened.len(),
+        reopened.skipped_lines()
     );
-    let generations = recovered.retained_generations();
-    drop(recovered); // release the single-writer lock before rollback reopens the log
-    if let Some(&generation) = generations.last() {
-        let restored = JsonlStore::<SystemConfiguration>::rollback(&store_path, generation)
-            .expect("roll the store back");
-        println!(
-            "rollback to generation {generation}: {} records (pre-recovery state restored)",
-            restored.len()
-        );
-        drop(restored);
-        // roll forward again so the example leaves a clean store behind
-        let (_, report) = JsonlStore::<SystemConfiguration>::open_recovering(&store_path)
-            .expect("re-recover after rollback");
-        println!(
-            "re-recovered: rewritten={}, now generation {}",
-            report.rewritten, report.generation
-        );
-    }
+    assert_eq!(
+        reopened.skipped_lines(),
+        torn_writes,
+        "each fired torn write leaves exactly one skipped line"
+    );
+    let counting = CountingObjective::new(&evaluator);
+    let resumed = ShardedCampaign::new(shards)
+        .run(&grid, &counting, &reopened)
+        .expect("warm resume campaign");
+    assert_eq!(counting.evaluations(), 0, "a warm resume evaluates nothing");
+    assert_eq!(resumed.stats.misses, 0);
+    assert_eq!(resumed.best_config, reference.best_config);
+    assert_eq!(
+        resumed.best_energy.to_bits(),
+        reference.best_energy.to_bits(),
+        "the warm resume must be bit-identical to the fault-free run"
+    );
+    println!(
+        "warm resume: 0 evaluations, {} store hits, bit-identical best ✓",
+        resumed.stats.hits
+    );
     println!("store: {}", store_path.display());
 }
