@@ -8,10 +8,9 @@
 //! The `flat_kernel` group times the batch-prediction kernels against each other on
 //! one EML-tabulation-sized batch (256 rows × 5 features, the chunks the table
 //! builders feed [`wd_ml::Regressor::predict_batch`]): the seed kernel (checked,
-//! branchy), the cache-blocked branch-free kernel, and — under `--features simd` —
-//! the explicit-SIMD lane.  Bit-identity and the ≥ 2× blocked-over-seed speedup are
-//! asserted first (`wd_bench::measure_prediction_kernel`), so `--test` mode runs the
-//! gate too.
+//! branchy) and the cache-blocked branch-free kernel.  Bit-identity and the ≥ 2×
+//! blocked-over-seed speedup are asserted first
+//! (`wd_bench::measure_prediction_kernel`), so `--test` mode runs the gate too.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hetero_autotune::features::host_features;
@@ -69,21 +68,17 @@ fn bench_prediction(c: &mut Criterion) {
 fn bench_flat_kernel(c: &mut Criterion) {
     let (model, batch, width) = kernel_bench_forest();
 
-    // acceptance evidence first: bit-identity across every kernel plus the ≥ 2×
+    // acceptance evidence first: bit-identity of both kernels plus the ≥ 2×
     // blocked-over-seed speedup, measured best-of-200 on the same batch
     let m = measure_prediction_kernel(&model, &batch, width, 200);
     println!(
-        "flat_kernel ({} rows x {} features, {} trees): reference {:?}, blocked {:?} ({:.2}x), simd {}",
+        "flat_kernel ({} rows x {} features, {} trees): reference {:?}, blocked {:?} ({:.2}x)",
         m.rows,
         m.width,
         m.trees,
         m.reference,
         m.blocked,
         m.blocked_speedup(),
-        match (m.simd, m.simd_speedup()) {
-            (Some(t), Some(s)) => format!("{t:?} ({s:.2}x)"),
-            _ => "not built (enable --features simd)".to_string(),
-        },
     );
     m.assert_fast_path_won();
 
@@ -93,10 +88,6 @@ fn bench_flat_kernel(c: &mut Criterion) {
     });
     group.bench_function("blocked_256x5", |b| {
         b.iter(|| model.predict_batch_blocked(&batch, width));
-    });
-    #[cfg(feature = "simd")]
-    group.bench_function("simd_256x5", |b| {
-        b.iter(|| model.predict_batch_simd(&batch, width));
     });
     // the dispatched entry point (what the tabulation layer actually calls)
     group.bench_function("dispatched_256x5", |b| {

@@ -119,7 +119,7 @@ pub fn two_accel_bench_grid() -> hetero_autotune::ConfigurationSpace {
     )
 }
 
-/// One reference-vs-blocked(-vs-SIMD) measurement of the flat-forest batch kernels
+/// One reference-vs-blocked measurement of the flat-forest batch kernels
 /// (see [`measure_prediction_kernel`]).
 pub struct PredictionKernelMeasurement {
     /// Rows per predicted batch.
@@ -134,9 +134,7 @@ pub struct PredictionKernelMeasurement {
     pub reference: std::time::Duration,
     /// Best wall-clock of the cache-blocked branch-free kernel.
     pub blocked: std::time::Duration,
-    /// Best wall-clock of the explicit-SIMD lane (`--features simd` builds only).
-    pub simd: Option<std::time::Duration>,
-    /// Whether every kernel reproduced the `predict_one` row loop bit for bit.
+    /// Whether both kernels reproduced the `predict_one` row loop bit for bit.
     pub identical: bool,
 }
 
@@ -144,12 +142,6 @@ impl PredictionKernelMeasurement {
     /// Reference-over-blocked wall-clock ratio.
     pub fn blocked_speedup(&self) -> f64 {
         self.reference.as_secs_f64() / self.blocked.as_secs_f64().max(f64::MIN_POSITIVE)
-    }
-
-    /// Reference-over-SIMD wall-clock ratio, when the SIMD lane was measured.
-    pub fn simd_speedup(&self) -> Option<f64> {
-        self.simd
-            .map(|simd| self.reference.as_secs_f64() / simd.as_secs_f64().max(f64::MIN_POSITIVE))
     }
 
     /// Assert the acceptance criteria: bit-identical predictions and a ≥ 2× blocked
@@ -210,10 +202,9 @@ pub fn kernel_bench_forest() -> (wd_ml::BoostedTreesRegressor, Vec<f64>, usize) 
     (model, batch, WIDTH)
 }
 
-/// Time the flat-forest batch kernels (seed/reference, cache-blocked, and — in
-/// `--features simd` builds — the explicit-SIMD lane) over the same batch,
-/// `repeats` times each keeping the best, and check every kernel against the
-/// `predict_one` row loop bit for bit.
+/// Time the flat-forest batch kernels (seed/reference and cache-blocked) over
+/// the same batch, `repeats` times each keeping the best, and check both
+/// against the `predict_one` row loop bit for bit.
 pub fn measure_prediction_kernel(
     model: &wd_ml::BoostedTreesRegressor,
     rows: &[f64],
@@ -241,20 +232,13 @@ pub fn measure_prediction_kernel(
 
     let (t_reference, reference) = best_of(&|| model.predict_batch_reference(rows, width));
     let (t_blocked, blocked) = best_of(&|| model.predict_batch_blocked(rows, width));
-    #[cfg(feature = "simd")]
-    let simd = Some(best_of(&|| model.predict_batch_simd(rows, width)));
-    #[cfg(not(feature = "simd"))]
-    let simd: Option<(Duration, Vec<f64>)> = None;
 
     let row_loop: Vec<f64> = rows
         .chunks(width.max(1))
         .map(|row| model.predict_one(row))
         .collect();
     let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    let mut identical = bits(&reference) == bits(&row_loop) && bits(&blocked) == bits(&row_loop);
-    if let Some((_, ref lanes)) = simd {
-        identical = identical && bits(lanes) == bits(&row_loop);
-    }
+    let identical = bits(&reference) == bits(&row_loop) && bits(&blocked) == bits(&row_loop);
 
     PredictionKernelMeasurement {
         rows: rows.len() / width.max(1),
@@ -263,7 +247,6 @@ pub fn measure_prediction_kernel(
         repeats,
         reference: t_reference,
         blocked: t_blocked,
-        simd: simd.map(|(t, _)| t),
         identical,
     }
 }
@@ -611,10 +594,6 @@ mod tests {
         assert_eq!(m.width, 5);
         assert!(m.trees > 0);
         assert!(m.blocked_speedup() > 0.0);
-        #[cfg(feature = "simd")]
-        assert!(m.simd.is_some() && m.simd_speedup().is_some());
-        #[cfg(not(feature = "simd"))]
-        assert!(m.simd.is_none() && m.simd_speedup().is_none());
     }
 
     #[test]

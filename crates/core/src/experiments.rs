@@ -366,23 +366,15 @@ impl ConvergenceStudy {
     /// the EM and EML reference lines.
     pub fn figure9_series(&self, genome: Genome) -> Option<Figure9Series> {
         let case = self.cases.iter().find(|c| c.genome == genome)?;
-        self.case_series(&case.label)
-    }
-
-    /// Fig.-9-shaped data for one case, by label.
-    pub fn case_series(&self, label: &str) -> Option<Figure9Series> {
-        self.cases
-            .iter()
-            .find(|case| case.label == label)
-            .map(|case| Figure9Series {
-                label: case.label.clone(),
-                budgets: self.budgets.clone(),
-                saml: case.saml.iter().map(|(_, o)| o.measured_energy).collect(),
-                sam: case.sam.iter().map(|(_, o)| o.measured_energy).collect(),
-                gaml: case.gaml.iter().map(|(_, o)| o.measured_energy).collect(),
-                em: case.em.measured_energy,
-                eml: case.eml.measured_energy,
-            })
+        Some(Figure9Series {
+            label: case.label.clone(),
+            budgets: self.budgets.clone(),
+            saml: case.saml.iter().map(|(_, o)| o.measured_energy).collect(),
+            sam: case.sam.iter().map(|(_, o)| o.measured_energy).collect(),
+            gaml: case.gaml.iter().map(|(_, o)| o.measured_energy).collect(),
+            em: case.em.measured_energy,
+            eml: case.eml.measured_energy,
+        })
     }
 }
 
@@ -547,7 +539,7 @@ mod tests {
         assert_eq!(gaml.stats, direct.stats);
 
         // the Fig.-9-shaped series surfaces the row next to SAM/SAML
-        let series = study.case_series("cat").unwrap();
+        let series = study.figure9_series(Genome::Cat).unwrap();
         assert_eq!(series.gaml, vec![gaml.measured_energy]);
         assert_eq!(series.saml.len(), series.gaml.len());
     }

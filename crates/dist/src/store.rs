@@ -308,7 +308,11 @@ pub fn read_result_records(path: &Path) -> io::Result<(HashMap<String, f64>, usi
         return Ok((map, skipped));
     }
     for line in BufReader::new(File::open(path)?).split(b'\n') {
-        let line = String::from_utf8(line?).unwrap_or_default();
+        // a line holding a byte no record encodes is as unreadable as a torn one
+        let Ok(line) = String::from_utf8(line?) else {
+            skipped += 1;
+            continue;
+        };
         if line.trim().is_empty() {
             continue;
         }
@@ -451,8 +455,15 @@ impl<C: ConfigKey> JsonlStore<C> {
         let mut needs_seal = false;
         if path.exists() {
             for line in BufReader::new(File::open(&path)?).split(b'\n') {
-                let line = String::from_utf8(line?).unwrap_or_default();
+                let line = line?;
                 loaded_bytes += line.len() as u64 + 1;
+                // a line holding a byte no record encodes is as unreadable as a
+                // torn one
+                let Ok(line) = String::from_utf8(line) else {
+                    saw_lines = true;
+                    skipped += 1;
+                    continue;
+                };
                 if line.trim().is_empty() {
                     continue;
                 }
@@ -816,6 +827,31 @@ mod tests {
         assert_eq!(store.skipped_lines(), 2);
         assert_eq!(store.lookup(&1), Some(1.0));
         assert_eq!(store.lookup(&3), None);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn lines_that_are_not_utf8_are_skipped_and_counted() {
+        let path = temp_path("not-utf8");
+        let _ = std::fs::remove_file(&path);
+        {
+            let store: JsonlStore<u32> = JsonlStore::open(&path).unwrap();
+            store.record(&1, 1.0);
+            store.flush().unwrap();
+        }
+        let mut contents = std::fs::read(&path).unwrap();
+        contents.extend_from_slice(b"{\"config\":\"2\",\"energy\":2.\xff5}\n");
+        std::fs::write(&path, &contents).unwrap();
+
+        let (records, skipped) = read_result_records(&path).unwrap();
+        assert_eq!(records.len(), 1);
+        assert_eq!(skipped, 1);
+        let store: JsonlStore<u32> = JsonlStore::open(&path).unwrap();
+        assert_eq!(store.len(), 1);
+        assert_eq!(store.skipped_lines(), 1);
+        assert_eq!(store.lookup(&2), None);
+        assert_eq!(store.io_stats().loaded_bytes, contents.len() as u64);
+        drop(store);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -16,7 +16,7 @@ use rand::SeedableRng;
 use crate::dataset::Dataset;
 use crate::error::MlError;
 use crate::model::Regressor;
-use crate::tree::{select_child, RankedColumns, RegressionTree, SplitScratch, TreeParams, LEAF};
+use crate::tree::{RankedColumns, RegressionTree, SplitScratch, TreeParams, LEAF};
 
 /// Hyper-parameters of the boosted ensemble.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,29 +67,34 @@ impl BoostingParams {
     }
 }
 
-/// Rows per block of the cache-blocked batch kernels: one block's rows plus a
+/// Rows per block of the cache-blocked batch kernel: one block's rows plus a
 /// tree's SoA arrays stay L1/L2-resident while the tree loop streams the arena,
 /// so each tree's nodes are touched once per block instead of once per row
 /// stride across the whole batch.
 const ROW_BLOCK: usize = 64;
 
-/// Rows stepped in lockstep per tree by the explicit-SIMD lane
-/// (`--features simd`).  Eight independent walks hide the latency of the
-/// data-dependent node loads that serialise the scalar kernel.
-#[cfg(feature = "simd")]
-const LANES: usize = 8;
+/// Branch-free child select: `left` when `go_left`, else `right`.
+///
+/// `go_left as u32` is 0 or 1, so negating it yields an all-zeros or all-ones
+/// mask and the select compiles to straight-line bit ops (or a `cmov`) instead
+/// of a data-dependent branch — tree walks follow near-random split outcomes,
+/// which makes that branch essentially unpredictable.
+#[inline(always)]
+fn select_child(left: u32, right: u32, go_left: bool) -> u32 {
+    let mask = (go_left as u32).wrapping_neg();
+    (left & mask) | (right & !mask)
+}
 
 /// The whole fitted ensemble flattened into **one contiguous arena**: every tree's
 /// [`crate::FlatTree`] arrays concatenated (child indices rebased), plus one root
-/// offset per tree.  All inference *and* the training-time diagnostics
-/// ([`BoostedTreesRegressor::staged_training_mse`]) walk these four arrays; the
-/// per-tree [`RegressionTree`] arenas are dropped once the arena is built.
+/// offset per tree.  All inference, the boosting residual update *and* the
+/// training-time diagnostics ([`BoostedTreesRegressor::staged_training_mse`])
+/// walk these four arrays; each [`RegressionTree`] is dropped once it is pushed.
 ///
-/// `min_width` is the validation computed once at [`FlatForest::from_trees`]
-/// time: rows at least that wide cannot index out of bounds at any split node,
-/// which lets the batch kernels drop the per-node
-/// `features.get(..).unwrap_or(0.0)` check.  Narrower rows (legal — missing
-/// features read as 0.0) take the checked walk.
+/// `min_width` is the validation computed once per [`FlatForest::push`]: rows
+/// at least that wide cannot index out of bounds at any split node, which lets
+/// the batch kernel drop the per-node `features.get(..).unwrap_or(0.0)` check.
+/// Narrower rows (legal — missing features read as 0.0) take the checked walk.
 #[derive(Debug, Clone, Default, PartialEq)]
 struct FlatForest {
     feature: Vec<u32>,
@@ -101,31 +106,32 @@ struct FlatForest {
 }
 
 impl FlatForest {
-    /// Concatenate the fitted trees into one arena, recording the widest split
-    /// feature index so batch walks can be validated once instead of per node.
+    /// Concatenate the fitted trees into one arena.
+    #[cfg(test)]
     fn from_trees(trees: &[RegressionTree]) -> Self {
-        let total: usize = trees.iter().map(RegressionTree::node_count).sum();
-        let mut forest = FlatForest {
-            feature: Vec::with_capacity(total),
-            threshold: Vec::with_capacity(total),
-            left: Vec::with_capacity(total),
-            right: Vec::with_capacity(total),
-            roots: Vec::with_capacity(trees.len()),
-            min_width: 0,
-        };
+        let mut forest = FlatForest::default();
         for tree in trees {
-            let offset = forest.feature.len() as u32;
-            forest.roots.push(offset);
-            let flat = tree.flatten();
-            forest.min_width = forest.min_width.max(flat.min_width());
-            forest.feature.extend_from_slice(&flat.feature);
-            forest.threshold.extend_from_slice(&flat.threshold);
-            // rebase the child indices into the shared arena (leaf slots hold 0 and
-            // are never followed, so rebasing them is harmless)
-            forest.left.extend(flat.left.iter().map(|&l| l + offset));
-            forest.right.extend(flat.right.iter().map(|&r| r + offset));
+            forest.push(tree);
         }
         forest
+    }
+
+    /// Append a fitted tree to the arena, folding its widest split feature
+    /// into `min_width` so batch walks can be validated once instead of per
+    /// node.
+    fn push(&mut self, tree: &RegressionTree) {
+        let flat = tree.flatten();
+        // the unchecked walk starts at every root, so each tree needs a node
+        assert!(!flat.is_empty(), "only a fitted tree joins the forest");
+        let offset = self.feature.len() as u32;
+        self.roots.push(offset);
+        self.min_width = self.min_width.max(flat.min_width());
+        self.feature.extend_from_slice(&flat.feature);
+        self.threshold.extend_from_slice(&flat.threshold);
+        // rebase the child indices into the shared arena (leaf slots hold 0 and
+        // are never followed, so rebasing them is harmless)
+        self.left.extend(flat.left.iter().map(|&l| l + offset));
+        self.right.extend(flat.right.iter().map(|&r| r + offset));
     }
 
     /// Number of trees in the arena.
@@ -164,14 +170,14 @@ impl FlatForest {
         let mut index = root;
         loop {
             // SAFETY: `index` starts at a caller-validated root and every
-            // subsequent value comes from `left`/`right`, which `from_trees`
-            // builds strictly in-arena; the four parallel arrays share one length.
+            // subsequent value comes from `left`/`right`, which `push` builds
+            // strictly in-arena; the four parallel arrays share one length.
             let feature = *self.feature.get_unchecked(index);
             let threshold = *self.threshold.get_unchecked(index);
             if feature == LEAF {
                 return threshold;
             }
-            // SAFETY: `feature < min_width <= row.len()` — `from_trees` folds every
+            // SAFETY: `feature < min_width <= row.len()` — `push` folds every
             // split feature into `min_width` and the caller checked the row width.
             let value = *row.get_unchecked(feature as usize);
             index = select_child(
@@ -235,92 +241,6 @@ impl FlatForest {
             }
         }
         predictions
-    }
-
-    /// Explicit-SIMD batch kernel: like [`FlatForest::predict_blocked`] but
-    /// each tree steps [`LANES`] rows in lockstep (independent walks hide the
-    /// node-load latency), with a scalar tail for the block's remainder.  Same
-    /// per-row accumulation order, hence bit-identical results.
-    #[cfg(feature = "simd")]
-    fn predict_simd(&self, rows: &[f64], width: usize, base: f64, scale: f64) -> Vec<f64> {
-        debug_assert!(width > 0 && width >= self.min_width);
-        let mut predictions = vec![base; rows.len() / width];
-        for (block_rows, block_out) in rows
-            .chunks(ROW_BLOCK * width)
-            .zip(predictions.chunks_mut(ROW_BLOCK))
-        {
-            for &root in &self.roots {
-                let root = root as usize;
-                let mut row_groups = block_rows.chunks_exact(width * LANES);
-                let mut out_groups = block_out.chunks_exact_mut(LANES);
-                for (group_rows, group_out) in (&mut row_groups).zip(&mut out_groups) {
-                    // SAFETY: width >= min_width, root from self.roots.
-                    unsafe { self.accumulate_lanes(root, group_rows, width, scale, group_out) };
-                }
-                for (slot, row) in out_groups
-                    .into_remainder()
-                    .iter_mut()
-                    .zip(row_groups.remainder().chunks_exact(width))
-                {
-                    // SAFETY: as above.
-                    *slot += scale * unsafe { self.leaf_unchecked(root, row) };
-                }
-            }
-        }
-        predictions
-    }
-
-    /// Walk [`LANES`] rows of one tree in lockstep, accumulating
-    /// `scale * leaf` into `out` (one slot per lane).
-    ///
-    /// # Safety
-    ///
-    /// `rows` holds exactly `LANES` rows of `width >= self.min_width` values
-    /// each, `out` has `LANES` slots, `root` comes from `self.roots`.
-    #[cfg(feature = "simd")]
-    unsafe fn accumulate_lanes(
-        &self,
-        root: usize,
-        rows: &[f64],
-        width: usize,
-        scale: f64,
-        out: &mut [f64],
-    ) {
-        let mut index = [root; LANES];
-        let mut leaf = [0.0f64; LANES];
-        let mut done = [false; LANES];
-        let mut live = LANES;
-        while live > 0 {
-            for lane in 0..LANES {
-                if done[lane] {
-                    continue;
-                }
-                let node = index[lane];
-                // SAFETY: `node` starts at a caller-validated root and is only ever
-                // replaced by `left`/`right` values, which `from_trees` builds
-                // strictly in-arena; the four parallel arrays share one length.
-                let feature = *self.feature.get_unchecked(node);
-                let threshold = *self.threshold.get_unchecked(node);
-                if feature == LEAF {
-                    leaf[lane] = threshold;
-                    done[lane] = true;
-                    live -= 1;
-                    continue;
-                }
-                // SAFETY: the caller hands `LANES` contiguous rows of `width >=
-                // min_width` elements and `feature < min_width` by construction, so
-                // `lane * width + feature` stays inside `rows`.
-                let value = *rows.get_unchecked(lane * width + feature as usize);
-                index[lane] = select_child(
-                    *self.left.get_unchecked(node),
-                    *self.right.get_unchecked(node),
-                    value <= threshold,
-                ) as usize;
-            }
-        }
-        for (slot, value) in out.iter_mut().zip(leaf) {
-            *slot += scale * value;
-        }
     }
 }
 
@@ -546,7 +466,7 @@ impl BoostedTreesRegressor {
     }
 
     /// The cache-blocked, branch-free batch kernel ([`Regressor::predict_batch`]
-    /// without the SIMD lane); rows narrower than the forest's widest split
+    /// without the memo); rows narrower than the forest's widest split
     /// feature fall back to [`BoostedTreesRegressor::predict_batch_reference`]
     /// so missing features still read as 0.0.
     pub fn predict_batch_blocked(&self, rows: &[f64], width: usize) -> Vec<f64> {
@@ -561,36 +481,6 @@ impl BoostedTreesRegressor {
             .predict_blocked(rows, width, self.base_prediction, self.params.learning_rate)
     }
 
-    /// The explicit-SIMD batch kernel (only with `--features simd`): the
-    /// blocked kernel with 8 rows per tree stepped in lockstep.  Narrow rows
-    /// fall back to the checked reference walk, like
-    /// [`BoostedTreesRegressor::predict_batch_blocked`].
-    #[cfg(feature = "simd")]
-    pub fn predict_batch_simd(&self, rows: &[f64], width: usize) -> Vec<f64> {
-        if rows.is_empty() {
-            return Vec::new();
-        }
-        Self::check_batch_shape(rows, width);
-        if width < self.flat.min_width {
-            return self.predict_batch_reference(rows, width);
-        }
-        self.flat
-            .predict_simd(rows, width, self.base_prediction, self.params.learning_rate)
-    }
-
-    /// The dispatched batch kernel behind [`Regressor::predict_batch`], without
-    /// the memo.
-    fn walk_batch(&self, rows: &[f64], width: usize) -> Vec<f64> {
-        #[cfg(feature = "simd")]
-        {
-            self.predict_batch_simd(rows, width)
-        }
-        #[cfg(not(feature = "simd"))]
-        {
-            self.predict_batch_blocked(rows, width)
-        }
-    }
-
     /// Walk every tree for one row.
     fn walk_one(&self, features: &[f64]) -> f64 {
         // the flat arena holds exactly the fitted trees, in boosting order, so the
@@ -599,7 +489,7 @@ impl BoostedTreesRegressor {
         if features.len() >= self.flat.min_width {
             for &root in &self.flat.roots {
                 // SAFETY: the row covers every split feature (checked above) and
-                // the root comes from the arena built in `from_trees`.
+                // the root comes from the arena built by `push`.
                 prediction += self.params.learning_rate
                     * unsafe { self.flat.leaf_unchecked(root as usize, features) };
             }
@@ -641,7 +531,7 @@ impl Regressor for BoostedTreesRegressor {
         let columns = RankedColumns::new(data);
         let mut scratch = SplitScratch::default();
         let mut sample: Vec<usize> = Vec::with_capacity(sample_size);
-        let mut trees = Vec::with_capacity(self.params.n_estimators);
+        let mut flat = FlatForest::default();
 
         for _ in 0..self.params.n_estimators {
             for i in 0..n {
@@ -657,17 +547,17 @@ impl Regressor for BoostedTreesRegressor {
             let mut tree = RegressionTree::new(self.params.tree);
             tree.fit_ranked(&columns, &residuals, &mut sample, &mut scratch)?;
 
-            // batched residual update over the just-fitted tree's flat arrays
-            // (bit-identical to the per-row `tree.predict_one` loop)
-            tree.flatten().accumulate_into(
+            // batched residual update over the just-pushed tree (bit-identical
+            // to the per-row `tree.predict_one` loop)
+            flat.push(&tree);
+            flat.accumulate_tree(
+                flat.tree_count() - 1,
                 data.feature_matrix(),
                 data.n_features(),
                 self.params.learning_rate,
                 &mut predictions,
             );
-            trees.push(tree);
         }
-        let flat = FlatForest::from_trees(&trees);
         self.memo = CellMemo::new(&flat).map(Arc::new);
         self.flat = Arc::new(flat);
         self.fitted = true;
@@ -692,18 +582,17 @@ impl Regressor for BoostedTreesRegressor {
 
     /// Real batched inference over a row-major feature matrix.  Rows whose
     /// cell the `CellMemo` holds are served from it; the rest are gathered into
-    /// one sub-batch for the walk kernel and their cells stored.  The kernel is
-    /// cache-blocked row×tree tiling of the flat arena with branch-free,
-    /// bounds-check-free node stepping (the width was validated against the
-    /// forest's widest split feature at `from_trees` time); with `--features
-    /// simd` it additionally steps 8 rows per tree in lockstep.  Per row the
-    /// additions happen in the same order as [`Regressor::predict_one`], so every
-    /// lane is bit-identical to the default row loop.  Rows narrower than the
-    /// widest split feature take the checked reference walk (missing features
-    /// read as 0.0).
+    /// one sub-batch for [`BoostedTreesRegressor::predict_batch_blocked`] and
+    /// their cells stored.  That kernel is cache-blocked row×tree tiling of the
+    /// flat arena with branch-free, bounds-check-free node stepping (the width
+    /// is validated once against the forest's widest split feature).  Per row
+    /// the additions happen in the same order as [`Regressor::predict_one`], so
+    /// every prediction is bit-identical to the default row loop.  Rows narrower
+    /// than the widest split feature take the checked reference walk (missing
+    /// features read as 0.0).
     fn predict_batch(&self, rows: &[f64], width: usize) -> Vec<f64> {
         let Some(memo) = self.memo.as_deref() else {
-            return self.walk_batch(rows, width);
+            return self.predict_batch_blocked(rows, width);
         };
         if rows.is_empty() {
             return Vec::new();
@@ -724,7 +613,7 @@ impl Regressor for BoostedTreesRegressor {
             }
         }
         if !misses.is_empty() {
-            let walked = self.walk_batch(&miss_rows, width);
+            let walked = self.predict_batch_blocked(&miss_rows, width);
             for ((index, cell), prediction) in misses.into_iter().zip(walked) {
                 predictions[index] = prediction;
                 memo.set(cell, prediction);
@@ -836,7 +725,7 @@ mod tests {
 
     #[test]
     fn batch_kernels_agree_bit_for_bit_with_the_row_loop() {
-        let data = synthetic(317); // odd count: exercises block and lane tails
+        let data = synthetic(317); // odd count: exercises the block tail
         let mut model = BoostedTreesRegressor::new(BoostingParams::fast());
         model.fit(&data).unwrap();
         let rows = data.feature_matrix();
@@ -850,13 +739,6 @@ mod tests {
             assert_eq!(one.to_bits(), reference[i].to_bits(), "reference row {i}");
             assert_eq!(one.to_bits(), blocked[i].to_bits(), "blocked row {i}");
             assert_eq!(one.to_bits(), dispatched[i].to_bits(), "dispatch row {i}");
-        }
-        #[cfg(feature = "simd")]
-        {
-            let simd = model.predict_batch_simd(rows, width);
-            for i in 0..data.len() {
-                assert_eq!(reference[i].to_bits(), simd[i].to_bits(), "simd row {i}");
-            }
         }
     }
 
@@ -874,6 +756,55 @@ mod tests {
             let one = model.predict_one(&[*value]);
             assert_eq!(one.to_bits(), blocked[i].to_bits(), "row {i}");
             assert_eq!(one.to_bits(), dispatched[i].to_bits(), "row {i}");
+        }
+    }
+
+    #[test]
+    fn accumulate_tree_matches_the_per_row_loop() {
+        let data = synthetic(150);
+        // two trees, so the second walks from a rebased root
+        let trees: Vec<RegressionTree> = [1.0, -0.5]
+            .into_iter()
+            .map(|sign| {
+                let targets: Vec<f64> = data.targets().iter().map(|t| sign * t).collect();
+                let rows: Vec<usize> = (0..data.len()).collect();
+                let mut tree = RegressionTree::new(TreeParams::default());
+                tree.fit_on_indices(&data, &targets, &rows).unwrap();
+                tree
+            })
+            .collect();
+        let forest = FlatForest::from_trees(&trees);
+        assert_eq!(forest.min_width, 2);
+        let scale = 0.15;
+        let narrow: Vec<f64> = (0..20).map(f64::from).collect();
+        for (index, tree) in trees.iter().enumerate() {
+            let flat = tree.flatten();
+
+            // full-width rows take the unchecked walk
+            let mut batched = vec![1.25; data.len()];
+            forest.accumulate_tree(index, data.feature_matrix(), 2, scale, &mut batched);
+            for (i, value) in batched.iter().enumerate() {
+                let looped = 1.25 + scale * flat.predict_one(data.features(i));
+                assert_eq!(looped.to_bits(), value.to_bits(), "tree {index} row {i}");
+            }
+
+            // narrow rows (width 1 < min_width) take the checked fallback
+            let mut narrow_out = vec![0.0; narrow.len()];
+            forest.accumulate_tree(index, &narrow, 1, scale, &mut narrow_out);
+            for (i, value) in narrow.iter().enumerate() {
+                let looped = scale * flat.predict_one(&[*value]);
+                assert_eq!(
+                    looped.to_bits(),
+                    narrow_out[i].to_bits(),
+                    "tree {index} row {i}"
+                );
+            }
+
+            // width-0 batches broadcast the empty-row walk
+            let mut zero_width = vec![2.0; 4];
+            forest.accumulate_tree(index, &[], 0, scale, &mut zero_width);
+            let expected = (2.0 + scale * flat.predict_one(&[])).to_bits();
+            assert!(zero_width.iter().all(|slot| slot.to_bits() == expected));
         }
     }
 

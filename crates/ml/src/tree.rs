@@ -70,18 +70,6 @@ enum Node {
 /// Sentinel value of [`FlatTree::feature`] marking a leaf node.
 pub const LEAF: u32 = u32::MAX;
 
-/// Branch-free child select: `left` when `go_left`, else `right`.
-///
-/// `go_left as u32` is 0 or 1, so negating it yields an all-zeros or all-ones
-/// mask and the select compiles to straight-line bit ops (or a `cmov`) instead
-/// of a data-dependent branch — tree walks follow near-random split outcomes,
-/// which makes that branch essentially unpredictable.
-#[inline(always)]
-pub(crate) fn select_child(left: u32, right: u32, go_left: bool) -> u32 {
-    let mask = (go_left as u32).wrapping_neg();
-    (left & mask) | (right & !mask)
-}
-
 /// A node orders its rows with a comparison sort instead of a counting sort when a
 /// column has more than this many levels per row of the node (the counting sort
 /// costs one pass over the column's levels, which would dominate a small node).
@@ -230,70 +218,6 @@ impl FlatTree {
             .map(|&feature| feature as usize + 1)
             .max()
             .unwrap_or(0)
-    }
-
-    /// Add `scale * predict_one(row)` to `out[i]` for every row of the
-    /// row-major matrix `rows` — the boosting residual update as one batched
-    /// pass over the flat arrays, bit-identical to calling
-    /// [`FlatTree::predict_one`] row by row.
-    pub fn accumulate_into(&self, rows: &[f64], width: usize, scale: f64, out: &mut [f64]) {
-        if width == 0 || self.is_empty() {
-            // every row reads the same (empty or root-only) walk
-            let value = self.predict_one(&[]);
-            for slot in out.iter_mut() {
-                *slot += scale * value;
-            }
-            return;
-        }
-        assert!(
-            rows.len() == width * out.len(),
-            "row-major batch of {} values does not hold {} width-{width} rows",
-            rows.len(),
-            out.len()
-        );
-        if width >= self.min_width() {
-            for (slot, row) in out.iter_mut().zip(rows.chunks_exact(width)) {
-                // SAFETY: `width >= min_width()` puts every split feature in
-                // bounds, and child indices point into the arena by
-                // construction (`flatten` preserves arena indices).
-                *slot += scale * unsafe { self.leaf_unchecked(row) };
-            }
-        } else {
-            for (slot, row) in out.iter_mut().zip(rows.chunks_exact(width)) {
-                *slot += scale * self.predict_one(row);
-            }
-        }
-    }
-
-    /// The bounds-check-free, branch-free walk.
-    ///
-    /// # Safety
-    ///
-    /// `row.len()` must be at least [`FlatTree::min_width`] and the tree must
-    /// be non-empty with in-arena child indices (always true for trees built
-    /// by [`RegressionTree::flatten`]).
-    #[inline]
-    unsafe fn leaf_unchecked(&self, row: &[f64]) -> f64 {
-        let mut index = 0usize;
-        loop {
-            // SAFETY: `index` starts at the root (node 0 exists: the tree is
-            // non-empty per the contract) and is only ever replaced by
-            // `left`/`right` values, which `flatten` builds strictly in-arena;
-            // the four parallel arrays share one length.
-            let feature = *self.feature.get_unchecked(index);
-            let threshold = *self.threshold.get_unchecked(index);
-            if feature == LEAF {
-                return threshold;
-            }
-            // SAFETY: `feature < min_width <= row.len()` — `flatten` folds every
-            // split feature into `min_width` and the caller checked the row width.
-            let value = *row.get_unchecked(feature as usize);
-            index = select_child(
-                *self.left.get_unchecked(index),
-                *self.right.get_unchecked(index),
-                value <= threshold,
-            ) as usize;
-        }
     }
 
     /// Walk the flat arrays from the root; bit-identical to
@@ -1009,45 +933,5 @@ mod tests {
         });
         tree.fit(&d).unwrap();
         assert_eq!(tree.flatten().min_width(), 3);
-    }
-
-    #[test]
-    fn accumulate_into_matches_the_per_row_loop() {
-        let mut d = Dataset::new(vec!["x".into(), "y".into()]);
-        for i in 0..150 {
-            let x = (i % 17) as f64;
-            let y = ((i * 3) % 11) as f64;
-            d.push(vec![x, y], x * 0.5 + y * y * 0.1).unwrap();
-        }
-        let mut tree = RegressionTree::new(TreeParams::default());
-        tree.fit(&d).unwrap();
-        let flat = tree.flatten();
-
-        let scale = 0.15;
-        let mut batched = vec![1.25; d.len()];
-        flat.accumulate_into(d.feature_matrix(), d.n_features(), scale, &mut batched);
-        for (i, value) in batched.iter().enumerate() {
-            let looped = 1.25 + scale * flat.predict_one(d.features(i));
-            assert_eq!(looped.to_bits(), value.to_bits(), "row {i}");
-        }
-
-        // narrow rows (width 1 < min_width) take the checked fallback
-        let narrow: Vec<f64> = (0..20).map(|i| i as f64).collect();
-        let mut narrow_out = vec![0.0; 20];
-        flat.accumulate_into(&narrow, 1, scale, &mut narrow_out);
-        for (i, value) in narrow.iter().enumerate() {
-            let looped = scale * flat.predict_one(&[*value]);
-            assert_eq!(looped.to_bits(), narrow_out[i].to_bits(), "row {i}");
-        }
-
-        // width-0 batches broadcast the empty-row walk
-        let mut zero_width = vec![2.0; 4];
-        flat.accumulate_into(&[], 0, scale, &mut zero_width);
-        for slot in &zero_width {
-            assert_eq!(
-                slot.to_bits(),
-                (2.0 + scale * flat.predict_one(&[])).to_bits()
-            );
-        }
     }
 }

@@ -1,11 +1,12 @@
 //! Fault-tolerant sharded campaign: deterministic fault injection, supervised
 //! recovery, and a warm resume from a torn store.
 //!
-//! Runs the paper's EM campaign under a hostile fault schedule — an evaluation
-//! error, a shard death, a stalled worker and a torn store append — and shows the
-//! supervised runner converging to the **bit-identical** result of a fault-free
-//! run, with every supervision decision exported as JSONL telemetry.  Afterwards
-//! the store is reopened: each torn half-record the plan fired is skipped (and
+//! Runs the paper's EM campaign under a hostile fault schedule — a seeded mix of
+//! evaluation errors, shard deaths, stalled workers and torn store appends, with
+//! at least one torn append on every seed — and shows the supervised runner
+//! converging to the **bit-identical** result of a fault-free run, with every
+//! supervision decision exported as JSONL telemetry.  Afterwards the store is
+//! reopened: each torn half-record the plan fired is skipped (and
 //! counted), never half-parsed, and a repeated campaign over the reopened store
 //! is answered without a single evaluation and with the same best, bit for bit.
 //!
@@ -18,7 +19,8 @@ use workdist::autotune::{
     campaign_context, ConfigurationSpace, MeasurementEvaluator, MethodKind, SystemConfiguration,
 };
 use workdist::dist::{
-    FailureReason, FaultPlan, JsonlStore, MemoryStore, ResultStore, RetryPolicy, ShardedCampaign,
+    FailureReason, FaultEvent, FaultKind, FaultPlan, JsonlStore, MemoryStore, ResultStore,
+    RetryPolicy, ShardedCampaign,
 };
 use workdist::dna::Genome;
 use workdist::obs::JsonlExporter;
@@ -38,7 +40,27 @@ fn main() {
         .ok()
         .and_then(|raw| raw.parse().ok())
         .unwrap_or(7u64); // the default plan covers all four fault kinds
-    let faults = FaultPlan::random(seed, shards, 2, 3);
+
+    // the seeded faults plus one torn write on the first batch of the
+    // least-faulted slot's next attempt, so every seed exercises the torn-line
+    // reopen below
+    let mut events = FaultPlan::random(seed, shards, 2, 3).events().to_vec();
+    let (attempt, slot) = (0..shards)
+        .map(|slot| {
+            (
+                events.iter().filter(|event| event.slot == slot).count(),
+                slot,
+            )
+        })
+        .min()
+        .expect("the campaign has shards");
+    events.push(FaultEvent {
+        slot,
+        attempt,
+        after_batches: 0,
+        kind: FaultKind::TornWrite,
+    });
+    let faults = FaultPlan::from_events(events);
     println!("fault plan (seed {seed}, slot:attempt:after_batches:kind):");
     for event in faults.events() {
         println!("    {event}");
@@ -114,6 +136,7 @@ fn main() {
         .iter()
         .filter(|attempt| attempt.failure == Some(FailureReason::TornWrite))
         .count();
+    assert!(torn_writes >= 1, "the plan's torn write must fire");
     let reopened: JsonlStore<SystemConfiguration> =
         JsonlStore::open_with_context(&store_path, &context).expect("reopen the result store");
     println!(
