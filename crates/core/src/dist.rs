@@ -160,10 +160,14 @@ where
             campaign.run(grid, &prediction.tabulated(grid), store)
         }
     } else {
+        // EM campaigns score through measured per-side tables, the source the
+        // method runner's EM scan uses: bit-identical to one `execute` per
+        // configuration, but each side triple is simulated once.  The tables fill
+        // on first touch, so a fully warm store still costs zero simulations.
         measurement
             .check_space(grid)
             .map_err(|error| format!("{method}: {error}"))?;
-        campaign.run(grid, &measurement, store)
+        campaign.run(grid, &measurement.lazy_tabulated(), store)
     }
     .map_err(|error| format!("sharded campaign failed: {error}"))?;
     let measured = measurement

@@ -17,7 +17,6 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rayon::prelude::*;
 use wd_ml::{BoostedTreesRegressor, BoostingParams, Dataset, ErrorHistogram, Regressor};
-use wd_opt::ShardPlan;
 
 use crate::config::DeviceAxis;
 use crate::evaluator::PredictionEvaluator;
@@ -329,7 +328,7 @@ impl TrainingCampaign {
     /// Execute the host half of the campaign and return it as a dataset
     /// (features per [`crate::features::host_feature_names`], targets in seconds).
     pub fn host_dataset(&self, platform: &HeterogeneousPlatform) -> wd_ml::Dataset {
-        Self::records_to_dataset(self.generate(platform, Side::Host, 1), host_feature_names())
+        Self::records_to_dataset(self.generate(platform, Side::Host), host_feature_names())
     }
 
     /// Execute the campaign half of accelerator `device_index` and return it as a
@@ -340,7 +339,7 @@ impl TrainingCampaign {
         device_index: usize,
     ) -> wd_ml::Dataset {
         Self::records_to_dataset(
-            self.generate(platform, Side::Device(device_index), 1),
+            self.generate(platform, Side::Device(device_index)),
             device_feature_names(),
         )
     }
@@ -354,34 +353,17 @@ impl TrainingCampaign {
         data
     }
 
-    /// Execute the campaign on `platform` and fit the two prediction models.
-    pub fn run(&self, platform: &HeterogeneousPlatform, boosting: BoostingParams) -> TrainedModels {
-        self.run_sharded(platform, boosting, 1)
-    }
-
-    /// Execute the campaign as `shard_count` contiguous shards per side — each shard
-    /// standing in for one node of a measurement cluster — and fit one prediction
-    /// model per device from the concatenated records.  The host and device models
-    /// are fitted concurrently; each fit depends only on its own side's records, so
-    /// the result does not depend on how the fits are scheduled.
-    ///
-    /// Sharding is invisible in the result: shards are contiguous slices of the
-    /// deterministic experiment order (a [`wd_opt::ShardPlan`] partition) concatenated
-    /// back in shard order, and the simulator's noise is a pure hash of the experiment
-    /// context, so the datasets — and therefore the trained models and accuracy
-    /// reports — are identical to a single-node campaign for every shard count.
+    /// Execute the campaign on `platform` and fit one prediction model per side
+    /// (the host and each accelerator).  The fits run concurrently; each depends
+    /// only on its own side's records, so the result does not depend on how the
+    /// fits are scheduled.
     ///
     /// # Panics
     ///
     /// Panics when the number of device axes does not match the platform's
     /// accelerator count (the campaign would otherwise silently train models for
     /// devices that do not exist, or skip devices that do).
-    pub fn run_sharded(
-        &self,
-        platform: &HeterogeneousPlatform,
-        boosting: BoostingParams,
-        shard_count: usize,
-    ) -> TrainedModels {
+    pub fn run(&self, platform: &HeterogeneousPlatform, boosting: BoostingParams) -> TrainedModels {
         assert_eq!(
             self.device_axes.len(),
             platform.accelerator_count(),
@@ -393,7 +375,7 @@ impl TrainingCampaign {
         // fit per side, all sides concurrently; results come back in side order
         let sides: Vec<(Side, Vec<ExperimentRecord>)> = std::iter::once(Side::Host)
             .chain((0..self.device_axes.len()).map(Side::Device))
-            .map(|side| (side, self.generate(platform, side, shard_count)))
+            .map(|side| (side, self.generate(platform, side)))
             .collect();
         let host_experiments = sides[0].1.len();
         let device_experiments = sides[1..].iter().map(|(_, records)| records.len()).sum();
@@ -448,20 +430,12 @@ impl TrainingCampaign {
         experiments
     }
 
-    /// Run all experiments for one side of the platform, as `shard_count` concurrent
-    /// shards.
+    /// Run all experiments for one side of the platform as one rayon-parallel batch.
     ///
-    /// The full cross-product of experiments is enumerated first, partitioned into
-    /// contiguous shards, and each shard executed as one rayon-parallel batch — the
-    /// simulator is stateless and its noise model is a pure hash of the experiment
-    /// context, so the concatenated records are identical to a sequential campaign,
+    /// The simulator is stateless and its noise model is a pure hash of the
+    /// experiment context, so the records are identical to a sequential campaign,
     /// in the same deterministic order.
-    fn generate(
-        &self,
-        platform: &HeterogeneousPlatform,
-        side: Side,
-        shard_count: usize,
-    ) -> Vec<ExperimentRecord> {
+    fn generate(&self, platform: &HeterogeneousPlatform, side: Side) -> Vec<ExperimentRecord> {
         let experiments = self.experiment_list(side);
         let run_one =
             |(genome, share, threads, affinity): (Genome, WorkloadProfile, u32, Affinity)| {
@@ -493,29 +467,7 @@ impl TrainingCampaign {
                     measured,
                 }
             };
-
-        if shard_count <= 1 {
-            return experiments.into_par_iter().map(run_one).collect();
-        }
-
-        // one rayon task per shard; inside a shard the slice runs sequentially, as it
-        // would on a remote node of a measurement cluster
-        let plan = ShardPlan::new(experiments.len(), shard_count);
-        let mut shards: Vec<Vec<(Genome, WorkloadProfile, u32, Affinity)>> =
-            Vec::with_capacity(plan.shard_count());
-        let mut rest = experiments;
-        for range in plan.ranges().into_iter().rev() {
-            shards.push(rest.split_off(range.start));
-        }
-        shards.reverse();
-
-        shards
-            .into_par_iter()
-            .map(|shard| shard.into_iter().map(run_one).collect::<Vec<_>>())
-            .collect::<Vec<_>>()
-            .into_iter()
-            .flatten()
-            .collect()
+        experiments.into_par_iter().map(run_one).collect()
     }
 
     /// Split the records, train the model on the training half and evaluate it on the
@@ -604,27 +556,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_campaign_is_identical_to_single_node_training() {
-        let platform = HeterogeneousPlatform::emil();
-        let campaign = TrainingCampaign::reduced();
-        let single = campaign.run(&platform, BoostingParams::fast());
-        for shards in [2usize, 3, 7] {
-            let sharded = campaign.run_sharded(&platform, BoostingParams::fast(), shards);
-            assert_eq!(sharded.host_experiments, single.host_experiments);
-            assert_eq!(sharded.device_experiments, single.device_experiments);
-            // identical records → identical split → identical evaluation rows
-            assert_eq!(
-                sharded.host_accuracy.rows, single.host_accuracy.rows,
-                "{shards} shards"
-            );
-            assert_eq!(
-                sharded.device_accuracy().rows,
-                single.device_accuracy().rows
-            );
-        }
-    }
-
-    #[test]
     fn concurrent_side_fits_match_serial_fits() {
         // three sides (host + two accelerators) exercise the parallel map's chunking
         let platform = HeterogeneousPlatform::emil_with_gpu();
@@ -632,7 +563,7 @@ mod tests {
         let boosting = BoostingParams::fast();
         let models = campaign.run(&platform, boosting);
         let serial = |side: Side, names: Vec<String>| {
-            let records = campaign.generate(&platform, side, 1);
+            let records = campaign.generate(&platform, side);
             campaign.fit_side(&records, names, boosting)
         };
 

@@ -8,22 +8,23 @@
 //! bit-identical to a single-node scan for every shard count and every completion
 //! order.
 //!
-//! [`ShardedCampaign::run`] is the fault-free case of the supervised runner
-//! ([`crate::supervisor`]): the same [`crate::scheduler::Scheduler`] hands out the
-//! shards and the same store-first scan evaluates them.  Results already present in
-//! the campaign's [`ResultStore`] are returned without touching the objective, and
-//! fresh results are recorded as they are produced, so against a warm store a
+//! Every shard scans store-first: results already present in the campaign's
+//! [`ResultStore`] are returned without touching the objective, and fresh results
+//! are recorded batch by batch as they are produced, so against a warm store a
 //! repeated (or killed-and-restarted) campaign performs **zero** new evaluations.
+//! Worker death, fencing and torn appends are the business of the multi-process
+//! driver ([`crate::ProcCampaign`]), which ends with this scan over its merged
+//! store.
 
 use std::ops::Range;
 
-use wd_obs::{NoopRecorder, Recorder};
+use rayon::prelude::*;
+
+use wd_obs::{FieldValue, NoopRecorder, Recorder};
 use wd_opt::enumeration::DEFAULT_BATCH_SIZE;
-use wd_opt::{better_indexed, CacheStats, Objective, SearchSpace};
+use wd_opt::{better_indexed, CacheStats, Objective, SearchSpace, ShardPlan};
 
 use crate::error::CampaignError;
-use crate::fault::FaultPlan;
-use crate::scheduler::RetryPolicy;
 use crate::store::ResultStore;
 
 /// What one shard (one simulated node) reported back to the coordinator.
@@ -128,10 +129,11 @@ impl ShardedCampaign {
     /// # Errors
     ///
     /// Returns [`CampaignError::NotEnumerable`] if the space is neither indexed nor
-    /// enumerable, [`CampaignError::EmptySpace`] if it holds no configurations, and
-    /// [`CampaignError::Store`] if flushing the store fails (a persistent campaign
-    /// that cannot persist is not resumable — surfacing the error beats silently
-    /// re-evaluating everything next run).
+    /// enumerable, [`CampaignError::EmptySpace`] if it holds no configurations,
+    /// [`CampaignError::MissingConfig`] if an indexed space has no configuration at
+    /// an index below its `space_len`, and [`CampaignError::Store`] if flushing the
+    /// store fails (a persistent campaign that cannot persist is not resumable —
+    /// surfacing the error beats silently re-evaluating everything next run).
     pub fn run<S, O, R>(
         &self,
         space: &S,
@@ -150,9 +152,8 @@ impl ShardedCampaign {
     /// [`ShardedCampaign::run`] with the campaign's lifecycle published to `recorder`
     /// under `scope`: a `shard_started` / `shard_completed` event pair per shard
     /// (index, range, best, evaluations, store hits/misses) and one final `merged`
-    /// event carrying the campaign result.  This is
-    /// [`ShardedCampaign::run_supervised_observed`] under [`FaultPlan::none`]; the
-    /// recorder only observes, so outcomes are bit-identical to the unobserved run.
+    /// event carrying the campaign result.  The recorder only observes, so outcomes
+    /// are bit-identical to the unobserved run.
     pub fn run_observed<S, O, R>(
         &self,
         space: &S,
@@ -167,16 +168,175 @@ impl ShardedCampaign {
         O: Objective<S::Config> + Sync,
         R: ResultStore<S::Config> + Sync,
     {
-        self.run_supervised_observed(
+        let (materialized, total) = match space.space_len() {
+            Some(len) => (None, len),
+            None => {
+                let configs = space.enumerate().ok_or(CampaignError::NotEnumerable)?;
+                let len = configs.len();
+                (Some(configs), len)
+            }
+        };
+        if total == 0 {
+            return Err(CampaignError::EmptySpace);
+        }
+        let emit = |kind: &str, fields: &[(&str, FieldValue)]| {
+            if recorder.enabled() {
+                recorder.event(scope, kind, fields);
+            }
+        };
+        let u64_of = |value: usize| FieldValue::U64(value as u64);
+
+        let shards: Vec<(usize, Range<usize>)> = ShardPlan::new(total, self.shard_count)
+            .ranges()
+            .into_iter()
+            .enumerate()
+            .collect();
+        for (shard, range) in &shards {
+            emit(
+                "shard_started",
+                &[
+                    ("shard", u64_of(*shard)),
+                    ("start", u64_of(range.start)),
+                    ("len", u64_of(range.len())),
+                ],
+            );
+        }
+        let scan = Scan {
             space,
+            materialized: materialized.as_deref(),
             objective,
             store,
-            &FaultPlan::none(),
-            &RetryPolicy::default(),
-            recorder,
-            scope,
-        )
-        .map(|supervised| supervised.outcome)
+            batch_size: self.batch_size.max(1),
+        };
+        let reports: Vec<ShardReport> = shards
+            .into_par_iter()
+            .map(|(shard, range)| scan.shard(shard, range))
+            .collect::<Result<_, _>>()?;
+        for report in &reports {
+            emit(
+                "shard_completed",
+                &[
+                    ("shard", u64_of(report.shard_index)),
+                    ("best_index", u64_of(report.best_index)),
+                    ("best_energy", FieldValue::F64(report.best_energy)),
+                    ("evaluations", u64_of(report.evaluations)),
+                    ("hits", u64_of(report.stats.hits)),
+                    ("misses", u64_of(report.stats.misses)),
+                ],
+            );
+        }
+
+        let (best_index, best_energy) = merge_shard_bests(reports.iter().map(ShardReport::best))
+            .ok_or(CampaignError::EmptySpace)?;
+        let stats: CacheStats = reports.iter().map(|report| report.stats).sum();
+        emit(
+            "merged",
+            &[
+                ("shards", u64_of(reports.len())),
+                ("best_index", u64_of(best_index)),
+                ("best_energy", FieldValue::F64(best_energy)),
+                ("hits", u64_of(stats.hits)),
+                ("misses", u64_of(stats.misses)),
+            ],
+        );
+        store.record_stats(stats);
+        store.flush()?;
+
+        let best_config = match materialized {
+            Some(mut configs) if best_index < configs.len() => configs.swap_remove(best_index),
+            Some(_) => return Err(CampaignError::MissingConfig { index: best_index }),
+            None => space
+                .config_at(best_index)
+                .ok_or(CampaignError::MissingConfig { index: best_index })?,
+        };
+        Ok(CampaignOutcome {
+            best_config,
+            best_energy,
+            best_index,
+            evaluations: reports.iter().map(|report| report.evaluations).sum(),
+            stats,
+            shards: reports,
+        })
+    }
+}
+
+/// What every shard of one campaign scans, and through what.
+struct Scan<'a, S: SearchSpace, O, R> {
+    space: &'a S,
+    /// The enumeration of a space without indexed access, built once.
+    materialized: Option<&'a [S::Config]>,
+    objective: &'a O,
+    store: &'a R,
+    batch_size: usize,
+}
+
+impl<S, O, R> Scan<'_, S, O, R>
+where
+    S: SearchSpace + Sync,
+    S::Config: Clone + Send + Sync,
+    O: Objective<S::Config> + Sync,
+    R: ResultStore<S::Config> + Sync,
+{
+    /// The configurations of one batch.
+    fn configs_for(&self, range: Range<usize>) -> Result<Vec<S::Config>, CampaignError> {
+        if let Some(all) = self.materialized {
+            return all
+                .get(range.clone())
+                .map(<[S::Config]>::to_vec)
+                .ok_or(CampaignError::MissingConfig { index: range.start });
+        }
+        range
+            .map(|index| {
+                self.space
+                    .config_at(index)
+                    .ok_or(CampaignError::MissingConfig { index })
+            })
+            .collect()
+    }
+
+    /// Scan one shard's (non-empty) range batch by batch: look the batch up in the
+    /// store, evaluate only the misses, record them, and fold the best by index.
+    fn shard(&self, shard: usize, range: Range<usize>) -> Result<ShardReport, CampaignError> {
+        let mut stats = CacheStats::default();
+        let mut best: Option<(usize, f64)> = None;
+        for start in range.clone().step_by(self.batch_size) {
+            let end = start.saturating_add(self.batch_size).min(range.end);
+            let configs = self.configs_for(start..end)?;
+            let mut energies = vec![0.0f64; configs.len()];
+            let mut pending: Vec<usize> = Vec::new();
+            for (offset, found) in self.store.lookup_batch(&configs).into_iter().enumerate() {
+                match found {
+                    Some(energy) => energies[offset] = energy,
+                    None => pending.push(offset),
+                }
+            }
+            stats.hits += configs.len() - pending.len();
+            if !pending.is_empty() {
+                let pending_configs: Vec<S::Config> = pending
+                    .iter()
+                    .map(|&offset| configs[offset].clone())
+                    .collect();
+                let fresh = self.objective.evaluate_batch(&pending_configs);
+                self.store.record_batch(&pending_configs, &fresh);
+                stats.misses += pending_configs.len();
+                for (&offset, &energy) in pending.iter().zip(&fresh) {
+                    energies[offset] = energy;
+                }
+            }
+            for (offset, &energy) in energies.iter().enumerate() {
+                let candidate = (start + offset, energy);
+                best = Some(best.map_or(candidate, |current| better_indexed(current, candidate)));
+            }
+        }
+        let (best_index, best_energy) = best.ok_or(CampaignError::EmptySpace)?;
+        Ok(ShardReport {
+            shard_index: shard,
+            evaluations: range.len(),
+            range,
+            best_index,
+            best_energy,
+            stats,
+        })
     }
 }
 

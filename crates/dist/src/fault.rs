@@ -1,17 +1,17 @@
-//! Deterministic fault injection for supervised campaigns.
+//! Deterministic fault injection for multi-process campaigns.
 //!
 //! A [`FaultPlan`] is an explicit, finite schedule of [`FaultEvent`]s: *worker slot
 //! `s`, on its `a`-th attempt, fails after scanning `b` batches, in this way*.  The
-//! scheduler ([`crate::scheduler`]) looks up each grant's fault in the plan; the
-//! supervisor routes it through the matching wrapper — [`FaultyObjective`] for
-//! evaluation errors, [`FaultyStore`] for torn writes — and the process transport
-//! hands it to the worker, so every fault fires at a reproducible point of the
-//! scan, independent of thread interleaving.
+//! scheduler ([`crate::scheduler`]) looks up each grant's fault in the plan and
+//! [`crate::ProcCampaign`] hands it to the worker process it spawns for the grant,
+//! so every fault fires at a reproducible point of the scan, independent of
+//! process timing.
 //!
 //! Because the schedule is finite and every attempt consumes at most one event
-//! (attempt counters only move forward), a supervised campaign under *any* plan
-//! performs finitely many failures and then converges; the store-first scan makes
-//! the recovery idempotent (persisted keys are never re-evaluated).
+//! (attempt counters only move forward), a campaign under *any* plan performs
+//! finitely many failures and then converges; workers skip every key the merged
+//! store already holds, so recovery is idempotent (persisted keys are never
+//! re-evaluated).
 //!
 //! [`FaultPlan::random`] derives a schedule from a seed with an embedded
 //! splitmix64 generator, so chaos runs are reproducible from a single integer.
@@ -20,23 +20,18 @@
 //! artifacts and hand-written scenarios.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-
-use wd_opt::Objective;
-
-use crate::store::ResultStore;
 
 /// The failure modes the harness can inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
-    /// The objective fails to produce energies for a batch (the batch is *not*
-    /// recorded; the attempt aborts before the store sees anything).
+    /// The objective fails to produce energies for a batch: the worker exits
+    /// before anything of that batch is recorded.
     EvalError,
-    /// The worker dies between batches: the attempt aborts cleanly, everything
-    /// recorded so far stays persisted.
+    /// The worker dies between batches (the process aborts); everything recorded
+    /// so far stays persisted.
     ShardDeath,
-    /// The worker stalls and stops renewing its lease; it observes its own lease
-    /// expiry on the logical clock and fences itself off.
+    /// The worker stalls and stops heartbeating; the coordinator fences its
+    /// lease, and the woken worker observes the rotated token and abandons.
     Stall,
     /// The store write of a batch is torn: all but the last record land, a
     /// truncated unparseable line is durably appended in its place, and the
@@ -77,9 +72,7 @@ pub struct FaultEvent {
     pub slot: usize,
     /// The slot's cumulative attempt counter value at which the fault fires.
     pub attempt: usize,
-    /// Number of scan batches the attempt completes before the fault fires (for
-    /// [`FaultKind::EvalError`]: evaluation batches, i.e. batches with at least one
-    /// unpersisted configuration).
+    /// Number of scan batches the attempt completes before the fault fires.
     pub after_batches: usize,
     /// What goes wrong.
     pub kind: FaultKind,
@@ -115,7 +108,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 }
 
 impl FaultPlan {
-    /// The empty plan: a supervised run under it behaves exactly like the plain run.
+    /// The empty plan: a campaign under it runs fault-free.
     pub fn none() -> Self {
         FaultPlan::default()
     }
@@ -224,137 +217,9 @@ impl fmt::Display for FaultPlan {
     }
 }
 
-/// An [`Objective`] wrapper that injects one scheduled [`FaultKind::EvalError`].
-///
-/// Evaluation goes through [`FaultyObjective::try_evaluate_batch`]: on the
-/// scheduled evaluation batch the wrapper fails *before* touching the inner
-/// objective, so nothing is computed and nothing can be recorded — exactly the
-/// footprint of an evaluation backend erroring out.  All other batches (and plans
-/// without an eval-error for this attempt) pass straight through.
-pub struct FaultyObjective<'a, O: ?Sized> {
-    inner: &'a O,
-    fault: Option<FaultEvent>,
-    eval_batches: AtomicUsize,
-}
-
-impl<'a, O: ?Sized> FaultyObjective<'a, O> {
-    /// Wrap `inner` for one attempt; `fault` is that attempt's scheduled event (any
-    /// non-`EvalError` kind is ignored here — the supervisor and the store wrapper
-    /// handle those).
-    pub fn new(inner: &'a O, fault: Option<FaultEvent>) -> Self {
-        FaultyObjective {
-            inner,
-            fault: fault.filter(|event| event.kind == FaultKind::EvalError),
-            eval_batches: AtomicUsize::new(0),
-        }
-    }
-
-    /// Evaluate a batch, or fail if this is the scheduled evaluation batch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FaultKind::EvalError`] when the injected fault fires.
-    pub fn try_evaluate_batch<C>(&self, configs: &[C]) -> Result<Vec<f64>, FaultKind>
-    where
-        O: Objective<C>,
-    {
-        let batch = self.eval_batches.fetch_add(1, Ordering::Relaxed);
-        if let Some(event) = self.fault {
-            if batch == event.after_batches {
-                return Err(FaultKind::EvalError);
-            }
-        }
-        Ok(self.inner.evaluate_batch(configs))
-    }
-}
-
-/// A [`ResultStore`] wrapper that injects one scheduled [`FaultKind::TornWrite`].
-///
-/// On the scheduled record batch the wrapper persists every record *except the
-/// last*, asks the inner store to durably append a torn (truncated, unparseable)
-/// line in its place ([`ResultStore::inject_torn_write`]), and trips a flag the
-/// supervisor checks to abort the attempt — the footprint of a worker crashing in
-/// the middle of `write(2)`.  The lost record is simply absent, so the retry
-/// re-evaluates exactly that configuration; the torn line is what a later
-/// [`crate::JsonlStore::open`] skips and counts in
-/// [`crate::JsonlStore::skipped_lines`].
-pub struct FaultyStore<'a, R: ?Sized> {
-    inner: &'a R,
-    fault: Option<FaultEvent>,
-    record_batches: AtomicUsize,
-    tripped: AtomicBool,
-}
-
-impl<'a, R: ?Sized> FaultyStore<'a, R> {
-    /// Wrap `store` for one attempt; `fault` is that attempt's scheduled event (any
-    /// non-`TornWrite` kind is ignored here).
-    pub fn new(inner: &'a R, fault: Option<FaultEvent>) -> Self {
-        FaultyStore {
-            inner,
-            fault: fault.filter(|event| event.kind == FaultKind::TornWrite),
-            record_batches: AtomicUsize::new(0),
-            tripped: AtomicBool::new(false),
-        }
-    }
-
-    /// Whether the scheduled torn write has fired (checked by the supervisor after
-    /// every recorded batch).
-    pub fn tripped(&self) -> bool {
-        self.tripped.load(Ordering::Relaxed)
-    }
-}
-
-impl<C, R> ResultStore<C> for FaultyStore<'_, R>
-where
-    R: ResultStore<C> + ?Sized,
-{
-    fn lookup(&self, config: &C) -> Option<f64> {
-        self.inner.lookup(config)
-    }
-
-    fn lookup_batch(&self, configs: &[C]) -> Vec<Option<f64>> {
-        self.inner.lookup_batch(configs)
-    }
-
-    fn record(&self, config: &C, energy: f64) {
-        self.inner.record(config, energy);
-    }
-
-    fn record_batch(&self, configs: &[C], energies: &[f64]) {
-        let batch = self.record_batches.fetch_add(1, Ordering::Relaxed);
-        if let Some(event) = self.fault {
-            if batch == event.after_batches && !configs.is_empty() {
-                let keep = configs.len() - 1;
-                self.inner.record_batch(&configs[..keep], &energies[..keep]);
-                self.inner.inject_torn_write("injected-torn-write");
-                self.tripped.store(true, Ordering::Relaxed);
-                return;
-            }
-        }
-        self.inner.record_batch(configs, energies);
-    }
-
-    fn record_stats(&self, stats: wd_opt::CacheStats) {
-        self.inner.record_stats(stats);
-    }
-
-    fn recorded_stats(&self) -> wd_opt::CacheStats {
-        self.inner.recorded_stats()
-    }
-
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    fn flush(&self) -> std::io::Result<()> {
-        self.inner.flush()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::MemoryStore;
 
     #[test]
     fn random_plans_are_reproducible_and_fire_consecutively() {
@@ -402,59 +267,5 @@ mod tests {
         assert!(!plan.is_empty());
         assert_eq!(plan.len(), 1);
         assert!(FaultPlan::none().is_empty());
-    }
-
-    #[test]
-    fn faulty_objective_fails_only_the_scheduled_eval_batch() {
-        let objective = |c: &u32| f64::from(*c) * 2.0;
-        let event = FaultEvent {
-            slot: 0,
-            attempt: 0,
-            after_batches: 1,
-            kind: FaultKind::EvalError,
-        };
-        let faulty = FaultyObjective::new(&objective, Some(event));
-        assert_eq!(faulty.try_evaluate_batch(&[1, 2]).unwrap(), vec![2.0, 4.0]);
-        assert_eq!(
-            faulty.try_evaluate_batch(&[3]).unwrap_err(),
-            FaultKind::EvalError
-        );
-        // batches after the scheduled one pass again (the attempt already aborted
-        // in practice, but the wrapper itself is single-shot)
-        assert!(faulty.try_evaluate_batch(&[4]).is_ok());
-
-        // non-eval faults are ignored by the objective wrapper
-        let stall = FaultEvent {
-            kind: FaultKind::Stall,
-            ..event
-        };
-        let faulty = FaultyObjective::new(&objective, Some(stall));
-        assert!(faulty.try_evaluate_batch(&[1]).is_ok());
-        assert!(faulty.try_evaluate_batch(&[1]).is_ok());
-    }
-
-    #[test]
-    fn faulty_store_tears_the_last_record_of_the_scheduled_batch() {
-        let store: MemoryStore<u32> = MemoryStore::new();
-        let event = FaultEvent {
-            slot: 0,
-            attempt: 0,
-            after_batches: 0,
-            kind: FaultKind::TornWrite,
-        };
-        let faulty = FaultyStore::new(&store, Some(event));
-        faulty.record_batch(&[1, 2, 3], &[1.0, 2.0, 3.0]);
-        assert!(faulty.tripped());
-        // the torn (last) record never landed; the prefix did
-        assert_eq!(store.lookup(&1), Some(1.0));
-        assert_eq!(store.lookup(&2), Some(2.0));
-        assert_eq!(store.lookup(&3), None);
-
-        // without a scheduled torn write everything is forwarded verbatim
-        let clean: MemoryStore<u32> = MemoryStore::new();
-        let passthrough = FaultyStore::new(&clean, None);
-        passthrough.record_batch(&[7, 8], &[7.0, 8.0]);
-        assert!(!passthrough.tripped());
-        assert_eq!(clean.len(), 2);
     }
 }

@@ -19,14 +19,14 @@
 //!   on-disk implementation (append-only JSON lines, exact IEEE-754 round trip,
 //!   tolerant of truncated tails), [`MemoryStore`] the in-process one.  A killed or
 //!   repeated campaign resumes against a warm store with **zero** re-evaluations.
-//! * [`ShardedCampaign::run_supervised`] adds fault tolerance on top: per-shard
-//!   leases on a logical clock, capped-exponential-backoff retries, work-stealing
-//!   of dead shards and idempotent store-first recovery, with deterministic fault
-//!   injection ([`FaultPlan`]) to prove the whole stack converges to the
-//!   bit-identical fault-free answer.  [`ShardedCampaign::run`] is its fault-free
-//!   case, and [`ProcCampaign`] runs the same policy across worker processes: one
-//!   pure [`scheduler::Scheduler`] makes every queue, retry, steal and abandon
-//!   decision for both.  A torn line is skipped on reload and counted in
+//! * [`ProcCampaign`] is the fault-tolerant driver: it runs the campaign across
+//!   real worker processes that survive `kill -9`, with leases and fencing tokens
+//!   on disk, retries, work-stealing and salvage of every worker's segment, and
+//!   deterministic fault injection ([`FaultPlan`]) to prove it converges to the
+//!   bit-identical fault-free answer.  One pure [`scheduler::Scheduler`] makes
+//!   every queue, retry, steal and abandon decision; the driver only moves files
+//!   and processes.  Its final outcome is a [`ShardedCampaign`] scan over the
+//!   merged store.  A torn line is skipped on reload and counted in
 //!   [`JsonlStore::skipped_lines`], never half-parsed into a record.
 //!
 //! ## Example
@@ -67,12 +67,11 @@ pub mod key;
 pub mod proc;
 pub mod scheduler;
 pub mod store;
-pub mod supervisor;
 mod sync;
 
 pub use coordinator::{merge_shard_bests, CampaignOutcome, ShardReport, ShardedCampaign};
 pub use error::CampaignError;
-pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultyObjective, FaultyStore};
+pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use key::ConfigKey;
 pub use proc::{
     ProcCampaign, ProcManifest, ProcOutcome, ProcReport, WorkDir, WorkloadSpec,
@@ -82,4 +81,3 @@ pub use scheduler::RetryPolicy;
 pub use store::{
     read_result_records, JsonlStore, MemoryStore, ResultStore, StoreIoStats, STORE_SCHEMA_VERSION,
 };
-pub use supervisor::{AttemptRecord, FailureReason, SupervisedOutcome, SupervisionReport};

@@ -1,12 +1,11 @@
 //! Multi-process distributed campaigns: a coordinator that spawns real worker
 //! **processes** (the `wd-worker` bin target), hands each one a shard of the
 //! enumeration range, and reconciles exclusively through the on-disk file
-//! protocol below.  This is the process-transport half of the fault-tolerance
-//! story: where [`crate::supervisor`] simulates worker failure on a logical
-//! clock inside one process, this module survives a real `kill -9` of any
-//! worker at any point.  Both drive the same [`Scheduler`], which makes every
-//! queue, retry, steal and abandon decision; this module only moves files,
-//! processes and heartbeats, passing elapsed time in backoff ticks.
+//! protocol below.  This is the crate's one fault-tolerant campaign driver: it
+//! survives a real `kill -9` of any worker at any point.  The [`Scheduler`]
+//! makes every queue, retry, steal and abandon decision; this module only
+//! moves files, processes and heartbeats, passing elapsed time in backoff
+//! ticks.
 //!
 //! ## On-disk protocol (everything lives under one work directory)
 //!
@@ -206,6 +205,12 @@ impl ProcManifest {
     }
 
     /// Read and parse the manifest at `path`.
+    ///
+    /// # Errors
+    ///
+    /// An [`io::ErrorKind::InvalidData`] error for a wrong header, a missing,
+    /// unparseable, duplicate or unknown key, or a `total` that is not the
+    /// configuration count of the workload's space.
     pub fn read(path: &Path) -> io::Result<ProcManifest> {
         let text = std::fs::read_to_string(path)?;
         let invalid = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
@@ -216,24 +221,38 @@ impl ProcManifest {
                 "manifest header `{header}` is not `{PROC_MANIFEST_VERSION}`"
             )));
         }
-        let mut workload = None;
-        let mut slots = None;
-        let mut batch = None;
-        let mut total = None;
+        let mut values: HashMap<&str, &str> = HashMap::new();
         for line in lines {
-            match line.split_once(' ') {
-                Some(("workload", value)) => workload = WorkloadSpec::decode(value),
-                Some(("slots", value)) => slots = value.parse().ok(),
-                Some(("batch", value)) => batch = value.parse().ok(),
-                Some(("total", value)) => total = value.parse().ok(),
-                _ => {}
+            let (key, value) = line.split_once(' ').unwrap_or((line, ""));
+            if !["workload", "slots", "batch", "total"].contains(&key) {
+                return Err(invalid(&format!("unknown manifest line `{line}`")));
+            }
+            if values.insert(key, value).is_some() {
+                return Err(invalid(&format!("duplicate manifest key `{key}`")));
             }
         }
+        let number = |key: &str| -> io::Result<usize> {
+            values
+                .get(key)
+                .and_then(|value| value.parse().ok())
+                .ok_or_else(|| invalid(&format!("manifest is missing a usable {key}")))
+        };
+        let workload = values
+            .get("workload")
+            .and_then(|value| WorkloadSpec::decode(value))
+            .ok_or_else(|| invalid("manifest is missing a usable workload"))?;
+        let total = number("total")?;
+        let space_len = workload.space().space_len();
+        if space_len != Some(total) {
+            return Err(invalid(&format!(
+                "manifest total {total} does not match the workload's {space_len:?} configurations"
+            )));
+        }
         Ok(ProcManifest {
-            workload: workload.ok_or_else(|| invalid("manifest is missing a usable workload"))?,
-            slots: slots.ok_or_else(|| invalid("manifest is missing slots"))?,
-            batch: batch.ok_or_else(|| invalid("manifest is missing batch"))?,
-            total: total.ok_or_else(|| invalid("manifest is missing total"))?,
+            workload,
+            slots: number("slots")?,
+            batch: number("batch")?,
+            total,
         })
     }
 
@@ -792,8 +811,7 @@ impl ProcCampaign {
 
     /// Inject a deterministic fault schedule (delivered to workers through
     /// [`WORKER_FAULT_ENV`], keyed by slot and the slot's cumulative attempt
-    /// counter, exactly as in the in-process supervisor: both use the
-    /// [`Scheduler`]'s counters).
+    /// counter, both the [`Scheduler`]'s).
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
         self
@@ -1275,6 +1293,31 @@ mod tests {
         std::fs::write(&path, "not-a-manifest/v9\n").unwrap();
         let err = ProcManifest::read(&path).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn manifest_read_rejects_a_wrong_total_and_duplicate_or_unknown_keys() {
+        let dir =
+            std::env::temp_dir().join(format!("wd-proc-manifest-check-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("manifest");
+        let body = "workload grid-bowl/40x30/13,15\nslots 3\nbatch 8\n";
+        let read = |text: &str| {
+            std::fs::write(&path, format!("{PROC_MANIFEST_VERSION}\n{text}")).unwrap();
+            ProcManifest::read(&path)
+        };
+        assert_eq!(read(&format!("{body}total 1200\n")).unwrap().total, 1200);
+        for bad in [
+            format!("{body}total 7\n"),
+            format!("{body}total 1200\ntotal 1200\n"),
+            format!("{body}slots 4\ntotal 1200\n"),
+            format!("{body}total 1200\nowner someone\n"),
+            format!("{body}total 1200\nstray\n"),
+        ] {
+            let err = read(&bad).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{bad:?}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,11 +1,11 @@
-//! The campaign scheduler: one pure state machine behind every campaign runner.
+//! The campaign scheduler: the pure state machine behind the fault-tolerant
+//! campaign driver.
 //!
 //! A [`Scheduler`] decides which range runs on which worker slot, and what
 //! happens after an attempt ends.  It does no IO and reads no clock: time
-//! arrives as an integer `now` in ticks.  Two drivers execute its decisions —
-//! [`crate::ShardedCampaign::run_supervised`] (rayon threads on a logical clock;
-//! [`crate::ShardedCampaign::run`] is its fault-free case) and
-//! [`crate::ProcCampaign`] (worker processes, elapsed time divided by its tick).
+//! arrives as an integer `now` in ticks.  [`crate::ProcCampaign`] executes its
+//! decisions with worker processes, passing elapsed time divided by its tick;
+//! the state machine alone is model-checked over every small interleaving.
 //!
 //! The policy, in one place:
 //!
@@ -34,7 +34,7 @@ use std::ops::Range;
 use crate::error::CampaignError;
 use crate::fault::{FaultEvent, FaultPlan};
 
-/// Retry and lease parameters of a campaign.
+/// Retry parameters of a campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RetryPolicy {
     /// Tries a slot makes on one range before it is declared dead and the range
@@ -44,9 +44,6 @@ pub struct RetryPolicy {
     pub backoff_base: u64,
     /// Upper bound on the backoff, in ticks.
     pub backoff_cap: u64,
-    /// How many ticks a lease stays valid past its last renewal (the supervised
-    /// heartbeat renews once per scan batch).
-    pub lease_ticks: u64,
 }
 
 impl Default for RetryPolicy {
@@ -55,7 +52,6 @@ impl Default for RetryPolicy {
             max_attempts: 4,
             backoff_base: 1,
             backoff_cap: 8,
-            lease_ticks: 3,
         }
     }
 }
@@ -436,7 +432,6 @@ mod tests {
             max_attempts: 10,
             backoff_base: 2,
             backoff_cap: 12,
-            lease_ticks: 3,
         };
         assert_eq!(policy.backoff_ticks(0), 2);
         assert_eq!(policy.backoff_ticks(1), 4);

@@ -82,15 +82,6 @@ pub trait ResultStore<C> {
     fn flush(&self) -> io::Result<()> {
         Ok(())
     }
-
-    /// Fault-injection seam used by the chaos harness ([`crate::fault::FaultyStore`]):
-    /// durably append a torn (truncated, unparseable) record line — the footprint a
-    /// crash in the middle of a batch append leaves behind.  A reload must skip such
-    /// lines (and count them in [`JsonlStore::skipped_lines`]), never half-parse them.
-    /// Purely in-memory stores have nothing durable to tear; the default is a no-op.
-    fn inject_torn_write(&self, hint: &str) {
-        let _ = hint;
-    }
 }
 
 /// An in-memory [`ResultStore`]: the durability of a warm cache, the API of the
@@ -641,6 +632,19 @@ impl<C: ConfigKey> JsonlStore<C> {
         }
     }
 
+    /// Durably append a torn (truncated, unparseable) record line for `hint` — the
+    /// footprint a crash in the middle of a batch append leaves behind.  A worker
+    /// injecting [`crate::FaultKind::TornWrite`] calls this before it aborts; a
+    /// reload skips the line and counts it in [`JsonlStore::skipped_lines`], never
+    /// half-parses it.
+    pub(crate) fn inject_torn_write(&self, hint: &str) {
+        // the front half of a result record with no closing quote or brace — what a
+        // crash in the middle of `write(2)` leaves behind (written as its own line,
+        // i.e. as the fragment looks once the tail is sealed, so the injection
+        // stays local to one record)
+        self.append(&format!("{{\"config\":\"{hint}\",\"ener"));
+    }
+
     /// Append `line`, flush it to the OS so a kill cannot lose it, and remember the
     /// first write error for the next `flush`.
     fn append(&self, line: &str) {
@@ -736,14 +740,6 @@ impl<C: ConfigKey> ResultStore<C> for JsonlStore<C> {
             return Err(error);
         }
         lock(&self.writer).flush()
-    }
-
-    fn inject_torn_write(&self, hint: &str) {
-        // the front half of a result record with no closing quote or brace — what a
-        // crash in the middle of `write(2)` leaves behind (written as its own line,
-        // i.e. as the fragment looks once the tail is sealed, so the injection
-        // stays local to one record)
-        self.append(&format!("{{\"config\":\"{hint}\",\"ener"));
     }
 }
 
@@ -1107,7 +1103,7 @@ mod tests {
         {
             let store: JsonlStore<u32> = JsonlStore::open(&path).unwrap();
             store.record(&1, 1.0);
-            ResultStore::<u32>::inject_torn_write(&store, "torn-hint");
+            store.inject_torn_write("torn-hint");
             store.flush().unwrap();
         }
         // the torn line is skipped on reload, never half-parsed into a bogus record

@@ -1,4 +1,4 @@
-//! Poison-recovering lock helpers shared by the store and the supervisor.
+//! Poison-recovering lock helpers of the result stores.
 //!
 //! Poisoning only means another thread panicked while holding the guard; every
 //! critical section in this crate leaves its data consistent at every await-free

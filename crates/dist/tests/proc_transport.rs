@@ -1,7 +1,8 @@
 //! End-to-end tests of the multi-process transport (`ProcCampaign` +
 //! `wd-worker`): a real fleet of worker processes, a real `kill -9`
-//! mid-campaign, lease fencing of a stalled zombie, and elastic slot counts
-//! via a mid-campaign manifest rewrite.  Every scenario must converge to a
+//! mid-campaign, injected worker death, evaluation errors and torn appends,
+//! lease fencing of a stalled zombie, and elastic slot counts via a
+//! mid-campaign manifest rewrite.  Every scenario must converge to a
 //! `CampaignOutcome` bit-identical to a fault-free single-process run, with
 //! `ProcCampaign::run_observed` proving through `verification_evaluations`
 //! that persisted keys are never re-evaluated.
@@ -216,6 +217,51 @@ fn partially_durable_store_evaluates_only_the_missing_keys() {
     assert_eq!(got.report.verification_evaluations, 0);
 
     assert_bit_identical(&got, &reference(&spec, 3, 8), &spec, &dir);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn death_eval_error_and_torn_write_workers_recover_bit_identically() {
+    let spec = bowl(40, 30); // 1200 configurations, 12 ranges of 100
+    let dir = scratch_dir("faults");
+    // Each slot's first attempt fails after one durable batch, one way each:
+    // the process aborts, the objective errors, or the batch append is torn.
+    let faults = [
+        FaultKind::ShardDeath,
+        FaultKind::EvalError,
+        FaultKind::TornWrite,
+    ]
+    .into_iter()
+    .enumerate()
+    .map(|(slot, kind)| FaultEvent {
+        slot,
+        attempt: 0,
+        after_batches: 1,
+        kind,
+    })
+    .collect();
+    let got = ProcCampaign::new(3)
+        .with_batch_size(8)
+        .with_worker_bin(worker_bin())
+        .with_faults(FaultPlan::from_events(faults))
+        .run(&spec, &dir)
+        .expect("campaign survives every fault kind");
+
+    assert_eq!(got.report.failed_attempts, 3, "report: {:?}", got.report);
+    assert_eq!(got.report.verification_evaluations, 0);
+    assert_bit_identical(&got, &reference(&spec, 3, 8), &spec, &dir);
+
+    // The torn line stays in the torn worker's own segment: salvage skips it
+    // and the retry re-evaluates exactly that configuration.
+    let segments = std::fs::read_dir(dir.join("segments")).expect("segments dir");
+    let mut torn_lines = 0;
+    for entry in segments {
+        let path = entry.expect("segment entry").path();
+        if path.extension().is_some_and(|ext| ext == "jsonl") {
+            torn_lines += read_result_records(&path).expect("read segment").1;
+        }
+    }
+    assert_eq!(torn_lines, 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

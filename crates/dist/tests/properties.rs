@@ -123,7 +123,6 @@ proptest! {
             max_attempts: 4,
             backoff_base: base,
             backoff_cap: cap,
-            lease_ticks: 3,
         };
         let ticks = policy.backoff_ticks(retry_index);
         prop_assert!(ticks <= cap, "backoff {ticks} exceeds cap {cap}");

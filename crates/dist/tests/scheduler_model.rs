@@ -388,7 +388,6 @@ fn every_small_interleaving_commits_each_range_exactly_once() {
             max_attempts,
             backoff_base: 2,
             backoff_cap: 1,
-            lease_ticks: 1,
         };
         let failure = if max_attempts == 1 {
             Event::Failed

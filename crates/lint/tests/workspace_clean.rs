@@ -55,7 +55,6 @@ fn contract_scope_sees_the_real_entry_points() {
         ("SimulatedAnnealing", "run_delta_observed"),
         ("SimulatedAnnealing", "run_observed"),
         ("ShardedCampaign", "run_observed"),
-        ("ShardedCampaign", "run_supervised_observed"),
         ("ConfigurationSpace", "neighbor_move"),
         ("ConfigurationSpace", "crossover_move"),
         ("GridSpace", "neighbor_move"),

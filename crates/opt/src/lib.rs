@@ -72,7 +72,7 @@ pub use delta::{DeltaObjective, FullDelta, Touched};
 pub use enumeration::{Enumeration, EnumerationError, ParallelEnumeration};
 pub use genetic::{GeneticAlgorithm, GeneticParams};
 pub use objective::{CacheStats, CachedObjective, CountingObjective, Objective};
-pub use outcome::{better_indexed, IndexedOutcome, Outcome, ResilienceStats};
+pub use outcome::{better_indexed, IndexedOutcome, Outcome};
 pub use sa::SimulatedAnnealing;
 pub use schedule::CoolingSchedule;
 pub use shard::ShardPlan;

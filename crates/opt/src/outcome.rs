@@ -33,62 +33,6 @@ pub struct IndexedOutcome<C> {
     pub outcome: Outcome<C>,
 }
 
-/// Counters describing how much supervision a fault-tolerant run needed: how many
-/// shard attempts were started, how many of those were retries after a failure, how
-/// many leases expired, and how many abandoned ranges were work-stolen by survivors.
-///
-/// Like [`crate::CacheStats`] this is a plain mergeable counter set: per-shard values
-/// sum into a campaign total in any order.  A fault-free run reports one attempt per
-/// shard and zeros everywhere else.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ResilienceStats {
-    /// Shard attempts started (first tries and retries alike).
-    pub attempts: usize,
-    /// Attempts that were retries of a previously failed attempt.
-    pub retries: usize,
-    /// Lease expiries observed (a stalled shard fencing itself off).
-    pub lease_expiries: usize,
-    /// Ranges taken over from a dead shard by a surviving one.
-    pub steals: usize,
-}
-
-impl ResilienceStats {
-    /// Whether any recovery action was needed at all.
-    pub fn recovered_from_faults(&self) -> bool {
-        self.retries > 0 || self.lease_expiries > 0 || self.steals > 0
-    }
-
-    /// Combine two counter sets (e.g. the per-shard stats of a supervised campaign).
-    pub fn merged(self, other: ResilienceStats) -> ResilienceStats {
-        ResilienceStats {
-            attempts: self.attempts + other.attempts,
-            retries: self.retries + other.retries,
-            lease_expiries: self.lease_expiries + other.lease_expiries,
-            steals: self.steals + other.steals,
-        }
-    }
-}
-
-impl std::ops::Add for ResilienceStats {
-    type Output = ResilienceStats;
-
-    fn add(self, other: ResilienceStats) -> ResilienceStats {
-        self.merged(other)
-    }
-}
-
-impl std::ops::AddAssign for ResilienceStats {
-    fn add_assign(&mut self, other: ResilienceStats) {
-        *self = self.merged(other);
-    }
-}
-
-impl std::iter::Sum for ResilienceStats {
-    fn sum<I: Iterator<Item = ResilienceStats>>(iter: I) -> ResilienceStats {
-        iter.fold(ResilienceStats::default(), ResilienceStats::merged)
-    }
-}
-
 /// Result of running an optimization method.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Outcome<C> {
@@ -137,30 +81,6 @@ mod tests {
         let backward = pairs.iter().rev().copied().reduce(better_indexed).unwrap();
         assert_eq!(forward, (4, 2.0));
         assert_eq!(forward, backward);
-    }
-
-    #[test]
-    fn resilience_stats_sum_order_independently() {
-        let a = ResilienceStats {
-            attempts: 3,
-            retries: 2,
-            lease_expiries: 1,
-            steals: 0,
-        };
-        let b = ResilienceStats {
-            attempts: 1,
-            retries: 0,
-            lease_expiries: 0,
-            steals: 1,
-        };
-        assert_eq!(a + b, b + a);
-        assert_eq!([a, b].into_iter().sum::<ResilienceStats>(), a.merged(b));
-        assert!(a.recovered_from_faults());
-        assert!(!ResilienceStats {
-            attempts: 4,
-            ..ResilienceStats::default()
-        }
-        .recovered_from_faults());
     }
 
     #[test]
