@@ -652,7 +652,8 @@ const TABLE_BATCH: usize = 256;
 /// scores `+∞`.
 ///
 /// The tables live behind [`RwLock`]s, so one evaluator can be shared across rayon
-/// workers (e.g. the convergence study's parallel annealing repeats); under a race
+/// workers (e.g. the convergence study's batch of every budget and repeat of one
+/// annealing method); under a race
 /// two workers may redundantly query the source for the same fresh entry — the values
 /// are identical, one wins the insert, and [`LazyTabulatedEvaluator::model_queries`]
 /// counts both queries (it reports real cost, not distinct entries).

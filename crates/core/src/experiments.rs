@@ -190,8 +190,14 @@ impl ConvergenceStudy {
     }
 
     /// Run the study: for every genome run EM and EML once and, per iteration budget,
-    /// run SAM/SAML `repeats` times with independent seeds and keep the run with the
-    /// median measured execution time.
+    /// run SAM, SAML and GAML `repeats` times with independent seeds and keep the run
+    /// with the median measured execution time.  All runs of one genome and method go
+    /// to the rayon workers as one batch.
+    ///
+    /// # Panics
+    ///
+    /// If a method run fails: `models` trained for fewer accelerators than the paper
+    /// space describes, or a platform that cannot run the paper's grid.
     pub fn run_with_repeats(
         platform: &HeterogeneousPlatform,
         models: &TrainedModels,
@@ -210,10 +216,12 @@ impl ConvergenceStudy {
             &ConfigurationSpace::enumeration_grid(),
             &ConfigurationSpace::paper(),
         )
+        .expect("the paper study runs with models trained for the platform")
     }
 
     /// The study engine behind [`ConvergenceStudy::run_with_repeats`], with explicit
     /// enumeration grid and annealing space (the knob tests use to shrink the study).
+    /// Returns the first method run's error.
     ///
     /// Each case's EM and SAM runs share one set of measured per-side tables, so each
     /// side simulation is paid once per case.
@@ -227,7 +235,7 @@ impl ConvergenceStudy {
         repeats: usize,
         grid: &ConfigurationSpace,
         space: &ConfigurationSpace,
-    ) -> Self {
+    ) -> Result<Self, String> {
         let repeats = repeats.max(1);
 
         // every method of a case runs over its one set of measured tables
@@ -237,27 +245,38 @@ impl ConvergenceStudy {
                 .with_space(space.clone())
                 .run(method, budget)
         };
-        // run one method at every budget, `repeats` times in parallel (each annealing
-        // repeat has an independent seed, so repeats are order-independent), keeping
-        // the run with the median measured execution time
-        let run_annealer = |tables: &MeasuredTables<'_>, method: MethodKind, case_seed: u64| {
-            budgets
+        // run one method at every budget, `repeats` times each, keeping per budget the
+        // run with the median measured execution time; every (budget, repeat) run has
+        // an independent seed, so the runs are order-independent and go to the
+        // workers as one batch, largest budget first so the longest runs start first
+        let run_annealer = |tables: &MeasuredTables<'_>,
+                            method: MethodKind,
+                            case_seed: u64|
+         -> Result<Vec<_>, String> {
+            let mut batch: Vec<(usize, usize)> = (0..budgets.len())
+                .flat_map(|slot| (0..repeats).map(move |repeat| (slot, repeat)))
+                .collect();
+            batch.sort_by_key(|&(slot, _)| std::cmp::Reverse(budgets[slot]));
+            let mut runs: Vec<((usize, usize), MethodOutcome)> = batch
+                .into_par_iter()
+                .map(|(slot, repeat)| {
+                    let run_seed = case_seed ^ (repeat as u64).wrapping_mul(0xA076_1D64_78BD_642F);
+                    run(tables, method, budgets[slot], run_seed)
+                        .map(|outcome| ((slot, repeat), outcome))
+                })
+                .collect::<Result<_, _>>()?;
+            // back to budget order and, within a budget, to repeat order, so the stable
+            // median sort breaks ties exactly as over the repeats in sequence
+            runs.sort_by_key(|&(key, _)| key);
+            let mut runs = runs.into_iter().map(|(_, outcome)| outcome);
+            Ok(budgets
                 .iter()
                 .map(|&budget| {
-                    let mut outcomes: Vec<MethodOutcome> = (0..repeats)
-                        .collect::<Vec<_>>()
-                        .into_par_iter()
-                        .map(|repeat| {
-                            let run_seed =
-                                case_seed ^ (repeat as u64).wrapping_mul(0xA076_1D64_78BD_642F);
-                            run(tables, method, budget, run_seed)
-                                .expect("annealing methods cannot fail with models present")
-                        })
-                        .collect();
+                    let mut outcomes: Vec<MethodOutcome> = runs.by_ref().take(repeats).collect();
                     outcomes.sort_by(|a, b| a.measured_energy.total_cmp(&b.measured_energy));
                     (budget, outcomes.swap_remove(outcomes.len() / 2))
                 })
-                .collect::<Vec<_>>()
+                .collect())
         };
 
         let cases = genomes
@@ -268,22 +287,18 @@ impl ConvergenceStudy {
                 let workload = genome.workload();
                 let measurement = MeasurementEvaluator::new(platform.clone(), workload.clone());
                 let tables = measurement.lazy_tabulated();
-                let reference = |method| {
-                    run(&tables, method, 0, case_seed)
-                        .expect("enumeration methods cannot fail with models present")
-                };
-                let em = reference(MethodKind::Em);
-                let eml = reference(MethodKind::Eml);
-                let sam = run_annealer(&tables, MethodKind::Sam, case_seed);
-                let saml = run_annealer(&tables, MethodKind::Saml, case_seed);
-                let gaml = run_annealer(&tables, MethodKind::Gaml, case_seed);
+                let em = run(&tables, MethodKind::Em, 0, case_seed)?;
+                let eml = run(&tables, MethodKind::Eml, 0, case_seed)?;
+                let sam = run_annealer(&tables, MethodKind::Sam, case_seed)?;
+                let saml = run_annealer(&tables, MethodKind::Saml, case_seed)?;
+                let gaml = run_annealer(&tables, MethodKind::Gaml, case_seed)?;
                 use wd_opt::Objective as _;
                 let accelerators = platform.accelerator_count();
                 let baselines = measurement.evaluate_batch(&[
                     SystemConfiguration::host_only_baseline_for(accelerators),
                     SystemConfiguration::device_only_baseline_for(accelerators),
                 ]);
-                CaseConvergence {
+                Ok(CaseConvergence {
                     label: label.to_string(),
                     genome,
                     workload,
@@ -294,13 +309,13 @@ impl ConvergenceStudy {
                     gaml,
                     host_only_seconds: baselines[0],
                     device_only_seconds: baselines[1],
-                }
+                })
             })
-            .collect();
-        ConvergenceStudy {
+            .collect::<Result<_, String>>()?;
+        Ok(ConvergenceStudy {
             budgets: budgets.to_vec(),
             cases,
-        }
+        })
     }
 
     /// Table VI: percent difference between the SAML configuration at each budget and
@@ -512,7 +527,8 @@ mod tests {
             1,
             &tiny,
             &tiny,
-        );
+        )
+        .unwrap();
         let case = &study.cases[0];
         assert_eq!(case.gaml.len(), 1);
         let (row_budget, gaml) = &case.gaml[0];
@@ -542,6 +558,88 @@ mod tests {
         let series = study.figure9_series(Genome::Cat).unwrap();
         assert_eq!(series.gaml, vec![gaml.measured_energy]);
         assert_eq!(series.saml.len(), series.gaml.len());
+    }
+
+    #[test]
+    fn convergence_study_rows_match_a_sequential_median_of_repeats() {
+        let platform = platform();
+        let models = TrainingCampaign::reduced().run(&platform, BoostingParams::fast());
+        let tiny = ConfigurationSpace::tiny();
+        let (seed, repeats, budgets) = (11u64, 3usize, [60usize, 120, 200]);
+        let study = ConvergenceStudy::run_scaled(
+            &platform,
+            &models,
+            &[Genome::Cat],
+            &budgets,
+            seed,
+            repeats,
+            &tiny,
+            &tiny,
+        )
+        .unwrap();
+        let case = &study.cases[0];
+
+        // the same runs one after another, each budget's repeats in repeat order
+        let case_seed = seed ^ label_seed("cat");
+        let measurement = MeasurementEvaluator::new(platform.clone(), Genome::Cat.workload());
+        let tables = measurement.lazy_tabulated();
+        let mut ties = 0;
+        for (method, rows) in [
+            (MethodKind::Sam, &case.sam),
+            (MethodKind::Saml, &case.saml),
+            (MethodKind::Gaml, &case.gaml),
+        ] {
+            assert_eq!(rows.len(), budgets.len());
+            for (&budget, (row_budget, row)) in budgets.iter().zip(rows) {
+                assert_eq!(*row_budget, budget);
+                let mut outcomes: Vec<MethodOutcome> = (0..repeats)
+                    .map(|repeat| {
+                        let run_seed =
+                            case_seed ^ (repeat as u64).wrapping_mul(0xA076_1D64_78BD_642F);
+                        MethodRunner::from_tables(&tables, Some(&models), run_seed)
+                            .with_grid(tiny.clone())
+                            .with_space(tiny.clone())
+                            .run(method, budget)
+                            .unwrap()
+                    })
+                    .collect();
+                outcomes.sort_by(|a, b| a.measured_energy.total_cmp(&b.measured_energy));
+                let median = outcomes.len() / 2;
+                // a tie on the median's energy between runs with different traces is
+                // decided by repeat order alone
+                ties += outcomes
+                    .iter()
+                    .enumerate()
+                    .filter(|&(index, other)| {
+                        index != median
+                            && other.measured_energy == outcomes[median].measured_energy
+                            && other.trace.records() != outcomes[median].trace.records()
+                    })
+                    .count();
+                let expected = outcomes.swap_remove(median);
+                assert_eq!(row.method, method);
+                assert_eq!(row.best_config, expected.best_config, "{method} @ {budget}");
+                assert_eq!(
+                    row.search_energy.to_bits(),
+                    expected.search_energy.to_bits()
+                );
+                assert_eq!(
+                    row.measured_energy.to_bits(),
+                    expected.measured_energy.to_bits()
+                );
+                assert_eq!(row.evaluations, expected.evaluations, "{method} @ {budget}");
+                assert_eq!(row.cache, expected.cache, "{method} @ {budget}");
+                assert_eq!(
+                    row.trace.records(),
+                    expected.trace.records(),
+                    "{method} @ {budget}"
+                );
+            }
+        }
+        assert!(
+            ties > 0,
+            "no budget's repeats tie, so repeat order goes unchecked"
+        );
     }
 
     #[test]
