@@ -376,7 +376,10 @@ fn fig2(seed: u64) {
         ("Fig. 2c: 3250 MB, 4 CPU threads", 3250, 4),
     ];
     for (caption, megabytes, threads) in cases {
-        let points = motivation_experiment(&platform, megabytes, threads);
+        let points = motivation_experiment(&platform, megabytes, threads).unwrap_or_else(|err| {
+            eprintln!("error: motivation experiment failed: {err}");
+            std::process::exit(1);
+        });
         let headers = vec![
             "Work distribution".to_string(),
             "Time [s]".to_string(),

@@ -1,10 +1,10 @@
 //! # wd-bench
 //!
 //! Shared plumbing for the reproduction harness: the [`repro`](../repro/index.html)
-//! binary regenerates every table and figure of the paper's evaluation section, and the
-//! Criterion benches measure the cost of the individual components (the simulated
-//! platform, model training/prediction, the evaluation layer, the optimization methods
-//! themselves).
+//! binary regenerates every table and figure of the paper's evaluation section, and two
+//! plain bench mains (`prediction_model`, `observability_overhead`) run the
+//! wall-clock gates measured by [`measure_prediction_kernel`] and
+//! [`measure_observability_overhead`].
 //!
 //! The heavy lifting lives in [`hetero_autotune`]; this crate only decides which
 //! experiments to run at which scale and formats the results the way the paper's tables
@@ -99,8 +99,8 @@ impl PaperStudy {
     }
 }
 
-/// The 2-accelerator (Phi + GPU) grid the fast-path and observability benches
-/// measure, with 10 % split granularity (3 168 configurations).
+/// The 2-accelerator (Phi + GPU) grid the `observability_overhead` bench
+/// measures, with 10 % split granularity (3 168 configurations).
 pub fn two_accel_bench_grid() -> hetero_autotune::ConfigurationSpace {
     hetero_autotune::ConfigurationSpace::multi_accelerator(
         vec![2, 12, 24, 48],

@@ -241,11 +241,6 @@ impl SystemConfiguration {
         self.host_fraction() * 100.0
     }
 
-    /// Combined accelerator share as a fraction in `[0, 1]`.
-    pub fn device_fraction(&self) -> f64 {
-        1.0 - self.host_fraction()
-    }
-
     /// Does the host receive any work?
     pub fn uses_host(&self) -> bool {
         self.host_permille > 0
@@ -396,17 +391,6 @@ impl DeviceAxis {
     pub fn paper_phi() -> Self {
         DeviceAxis::new(
             vec![2, 4, 8, 16, 30, 60, 120, 180, 240],
-            Affinity::DEVICE.to_vec(),
-        )
-    }
-
-    /// An axis for an arbitrary accelerator: the paper's thread-count ladder clipped
-    /// to the device's capacity, with the capacity itself appended (so "all threads"
-    /// is always a candidate), and the three device affinities.
-    pub fn for_max_threads(max_threads: u32) -> Self {
-        Self::with_ladder(
-            &[2, 4, 8, 16, 30, 60, 120, 180, 240, 360, 448],
-            max_threads,
             Affinity::DEVICE.to_vec(),
         )
     }
@@ -1176,7 +1160,6 @@ mod tests {
         );
         assert_eq!(cfg.host_permille(), 600);
         assert!((cfg.host_fraction() - 0.6).abs() < 1e-12);
-        assert!((cfg.device_fraction() - 0.4).abs() < 1e-12);
         assert!(cfg.uses_host() && cfg.uses_device());
         assert!((cfg.partition().host_fraction() - 0.6).abs() < 1e-12);
         assert_eq!(cfg.host_execution().threads, 24);
@@ -1858,11 +1841,13 @@ mod tests {
     }
 
     #[test]
-    fn device_axis_for_max_threads_clips_and_appends_capacity() {
-        let axis = DeviceAxis::for_max_threads(240);
-        assert_eq!(axis.threads.last(), Some(&240));
-        assert!(axis.threads.iter().all(|&t| t <= 240));
-        let gpu = DeviceAxis::for_max_threads(448);
+    fn device_axis_with_ladder_clips_and_appends_capacity() {
+        let ladder = [8, 30, 60, 120, 240];
+        let axis = DeviceAxis::with_ladder(&ladder, 240, vec![Affinity::Balanced]);
+        assert_eq!(axis.threads, vec![8, 30, 60, 120, 240]);
+        let small = DeviceAxis::with_ladder(&ladder, 100, vec![Affinity::Balanced]);
+        assert_eq!(small.threads, vec![8, 30, 60, 100]);
+        let gpu = DeviceAxis::with_ladder(&ladder, 448, vec![Affinity::Balanced]);
         assert_eq!(gpu.threads.last(), Some(&448));
         assert!(gpu.threads.contains(&240));
     }

@@ -1,26 +1,26 @@
-//! Canonical experiment definitions shared by the `repro` harness, the Criterion
-//! benches, the examples and the integration tests.
+//! Canonical experiment definitions shared by the `repro` harness, the examples and
+//! the integration tests.
 //!
 //! Every figure and table of the paper's evaluation maps to a function or type here:
 //!
 //! | paper artifact | entry point |
 //! |---|---|
 //! | Fig. 2a–c (motivation)            | [`motivation_experiment`] |
-//! | Figs. 5–8, Tables IV–V (accuracy) | [`TrainingCampaign::run`](crate::TrainingCampaign) via [`prediction_study`] |
+//! | Figs. 5–8, Tables IV–V (accuracy) | [`TrainingCampaign::run`](crate::TrainingCampaign::run) |
 //! | Fig. 9, Tables VI–VII             | [`ConvergenceStudy`] |
 //! | Tables VIII–IX (speedups)         | [`ConvergenceStudy::speedup_rows`] |
 
 use dna_analysis::Genome;
 use hetero_platform::{
-    Affinity, ExecutionConfig, ExecutionRequest, HeterogeneousPlatform, WorkloadProfile,
+    Affinity, ExecutionConfig, ExecutionRequest, HeterogeneousPlatform, PlatformError,
+    WorkloadProfile,
 };
 use rayon::prelude::*;
-use wd_ml::BoostingParams;
 
 use crate::config::{ConfigurationSpace, SystemConfiguration};
 use crate::evaluator::{LazyTabulatedEvaluator, MeasurementEvaluator};
 use crate::methods::{MethodKind, MethodOutcome, MethodRunner};
-use crate::training::{TrainedModels, TrainingCampaign};
+use crate::training::TrainedModels;
 
 /// One study case's measured per-side tables, shared by all its methods' runs.
 type MeasuredTables<'a> = LazyTabulatedEvaluator<'a, MeasurementEvaluator>;
@@ -49,12 +49,14 @@ pub struct MotivationPoint {
 /// varying the work-distribution ratio over the paper's eleven values.
 ///
 /// All eleven ratios are measured as one batched
-/// [`HeterogeneousPlatform::execute_many`] call.
+/// [`HeterogeneousPlatform::execute_many`] call.  A host thread count the platform
+/// rejects (zero, or more than the host supports) returns the platform's error for
+/// the first ratio that fails.
 pub fn motivation_experiment(
     platform: &HeterogeneousPlatform,
     input_megabytes: u64,
     host_threads: u32,
-) -> Vec<MotivationPoint> {
+) -> Result<Vec<MotivationPoint>, PlatformError> {
     let workload = WorkloadProfile::dna_scan(
         &format!("motivation-{input_megabytes}MB"),
         input_megabytes * 1_000_000,
@@ -63,16 +65,18 @@ pub fn motivation_experiment(
     let device_cfg = ExecutionConfig::new(240, Affinity::Balanced);
 
     let ratios: Vec<u32> = (0..=10u32).rev().map(|step| step * 10).collect();
-    let requests: Vec<ExecutionRequest> = ratios
+    let requests = ratios
         .iter()
         .map(|&host_percent| {
             ExecutionRequest::two_way(f64::from(host_percent) / 100.0, host_cfg, device_cfg)
-                .expect("motivation ratios lie in [0, 1]")
         })
-        .collect();
-    let mut points: Vec<MotivationPoint> = platform
+        .collect::<Result<Vec<_>, _>>()?;
+    let measurements = platform
         .execute_many(&workload, &requests)
         .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut points: Vec<MotivationPoint> = measurements
+        .iter()
         .zip(&ratios)
         .map(|(measurement, &host_percent)| {
             let label = match host_percent {
@@ -83,9 +87,7 @@ pub fn motivation_experiment(
             MotivationPoint {
                 label,
                 host_percent,
-                seconds: measurement
-                    .expect("motivation configuration is valid")
-                    .t_total,
+                seconds: measurement.t_total,
                 normalized: 0.0,
             }
         })
@@ -104,17 +106,7 @@ pub fn motivation_experiment(
     for point in &mut points {
         point.normalized = 1.0 + 9.0 * (point.seconds - min) / range;
     }
-    points
-}
-
-/// Run the prediction study (the paper's Section IV-B): execute the training campaign
-/// and fit/evaluate the host and device models.
-pub fn prediction_study(
-    platform: &HeterogeneousPlatform,
-    campaign: &TrainingCampaign,
-    boosting: BoostingParams,
-) -> TrainedModels {
-    campaign.run(platform, boosting)
+    Ok(points)
 }
 
 /// Convergence results for one genome of the paper's study.
@@ -417,6 +409,8 @@ pub struct Figure9Series {
 mod tests {
     use super::*;
     use crate::config::ConfigurationSpace;
+    use crate::training::TrainingCampaign;
+    use wd_ml::BoostingParams;
 
     fn platform() -> HeterogeneousPlatform {
         HeterogeneousPlatform::emil()
@@ -424,7 +418,7 @@ mod tests {
 
     #[test]
     fn motivation_experiment_has_eleven_normalized_points() {
-        let points = motivation_experiment(&platform(), 3250, 48);
+        let points = motivation_experiment(&platform(), 3250, 48).unwrap();
         assert_eq!(points.len(), 11);
         assert_eq!(points.first().unwrap().label, "CPU only");
         assert_eq!(points.last().unwrap().label, "Phi only");
@@ -440,7 +434,7 @@ mod tests {
     #[test]
     fn motivation_small_input_prefers_cpu_only() {
         // Fig. 2a: for a 190 MB input with 48 threads the CPU-only point is the fastest.
-        let points = motivation_experiment(&platform(), 190, 48);
+        let points = motivation_experiment(&platform(), 190, 48).unwrap();
         let cpu_only = points.iter().find(|p| p.host_percent == 100).unwrap();
         let best = points
             .iter()
@@ -452,7 +446,7 @@ mod tests {
     #[test]
     fn motivation_large_input_prefers_a_mixed_split() {
         // Fig. 2b: for a 3250 MB input with 48 threads a 60/40-ish split wins.
-        let points = motivation_experiment(&platform(), 3250, 48);
+        let points = motivation_experiment(&platform(), 3250, 48).unwrap();
         let best = points
             .iter()
             .min_by(|a, b| a.seconds.total_cmp(&b.seconds))
@@ -463,7 +457,7 @@ mod tests {
     #[test]
     fn motivation_few_host_threads_prefers_the_device() {
         // Fig. 2c: with only 4 host threads most of the work should go to the device.
-        let points = motivation_experiment(&platform(), 3250, 4);
+        let points = motivation_experiment(&platform(), 3250, 4).unwrap();
         let best = points
             .iter()
             .min_by(|a, b| a.seconds.total_cmp(&b.seconds))
@@ -473,6 +467,21 @@ mod tests {
             "best host share {}",
             best.host_percent
         );
+    }
+
+    #[test]
+    fn motivation_rejects_host_thread_counts_the_platform_cannot_run() {
+        assert!(matches!(
+            motivation_experiment(&platform(), 190, 0),
+            Err(PlatformError::ZeroThreads { .. })
+        ));
+        assert!(matches!(
+            motivation_experiment(&platform(), 190, 10_000),
+            Err(PlatformError::TooManyThreads {
+                requested: 10_000,
+                ..
+            })
+        ));
     }
 
     #[test]

@@ -5,13 +5,10 @@
 //! features (Section III-B).  We encode them as: thread count, a one-hot affinity
 //! encoding, and the size of the device's input share in gigabytes.
 //!
-//! For a node with N accelerators the same schema applies per device:
-//! [`per_device_features`] extracts one feature vector per accelerator from a
-//! [`SystemConfiguration`], each consumed by that accelerator's own model.
+//! For a node with N accelerators the same device schema applies per accelerator,
+//! each row consumed by that accelerator's own model.
 
 use hetero_platform::Affinity;
-
-use crate::config::SystemConfiguration;
 
 /// Names of the host-model features, in column order.
 pub fn host_feature_names() -> Vec<String> {
@@ -64,32 +61,6 @@ pub fn share_bytes(total_bytes: u64, permille: u32) -> u64 {
     (total_bytes as f64 * f64::from(permille.min(1000)) / 1000.0).round() as u64
 }
 
-/// Host-side feature vector of a configuration for a `total_bytes` workload.
-pub fn host_config_features(config: &SystemConfiguration, total_bytes: u64) -> Vec<f64> {
-    host_features(
-        config.host_threads,
-        config.host_affinity,
-        share_bytes(total_bytes, config.host_permille()),
-    )
-}
-
-/// One device-side feature vector per accelerator of `config`, in device order — the
-/// N-way generalisation of the paper's single device feature row.  Device `i`'s vector
-/// is consumed by device `i`'s prediction model.
-pub fn per_device_features(config: &SystemConfiguration, total_bytes: u64) -> Vec<Vec<f64>> {
-    config
-        .devices()
-        .iter()
-        .map(|device| {
-            device_features(
-                device.threads,
-                device.affinity,
-                share_bytes(total_bytes, device.permille),
-            )
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,31 +106,8 @@ mod tests {
     }
 
     #[test]
-    fn per_device_features_produce_one_vector_per_accelerator() {
-        use crate::config::DeviceSetting;
-        let config = SystemConfiguration::new(
-            48,
-            Affinity::Scatter,
-            500,
-            vec![
-                DeviceSetting::new(240, Affinity::Balanced, 300),
-                DeviceSetting::new(448, Affinity::Scatter, 200),
-            ],
-        )
-        .unwrap();
-        let total = 1_000_000_000u64;
-        let rows = per_device_features(&config, total);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(
-            rows[0],
-            device_features(240, Affinity::Balanced, 300_000_000)
-        );
-        assert_eq!(
-            rows[1],
-            device_features(448, Affinity::Scatter, 200_000_000)
-        );
-        let host = host_config_features(&config, total);
-        assert_eq!(host, host_features(48, Affinity::Scatter, 500_000_000));
+    fn share_bytes_rounds_like_the_workload_fraction() {
+        assert_eq!(share_bytes(1_000_000_000, 300), 300_000_000);
         // share rounding matches WorkloadProfile::fraction
         assert_eq!(share_bytes(3, 500), 2); // 1.5 rounds half away from zero
         assert_eq!(share_bytes(1_000, 333), 333);

@@ -181,11 +181,6 @@ impl TrainedModels {
         self.device_models.len()
     }
 
-    /// The first accelerator's model (the paper's single-device view).
-    pub fn device_model(&self) -> &BoostedTreesRegressor {
-        &self.device_models[0]
-    }
-
     /// The first accelerator's accuracy report (the paper's single-device view).
     pub fn device_accuracy(&self) -> &AccuracyReport {
         &self.device_accuracies[0]
@@ -259,19 +254,6 @@ impl TrainingCampaign {
             evaluation_fraction: 0.5,
             split_seed: 0x7261_1e55,
         }
-    }
-
-    /// The paper's campaign adapted to an arbitrary platform: one axis per
-    /// accelerator, thread ladders clipped to each device's capacity
-    /// ([`DeviceAxis::for_max_threads`]).
-    pub fn for_platform(platform: &HeterogeneousPlatform) -> Self {
-        Self::paper().with_device_axes(
-            platform
-                .accelerators
-                .iter()
-                .map(|accel| DeviceAxis::for_max_threads(accel.max_threads()))
-                .collect(),
-        )
     }
 
     /// The reduced campaign adapted to an arbitrary platform (a coarse thread ladder
@@ -532,7 +514,7 @@ mod tests {
         let models = TrainingCampaign::reduced().run(&platform, BoostingParams::fast());
 
         assert!(models.host_model.is_fitted());
-        assert!(models.device_model().is_fitted());
+        assert!(models.device_models[0].is_fitted());
         assert_eq!(models.device_model_count(), 1);
         assert_eq!(
             models.host_experiments,

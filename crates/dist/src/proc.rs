@@ -759,6 +759,9 @@ struct Fleet<'a> {
     scope: &'a str,
 }
 
+/// Wall-clock budget of one [`ProcCampaign`] run.
+const MAX_DURATION: Duration = Duration::from_secs(120);
+
 /// A campaign run across real worker processes (see the module docs for the
 /// protocol).  The coordinator spawns `wd-worker` children, watches exit
 /// statuses and heartbeats, fences stalled leases and salvages every segment;
@@ -767,14 +770,12 @@ struct Fleet<'a> {
 pub struct ProcCampaign {
     shard_count: usize,
     batch_size: usize,
-    policy: RetryPolicy,
     faults: FaultPlan,
     worker_bin: Option<PathBuf>,
     tick: Duration,
     stale_after: Duration,
     poll_interval: Duration,
     stall_ms: u64,
-    max_duration: Duration,
 }
 
 impl ProcCampaign {
@@ -785,14 +786,12 @@ impl ProcCampaign {
         ProcCampaign {
             shard_count: shard_count.max(1),
             batch_size: 64,
-            policy: RetryPolicy::default(),
             faults: FaultPlan::none(),
             worker_bin: None,
             tick: Duration::from_millis(25),
             stale_after: Duration::from_millis(400),
             poll_interval: Duration::from_millis(10),
             stall_ms: 2_000,
-            max_duration: Duration::from_secs(120),
         }
     }
 
@@ -800,12 +799,6 @@ impl ProcCampaign {
     /// at least 1).
     pub fn with_batch_size(mut self, batch_size: usize) -> Self {
         self.batch_size = batch_size.max(1);
-        self
-    }
-
-    /// Override the retry/backoff policy.
-    pub fn with_policy(mut self, policy: RetryPolicy) -> Self {
-        self.policy = policy;
         self
     }
 
@@ -841,12 +834,6 @@ impl ProcCampaign {
     /// horizon for the zombie-fencing path to fire).
     pub fn with_stall_ms(mut self, stall_ms: u64) -> Self {
         self.stall_ms = stall_ms;
-        self
-    }
-
-    /// Override the campaign's wall-clock budget.
-    pub fn with_max_duration(mut self, max_duration: Duration) -> Self {
-        self.max_duration = max_duration;
         self
     }
 
@@ -943,7 +930,12 @@ impl ProcCampaign {
             space,
             store,
             worker_bin,
-            scheduler: Scheduler::new(plan.ranges(), self.shard_count, self.policy, &self.faults),
+            scheduler: Scheduler::new(
+                plan.ranges(),
+                self.shard_count,
+                RetryPolicy::default(),
+                &self.faults,
+            ),
             live: Vec::new(),
             report: ProcReport::default(),
             recorder,
@@ -979,12 +971,12 @@ impl ProcCampaign {
         let tick = self.tick.as_nanos().max(1);
         let mut zombie_grace_since: Option<Instant> = None;
         loop {
-            if started.elapsed() > self.max_duration {
+            if started.elapsed() > MAX_DURATION {
                 return Err(CampaignError::Transport(io::Error::new(
                     io::ErrorKind::TimedOut,
                     format!(
                         "campaign did not settle within {:?}: {} range(s) still pending",
-                        self.max_duration,
+                        MAX_DURATION,
                         fleet.scheduler.open()
                     ),
                 )));

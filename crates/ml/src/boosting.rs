@@ -404,11 +404,6 @@ impl BoostedTreesRegressor {
         }
     }
 
-    /// Model with the default hyper-parameters.
-    pub fn default_model() -> Self {
-        Self::new(BoostingParams::default())
-    }
-
     /// The hyper-parameters this model was created with.
     pub fn params(&self) -> &BoostingParams {
         &self.params
@@ -449,7 +444,7 @@ impl BoostedTreesRegressor {
     }
 
     /// The seed batch kernel, kept as the comparison baseline for the
-    /// `flat_kernel` benches and the bit-identity proptests: tree-major over
+    /// `prediction_model` bench gate and the bit-identity proptests: tree-major over
     /// the flat arena with the *checked, branchy* walk and no row blocking.
     pub fn predict_batch_reference(&self, rows: &[f64], width: usize) -> Vec<f64> {
         if rows.is_empty() {
@@ -1057,7 +1052,7 @@ mod tests {
 
     #[test]
     fn empty_dataset_is_rejected() {
-        let mut model = BoostedTreesRegressor::default_model();
+        let mut model = BoostedTreesRegressor::new(BoostingParams::default());
         assert_eq!(
             model.fit(&Dataset::new(vec!["x".into()])),
             Err(MlError::EmptyDataset)

@@ -149,22 +149,6 @@ impl Dataset {
         }
         (train, test)
     }
-
-    /// Keep only the rows for which `predicate(features, target)` returns true.
-    pub fn filtered<F: Fn(&[f64], f64) -> bool>(&self, predicate: F) -> Dataset {
-        let mut out = Dataset::new(self.feature_names.clone());
-        for i in 0..self.len() {
-            if predicate(self.features(i), self.targets[i]) {
-                out.push_row_from(self, i);
-            }
-        }
-        out
-    }
-
-    /// Index of the feature column called `name`.
-    pub fn feature_index(&self, name: &str) -> Option<usize> {
-        self.feature_names.iter().position(|n| n == name)
-    }
 }
 
 #[cfg(test)]
@@ -251,19 +235,9 @@ mod tests {
     }
 
     #[test]
-    fn target_mean_and_lookup() {
+    fn target_mean_of_a_dataset() {
         let d = sample(4); // targets 0,10,20,30
         assert!((d.target_mean() - 15.0).abs() < 1e-12);
-        assert_eq!(d.feature_index("b"), Some(1));
-        assert_eq!(d.feature_index("z"), None);
         assert_eq!(Dataset::new(vec![]).target_mean(), 0.0);
-    }
-
-    #[test]
-    fn filtered_keeps_matching_rows() {
-        let d = sample(10);
-        let big = d.filtered(|_, t| t >= 50.0);
-        assert_eq!(big.len(), 5);
-        assert!(big.targets().iter().all(|&t| t >= 50.0));
     }
 }

@@ -54,25 +54,6 @@ pub fn root_mean_squared_error(measured: &[f64], predicted: &[f64]) -> f64 {
     mse.sqrt()
 }
 
-/// Coefficient of determination R².  Returns 0 for fewer than two samples or a constant
-/// target.
-pub fn r_squared(measured: &[f64], predicted: &[f64]) -> f64 {
-    if measured.len() < 2 {
-        return 0.0;
-    }
-    let mean_measured = mean(measured);
-    let ss_tot: f64 = measured.iter().map(|m| (m - mean_measured).powi(2)).sum();
-    if ss_tot <= 0.0 {
-        return 0.0;
-    }
-    let ss_res: f64 = measured
-        .iter()
-        .zip(predicted)
-        .map(|(m, p)| (m - p).powi(2))
-        .sum();
-    1.0 - ss_res / ss_tot
-}
-
 fn mean(values: &[f64]) -> f64 {
     if values.is_empty() {
         0.0
@@ -142,23 +123,6 @@ impl ErrorHistogram {
     pub fn total(&self) -> u64 {
         self.counts.iter().sum::<u64>() + self.overflow
     }
-
-    /// Fraction of errors that fall at or below `bound` (interpolating to the next bin
-    /// boundary).
-    pub fn fraction_below(&self, bound: f64) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        let below: u64 = self
-            .upper_bounds
-            .iter()
-            .zip(&self.counts)
-            .filter(|(b, _)| **b <= bound + 1e-12)
-            .map(|(_, c)| *c)
-            .sum();
-        below as f64 / total as f64
-    }
 }
 
 #[cfg(test)]
@@ -183,20 +147,16 @@ mod tests {
     }
 
     #[test]
-    fn rmse_and_r2() {
+    fn rmse_is_zero_for_exact_predictions_and_positive_otherwise() {
         let measured = vec![1.0, 2.0, 3.0, 4.0];
         let exact = measured.clone();
         assert_eq!(root_mean_squared_error(&measured, &exact), 0.0);
-        assert!((r_squared(&measured, &exact) - 1.0).abs() < 1e-12);
 
         let constant = vec![2.5; 4];
-        assert!(r_squared(&measured, &constant) <= 0.0 + 1e-12);
         assert!(root_mean_squared_error(&measured, &constant) > 0.0);
 
         // degenerate inputs
         assert_eq!(root_mean_squared_error(&[], &[]), 0.0);
-        assert_eq!(r_squared(&[1.0], &[1.0]), 0.0);
-        assert_eq!(r_squared(&[5.0, 5.0], &[5.0, 5.0]), 0.0);
     }
 
     #[test]
@@ -206,8 +166,6 @@ mod tests {
         assert_eq!(hist.counts(), &[1, 2, 1]);
         assert_eq!(hist.overflow(), 1);
         assert_eq!(hist.total(), 5);
-        assert!((hist.fraction_below(0.02) - 3.0 / 5.0).abs() < 1e-12);
-        assert_eq!(hist.fraction_below(100.0), 4.0 / 5.0);
     }
 
     #[test]
@@ -221,7 +179,6 @@ mod tests {
     fn empty_histogram_is_safe() {
         let hist = ErrorHistogram::new(vec![0.1], &[]);
         assert_eq!(hist.total(), 0);
-        assert_eq!(hist.fraction_below(1.0), 0.0);
     }
 
     #[test]

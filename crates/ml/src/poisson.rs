@@ -3,7 +3,7 @@
 //! A generalised linear model with a log link: `E[y | x] = exp(β₀ + βᵀx)`.  Fitted by
 //! iteratively re-weighted least squares (IRLS).  Although execution times are not
 //! counts, the paper lists Poisson regression among the candidate models it evaluated,
-//! so it is provided for the model-comparison ablation.
+//! so it is one of the candidates `repro model-selection` compares.
 
 use crate::dataset::Dataset;
 use crate::error::MlError;

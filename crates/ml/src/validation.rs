@@ -32,11 +32,6 @@ impl CrossValidation {
     pub fn mean_rmse(&self) -> f64 {
         mean(&self.fold_rmse)
     }
-
-    /// Standard deviation of the per-fold MAPE values (spread across folds).
-    pub fn mape_std(&self) -> f64 {
-        std_dev(&self.fold_mape)
-    }
 }
 
 fn mean(values: &[f64]) -> f64 {
@@ -56,14 +51,6 @@ fn predict_dataset<M: Regressor>(model: &M, data: &Dataset) -> Vec<f64> {
     } else {
         model.predict_batch(data.feature_matrix(), data.n_features())
     }
-}
-
-fn std_dev(values: &[f64]) -> f64 {
-    if values.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(values);
-    (values.iter().map(|v| (v - m).powi(2)).sum::<f64>() / values.len() as f64).sqrt()
 }
 
 /// Run k-fold cross-validation of a model produced by `factory` on `data`.
@@ -148,7 +135,6 @@ mod tests {
         assert_eq!(cv.fold_mape.len(), 5);
         assert!(cv.mean_mape() < 10.0, "MAPE {}", cv.mean_mape());
         assert!(cv.mean_rmse() < 10.0);
-        assert!(cv.mape_std() >= 0.0);
     }
 
     #[test]

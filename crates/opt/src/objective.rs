@@ -75,11 +75,6 @@ impl<'a, O: ?Sized> CountingObjective<'a, O> {
     pub fn evaluations(&self) -> usize {
         self.count.load(Ordering::Relaxed)
     }
-
-    /// Reset the evaluation counter.
-    pub fn reset(&self) {
-        self.count.store(0, Ordering::Relaxed);
-    }
 }
 
 impl<C, O> Objective<C> for CountingObjective<'_, O>
@@ -333,7 +328,7 @@ mod tests {
     }
 
     #[test]
-    fn counting_objective_counts_and_resets() {
+    fn counting_objective_counts_and_passes_values_through() {
         let inner = |x: &i32| *x as f64;
         let counting = CountingObjective::new(&inner);
         assert_eq!(counting.evaluations(), 0);
@@ -341,8 +336,6 @@ mod tests {
             let _ = counting.evaluate(&i);
         }
         assert_eq!(counting.evaluations(), 17);
-        counting.reset();
-        assert_eq!(counting.evaluations(), 0);
         // value passes through unchanged
         assert_eq!(counting.evaluate(&5), 5.0);
     }

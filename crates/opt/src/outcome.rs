@@ -48,19 +48,6 @@ pub struct Outcome<C> {
     pub trace: OptimizationTrace,
 }
 
-impl<C> Outcome<C> {
-    /// Map the configuration type (useful when adapting generic outcomes to
-    /// domain-specific reports).
-    pub fn map_config<D>(self, f: impl FnOnce(C) -> D) -> Outcome<D> {
-        Outcome {
-            best_config: f(self.best_config),
-            best_energy: self.best_energy,
-            evaluations: self.evaluations,
-            trace: self.trace,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,19 +68,5 @@ mod tests {
         let backward = pairs.iter().rev().copied().reduce(better_indexed).unwrap();
         assert_eq!(forward, (4, 2.0));
         assert_eq!(forward, backward);
-    }
-
-    #[test]
-    fn map_config_preserves_everything_else() {
-        let outcome = Outcome {
-            best_config: 42u32,
-            best_energy: 1.5,
-            evaluations: 10,
-            trace: OptimizationTrace::new(),
-        };
-        let mapped = outcome.map_config(|c| format!("cfg-{c}"));
-        assert_eq!(mapped.best_config, "cfg-42");
-        assert_eq!(mapped.best_energy, 1.5);
-        assert_eq!(mapped.evaluations, 10);
     }
 }

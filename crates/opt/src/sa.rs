@@ -29,19 +29,13 @@ pub struct SimulatedAnnealing {
     pub stop_temperature: f64,
     /// Cooling schedule (the paper uses geometric cooling).
     pub schedule: CoolingSchedule,
-    /// Hard cap on iterations (safety net for schedules that cool very slowly).
+    /// Hard cap on iterations (a safety net a few steps past the cooling budget).
     pub max_iterations: usize,
     /// RNG seed; two runs with the same seed explore identically.
     pub seed: u64,
 }
 
 impl SimulatedAnnealing {
-    /// The paper's default configuration: `T₀ = 1000`, stop at `T < 1`, geometric
-    /// cooling with a rate chosen so the run performs roughly 2 000 iterations.
-    pub fn paper_default(seed: u64) -> Self {
-        Self::with_iteration_budget(2000, 1000.0, seed)
-    }
-
     /// Construct a run that performs (approximately) `iterations` iterations by fixing
     /// `T₀` and deriving the geometric cooling rate (stop temperature 1, as in the
     /// paper's flow chart).
@@ -75,12 +69,6 @@ impl SimulatedAnnealing {
             max_iterations: iterations + 16,
             seed,
         }
-    }
-
-    /// Replace the cooling schedule.
-    pub fn with_schedule(mut self, schedule: CoolingSchedule) -> Self {
-        self.schedule = schedule;
-        self
     }
 
     /// Run the optimizer on `space` with objective `objective`, re-scoring every
@@ -198,9 +186,7 @@ impl SimulatedAnnealing {
                 recorder.iteration(scope, record.into());
             }
 
-            temperature =
-                self.schedule
-                    .next_temperature(self.initial_temperature, temperature, iteration);
+            temperature = self.schedule.next_temperature(temperature);
             iteration += 1;
         }
 

@@ -1,6 +1,7 @@
-//! Cooling schedules for simulated annealing.
+//! The cooling schedule of simulated annealing.
 
-/// How the temperature evolves over iterations.
+/// How the temperature evolves over iterations: the paper anneals geometrically
+/// (Eq. 3).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CoolingSchedule {
     /// The paper's schedule (Eq. 3): `T ← T · (1 − coolingRate)`.
@@ -8,35 +9,14 @@ pub enum CoolingSchedule {
         /// The cooling rate in (0, 1).
         cooling_rate: f64,
     },
-    /// Linear decrease: `T ← T − decrement` (floored at zero).
-    Linear {
-        /// Amount subtracted each iteration.
-        decrement: f64,
-    },
-    /// Logarithmic (Boltzmann) cooling: `T(i) = T₀ / ln(i + e)`.
-    Logarithmic,
 }
 
 impl CoolingSchedule {
-    /// The paper's default: geometric cooling.
-    pub fn paper_default() -> Self {
-        CoolingSchedule::Geometric {
-            cooling_rate: 0.003,
-        }
-    }
-
-    /// Temperature after one more iteration.
-    ///
-    /// `initial` is the starting temperature, `current` the temperature before the
-    /// update and `iteration` the 0-based index of the iteration that just finished.
-    pub fn next_temperature(&self, initial: f64, current: f64, iteration: usize) -> f64 {
-        match *self {
-            CoolingSchedule::Geometric { cooling_rate } => {
-                current * (1.0 - cooling_rate.clamp(0.0, 1.0))
-            }
-            CoolingSchedule::Linear { decrement } => (current - decrement.max(0.0)).max(0.0),
-            CoolingSchedule::Logarithmic => initial / ((iteration + 2) as f64).ln().max(1.0),
-        }
+    /// Temperature after one more iteration, given the temperature `current` before
+    /// the update.
+    pub fn next_temperature(&self, current: f64) -> f64 {
+        let CoolingSchedule::Geometric { cooling_rate } = *self;
+        current * (1.0 - cooling_rate.clamp(0.0, 1.0))
     }
 
     /// Geometric cooling rate that reaches `final_temperature` from
@@ -60,19 +40,15 @@ impl CoolingSchedule {
         CoolingSchedule::Geometric { cooling_rate }
     }
 
-    /// Number of iterations a geometric schedule needs to cool from `initial` below
-    /// `final_temperature`; `None` for non-geometric schedules.
+    /// Number of iterations the schedule needs to cool from `initial` below
+    /// `final_temperature`; `None` for a cooling rate outside (0, 1).
     pub fn geometric_iterations(&self, initial: f64, final_temperature: f64) -> Option<usize> {
-        match *self {
-            CoolingSchedule::Geometric { cooling_rate } => {
-                if cooling_rate <= 0.0 || cooling_rate >= 1.0 {
-                    return None;
-                }
-                let steps = (final_temperature / initial).ln() / (1.0 - cooling_rate).ln();
-                Some(steps.ceil().max(0.0) as usize)
-            }
-            _ => None,
+        let CoolingSchedule::Geometric { cooling_rate } = *self;
+        if cooling_rate <= 0.0 || cooling_rate >= 1.0 {
+            return None;
         }
+        let steps = (final_temperature / initial).ln() / (1.0 - cooling_rate).ln();
+        Some(steps.ceil().max(0.0) as usize)
     }
 }
 
@@ -83,28 +59,8 @@ mod tests {
     #[test]
     fn geometric_matches_the_paper_formula() {
         let schedule = CoolingSchedule::Geometric { cooling_rate: 0.1 };
-        let t = schedule.next_temperature(100.0, 50.0, 3);
+        let t = schedule.next_temperature(50.0);
         assert!((t - 45.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn linear_floors_at_zero() {
-        let schedule = CoolingSchedule::Linear { decrement: 30.0 };
-        assert_eq!(schedule.next_temperature(100.0, 20.0, 0), 0.0);
-        assert_eq!(schedule.next_temperature(100.0, 50.0, 0), 20.0);
-    }
-
-    #[test]
-    fn logarithmic_decreases_slowly() {
-        let schedule = CoolingSchedule::Logarithmic;
-        let t1 = schedule.next_temperature(100.0, 100.0, 0);
-        let t10 = schedule.next_temperature(100.0, t1, 9);
-        let t100 = schedule.next_temperature(100.0, t10, 99);
-        assert!(t1 > t10 && t10 > t100);
-        assert!(
-            t100 > 10.0,
-            "logarithmic cooling should still be warm after 100 iterations"
-        );
     }
 
     #[test]
@@ -123,17 +79,5 @@ mod tests {
     #[should_panic(expected = "temperatures must satisfy")]
     fn invalid_budget_temperatures_panic() {
         let _ = CoolingSchedule::geometric_for_budget(10, 1.0, 10.0);
-    }
-
-    #[test]
-    fn geometric_iterations_is_none_for_other_schedules() {
-        assert_eq!(
-            CoolingSchedule::Linear { decrement: 1.0 }.geometric_iterations(10.0, 1.0),
-            None
-        );
-        assert_eq!(
-            CoolingSchedule::Logarithmic.geometric_iterations(10.0, 1.0),
-            None
-        );
     }
 }

@@ -225,7 +225,7 @@ impl SearchSpace for GridSpace {
 /// space is asked to materialise its full enumeration ([`SearchSpace::enumerate`])
 /// versus serve single configurations by index ([`SearchSpace::config_at`]).
 ///
-/// Tests and benches use it to *prove* that the streaming drivers never materialise a
+/// Tests use it to *prove* that the streaming drivers never materialise a
 /// lazy space: after a run, [`InstrumentedSpace::enumerate_calls`] must be zero and
 /// every configuration must have flowed through `config_at` one chunk at a time.
 pub struct InstrumentedSpace<'a, S> {
@@ -310,7 +310,7 @@ impl<S: SearchSpace> SearchSpace for InstrumentedSpace<'_, S> {
 /// [`SearchSpace::config_at`] report `None`), forcing drivers onto the materialising
 /// [`SearchSpace::enumerate`] fallback.
 ///
-/// Exists for benches and tests that compare the streaming fast path against the
+/// Exists for tests that compare the streaming fast path against the
 /// classic full-`Vec` enumeration on the *same* space.
 #[derive(Debug, Clone, Copy)]
 pub struct MaterializedOnly<'a, S>(&'a S);

@@ -57,11 +57,6 @@ impl OptimizationTrace {
         Self::default()
     }
 
-    /// Build a trace from records — e.g. ones recovered from a recorded run.
-    pub fn from_records(records: Vec<IterationRecord>) -> Self {
-        OptimizationTrace { records }
-    }
-
     /// Reconstruct a trace from the iteration events published by an observed run
     /// (`run_delta_observed` and friends).  Because observed runs emit one event per
     /// trace record with identical values, a trace rebuilt from a recorder's event
@@ -97,27 +92,6 @@ impl OptimizationTrace {
     pub fn best_energy_series(&self) -> Vec<f64> {
         self.records.iter().map(|r| r.best_energy).collect()
     }
-
-    /// Best energy observed within the first `iterations` iterations (or over the whole
-    /// trace if it is shorter).  Returns `None` for an empty trace or `iterations == 0`.
-    pub fn best_within(&self, iterations: usize) -> Option<f64> {
-        if iterations == 0 {
-            return None;
-        }
-        self.records
-            .iter()
-            .take(iterations)
-            .map(|r| r.best_energy)
-            .fold(None, |acc, e| Some(acc.map_or(e, |a: f64| a.min(e))))
-    }
-
-    /// Fraction of proposals that were accepted.
-    pub fn acceptance_rate(&self) -> f64 {
-        if self.records.is_empty() {
-            return 0.0;
-        }
-        self.records.iter().filter(|r| r.accepted).count() as f64 / self.records.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -144,53 +118,12 @@ mod tests {
         }
         assert_eq!(trace.len(), 5);
         assert_eq!(trace.best_energy_series(), vec![10.0, 9.0, 8.0, 7.0, 6.0]);
-        assert!((trace.acceptance_rate() - 0.6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn best_within_takes_a_prefix() {
-        let mut trace = OptimizationTrace::new();
-        for (i, best) in [5.0, 4.0, 4.0, 2.0, 2.0].iter().enumerate() {
-            trace.push(record(i, *best, true));
-        }
-        assert_eq!(trace.best_within(1), Some(5.0));
-        assert_eq!(trace.best_within(4), Some(2.0));
-        assert_eq!(trace.best_within(100), Some(2.0));
-        assert_eq!(trace.best_within(0), None);
-        assert_eq!(OptimizationTrace::new().best_within(3), None);
     }
 
     #[test]
     fn empty_trace_metrics_are_safe() {
         let trace = OptimizationTrace::new();
-        assert_eq!(trace.acceptance_rate(), 0.0);
         assert!(trace.best_energy_series().is_empty());
-    }
-
-    #[test]
-    fn best_within_edge_cases() {
-        // empty trace: None for every horizon, including 0
-        let empty = OptimizationTrace::new();
-        assert_eq!(empty.best_within(0), None);
-        assert_eq!(empty.best_within(1), None);
-        assert_eq!(empty.best_within(usize::MAX), None);
-
-        // non-empty trace, iterations == 0: still None (no iterations examined)
-        let mut trace = OptimizationTrace::new();
-        trace.push(record(0, 7.0, true));
-        assert_eq!(trace.best_within(0), None);
-
-        // iterations beyond the trace length clamp to the whole trace
-        trace.push(record(1, 3.0, true));
-        assert_eq!(trace.best_within(2), Some(3.0));
-        assert_eq!(trace.best_within(3), Some(3.0));
-        assert_eq!(trace.best_within(usize::MAX), Some(3.0));
-
-        // a single-record trace answers for any positive horizon
-        let mut single = OptimizationTrace::new();
-        single.push(record(0, 5.0, false));
-        assert_eq!(single.best_within(1), Some(5.0));
-        assert_eq!(single.best_within(100), Some(5.0));
     }
 
     #[test]
@@ -203,9 +136,5 @@ mod tests {
         let rebuilt = OptimizationTrace::from_events(&events);
         assert_eq!(rebuilt, trace);
         assert_eq!(rebuilt.records(), trace.records());
-
-        // and via the plain-record constructor
-        let copied = OptimizationTrace::from_records(trace.records().to_vec());
-        assert_eq!(copied, trace);
     }
 }

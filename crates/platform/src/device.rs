@@ -110,14 +110,6 @@ impl DeviceSpec {
         self.smt_gain.get(idx).copied().unwrap_or(1.0)
     }
 
-    /// Aggregate scan rate (bytes/s) of the whole device with every hardware thread busy,
-    /// ignoring contention and parallel overheads.  Useful as an upper bound in tests.
-    pub fn peak_scan_rate(&self) -> f64 {
-        self.scan_rate_per_thread
-            * self.smt_factor(self.threads_per_core)
-            * self.usable_cores() as f64
-    }
-
     /// Preset: dual-socket Intel Xeon E5-2695v2 host (2 × 12 cores, 2-way SMT, AVX).
     ///
     /// Table III of the paper: 2.4–3.2 GHz, 30 MB cache, 59.7 GB/s per socket.
@@ -240,20 +232,6 @@ mod tests {
             );
             assert!((spec.smt_factor(1) - 1.0).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn peak_rates_are_in_a_plausible_range() {
-        // Both devices sustain a few GB/s of DNA scanning when fully occupied.  The host
-        // is somewhat faster overall, which is why the paper's optimal splits assign the
-        // larger share (60-70 %) to the host; offloading still pays off because the two
-        // run concurrently.
-        let host = DeviceSpec::xeon_e5_2695v2_dual();
-        let phi = DeviceSpec::xeon_phi_7120p();
-        let gbs = |r: f64| r / 1e9;
-        assert!(gbs(host.peak_scan_rate()) > 4.0 && gbs(host.peak_scan_rate()) < 12.0);
-        assert!(gbs(phi.peak_scan_rate()) > 3.0 && gbs(phi.peak_scan_rate()) < 10.0);
-        assert!(host.peak_scan_rate() > phi.peak_scan_rate());
     }
 
     #[test]

@@ -30,17 +30,6 @@ impl OffloadModel {
         }
     }
 
-    /// An idealised interconnect with negligible cost (useful to isolate compute effects
-    /// in ablation benches).
-    pub fn ideal() -> Self {
-        OffloadModel {
-            bandwidth_to_device: 1e15,
-            bandwidth_to_host: 1e15,
-            launch_overhead_s: 0.0,
-            per_transfer_latency_s: 0.0,
-        }
-    }
-
     /// Time to move `bytes` from the host to the device.
     pub fn transfer_to_device(&self, bytes: u64) -> f64 {
         if bytes == 0 {
@@ -56,16 +45,6 @@ impl OffloadModel {
         }
         self.per_transfer_latency_s + bytes as f64 / self.bandwidth_to_host
     }
-
-    /// Total offload overhead for an input of `input_bytes` producing `result_bytes`.
-    pub fn total_overhead(&self, input_bytes: u64, result_bytes: u64) -> f64 {
-        if input_bytes == 0 && result_bytes == 0 {
-            return 0.0;
-        }
-        self.launch_overhead_s
-            + self.transfer_to_device(input_bytes)
-            + self.transfer_to_host(result_bytes)
-    }
 }
 
 #[cfg(test)]
@@ -77,7 +56,6 @@ mod tests {
         let o = OffloadModel::pcie_gen2_x16();
         assert_eq!(o.transfer_to_device(0), 0.0);
         assert_eq!(o.transfer_to_host(0), 0.0);
-        assert_eq!(o.total_overhead(0, 0), 0.0);
     }
 
     #[test]
@@ -89,18 +67,5 @@ mod tests {
         assert!((t2 / t1 - 2.0).abs() < 0.01);
         // a 1 GB transfer over ~6 GB/s takes roughly 160 ms
         assert!(t1 > 0.1 && t1 < 0.3, "unexpected transfer time {t1}");
-    }
-
-    #[test]
-    fn overhead_includes_launch_cost() {
-        let o = OffloadModel::pcie_gen2_x16();
-        let overhead = o.total_overhead(1, 1);
-        assert!(overhead >= o.launch_overhead_s);
-    }
-
-    #[test]
-    fn ideal_link_is_free() {
-        let o = OffloadModel::ideal();
-        assert!(o.total_overhead(10_000_000_000, 10_000_000) < 1e-4);
     }
 }

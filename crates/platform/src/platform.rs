@@ -240,8 +240,8 @@ impl HeterogeneousPlatform {
         }
     }
 
-    /// A noiseless copy of this platform (useful for analytical tests and for isolating
-    /// model effects in ablation benches).
+    /// A noiseless copy of this platform (useful for analytical tests that isolate
+    /// model effects from measurement noise).
     pub fn without_noise(mut self) -> Self {
         self.noise = NoiseModel::disabled();
         self

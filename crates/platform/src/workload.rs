@@ -50,7 +50,7 @@ impl WorkloadProfile {
 
     /// A synthetic compute-bound workload (e.g. an n-body style kernel): expensive per
     /// byte, highly vectorizable, negligible result traffic.  Used by the
-    /// `custom_workload` example and the ablation benches.
+    /// `custom_workload` example.
     pub fn compute_bound(name: &str, bytes: u64, cost_factor: f64) -> Self {
         WorkloadProfile {
             name: name.to_string(),

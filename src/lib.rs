@@ -7,7 +7,7 @@
 //! downstream user can depend on a single crate:
 //!
 //! * [`platform`] — simulator of a heterogeneous node (2× Xeon E5 host + Xeon Phi device)
-//! * [`dna`] — the DNA sequence analysis application (finite-automata motif matching)
+//! * [`dna`] — the paper's genomes and their workload profiles
 //! * [`ml`] — regression models (boosted decision trees, linear, Poisson)
 //! * [`opt`] — combinatorial optimization (simulated annealing, enumeration, ...)
 //! * [`dist`] — sharded multi-node campaign coordinator with a persistent result store

@@ -64,21 +64,26 @@ fn parallel_enumeration_is_deterministic_across_partitionings() {
     // The batched parallel path must return the same best configuration and energy as
     // the sequential scan for every batch size (and therefore for every thread count:
     // work distribution over rayon workers only changes which worker scores which
-    // batch, never the reduction result).
+    // batch, never the reduction result).  On the tiny grid and on the paper's
+    // 19 926-point Table-I enumeration grid.
     let evaluator = evaluator();
-    let grid = ConfigurationSpace::tiny();
-    let reference = Enumeration::sequential().run(&grid, &evaluator);
-    for batch_size in [1usize, 3, 17, 128, 4096] {
-        let outcome = ParallelEnumeration::with_batch_size(batch_size).run(&grid, &evaluator);
-        assert_eq!(
-            outcome.best_config, reference.best_config,
-            "batch size {batch_size}"
-        );
-        assert_eq!(
-            outcome.best_energy, reference.best_energy,
-            "batch size {batch_size}"
-        );
-        assert_eq!(outcome.evaluations, reference.evaluations);
+    for grid in [
+        ConfigurationSpace::tiny(),
+        ConfigurationSpace::enumeration_grid(),
+    ] {
+        let reference = Enumeration::sequential().run(&grid, &evaluator);
+        for batch_size in [1usize, 3, 17, 128, 4096] {
+            let outcome = ParallelEnumeration::with_batch_size(batch_size).run(&grid, &evaluator);
+            assert_eq!(
+                outcome.best_config, reference.best_config,
+                "batch size {batch_size}"
+            );
+            assert_eq!(
+                outcome.best_energy, reference.best_energy,
+                "batch size {batch_size}"
+            );
+            assert_eq!(outcome.evaluations, reference.evaluations);
+        }
     }
 }
 
