@@ -20,7 +20,7 @@ use wd_ml::BoostingParams;
 
 const ITERATIONS: usize = 2000;
 const SEED: u64 = 29;
-const REPEATS: usize = 7;
+const REPEATS: usize = 21;
 
 fn print_summary(m: &wd_bench::ObservabilityMeasurement) {
     println!(

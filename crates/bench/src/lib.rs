@@ -275,9 +275,9 @@ pub struct ObservabilityMeasurement {
     /// every iteration event to disk.
     pub exporter: std::time::Duration,
     /// Median over repeats of the per-repeat `noop / unobserved` duration ratio.
-    /// Both samples of a pair run inside the same repeat window, so they share the
-    /// machine's momentary state (frequency, cache pressure) — the paired ratio is
-    /// stable where cross-run minima on a busy host are not.
+    /// Both samples of a pair run back to back in each repeat, in alternating order,
+    /// so they share the machine's momentary state (frequency, cache pressure) — the
+    /// paired ratio is stable where cross-run minima on a busy host are not.
     ///
     /// `SimulatedAnnealing::run_delta` is itself `run_delta_observed(.., &NoopRecorder,
     /// ..)`, so both sides of this ratio run the same code path and any distance from
@@ -412,13 +412,15 @@ pub fn measure_observability_overhead(
             elapsed / rounds as u32
         };
 
-    // The variant order rotates per repeat so no variant systematically runs in the
-    // wake of another's work (the exporter's disk I/O in particular) — with a fixed
-    // order that aftermath biases whichever variant follows it.
+    // The gated pair (unobserved, NoopRecorder) runs back to back at the start of
+    // each repeat, alternating which goes first, so its paired ratio compares two
+    // adjacent samples and neither side systematically runs in the other's wake.
+    // The exporter follows and the registry comes last, so the aftermath of the
+    // exporter's disk I/O lands on the (ungated) registry sample, never on the pair.
     let mut times = vec![[Duration::ZERO; 4]; repeats];
     for (repeat, repeat_times) in times.iter_mut().enumerate() {
-        for slot in 0..4 {
-            let variant = (slot + repeat) % 4;
+        let pair = if repeat % 2 == 0 { [0, 1] } else { [1, 0] };
+        for variant in pair.into_iter().chain([3, 2]) {
             let t = match variant {
                 // unobserved run_delta
                 0 => sample(&mut |evaluator| sa.run_delta(space, &evaluator.lazy_tabulated())),

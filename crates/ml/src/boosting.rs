@@ -855,6 +855,45 @@ mod tests {
             let expected = FlatForest::from_trees(&reference_trees(params, &data));
             assert_eq!(*model.flat, expected);
         }
+        // the autotuner's feature shape: two-level columns at the default subsample,
+        // whose top nodes have a candidate stride above 1
+        let data = paper_shaped();
+        let params = BoostingParams::default();
+        let mut model = BoostedTreesRegressor::new(params);
+        model.fit(&data).unwrap();
+        let expected = FlatForest::from_trees(&reference_trees(params, &data));
+        assert_eq!(*model.flat, expected);
+        assert_eq!(bits(&model.flat.threshold), bits(&expected.threshold));
+    }
+
+    /// 1 080 rows shaped like a training campaign's: a thread ladder, a one-hot
+    /// affinity over three columns, an input size, and a column of only `-0.0` and
+    /// `0.0` that moves the target but can never be split.
+    fn paper_shaped() -> Dataset {
+        let names = ["threads", "zero", "none", "scatter", "compact", "input_gb"];
+        let mut data = Dataset::new(names.iter().map(|name| name.to_string()).collect());
+        let ladder = [2.0, 4.0, 8.0, 12.0, 16.0, 24.0, 36.0, 48.0];
+        let mut row = 0usize;
+        for &threads in &ladder {
+            for affinity in 0..3 {
+                for size in 1..=45 {
+                    let one_hot = |column: usize| f64::from(u8::from(affinity == column));
+                    let input_gb = f64::from(size) * 0.07;
+                    let negative = row.is_multiple_of(3);
+                    let zero = if negative { -0.0 } else { 0.0 };
+                    let efficiency = [1.0, 0.85, 0.7][affinity];
+                    let target = input_gb / (threads * efficiency)
+                        + 0.02 * threads
+                        + if negative { 0.05 } else { 0.0 }
+                        + ((row * 13) % 7) as f64 * 0.001;
+                    let features =
+                        vec![threads, zero, one_hot(0), one_hot(1), one_hot(2), input_gb];
+                    data.push(features, target).unwrap();
+                    row += 1;
+                }
+            }
+        }
+        data
     }
 
     /// A random dataset of `width` features mixing a few repeated levels with

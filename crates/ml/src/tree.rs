@@ -23,6 +23,17 @@
 //! the candidate stride and the strict `sse < best` tie-break see the same numbers in
 //! the same sequence, and the in-place partition of the rows is unchanged.  The unit
 //! tests keep the sort-based search as an oracle and compare fitted trees node for node.
+//!
+//! Two-level columns (three of the autotuner's five features are one-hot affinity
+//! indicators) skip even the counting sort.  Their stable order is "every rank-0 row in
+//! index order, then the rest", so the only candidate sits after the `count0` rank-0
+//! rows.  One pass over the rows in their current order accumulates those rows' count,
+//! target sum and sum of squares, and keeps one row of each level for the two values.
+//! That sum is the prefix sum the scan reaches at position `count0`: the same targets
+//! added in the same order to the same `0.0`.  The candidate is then scored by the code
+//! that scores every scan position (`boundary == next`, so a column of only `-0.0` and
+//! `0.0` yields none; the stride; `min_samples_leaf`; the `sse` and threshold
+//! expressions), so every tree stays bit-identical.
 
 use crate::dataset::Dataset;
 use crate::error::MlError;
@@ -166,6 +177,50 @@ impl RankedColumns {
             *slot += 1;
         }
     }
+
+    /// The one candidate of a column of exactly two levels: its rank-0 rows (the
+    /// first `count` of a stable sort of `indices`) with their target sum and sum of
+    /// squares, accumulated in `indices` order, and the value of each level present.
+    fn two_level_prefix(
+        &self,
+        feature: usize,
+        targets: &[f64],
+        indices: &[usize],
+    ) -> TwoLevelPrefix {
+        debug_assert_eq!(self.levels[feature], 2);
+        let column = feature * self.rows..(feature + 1) * self.rows;
+        let ranks = &self.ranks[column.clone()];
+        // accumulators indexed by rank keep the pass branch-free (only rank 0's are
+        // read); the ranks are 0 or 1, and the mask lets the indexing skip bounds checks
+        let mut count = [0usize; 2];
+        let mut sum = [0.0f64; 2];
+        let mut sq = [0.0f64; 2];
+        let mut row = [0usize; 2];
+        for &i in indices {
+            let rank = ranks[i] as usize & 1;
+            let target = targets[i];
+            count[rank] += 1;
+            sum[rank] += target;
+            sq[rank] += target * target;
+            row[rank] = i;
+        }
+        let values = &self.values[column];
+        TwoLevelPrefix {
+            count: count[0],
+            sum: sum[0],
+            sq: sq[0],
+            values: [values[row[0]], values[row[1]]],
+        }
+    }
+}
+
+/// See [`RankedColumns::two_level_prefix`]; a level absent from the rows has an
+/// arbitrary value.
+struct TwoLevelPrefix {
+    count: usize,
+    sum: f64,
+    sq: f64,
+    values: [f64; 2],
 }
 
 /// Buffers the split search reuses across features, nodes and trees.
@@ -428,7 +483,8 @@ impl RegressionTree {
     }
 
     /// Find the (feature, threshold) pair with the largest SSE reduction, scanning
-    /// each feature's rows in the order [`RankedColumns::sort_pairs`] gives.
+    /// each feature's rows in the order [`RankedColumns::sort_pairs`] gives (a
+    /// two-level column scores its one candidate from [`RankedColumns::two_level_prefix`]).
     fn best_split(
         params: &TreeParams,
         columns: &RankedColumns,
@@ -440,36 +496,24 @@ impl RegressionTree {
         let total_sq: f64 = indices.iter().map(|&i| targets[i] * targets[i]).sum();
         let n = indices.len() as f64;
         let parent_sse = total_sq - total_sum * total_sum / n;
+        let stride = (indices.len() / params.max_split_candidates).max(1);
 
         let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, sse)
 
-        for feature in 0..columns.levels.len() {
-            columns.sort_pairs(feature, targets, indices, scratch);
-            let values = &scratch.pairs;
-
-            let stride = (values.len() / params.max_split_candidates).max(1);
-
-            // prefix sums for O(1) SSE evaluation at each split position
-            let mut left_sum = 0.0;
-            let mut left_sq = 0.0;
-            let mut k = 0usize;
-            while k + 1 < values.len() {
-                left_sum += values[k].1;
-                left_sq += values[k].1 * values[k].1;
-                let boundary = values[k].0;
-                // only evaluate at value changes, respecting the candidate stride
-                let next = values[k + 1].0;
-                if boundary == next || !(k + 1).is_multiple_of(stride) {
-                    k += 1;
-                    continue;
+        // Score the split after the first `left` rows of a feature's sorted order,
+        // whose targets sum to `left_sum` (squares: `left_sq`), between the values
+        // `boundary` and `next`: only at value changes, respecting the candidate stride
+        let mut consider =
+            |feature: usize, left: usize, left_sum: f64, left_sq: f64, boundary: f64, next: f64| {
+                if boundary == next || !left.is_multiple_of(stride) {
+                    return;
                 }
-                let left_n = (k + 1) as f64;
+                let left_n = left as f64;
                 let right_n = n - left_n;
                 if (left_n as usize) < params.min_samples_leaf
                     || (right_n as usize) < params.min_samples_leaf
                 {
-                    k += 1;
-                    continue;
+                    return;
                 }
                 let right_sum = total_sum - left_sum;
                 let right_sq = total_sq - left_sq;
@@ -479,7 +523,26 @@ impl RegressionTree {
                 if best.is_none_or(|(_, _, b)| sse < b) {
                     best = Some((feature, threshold, sse));
                 }
-                k += 1;
+            };
+
+        for feature in 0..columns.levels.len() {
+            if columns.levels[feature] == 2 {
+                let prefix = columns.two_level_prefix(feature, targets, indices);
+                if prefix.count > 0 && prefix.count < indices.len() {
+                    let [boundary, next] = prefix.values;
+                    consider(feature, prefix.count, prefix.sum, prefix.sq, boundary, next);
+                }
+                continue;
+            }
+            columns.sort_pairs(feature, targets, indices, scratch);
+            // prefix sums for O(1) SSE evaluation at each split position
+            let mut left_sum = 0.0;
+            let mut left_sq = 0.0;
+            for (k, pair) in scratch.pairs.windows(2).enumerate() {
+                let (boundary, target) = pair[0];
+                left_sum += target;
+                left_sq += target * target;
+                consider(feature, k + 1, left_sum, left_sq, boundary, pair[1].0);
             }
         }
 
@@ -831,27 +894,32 @@ mod tests {
     }
 
     /// Rows with a low-cardinality thread count, a column mixing `-0.0` and `0.0`, a
-    /// constant, a one-hot flag and a high-cardinality size; a prefix of the rows is
-    /// repeated as exact duplicates.
-    fn oracle_dataset(rows: &[(usize, usize, u8, u32, u32)], duplicates: usize) -> Dataset {
+    /// constant, a one-hot flag, a high-cardinality size and a two-level column of
+    /// only `-0.0` and `0.0`; a prefix of the rows is repeated as exact duplicates.
+    fn oracle_dataset(rows: &[(usize, usize, u8, u32, u32, u8)], duplicates: usize) -> Dataset {
         let mut d = Dataset::new(
-            ["threads", "signed", "constant", "flag", "size"]
+            ["threads", "signed", "constant", "flag", "size", "zero"]
                 .iter()
                 .map(|name| name.to_string())
                 .collect(),
         );
         let repeated = rows.iter().chain(rows.iter().take(duplicates));
-        for &(threads, signed, flag, size, noise) in repeated {
+        for &(threads, signed, flag, size, noise, zero) in repeated {
             let threads = [2.0, 6.0, 12.0, 24.0, 48.0][threads];
             let signed: f64 = [-0.0, 0.0, 0.5][signed];
             let size = f64::from(size) / 997.0;
+            let zero: f64 = [0.0, -0.0][usize::from(zero)];
             let target = 10.0 / threads
                 + f64::from(flag) * 1.5
                 + size * 3.0
                 + if signed.is_sign_negative() { 0.25 } else { 0.0 }
+                + if zero.is_sign_negative() { 0.75 } else { 0.0 }
                 + f64::from(noise % 4) * 0.125;
-            d.push(vec![threads, signed, 3.5, f64::from(flag), size], target)
-                .unwrap();
+            d.push(
+                vec![threads, signed, 3.5, f64::from(flag), size, zero],
+                target,
+            )
+            .unwrap();
         }
         d
     }
@@ -877,7 +945,7 @@ mod tests {
         #[test]
         fn ranked_fits_are_bit_identical_to_the_sorting_oracle(
             rows in proptest::collection::vec(
-                (0usize..5, 0usize..3, 0u8..2, 0u32..997, 0u32..64),
+                (0usize..5, 0usize..3, 0u8..2, 0u32..997, 0u32..64, 0u8..2),
                 1..160,
             ),
             duplicates in 0usize..24,

@@ -12,9 +12,9 @@
 //! * on the 2-accelerator grid, walk the models at least 5× less often than the
 //!   direct path.
 //!
-//! The inputs are those of the `enumeration_fast_path` and `annealing_fast_path`
-//! benches: reduced campaigns with fast boosting, the 2-accelerator grid
-//! (3 168 configurations) and 2 000-iteration walks at seed 29.
+//! The inputs are reduced campaigns with fast boosting, the 2-accelerator grid
+//! (3 168 configurations, a copy of `wd_bench::two_accel_bench_grid`) and
+//! 2 000-iteration walks at seed 29, as in the `observability_overhead` bench gate.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
