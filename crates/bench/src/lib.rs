@@ -262,8 +262,8 @@ pub struct ObservabilityMeasurement {
     pub iterations: usize,
     /// Timed repeats per variant (each timing below is the best of these).
     pub repeats: usize,
-    /// Back-to-back walks per timed sample, auto-sized from a warmup walk so every
-    /// sample is long enough for the 2 % comparison to be above timer noise.
+    /// Back-to-back walks per timed sample: as many warm walks as fit in 10 ms, so
+    /// every sample is long enough for the 2 % comparison to be above timer noise.
     pub rounds: usize,
     /// Best-of-repeats per-walk duration of the plain `run_delta` walk.
     pub unobserved: std::time::Duration,
@@ -367,19 +367,28 @@ pub fn measure_observability_overhead(
     let sa = SimulatedAnnealing::with_budget_and_range(iterations, 2.0, 0.02, seed);
     let scope = "saml";
 
-    // Warmup: one untimed-for-scoring walk that doubles as the duration estimate.
-    // Every variant runs the exact same monomorphized loop (the unobserved entry
-    // points delegate to the observed ones), so the measured difference is timer
-    // noise unless each sample is comfortably above it — size the per-sample round
-    // count so a sample spans at least a few milliseconds.
-    let (reference, rounds) = {
+    // Warmup: a cold walk that yields the reference outcome, then warm walks over
+    // fresh tables, back to back as a sample runs them, until they span 10 ms; their
+    // count is the per-sample round count.  Every variant runs the exact same
+    // monomorphized loop (the unobserved entry points delegate to the observed
+    // ones), so the measured difference is timer noise unless each sample is
+    // comfortably above it.  The cold walk pays first-touch costs the timed samples
+    // never see, so sizing from it would cut every sample short.
+    let reference = sa.run_delta(
+        space,
+        &models
+            .prediction_evaluator(workload.clone())
+            .lazy_tabulated(),
+    );
+    let rounds = {
         let prediction = models.prediction_evaluator(workload.clone());
-        let tables = prediction.lazy_tabulated();
         let start = Instant::now();
-        let outcome = sa.run_delta(space, &tables);
-        let per_walk = start.elapsed().max(Duration::from_micros(1));
-        let rounds = (Duration::from_millis(10).as_secs_f64() / per_walk.as_secs_f64()).ceil();
-        (outcome, (rounds as usize).clamp(1, 100))
+        let mut rounds = 0;
+        while rounds < 100 && start.elapsed() < Duration::from_millis(10) {
+            let _ = sa.run_delta(space, &prediction.lazy_tabulated());
+            rounds += 1;
+        }
+        rounds
     };
 
     let mut identical = true;

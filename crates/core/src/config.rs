@@ -914,15 +914,10 @@ impl SearchSpace for ConfigurationSpace {
         self.build(host_threads, host_affinity, &device_values, split)
     }
 
-    fn neighbor(&self, config: &SystemConfiguration, rng: &mut StdRng) -> SystemConfiguration {
-        self.neighbor_move(config, rng).0
-    }
-
     /// The neighbour move plus its exact footprint in the delta-evaluation component
     /// convention (component 0 = host, component `i + 1` = accelerator `i`):
-    /// the move is generated once and the touched set is the per-component diff
-    /// against `config`, so `neighbor` (which discards the footprint) consumes
-    /// exactly the same RNG draws and the set never under-approximates.  A split
+    /// the touched set is the per-component diff against `config`, so it never
+    /// under-approximates.  A split
     /// move touches every component whose share actually moved — for one accelerator
     /// that is host + device, for N accelerators usually a small subset.
     fn neighbor_move(
@@ -1003,9 +998,9 @@ impl SearchSpace for ConfigurationSpace {
 
     /// Decode the mixed-radix enumeration index — host threads are the most
     /// significant digit, the split the least, matching exactly the nested-loop order
-    /// of [`SearchSpace::enumerate`] below.  This is the zero-materialization path:
-    /// the enumeration drivers stream N-way grids through it in fixed-size chunks
-    /// instead of allocating the whole cross product.
+    /// of [`SearchSpace::enumerate`] below.  This is the only way the enumeration
+    /// drivers read the space: they stream N-way grids through it in fixed-size
+    /// chunks instead of allocating the whole cross product.
     fn config_at(&self, index: usize) -> Option<SystemConfiguration> {
         let len = self.space_len()?;
         if index >= len {
@@ -1034,6 +1029,8 @@ impl SearchSpace for ConfigurationSpace {
         ))
     }
 
+    /// The reference enumeration order, built as nested loops; tests check
+    /// [`SearchSpace::config_at`] against it.  No driver calls it.
     fn enumerate(&self) -> Option<Vec<SystemConfiguration>> {
         // cross product over the device axes, axis-major (threads outer, affinity
         // inner), matching the single-accelerator enumeration order of the paper grid
@@ -1067,21 +1064,11 @@ impl SearchSpace for ConfigurationSpace {
         Some(all)
     }
 
-    fn crossover(
-        &self,
-        parent_a: &SystemConfiguration,
-        parent_b: &SystemConfiguration,
-        rng: &mut StdRng,
-    ) -> SystemConfiguration {
-        self.crossover_move(parent_a, parent_b, rng).0
-    }
-
     /// Uniform crossover plus the two-parent merge footprint, in the same component
     /// convention as [`SearchSpace::neighbor_move`] (component 0 = host, `i + 1` =
-    /// accelerator `i`).  The child is generated once and the footprint is the
-    /// per-component diff against the **first** parent, so `crossover` (which
-    /// discards the footprint) consumes exactly the same RNG draws, and a delta
-    /// objective holding `parent_a`'s per-device times recomputes only the
+    /// accelerator `i`).  The footprint is the per-component diff against the
+    /// **first** parent, so a delta objective holding `parent_a`'s per-device times
+    /// recomputes only the
     /// components inherited from `parent_b` (including every component whose
     /// work share moved when `parent_b`'s split is inherited wholesale).
     fn crossover_move(
@@ -1365,7 +1352,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let mut config = space.random(&mut rng);
         for _ in 0..300 {
-            config = space.neighbor(&config, &mut rng);
+            config = space.neighbor_move(&config, &mut rng).0;
             assert!(space.splits.contains(&config.split()));
         }
     }
@@ -1391,10 +1378,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(17);
             let mut config = space.random(&mut rng);
             for _ in 0..500 {
-                // the footprinted move and `neighbor` consume the same RNG draws
-                let mut probe = rng.clone();
                 let (next, touched) = space.neighbor_move(&config, &mut rng);
-                assert_eq!(next, space.neighbor(&config, &mut probe));
 
                 let components = match &touched {
                     Touched::Components(components) => components.clone(),
@@ -1455,7 +1439,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(2);
             let mut cfg = space.random(&mut rng);
             for _ in 0..1000 {
-                let next = space.neighbor(&cfg, &mut rng);
+                let next = space.neighbor_move(&cfg, &mut rng).0;
                 assert!(space.host_threads.contains(&next.host_threads));
                 assert!(space.host_affinities.contains(&next.host_affinity));
                 for (axis, device) in space.device_axes.iter().zip(next.devices()) {
@@ -1497,7 +1481,7 @@ mod tests {
         let mut large_moves = 0usize;
         let samples = 1000;
         for _ in 0..samples {
-            let next = space.neighbor(&cfg, &mut rng);
+            let next = space.neighbor_move(&cfg, &mut rng).0;
             let delta = (next.host_permille() as i64 - cfg.host_permille() as i64).abs();
             if delta > 160 {
                 large_moves += 1;
@@ -1524,7 +1508,7 @@ mod tests {
             100,
         );
         for _ in 0..100 {
-            let child = space.crossover(&a, &b, &mut rng);
+            let (child, _) = space.crossover_move(&a, &b, &mut rng);
             assert!(child.host_threads == 2 || child.host_threads == 48);
             assert!(child.device_threads() == 2 || child.device_threads() == 240);
             assert!(child.host_permille() == 0 || child.host_permille() == 1000);
@@ -1543,10 +1527,7 @@ mod tests {
             for _ in 0..300 {
                 let parent_a = space.random(&mut rng);
                 let parent_b = space.random(&mut rng);
-                // the footprinted recombination and `crossover` consume the same draws
-                let mut probe = rng.clone();
                 let (child, touched) = space.crossover_move(&parent_a, &parent_b, &mut rng);
-                assert_eq!(child, space.crossover(&parent_a, &parent_b, &mut probe));
 
                 let components = match &touched {
                     Touched::Components(components) => components.clone(),
@@ -1640,7 +1621,7 @@ mod tests {
         let samples = 1000;
         let mut far_moves = 0usize;
         for _ in 0..samples {
-            let next = space.neighbor(&start, &mut rng);
+            let next = space.neighbor_move(&start, &mut rng).0;
             let l1: u64 = next
                 .split()
                 .iter()
@@ -1790,7 +1771,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let mut config = space.random(&mut rng);
         for _ in 0..200 {
-            config = space.neighbor(&config, &mut rng);
+            config = space.neighbor_move(&config, &mut rng).0;
         }
         assert!(
             space.split_moves.get().is_some(),

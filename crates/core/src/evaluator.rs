@@ -333,11 +333,6 @@ pub struct PredictionEvaluator {
     host_model: Box<dyn Regressor + Send + Sync>,
     device_models: Vec<Box<dyn Regressor + Send + Sync>>,
     workload: WorkloadProfile,
-    /// Fixed overhead added to the device prediction for the offload launch + transfer
-    /// of the device share.  The paper's device-side training measurements include the
-    /// offload cost, so after training this is zero; it is exposed for experimentation
-    /// with models trained on compute-only data.
-    device_fixed_overhead: f64,
 }
 
 impl PredictionEvaluator {
@@ -356,19 +351,12 @@ impl PredictionEvaluator {
             host_model,
             device_models,
             workload,
-            device_fixed_overhead: 0.0,
         }
     }
 
     /// Number of accelerators this evaluator has models for.
     pub fn device_model_count(&self) -> usize {
         self.device_models.len()
-    }
-
-    /// Add a fixed overhead to every device prediction.
-    pub fn with_device_overhead(mut self, overhead: f64) -> Self {
-        self.device_fixed_overhead = overhead.max(0.0);
-        self
     }
 
     /// The workload being evaluated.
@@ -396,6 +384,8 @@ impl PredictionEvaluator {
     }
 
     /// Predict the time of accelerator `device_index` for a share of `bytes` bytes.
+    /// The device models were trained on measurements that include the offload
+    /// launch and transfer, so the prediction is the whole device time.
     pub fn predict_device_on(
         &self,
         device_index: usize,
@@ -403,8 +393,8 @@ impl PredictionEvaluator {
         affinity: hetero_platform::Affinity,
         bytes: u64,
     ) -> f64 {
-        (self.device_models[device_index].predict_one(&device_features(threads, affinity, bytes))
-            + self.device_fixed_overhead)
+        self.device_models[device_index]
+            .predict_one(&device_features(threads, affinity, bytes))
             .max(0.0)
     }
 
@@ -506,23 +496,12 @@ impl SideTimes for PredictionEvaluator {
             .enumerate()
             .filter(|&(_, (_, _, share))| share_bytes(total_bytes, share) != 0)
             .collect();
-        let (model, featurize, overhead) = match side {
-            0 => (
-                &self.host_model,
-                host_features as fn(_, _, _) -> Vec<f64>,
-                None,
-            ),
+        let (model, featurize) = match side {
+            0 => (&self.host_model, host_features as fn(_, _, _) -> Vec<f64>),
             _ => (
                 &self.device_models[side - 1],
                 device_features as fn(_, _, _) -> Vec<f64>,
-                Some(self.device_fixed_overhead),
             ),
-        };
-        // exactly `predict_host` (clamp at zero) or `predict_device_on` (add the
-        // offload overhead, clamp)
-        let finish = |prediction: f64| match overhead {
-            None => prediction.max(0.0),
-            Some(overhead) => (prediction + overhead).max(0.0),
         };
         let predictions: Vec<Vec<f64>> = queried
             .chunks(TABLE_BATCH)
@@ -539,7 +518,8 @@ impl SideTimes for PredictionEvaluator {
                 model
                     .predict_batch(&matrix, width)
                     .into_iter()
-                    .map(finish)
+                    // exactly `predict_host` / `predict_device_on`: clamp at zero
+                    .map(|prediction| prediction.max(0.0))
                     .collect()
             })
             .collect();
@@ -1104,7 +1084,7 @@ mod tests {
 
     #[test]
     fn prediction_evaluator_uses_the_models() {
-        // dummy models: host predicts 2 s/GB of its share, device predicts 1 s/GB + 0.3 s
+        // dummy models: host predicts 2 s/GB of its share, device predicts 1 s/GB
         struct PerGb(f64);
         impl Regressor for PerGb {
             fn fit(&mut self, _data: &wd_ml::Dataset) -> Result<(), wd_ml::MlError> {
@@ -1122,8 +1102,7 @@ mod tests {
         }
         let workload = WorkloadProfile::dna_scan("x", 1_000_000_000);
         let evaluator =
-            PredictionEvaluator::new(Box::new(PerGb(2.0)), vec![Box::new(PerGb(1.0))], workload)
-                .with_device_overhead(0.3);
+            PredictionEvaluator::new(Box::new(PerGb(2.0)), vec![Box::new(PerGb(1.0))], workload);
         let cfg = SystemConfiguration::with_host_percent(
             48,
             Affinity::Scatter,
@@ -1133,7 +1112,7 @@ mod tests {
         );
         let (host, device) = evaluator.evaluate_times(&cfg);
         assert!((host - 1.0).abs() < 1e-9, "host {host}");
-        assert!((device - 0.8).abs() < 1e-9, "device {device}");
+        assert!((device - 0.5).abs() < 1e-9, "device {device}");
         assert!((evaluator.energy(&cfg) - 1.0).abs() < 1e-9);
 
         // zero shares produce zero predictions
@@ -1189,8 +1168,7 @@ mod tests {
             Box::new(Wavy(&HOST_CALLS)),
             vec![Box::new(Wavy(&DEVICE_CALLS))],
             workload,
-        )
-        .with_device_overhead(0.125);
+        );
 
         let configs = space.enumerate().unwrap();
         let direct: Vec<f64> = configs.iter().map(|c| evaluator.energy(c)).collect();
@@ -1268,7 +1246,6 @@ mod tests {
             vec![Box::new(CountingWavy(device_calls))],
             WorkloadProfile::dna_scan("x", 2_500_000_000),
         )
-        .with_device_overhead(0.0625)
     }
 
     #[test]

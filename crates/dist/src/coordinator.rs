@@ -1,12 +1,13 @@
 //! The campaign coordinator: shard, evaluate, merge.
 //!
-//! A [`ShardedCampaign`] partitions an enumerable [`SearchSpace`] with a deterministic
-//! [`wd_opt::ShardPlan`], scans every shard concurrently (one rayon task per shard —
-//! each task standing in for one node of a cluster), and merges the per-shard bests
-//! with [`wd_opt::better_indexed`] over global enumeration indices.  The merge is a
-//! strict minimum under the `(energy, index)` order, so the campaign result is
-//! bit-identical to a single-node scan for every shard count and every completion
-//! order.
+//! A [`ShardedCampaign`] partitions the index range of an enumerable [`SearchSpace`]
+//! (one with [`SearchSpace::space_len`] / [`SearchSpace::config_at`]) with a
+//! deterministic [`wd_opt::ShardPlan`], scans every shard concurrently (one rayon task
+//! per shard — each task standing in for one node of a cluster), and merges the
+//! per-shard bests with [`wd_opt::better_indexed`] over global enumeration indices.
+//! The merge is a strict minimum under the `(energy, index)` order, so the campaign
+//! result is bit-identical to a single-node scan for every shard count and every
+//! completion order.
 //!
 //! Every shard scans store-first: results already present in the campaign's
 //! [`ResultStore`] are returned without touching the objective, and fresh results
@@ -114,13 +115,13 @@ impl ShardedCampaign {
     /// Run the campaign: shard `space`, evaluate every shard through `store`-backed
     /// `objective`, merge, and record the merged stats into the store.
     ///
-    /// On spaces with indexed access ([`SearchSpace::space_len`] /
-    /// [`SearchSpace::config_at`]) the campaign is **zero-materialization**: every
-    /// shard streams its global index range one batch at a time and folds its best
-    /// by index, so the full configuration `Vec` never exists — peak allocation is
-    /// bounded by `batch_size` per concurrent shard, not by the space cardinality —
-    /// and only the global winner is built again at the end.  Spaces without
-    /// indexed access fall back to materialising the enumeration once.
+    /// The campaign reads the space through its indexed access only
+    /// ([`SearchSpace::space_len`] / [`SearchSpace::config_at`]) and is
+    /// **zero-materialization**: every shard streams its global index range one
+    /// batch at a time and folds its best by index, so the full configuration `Vec`
+    /// never exists — peak allocation is bounded by `batch_size` per concurrent
+    /// shard, not by the space cardinality — and only the global winner is built
+    /// again at the end.
     ///
     /// The result is bit-identical to [`wd_opt::ParallelEnumeration::run`] on the
     /// whole space, for every shard count, batch size and shard completion order.
@@ -128,10 +129,10 @@ impl ShardedCampaign {
     ///
     /// # Errors
     ///
-    /// Returns [`CampaignError::NotEnumerable`] if the space is neither indexed nor
-    /// enumerable, [`CampaignError::EmptySpace`] if it holds no configurations,
-    /// [`CampaignError::MissingConfig`] if an indexed space has no configuration at
-    /// an index below its `space_len`, and [`CampaignError::Store`] if flushing the
+    /// Returns [`CampaignError::NotEnumerable`] if the space has no indexed access,
+    /// [`CampaignError::EmptySpace`] if it holds no configurations,
+    /// [`CampaignError::MissingConfig`] if the space has no configuration at an
+    /// index below its `space_len`, and [`CampaignError::Store`] if flushing the
     /// store fails (a persistent campaign that cannot persist is not resumable —
     /// surfacing the error beats silently re-evaluating everything next run).
     pub fn run<S, O, R>(
@@ -168,14 +169,7 @@ impl ShardedCampaign {
         O: Objective<S::Config> + Sync,
         R: ResultStore<S::Config> + Sync,
     {
-        let (materialized, total) = match space.space_len() {
-            Some(len) => (None, len),
-            None => {
-                let configs = space.enumerate().ok_or(CampaignError::NotEnumerable)?;
-                let len = configs.len();
-                (Some(configs), len)
-            }
-        };
+        let total = space.space_len().ok_or(CampaignError::NotEnumerable)?;
         if total == 0 {
             return Err(CampaignError::EmptySpace);
         }
@@ -203,7 +197,6 @@ impl ShardedCampaign {
         }
         let scan = Scan {
             space,
-            materialized: materialized.as_deref(),
             objective,
             store,
             batch_size: self.batch_size.max(1),
@@ -242,15 +235,8 @@ impl ShardedCampaign {
         store.record_stats(stats);
         store.flush()?;
 
-        let best_config = match materialized {
-            Some(mut configs) if best_index < configs.len() => configs.swap_remove(best_index),
-            Some(_) => return Err(CampaignError::MissingConfig { index: best_index }),
-            None => space
-                .config_at(best_index)
-                .ok_or(CampaignError::MissingConfig { index: best_index })?,
-        };
         Ok(CampaignOutcome {
-            best_config,
+            best_config: scan.config_at(best_index)?,
             best_energy,
             best_index,
             evaluations: reports.iter().map(|report| report.evaluations).sum(),
@@ -263,8 +249,6 @@ impl ShardedCampaign {
 /// What every shard of one campaign scans, and through what.
 struct Scan<'a, S: SearchSpace, O, R> {
     space: &'a S,
-    /// The enumeration of a space without indexed access, built once.
-    materialized: Option<&'a [S::Config]>,
     objective: &'a O,
     store: &'a R,
     batch_size: usize,
@@ -277,21 +261,12 @@ where
     O: Objective<S::Config> + Sync,
     R: ResultStore<S::Config> + Sync,
 {
-    /// The configurations of one batch.
-    fn configs_for(&self, range: Range<usize>) -> Result<Vec<S::Config>, CampaignError> {
-        if let Some(all) = self.materialized {
-            return all
-                .get(range.clone())
-                .map(<[S::Config]>::to_vec)
-                .ok_or(CampaignError::MissingConfig { index: range.start });
-        }
-        range
-            .map(|index| {
-                self.space
-                    .config_at(index)
-                    .ok_or(CampaignError::MissingConfig { index })
-            })
-            .collect()
+    /// The configuration at `index`, which the space promised through its
+    /// `space_len`.
+    fn config_at(&self, index: usize) -> Result<S::Config, CampaignError> {
+        self.space
+            .config_at(index)
+            .ok_or(CampaignError::MissingConfig { index })
     }
 
     /// Scan one shard's (non-empty) range batch by batch: look the batch up in the
@@ -301,7 +276,9 @@ where
         let mut best: Option<(usize, f64)> = None;
         for start in range.clone().step_by(self.batch_size) {
             let end = start.saturating_add(self.batch_size).min(range.end);
-            let configs = self.configs_for(start..end)?;
+            let configs: Vec<S::Config> = (start..end)
+                .map(|index| self.config_at(index))
+                .collect::<Result<_, _>>()?;
             let mut energies = vec![0.0f64; configs.len()];
             let mut pending: Vec<usize> = Vec::new();
             for (offset, found) in self.store.lookup_batch(&configs).into_iter().enumerate() {
@@ -382,7 +359,7 @@ mod tests {
     #[test]
     fn indexed_spaces_stream_without_materializing() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        use wd_opt::{InstrumentedSpace, MaterializedOnly, Objective};
+        use wd_opt::{InstrumentedSpace, Objective};
 
         let space = GridSpace {
             width: 25,
@@ -412,28 +389,11 @@ mod tests {
             .run(&instrumented, &objective, &store)
             .unwrap();
 
-        assert_eq!(
-            instrumented.enumerate_calls(),
-            0,
-            "a lazy campaign must never materialise the space"
-        );
         // every configuration streamed by index, plus one re-materialisation of the
         // global winner (shards fold their bests by index)
         assert_eq!(instrumented.config_at_calls(), 500 + 1);
         assert!(objective.1.load(Ordering::Relaxed) <= batch_size);
-
-        // and the result is bit-identical to the forced-materialization fallback
-        let hidden = MaterializedOnly::new(&space);
-        let reference = ShardedCampaign::new(4)
-            .with_batch_size(batch_size)
-            .run(&hidden, &bowl, &MemoryStore::new())
-            .unwrap();
-        assert_eq!(outcome.best_config, reference.best_config);
-        assert_eq!(outcome.best_index, reference.best_index);
-        assert_eq!(
-            outcome.best_energy.to_bits(),
-            reference.best_energy.to_bits()
-        );
+        assert_eq!(outcome.best_config, (13, 5));
     }
 
     #[test]
@@ -596,21 +556,31 @@ mod tests {
     #[test]
     fn non_enumerable_spaces_are_rejected() {
         use rand::rngs::StdRng;
-        struct Opaque;
+        use wd_opt::Touched;
+        /// Neither an index nor an enumeration, or (`materializable`) an enumeration
+        /// `Vec` without an index: the campaign must reject both, not materialise.
+        struct Opaque {
+            materializable: bool,
+        }
         impl SearchSpace for Opaque {
             type Config = u8;
             fn random(&self, _rng: &mut StdRng) -> u8 {
                 0
             }
-            fn neighbor(&self, c: &u8, _rng: &mut StdRng) -> u8 {
-                *c
+            fn neighbor_move(&self, c: &u8, _rng: &mut StdRng) -> (u8, Touched) {
+                (*c, Touched::Unknown)
+            }
+            fn enumerate(&self) -> Option<Vec<u8>> {
+                self.materializable.then(|| (0..8).collect())
             }
         }
-        let store: MemoryStore<u8> = MemoryStore::new();
-        let error = ShardedCampaign::new(2)
-            .run(&Opaque, &|c: &u8| *c as f64, &store)
-            .unwrap_err();
-        assert!(matches!(error, CampaignError::NotEnumerable));
+        for materializable in [false, true] {
+            let store: MemoryStore<u8> = MemoryStore::new();
+            let error = ShardedCampaign::new(2)
+                .run(&Opaque { materializable }, &|c: &u8| *c as f64, &store)
+                .unwrap_err();
+            assert!(matches!(error, CampaignError::NotEnumerable));
+        }
     }
 
     #[test]

@@ -14,9 +14,8 @@ use std::ops::Range;
 pub enum CampaignError {
     /// The search space reported zero configurations — there is nothing to merge.
     EmptySpace,
-    /// The search space is neither indexed ([`wd_opt::SearchSpace::space_len`]) nor
-    /// enumerable ([`wd_opt::SearchSpace::enumerate`]); a sharded scan needs one of
-    /// the two.
+    /// The search space has no indexed access ([`wd_opt::SearchSpace::space_len`]
+    /// returns `None`); a sharded scan partitions the index range, so it needs one.
     NotEnumerable,
     /// The space promised `space_len()` configurations but `config_at(index)`
     /// returned `None` inside that range — a contract violation in the space
@@ -47,7 +46,10 @@ impl fmt::Display for CampaignError {
         match self {
             CampaignError::EmptySpace => write!(f, "cannot run a campaign over an empty space"),
             CampaignError::NotEnumerable => {
-                write!(f, "sharded campaigns require an enumerable search space")
+                write!(
+                    f,
+                    "sharded campaigns require an enumerable search space (one with space_len())"
+                )
             }
             CampaignError::MissingConfig { index } => write!(
                 f,

@@ -40,7 +40,7 @@ use crate::objective::Objective;
 pub enum Touched {
     /// The move's footprint is unknown; delta objectives must diff the configurations
     /// or fall back to a full evaluation.  This is what the default
-    /// [`crate::SearchSpace::neighbor_move`] reports.
+    /// [`crate::SearchSpace::crossover_move`] reports.
     Unknown,
     /// The move touched exactly (or at most) the listed components.
     Components(Vec<usize>),

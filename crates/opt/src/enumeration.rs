@@ -6,22 +6,23 @@
 //!
 //! Two drivers are provided:
 //!
-//! * [`Enumeration`] — the classic one-configuration-at-a-time scan, optionally
-//!   spreading single evaluations over rayon workers;
-//! * [`ParallelEnumeration`] — the batched path: the space is cut into contiguous
-//!   batches which are scored through [`Objective::evaluate_batch`] on rayon workers,
-//!   letting batch-capable objectives (the platform's `execute_many`, vectorised
-//!   prediction models, a shared [`crate::CachedObjective`]) amortise per-call
-//!   overheads.  Results are bit-identical to the sequential scan regardless of thread
-//!   count or batch size: ties are broken towards the earliest configuration in
-//!   enumeration order.
+//! * [`ParallelEnumeration`] — the driver the tuner runs: the space is cut into
+//!   contiguous batches which are scored through [`Objective::evaluate_batch`] on
+//!   rayon workers, letting batch-capable objectives (the platform's
+//!   `execute_many`, vectorised prediction models, a shared
+//!   [`crate::CachedObjective`]) amortise per-call overheads.  Results are
+//!   bit-identical to the sequential scan regardless of thread count or batch size:
+//!   ties are broken towards the earliest configuration in enumeration order.
+//! * [`Enumeration`] — the one-configuration-at-a-time reference scan that tests
+//!   compare the batched driver against.
 //!
-//! Both drivers are **zero-materialization** on spaces that implement the indexed
-//! contract ([`SearchSpace::space_len`] / [`SearchSpace::config_at`]): configurations
-//! are produced by global index in fixed-size chunks and dropped as soon as their
-//! batch is scored, so peak allocation is bounded by the batch size (times the number
-//! of workers), not by the space cardinality.  Spaces without indexed access fall back
-//! to the materialising [`SearchSpace::enumerate`] path.
+//! Both drivers read the space through its indexed contract only
+//! ([`SearchSpace::space_len`] / [`SearchSpace::config_at`]) and are
+//! **zero-materialization**: configurations are produced by global index in
+//! fixed-size chunks and dropped as soon as their batch is scored, so peak allocation
+//! is bounded by the batch size (times the number of workers), not by the space
+//! cardinality.  A space without `space_len` is rejected with
+//! [`EnumerationError::NotEnumerable`].
 
 use rayon::prelude::*;
 
@@ -36,14 +37,13 @@ const COVERAGE: &str = "space_len() implies config_at() coverage for every index
 
 /// Why an enumeration run could not produce an outcome.
 ///
-/// These are contract violations of the *space*, not evaluation failures: the
-/// panicking drivers ([`Enumeration::run`], [`ParallelEnumeration::run`]) raise them
-/// as panics for exploratory code, the `try_` variants surface them as values so
-/// long-lived callers (the campaign coordinator) can recover.
+/// These are contract violations of the *space*, not evaluation failures:
+/// [`Enumeration::run`] and [`ParallelEnumeration::try_run_indexed`] surface them as
+/// values so long-lived callers can recover, and the panicking
+/// [`ParallelEnumeration::run`] raises them for exploratory code.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EnumerationError {
-    /// The space supports neither indexed access ([`SearchSpace::space_len`] /
-    /// [`SearchSpace::config_at`]) nor materialisation ([`SearchSpace::enumerate`]).
+    /// The space has no indexed access ([`SearchSpace::space_len`] returns `None`).
     NotEnumerable,
     /// The space reported zero configurations.
     Empty,
@@ -58,9 +58,10 @@ pub enum EnumerationError {
 impl std::fmt::Display for EnumerationError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            EnumerationError::NotEnumerable => {
-                write!(f, "enumeration requires an enumerable search space")
-            }
+            EnumerationError::NotEnumerable => write!(
+                f,
+                "enumeration requires an enumerable search space (one with space_len())"
+            ),
             EnumerationError::Empty => write!(f, "cannot enumerate an empty space"),
             EnumerationError::MissingConfig { index } => write!(
                 f,
@@ -73,138 +74,57 @@ impl std::fmt::Display for EnumerationError {
 
 impl std::error::Error for EnumerationError {}
 
-/// The enumeration source of one run: either the space serves indices lazily, or its
-/// enumeration was materialised once up front (the fallback).
-enum Source<C> {
-    Lazy,
-    Materialized(Vec<C>),
-}
-
-/// Resolve the enumeration source and length of `space`, preferring indexed access.
-fn source_of<S: SearchSpace>(space: &S) -> Result<(Source<S::Config>, usize), EnumerationError> {
-    if let Some(len) = space.space_len() {
-        if len == 0 {
-            return Err(EnumerationError::Empty);
-        }
-        return Ok((Source::Lazy, len));
-    }
-    let configs = space.enumerate().ok_or(EnumerationError::NotEnumerable)?;
-    if configs.is_empty() {
-        return Err(EnumerationError::Empty);
-    }
-    let len = configs.len();
-    Ok((Source::Materialized(configs), len))
-}
-
-impl<C> Source<C> {
-    /// The winning configuration, re-materialised by index for the lazy source.
-    fn into_best<S: SearchSpace<Config = C>>(
-        self,
-        space: &S,
-        best_index: usize,
-    ) -> Result<C, EnumerationError> {
-        match self {
-            Source::Lazy => space
-                .config_at(best_index)
-                .ok_or(EnumerationError::MissingConfig { index: best_index }),
-            Source::Materialized(mut configs) => Ok(configs.swap_remove(best_index)),
-        }
+/// The number of configurations `space` serves by index.
+fn indexed_len<S: SearchSpace>(space: &S) -> Result<usize, EnumerationError> {
+    match space.space_len() {
+        None => Err(EnumerationError::NotEnumerable),
+        Some(0) => Err(EnumerationError::Empty),
+        Some(len) => Ok(len),
     }
 }
 
-/// Exhaustive search over an enumerable space, one evaluation at a time.
+/// The configuration at `index`, which `space` promised through its `space_len`.
+fn config_at<S: SearchSpace>(space: &S, index: usize) -> Result<S::Config, EnumerationError> {
+    space
+        .config_at(index)
+        .ok_or(EnumerationError::MissingConfig { index })
+}
+
+/// Exhaustive search over an enumerable space, one evaluation at a time: the
+/// sequential reference scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Enumeration {
-    /// Evaluate configurations in parallel with rayon.  The result is identical; only
-    /// wall-clock time changes.
-    pub parallel: bool,
-}
+pub struct Enumeration;
 
 impl Enumeration {
-    /// Sequential enumeration.
-    pub fn sequential() -> Self {
-        Enumeration { parallel: false }
-    }
-
-    /// Rayon-parallel enumeration.
-    pub fn parallel() -> Self {
-        Enumeration { parallel: true }
-    }
-
     /// Run the exhaustive search.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`EnumerationError`] (non-enumerable space, empty space, broken
-    /// indexing contract); [`Enumeration::try_run`] surfaces the same conditions as
-    /// values.
-    pub fn run<S, O>(&self, space: &S, objective: &O) -> Outcome<S::Config>
-    where
-        S: SearchSpace + Sync,
-        S::Config: Send + Sync,
-        O: Objective<S::Config> + Sync + ?Sized,
-    {
-        self.try_run(space, objective)
-            .unwrap_or_else(|error| panic!("{error}"))
-    }
-
-    /// Run the exhaustive search, surfacing space-contract violations as values.
     ///
     /// # Errors
     ///
-    /// [`EnumerationError::NotEnumerable`] when the space supports neither indexed
-    /// access nor enumeration, [`EnumerationError::Empty`] for zero configurations,
-    /// and [`EnumerationError::MissingConfig`] when `config_at` breaks the
-    /// `space_len()` coverage contract.
-    pub fn try_run<S, O>(
+    /// [`EnumerationError::NotEnumerable`] when the space has no indexed access,
+    /// [`EnumerationError::Empty`] for zero configurations, and
+    /// [`EnumerationError::MissingConfig`] when `config_at` breaks the `space_len()`
+    /// coverage contract.
+    pub fn run<S, O>(
         &self,
         space: &S,
         objective: &O,
     ) -> Result<Outcome<S::Config>, EnumerationError>
     where
-        S: SearchSpace + Sync,
-        S::Config: Send + Sync,
-        O: Objective<S::Config> + Sync + ?Sized,
+        S: SearchSpace,
+        O: Objective<S::Config> + ?Sized,
     {
-        let (source, len) = source_of(space)?;
+        let len = indexed_len(space)?;
         let counting = CountingObjective::new(objective);
-        let evaluate_at = |index: usize| -> Result<(usize, f64), EnumerationError> {
-            let energy = match &source {
-                Source::Lazy => counting.evaluate(
-                    &space
-                        .config_at(index)
-                        .ok_or(EnumerationError::MissingConfig { index })?,
-                ),
-                Source::Materialized(configs) => counting.evaluate(&configs[index]),
-            };
-            Ok((index, energy))
-        };
-
-        let best = if self.parallel {
-            (0..len)
-                .collect::<Vec<_>>()
-                .into_par_iter()
-                .map(evaluate_at)
-                .collect::<Result<Vec<_>, _>>()?
-                .into_iter()
-                .reduce(better)
-        } else {
-            // streaming fold: the sequential path never holds all scores at once
-            let mut best = None;
-            for index in 0..len {
-                let scored = evaluate_at(index)?;
-                best = Some(match best {
-                    None => scored,
-                    Some(incumbent) => better(incumbent, scored),
-                });
-            }
-            best
+        // streaming fold: the scan never holds more than one configuration
+        let mut best: Option<(usize, f64)> = None;
+        for index in 0..len {
+            let scored = (index, counting.evaluate(&config_at(space, index)?));
+            best = Some(best.map_or(scored, |incumbent| better(incumbent, scored)));
         }
-        .ok_or(EnumerationError::Empty)?;
-
+        let (best_index, best_energy) = best.ok_or(EnumerationError::Empty)?;
         Ok(Outcome {
-            best_config: source.into_best(space, best.0)?,
-            best_energy: best.1,
+            best_config: config_at(space, best_index)?,
+            best_energy,
             evaluations: counting.evaluations(),
             trace: OptimizationTrace::new(),
         })
@@ -217,12 +137,11 @@ pub const DEFAULT_BATCH_SIZE: usize = 512;
 /// Exhaustive search that scores the space in parallel batches via
 /// [`Objective::evaluate_batch`].
 ///
-/// This is the preferred enumeration driver: for objectives with a batch-capable
+/// This is the enumeration driver the tuner runs: for objectives with a batch-capable
 /// backend every batch becomes one bulk request, and for plain objectives the batches
-/// still spread over rayon workers.  On indexed spaces each worker materialises at
-/// most one batch of configurations at a time.  The outcome is deterministic —
-/// identical to [`Enumeration::sequential`] — independent of thread count and batch
-/// size.
+/// still spread over rayon workers.  Each worker materialises at most one batch of
+/// configurations at a time.  The outcome is deterministic — identical to
+/// [`Enumeration`] — independent of thread count and batch size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelEnumeration {
     /// Number of configurations per [`Objective::evaluate_batch`] call.
@@ -257,8 +176,9 @@ impl ParallelEnumeration {
     ///
     /// # Panics
     ///
-    /// Panics on any [`EnumerationError`]; [`ParallelEnumeration::try_run`] surfaces
-    /// the same conditions as values.
+    /// Panics on any [`EnumerationError`];
+    /// [`ParallelEnumeration::try_run_indexed`] surfaces the same conditions as
+    /// values.
     pub fn run<S, O>(&self, space: &S, objective: &O) -> Outcome<S::Config>
     where
         S: SearchSpace + Sync,
@@ -266,25 +186,6 @@ impl ParallelEnumeration {
         O: Objective<S::Config> + Sync + ?Sized,
     {
         self.run_indexed(space, objective).outcome
-    }
-
-    /// Run the exhaustive batched search, surfacing space-contract violations as
-    /// values ([`ParallelEnumeration::try_run_indexed`] without the index).
-    ///
-    /// # Errors
-    ///
-    /// See [`ParallelEnumeration::try_run_indexed`].
-    pub fn try_run<S, O>(
-        &self,
-        space: &S,
-        objective: &O,
-    ) -> Result<Outcome<S::Config>, EnumerationError>
-    where
-        S: SearchSpace + Sync,
-        S::Config: Send + Sync,
-        O: Objective<S::Config> + Sync + ?Sized,
-    {
-        Ok(self.try_run_indexed(space, objective)?.outcome)
     }
 
     /// Run the exhaustive batched search and also report the enumeration-order index of
@@ -314,10 +215,10 @@ impl ParallelEnumeration {
     ///
     /// # Errors
     ///
-    /// [`EnumerationError::NotEnumerable`] when the space supports neither indexed
-    /// access nor enumeration, [`EnumerationError::Empty`] for zero configurations,
-    /// and [`EnumerationError::MissingConfig`] when `config_at` breaks the
-    /// `space_len()` coverage contract.
+    /// [`EnumerationError::NotEnumerable`] when the space has no indexed access,
+    /// [`EnumerationError::Empty`] for zero configurations, and
+    /// [`EnumerationError::MissingConfig`] when `config_at` breaks the `space_len()`
+    /// coverage contract.
     pub fn try_run_indexed<S, O>(
         &self,
         space: &S,
@@ -328,14 +229,14 @@ impl ParallelEnumeration {
         S::Config: Send + Sync,
         O: Objective<S::Config> + Sync + ?Sized,
     {
-        let (source, len) = source_of(space)?;
+        let len = indexed_len(space)?;
         let counting = CountingObjective::new(objective);
         let batch_size = self.batch_size.max(1);
 
         // Score each contiguous chunk on a rayon worker, reducing every chunk to its
-        // local best before the (cheap, sequential) global reduction.  For the lazy
-        // source the chunk's configurations are materialised here and dropped at the
-        // end of the closure — the full grid never exists at once.
+        // local best before the (cheap, sequential) global reduction.  The chunk's
+        // configurations are materialised here and dropped at the end of the
+        // closure — the full grid never exists at once.
         let chunk_count = len.div_ceil(batch_size);
         let best = (0..chunk_count)
             .collect::<Vec<_>>()
@@ -343,22 +244,11 @@ impl ParallelEnumeration {
             .map(|chunk| -> Result<(usize, f64), EnumerationError> {
                 let start = chunk * batch_size;
                 let end = (start + batch_size).min(len);
-                let streamed: Vec<S::Config>;
-                let batch: &[S::Config] = match &source {
-                    Source::Lazy => {
-                        streamed = (start..end)
-                            .map(|index| {
-                                space
-                                    .config_at(index)
-                                    .ok_or(EnumerationError::MissingConfig { index })
-                            })
-                            .collect::<Result<_, _>>()?;
-                        &streamed
-                    }
-                    Source::Materialized(configs) => &configs[start..end],
-                };
-                let energies = counting.evaluate_batch(batch);
-                energies
+                let batch = (start..end)
+                    .map(|index| config_at(space, index))
+                    .collect::<Result<Vec<_>, _>>()?;
+                counting
+                    .evaluate_batch(&batch)
                     .into_iter()
                     .enumerate()
                     .map(|(local, energy)| (start + local, energy))
@@ -374,7 +264,7 @@ impl ParallelEnumeration {
         Ok(IndexedOutcome {
             best_index: best.0,
             outcome: Outcome {
-                best_config: source.into_best(space, best.0)?,
+                best_config: config_at(space, best.0)?,
                 best_energy: best.1,
                 evaluations: counting.evaluations(),
                 trace: OptimizationTrace::new(),
@@ -386,13 +276,45 @@ impl ParallelEnumeration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delta::Touched;
     use crate::objective::CachedObjective;
-    use crate::space::{GridSpace, InstrumentedSpace, MaterializedOnly};
+    use crate::space::{GridSpace, InstrumentedSpace};
+    use rand::rngs::StdRng;
 
     fn bowl(config: &(u32, u32)) -> f64 {
         let dx = config.0 as f64 - 13.0;
         let dy = config.1 as f64 - 5.0;
         dx * dx + dy * dy
+    }
+
+    /// A space with neither indexed access nor an enumeration.
+    struct Opaque;
+
+    impl SearchSpace for Opaque {
+        type Config = u8;
+        fn random(&self, _rng: &mut StdRng) -> u8 {
+            0
+        }
+        fn neighbor_move(&self, c: &u8, _rng: &mut StdRng) -> (u8, Touched) {
+            (*c, Touched::Unknown)
+        }
+    }
+
+    /// A space that can build its enumeration `Vec` but serves no index: the
+    /// drivers must reject it instead of materialising it.
+    struct EnumerateOnly;
+
+    impl SearchSpace for EnumerateOnly {
+        type Config = u8;
+        fn random(&self, _rng: &mut StdRng) -> u8 {
+            0
+        }
+        fn neighbor_move(&self, c: &u8, _rng: &mut StdRng) -> (u8, Touched) {
+            (*c, Touched::Unknown)
+        }
+        fn enumerate(&self) -> Option<Vec<u8>> {
+            Some((0..8).collect())
+        }
     }
 
     #[test]
@@ -401,7 +323,7 @@ mod tests {
             width: 40,
             height: 20,
         };
-        let outcome = Enumeration::sequential().run(&space, &bowl);
+        let outcome = Enumeration.run(&space, &bowl).unwrap();
         assert_eq!(outcome.best_config, (13, 5));
         assert_eq!(outcome.best_energy, 0.0);
         assert_eq!(outcome.evaluations, 40 * 20);
@@ -413,8 +335,8 @@ mod tests {
             width: 64,
             height: 48,
         };
-        let sequential = Enumeration::sequential().run(&space, &bowl);
-        let parallel = Enumeration::parallel().run(&space, &bowl);
+        let sequential = Enumeration.run(&space, &bowl).unwrap();
+        let parallel = ParallelEnumeration::new().run(&space, &bowl);
         assert_eq!(sequential.best_config, parallel.best_config);
         assert_eq!(sequential.best_energy, parallel.best_energy);
         assert_eq!(sequential.evaluations, parallel.evaluations);
@@ -426,7 +348,7 @@ mod tests {
             width: 37,
             height: 29,
         };
-        let sequential = Enumeration::sequential().run(&space, &bowl);
+        let sequential = Enumeration.run(&space, &bowl).unwrap();
         for batch_size in [1usize, 7, 64, 512, 10_000] {
             let batched = ParallelEnumeration::with_batch_size(batch_size).run(&space, &bowl);
             assert_eq!(
@@ -444,18 +366,17 @@ mod tests {
             width: 41,
             height: 17,
         };
-        let hidden = MaterializedOnly::new(&space);
+        // the reference: a fold over the materialised `enumerate()` order
+        let configs = space.enumerate().unwrap();
+        let (best_index, best_energy) =
+            configs.iter().map(bowl).enumerate().reduce(better).unwrap();
         for batch_size in [1usize, 13, 512] {
             let driver = ParallelEnumeration::with_batch_size(batch_size);
             let lazy = driver.run_indexed(&space, &bowl);
-            let materialized = driver.run_indexed(&hidden, &bowl);
-            assert_eq!(lazy.best_index, materialized.best_index);
-            assert_eq!(lazy.outcome.best_config, materialized.outcome.best_config);
-            assert_eq!(
-                lazy.outcome.best_energy.to_bits(),
-                materialized.outcome.best_energy.to_bits()
-            );
-            assert_eq!(lazy.outcome.evaluations, materialized.outcome.evaluations);
+            assert_eq!(lazy.best_index, best_index);
+            assert_eq!(lazy.outcome.best_config, configs[best_index]);
+            assert_eq!(lazy.outcome.best_energy.to_bits(), best_energy.to_bits());
+            assert_eq!(lazy.outcome.evaluations, configs.len());
         }
     }
 
@@ -468,19 +389,14 @@ mod tests {
         let instrumented = InstrumentedSpace::new(&space);
         let outcome = ParallelEnumeration::with_batch_size(64).run(&instrumented, &bowl);
         assert_eq!(outcome.best_config, (13, 5));
-        assert_eq!(
-            instrumented.enumerate_calls(),
-            0,
-            "the streaming driver must not materialise an indexed space"
-        );
         // every configuration was served by index, plus one re-materialisation of
         // the winner
         assert_eq!(instrumented.config_at_calls(), 900 + 1);
 
         let instrumented = InstrumentedSpace::new(&space);
-        let classic = Enumeration::sequential().run(&instrumented, &bowl);
+        let classic = Enumeration.run(&instrumented, &bowl).unwrap();
         assert_eq!(classic.best_config, (13, 5));
-        assert_eq!(instrumented.enumerate_calls(), 0);
+        assert_eq!(instrumented.config_at_calls(), 900 + 1);
     }
 
     #[test]
@@ -506,14 +422,7 @@ mod tests {
         };
         let flat = |_: &(u32, u32)| 1.0;
         let first = space.enumerate().unwrap()[0];
-        assert_eq!(
-            Enumeration::sequential().run(&space, &flat).best_config,
-            first
-        );
-        assert_eq!(
-            Enumeration::parallel().run(&space, &flat).best_config,
-            first
-        );
+        assert_eq!(Enumeration.run(&space, &flat).unwrap().best_config, first);
         assert_eq!(
             ParallelEnumeration::with_batch_size(13)
                 .run(&space, &flat)
@@ -547,67 +456,38 @@ mod tests {
             width: 17,
             height: 23,
         };
-        let outcome = Enumeration::parallel().run(&space, &bowl);
+        let outcome = ParallelEnumeration::new().run(&space, &bowl);
         assert_eq!(outcome.evaluations as u128, space.cardinality().unwrap());
     }
 
     #[test]
     #[should_panic(expected = "enumeration requires an enumerable search space")]
-    fn non_enumerable_space_panics() {
-        use rand::rngs::StdRng;
-        struct Opaque;
-        impl SearchSpace for Opaque {
-            type Config = u8;
-            fn random(&self, _rng: &mut StdRng) -> u8 {
-                0
-            }
-            fn neighbor(&self, c: &u8, _rng: &mut StdRng) -> u8 {
-                *c
-            }
-        }
-        let _ = Enumeration::sequential().run(&Opaque, &|c: &u8| *c as f64);
-    }
-
-    #[test]
-    #[should_panic(expected = "enumeration requires an enumerable search space")]
     fn batched_enumeration_also_requires_an_enumerable_space() {
-        use rand::rngs::StdRng;
-        struct Opaque;
-        impl SearchSpace for Opaque {
-            type Config = u8;
-            fn random(&self, _rng: &mut StdRng) -> u8 {
-                0
-            }
-            fn neighbor(&self, c: &u8, _rng: &mut StdRng) -> u8 {
-                *c
-            }
-        }
         let _ = ParallelEnumeration::new().run(&Opaque, &|c: &u8| *c as f64);
     }
 
     #[test]
     fn try_runs_surface_contract_violations_as_values() {
-        use rand::rngs::StdRng;
-        struct Opaque;
-        impl SearchSpace for Opaque {
-            type Config = u8;
-            fn random(&self, _rng: &mut StdRng) -> u8 {
-                0
-            }
-            fn neighbor(&self, c: &u8, _rng: &mut StdRng) -> u8 {
-                *c
-            }
-        }
         let objective = |c: &u8| f64::from(*c);
+        // neither an index nor an enumeration, and an enumeration without an index:
+        // both are rejected, neither is materialised
         assert_eq!(
-            Enumeration::sequential()
-                .try_run(&Opaque, &objective)
-                .unwrap_err(),
+            Enumeration.run(&Opaque, &objective).unwrap_err(),
             EnumerationError::NotEnumerable
         );
         assert_eq!(
             ParallelEnumeration::new()
-                .try_run(&Opaque, &objective)
+                .try_run_indexed(&Opaque, &objective)
+                .unwrap_err(),
+            EnumerationError::NotEnumerable
+        );
+        assert_eq!(
+            Enumeration.run(&EnumerateOnly, &objective).unwrap_err(),
+            EnumerationError::NotEnumerable
+        );
+        assert_eq!(
+            ParallelEnumeration::new()
+                .try_run_indexed(&EnumerateOnly, &objective)
                 .unwrap_err(),
             EnumerationError::NotEnumerable
         );
@@ -618,9 +498,7 @@ mod tests {
         };
         let grid_objective = |_: &(u32, u32)| 0.0;
         assert_eq!(
-            Enumeration::parallel()
-                .try_run(&empty, &grid_objective)
-                .unwrap_err(),
+            Enumeration.run(&empty, &grid_objective).unwrap_err(),
             EnumerationError::Empty
         );
         assert_eq!(

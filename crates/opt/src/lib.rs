@@ -10,8 +10,11 @@
 //! genetic algorithm is provided as well: it drives the GAML method.
 //!
 //! The crate is generic: anything implementing [`SearchSpace`] (how to sample and
-//! perturb configurations) and [`Objective`] (how to score one configuration — lower is
-//! better) can be optimized.
+//! perturb configurations, and optionally how to serve its enumeration order by
+//! index) and [`Objective`] (how to score one configuration — lower is better) can be
+//! optimized.  Every driver moves through [`SearchSpace::neighbor_move`] and
+//! [`SearchSpace::crossover_move`], and the enumeration drivers read the space
+//! through [`SearchSpace::space_len`] / [`SearchSpace::config_at`] only.
 //!
 //! [`Objective`] is the workspace's **single evaluation layer**: besides one-at-a-time
 //! scoring it exposes [`Objective::evaluate_batch`] for bulk evaluation, which
@@ -27,7 +30,7 @@
 //! ## Example
 //!
 //! ```
-//! use wd_opt::{Objective, SearchSpace, SimulatedAnnealing};
+//! use wd_opt::{Objective, SearchSpace, SimulatedAnnealing, Touched};
 //! use rand::rngs::StdRng;
 //! use rand::Rng;
 //!
@@ -36,8 +39,9 @@
 //! impl SearchSpace for IntSpace {
 //!     type Config = i64;
 //!     fn random(&self, rng: &mut StdRng) -> i64 { rng.gen_range(0..=1000) }
-//!     fn neighbor(&self, config: &i64, rng: &mut StdRng) -> i64 {
-//!         (config + rng.gen_range(-10i64..=10)).clamp(0, 1000)
+//!     fn neighbor_move(&self, config: &i64, rng: &mut StdRng) -> (i64, Touched) {
+//!         // one component, and no footprint to exploit: `Unknown` is always sound
+//!         ((config + rng.gen_range(-10i64..=10)).clamp(0, 1000), Touched::Unknown)
 //!     }
 //!     fn cardinality(&self) -> Option<u128> { Some(1001) }
 //! }
@@ -76,5 +80,5 @@ pub use outcome::{better_indexed, IndexedOutcome, Outcome};
 pub use sa::SimulatedAnnealing;
 pub use schedule::CoolingSchedule;
 pub use shard::ShardPlan;
-pub use space::{InstrumentedSpace, MaterializedOnly, SearchSpace};
+pub use space::{InstrumentedSpace, SearchSpace};
 pub use trace::{IterationRecord, OptimizationTrace};

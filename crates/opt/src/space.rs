@@ -7,8 +7,9 @@ use crate::delta::Touched;
 
 /// A discrete configuration space that heuristics can sample and perturb.
 ///
-/// Implementations describe *how the space looks* (random configurations, neighbour
-/// moves, optional exhaustive enumeration); they know nothing about the objective.
+/// Implementations describe *how the space looks* (random configurations, moves and
+/// their footprints, optional indexed enumeration); they know nothing about the
+/// objective.
 pub trait SearchSpace {
     /// The configuration type.
     type Config: Clone;
@@ -16,48 +17,39 @@ pub trait SearchSpace {
     /// Draw a uniformly random configuration.
     fn random(&self, rng: &mut StdRng) -> Self::Config;
 
-    /// Produce a configuration "close to" `config` (one or a few parameters changed).
-    fn neighbor(&self, config: &Self::Config, rng: &mut StdRng) -> Self::Config;
-
-    /// Like [`SearchSpace::neighbor`], but also describe which configuration
-    /// *components* the move touched (see [`Touched`] for the indexing convention),
-    /// which lets [`crate::DeltaObjective`]s re-score the move incrementally.
+    /// Produce a configuration "close to" `config` (one or a few parameters changed)
+    /// and describe which configuration *components* the move touched (see
+    /// [`Touched`] for the indexing convention), which lets
+    /// [`crate::DeltaObjective`]s re-score the move incrementally.
     ///
-    /// The default implementation delegates to `neighbor` and reports
-    /// [`Touched::Unknown`].  Overrides **must consume exactly the same RNG draws as
-    /// `neighbor`** (the easiest way is to implement the move once, in
-    /// `neighbor_move`, and have `neighbor` discard the `Touched` half), so that the
-    /// incremental drivers replay the classic trajectories bit for bit; the reported
-    /// set may over-approximate but must cover every component that changed.
-    fn neighbor_move(&self, config: &Self::Config, rng: &mut StdRng) -> (Self::Config, Touched) {
-        (self.neighbor(config, rng), Touched::Unknown)
-    }
+    /// The reported set may over-approximate ([`Touched::Unknown`] is always sound)
+    /// but must cover every component that changed.
+    fn neighbor_move(&self, config: &Self::Config, rng: &mut StdRng) -> (Self::Config, Touched);
 
     /// Number of distinct configurations, when known and finite.
     fn cardinality(&self) -> Option<u128> {
         None
     }
 
-    /// Exhaustively enumerate the space, when supported.  Methods that require
-    /// enumeration (the paper's EM and EML) return an error for spaces that do not
-    /// provide it.
+    /// The whole enumeration order as one `Vec`, when the space can build it.
     ///
-    /// This is the *fallback* contract: spaces that can serve their enumeration order
-    /// by index should implement [`SearchSpace::space_len`] and
-    /// [`SearchSpace::config_at`] instead, which lets the enumeration drivers stream
-    /// configurations in fixed-size chunks without ever materialising this `Vec`.
+    /// No driver calls this: the enumeration drivers stream the space through
+    /// [`SearchSpace::space_len`] / [`SearchSpace::config_at`] instead.  It is the
+    /// reference order that tests check `config_at` against.
     fn enumerate(&self) -> Option<Vec<Self::Config>> {
         None
     }
 
     /// Number of configurations reachable through [`SearchSpace::config_at`], when the
-    /// space supports indexed (lazy) access to its enumeration order.
+    /// space supports indexed access to its enumeration order.  The enumeration
+    /// drivers (the paper's EM and EML) require it and reject spaces that return
+    /// `None`.
     ///
     /// Returning `Some(n)` is a contract: `config_at(i)` must return `Some` for every
     /// `i < n` and `None` for `i >= n`, and the sequence `config_at(0), ...,
     /// config_at(n - 1)` must be exactly the [`SearchSpace::enumerate`] sequence
-    /// whenever both are provided.  Drivers prefer this path: it bounds peak
-    /// allocation by their chunk size instead of the space cardinality.
+    /// whenever both are provided.  It bounds a driver's peak allocation by its
+    /// chunk size instead of the space cardinality.
     fn space_len(&self) -> Option<usize> {
         None
     }
@@ -69,44 +61,30 @@ pub trait SearchSpace {
         None
     }
 
-    /// Recombine two parent configurations (used by the genetic algorithm).  The
-    /// default implementation returns one of the parents unchanged, which degrades the
-    /// GA into a mutation-only evolutionary algorithm but keeps the trait easy to
-    /// implement.
-    fn crossover(
-        &self,
-        parent_a: &Self::Config,
-        parent_b: &Self::Config,
-        rng: &mut StdRng,
-    ) -> Self::Config {
-        if rng.gen_bool(0.5) {
-            parent_a.clone()
-        } else {
-            parent_b.clone()
-        }
-    }
-
-    /// Like [`SearchSpace::crossover`], but also describe which configuration
-    /// components of the child may differ from the **first** parent (`parent_a`)
-    /// — the two-parent merge footprint, the recombination analogue of
-    /// [`SearchSpace::neighbor_move`].  A [`crate::DeltaObjective`] holding
-    /// `parent_a`'s evaluation state can then re-score the child by recomputing
-    /// only the components it inherited from `parent_b`.
+    /// Recombine two parent configurations (used by the genetic algorithm) and
+    /// describe which configuration components of the child may differ from the
+    /// **first** parent (`parent_a`) — the two-parent merge footprint, the
+    /// recombination analogue of [`SearchSpace::neighbor_move`].  A
+    /// [`crate::DeltaObjective`] holding `parent_a`'s evaluation state can then
+    /// re-score the child by recomputing only the components it inherited from
+    /// `parent_b`.  The reported set may over-approximate but must cover every
+    /// component where the child differs from `parent_a`.
     ///
-    /// The default implementation delegates to `crossover` and reports
-    /// [`Touched::Unknown`].  Overrides **must consume exactly the same RNG
-    /// draws as `crossover`** (implement the recombination once, here, and have
-    /// `crossover` discard the footprint) so the incremental GA driver replays
-    /// the classic trajectories bit for bit; the reported set may
-    /// over-approximate but must cover every component where the child differs
-    /// from `parent_a`.
+    /// The default implementation returns one of the parents unchanged with
+    /// [`Touched::Unknown`], which degrades the GA into a mutation-only
+    /// evolutionary algorithm but keeps the trait easy to implement.
     fn crossover_move(
         &self,
         parent_a: &Self::Config,
         parent_b: &Self::Config,
         rng: &mut StdRng,
     ) -> (Self::Config, Touched) {
-        (self.crossover(parent_a, parent_b, rng), Touched::Unknown)
+        let child = if rng.gen_bool(0.5) {
+            parent_a.clone()
+        } else {
+            parent_b.clone()
+        };
+        (child, Touched::Unknown)
     }
 }
 
@@ -127,12 +105,7 @@ impl SearchSpace for GridSpace {
         (rng.gen_range(0..self.width), rng.gen_range(0..self.height))
     }
 
-    fn neighbor(&self, config: &Self::Config, rng: &mut StdRng) -> Self::Config {
-        self.neighbor_move(config, rng).0
-    }
-
-    /// The ±1 move plus its exact footprint (component 0 = x, component 1 = y),
-    /// generated once so `neighbor` consumes the same RNG draws.
+    /// The ±1 move plus its exact footprint (component 0 = x, component 1 = y).
     fn neighbor_move(&self, config: &Self::Config, rng: &mut StdRng) -> (Self::Config, Touched) {
         let (x, y) = *config;
         let dx: i64 = rng.gen_range(-1..=1);
@@ -180,18 +153,8 @@ impl SearchSpace for GridSpace {
         ))
     }
 
-    fn crossover(
-        &self,
-        parent_a: &Self::Config,
-        parent_b: &Self::Config,
-        rng: &mut StdRng,
-    ) -> Self::Config {
-        self.crossover_move(parent_a, parent_b, rng).0
-    }
-
     /// Uniform per-coordinate crossover plus its exact footprint relative to
-    /// `parent_a` (component 0 = x, component 1 = y), generated once so
-    /// `crossover` consumes the same RNG draws.
+    /// `parent_a` (component 0 = x, component 1 = y).
     fn crossover_move(
         &self,
         parent_a: &Self::Config,
@@ -221,33 +184,25 @@ impl SearchSpace for GridSpace {
     }
 }
 
-/// Instrumentation wrapper around any [`SearchSpace`]: counts how often the wrapped
-/// space is asked to materialise its full enumeration ([`SearchSpace::enumerate`])
-/// versus serve single configurations by index ([`SearchSpace::config_at`]).
+/// Instrumentation wrapper around any [`SearchSpace`]: counts how many single
+/// configurations the wrapped space serves by index ([`SearchSpace::config_at`]).
 ///
-/// Tests use it to *prove* that the streaming drivers never materialise a
-/// lazy space: after a run, [`InstrumentedSpace::enumerate_calls`] must be zero and
-/// every configuration must have flowed through `config_at` one chunk at a time.
+/// Tests use it to *prove* that the streaming drivers never materialise a space:
+/// after a run, every configuration must have flowed through `config_at` one chunk
+/// at a time.  It forwards everything a driver calls, which excludes
+/// [`SearchSpace::enumerate`].
 pub struct InstrumentedSpace<'a, S> {
     inner: &'a S,
-    enumerate_calls: std::sync::atomic::AtomicUsize,
     config_at_calls: std::sync::atomic::AtomicUsize,
 }
 
 impl<'a, S> InstrumentedSpace<'a, S> {
-    /// Wrap a space with zeroed counters.
+    /// Wrap a space with a zeroed counter.
     pub fn new(inner: &'a S) -> Self {
         InstrumentedSpace {
             inner,
-            enumerate_calls: std::sync::atomic::AtomicUsize::new(0),
             config_at_calls: std::sync::atomic::AtomicUsize::new(0),
         }
-    }
-
-    /// How many times the full enumeration `Vec` was materialised.
-    pub fn enumerate_calls(&self) -> usize {
-        self.enumerate_calls
-            .load(std::sync::atomic::Ordering::Relaxed)
     }
 
     /// How many single configurations were served by index.
@@ -264,22 +219,12 @@ impl<S: SearchSpace> SearchSpace for InstrumentedSpace<'_, S> {
         self.inner.random(rng)
     }
 
-    fn neighbor(&self, config: &S::Config, rng: &mut StdRng) -> S::Config {
-        self.inner.neighbor(config, rng)
-    }
-
     fn neighbor_move(&self, config: &S::Config, rng: &mut StdRng) -> (S::Config, Touched) {
         self.inner.neighbor_move(config, rng)
     }
 
     fn cardinality(&self) -> Option<u128> {
         self.inner.cardinality()
-    }
-
-    fn enumerate(&self) -> Option<Vec<S::Config>> {
-        self.enumerate_calls
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        self.inner.enumerate()
     }
 
     fn space_len(&self) -> Option<usize> {
@@ -292,10 +237,6 @@ impl<S: SearchSpace> SearchSpace for InstrumentedSpace<'_, S> {
         self.inner.config_at(index)
     }
 
-    fn crossover(&self, parent_a: &S::Config, parent_b: &S::Config, rng: &mut StdRng) -> S::Config {
-        self.inner.crossover(parent_a, parent_b, rng)
-    }
-
     fn crossover_move(
         &self,
         parent_a: &S::Config,
@@ -303,59 +244,6 @@ impl<S: SearchSpace> SearchSpace for InstrumentedSpace<'_, S> {
         rng: &mut StdRng,
     ) -> (S::Config, Touched) {
         self.inner.crossover_move(parent_a, parent_b, rng)
-    }
-}
-
-/// Adapter that hides a space's indexed access ([`SearchSpace::space_len`] /
-/// [`SearchSpace::config_at`] report `None`), forcing drivers onto the materialising
-/// [`SearchSpace::enumerate`] fallback.
-///
-/// Exists for tests that compare the streaming fast path against the
-/// classic full-`Vec` enumeration on the *same* space.
-#[derive(Debug, Clone, Copy)]
-pub struct MaterializedOnly<'a, S>(&'a S);
-
-impl<'a, S> MaterializedOnly<'a, S> {
-    /// Hide `inner`'s indexed access.
-    pub fn new(inner: &'a S) -> Self {
-        MaterializedOnly(inner)
-    }
-}
-
-impl<S: SearchSpace> SearchSpace for MaterializedOnly<'_, S> {
-    type Config = S::Config;
-
-    fn random(&self, rng: &mut StdRng) -> S::Config {
-        self.0.random(rng)
-    }
-
-    fn neighbor(&self, config: &S::Config, rng: &mut StdRng) -> S::Config {
-        self.0.neighbor(config, rng)
-    }
-
-    fn neighbor_move(&self, config: &S::Config, rng: &mut StdRng) -> (S::Config, Touched) {
-        self.0.neighbor_move(config, rng)
-    }
-
-    fn cardinality(&self) -> Option<u128> {
-        self.0.cardinality()
-    }
-
-    fn enumerate(&self) -> Option<Vec<S::Config>> {
-        self.0.enumerate()
-    }
-
-    fn crossover(&self, parent_a: &S::Config, parent_b: &S::Config, rng: &mut StdRng) -> S::Config {
-        self.0.crossover(parent_a, parent_b, rng)
-    }
-
-    fn crossover_move(
-        &self,
-        parent_a: &S::Config,
-        parent_b: &S::Config,
-        rng: &mut StdRng,
-    ) -> (S::Config, Touched) {
-        self.0.crossover_move(parent_a, parent_b, rng)
     }
 }
 
@@ -386,7 +274,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut config = (2u32, 2u32);
         for _ in 0..500 {
-            let next = space.neighbor(&config, &mut rng);
+            let next = space.neighbor_move(&config, &mut rng).0;
             assert!((next.0 as i64 - config.0 as i64).abs() <= 1);
             assert!((next.1 as i64 - config.1 as i64).abs() <= 1);
             assert!(next.0 < 5 && next.1 < 5);
@@ -424,34 +312,18 @@ mod tests {
     }
 
     #[test]
-    fn instrumented_space_counts_both_access_paths() {
+    fn instrumented_space_counts_indexed_access() {
         let space = GridSpace {
             width: 3,
             height: 3,
         };
         let instrumented = InstrumentedSpace::new(&space);
-        assert_eq!(instrumented.enumerate_calls(), 0);
         assert_eq!(instrumented.config_at_calls(), 0);
         assert_eq!(instrumented.space_len(), Some(9));
         let _ = instrumented.config_at(4);
         let _ = instrumented.config_at(5);
-        let _ = instrumented.enumerate();
         assert_eq!(instrumented.config_at_calls(), 2);
-        assert_eq!(instrumented.enumerate_calls(), 1);
         assert_eq!(instrumented.cardinality(), Some(9));
-    }
-
-    #[test]
-    fn materialized_only_hides_indexed_access() {
-        let space = GridSpace {
-            width: 3,
-            height: 3,
-        };
-        let hidden = MaterializedOnly::new(&space);
-        assert_eq!(hidden.space_len(), None);
-        assert_eq!(hidden.config_at(0), None);
-        assert_eq!(hidden.enumerate(), space.enumerate());
-        assert_eq!(hidden.cardinality(), Some(9));
     }
 
     #[test]
@@ -462,13 +334,14 @@ mod tests {
             fn random(&self, _rng: &mut StdRng) -> u8 {
                 0
             }
-            fn neighbor(&self, c: &u8, _rng: &mut StdRng) -> u8 {
-                *c
+            fn neighbor_move(&self, c: &u8, _rng: &mut StdRng) -> (u8, Touched) {
+                (*c, Touched::Unknown)
             }
         }
         let mut rng = StdRng::seed_from_u64(3);
-        let child = Unit.crossover(&1, &2, &mut rng);
+        let (child, touched) = Unit.crossover_move(&1, &2, &mut rng);
         assert!(child == 1 || child == 2);
+        assert_eq!(touched, Touched::Unknown);
         assert_eq!(Unit.cardinality(), None);
         assert!(Unit.enumerate().is_none());
     }
@@ -492,14 +365,6 @@ mod tests {
                 assert_eq!(child.1, parent_a.1);
             }
         }
-        // crossover and crossover_move consume the same RNG draws
-        let mut rng_a = StdRng::seed_from_u64(11);
-        let mut rng_b = StdRng::seed_from_u64(11);
-        for _ in 0..50 {
-            let child = space.crossover(&(0, 0), &(9, 9), &mut rng_a);
-            let (child_move, _) = space.crossover_move(&(0, 0), &(9, 9), &mut rng_b);
-            assert_eq!(child, child_move);
-        }
     }
 
     #[test]
@@ -511,7 +376,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let mut saw_mix = false;
         for _ in 0..100 {
-            let child = space.crossover(&(0, 0), &(9, 9), &mut rng);
+            let (child, _) = space.crossover_move(&(0, 0), &(9, 9), &mut rng);
             assert!(child == (0, 0) || child == (9, 9) || child == (0, 9) || child == (9, 0));
             if child == (0, 9) || child == (9, 0) {
                 saw_mix = true;

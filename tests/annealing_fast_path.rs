@@ -101,8 +101,7 @@ fn wavy_evaluator(
             })
             .collect(),
         WorkloadProfile::dna_scan("prop", bytes),
-    )
-    .with_device_overhead(0.03);
+    );
     (evaluator, calls)
 }
 

@@ -1,14 +1,13 @@
 //! Contract tests for the delta/observability entry points across the facade:
 //!
-//! * `ConfigurationSpace::neighbor_move` / `ConfigurationSpace::crossover_move` are
-//!   bit-identical to `neighbor` / `crossover` (same RNG draws) and their
-//!   [`Touched`] footprints match the actual per-component diff;
+//! * the [`Touched`] footprints of `ConfigurationSpace::neighbor_move` /
+//!   `ConfigurationSpace::crossover_move` match the actual per-component diff;
 //! * `SimulatedAnnealing::run_observed` is bit-identical to
 //!   `SimulatedAnnealing::run` — the recorder only observes;
 //! * `ShardedCampaign::run_observed` is bit-identical to `ShardedCampaign::run`.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use workdist::autotune::{ConfigurationSpace, SystemConfiguration};
 use workdist::dist::{MemoryStore, ShardedCampaign};
 use workdist::obs::Registry;
@@ -51,16 +50,13 @@ fn diff_components(a: &SystemConfiguration, b: &SystemConfiguration) -> Vec<usiz
 }
 
 #[test]
-fn configuration_space_neighbor_move_matches_neighbor_with_exact_footprint() {
+fn configuration_space_neighbor_move_reports_its_exact_footprint() {
     for space in [ConfigurationSpace::tiny(), ConfigurationSpace::tiny_multi()] {
         for seed in 0..16u64 {
-            let mut plain_rng = StdRng::seed_from_u64(seed);
-            let mut move_rng = StdRng::seed_from_u64(seed);
+            let mut rng = StdRng::seed_from_u64(seed);
             let mut current = space.random(&mut StdRng::seed_from_u64(seed ^ 0x5EED));
             for _ in 0..50 {
-                let plain = space.neighbor(&current, &mut plain_rng);
-                let (moved, touched) = space.neighbor_move(&current, &mut move_rng);
-                assert_eq!(plain, moved, "seed {seed}");
+                let (moved, touched) = space.neighbor_move(&current, &mut rng);
                 assert_eq!(
                     touched,
                     Touched::Components(diff_components(&moved, &current)),
@@ -68,32 +64,26 @@ fn configuration_space_neighbor_move_matches_neighbor_with_exact_footprint() {
                 );
                 current = moved;
             }
-            // both streams must sit at the same position afterwards
-            assert_eq!(plain_rng.gen::<u64>(), move_rng.gen::<u64>());
         }
     }
 }
 
 #[test]
-fn configuration_space_crossover_move_matches_crossover_with_exact_footprint() {
+fn configuration_space_crossover_move_reports_its_exact_footprint() {
     for space in [ConfigurationSpace::tiny(), ConfigurationSpace::tiny_multi()] {
         for seed in 0..16u64 {
             let mut setup = StdRng::seed_from_u64(seed.wrapping_mul(31));
             let parent_a = space.random(&mut setup);
             let parent_b = space.random(&mut setup);
-            let mut plain_rng = StdRng::seed_from_u64(seed);
-            let mut move_rng = StdRng::seed_from_u64(seed);
+            let mut rng = StdRng::seed_from_u64(seed);
             for _ in 0..50 {
-                let plain = space.crossover(&parent_a, &parent_b, &mut plain_rng);
-                let (child, touched) = space.crossover_move(&parent_a, &parent_b, &mut move_rng);
-                assert_eq!(plain, child, "seed {seed}");
+                let (child, touched) = space.crossover_move(&parent_a, &parent_b, &mut rng);
                 assert_eq!(
                     touched,
                     Touched::Components(diff_components(&child, &parent_a)),
                     "seed {seed}"
                 );
             }
-            assert_eq!(plain_rng.gen::<u64>(), move_rng.gen::<u64>());
         }
     }
 }

@@ -71,7 +71,7 @@ fn parallel_enumeration_is_deterministic_across_partitionings() {
         ConfigurationSpace::tiny(),
         ConfigurationSpace::enumeration_grid(),
     ] {
-        let reference = Enumeration::sequential().run(&grid, &evaluator);
+        let reference = Enumeration.run(&grid, &evaluator).unwrap();
         for batch_size in [1usize, 3, 17, 128, 4096] {
             let outcome = ParallelEnumeration::with_batch_size(batch_size).run(&grid, &evaluator);
             assert_eq!(

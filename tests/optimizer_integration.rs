@@ -47,12 +47,10 @@ fn enumeration_of_the_small_grid_is_the_true_optimum() {
     let objective = objective_setup();
     let grid = ConfigurationSpace::tiny();
 
-    let sequential = Enumeration::sequential().run(&grid, &objective);
-    let parallel = Enumeration::parallel().run(&grid, &objective);
-    assert_eq!(sequential.best_energy, parallel.best_energy);
+    let sequential = Enumeration.run(&grid, &objective).unwrap();
     assert_eq!(sequential.evaluations as u128, grid.total_configurations());
 
-    // the batched path agrees bit-exactly as well
+    // the batched, rayon-parallel path agrees bit-exactly
     let batched = workdist::opt::ParallelEnumeration::new().run(&grid, &objective);
     assert_eq!(batched.best_energy, sequential.best_energy);
     assert_eq!(batched.best_config, sequential.best_config);
