@@ -25,10 +25,10 @@
 //! evaluator, [`LazyTabulatedEvaluator`], puts per-side time tables in front of
 //! either: filled on first touch or in batches, composed by Eq. 2's max-fold, and
 //! scanned by index over a whole grid.  EM and EML are the same scan
-//! ([`LazyTabulatedEvaluator::scan`]) over measured and predicted tables; SAM's misses
-//! (SAM memoises whole configurations behind a [`wd_opt::CachedObjective`]) are
-//! measured-table probes; SAML/GAML walk prediction tables filled on first touch.
-//! Every tabulated energy is bit-identical to its evaluator's direct path.
+//! ([`LazyTabulatedEvaluator::scan`]) over measured and predicted tables, and SAM and
+//! SAML/GAML the same incremental walk over measured and prediction tables filled on
+//! first touch.  Every tabulated energy is bit-identical to its evaluator's direct
+//! path.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -48,10 +48,9 @@ use wd_opt::{
 use crate::config::{ConfigurationSpace, DeviceSetting, SystemConfiguration};
 use crate::features::{device_features, host_features, share_bytes};
 
-/// Per-configuration evaluation state of the delta-evaluable prediction evaluators:
-/// the predicted host time plus one predicted time per accelerator — exactly what
-/// [`PredictionEvaluator::evaluate_all_times`] returns, retained between neighbour
-/// moves so untouched devices are never re-scored.
+/// Per-configuration evaluation state of the [`LazyTabulatedEvaluator`]'s incremental
+/// path: the host time plus one time per accelerator (0 for an idle side), retained
+/// between neighbour moves so untouched devices are never re-scored.
 pub type PredictedTimes = (f64, Vec<f64>);
 
 /// A `(threads, affinity, share permille)` triple: one side's knobs, and the key of
@@ -97,45 +96,6 @@ fn device_key(device: DeviceSetting) -> SideKey {
     (device.threads, device.affinity, device.permille)
 }
 
-/// Re-score `config` against `base`'s retained per-device times: recompute the
-/// components `touched` may cover (component 0 is the host, component `i + 1` is
-/// accelerator `i`; [`Touched::Unknown`] falls back to diffing the two
-/// configurations), copy every other component's time from `state`, and re-compose
-/// the energy with the same max-fold, in the same order, as the full evaluation path
-/// — so the result is bit-identical to evaluating `config` from scratch.
-fn recompose_move(
-    base: &SystemConfiguration,
-    state: &PredictedTimes,
-    config: &SystemConfiguration,
-    touched: &Touched,
-    host_time: impl FnOnce() -> f64,
-    device_time: impl Fn(usize, DeviceSetting) -> f64,
-) -> (f64, PredictedTimes) {
-    // a state from a differently-shaped configuration cannot be reused
-    let comparable = base.accelerator_count() == config.accelerator_count()
-        && state.1.len() == config.accelerator_count();
-    let host_changed = !comparable
-        || (touched.may_touch(0)
-            && (config.host_threads != base.host_threads
-                || config.host_affinity != base.host_affinity
-                || config.host_permille() != base.host_permille()));
-    let host = if host_changed { host_time() } else { state.0 };
-    let devices: Vec<f64> = config
-        .devices()
-        .iter()
-        .enumerate()
-        .map(|(index, &device)| {
-            if comparable && !(touched.may_touch(index + 1) && device != base.devices()[index]) {
-                state.1[index]
-            } else {
-                device_time(index, device)
-            }
-        })
-        .collect();
-    let device = devices.iter().copied().fold(0.0, f64::max);
-    (host.max(device), (host, devices))
-}
-
 /// Evaluation by "measurement": one simulated execution per query, bound to one
 /// workload.
 ///
@@ -145,7 +105,7 @@ fn recompose_move(
 /// ([`HeterogeneousPlatform::host_time`] / [`HeterogeneousPlatform::device_time`]) and
 /// every configuration is scored by table probes — bit-identical to this evaluator's
 /// own [`Objective`] path, which stays one real [`HeterogeneousPlatform::execute`] per
-/// configuration.  EM scans such tables and SAM's misses probe them.
+/// configuration.  EM scans such tables and SAM walks over them.
 #[derive(Debug, Clone)]
 pub struct MeasurementEvaluator {
     platform: HeterogeneousPlatform,
@@ -398,44 +358,25 @@ impl PredictionEvaluator {
             .max(0.0)
     }
 
-    /// Predict the time of the first accelerator for a device share of `bytes` bytes.
-    pub fn predict_device(
-        &self,
-        threads: u32,
-        affinity: hetero_platform::Affinity,
-        bytes: u64,
-    ) -> f64 {
-        self.predict_device_on(0, threads, affinity, bytes)
-    }
-
-    fn assert_arity(&self, accelerators: usize) {
+    /// Predicted `(T_host, T_device)` for running the workload under `config`, where
+    /// `T_device` is the time of the slowest accelerator (matching
+    /// [`hetero_platform::Measurement::t_device`]).  A side that receives no work
+    /// reports 0.
+    pub fn evaluate_times(&self, config: &SystemConfiguration) -> (f64, f64) {
         assert!(
-            accelerators <= self.device_models.len(),
-            "configuration describes {accelerators} accelerators but only {} device models are trained",
+            config.accelerator_count() <= self.device_models.len(),
+            "configuration describes {} accelerators but only {} device models are trained",
+            config.accelerator_count(),
             self.device_models.len()
         );
-    }
-
-    /// Predicted host time plus one predicted time per accelerator for running the
-    /// workload under `config`.  A device that receives no work reports 0.
-    pub fn evaluate_all_times(&self, config: &SystemConfiguration) -> (f64, Vec<f64>) {
-        self.assert_arity(config.accelerator_count());
         let host = self.side_time(0, host_key(config)).unwrap_or(0.0);
-        let devices = config
+        let device = config
             .devices()
             .iter()
             .enumerate()
             .map(|(index, &device)| self.side_time(index + 1, device_key(device)).unwrap_or(0.0))
-            .collect();
-        (host, devices)
-    }
-
-    /// Predicted `(T_host, T_device)` for running the workload under `config`, where
-    /// `T_device` is the time of the slowest accelerator (matching
-    /// [`hetero_platform::Measurement::t_device`]).
-    pub fn evaluate_times(&self, config: &SystemConfiguration) -> (f64, f64) {
-        let (host, devices) = self.evaluate_all_times(config);
-        (host, devices.into_iter().fold(0.0, f64::max))
+            .fold(0.0, f64::max);
+        (host, device)
     }
 
     /// The optimization energy `E = max(T_host, T_device)` (Eq. 2) under the models.
@@ -454,7 +395,7 @@ impl PredictionEvaluator {
 
     /// Build the factorized fast path for *local-search* walks: a
     /// [`LazyTabulatedPredictionEvaluator`] whose per-device time tables start empty
-    /// and are filled on first touch, so a SAM/SAML walk pays one model query per
+    /// and are filled on first touch, so a SAML/GAML walk pays one model query per
     /// *distinct* `(threads, affinity, share)` triple it ever visits instead of one
     /// per device per move.
     pub fn lazy_tabulated(&self) -> LazyTabulatedPredictionEvaluator<'_> {
@@ -545,38 +486,6 @@ impl Objective<SystemConfiguration> for PredictionEvaluator {
     }
 }
 
-/// Direct-model incremental evaluation: a neighbour move that touched only one
-/// device re-queries only that device's model — O(1) model walks per move instead of
-/// N + 1 — and re-composes the energy from the retained [`PredictedTimes`],
-/// bit-identically to [`PredictionEvaluator::energy`].
-impl DeltaObjective<SystemConfiguration> for PredictionEvaluator {
-    type State = PredictedTimes;
-
-    fn evaluate_with_state(&self, config: &SystemConfiguration) -> (f64, PredictedTimes) {
-        let (host, devices) = self.evaluate_all_times(config);
-        let device = devices.iter().copied().fold(0.0, f64::max);
-        (host.max(device), (host, devices))
-    }
-
-    fn evaluate_move(
-        &self,
-        base: &SystemConfiguration,
-        state: &PredictedTimes,
-        config: &SystemConfiguration,
-        touched: &Touched,
-    ) -> (f64, PredictedTimes) {
-        self.assert_arity(config.accelerator_count());
-        recompose_move(
-            base,
-            state,
-            config,
-            touched,
-            || self.side_time(0, host_key(config)).unwrap_or(0.0),
-            |index, device| self.side_time(index + 1, device_key(device)).unwrap_or(0.0),
-        )
-    }
-}
-
 /// One side's time table, keyed by that side's own [`SideKey`] axis.
 type TimeTable = HashMap<SideKey, f64>;
 
@@ -600,7 +509,7 @@ const TABLE_BATCH: usize = 256;
 /// ([`LazyTabulatedPredictionEvaluator`]) it is behind every prediction-based method
 /// (EML's scan, SAML/GAML walks, sharded EML campaigns); over a
 /// [`MeasurementEvaluator`] ([`MeasurementEvaluator::lazy_tabulated`]) it holds the
-/// measured tables EM scans and SAM's misses probe.
+/// measured tables EM scans and SAM walks over.
 ///
 /// The energy `E = max(T_host, max_d T_d)` is *separable*: each side's time depends
 /// only on that side's own `(threads, affinity, share)` triple, never on the other
@@ -758,26 +667,6 @@ impl<'a, S: SideTimes> LazyTabulatedEvaluator<'a, S> {
         // identical, so first insert wins
         write_lock(&self.sides[side]).entry(key).or_insert(time);
         time
-    }
-
-    /// The host time plus one time per accelerator, served from (and memoized into)
-    /// the tables — bit-identical to [`PredictionEvaluator::evaluate_all_times`] over
-    /// the models; every side `+∞` for a configuration the source cannot score.
-    pub fn evaluate_all_times(&self, config: &SystemConfiguration) -> (f64, Vec<f64>) {
-        if !self.inner.scores(config.accelerator_count()) {
-            return (
-                f64::INFINITY,
-                vec![f64::INFINITY; config.accelerator_count()],
-            );
-        }
-        let host = self.probe(0, host_key(config));
-        let devices = config
-            .devices()
-            .iter()
-            .enumerate()
-            .map(|(index, &device)| self.probe(index + 1, device_key(device)))
-            .collect();
-        (host, devices)
     }
 
     /// The optimization energy `E = max(T_host, max_d T_d)` by memoized table probe +
@@ -970,14 +859,30 @@ impl<S: SideTimes> Objective<SystemConfiguration> for LazyTabulatedEvaluator<'_,
     }
 }
 
-/// Incremental evaluation over the memoized tables: an accepted move re-probes only
-/// the touched components, so long walks cost O(1) probes per move and amortized
-/// zero queries.
+/// Incremental evaluation over the memoized tables: a move re-probes only the
+/// components `touched` may cover that differ from `base` (component 0 is the host,
+/// component `i + 1` accelerator `i`; [`Touched::Unknown`] diffs the two
+/// configurations), copies every other time from `base`'s state, and re-composes
+/// the energy with [`LazyTabulatedEvaluator::energy`]'s max-fold, in the same order —
+/// bit-identical to scoring `config` from scratch.  Long walks cost O(1) probes per
+/// move and amortized zero queries.
 impl<S: SideTimes> DeltaObjective<SystemConfiguration> for LazyTabulatedEvaluator<'_, S> {
     type State = PredictedTimes;
 
+    /// Every side `+∞` for a configuration the source cannot score.
     fn evaluate_with_state(&self, config: &SystemConfiguration) -> (f64, PredictedTimes) {
-        let (host, devices) = self.evaluate_all_times(config);
+        let accelerators = config.accelerator_count();
+        if !self.inner.scores(accelerators) {
+            let infinite = vec![f64::INFINITY; accelerators];
+            return (f64::INFINITY, (f64::INFINITY, infinite));
+        }
+        let host = self.probe(0, host_key(config));
+        let devices: Vec<f64> = config
+            .devices()
+            .iter()
+            .enumerate()
+            .map(|(index, &device)| self.probe(index + 1, device_key(device)))
+            .collect();
         let device = devices.iter().copied().fold(0.0, f64::max);
         (host.max(device), (host, devices))
     }
@@ -992,14 +897,31 @@ impl<S: SideTimes> DeltaObjective<SystemConfiguration> for LazyTabulatedEvaluato
         if !self.inner.scores(config.accelerator_count()) {
             return self.evaluate_with_state(config);
         }
-        recompose_move(
-            base,
-            state,
-            config,
-            touched,
-            || self.probe(0, host_key(config)),
-            |index, device| self.probe(index + 1, device_key(device)),
-        )
+        // a state from a differently-shaped configuration cannot be reused
+        let comparable = base.accelerator_count() == config.accelerator_count()
+            && state.1.len() == config.accelerator_count();
+        let host_changed =
+            !comparable || (touched.may_touch(0) && host_key(config) != host_key(base));
+        let host = if host_changed {
+            self.probe(0, host_key(config))
+        } else {
+            state.0
+        };
+        let devices: Vec<f64> = config
+            .devices()
+            .iter()
+            .enumerate()
+            .map(|(index, &device)| {
+                if comparable && !(touched.may_touch(index + 1) && device != base.devices()[index])
+                {
+                    state.1[index]
+                } else {
+                    self.probe(index + 1, device_key(device))
+                }
+            })
+            .collect();
+        let device = devices.iter().copied().fold(0.0, f64::max);
+        (host.max(device), (host, devices))
     }
 }
 
@@ -1309,6 +1231,7 @@ mod tests {
         static HOST_CALLS: AtomicUsize = AtomicUsize::new(0);
         static DEVICE_CALLS: AtomicUsize = AtomicUsize::new(0);
         let evaluator = counting_wavy_evaluator(&HOST_CALLS, &DEVICE_CALLS);
+        let lazy = evaluator.lazy_tabulated();
 
         let base = SystemConfiguration::with_host_percent(
             24,
@@ -1336,26 +1259,28 @@ mod tests {
         let expected_device_move = evaluator.energy(&device_move);
         let expected_host_move = evaluator.energy(&host_move);
 
-        let (energy, state) = evaluator.evaluate_with_state(&base);
+        let (energy, state) = lazy.evaluate_with_state(&base);
         assert_eq!(energy.to_bits(), expected_base.to_bits());
 
         // a device-only move re-queries only the device model...
         HOST_CALLS.store(0, Ordering::Relaxed);
         DEVICE_CALLS.store(0, Ordering::Relaxed);
         let (moved, moved_state) =
-            evaluator.evaluate_move(&base, &state, &device_move, &Touched::Components(vec![1]));
+            lazy.evaluate_move(&base, &state, &device_move, &Touched::Components(vec![1]));
         assert_eq!(HOST_CALLS.load(Ordering::Relaxed), 0);
         assert_eq!(DEVICE_CALLS.load(Ordering::Relaxed), 1);
         assert_eq!(moved.to_bits(), expected_device_move.to_bits());
 
-        // ...and Unknown footprints diff the configurations, same result & cost
-        let (diffed, _) = evaluator.evaluate_move(&base, &state, &device_move, &Touched::Unknown);
+        // ...and Unknown footprints diff the configurations: same result, and the
+        // device entry is already in its table
+        let (diffed, _) = lazy.evaluate_move(&base, &state, &device_move, &Touched::Unknown);
         assert_eq!(diffed.to_bits(), moved.to_bits());
         assert_eq!(HOST_CALLS.load(Ordering::Relaxed), 0);
+        assert_eq!(DEVICE_CALLS.load(Ordering::Relaxed), 1);
 
         // chaining from the moved state works too (host-only move)
         DEVICE_CALLS.store(0, Ordering::Relaxed);
-        let (chained, _) = evaluator.evaluate_move(
+        let (chained, _) = lazy.evaluate_move(
             &device_move,
             &moved_state,
             &host_move,
@@ -1374,6 +1299,7 @@ mod tests {
         static HOST_CALLS: AtomicUsize = AtomicUsize::new(0);
         static DEVICE_CALLS: AtomicUsize = AtomicUsize::new(0);
         let evaluator = counting_wavy_evaluator(&HOST_CALLS, &DEVICE_CALLS);
+        let lazy = evaluator.lazy_tabulated();
         let space = crate::config::ConfigurationSpace::paper();
         let mut rng = StdRng::seed_from_u64(0x6a11);
 
@@ -1384,15 +1310,15 @@ mod tests {
             let parent_a = space.random(&mut rng);
             let parent_b = space.random(&mut rng);
             let (child, touched) = space.crossover_move(&parent_a, &parent_b, &mut rng);
-            let (_, state) = evaluator.evaluate_with_state(&parent_a);
-            let (expected, _) = evaluator.evaluate_with_state(&child);
-            let (delta, delta_state) = evaluator.evaluate_move(&parent_a, &state, &child, &touched);
+            let (_, state) = lazy.evaluate_with_state(&parent_a);
+            let expected = evaluator.energy(&child);
+            let (delta, delta_state) = lazy.evaluate_move(&parent_a, &state, &child, &touched);
             assert_eq!(delta.to_bits(), expected.to_bits());
             // the re-scored state is itself reusable: a follow-up identity move
             // (empty footprint) reproduces the energy without any model walk
             HOST_CALLS.store(0, Ordering::Relaxed);
             DEVICE_CALLS.store(0, Ordering::Relaxed);
-            let (again, _) = evaluator.evaluate_move(
+            let (again, _) = lazy.evaluate_move(
                 &child,
                 &delta_state,
                 &child,

@@ -27,9 +27,9 @@
 //! tables behind every method: EM and EML fill measured and predicted tables in
 //! batches and scan them by index ([`LazyTabulatedEvaluator::scan`]) — enumeration
 //! is uncached at the configuration level, because it never visits a configuration
-//! twice — and SAML and GAML fill prediction tables on first touch.  Only SAM
-//! memoises whole configurations, behind a [`wd_opt::CachedObjective`] whose misses
-//! are measured-table probes.  Every method's hit/miss counters are surfaced
+//! twice — and SAM, SAML and GAML walk measured and prediction tables filled on
+//! first touch, re-scoring only the sides each move touched.  Every method's
+//! hit/miss counters are surfaced
 //! on [`methods::MethodOutcome::cache`].  The training campaign likewise runs as
 //! parallel batches.  All parallel paths are bit-identical to their sequential
 //! counterparts.

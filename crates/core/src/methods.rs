@@ -1,16 +1,20 @@
 //! The four optimization methods of the paper (Table II): EM, EML, SAM and SAML.
 
 use std::borrow::Cow;
+use std::cell::RefCell;
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::OnceLock;
 use std::time::Instant;
 
 use hetero_platform::{ExecutionStats, HeterogeneousPlatform, WorkloadProfile};
 use wd_obs::{FieldValue, NoopRecorder, Recorder};
-use wd_opt::{CacheStats, CachedObjective, GeneticAlgorithm, Outcome, SimulatedAnnealing};
+use wd_opt::{
+    CacheStats, DeltaObjective, GeneticAlgorithm, Objective, Outcome, SimulatedAnnealing, Touched,
+};
 
 use crate::config::{ConfigurationSpace, SystemConfiguration};
-use crate::evaluator::{LazyTabulatedEvaluator, MeasurementEvaluator};
+use crate::evaluator::{LazyTabulatedEvaluator, MeasurementEvaluator, PredictedTimes};
 use crate::training::TrainedModels;
 
 /// One of the paper's optimization methods.
@@ -147,11 +151,10 @@ pub struct MethodOutcome {
     ///   counters are `{hits: 0, misses: evaluations}`: every grid point is one of
     ///   the paper's "experiments", even though the scan behind it composes each
     ///   point from per-side tables (measured for EM, predicted for EML);
-    /// * SAM, the only method that memoizes whole configurations
-    ///   ([`wd_opt::CachedObjective`]): `misses` is the number of distinct
-    ///   configurations evaluated — the paper's cost — each one a probe of the
-    ///   measured tables, which simulate a side only on its first touch
-    ///   ([`crate::LazyTabulatedEvaluator::model_queries`] counts those);
+    /// * SAM counts the distinct configurations its walk scores: `misses` is their
+    ///   number — the paper's cost — and `hits` every other evaluation.  Each
+    ///   evaluation probes the measured tables, which simulate a side only on its
+    ///   first touch ([`crate::LazyTabulatedEvaluator::model_queries`] counts those);
     /// * SAML/GAML memoize per-device table entries
     ///   ([`crate::LazyTabulatedEvaluator::stats`]): `misses` is the number
     ///   of boosted-tree model walks, `hits` every per-device probe answered without
@@ -262,11 +265,6 @@ impl<'a> MethodRunner<'a> {
         self
     }
 
-    /// The enumeration grid used by EM/EML.
-    pub fn grid(&self) -> &ConfigurationSpace {
-        &self.grid
-    }
-
     /// Run `method`.  `iterations` is the simulated-annealing budget and is ignored by
     /// the enumeration-based methods.
     ///
@@ -278,17 +276,14 @@ impl<'a> MethodRunner<'a> {
     ///   EML.  Both are
     ///   uncached at the configuration level: no configuration is built per grid
     ///   point, and each grid point counts as one experiment;
-    /// * SAM (measurement) runs behind a [`CachedObjective`], the only
-    ///   whole-configuration cache, because annealing revisits configurations; each
-    ///   miss is a probe of the runner's measured tables, which simulates only the
-    ///   sides it has not seen before;
-    /// * SAML runs the annealer's incremental path
-    ///   ([`wd_opt::SimulatedAnnealing::run_delta`]) over the same tables filled on
-    ///   first touch ([`crate::LazyTabulatedPredictionEvaluator`]): each move re-scores only the
-    ///   device it touched, and each distinct `(threads, affinity, share)` triple
-    ///   queries the boosted-tree model exactly once — bit-identical to annealing over
-    ///   the direct prediction evaluator; GAML runs the genetic search's delta path
-    ///   over the same lazy tables.
+    /// * SAM, SAML and GAML run one incremental walk — the annealer's
+    ///   ([`wd_opt::SimulatedAnnealing::run_delta`]) or the genetic search's — over
+    ///   per-side tables filled on first touch: the runner's measured tables for
+    ///   SAM, fresh prediction tables ([`crate::LazyTabulatedPredictionEvaluator`])
+    ///   for SAML and GAML.  Each move re-scores only the sides it touched, and each
+    ///   distinct `(threads, affinity, share)` triple costs one side simulation or
+    ///   one boosted-tree walk — bit-identical to the classic walk over the direct
+    ///   evaluator.  SAM also counts the distinct configurations it scores.
     ///
     /// The resulting hit/miss counters are surfaced on the [`MethodOutcome`]; note
     /// their granularity differs per path (see [`MethodOutcome::cache`]).
@@ -308,10 +303,11 @@ impl<'a> MethodRunner<'a> {
     /// [`ExecutionStats`] of the final re-measurement, and one `{method}.run` span
     /// carrying wall-clock seconds, iterations, evaluations and energies.
     ///
-    /// The recorder only observes: counters are read post-hoc from the same atomics
-    /// the unobserved path maintains (for the uncached EM/EML, from the outcome's
-    /// evaluation count), and iteration events are emitted strictly after
-    /// each trace record, so outcomes are bit-identical to [`MethodRunner::run`].
+    /// The recorder only observes: counters are read post-hoc from the same state
+    /// the unobserved path maintains (the tables' atomics, SAM's set of distinct
+    /// configurations, the outcome's evaluation count), and iteration events are
+    /// emitted strictly after each trace record, so outcomes are bit-identical to
+    /// [`MethodRunner::run`].
     pub fn run_observed(
         &self,
         method: MethodKind,
@@ -350,45 +346,31 @@ impl<'a> MethodRunner<'a> {
                     hits: 0,
                     misses: outcome.evaluations,
                 };
-                if recorder.enabled() {
-                    recorder.counter(&format!("{scope}.cache.hits"), 0);
-                    recorder.counter(&format!("{scope}.cache.misses"), cache.misses as u64);
-                }
+                publish_cache(recorder, &scope, cache);
                 (outcome, cache)
             }
             MethodKind::Sam => {
+                // the measured tables already memoise every side time; the walk only
+                // needs its distinct configurations counted, the paper's cost
                 self.require_runnable(method, &self.space)?;
-                let cached = CachedObjective::new(tables);
-                let outcome =
-                    self.annealer(iterations)
-                        .run_observed(&*self.space, &cached, recorder, &scope);
-                cached.publish_stats(recorder, &scope);
-                (outcome, cached.stats())
+                let counted = DistinctConfigs {
+                    tables,
+                    seen: RefCell::default(),
+                };
+                let outcome = self.walk(method, iterations, &counted, recorder, &scope);
+                let distinct = counted.seen.into_inner().len();
+                let cache = CacheStats {
+                    hits: outcome.evaluations - distinct,
+                    misses: distinct,
+                };
+                publish_cache(recorder, &scope, cache);
+                (outcome, cache)
             }
             MethodKind::Saml | MethodKind::Gaml => {
-                // SAML/GAML fast path: lazy per-device tables + incremental (delta)
-                // re-scoring of each neighbour move (SAML) or each recombination's
-                // two-parent merge footprint (GAML).  Bit-identical to the classic
-                // direct walk: same RNG stream, same accepted moves, same energies —
-                // only the model cost drops.
                 let models = self.require_models(method, &self.space)?;
                 let prediction = models.prediction_evaluator(self.workload().clone());
                 let lazy = prediction.lazy_tabulated();
-                let outcome = if method == MethodKind::Gaml {
-                    self.genetic(iterations).run_delta_observed(
-                        &*self.space,
-                        &lazy,
-                        recorder,
-                        &scope,
-                    )
-                } else {
-                    self.annealer(iterations).run_delta_observed(
-                        &*self.space,
-                        &lazy,
-                        recorder,
-                        &scope,
-                    )
-                };
+                let outcome = self.walk(method, iterations, &lazy, recorder, &scope);
                 lazy.publish_stats(recorder, &scope);
                 (outcome, lazy.stats())
             }
@@ -405,6 +387,30 @@ impl<'a> MethodRunner<'a> {
 
     fn workload(&self) -> &WorkloadProfile {
         self.measurement().workload()
+    }
+
+    /// The incremental walk of an annealing method (SAM, SAML) or of GAML over
+    /// `objective`: each neighbour move or recombination re-scores only the sides it
+    /// touched, bit-identically to re-scoring the whole configuration — same RNG
+    /// stream, same accepted moves, same energies.
+    fn walk<O>(
+        &self,
+        method: MethodKind,
+        iterations: usize,
+        objective: &O,
+        recorder: &dyn Recorder,
+        scope: &str,
+    ) -> Outcome<SystemConfiguration>
+    where
+        O: DeltaObjective<SystemConfiguration, State = PredictedTimes>,
+    {
+        if method == MethodKind::Gaml {
+            self.genetic(iterations)
+                .run_delta_observed(&*self.space, objective, recorder, scope)
+        } else {
+            self.annealer(iterations)
+                .run_delta_observed(&*self.space, objective, recorder, scope)
+        }
     }
 
     fn genetic(&self, iterations: usize) -> GeneticAlgorithm {
@@ -495,6 +501,49 @@ impl<'a> MethodRunner<'a> {
             stats: measured.stats,
             trace: outcome.trace,
         })
+    }
+}
+
+/// Publish `cache` as `{scope}.cache.{hits,misses}`.
+fn publish_cache(recorder: &dyn Recorder, scope: &str, cache: CacheStats) {
+    if recorder.enabled() {
+        recorder.counter(&format!("{scope}.cache.hits"), cache.hits as u64);
+        recorder.counter(&format!("{scope}.cache.misses"), cache.misses as u64);
+    }
+}
+
+/// SAM's cost counter: the measured tables of one walk, plus the set of
+/// configurations the walk has scored.  One walk runs on one thread, so the set needs
+/// no lock, and the paper's one-accelerator configuration clones without allocating.
+struct DistinctConfigs<'t, 'a> {
+    tables: &'t LazyTabulatedEvaluator<'a, MeasurementEvaluator>,
+    seen: RefCell<HashSet<SystemConfiguration>>,
+}
+
+impl Objective<SystemConfiguration> for DistinctConfigs<'_, '_> {
+    fn evaluate(&self, config: &SystemConfiguration) -> f64 {
+        self.seen.borrow_mut().insert(config.clone());
+        self.tables.energy(config)
+    }
+}
+
+impl DeltaObjective<SystemConfiguration> for DistinctConfigs<'_, '_> {
+    type State = PredictedTimes;
+
+    fn evaluate_with_state(&self, config: &SystemConfiguration) -> (f64, PredictedTimes) {
+        self.seen.borrow_mut().insert(config.clone());
+        self.tables.evaluate_with_state(config)
+    }
+
+    fn evaluate_move(
+        &self,
+        base: &SystemConfiguration,
+        state: &PredictedTimes,
+        config: &SystemConfiguration,
+        touched: &Touched,
+    ) -> (f64, PredictedTimes) {
+        self.seen.borrow_mut().insert(config.clone());
+        self.tables.evaluate_move(base, state, config, touched)
     }
 }
 
@@ -595,6 +644,45 @@ mod tests {
         );
         // EM's search energy is also its measured energy (same evaluator)
         assert!((em.search_energy - em.measured_energy).abs() < 1e-9);
+    }
+
+    #[test]
+    fn sam_fast_path_is_bit_identical_to_direct_annealing() {
+        use wd_opt::CachedObjective;
+
+        let platform = platform();
+        let workload = Genome::Human.workload();
+        let space = ConfigurationSpace::tiny();
+        let iterations = 200;
+        for seed in [5u64, 13, 29] {
+            let runner = MethodRunner::new(&platform, &workload, None, seed)
+                .with_grid(ConfigurationSpace::tiny())
+                .with_space(space.clone());
+            let sam = runner.run(MethodKind::Sam, iterations).unwrap();
+
+            // hand-rolled classic walk: same annealer parameters, one real execution
+            // per distinct configuration
+            let sa_seed = seed ^ (iterations as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let sa = SimulatedAnnealing::with_budget_and_range(iterations, 2.0, 0.02, sa_seed);
+            let measurement = MeasurementEvaluator::new(platform.clone(), workload.clone());
+            let cached = CachedObjective::new(&measurement);
+            let reference = sa.run(&space, &cached);
+
+            assert_eq!(sam.best_config, reference.best_config, "seed {seed}");
+            assert_eq!(
+                sam.search_energy.to_bits(),
+                reference.best_energy.to_bits(),
+                "seed {seed}"
+            );
+            assert_eq!(sam.evaluations, reference.evaluations, "seed {seed}");
+            assert_eq!(
+                sam.trace.records(),
+                reference.trace.records(),
+                "seed {seed}"
+            );
+            // one experiment per distinct configuration, as the cache counts them
+            assert_eq!(sam.cache, cached.stats(), "seed {seed}");
+        }
     }
 
     #[test]

@@ -154,7 +154,9 @@ where
 /// ```
 ///
 /// `bits` is the hexadecimal IEEE-754 bit pattern of the energy and is authoritative
-/// on load (the decimal `energy` field is for human eyes), so round trips are exact.
+/// on load, so round trips are exact; the decimal `energy` field (written with
+/// round-tripping `Display`) must parse to the same bits, or the line is skipped as
+/// corrupt (any NaN matches any NaN).
 /// Configurations are keyed by their [`ConfigKey`] encoding.  The loader tolerates a
 /// truncated final line (the footprint of a killed campaign) and foreign lines by
 /// skipping them; [`JsonlStore::skipped_lines`] reports how many were dropped.
@@ -399,20 +401,30 @@ fn parse_line(line: &str) -> Option<Record> {
         return Some(Record::Context(context.to_string()));
     }
     if let Some(key) = json_str_field(line, "config") {
-        // the bit pattern is authoritative; fall back to the decimal field for
-        // hand-written lines
+        // `None` without a decimal field, `Some(None)` for one that does not parse
+        let decimal = line.find("\"energy\":").map(|start| {
+            let rest = &line[start + "\"energy\":".len()..];
+            // a number not terminated by ',' or '}' is a torn tail: its decimal may
+            // itself be truncated, and a truncated decimal parses to a plausible but
+            // wrong energy — reject the line instead
+            let end = rest.find([',', '}'])?;
+            rest[..end].trim().parse::<f64>().ok()
+        });
+        // the bit pattern is authoritative and the decimal beside it checks it, so a
+        // flipped digit in either field rejects the line; hand-written lines may
+        // carry the decimal alone
         let energy = match json_str_field(line, "bits") {
-            Some(hex) => f64::from_bits(u64::from_str_radix(hex, 16).ok()?),
-            None => {
-                let pattern = "\"energy\":";
-                let start = line.find(pattern)? + pattern.len();
-                let rest = &line[start..];
-                // a number not terminated by ',' or '}' is a torn tail: its
-                // decimal may itself be truncated, and a truncated decimal parses
-                // to a plausible but wrong energy — reject the line instead
-                let end = rest.find([',', '}'])?;
-                rest[..end].trim().parse().ok()?
+            Some(hex) => {
+                let energy = f64::from_bits(u64::from_str_radix(hex, 16).ok()?);
+                let agrees = |decimal: f64| {
+                    decimal.to_bits() == energy.to_bits() || decimal.is_nan() && energy.is_nan()
+                };
+                match decimal {
+                    Some(decimal) if !decimal.is_some_and(agrees) => return None,
+                    _ => energy,
+                }
             }
+            None => decimal??,
         };
         return Some(Record::Result(key.to_string(), energy));
     }
@@ -1163,6 +1175,40 @@ mod tests {
         assert_eq!(store.lookup(&1), Some(3.0));
         assert_eq!(store.lookup(&2).unwrap().to_bits(), awkward.to_bits());
         assert_eq!(store.recorded_stats(), CacheStats { hits: 6, misses: 7 });
+        drop(store);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn records_whose_two_energy_fields_disagree_are_skipped() {
+        let path = temp_path("disagree");
+        let intact = [
+            (1u32, 0.1 + 0.2),
+            (2, 1e-300),
+            (3, f64::INFINITY),
+            (4, f64::NAN),
+        ];
+        let mut contents: String = intact
+            .iter()
+            .chain(&[(5, -0.0), (6, 2.5), (7, 7.25)])
+            .map(|&(key, energy)| JsonlStore::<u32>::result_line(&key.to_string(), energy) + "\n")
+            .collect();
+        // one flipped hex digit of `bits` (2.5 loads as 2.625), one flipped decimal
+        // digit of `energy`
+        for (from, to) in [("\"bits\":\"4004", "\"bits\":\"4005"), ("7.25", "7.35")] {
+            assert!(contents.contains(from));
+            contents = contents.replace(from, to);
+        }
+        std::fs::write(&path, contents).unwrap();
+
+        let store: JsonlStore<u32> = JsonlStore::open(&path).unwrap();
+        assert_eq!(store.skipped_lines(), 2);
+        assert_eq!(store.len(), 5);
+        assert_eq!(store.lookup(&6), None);
+        assert_eq!(store.lookup(&7), None);
+        for (key, energy) in intact.into_iter().chain([(5, -0.0)]) {
+            assert_eq!(store.lookup(&key).unwrap().to_bits(), energy.to_bits());
+        }
         drop(store);
         std::fs::remove_file(&path).unwrap();
     }

@@ -53,7 +53,6 @@ fn contract_scope_sees_the_real_entry_points() {
     for (owner, method) in [
         ("SimulatedAnnealing", "run_delta"),
         ("SimulatedAnnealing", "run_delta_observed"),
-        ("SimulatedAnnealing", "run_observed"),
         ("ShardedCampaign", "run_observed"),
         ("ConfigurationSpace", "neighbor_move"),
         ("ConfigurationSpace", "crossover_move"),

@@ -20,8 +20,9 @@
 //! scoring it exposes [`Objective::evaluate_batch`] for bulk evaluation, which
 //! batch-capable backends override to run many configurations in one parallel pass.
 //! [`CachedObjective`] adds config-keyed memoization (with [`CacheStats`] hit/miss
-//! counters) on top of any objective, and [`ParallelEnumeration`] drives an exhaustive
-//! search through the batched path.  Separable objectives additionally implement
+//! counters) on top of any objective (the separable work-distribution evaluators
+//! memoise per side instead, so no method runs behind it), and
+//! [`ParallelEnumeration`] drives an exhaustive search through the batched path.  Separable objectives additionally implement
 //! [`DeltaObjective`], the incremental-evaluation contract: the drivers
 //! ([`SimulatedAnnealing::run_delta`], [`GeneticAlgorithm::run_delta`]) then re-score
 //! each move by recomputing only the components the move touched

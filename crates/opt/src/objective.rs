@@ -13,8 +13,7 @@
 //! * [`CountingObjective`] counts evaluation *requests* (the paper's "number of
 //!   experiments" effort metric);
 //! * [`CachedObjective`] memoizes results by configuration, so revisited
-//!   configurations (frequent under simulated annealing) cost nothing, and reports
-//!   [`CacheStats`] hit/miss counters.
+//!   configurations cost nothing, and reports [`CacheStats`] hit/miss counters.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -163,6 +162,11 @@ impl std::iter::Sum for CacheStats {
 /// two threads race on the same uncached configuration the inner objective may be
 /// invoked redundantly (objectives are deterministic, so the values agree), but the
 /// configuration is recorded as exactly one miss and the loser of the race as a hit.
+///
+/// No method of the workspace runs behind it — separable evaluators memoise per-side
+/// times instead.  Its users are the repository benchmark's `tune-stream` EML lane
+/// and the tests, where it is the one-evaluation-per-distinct-configuration reference
+/// that SAM's counters are checked against.
 pub struct CachedObjective<'a, C, O: ?Sized> {
     inner: &'a O,
     cache: RwLock<HashMap<C, f64>>,
@@ -192,21 +196,6 @@ where
         }
     }
 
-    /// Publish the current hit/miss counters to `recorder` as
-    /// `<scope>.cache.hits` / `<scope>.cache.misses`.
-    ///
-    /// The counters are read post-hoc from the cache's own atomics — publication
-    /// never sits on the evaluation path, so observed and unobserved runs stay
-    /// bit-identical.
-    pub fn publish_stats(&self, recorder: &dyn wd_obs::Recorder, scope: &str) {
-        if !recorder.enabled() {
-            return;
-        }
-        let stats = self.stats();
-        recorder.counter(&format!("{scope}.cache.hits"), stats.hits as u64);
-        recorder.counter(&format!("{scope}.cache.misses"), stats.misses as u64);
-    }
-
     /// Number of distinct configurations cached so far.
     pub fn len(&self) -> usize {
         read_lock(&self.cache).len()
@@ -215,13 +204,6 @@ where
     /// Whether the cache is still empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Forget all cached energies and reset the counters.
-    pub fn clear(&self) {
-        write_lock(&self.cache).clear();
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
     }
 }
 
@@ -416,10 +398,6 @@ mod tests {
         assert_eq!(calls.load(Ordering::Relaxed), 2, "4 evaluated once, 2 once");
         assert_eq!(cached.stats(), CacheStats { hits: 1, misses: 2 });
         assert_eq!(cached.len(), 2);
-
-        cached.clear();
-        assert!(cached.is_empty());
-        assert_eq!(cached.stats().requests(), 0);
     }
 
     #[test]

@@ -85,22 +85,6 @@ impl SimulatedAnnealing {
         self.run_delta(space, &FullDelta::new(objective))
     }
 
-    /// [`SimulatedAnnealing::run`] with every iteration published to `recorder` under
-    /// `scope` (see [`SimulatedAnnealing::run_delta_observed`]).
-    pub fn run_observed<S, O>(
-        &self,
-        space: &S,
-        objective: &O,
-        recorder: &dyn Recorder,
-        scope: &str,
-    ) -> Outcome<S::Config>
-    where
-        S: SearchSpace,
-        O: Objective<S::Config> + ?Sized,
-    {
-        self.run_delta_observed(space, &FullDelta::new(objective), recorder, scope)
-    }
-
     /// Run the optimizer with an incrementally evaluable objective: each proposal is
     /// scored through [`DeltaObjective::evaluate_move`], which recomputes only the
     /// components the neighbour move touched (reported by

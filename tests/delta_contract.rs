@@ -2,8 +2,6 @@
 //!
 //! * the [`Touched`] footprints of `ConfigurationSpace::neighbor_move` /
 //!   `ConfigurationSpace::crossover_move` match the actual per-component diff;
-//! * `SimulatedAnnealing::run_observed` is bit-identical to
-//!   `SimulatedAnnealing::run` — the recorder only observes;
 //! * `ShardedCampaign::run_observed` is bit-identical to `ShardedCampaign::run`.
 
 use rand::rngs::StdRng;
@@ -11,7 +9,7 @@ use rand::SeedableRng;
 use workdist::autotune::{ConfigurationSpace, SystemConfiguration};
 use workdist::dist::{MemoryStore, ShardedCampaign};
 use workdist::obs::Registry;
-use workdist::opt::{Objective, SearchSpace, SimulatedAnnealing, Touched};
+use workdist::opt::{Objective, SearchSpace, Touched};
 
 /// Cheap deterministic stand-in for the predicted work-distribution energy: wavy in
 /// every configuration parameter so a wrong move or footprint almost surely shows.
@@ -85,29 +83,6 @@ fn configuration_space_crossover_move_reports_its_exact_footprint() {
                 );
             }
         }
-    }
-}
-
-#[test]
-fn simulated_annealing_run_observed_is_bit_identical_to_run() {
-    let space = ConfigurationSpace::tiny();
-    let objective = Synthetic;
-    for seed in [3u64, 17, 99] {
-        let annealer = SimulatedAnnealing::with_budget_and_range(400, 100.0, 1.0, seed);
-        let plain = annealer.run(&space, &objective);
-        let registry = Registry::new();
-        let observed = annealer.run_observed(&space, &objective, &registry, "sa-contract");
-
-        assert_eq!(observed.best_config, plain.best_config, "seed {seed}");
-        assert_eq!(
-            observed.best_energy.to_bits(),
-            plain.best_energy.to_bits(),
-            "seed {seed}"
-        );
-        assert_eq!(observed.evaluations, plain.evaluations, "seed {seed}");
-        assert_eq!(observed.trace.len(), plain.trace.len(), "seed {seed}");
-        // the observed run really published its iterations
-        assert!(!registry.snapshot().iterations.is_empty(), "seed {seed}");
     }
 }
 
