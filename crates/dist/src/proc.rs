@@ -704,28 +704,25 @@ fn shutdown_workers(live: &mut Vec<LiveWorker>) {
 
 /// Copy every record of `segment` whose key is absent from `store` (the
 /// order-independent merge: duplicates are identical by determinism, so
-/// first-writer-wins is safe), in sorted-key order for reproducible logs.
+/// first-writer-wins is safe), in sorted-key order for reproducible logs, as
+/// one [`ResultStore::record_batch`] append.
 fn salvage_segment(store: &JsonlStore<(u32, u32)>, segment: &Path) -> Result<usize, CampaignError> {
     let (records, _torn) = read_result_records(segment).map_err(CampaignError::Transport)?;
     let mut entries: Vec<(String, f64)> = records.into_iter().collect();
     entries.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut salvaged = 0;
-    for (key, energy) in entries {
-        let Some(config) = <(u32, u32)>::decode_key(&key) else {
-            continue;
-        };
-        if store.lookup(&config).is_none() {
-            store.record(&config, energy);
-            salvaged += 1;
-        }
-    }
-    if salvaged > 0 {
+    let (configs, energies): (Vec<(u32, u32)>, Vec<f64>) = entries
+        .into_iter()
+        .filter_map(|(key, energy)| Some((<(u32, u32)>::decode_key(&key)?, energy)))
+        .filter(|(config, _)| store.lookup(config).is_none())
+        .unzip();
+    if !configs.is_empty() {
+        store.record_batch(&configs, &energies);
         // The segment's keys count as durable from now on (later grants skip
         // them), so they must be on disk in the merged log before the
         // coordinator acts on them: a coordinator crash cannot lose them.
         store.flush()?;
     }
-    Ok(salvaged)
+    Ok(configs.len())
 }
 
 /// Write `slot`'s grant file: the lease generation (fencing token) and range.
@@ -964,8 +961,12 @@ impl ProcCampaign {
         })
     }
 
-    /// The coordinator's poll loop: resize, grant, reap, fence — until every
-    /// range is committed and only fenced zombies (if any) remain.
+    /// The coordinator's poll loop — resize, reap and fence, grant, sleep —
+    /// until every range is committed and only fenced zombies (if any) remain.
+    /// Reaping before granting regrants a slot freed in this poll in this
+    /// poll.  A failed or fenced range backs off for at least one tick
+    /// ([`RetryPolicy::default`]), so it is never regranted in the tick its
+    /// failure was reported.
     fn drive(&self, fleet: &mut Fleet<'_>) -> Result<(), CampaignError> {
         let started = Instant::now();
         let tick = self.tick.as_nanos().max(1);
@@ -993,6 +994,7 @@ impl ProcCampaign {
                     .resize(slots, self.batch_size.saturating_mul(2))?;
             }
 
+            self.reap(fleet, now)?;
             for slot in 0..slots {
                 // A range whose every key is already durable is finished by the
                 // scheduler on the spot, unspawned.
@@ -1018,8 +1020,6 @@ impl ProcCampaign {
                     fleet.live.push(worker);
                 }
             }
-
-            self.reap(fleet, now)?;
 
             if fleet.scheduler.is_done() && fleet.live.iter().all(|w| w.fenced) {
                 if fleet.live.is_empty() {
@@ -1453,6 +1453,68 @@ mod tests {
         assert_eq!(worker_main(&args), EXIT_OK);
         let done = read_kv(&work.done(0, 1)).unwrap();
         assert_eq!(kv_number::<usize>(&done, "evaluations"), Some(10));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn salvage_appends_what_one_record_per_absent_key_would() {
+        let dir = std::env::temp_dir().join(format!("wd-proc-salvage-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let spec = WorkloadSpec::GridBowl {
+            width: 12,
+            height: 10,
+            center_x: 5,
+            center_y: 3,
+        };
+        let space = spec.space();
+        let merged_keys: Vec<(u32, u32)> = [0, 3, 11, 40, 77]
+            .map(|i| space.config_at(i).unwrap())
+            .to_vec();
+        let open_merged = |name: &str| {
+            let store: JsonlStore<(u32, u32)> = JsonlStore::open(dir.join(name)).unwrap();
+            for config in &merged_keys {
+                store.record(config, spec.evaluate(config));
+            }
+            store
+        };
+
+        // A segment out of order, with a key twice, keys the merged store holds,
+        // and a torn tail.
+        let segment_keys: Vec<(u32, u32)> = [90, 3, 17, 2, 17, 100, 40, 25, 9, 119]
+            .map(|i| space.config_at(i).unwrap())
+            .to_vec();
+        let segment = dir.join("segment.jsonl");
+        let writer: JsonlStore<(u32, u32)> = JsonlStore::open(&segment).unwrap();
+        for config in &segment_keys {
+            writer.record(config, spec.evaluate(config));
+        }
+        writer.inject_torn_write("4,4");
+        drop(writer);
+
+        let store = open_merged("merged.jsonl");
+        let salvaged = salvage_segment(&store, &segment).unwrap();
+        drop(store);
+
+        let reference = open_merged("reference.jsonl");
+        let mut absent: Vec<(u32, u32)> = segment_keys
+            .iter()
+            .filter(|config| !merged_keys.contains(config))
+            .copied()
+            .collect();
+        absent.sort_by_key(|config| config.encode_key());
+        absent.dedup();
+        for config in &absent {
+            reference.record(config, spec.evaluate(config));
+        }
+        drop(reference);
+
+        assert_eq!(salvaged, absent.len());
+        assert_eq!(salvaged, 7);
+        assert_eq!(
+            std::fs::read(dir.join("merged.jsonl")).unwrap(),
+            std::fs::read(dir.join("reference.jsonl")).unwrap()
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -160,6 +160,10 @@ where
 /// Configurations are keyed by their [`ConfigKey`] encoding.  The loader tolerates a
 /// truncated final line (the footprint of a killed campaign) and foreign lines by
 /// skipping them; [`JsonlStore::skipped_lines`] reports how many were dropped.
+/// Loading reads the file through one reused line buffer and parses a result line
+/// in exactly the written shape in one pass; every other line (other record kinds,
+/// hand-written, torn or foreign lines) goes through the general parser, whose
+/// checks and verdicts the one-pass parser shares.
 ///
 /// **A store is bound to one objective.**  Records carry no energy provenance, so
 /// feeding a store populated under one objective (workload, platform, evaluator) to a
@@ -300,24 +304,38 @@ pub fn read_result_records(path: &Path) -> io::Result<(HashMap<String, f64>, usi
     if !path.exists() {
         return Ok((map, skipped));
     }
-    for line in BufReader::new(File::open(path)?).split(b'\n') {
-        // a line holding a byte no record encodes is as unreadable as a torn one
-        let Ok(line) = String::from_utf8(line?) else {
-            skipped += 1;
-            continue;
-        };
-        if line.trim().is_empty() {
-            continue;
+    read_lines(path, |record| match record {
+        Some(Record::Result(key, energy)) => {
+            map.insert(key, energy);
         }
-        match parse_line(&line) {
-            Some(Record::Result(key, energy)) => {
-                map.insert(key, energy);
-            }
-            Some(_) => {}
-            None => skipped += 1,
+        Some(_) => {}
+        None => skipped += 1,
+    })?;
+    Ok((map, skipped))
+}
+
+/// Parse every line of the log at `path` through one reused buffer, handing each
+/// non-blank line's [`parse_line`] verdict to `visit`; a line holding a byte no
+/// record encodes (not UTF-8) is as unreadable as a torn one and arrives as
+/// `None`.  Returns the bytes consumed, counting a final line without its
+/// newline as if it had one (the size of the file once its tail is sealed).
+fn read_lines(path: &Path, mut visit: impl FnMut(Option<Record>)) -> io::Result<u64> {
+    let mut reader = BufReader::new(File::open(path)?);
+    let mut buffer = Vec::new();
+    let mut bytes = 0u64;
+    loop {
+        buffer.clear();
+        if reader.read_until(b'\n', &mut buffer)? == 0 {
+            return Ok(bytes);
+        }
+        let line = buffer.strip_suffix(b"\n").unwrap_or(&buffer);
+        bytes += line.len() as u64 + 1;
+        match std::str::from_utf8(line) {
+            Ok(line) if line.trim().is_empty() => {}
+            Ok(line) => visit(parse_line(line)),
+            Err(_) => visit(None),
         }
     }
-    Ok((map, skipped))
 }
 
 #[derive(Debug, Default)]
@@ -350,6 +368,7 @@ pub struct StoreIoStats {
 /// to detect old layouts.
 pub const STORE_SCHEMA_VERSION: &str = "wd-dist-store/v2";
 
+#[derive(Debug)]
 enum Record {
     Result(String, f64),
     Stats(CacheStats),
@@ -393,7 +412,41 @@ fn ends_with_newline(path: &Path) -> io::Result<bool> {
     Ok(byte[0] == b'\n')
 }
 
+/// Whether a record's decimal `energy` field checks its authoritative bit pattern
+/// (any NaN matches any NaN).
+fn agrees(decimal: f64, energy: f64) -> bool {
+    decimal.to_bits() == energy.to_bits() || decimal.is_nan() && energy.is_nan()
+}
+
+/// Parse one log line: the canonical result line in one pass, anything else through
+/// [`parse_general`].
 fn parse_line(line: &str) -> Option<Record> {
+    match parse_canonical(line) {
+        Some((key, energy)) => Some(Record::Result(key.to_string(), energy)),
+        None => parse_general(line),
+    }
+}
+
+/// The key and energy of a line in exactly the shape [`write_result_line`] writes,
+/// `{"config":"K","energy":D,"bits":"H"}` with `H` sixteen lowercase hex digits,
+/// whose decimal agrees with its bits.  `None` for every other line, so the caller
+/// falls back to [`parse_general`] — which, on a line this accepts, finds the same
+/// fields and returns the same record.
+fn parse_canonical(line: &str) -> Option<(&str, f64)> {
+    let (key, rest) = line.strip_prefix("{\"config\":\"")?.split_once('"')?;
+    let rest = rest.strip_prefix(",\"energy\":")?;
+    let (decimal, rest) = rest.split_at(rest.find([',', '}'])?);
+    let hex = rest.strip_prefix(",\"bits\":\"")?.strip_suffix("\"}")?;
+    if hex.len() != 16 || !hex.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')) {
+        return None;
+    }
+    let energy = f64::from_bits(u64::from_str_radix(hex, 16).ok()?);
+    let decimal = decimal.trim().parse::<f64>().ok()?;
+    agrees(decimal, energy).then_some((key, energy))
+}
+
+/// Parse any record kind, each field found wherever it sits on the line.
+fn parse_general(line: &str) -> Option<Record> {
     if let Some(schema) = json_str_field(line, "schema") {
         return Some(Record::Schema(schema.to_string()));
     }
@@ -416,11 +469,10 @@ fn parse_line(line: &str) -> Option<Record> {
         let energy = match json_str_field(line, "bits") {
             Some(hex) => {
                 let energy = f64::from_bits(u64::from_str_radix(hex, 16).ok()?);
-                let agrees = |decimal: f64| {
-                    decimal.to_bits() == energy.to_bits() || decimal.is_nan() && energy.is_nan()
-                };
                 match decimal {
-                    Some(decimal) if !decimal.is_some_and(agrees) => return None,
+                    Some(decimal) if !decimal.is_some_and(|decimal| agrees(decimal, energy)) => {
+                        return None
+                    }
                     _ => energy,
                 }
             }
@@ -457,21 +509,9 @@ impl<C: ConfigKey> JsonlStore<C> {
         let mut loaded_bytes = 0u64;
         let mut needs_seal = false;
         if path.exists() {
-            for line in BufReader::new(File::open(&path)?).split(b'\n') {
-                let line = line?;
-                loaded_bytes += line.len() as u64 + 1;
-                // a line holding a byte no record encodes is as unreadable as a
-                // torn one
-                let Ok(line) = String::from_utf8(line) else {
-                    saw_lines = true;
-                    skipped += 1;
-                    continue;
-                };
-                if line.trim().is_empty() {
-                    continue;
-                }
+            loaded_bytes = read_lines(&path, |record| {
                 saw_lines = true;
-                match parse_line(&line) {
+                match record {
                     Some(Record::Result(key, energy)) => {
                         loaded_records += 1;
                         map.insert(key, energy);
@@ -482,7 +522,7 @@ impl<C: ConfigKey> JsonlStore<C> {
                     Some(Record::LegacyGeneration) => {}
                     None => skipped += 1,
                 }
-            }
+            })?;
             // a log killed mid-append can end in a partial line with no newline;
             // seal it so the next append starts a fresh line instead of gluing onto
             // the fragment (which could corrupt — or worse, mis-associate — the
@@ -671,15 +711,44 @@ impl<C: ConfigKey> JsonlStore<C> {
         }
     }
 
+    /// The result line of `key` and `energy`, without its newline.
+    #[cfg(test)]
     fn result_line(key: &str, energy: f64) -> String {
-        debug_assert!(
-            !key.contains(['"', '\\', '\n', '\r']),
-            "ConfigKey encodings must be JSON-string-safe: {key:?}"
-        );
-        format!(
-            "{{\"config\":\"{key}\",\"energy\":{energy},\"bits\":\"{bits:016x}\"}}",
-            bits = energy.to_bits()
-        )
+        let mut line = Vec::new();
+        write_result_line(&mut line, key, energy).expect("writes to a Vec cannot fail");
+        line.pop();
+        String::from_utf8(line).expect("result lines are UTF-8")
+    }
+}
+
+/// Write the result line of `key` and `energy`, newline included.
+fn write_result_line(out: &mut impl Write, key: &str, energy: f64) -> io::Result<()> {
+    debug_assert!(
+        !key.contains(['"', '\\', '\n', '\r']),
+        "ConfigKey encodings must be JSON-string-safe: {key:?}"
+    );
+    writeln!(
+        out,
+        "{{\"config\":\"{key}\",\"energy\":{energy},\"bits\":\"{bits:016x}\"}}",
+        bits = energy.to_bits()
+    )
+}
+
+/// A writer that counts the bytes it passes on.
+struct Tally<W> {
+    inner: W,
+    bytes: u64,
+}
+
+impl<W: Write> Write for Tally<W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let written = self.inner.write(buf)?;
+        self.bytes += written as u64;
+        Ok(written)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
     }
 }
 
@@ -697,9 +766,7 @@ impl<C: ConfigKey> ResultStore<C> for JsonlStore<C> {
     }
 
     fn record(&self, config: &C, energy: f64) {
-        let key = config.encode_key();
-        self.append(&Self::result_line(&key, energy));
-        write_lock(&self.map).insert(key, energy);
+        self.record_batch(std::slice::from_ref(config), &[energy]);
     }
 
     fn record_batch(&self, configs: &[C], energies: &[f64]) {
@@ -709,18 +776,20 @@ impl<C: ConfigKey> ResultStore<C> for JsonlStore<C> {
             // one writer lock for the whole batch keeps shard appends contiguous; the
             // trailing flush bounds what a kill can lose to this batch
             let mut writer = lock(&self.writer);
-            let mut wrote = Ok(());
-            for (key, &energy) in keys.iter().zip(energies) {
-                let line = Self::result_line(key, energy);
-                wrote = writeln!(writer, "{line}");
-                if wrote.is_err() {
-                    break;
-                }
-                self.io.appended_records.fetch_add(1, Ordering::Relaxed);
-                self.io
-                    .appended_bytes
-                    .fetch_add(line.len() as u64 + 1, Ordering::Relaxed);
-            }
+            let mut out = Tally {
+                inner: &mut *writer,
+                bytes: 0,
+            };
+            // counters cover whole lines only: a write error mid-line stops the batch
+            let (mut lines, mut bytes) = (0, 0);
+            let wrote = keys.iter().zip(energies).try_for_each(|(key, &energy)| {
+                write_result_line(&mut out, key, energy)?;
+                lines += 1;
+                bytes = out.bytes;
+                Ok(())
+            });
+            self.io.appended_records.fetch_add(lines, Ordering::Relaxed);
+            self.io.appended_bytes.fetch_add(bytes, Ordering::Relaxed);
             if let Err(error) = wrote.and_then(|()| writer.flush()) {
                 lock(&self.write_error).get_or_insert(error);
             }
@@ -1097,6 +1166,9 @@ mod tests {
         // (or mis-associate) an otherwise intact record
         let store: JsonlStore<u32> = JsonlStore::open(&path).unwrap();
         assert_eq!(store.skipped_lines(), 1);
+        let sealed = std::fs::metadata(&path).unwrap().len();
+        assert_eq!(sealed, contents.len() as u64 + 1);
+        assert_eq!(store.io_stats().loaded_bytes, sealed);
         store.record(&3, 3.0);
         store.flush().unwrap();
         drop(store);
@@ -1211,6 +1283,47 @@ mod tests {
         }
         drop(store);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn the_one_pass_parser_agrees_with_the_general_one() {
+        let verdict =
+            |line: &[u8], parse: fn(&str) -> Option<Record>| match std::str::from_utf8(line)
+                .ok()
+                .and_then(parse)
+            {
+                Some(Record::Result(key, energy)) => format!("{key} {:016x}", energy.to_bits()),
+                Some(other) => format!("{other:?}"),
+                None => "rejected".to_string(),
+            };
+        let bowl = f64::from(13u32).powi(2) + f64::from(7u32).powi(2);
+        let energies = [0.1 + 0.2, 1e-300, f64::INFINITY, f64::NAN, -0.0, bowl];
+        let keys = ["3,4", "299,199", "em|human|3170000000"];
+        let mut checked = 0;
+        for (energy, key) in energies.into_iter().zip(keys.iter().cycle()) {
+            let line = JsonlStore::<u32>::result_line(key, energy);
+            assert!(parse_canonical(&line).is_some(), "{line}");
+            let line = line.as_bytes();
+            let mut variants: Vec<Vec<u8>> =
+                (0..=line.len()).map(|end| line[..end].to_vec()).collect();
+            for at in 0..line.len() {
+                for byte in [b'"', b',', b'}', b'0', b'f', b' ', 0xFF] {
+                    let mut variant = line.to_vec();
+                    variant[at] = byte;
+                    variants.push(variant);
+                }
+            }
+            for variant in variants {
+                assert_eq!(
+                    verdict(&variant, parse_line),
+                    verdict(&variant, parse_general),
+                    "{}",
+                    String::from_utf8_lossy(&variant)
+                );
+                checked += 1;
+            }
+        }
+        assert!(checked > 1_000);
     }
 
     #[test]
