@@ -988,10 +988,6 @@ impl SearchSpace for ConfigurationSpace {
         (next, Touched::Components(touched))
     }
 
-    fn cardinality(&self) -> Option<u128> {
-        Some(self.total_configurations())
-    }
-
     fn space_len(&self) -> Option<usize> {
         usize::try_from(self.total_configurations()).ok()
     }

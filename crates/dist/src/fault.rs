@@ -30,8 +30,8 @@ pub enum FaultKind {
     /// The worker dies between batches (the process aborts); everything recorded
     /// so far stays persisted.
     ShardDeath,
-    /// The worker stalls and stops heartbeating; the coordinator fences its
-    /// lease, and the woken worker observes the rotated token and abandons.
+    /// The worker stalls and its segment stops growing; the coordinator fences
+    /// its lease, and the woken worker finds the lease gone and abandons.
     Stall,
     /// The store write of a batch is torn: all but the last record land, a
     /// truncated unparseable line is durably appended in its place, and the

@@ -4,8 +4,8 @@
 //! protocol below.  This is the crate's one fault-tolerant campaign driver: it
 //! survives a real `kill -9` of any worker at any point.  The [`Scheduler`]
 //! makes every queue, retry, steal and abandon decision; this module only
-//! moves files, processes and heartbeats, passing elapsed time in backoff
-//! ticks.
+//! moves files and processes and watches segment growth, passing elapsed time
+//! in backoff ticks.
 //!
 //! ## On-disk protocol (everything lives under one work directory)
 //!
@@ -16,25 +16,26 @@
 //! * `merged.jsonl` — the authoritative [`JsonlStore`], opened **only** by the
 //!   coordinator (the store's single-writer lock enforces this).  Workers never
 //!   read it: the coordinator answers "what is already durable" from the
-//!   store's in-memory key index and hands each attempt a `.skip` file.  A
+//!   store's in-memory key index and puts it in each attempt's lease.  A
 //!   queued range whose every key is already durable is finished on the spot
-//!   — no grant, no spawn, no generation bump (a `range.durable` event) — so a
-//!   warm resume spawns nothing.
-//! * `leases/slot-<i>.lease` — the coordinator-written grant for a slot.  Its
-//!   `gen` line is the **fencing token**: a worker that wakes up after the
-//!   coordinator has re-issued the slot sees a generation mismatch and
-//!   abandons ([`EXIT_FENCED`]) without writing anything further.
-//! * `leases/slot-<i>-g<g>.skip` — the durable index runs of the attempt's
-//!   range (`start end` lines, sorted and merged), written atomically before
-//!   the spawn.  The worker skips exactly these indices; a missing or
-//!   malformed skip file is broken input ([`EXIT_USAGE`]), never "nothing
-//!   durable".
-//! * `leases/slot-<i>-g<g>.beat` — the worker's heartbeat (batches completed),
-//!   scoped to slot *and* generation so a zombie's beats never refresh the
-//!   replacement's lease.
+//!   — no lease, no spawn, no generation bump (a `range.durable` event) — so
+//!   a warm resume spawns nothing.
+//! * `leases/slot-<i>-g<g>.lease` — the one lease of an attempt, written
+//!   atomically before the spawn.  Its content is the durable index runs of
+//!   the attempt's range (`start end` lines, sorted and merged); the worker
+//!   reads them once at start-up and skips exactly these indices (a malformed
+//!   lease is broken input, [`EXIT_USAGE`], never "nothing durable").  Its
+//!   **existence** is the fencing token: the coordinator fences an attempt by
+//!   deleting its lease, and a worker that finds its lease gone — at start-up
+//!   or before any batch — abandons ([`EXIT_FENCED`]) without writing
+//!   anything further.
 //! * `segments/seg-<i>-g<g>.jsonl` — the worker's private append log, one per
-//!   attempt, so no two processes ever append to the same JSONL file.  The
-//!   coordinator **salvages** every segment (clean exit or not) through the
+//!   attempt, so no two processes ever append to the same JSONL file.  Its
+//!   length is the attempt's liveness signal: the store stamps a schema line
+//!   when the worker opens it, and every batch with records is appended and
+//!   flushed before the next fence check, so a segment that stops growing
+//!   for the staleness horizon marks a stalled worker.  The coordinator
+//!   **salvages** every segment (clean exit or not) through the
 //!   order-independent merge: only keys absent from `merged.jsonl` are copied,
 //!   so replayed or duplicated segments are harmless.
 //! * `segments/slot-<i>-g<g>.done` — commit marker a worker writes (atomic
@@ -45,13 +46,14 @@
 //!
 //! ## Why a fenced zombie cannot corrupt the campaign
 //!
-//! A worker re-reads its grant **before every batch** and writes only to its
-//! own generation-scoped segment.  After the coordinator fences a stalled
-//! worker (bumps the grant generation), the zombie's next fence check fails
-//! and it exits without another write.  The one benign race — a fence landing
-//! mid-batch — at worst adds records to the zombie's *own* segment; salvaging
-//! that segment is still safe because every process computes the same
-//! deterministic energy for a key and the merge only fills absent keys.
+//! A worker checks that its lease still exists **before every batch** and
+//! writes only to its own generation-scoped segment.  After the coordinator
+//! fences a worker whose segment stopped growing (deletes its lease; the
+//! retry gets a lease of a new generation), the zombie's next fence check
+//! fails and it exits without another write.  The one benign race — a fence
+//! landing mid-batch — at worst adds records to the zombie's *own* segment;
+//! salvaging that segment is still safe because every process computes the
+//! same deterministic energy for a key and the merge only fills absent keys.
 //!
 //! The final [`CampaignOutcome`] is produced by re-running the in-process
 //! [`ShardedCampaign`] over the merged store with a [`CountingObjective`]:
@@ -100,8 +102,8 @@ pub const WORKER_BIN_ENV: &str = "WD_WORKER_BIN";
 pub const EXIT_OK: i32 = 0;
 /// Worker exit: unusable arguments or a broken work directory.
 pub const EXIT_USAGE: i32 = 2;
-/// Worker exit: the grant's fencing token moved on — the worker abandoned its
-/// range without writing anything after the mismatch.
+/// Worker exit: the attempt's lease is gone (fenced) — the worker abandoned its
+/// range without writing anything after it saw that.
 pub const EXIT_FENCED: i32 = 3;
 /// Worker exit: an injected evaluation error aborted the attempt before the
 /// failing batch was recorded.
@@ -293,21 +295,11 @@ impl WorkDir {
         self.root.join("merged.jsonl")
     }
 
-    /// The grant (lease + fencing token) for `slot`.
-    pub fn grant(&self, slot: usize) -> PathBuf {
-        self.root.join(format!("leases/slot-{slot}.lease"))
-    }
-
-    /// The heartbeat file for `slot` at `generation`.
-    pub fn beat(&self, slot: usize, generation: u64) -> PathBuf {
+    /// The lease of the attempt of `slot` at `generation`: its existence is
+    /// the fencing token, its content the durable index runs the attempt skips.
+    pub fn lease(&self, slot: usize, generation: u64) -> PathBuf {
         self.root
-            .join(format!("leases/slot-{slot}-g{generation}.beat"))
-    }
-
-    /// The durable index runs the attempt of `slot` at `generation` skips.
-    pub fn skip(&self, slot: usize, generation: u64) -> PathBuf {
-        self.root
-            .join(format!("leases/slot-{slot}-g{generation}.skip"))
+            .join(format!("leases/slot-{slot}-g{generation}.lease"))
     }
 
     /// The private segment log for `slot` at `generation`.
@@ -366,7 +358,7 @@ fn kv_number<T: std::str::FromStr>(kv: &HashMap<String, String>, key: &str) -> O
 
 /// The indices of one attempt's range whose keys the merged store already
 /// holds, as sorted, disjoint, half-open runs with adjacent runs merged — the
-/// content of a `.skip` file.
+/// content of its lease.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct SkipRuns {
     runs: Vec<Range<usize>>,
@@ -506,8 +498,8 @@ impl WorkerFault {
 }
 
 /// Entry point of the `wd-worker` binary: scan the assigned index range,
-/// append results to a private generation-scoped segment, and honour the
-/// grant's fencing token before every batch.
+/// append results to a private generation-scoped segment, and check before
+/// every batch that the attempt's lease still exists.
 ///
 /// Returns the process exit code ([`EXIT_OK`], [`EXIT_USAGE`],
 /// [`EXIT_FENCED`], [`EXIT_EVAL_ERROR`]); injected faults
@@ -530,10 +522,15 @@ fn run_worker(args: &[String]) -> io::Result<i32> {
     let work = WorkDir::new(&args.work_dir);
     let manifest = ProcManifest::read(&work.manifest())?;
     let space = manifest.workload.space();
-    // The coordinator's record of what was durable when it granted this
-    // attempt: these indices are never re-evaluated, which is what bounds
-    // recovery work to interrupted batches.
-    let skip = SkipRuns::read(&work.skip(args.slot, args.generation))?;
+    // The lease holds the coordinator's record of what was durable when it
+    // granted this attempt: these indices are never re-evaluated, which is
+    // what bounds recovery work to interrupted batches.  A lease already
+    // gone means the attempt was fenced before it started.
+    let lease = work.lease(args.slot, args.generation);
+    let skip = match SkipRuns::read(&lease) {
+        Err(error) if error.kind() == io::ErrorKind::NotFound => return Ok(EXIT_FENCED),
+        skip => skip?,
+    };
     let segment: JsonlStore<(u32, u32)> =
         JsonlStore::open(work.segment(args.slot, args.generation))?;
     let mut fault = std::env::var(WORKER_FAULT_ENV)
@@ -546,19 +543,11 @@ fn run_worker(args: &[String]) -> io::Result<i32> {
     let mut batch_index = 0usize;
     let mut index = args.range.start;
     while index < args.range.end {
-        // Fencing check first: the grant's generation is the token.  Any
-        // mismatch (or an unreadable grant) means the coordinator moved on —
-        // abandon without one more write.
-        let token: Option<u64> = read_kv(&work.grant(args.slot))
-            .ok()
-            .and_then(|kv| kv_number(&kv, "gen"));
-        if token != Some(args.generation) {
+        // Fencing check first: a deleted lease means the coordinator moved
+        // on — abandon without one more write.
+        if !lease.exists() {
             return Ok(EXIT_FENCED);
         }
-        write_atomic(
-            &work.beat(args.slot, args.generation),
-            &format!("batches {batch_index}\n"),
-        )?;
 
         if fault
             .as_ref()
@@ -621,7 +610,8 @@ fn run_worker(args: &[String]) -> io::Result<i32> {
             segment.record_batch(&configs, &energies);
             records += configs.len();
             // Flush per batch so a `kill -9` loses at most the in-flight
-            // batch — that is what bounds re-evaluation after a crash.
+            // batch — that is what bounds re-evaluation after a crash — and
+            // so the segment's growth shows the coordinator this worker lives.
             segment.flush()?;
         }
         index = batch_end;
@@ -651,7 +641,8 @@ pub struct ProcReport {
     pub completed: usize,
     /// Attempts that failed (crash, kill, injected error, or a fenced stall).
     pub failed_attempts: usize,
-    /// Leases the coordinator fenced after heartbeat staleness.
+    /// Leases the coordinator fenced because the attempt's segment stopped
+    /// growing.
     pub fenced: usize,
     /// Zombies that observed their fence and abandoned on their own
     /// ([`EXIT_FENCED`]).
@@ -688,11 +679,12 @@ pub struct ProcOutcome {
 struct LiveWorker {
     slot: usize,
     generation: u64,
-    range: Range<usize>,
     fenced: bool,
     child: Child,
-    beat_value: Option<u64>,
-    beat_changed: Instant,
+    /// The segment's length at the last poll (`None` while it does not exist).
+    segment_len: Option<u64>,
+    /// When `segment_len` last changed (the spawn, at first).
+    grown_at: Instant,
 }
 
 fn shutdown_workers(live: &mut Vec<LiveWorker>) {
@@ -725,23 +717,6 @@ fn salvage_segment(store: &JsonlStore<(u32, u32)>, segment: &Path) -> Result<usi
     Ok(configs.len())
 }
 
-/// Write `slot`'s grant file: the lease generation (fencing token) and range.
-fn write_grant(
-    work: &WorkDir,
-    slot: usize,
-    generation: u64,
-    range: &Range<usize>,
-) -> Result<(), CampaignError> {
-    write_atomic(
-        &work.grant(slot),
-        &format!(
-            "gen {generation}\nstart {}\nend {}\n",
-            range.start, range.end
-        ),
-    )
-    .map_err(CampaignError::Transport)
-}
-
 /// Everything one coordinator run drives: the work directory, the merged
 /// store, the scheduler, and the live worker processes.
 struct Fleet<'a> {
@@ -761,8 +736,9 @@ const MAX_DURATION: Duration = Duration::from_secs(120);
 
 /// A campaign run across real worker processes (see the module docs for the
 /// protocol).  The coordinator spawns `wd-worker` children, watches exit
-/// statuses and heartbeats, fences stalled leases and salvages every segment;
-/// what runs where, and every retry or steal, is the [`Scheduler`]'s decision.
+/// statuses and segment growth, fences stalled leases and salvages every
+/// segment; what runs where, and every retry or steal, is the [`Scheduler`]'s
+/// decision.
 #[derive(Debug, Clone)]
 pub struct ProcCampaign {
     shard_count: usize,
@@ -777,8 +753,9 @@ pub struct ProcCampaign {
 
 impl ProcCampaign {
     /// A campaign over `shard_count` worker slots with defaults tuned for the
-    /// test-scale workloads: 64-config batches, 25 ms backoff tick, 400 ms
-    /// heartbeat staleness, 2 s injected stalls, 120 s wall-clock budget.
+    /// test-scale workloads: 64-config batches, 25 ms backoff tick, fencing
+    /// after 400 ms without segment growth, 2 s injected stalls, 120 s
+    /// wall-clock budget.
     pub fn new(shard_count: usize) -> Self {
         ProcCampaign {
             shard_count: shard_count.max(1),
@@ -813,8 +790,9 @@ impl ProcCampaign {
         self
     }
 
-    /// Override the transport timing: backoff tick, heartbeat staleness
-    /// horizon, and coordinator poll interval.
+    /// Override the transport timing: backoff tick, staleness horizon (how
+    /// long a worker's segment may go without growing before its lease is
+    /// fenced), and coordinator poll interval.
     pub fn with_timing(
         mut self,
         tick: Duration,
@@ -1026,7 +1004,7 @@ impl ProcCampaign {
                     return Ok(());
                 }
                 // Only fenced zombies remain.  Give each a grace window to
-                // observe the rotated token and abandon on its own (that path
+                // observe its deleted lease and abandon on its own (that path
                 // is the fencing proof); they are reaped forcibly after that.
                 let since = *zombie_grace_since.get_or_insert(Instant::now());
                 if since.elapsed() > self.grace() {
@@ -1039,7 +1017,7 @@ impl ProcCampaign {
         }
     }
 
-    /// Write the grant and skip files of `grant` and start its worker process.
+    /// Write the lease of `grant` and start its worker process.
     fn spawn(
         &self,
         fleet: &mut Fleet<'_>,
@@ -1048,8 +1026,7 @@ impl ProcCampaign {
     ) -> Result<LiveWorker, CampaignError> {
         let work = &fleet.work;
         let (slot, generation) = (grant.slot, grant.generation);
-        write_grant(work, slot, generation, &grant.range)?;
-        write_atomic(&work.skip(slot, generation), &skip.encode())
+        write_atomic(&work.lease(slot, generation), &skip.encode())
             .map_err(CampaignError::Transport)?;
         let log = File::create(work.log(slot, generation)).map_err(CampaignError::Transport)?;
         let err_log = log.try_clone().map_err(CampaignError::Transport)?;
@@ -1116,16 +1093,15 @@ impl ProcCampaign {
         Ok(LiveWorker {
             slot,
             generation,
-            range: grant.range.clone(),
             fenced: false,
             child,
-            beat_value: None,
-            beat_changed: Instant::now(),
+            segment_len: None,
+            grown_at: Instant::now(),
         })
     }
 
-    /// Reap exited workers and fence the ones whose heartbeat went stale,
-    /// reporting both to the scheduler.
+    /// Reap exited workers and fence the ones whose segment has not grown for
+    /// the staleness horizon, reporting both to the scheduler.
     fn reap(&self, fleet: &mut Fleet<'_>, now: u64) -> Result<(), CampaignError> {
         let (recorder, scope) = (fleet.recorder, fleet.scope);
         let mut index = 0;
@@ -1189,29 +1165,28 @@ impl ProcCampaign {
             if worker.fenced {
                 continue;
             }
-            let beat: Option<u64> = read_kv(&fleet.work.beat(worker.slot, worker.generation))
-                .ok()
-                .and_then(|kv| kv_number(&kv, "batches"));
-            if beat != worker.beat_value {
-                worker.beat_value = beat;
-                worker.beat_changed = Instant::now();
-                continue;
-            }
-            if worker.beat_changed.elapsed() < self.stale_after {
-                continue;
-            }
-            // The heartbeat went stale: fence the lease.  The scheduler rotates
-            // the generation (the fencing token) and the grant file carries it,
-            // so the zombie's next fence check fails and it abandons; meanwhile
-            // its range goes back for a retry and its partial segment is
-            // salvaged now.
-            worker.fenced = true;
             let (slot, generation) = (worker.slot, worker.generation);
+            let segment = fleet.work.segment(slot, generation);
+            let len = std::fs::metadata(&segment).map(|meta| meta.len()).ok();
+            if len != worker.segment_len {
+                worker.segment_len = len;
+                worker.grown_at = Instant::now();
+                continue;
+            }
+            if worker.grown_at.elapsed() < self.stale_after {
+                continue;
+            }
+            // The segment stopped growing: fence the attempt by deleting its
+            // lease, so the zombie's next fence check fails and it abandons.
+            // The scheduler rotates the slot's generation, the range goes back
+            // for a retry, and the partial segment is salvaged now.
+            worker.fenced = true;
+            std::fs::remove_file(fleet.work.lease(slot, generation))
+                .map_err(CampaignError::Transport)?;
             let verdict = fleet
                 .scheduler
                 .report(slot, generation, Event::Fenced, now)?;
             let new_generation = fleet.scheduler.generation(slot);
-            write_grant(&fleet.work, slot, new_generation, &worker.range)?;
             fleet.report.fenced += 1;
             fleet.report.failed_attempts += 1;
             if let Verdict::Stolen = verdict {
@@ -1226,8 +1201,7 @@ impl ProcCampaign {
                     ("new_generation", FieldValue::U64(new_generation)),
                 ],
             );
-            fleet.report.salvaged_records +=
-                salvage_segment(&fleet.store, &fleet.work.segment(slot, generation))?;
+            fleet.report.salvaged_records += salvage_segment(&fleet.store, &segment)?;
         }
         Ok(())
     }
@@ -1407,8 +1381,8 @@ mod tests {
     }
 
     #[test]
-    fn worker_needs_a_well_formed_skip_file_and_honours_it() {
-        let dir = std::env::temp_dir().join(format!("wd-proc-skip-{}", std::process::id()));
+    fn worker_needs_a_well_formed_lease_and_honours_it() {
+        let dir = std::env::temp_dir().join(format!("wd-proc-lease-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let work = WorkDir::new(&dir);
         work.create().unwrap();
@@ -1425,7 +1399,6 @@ mod tests {
         }
         .write(&work.manifest())
         .unwrap();
-        write_atomic(&work.grant(0), "gen 1\nstart 0\nend 16\n").unwrap();
         let root = dir.display().to_string();
         let args: Vec<String> = [
             "--work-dir",
@@ -1443,13 +1416,18 @@ mod tests {
         .map(|s| s.to_string())
         .collect();
 
-        // Missing or malformed: broken input, not "nothing durable".
-        assert_eq!(worker_main(&args), EXIT_USAGE);
-        std::fs::write(work.skip(0, 1), "0 4\n2 9\n").unwrap();
+        // Missing: the attempt was fenced before it started; nothing lands.
+        assert_eq!(worker_main(&args), EXIT_FENCED);
+        assert!(!work.done(0, 1).exists());
+        let (records, _) = read_result_records(&work.segment(0, 1)).unwrap();
+        assert!(records.is_empty());
+
+        // Malformed: broken input, not "nothing durable".
+        std::fs::write(work.lease(0, 1), "0 4\n2 9\n").unwrap();
         assert_eq!(worker_main(&args), EXIT_USAGE);
         assert!(!work.done(0, 1).exists());
 
-        std::fs::write(work.skip(0, 1), "0 4\n10 12\n").unwrap();
+        std::fs::write(work.lease(0, 1), "0 4\n10 12\n").unwrap();
         assert_eq!(worker_main(&args), EXIT_OK);
         let done = read_kv(&work.done(0, 1)).unwrap();
         assert_eq!(kv_number::<usize>(&done, "evaluations"), Some(10));
@@ -1521,9 +1499,7 @@ mod tests {
     #[test]
     fn work_dir_layout_is_generation_scoped() {
         let work = WorkDir::new("/w");
-        assert_eq!(work.grant(2), Path::new("/w/leases/slot-2.lease"));
-        assert_eq!(work.beat(2, 7), Path::new("/w/leases/slot-2-g7.beat"));
-        assert_eq!(work.skip(2, 7), Path::new("/w/leases/slot-2-g7.skip"));
+        assert_eq!(work.lease(2, 7), Path::new("/w/leases/slot-2-g7.lease"));
         assert_eq!(work.segment(0, 1), Path::new("/w/segments/seg-0-g1.jsonl"));
         assert_eq!(work.done(0, 1), Path::new("/w/segments/slot-0-g1.done"));
         assert_eq!(work.log(3, 2), Path::new("/w/logs/slot-3-g2.log"));

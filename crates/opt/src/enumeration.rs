@@ -457,7 +457,7 @@ mod tests {
             height: 23,
         };
         let outcome = ParallelEnumeration::new().run(&space, &bowl);
-        assert_eq!(outcome.evaluations as u128, space.cardinality().unwrap());
+        assert_eq!(Some(outcome.evaluations), space.space_len());
     }
 
     #[test]

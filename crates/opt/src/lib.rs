@@ -44,7 +44,6 @@
 //!         // one component, and no footprint to exploit: `Unknown` is always sound
 //!         ((config + rng.gen_range(-10i64..=10)).clamp(0, 1000), Touched::Unknown)
 //!     }
-//!     fn cardinality(&self) -> Option<u128> { Some(1001) }
 //! }
 //!
 //! /// Objective: distance to 640 (minimum 0).

@@ -26,11 +26,6 @@ pub trait SearchSpace {
     /// but must cover every component that changed.
     fn neighbor_move(&self, config: &Self::Config, rng: &mut StdRng) -> (Self::Config, Touched);
 
-    /// Number of distinct configurations, when known and finite.
-    fn cardinality(&self) -> Option<u128> {
-        None
-    }
-
     /// The whole enumeration order as one `Vec`, when the space can build it.
     ///
     /// No driver calls this: the enumeration drivers stream the space through
@@ -122,10 +117,6 @@ impl SearchSpace for GridSpace {
             touched.push(1);
         }
         (next, Touched::Components(touched))
-    }
-
-    fn cardinality(&self) -> Option<u128> {
-        Some(self.width as u128 * self.height as u128)
     }
 
     fn enumerate(&self) -> Option<Vec<Self::Config>> {
@@ -223,10 +214,6 @@ impl<S: SearchSpace> SearchSpace for InstrumentedSpace<'_, S> {
         self.inner.neighbor_move(config, rng)
     }
 
-    fn cardinality(&self) -> Option<u128> {
-        self.inner.cardinality()
-    }
-
     fn space_len(&self) -> Option<usize> {
         self.inner.space_len()
     }
@@ -289,7 +276,7 @@ mod tests {
             height: 4,
         };
         let all = space.enumerate().unwrap();
-        assert_eq!(all.len() as u128, space.cardinality().unwrap());
+        assert_eq!(Some(all.len()), space.space_len());
         // no duplicates
         let mut sorted = all.clone();
         sorted.sort_unstable();
@@ -323,7 +310,6 @@ mod tests {
         let _ = instrumented.config_at(4);
         let _ = instrumented.config_at(5);
         assert_eq!(instrumented.config_at_calls(), 2);
-        assert_eq!(instrumented.cardinality(), Some(9));
     }
 
     #[test]
@@ -342,7 +328,7 @@ mod tests {
         let (child, touched) = Unit.crossover_move(&1, &2, &mut rng);
         assert!(child == 1 || child == 2);
         assert_eq!(touched, Touched::Unknown);
-        assert_eq!(Unit.cardinality(), None);
+        assert_eq!(Unit.space_len(), None);
         assert!(Unit.enumerate().is_none());
     }
 

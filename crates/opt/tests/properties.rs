@@ -101,7 +101,7 @@ proptest! {
         let space = GridSpace { width, height };
         let target = (tx.min(width - 1), ty.min(height - 1));
         let outcome = Enumeration.run(&space, &objective(target)).unwrap();
-        prop_assert_eq!(outcome.evaluations as u128, space.cardinality().unwrap());
+        prop_assert_eq!(Some(outcome.evaluations), space.space_len());
         // the optimum of the objective restricted to the grid is the clamped target
         prop_assert_eq!(outcome.best_config, target);
     }
