@@ -16,7 +16,7 @@ use std::sync::{Arc, OnceLock};
 use hetero_platform::{Affinity, ExecutionConfig, Partition};
 use rand::rngs::StdRng;
 use rand::Rng;
-use wd_opt::{SearchSpace, Touched};
+use wd_opt::SearchSpace;
 
 /// Tuning knobs of one accelerator: thread count, affinity and its workload share in
 /// permille.
@@ -914,17 +914,11 @@ impl SearchSpace for ConfigurationSpace {
         self.build(host_threads, host_affinity, &device_values, split)
     }
 
-    /// The neighbour move plus its exact footprint in the delta-evaluation component
-    /// convention (component 0 = host, component `i + 1` = accelerator `i`):
-    /// the touched set is the per-component diff against `config`, so it never
-    /// under-approximates.  A split
-    /// move touches every component whose share actually moved — for one accelerator
-    /// that is host + device, for N accelerators usually a small subset.
-    fn neighbor_move(
-        &self,
-        config: &SystemConfiguration,
-        rng: &mut StdRng,
-    ) -> (SystemConfiguration, Touched) {
+    /// Perturb one parameter (occasionally two): a thread count or affinity of one
+    /// side, or the split.  A split move changes every side whose share actually
+    /// moved — for one accelerator that is host + device, for N accelerators usually
+    /// a small subset.
+    fn neighbor_move(&self, config: &SystemConfiguration, rng: &mut StdRng) -> SystemConfiguration {
         let mut host_threads = config.host_threads;
         let mut host_affinity = config.host_affinity;
         let mut device_values: Vec<(u32, Affinity)> = config
@@ -967,25 +961,12 @@ impl SearchSpace for ConfigurationSpace {
                 }
             }
         }
-        let next = self.build(
+        self.build(
             host_threads,
             host_affinity,
             &device_values,
             &self.splits[split_index],
-        );
-        let mut touched = Vec::new();
-        if next.host_threads != config.host_threads
-            || next.host_affinity != config.host_affinity
-            || next.host_permille() != config.host_permille()
-        {
-            touched.push(0);
-        }
-        for (index, (new, old)) in next.devices().iter().zip(config.devices()).enumerate() {
-            if new != old {
-                touched.push(index + 1);
-            }
-        }
-        (next, Touched::Components(touched))
+        )
     }
 
     fn space_len(&self) -> Option<usize> {
@@ -1060,19 +1041,14 @@ impl SearchSpace for ConfigurationSpace {
         Some(all)
     }
 
-    /// Uniform crossover plus the two-parent merge footprint, in the same component
-    /// convention as [`SearchSpace::neighbor_move`] (component 0 = host, `i + 1` =
-    /// accelerator `i`).  The footprint is the per-component diff against the
-    /// **first** parent, so a delta objective holding `parent_a`'s per-device times
-    /// recomputes only the
-    /// components inherited from `parent_b` (including every component whose
-    /// work share moved when `parent_b`'s split is inherited wholesale).
+    /// Uniform crossover: each thread count and affinity comes from either parent,
+    /// and the split is inherited wholesale from one of them.
     fn crossover_move(
         &self,
         parent_a: &SystemConfiguration,
         parent_b: &SystemConfiguration,
         rng: &mut StdRng,
-    ) -> (SystemConfiguration, Touched) {
+    ) -> SystemConfiguration {
         debug_assert_eq!(parent_a.accelerator_count(), parent_b.accelerator_count());
         let host_threads = if rng.gen_bool(0.5) {
             parent_a.host_threads
@@ -1110,20 +1086,7 @@ impl SearchSpace for ConfigurationSpace {
         } else {
             parent_b.split()
         };
-        let child = self.build(host_threads, host_affinity, &device_values, &split);
-        let mut touched = Vec::new();
-        if child.host_threads != parent_a.host_threads
-            || child.host_affinity != parent_a.host_affinity
-            || child.host_permille() != parent_a.host_permille()
-        {
-            touched.push(0);
-        }
-        for (index, (new, old)) in child.devices().iter().zip(parent_a.devices()).enumerate() {
-            if new != old {
-                touched.push(index + 1);
-            }
-        }
-        (child, Touched::Components(touched))
+        self.build(host_threads, host_affinity, &device_values, &split)
     }
 }
 
@@ -1348,7 +1311,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let mut config = space.random(&mut rng);
         for _ in 0..300 {
-            config = space.neighbor_move(&config, &mut rng).0;
+            config = space.neighbor_move(&config, &mut rng);
             assert!(space.splits.contains(&config.split()));
         }
     }
@@ -1362,35 +1325,6 @@ mod tests {
             vec![DeviceAxis::new(vec![240], vec![Affinity::Balanced])],
             &[100, 100, 100],
         );
-    }
-
-    #[test]
-    fn neighbor_move_footprints_are_sound() {
-        use wd_opt::Touched;
-        for space in [
-            ConfigurationSpace::paper(),
-            ConfigurationSpace::tiny_multi(),
-        ] {
-            let mut rng = StdRng::seed_from_u64(17);
-            let mut config = space.random(&mut rng);
-            for _ in 0..500 {
-                let (next, touched) = space.neighbor_move(&config, &mut rng);
-
-                let components = match &touched {
-                    Touched::Components(components) => components.clone(),
-                    Touched::Unknown => panic!("ConfigurationSpace reports exact footprints"),
-                };
-                // every changed component is listed (never under-approximates)
-                let host_changed = next.host_threads != config.host_threads
-                    || next.host_affinity != config.host_affinity
-                    || next.host_permille() != config.host_permille();
-                assert_eq!(components.contains(&0), host_changed);
-                for (index, (new, old)) in next.devices().iter().zip(config.devices()).enumerate() {
-                    assert_eq!(components.contains(&(index + 1)), *new != *old);
-                }
-                config = next;
-            }
-        }
     }
 
     #[test]
@@ -1435,7 +1369,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(2);
             let mut cfg = space.random(&mut rng);
             for _ in 0..1000 {
-                let next = space.neighbor_move(&cfg, &mut rng).0;
+                let next = space.neighbor_move(&cfg, &mut rng);
                 assert!(space.host_threads.contains(&next.host_threads));
                 assert!(space.host_affinities.contains(&next.host_affinity));
                 for (axis, device) in space.device_axes.iter().zip(next.devices()) {
@@ -1477,7 +1411,7 @@ mod tests {
         let mut large_moves = 0usize;
         let samples = 1000;
         for _ in 0..samples {
-            let next = space.neighbor_move(&cfg, &mut rng).0;
+            let next = space.neighbor_move(&cfg, &mut rng);
             let delta = (next.host_permille() as i64 - cfg.host_permille() as i64).abs();
             if delta > 160 {
                 large_moves += 1;
@@ -1504,43 +1438,11 @@ mod tests {
             100,
         );
         for _ in 0..100 {
-            let (child, _) = space.crossover_move(&a, &b, &mut rng);
+            let child = space.crossover_move(&a, &b, &mut rng);
             assert!(child.host_threads == 2 || child.host_threads == 48);
             assert!(child.device_threads() == 2 || child.device_threads() == 240);
             assert!(child.host_permille() == 0 || child.host_permille() == 1000);
             assert_eq!(child.split().iter().sum::<u32>(), 1000);
-        }
-    }
-
-    #[test]
-    fn crossover_move_footprints_are_sound() {
-        use wd_opt::Touched;
-        for space in [
-            ConfigurationSpace::paper(),
-            ConfigurationSpace::tiny_multi(),
-        ] {
-            let mut rng = StdRng::seed_from_u64(23);
-            for _ in 0..300 {
-                let parent_a = space.random(&mut rng);
-                let parent_b = space.random(&mut rng);
-                let (child, touched) = space.crossover_move(&parent_a, &parent_b, &mut rng);
-
-                let components = match &touched {
-                    Touched::Components(components) => components.clone(),
-                    Touched::Unknown => panic!("ConfigurationSpace reports exact footprints"),
-                };
-                // every component where the child differs from the FIRST parent is
-                // listed (never under-approximates), and nothing else is
-                let host_changed = child.host_threads != parent_a.host_threads
-                    || child.host_affinity != parent_a.host_affinity
-                    || child.host_permille() != parent_a.host_permille();
-                assert_eq!(components.contains(&0), host_changed);
-                for (index, (new, old)) in
-                    child.devices().iter().zip(parent_a.devices()).enumerate()
-                {
-                    assert_eq!(components.contains(&(index + 1)), *new != *old);
-                }
-            }
         }
     }
 
@@ -1617,7 +1519,7 @@ mod tests {
         let samples = 1000;
         let mut far_moves = 0usize;
         for _ in 0..samples {
-            let next = space.neighbor_move(&start, &mut rng).0;
+            let next = space.neighbor_move(&start, &mut rng);
             let l1: u64 = next
                 .split()
                 .iter()
@@ -1767,7 +1669,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let mut config = space.random(&mut rng);
         for _ in 0..200 {
-            config = space.neighbor_move(&config, &mut rng).0;
+            config = space.neighbor_move(&config, &mut rng);
         }
         assert!(
             space.split_moves.get().is_some(),

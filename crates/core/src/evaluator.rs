@@ -42,7 +42,7 @@ use rayon::prelude::*;
 use wd_ml::Regressor;
 use wd_opt::{
     better_indexed, CacheStats, DeltaObjective, EnumerationError, IndexedOutcome, Objective,
-    OptimizationTrace, Outcome, SearchSpace, Touched,
+    OptimizationTrace, Outcome, SearchSpace,
 };
 
 use crate::config::{ConfigurationSpace, DeviceSetting, SystemConfiguration};
@@ -50,7 +50,7 @@ use crate::features::{device_features, host_features, share_bytes};
 
 /// Per-configuration evaluation state of the [`LazyTabulatedEvaluator`]'s incremental
 /// path: the host time plus one time per accelerator (0 for an idle side), retained
-/// between neighbour moves so untouched devices are never re-scored.
+/// between neighbour moves so unchanged devices are never re-scored.
 pub type PredictedTimes = (f64, Vec<f64>);
 
 /// A `(threads, affinity, share permille)` triple: one side's knobs, and the key of
@@ -548,8 +548,8 @@ const TABLE_BATCH: usize = 256;
 /// counts both queries (it reports real cost, not distinct entries).
 ///
 /// Implements [`DeltaObjective`], so the incremental drivers
-/// ([`wd_opt::SimulatedAnnealing::run_delta`] and friends) re-probe only the devices
-/// a neighbour move touched: an accepted move costs O(1) table probes and — once the
+/// ([`wd_opt::SimulatedAnnealing::run_delta`] and friends) re-probe only the sides
+/// a neighbour move changed: an accepted move costs O(1) table probes and — once the
 /// tables are warm — zero queries.
 pub struct LazyTabulatedEvaluator<'a, S> {
     inner: &'a S,
@@ -591,7 +591,7 @@ impl<'a, S: SideTimes> LazyTabulatedEvaluator<'a, S> {
 
     /// Total number of per-device table probes served so far (every energy evaluation
     /// performs one probe for the host plus one per accelerator; a delta re-evaluation
-    /// probes only the touched components).  Batched fills and
+    /// probes only the sides that changed).  Batched fills and
     /// [`LazyTabulatedEvaluator::scan`] probe nothing.
     pub fn probes(&self) -> usize {
         self.probes.load(Ordering::Relaxed)
@@ -859,13 +859,12 @@ impl<S: SideTimes> Objective<SystemConfiguration> for LazyTabulatedEvaluator<'_,
     }
 }
 
-/// Incremental evaluation over the memoized tables: a move re-probes only the
-/// components `touched` may cover that differ from `base` (component 0 is the host,
-/// component `i + 1` accelerator `i`; [`Touched::Unknown`] diffs the two
-/// configurations), copies every other time from `base`'s state, and re-composes
-/// the energy with [`LazyTabulatedEvaluator::energy`]'s max-fold, in the same order —
-/// bit-identical to scoring `config` from scratch.  Long walks cost O(1) probes per
-/// move and amortized zero queries.
+/// Incremental evaluation over the memoized tables: a move re-probes the host iff
+/// its `(threads, affinity, share)` key differs from `base`'s and an accelerator iff
+/// its [`DeviceSetting`] differs, copies every other time from `base`'s state, and
+/// re-composes the energy with [`LazyTabulatedEvaluator::energy`]'s max-fold, in the
+/// same order — bit-identical to scoring `config` from scratch, whatever `base` is.
+/// Long walks cost O(1) probes per move and amortized zero queries.
 impl<S: SideTimes> DeltaObjective<SystemConfiguration> for LazyTabulatedEvaluator<'_, S> {
     type State = PredictedTimes;
 
@@ -892,7 +891,6 @@ impl<S: SideTimes> DeltaObjective<SystemConfiguration> for LazyTabulatedEvaluato
         base: &SystemConfiguration,
         state: &PredictedTimes,
         config: &SystemConfiguration,
-        touched: &Touched,
     ) -> (f64, PredictedTimes) {
         if !self.inner.scores(config.accelerator_count()) {
             return self.evaluate_with_state(config);
@@ -900,9 +898,7 @@ impl<S: SideTimes> DeltaObjective<SystemConfiguration> for LazyTabulatedEvaluato
         // a state from a differently-shaped configuration cannot be reused
         let comparable = base.accelerator_count() == config.accelerator_count()
             && state.1.len() == config.accelerator_count();
-        let host_changed =
-            !comparable || (touched.may_touch(0) && host_key(config) != host_key(base));
-        let host = if host_changed {
+        let host = if !comparable || host_key(config) != host_key(base) {
             self.probe(0, host_key(config))
         } else {
             state.0
@@ -912,8 +908,7 @@ impl<S: SideTimes> DeltaObjective<SystemConfiguration> for LazyTabulatedEvaluato
             .iter()
             .enumerate()
             .map(|(index, &device)| {
-                if comparable && !(touched.may_touch(index + 1) && device != base.devices()[index])
-                {
+                if comparable && device == base.devices()[index] {
                     state.1[index]
                 } else {
                     self.probe(index + 1, device_key(device))
@@ -1227,7 +1222,6 @@ mod tests {
 
     #[test]
     fn delta_moves_recompute_only_touched_devices() {
-        use wd_opt::Touched;
         static HOST_CALLS: AtomicUsize = AtomicUsize::new(0);
         static DEVICE_CALLS: AtomicUsize = AtomicUsize::new(0);
         let evaluator = counting_wavy_evaluator(&HOST_CALLS, &DEVICE_CALLS);
@@ -1265,27 +1259,21 @@ mod tests {
         // a device-only move re-queries only the device model...
         HOST_CALLS.store(0, Ordering::Relaxed);
         DEVICE_CALLS.store(0, Ordering::Relaxed);
-        let (moved, moved_state) =
-            lazy.evaluate_move(&base, &state, &device_move, &Touched::Components(vec![1]));
+        let (moved, moved_state) = lazy.evaluate_move(&base, &state, &device_move);
         assert_eq!(HOST_CALLS.load(Ordering::Relaxed), 0);
         assert_eq!(DEVICE_CALLS.load(Ordering::Relaxed), 1);
         assert_eq!(moved.to_bits(), expected_device_move.to_bits());
 
-        // ...and Unknown footprints diff the configurations: same result, and the
-        // device entry is already in its table
-        let (diffed, _) = lazy.evaluate_move(&base, &state, &device_move, &Touched::Unknown);
+        // ...and scoring the same move again gives the same result, with the device
+        // entry already in its table
+        let (diffed, _) = lazy.evaluate_move(&base, &state, &device_move);
         assert_eq!(diffed.to_bits(), moved.to_bits());
         assert_eq!(HOST_CALLS.load(Ordering::Relaxed), 0);
         assert_eq!(DEVICE_CALLS.load(Ordering::Relaxed), 1);
 
         // chaining from the moved state works too (host-only move)
         DEVICE_CALLS.store(0, Ordering::Relaxed);
-        let (chained, _) = lazy.evaluate_move(
-            &device_move,
-            &moved_state,
-            &host_move,
-            &Touched::Components(vec![0]),
-        );
+        let (chained, _) = lazy.evaluate_move(&device_move, &moved_state, &host_move);
         assert_eq!(DEVICE_CALLS.load(Ordering::Relaxed), 0);
         assert_eq!(chained.to_bits(), expected_host_move.to_bits());
     }
@@ -1304,26 +1292,21 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0x6a11);
 
         // the GA's recombination contract: a child scored against its FIRST parent's
-        // retained state via the crossover footprint must be bit-identical to scoring
-        // it from scratch, for arbitrary parent pairs
+        // retained state must be bit-identical to scoring it from scratch, for
+        // arbitrary parent pairs
         for _ in 0..120 {
             let parent_a = space.random(&mut rng);
             let parent_b = space.random(&mut rng);
-            let (child, touched) = space.crossover_move(&parent_a, &parent_b, &mut rng);
+            let child = space.crossover_move(&parent_a, &parent_b, &mut rng);
             let (_, state) = lazy.evaluate_with_state(&parent_a);
             let expected = evaluator.energy(&child);
-            let (delta, delta_state) = lazy.evaluate_move(&parent_a, &state, &child, &touched);
+            let (delta, delta_state) = lazy.evaluate_move(&parent_a, &state, &child);
             assert_eq!(delta.to_bits(), expected.to_bits());
             // the re-scored state is itself reusable: a follow-up identity move
-            // (empty footprint) reproduces the energy without any model walk
+            // reproduces the energy without any model walk
             HOST_CALLS.store(0, Ordering::Relaxed);
             DEVICE_CALLS.store(0, Ordering::Relaxed);
-            let (again, _) = lazy.evaluate_move(
-                &child,
-                &delta_state,
-                &child,
-                &wd_opt::Touched::Components(vec![]),
-            );
+            let (again, _) = lazy.evaluate_move(&child, &delta_state, &child);
             assert_eq!(again.to_bits(), expected.to_bits());
             assert_eq!(HOST_CALLS.load(Ordering::Relaxed), 0);
             assert_eq!(DEVICE_CALLS.load(Ordering::Relaxed), 0);
@@ -1333,7 +1316,6 @@ mod tests {
     #[test]
     fn prefilled_delta_matches_the_direct_delta() {
         use wd_opt::SearchSpace as _;
-        use wd_opt::Touched;
         static HOST_CALLS: AtomicUsize = AtomicUsize::new(0);
         static DEVICE_CALLS: AtomicUsize = AtomicUsize::new(0);
         let evaluator = counting_wavy_evaluator(&HOST_CALLS, &DEVICE_CALLS);
@@ -1345,8 +1327,7 @@ mod tests {
         let (_, mut state) = tabulated.evaluate_with_state(&configs[0]);
         let mut previous = configs[0].clone();
         for config in configs.iter().skip(1).take(40) {
-            let (energy, next) =
-                tabulated.evaluate_move(&previous, &state, config, &Touched::Unknown);
+            let (energy, next) = tabulated.evaluate_move(&previous, &state, config);
             assert_eq!(energy.to_bits(), evaluator.energy(config).to_bits());
             state = next;
             previous = config.clone();

@@ -28,8 +28,8 @@
 //! batches and scan them by index ([`LazyTabulatedEvaluator::scan`]) — enumeration
 //! is uncached at the configuration level, because it never visits a configuration
 //! twice — and SAM, SAML and GAML walk measured and prediction tables filled on
-//! first touch, re-scoring only the sides each move touched.  Every method's
-//! hit/miss counters are surfaced
+//! first touch, re-scoring only the sides in which each proposal differs from the
+//! configuration it was made from.  Every method's hit/miss counters are surfaced
 //! on [`methods::MethodOutcome::cache`].  The training campaign likewise runs as
 //! parallel batches.  All parallel paths are bit-identical to their sequential
 //! counterparts.

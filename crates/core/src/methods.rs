@@ -10,7 +10,7 @@ use std::time::Instant;
 use hetero_platform::{ExecutionStats, HeterogeneousPlatform, WorkloadProfile};
 use wd_obs::{FieldValue, NoopRecorder, Recorder};
 use wd_opt::{
-    CacheStats, DeltaObjective, GeneticAlgorithm, Objective, Outcome, SimulatedAnnealing, Touched,
+    CacheStats, DeltaObjective, GeneticAlgorithm, Objective, Outcome, SimulatedAnnealing,
 };
 
 use crate::config::{ConfigurationSpace, SystemConfiguration};
@@ -280,7 +280,7 @@ impl<'a> MethodRunner<'a> {
     ///   ([`wd_opt::SimulatedAnnealing::run_delta`]) or the genetic search's — over
     ///   per-side tables filled on first touch: the runner's measured tables for
     ///   SAM, fresh prediction tables ([`crate::LazyTabulatedPredictionEvaluator`])
-    ///   for SAML and GAML.  Each move re-scores only the sides it touched, and each
+    ///   for SAML and GAML.  Each move re-scores only the sides it changed, and each
     ///   distinct `(threads, affinity, share)` triple costs one side simulation or
     ///   one boosted-tree walk — bit-identical to the classic walk over the direct
     ///   evaluator.  SAM also counts the distinct configurations it scores.
@@ -391,7 +391,7 @@ impl<'a> MethodRunner<'a> {
 
     /// The incremental walk of an annealing method (SAM, SAML) or of GAML over
     /// `objective`: each neighbour move or recombination re-scores only the sides it
-    /// touched, bit-identically to re-scoring the whole configuration — same RNG
+    /// changed, bit-identically to re-scoring the whole configuration — same RNG
     /// stream, same accepted moves, same energies.
     fn walk<O>(
         &self,
@@ -540,10 +540,9 @@ impl DeltaObjective<SystemConfiguration> for DistinctConfigs<'_, '_> {
         base: &SystemConfiguration,
         state: &PredictedTimes,
         config: &SystemConfiguration,
-        touched: &Touched,
     ) -> (f64, PredictedTimes) {
         self.seen.borrow_mut().insert(config.clone());
-        self.tables.evaluate_move(base, state, config, touched)
+        self.tables.evaluate_move(base, state, config)
     }
 }
 

@@ -556,7 +556,6 @@ mod tests {
     #[test]
     fn non_enumerable_spaces_are_rejected() {
         use rand::rngs::StdRng;
-        use wd_opt::Touched;
         /// Neither an index nor an enumeration, or (`materializable`) an enumeration
         /// `Vec` without an index: the campaign must reject both, not materialise.
         struct Opaque {
@@ -567,8 +566,8 @@ mod tests {
             fn random(&self, _rng: &mut StdRng) -> u8 {
                 0
             }
-            fn neighbor_move(&self, c: &u8, _rng: &mut StdRng) -> (u8, Touched) {
-                (*c, Touched::Unknown)
+            fn neighbor_move(&self, c: &u8, _rng: &mut StdRng) -> u8 {
+                *c
             }
             fn enumerate(&self) -> Option<Vec<u8>> {
                 self.materializable.then(|| (0..8).collect())

@@ -44,6 +44,12 @@
 //!   one `slot generation pid` line per spawn (the chaos harness reads this to
 //!   aim its `kill -9`).
 //!
+//! A run over a directory an earlier run used numbers its attempts past the
+//! highest generation it finds under `leases/`, `segments/` and `logs/`, so
+//! no two runs ever share a file name: the earlier run's segments stay as
+//! they were, and a worker it left running keeps to its own lease and
+//! segment, which the new run neither grants nor reads.
+//!
 //! ## Why a fenced zombie cannot corrupt the campaign
 //!
 //! A worker checks that its lease still exists **before every batch** and
@@ -331,6 +337,29 @@ impl WorkDir {
         }
         Ok(())
     }
+}
+
+/// The highest attempt generation named by a file under `work`'s `leases/`,
+/// `segments/` or `logs/` (0 in a fresh directory).  A run names its attempts
+/// past it, so it never appends to, fences or overwrites a file of an earlier
+/// run over the same directory, nor recreates the lease a leftover worker of
+/// that run checks.  `logs/` counts too: an attempt fenced before its worker
+/// opened its segment leaves only its log behind.
+fn highest_generation(work: &WorkDir) -> io::Result<u64> {
+    let mut highest = 0;
+    for sub in ["leases", "segments", "logs"] {
+        for entry in std::fs::read_dir(work.root().join(sub))? {
+            let name = entry?.file_name();
+            let Some((_, tail)) = name.to_str().and_then(|name| name.rsplit_once("-g")) else {
+                continue;
+            };
+            let digits = tail.split(|c: char| !c.is_ascii_digit()).next();
+            if let Some(Ok(generation)) = digits.map(str::parse::<u64>) {
+                highest = highest.max(generation);
+            }
+        }
+    }
+    Ok(highest)
 }
 
 /// Replace `path` atomically (write a unique temp file, then rename).
@@ -678,6 +707,8 @@ pub struct ProcOutcome {
 
 struct LiveWorker {
     slot: usize,
+    /// The scheduler's generation of the attempt; its files are named
+    /// `Fleet::generation_base` past it.
     generation: u64,
     fenced: bool,
     child: Child,
@@ -721,6 +752,9 @@ fn salvage_segment(store: &JsonlStore<(u32, u32)>, segment: &Path) -> Result<usi
 /// store, the scheduler, and the live worker processes.
 struct Fleet<'a> {
     work: WorkDir,
+    /// Added to every scheduler generation to name an attempt's files: the
+    /// highest generation an earlier run left in the work directory.
+    generation_base: u64,
     space: GridSpace,
     store: JsonlStore<(u32, u32)>,
     worker_bin: PathBuf,
@@ -879,6 +913,7 @@ impl ProcCampaign {
     ) -> Result<ProcOutcome, CampaignError> {
         let work = WorkDir::new(work_dir.as_ref());
         work.create().map_err(CampaignError::Transport)?;
+        let generation_base = highest_generation(&work).map_err(CampaignError::Transport)?;
         let space = spec.space();
         let total = space.space_len().ok_or(CampaignError::NotEnumerable)?;
         if total == 0 {
@@ -902,6 +937,7 @@ impl ProcCampaign {
         let plan = ShardPlan::new(total, self.shard_count.saturating_mul(RANGES_PER_SLOT));
         let mut fleet = Fleet {
             work,
+            generation_base,
             space,
             store,
             worker_bin,
@@ -1025,7 +1061,8 @@ impl ProcCampaign {
         skip: &SkipRuns,
     ) -> Result<LiveWorker, CampaignError> {
         let work = &fleet.work;
-        let (slot, generation) = (grant.slot, grant.generation);
+        let slot = grant.slot;
+        let generation = fleet.generation_base + grant.generation;
         write_atomic(&work.lease(slot, generation), &skip.encode())
             .map_err(CampaignError::Transport)?;
         let log = File::create(work.log(slot, generation)).map_err(CampaignError::Transport)?;
@@ -1092,7 +1129,7 @@ impl ProcCampaign {
         }
         Ok(LiveWorker {
             slot,
-            generation,
+            generation: grant.generation,
             fenced: false,
             child,
             segment_len: None,
@@ -1112,7 +1149,8 @@ impl ProcCampaign {
                 .map_err(CampaignError::Transport)?;
             if let Some(status) = status {
                 let worker = fleet.live.remove(index);
-                let (slot, generation) = (worker.slot, worker.generation);
+                let slot = worker.slot;
+                let generation = fleet.generation_base + worker.generation;
                 // Salvage whatever the attempt persisted, clean exit or not;
                 // the merge only fills keys the merged log does not hold.
                 fleet.report.salvaged_records +=
@@ -1141,7 +1179,10 @@ impl ProcCampaign {
                     Event::Failed
                 };
                 let report = &mut fleet.report;
-                match fleet.scheduler.report(slot, generation, event, now)? {
+                match fleet
+                    .scheduler
+                    .report(slot, worker.generation, event, now)?
+                {
                     // A fenced zombie: its range was requeued at the fence.
                     Verdict::Stale => report.fenced_exits += usize::from(code == Some(EXIT_FENCED)),
                     Verdict::Committed => {
@@ -1165,7 +1206,8 @@ impl ProcCampaign {
             if worker.fenced {
                 continue;
             }
-            let (slot, generation) = (worker.slot, worker.generation);
+            let slot = worker.slot;
+            let generation = fleet.generation_base + worker.generation;
             let segment = fleet.work.segment(slot, generation);
             let len = std::fs::metadata(&segment).map(|meta| meta.len()).ok();
             if len != worker.segment_len {
@@ -1185,8 +1227,8 @@ impl ProcCampaign {
                 .map_err(CampaignError::Transport)?;
             let verdict = fleet
                 .scheduler
-                .report(slot, generation, Event::Fenced, now)?;
-            let new_generation = fleet.scheduler.generation(slot);
+                .report(slot, worker.generation, Event::Fenced, now)?;
+            let new_generation = fleet.generation_base + fleet.scheduler.generation(slot);
             fleet.report.fenced += 1;
             fleet.report.failed_attempts += 1;
             if let Verdict::Stolen = verdict {

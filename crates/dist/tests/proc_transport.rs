@@ -183,6 +183,78 @@ fn warm_resume_finishes_every_range_without_a_spawn() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Every file under `dir`, by name, with its bytes.
+fn snapshot(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut files: Vec<(PathBuf, Vec<u8>)> = std::fs::read_dir(dir)
+        .expect("list directory")
+        .map(|entry| {
+            let path = entry.expect("directory entry").path();
+            let bytes = std::fs::read(&path).expect("read file");
+            (path, bytes)
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn rerun_over_a_cut_merged_log_names_its_attempts_past_the_first_run() {
+    let spec = bowl(40, 30); // 1200 configurations, 12 ranges of 100
+    let dir = scratch_dir("rerun");
+    let campaign = ProcCampaign::new(2)
+        .with_batch_size(16)
+        .with_worker_bin(worker_bin());
+    campaign.run(&spec, &dir).expect("first campaign");
+
+    let work = WorkDir::new(&dir);
+    let segments = dir.join("segments");
+    let first_segments = snapshot(&segments);
+    assert!(!first_segments.is_empty());
+
+    // Cut the merged log after the line that ends nearest its middle, so the
+    // rerun has ranges left to spawn.
+    let merged = std::fs::read(work.merged()).expect("read merged log");
+    let cut = merged[..merged.len() / 2]
+        .iter()
+        .rposition(|&byte| byte == b'\n')
+        .expect("a complete line")
+        + 1;
+    std::fs::write(work.merged(), &merged[..cut]).expect("cut merged log");
+
+    let second = campaign.run(&spec, &dir).expect("rerun");
+    assert!(second.report.spawned > 0, "report: {:?}", second.report);
+    assert_bit_identical(&second, &reference(&spec, 2, 16), &spec, &dir);
+
+    let pids = std::fs::read_to_string(work.pids()).expect("pids ledger");
+    let mut attempts: Vec<(usize, u64)> = pids
+        .lines()
+        .map(|line| {
+            let mut fields = line.split(' ');
+            let slot = fields.next().and_then(|f| f.parse().ok()).expect("slot");
+            let generation = fields
+                .next()
+                .and_then(|f| f.parse().ok())
+                .expect("generation");
+            (slot, generation)
+        })
+        .collect();
+    let spawned = attempts.len();
+    attempts.sort_unstable();
+    attempts.dedup();
+    assert_eq!(attempts.len(), spawned, "an attempt name repeats:\n{pids}");
+
+    // The rerun wrote only new files: the first run's segments are untouched.
+    let after = snapshot(&segments);
+    for (path, bytes) in &first_segments {
+        let now = after
+            .iter()
+            .find(|(other, _)| other == path)
+            .unwrap_or_else(|| panic!("{} is gone", path.display()));
+        assert!(now.1 == *bytes, "{} changed", path.display());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn partially_durable_store_evaluates_only_the_missing_keys() {
     let spec = bowl(40, 27); // 1080 configurations, 12 ranges of 90

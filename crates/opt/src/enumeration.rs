@@ -276,7 +276,6 @@ impl ParallelEnumeration {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::delta::Touched;
     use crate::objective::CachedObjective;
     use crate::space::{GridSpace, InstrumentedSpace};
     use rand::rngs::StdRng;
@@ -295,8 +294,8 @@ mod tests {
         fn random(&self, _rng: &mut StdRng) -> u8 {
             0
         }
-        fn neighbor_move(&self, c: &u8, _rng: &mut StdRng) -> (u8, Touched) {
-            (*c, Touched::Unknown)
+        fn neighbor_move(&self, c: &u8, _rng: &mut StdRng) -> u8 {
+            *c
         }
     }
 
@@ -309,8 +308,8 @@ mod tests {
         fn random(&self, _rng: &mut StdRng) -> u8 {
             0
         }
-        fn neighbor_move(&self, c: &u8, _rng: &mut StdRng) -> (u8, Touched) {
-            (*c, Touched::Unknown)
+        fn neighbor_move(&self, c: &u8, _rng: &mut StdRng) -> u8 {
+            *c
         }
         fn enumerate(&self) -> Option<Vec<u8>> {
             Some((0..8).collect())

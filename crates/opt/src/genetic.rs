@@ -4,7 +4,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use wd_obs::{NoopRecorder, Recorder};
 
-use crate::delta::{DeltaObjective, FullDelta, Touched};
+use crate::delta::{DeltaObjective, FullDelta};
 use crate::objective::Objective;
 use crate::outcome::Outcome;
 use crate::space::SearchSpace;
@@ -87,14 +87,12 @@ impl GeneticAlgorithm {
     ///
     /// Each generation runs in two phases.  Phase one draws all offspring —
     /// tournament selection, [`SearchSpace::crossover_move`] recombination, and
-    /// the optional [`SearchSpace::neighbor_move`] mutation, whose footprints
-    /// merge via [`Touched::union`] — consuming exactly the RNG draws of the
-    /// classic generate-and-score loop (scoring never consumed RNG).  Phase two
-    /// scores the whole generation through
+    /// the optional [`SearchSpace::neighbor_move`] mutation — consuming exactly
+    /// the RNG draws of the classic generate-and-score loop (scoring never
+    /// consumed RNG).  Phase two scores the whole generation through
     /// [`DeltaObjective::evaluate_move_batch`]: every child is re-scored against
     /// the evaluation state retained for its **first** parent, so only the
-    /// components inherited from the second parent (plus any mutated ones) are
-    /// recomputed.
+    /// components in which it differs from that parent are recomputed.
     pub fn run_delta<S, O>(&self, space: &S, objective: &O) -> Outcome<S::Config>
     where
         S: SearchSpace,
@@ -156,44 +154,35 @@ impl GeneticAlgorithm {
 
             // phase one: generate every child of this generation
             let offspring_count = population_size - elite_count;
-            let mut children: Vec<(S::Config, usize, Touched)> =
-                Vec::with_capacity(offspring_count);
+            let mut children: Vec<(S::Config, usize)> = Vec::with_capacity(offspring_count);
             for _ in 0..offspring_count {
                 let parent_a = tournament_index(&population, p.tournament, &mut rng);
                 let parent_b = tournament_index(&population, p.tournament, &mut rng);
-                let (mut child, mut touched) = space.crossover_move(
+                let mut child = space.crossover_move(
                     &population[parent_a].0,
                     &population[parent_b].0,
                     &mut rng,
                 );
                 if rng.gen_bool(p.mutation_rate.clamp(0.0, 1.0)) {
-                    let (mutated, mutation_touched) = space.neighbor_move(&child, &mut rng);
-                    child = mutated;
-                    touched = touched.union(&mutation_touched);
+                    child = space.neighbor_move(&child, &mut rng);
                 }
-                children.push((child, parent_a, touched));
+                children.push((child, parent_a));
             }
 
             // phase two: score the generation in one batched delta call, each
             // child against its first parent's retained state
             evaluations += children.len();
-            #[allow(clippy::type_complexity)] // the DeltaObjective::evaluate_move_batch tuple
-            let moves: Vec<(&S::Config, &O::State, &S::Config, &Touched)> = children
+            let moves: Vec<(&S::Config, &O::State, &S::Config)> = children
                 .iter()
-                .map(|(child, parent_a, touched)| {
-                    (
-                        &population[*parent_a].0,
-                        &population[*parent_a].2,
-                        child,
-                        touched,
-                    )
+                .map(|(child, parent_a)| {
+                    (&population[*parent_a].0, &population[*parent_a].2, child)
                 })
                 .collect();
             let scored = objective.evaluate_move_batch(&moves);
 
             let mut next: Vec<(S::Config, f64, O::State)> =
                 population.iter().take(elite_count).cloned().collect();
-            for ((child, _, _), (energy, state)) in children.into_iter().zip(scored) {
+            for ((child, _), (energy, state)) in children.into_iter().zip(scored) {
                 next.push((child, energy, state));
             }
             population = next;

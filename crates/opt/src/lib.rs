@@ -25,13 +25,13 @@
 //! [`ParallelEnumeration`] drives an exhaustive search through the batched path.  Separable objectives additionally implement
 //! [`DeltaObjective`], the incremental-evaluation contract: the drivers
 //! ([`SimulatedAnnealing::run_delta`], [`GeneticAlgorithm::run_delta`]) then re-score
-//! each move by recomputing only the components the move touched
-//! ([`SearchSpace::neighbor_move`]), bit-identically to full re-evaluation.
+//! each move by recomputing only the components in which the proposal differs from
+//! the configuration it was made from, bit-identically to full re-evaluation.
 //!
 //! ## Example
 //!
 //! ```
-//! use wd_opt::{Objective, SearchSpace, SimulatedAnnealing, Touched};
+//! use wd_opt::{Objective, SearchSpace, SimulatedAnnealing};
 //! use rand::rngs::StdRng;
 //! use rand::Rng;
 //!
@@ -40,9 +40,8 @@
 //! impl SearchSpace for IntSpace {
 //!     type Config = i64;
 //!     fn random(&self, rng: &mut StdRng) -> i64 { rng.gen_range(0..=1000) }
-//!     fn neighbor_move(&self, config: &i64, rng: &mut StdRng) -> (i64, Touched) {
-//!         // one component, and no footprint to exploit: `Unknown` is always sound
-//!         ((config + rng.gen_range(-10i64..=10)).clamp(0, 1000), Touched::Unknown)
+//!     fn neighbor_move(&self, config: &i64, rng: &mut StdRng) -> i64 {
+//!         (config + rng.gen_range(-10i64..=10)).clamp(0, 1000)
 //!     }
 //! }
 //!
@@ -72,7 +71,7 @@ pub mod space;
 mod sync;
 pub mod trace;
 
-pub use delta::{DeltaObjective, FullDelta, Touched};
+pub use delta::{DeltaObjective, FullDelta};
 pub use enumeration::{Enumeration, EnumerationError, ParallelEnumeration};
 pub use genetic::{GeneticAlgorithm, GeneticParams};
 pub use objective::{CacheStats, CachedObjective, CountingObjective, Objective};

@@ -86,11 +86,11 @@ impl SimulatedAnnealing {
     }
 
     /// Run the optimizer with an incrementally evaluable objective: each proposal is
-    /// scored through [`DeltaObjective::evaluate_move`], which recomputes only the
-    /// components the neighbour move touched (reported by
-    /// [`SearchSpace::neighbor_move`]) — for a separable objective like the
-    /// work-distribution energy this makes the per-move cost O(1) component
-    /// evaluations instead of one per component.
+    /// scored through [`DeltaObjective::evaluate_move`] against the current
+    /// configuration, which recomputes only the components the neighbour move
+    /// changed — for a separable objective like the work-distribution energy this
+    /// makes the per-move cost O(1) component evaluations instead of one per
+    /// component.
     pub fn run_delta<S, O>(&self, space: &S, objective: &O) -> Outcome<S::Config>
     where
         S: SearchSpace,
@@ -133,10 +133,10 @@ impl SimulatedAnnealing {
         let mut iteration = 0usize;
 
         while temperature >= self.stop_temperature && iteration < self.max_iterations {
-            let (proposal, touched) = space.neighbor_move(&current, &mut rng);
+            let proposal = space.neighbor_move(&current, &mut rng);
             evaluations += 1;
             let (proposal_energy, proposal_state) =
-                objective.evaluate_move(&current, &current_state, &proposal, &touched);
+                objective.evaluate_move(&current, &current_state, &proposal);
 
             let accepted = if proposal_energy < current_energy {
                 true

@@ -3,13 +3,10 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::delta::Touched;
-
 /// A discrete configuration space that heuristics can sample and perturb.
 ///
-/// Implementations describe *how the space looks* (random configurations, moves and
-/// their footprints, optional indexed enumeration); they know nothing about the
-/// objective.
+/// Implementations describe *how the space looks* (random configurations, moves,
+/// optional indexed enumeration); they know nothing about the objective.
 pub trait SearchSpace {
     /// The configuration type.
     type Config: Clone;
@@ -17,14 +14,8 @@ pub trait SearchSpace {
     /// Draw a uniformly random configuration.
     fn random(&self, rng: &mut StdRng) -> Self::Config;
 
-    /// Produce a configuration "close to" `config` (one or a few parameters changed)
-    /// and describe which configuration *components* the move touched (see
-    /// [`Touched`] for the indexing convention), which lets
-    /// [`crate::DeltaObjective`]s re-score the move incrementally.
-    ///
-    /// The reported set may over-approximate ([`Touched::Unknown`] is always sound)
-    /// but must cover every component that changed.
-    fn neighbor_move(&self, config: &Self::Config, rng: &mut StdRng) -> (Self::Config, Touched);
+    /// Produce a configuration "close to" `config` (one or a few parameters changed).
+    fn neighbor_move(&self, config: &Self::Config, rng: &mut StdRng) -> Self::Config;
 
     /// The whole enumeration order as one `Vec`, when the space can build it.
     ///
@@ -56,30 +47,25 @@ pub trait SearchSpace {
         None
     }
 
-    /// Recombine two parent configurations (used by the genetic algorithm) and
-    /// describe which configuration components of the child may differ from the
-    /// **first** parent (`parent_a`) — the two-parent merge footprint, the
-    /// recombination analogue of [`SearchSpace::neighbor_move`].  A
-    /// [`crate::DeltaObjective`] holding `parent_a`'s evaluation state can then
-    /// re-score the child by recomputing only the components it inherited from
-    /// `parent_b`.  The reported set may over-approximate but must cover every
-    /// component where the child differs from `parent_a`.
+    /// Recombine two parent configurations (used by the genetic algorithm).  The
+    /// genetic algorithm scores the child against the **first** parent (`parent_a`),
+    /// so a [`crate::DeltaObjective`] recomputes only the components in which the
+    /// two differ.
     ///
-    /// The default implementation returns one of the parents unchanged with
-    /// [`Touched::Unknown`], which degrades the GA into a mutation-only
-    /// evolutionary algorithm but keeps the trait easy to implement.
+    /// The default implementation returns one of the parents unchanged, which
+    /// degrades the GA into a mutation-only evolutionary algorithm but keeps the
+    /// trait easy to implement.
     fn crossover_move(
         &self,
         parent_a: &Self::Config,
         parent_b: &Self::Config,
         rng: &mut StdRng,
-    ) -> (Self::Config, Touched) {
-        let child = if rng.gen_bool(0.5) {
+    ) -> Self::Config {
+        if rng.gen_bool(0.5) {
             parent_a.clone()
         } else {
             parent_b.clone()
-        };
-        (child, Touched::Unknown)
+        }
     }
 }
 
@@ -100,23 +86,15 @@ impl SearchSpace for GridSpace {
         (rng.gen_range(0..self.width), rng.gen_range(0..self.height))
     }
 
-    /// The ±1 move plus its exact footprint (component 0 = x, component 1 = y).
-    fn neighbor_move(&self, config: &Self::Config, rng: &mut StdRng) -> (Self::Config, Touched) {
+    /// The ±1 move in each coordinate, clamped to the grid.
+    fn neighbor_move(&self, config: &Self::Config, rng: &mut StdRng) -> Self::Config {
         let (x, y) = *config;
         let dx: i64 = rng.gen_range(-1..=1);
         let dy: i64 = rng.gen_range(-1..=1);
-        let next = (
+        (
             (x as i64 + dx).clamp(0, self.width as i64 - 1) as u32,
             (y as i64 + dy).clamp(0, self.height as i64 - 1) as u32,
-        );
-        let mut touched = Vec::new();
-        if next.0 != x {
-            touched.push(0);
-        }
-        if next.1 != y {
-            touched.push(1);
-        }
-        (next, Touched::Components(touched))
+        )
     }
 
     fn enumerate(&self) -> Option<Vec<Self::Config>> {
@@ -144,15 +122,14 @@ impl SearchSpace for GridSpace {
         ))
     }
 
-    /// Uniform per-coordinate crossover plus its exact footprint relative to
-    /// `parent_a` (component 0 = x, component 1 = y).
+    /// Uniform per-coordinate crossover.
     fn crossover_move(
         &self,
         parent_a: &Self::Config,
         parent_b: &Self::Config,
         rng: &mut StdRng,
-    ) -> (Self::Config, Touched) {
-        let child = (
+    ) -> Self::Config {
+        (
             if rng.gen_bool(0.5) {
                 parent_a.0
             } else {
@@ -163,15 +140,7 @@ impl SearchSpace for GridSpace {
             } else {
                 parent_b.1
             },
-        );
-        let mut touched = Vec::new();
-        if child.0 != parent_a.0 {
-            touched.push(0);
-        }
-        if child.1 != parent_a.1 {
-            touched.push(1);
-        }
-        (child, Touched::Components(touched))
+        )
     }
 }
 
@@ -210,7 +179,7 @@ impl<S: SearchSpace> SearchSpace for InstrumentedSpace<'_, S> {
         self.inner.random(rng)
     }
 
-    fn neighbor_move(&self, config: &S::Config, rng: &mut StdRng) -> (S::Config, Touched) {
+    fn neighbor_move(&self, config: &S::Config, rng: &mut StdRng) -> S::Config {
         self.inner.neighbor_move(config, rng)
     }
 
@@ -229,7 +198,7 @@ impl<S: SearchSpace> SearchSpace for InstrumentedSpace<'_, S> {
         parent_a: &S::Config,
         parent_b: &S::Config,
         rng: &mut StdRng,
-    ) -> (S::Config, Touched) {
+    ) -> S::Config {
         self.inner.crossover_move(parent_a, parent_b, rng)
     }
 }
@@ -261,7 +230,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut config = (2u32, 2u32);
         for _ in 0..500 {
-            let next = space.neighbor_move(&config, &mut rng).0;
+            let next = space.neighbor_move(&config, &mut rng);
             assert!((next.0 as i64 - config.0 as i64).abs() <= 1);
             assert!((next.1 as i64 - config.1 as i64).abs() <= 1);
             assert!(next.0 < 5 && next.1 < 5);
@@ -320,37 +289,15 @@ mod tests {
             fn random(&self, _rng: &mut StdRng) -> u8 {
                 0
             }
-            fn neighbor_move(&self, c: &u8, _rng: &mut StdRng) -> (u8, Touched) {
-                (*c, Touched::Unknown)
+            fn neighbor_move(&self, c: &u8, _rng: &mut StdRng) -> u8 {
+                *c
             }
         }
         let mut rng = StdRng::seed_from_u64(3);
-        let (child, touched) = Unit.crossover_move(&1, &2, &mut rng);
+        let child = Unit.crossover_move(&1, &2, &mut rng);
         assert!(child == 1 || child == 2);
-        assert_eq!(touched, Touched::Unknown);
         assert_eq!(Unit.space_len(), None);
         assert!(Unit.enumerate().is_none());
-    }
-
-    #[test]
-    fn grid_crossover_move_footprint_is_sound() {
-        let space = GridSpace {
-            width: 10,
-            height: 10,
-        };
-        let mut rng = StdRng::seed_from_u64(7);
-        for i in 0..200u32 {
-            let parent_a = (i % 10, (i * 3) % 10);
-            let parent_b = ((i * 7) % 10, (i * 9 + 1) % 10);
-            let (child, touched) = space.crossover_move(&parent_a, &parent_b, &mut rng);
-            // every component not listed must equal the first parent's
-            if !touched.may_touch(0) {
-                assert_eq!(child.0, parent_a.0);
-            }
-            if !touched.may_touch(1) {
-                assert_eq!(child.1, parent_a.1);
-            }
-        }
     }
 
     #[test]
@@ -362,7 +309,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let mut saw_mix = false;
         for _ in 0..100 {
-            let (child, _) = space.crossover_move(&(0, 0), &(9, 9), &mut rng);
+            let child = space.crossover_move(&(0, 0), &(9, 9), &mut rng);
             assert!(child == (0, 0) || child == (9, 9) || child == (0, 9) || child == (9, 0));
             if child == (0, 9) || child == (9, 0) {
                 saw_mix = true;

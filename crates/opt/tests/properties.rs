@@ -6,13 +6,13 @@ use proptest::prelude::*;
 use wd_opt::space::GridSpace;
 use wd_opt::{
     CoolingSchedule, DeltaObjective, Enumeration, GeneticAlgorithm, Objective, SearchSpace,
-    SimulatedAnnealing, Touched,
+    SimulatedAnnealing,
 };
 
 /// A separable objective over grid configurations — `max(f(x), g(y))`, the same
 /// composition shape as the work-distribution energy — implementing the incremental
-/// contract: component 0 is `x`, component 1 is `y` (matching
-/// `GridSpace::neighbor_move`), and a move re-evaluates only the touched component.
+/// contract: a move re-evaluates only the coordinates in which it differs from its
+/// base.
 /// Counts per-component evaluations so tests can verify moves really got cheaper.
 struct SeparableGrid {
     target: (u32, u32),
@@ -60,14 +60,13 @@ impl DeltaObjective<(u32, u32)> for SeparableGrid {
         base: &(u32, u32),
         state: &(f64, f64),
         config: &(u32, u32),
-        touched: &Touched,
     ) -> (f64, (f64, f64)) {
-        let fx = if touched.may_touch(0) && config.0 != base.0 {
+        let fx = if config.0 != base.0 {
             self.fx(config.0)
         } else {
             state.0
         };
-        let gy = if touched.may_touch(1) && config.1 != base.1 {
+        let gy = if config.1 != base.1 {
             self.gy(config.1)
         } else {
             state.1
@@ -171,7 +170,7 @@ proptest! {
         prop_assert_eq!(a.evaluations, b.evaluations);
         prop_assert_eq!(a.trace.records(), b.trace.records());
         // the full path pays 2 components per evaluation; the delta path at most
-        // that, and strictly less whenever any move left a component untouched
+        // that, and strictly less whenever any move left a component unchanged
         let full_components = full.component_evals.load(Ordering::Relaxed);
         let delta_components = delta.component_evals.load(Ordering::Relaxed);
         prop_assert_eq!(full_components, 2 * a.evaluations);
@@ -180,8 +179,7 @@ proptest! {
     }
 
     /// The genetic algorithm's incremental path (`run_delta`, scoring each child
-    /// against its first parent's retained state from the crossover/mutation
-    /// footprint) is bit-identical to the full re-evaluation path — same best
+    /// against its first parent's retained state) is bit-identical to the full re-evaluation path — same best
     /// configuration, energies, evaluation counts and trace — while evaluating
     /// strictly fewer objective components.
     #[test]

@@ -188,7 +188,7 @@ fn neighbor_moves_stay_on_the_simplex_for_n_way_spaces() {
     let mut rng = StdRng::seed_from_u64(11);
     let mut config = space.random(&mut rng);
     for _ in 0..500 {
-        config = space.neighbor_move(&config, &mut rng).0;
+        config = space.neighbor_move(&config, &mut rng);
         assert_eq!(config.split().iter().sum::<u32>(), 1000);
         // the partition the evaluator would build is always valid
         let _ = config.partition();

@@ -112,7 +112,7 @@ proptest! {
             // energy() panics if the platform rejects the configuration
             let energy = evaluator.energy(&config);
             prop_assert!(energy.is_finite() && energy > 0.0);
-            config = space.neighbor_move(&config, &mut rng).0;
+            config = space.neighbor_move(&config, &mut rng);
         }
     }
 
