@@ -328,6 +328,12 @@ impl SystemConfiguration {
     fn shares(&self) -> impl Iterator<Item = u32> + Clone + '_ {
         std::iter::once(self.host_permille).chain(self.devices().iter().map(|d| d.permille))
     }
+
+    /// Every side's `(threads, affinity)`, the host first, then each accelerator.
+    fn knobs(&self) -> impl Iterator<Item = (u32, Affinity)> + '_ {
+        std::iter::once((self.host_threads, self.host_affinity))
+            .chain(self.devices().iter().map(|d| (d.threads, d.affinity)))
+    }
 }
 
 impl fmt::Display for SystemConfiguration {
@@ -406,9 +412,22 @@ impl DeviceAxis {
         threads.push(max_threads);
         DeviceAxis::new(threads, affinities)
     }
+}
 
-    fn len(&self) -> usize {
-        self.threads.len() * self.affinities.len()
+/// The `(threads, affinities)` axis of side `side` of a node described by a host axis
+/// and one [`DeviceAxis`] per accelerator: side 0 is the host and side `d + 1`
+/// accelerator `d`, which is also the side's position in a split vector.
+pub(crate) fn side_axis<'a>(
+    host: (&'a [u32], &'a [Affinity]),
+    device_axes: &'a [DeviceAxis],
+    side: usize,
+) -> (&'a [u32], &'a [Affinity]) {
+    match side.checked_sub(1) {
+        None => host,
+        Some(device) => (
+            &device_axes[device].threads,
+            &device_axes[device].affinities,
+        ),
     }
 }
 
@@ -770,16 +789,29 @@ impl ConfigurationSpace {
             .get_or_init(|| SplitMoves::new(&self.splits))
     }
 
+    /// Side `side`'s candidate `(threads, affinities)` (see [`side_axis`]).
+    fn side(&self, side: usize) -> (&[u32], &[Affinity]) {
+        side_axis(
+            (&self.host_threads, &self.host_affinities),
+            &self.device_axes,
+            side,
+        )
+    }
+
+    /// Every side's axis in side order, the host first (see
+    /// [`ConfigurationSpace::side`]).
+    pub(crate) fn sides(
+        &self,
+    ) -> impl DoubleEndedIterator<Item = (&[u32], &[Affinity])> + ExactSizeIterator {
+        (0..self.device_axes.len() + 1).map(|side| self.side(side))
+    }
+
     /// Number of configurations in the space (the paper's Eq. 1: the product of the
     /// parameter value-range sizes).
     pub fn total_configurations(&self) -> u128 {
-        self.host_threads.len() as u128
-            * self.host_affinities.len() as u128
-            * self
-                .device_axes
-                .iter()
-                .map(|axis| axis.len() as u128)
-                .product::<u128>()
+        self.sides()
+            .map(|(threads, affinities)| threads.len() as u128 * affinities.len() as u128)
+            .product::<u128>()
             * self.splits.len() as u128
     }
 
@@ -873,23 +905,19 @@ impl ConfigurationSpace {
         nearest[rng.gen_range(0..nearest.len())]
     }
 
-    /// Build a configuration from axis values and a split vector.
-    fn build(
-        &self,
-        host_threads: u32,
-        host_affinity: Affinity,
-        device_values: &[(u32, Affinity)],
-        split: &[u32],
-    ) -> SystemConfiguration {
-        debug_assert_eq!(device_values.len(), self.device_axes.len());
-        debug_assert_eq!(split.len(), self.device_axes.len() + 1);
-        let devices = device_values
+    /// Build a configuration from one `(threads, affinity)` per side and a split
+    /// vector, both in side order.
+    fn build(&self, values: &[(u32, Affinity)], split: &[u32]) -> SystemConfiguration {
+        debug_assert_eq!(values.len(), self.device_axes.len() + 1);
+        debug_assert_eq!(split.len(), values.len());
+        let devices = values[1..]
             .iter()
             .zip(&split[1..])
             .map(|(&(threads, affinity), &permille)| {
                 DeviceSetting::new(threads, affinity, permille)
             })
             .collect();
+        let (host_threads, host_affinity) = values[0];
         SystemConfiguration::from_validated(host_threads, host_affinity, split[0], devices)
     }
 }
@@ -898,20 +926,17 @@ impl SearchSpace for ConfigurationSpace {
     type Config = SystemConfiguration;
 
     fn random(&self, rng: &mut StdRng) -> SystemConfiguration {
-        let host_threads = self.host_threads[Self::sample_index(&self.host_threads, rng)];
-        let host_affinity = self.host_affinities[Self::sample_index(&self.host_affinities, rng)];
-        let device_values: Vec<(u32, Affinity)> = self
-            .device_axes
-            .iter()
-            .map(|axis| {
+        let values: Vec<(u32, Affinity)> = self
+            .sides()
+            .map(|(threads, affinities)| {
                 (
-                    axis.threads[Self::sample_index(&axis.threads, rng)],
-                    axis.affinities[Self::sample_index(&axis.affinities, rng)],
+                    threads[Self::sample_index(threads, rng)],
+                    affinities[Self::sample_index(affinities, rng)],
                 )
             })
             .collect();
         let split = &self.splits[Self::sample_index(&self.splits, rng)];
-        self.build(host_threads, host_affinity, &device_values, split)
+        self.build(&values, split)
     }
 
     /// Perturb one parameter (occasionally two): a thread count or affinity of one
@@ -919,54 +944,33 @@ impl SearchSpace for ConfigurationSpace {
     /// moved — for one accelerator that is host + device, for N accelerators usually
     /// a small subset.
     fn neighbor_move(&self, config: &SystemConfiguration, rng: &mut StdRng) -> SystemConfiguration {
-        let mut host_threads = config.host_threads;
-        let mut host_affinity = config.host_affinity;
-        let mut device_values: Vec<(u32, Affinity)> = config
-            .devices()
-            .iter()
-            .map(|d| (d.threads, d.affinity))
-            .collect();
-        debug_assert_eq!(device_values.len(), self.device_axes.len());
+        let mut values: Vec<(u32, Affinity)> = config.knobs().collect();
+        debug_assert_eq!(values.len(), self.device_axes.len() + 1);
         let mut split_index = self.split_moves().position(&self.splits, config);
 
         // perturb one parameter most of the time, occasionally two, so the walk can
-        // escape ridges that require coordinated changes
+        // escape ridges that require coordinated changes.  Parameter 2 is the split;
+        // the others are each side's threads and affinity in side order: 0/1 the
+        // host's, 3 + 2d / 4 + 2d accelerator d's.
         let parameters = 3 + 2 * self.device_axes.len() as u8;
         let changes = if rng.gen_bool(0.2) { 2 } else { 1 };
         for _ in 0..changes {
-            match rng.gen_range(0..parameters) {
-                0 => {
-                    let i = Self::index_of(&self.host_threads, &host_threads);
-                    host_threads =
-                        self.host_threads[Self::nudge_index(&self.host_threads, i, 2, rng)];
-                }
-                1 => {
-                    host_affinity =
-                        self.host_affinities[Self::sample_index(&self.host_affinities, rng)];
-                }
-                2 => {
-                    split_index = self.nudge_split(split_index, rng);
-                }
-                p => {
-                    let device = ((p - 3) / 2) as usize;
-                    let axis = &self.device_axes[device];
-                    if (p - 3) % 2 == 0 {
-                        let i = Self::index_of(&axis.threads, &device_values[device].0);
-                        device_values[device].0 =
-                            axis.threads[Self::nudge_index(&axis.threads, i, 2, rng)];
-                    } else {
-                        device_values[device].1 =
-                            axis.affinities[Self::sample_index(&axis.affinities, rng)];
-                    }
-                }
+            let parameter = rng.gen_range(0..parameters);
+            if parameter == 2 {
+                split_index = self.nudge_split(split_index, rng);
+                continue;
+            }
+            let knob = usize::from(parameter - u8::from(parameter > 2));
+            let (threads, affinities) = self.side(knob / 2);
+            let value = &mut values[knob / 2];
+            if knob % 2 == 0 {
+                let i = Self::index_of(threads, &value.0);
+                value.0 = threads[Self::nudge_index(threads, i, 2, rng)];
+            } else {
+                value.1 = affinities[Self::sample_index(affinities, rng)];
             }
         }
-        self.build(
-            host_threads,
-            host_affinity,
-            &device_values,
-            &self.splits[split_index],
-        )
+        self.build(&values, &self.splits[split_index])
     }
 
     fn space_len(&self) -> Option<usize> {
@@ -986,24 +990,17 @@ impl SearchSpace for ConfigurationSpace {
         let mut rest = index;
         let split_index = rest % self.splits.len();
         rest /= self.splits.len();
-        // device digits, least significant device last in the loop nest
-        let mut device_values = vec![(0u32, Affinity::None); self.device_axes.len()];
-        for (value, axis) in device_values.iter_mut().zip(&self.device_axes).rev() {
-            let affinity_index = rest % axis.affinities.len();
-            rest /= axis.affinities.len();
-            let thread_index = rest % axis.threads.len();
-            rest /= axis.threads.len();
-            *value = (axis.threads[thread_index], axis.affinities[affinity_index]);
+        // one (threads, affinity) digit pair per side, the last side least significant
+        let mut values = vec![(0u32, Affinity::None); self.device_axes.len() + 1];
+        for (value, (threads, affinities)) in values.iter_mut().zip(self.sides()).rev() {
+            let affinity_index = rest % affinities.len();
+            rest /= affinities.len();
+            let thread_index = rest % threads.len();
+            rest /= threads.len();
+            *value = (threads[thread_index], affinities[affinity_index]);
         }
-        let host_affinity = self.host_affinities[rest % self.host_affinities.len()];
-        rest /= self.host_affinities.len();
-        debug_assert!(rest < self.host_threads.len());
-        Some(self.build(
-            self.host_threads[rest],
-            host_affinity,
-            &device_values,
-            &self.splits[split_index],
-        ))
+        debug_assert_eq!(rest, 0);
+        Some(self.build(&values, &self.splits[split_index]))
     }
 
     /// The reference enumeration order, built as nested loops; tests check
@@ -1032,8 +1029,10 @@ impl SearchSpace for ConfigurationSpace {
         for &host_threads in &self.host_threads {
             for &host_affinity in &self.host_affinities {
                 for combo in &device_combos {
+                    let mut values = vec![(host_threads, host_affinity)];
+                    values.extend_from_slice(combo);
                     for split in &self.splits {
-                        all.push(self.build(host_threads, host_affinity, combo, split));
+                        all.push(self.build(&values, split));
                     }
                 }
             }
@@ -1050,32 +1049,13 @@ impl SearchSpace for ConfigurationSpace {
         rng: &mut StdRng,
     ) -> SystemConfiguration {
         debug_assert_eq!(parent_a.accelerator_count(), parent_b.accelerator_count());
-        let host_threads = if rng.gen_bool(0.5) {
-            parent_a.host_threads
-        } else {
-            parent_b.host_threads
-        };
-        let host_affinity = if rng.gen_bool(0.5) {
-            parent_a.host_affinity
-        } else {
-            parent_b.host_affinity
-        };
-        let device_values: Vec<(u32, Affinity)> = parent_a
-            .devices()
-            .iter()
-            .zip(parent_b.devices())
+        let values: Vec<(u32, Affinity)> = parent_a
+            .knobs()
+            .zip(parent_b.knobs())
             .map(|(a, b)| {
                 (
-                    if rng.gen_bool(0.5) {
-                        a.threads
-                    } else {
-                        b.threads
-                    },
-                    if rng.gen_bool(0.5) {
-                        a.affinity
-                    } else {
-                        b.affinity
-                    },
+                    if rng.gen_bool(0.5) { a.0 } else { b.0 },
+                    if rng.gen_bool(0.5) { a.1 } else { b.1 },
                 )
             })
             .collect();
@@ -1086,7 +1066,7 @@ impl SearchSpace for ConfigurationSpace {
         } else {
             parent_b.split()
         };
-        self.build(host_threads, host_affinity, &device_values, &split)
+        self.build(&values, &split)
     }
 }
 

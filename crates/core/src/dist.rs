@@ -144,21 +144,12 @@ where
         let models = models.ok_or_else(|| {
             format!("{method} requires trained prediction models; run the training campaign first")
         })?;
-        // EML campaigns score shards from the factorized per-device time tables
-        // (bit-identical to the direct prediction path, a fraction of the model
-        // queries); the grid itself streams lazily through the shard views.  A store
-        // that already covers the whole grid answers everything itself — skip the
-        // table construction so fully-warm resumes keep costing zero model queries
-        // (stores are dedicated to one campaign, see above, so `len` is a faithful
-        // coverage bound).
-        use wd_opt::SearchSpace as _;
+        // EML campaigns score shards through prediction tables, as EM's go through
+        // measured ones: bit-identical to the direct prediction path, but each side
+        // triple is queried once.  The tables fill on first touch, so a fully warm
+        // store still costs zero model queries.
         let prediction = models.prediction_evaluator(workload.clone());
-        let fully_warm = grid.space_len().is_some_and(|len| store.len() >= len);
-        if fully_warm {
-            campaign.run(grid, &prediction, store)
-        } else {
-            campaign.run(grid, &prediction.tabulated(grid), store)
-        }
+        campaign.run(grid, &prediction.lazy_tabulated(), store)
     } else {
         // EM campaigns score through measured per-side tables, the source the
         // method runner's EM scan uses: bit-identical to one `execute` per

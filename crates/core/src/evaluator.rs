@@ -46,7 +46,7 @@ use wd_opt::{
 };
 
 use crate::config::{ConfigurationSpace, DeviceSetting, SystemConfiguration};
-use crate::features::{device_features, host_features, share_bytes};
+use crate::features::{features, share_bytes};
 
 /// Per-configuration evaluation state of the [`LazyTabulatedEvaluator`]'s incremental
 /// path: the host time plus one time per accelerator (0 for an idle side), retained
@@ -207,22 +207,17 @@ impl MeasurementEvaluator {
         if self.workload.bytes == 0 {
             return Err(PlatformError::EmptyWorkload);
         }
-        let loaded = |position: usize| space.splits().iter().any(|split| split[position] > 0);
-        let configs = |threads: &[u32], affinities: &[Affinity]| {
-            threads
-                .iter()
-                .flat_map(|&t| affinities.iter().map(move |&a| ExecutionConfig::new(t, a)))
-                .collect::<Vec<_>>()
-        };
-        if loaded(0) {
-            for cfg in configs(&space.host_threads, &space.host_affinities) {
-                self.platform.validate_host(&cfg)?;
+        for (side, (threads, affinities)) in space.sides().enumerate() {
+            if !space.splits().iter().any(|split| split[side] > 0) {
+                continue;
             }
-        }
-        for (index, axis) in space.device_axes.iter().enumerate() {
-            if loaded(index + 1) {
-                for cfg in configs(&axis.threads, &axis.affinities) {
-                    self.platform.validate_accelerator(index, &cfg)?;
+            for &t in threads {
+                for &a in affinities {
+                    let cfg = ExecutionConfig::new(t, a);
+                    match side.checked_sub(1) {
+                        None => self.platform.validate_host(&cfg)?,
+                        Some(device) => self.platform.validate_accelerator(device, &cfg)?,
+                    }
                 }
             }
         }
@@ -287,11 +282,11 @@ impl Objective<SystemConfiguration> for MeasurementEvaluator {
     }
 }
 
-/// Evaluation by machine-learning prediction: one model query per device (one trained
-/// model *per accelerator*), bound to one workload.
+/// Evaluation by machine-learning prediction: one model query per side (one trained
+/// model for the host and one *per accelerator*), bound to one workload.
 pub struct PredictionEvaluator {
-    host_model: Box<dyn Regressor + Send + Sync>,
-    device_models: Vec<Box<dyn Regressor + Send + Sync>>,
+    /// One model per side: the host's first, then each accelerator's.
+    models: Vec<Box<dyn Regressor + Send + Sync>>,
     workload: WorkloadProfile,
 }
 
@@ -308,15 +303,14 @@ impl PredictionEvaluator {
             "at least one device model is required"
         );
         PredictionEvaluator {
-            host_model,
-            device_models,
+            models: std::iter::once(host_model).chain(device_models).collect(),
             workload,
         }
     }
 
     /// Number of accelerators this evaluator has models for.
     pub fn device_model_count(&self) -> usize {
-        self.device_models.len()
+        self.models.len() - 1
     }
 
     /// The workload being evaluated.
@@ -331,30 +325,13 @@ impl PredictionEvaluator {
         self
     }
 
-    /// Predict the host time for a host share of `bytes` bytes.
-    pub fn predict_host(
-        &self,
-        threads: u32,
-        affinity: hetero_platform::Affinity,
-        bytes: u64,
-    ) -> f64 {
-        self.host_model
-            .predict_one(&host_features(threads, affinity, bytes))
-            .max(0.0)
-    }
-
-    /// Predict the time of accelerator `device_index` for a share of `bytes` bytes.
-    /// The device models were trained on measurements that include the offload
-    /// launch and transfer, so the prediction is the whole device time.
-    pub fn predict_device_on(
-        &self,
-        device_index: usize,
-        threads: u32,
-        affinity: hetero_platform::Affinity,
-        bytes: u64,
-    ) -> f64 {
-        self.device_models[device_index]
-            .predict_one(&device_features(threads, affinity, bytes))
+    /// Predict the time of `side` (0 is the host, `d + 1` accelerator `d`) for a
+    /// share of `bytes` bytes.  The device models were trained on measurements that
+    /// include the offload launch and transfer, so a device prediction is the whole
+    /// device time.
+    pub fn predict(&self, side: usize, threads: u32, affinity: Affinity, bytes: u64) -> f64 {
+        self.models[side]
+            .predict_one(&features(side, threads, affinity, bytes))
             .max(0.0)
     }
 
@@ -364,10 +341,10 @@ impl PredictionEvaluator {
     /// reports 0.
     pub fn evaluate_times(&self, config: &SystemConfiguration) -> (f64, f64) {
         assert!(
-            config.accelerator_count() <= self.device_models.len(),
+            config.accelerator_count() <= self.device_model_count(),
             "configuration describes {} accelerators but only {} device models are trained",
             config.accelerator_count(),
-            self.device_models.len()
+            self.device_model_count()
         );
         let host = self.side_time(0, host_key(config)).unwrap_or(0.0);
         let device = config
@@ -405,26 +382,20 @@ impl PredictionEvaluator {
 
 impl SideTimes for PredictionEvaluator {
     fn accelerators(&self) -> usize {
-        self.device_models.len()
+        self.device_model_count()
     }
 
     /// At most as many accelerators as there are device models (the direct path
     /// panics on more).
     fn scores(&self, accelerators: usize) -> bool {
-        accelerators <= self.device_models.len()
+        accelerators <= self.device_model_count()
     }
 
-    /// One model query, exactly `predict_host` / `predict_device_on`; a share of zero
+    /// One model query, exactly [`PredictionEvaluator::predict`]; a share of zero
     /// bytes is idle without one.
     fn side_time(&self, side: usize, (threads, affinity, permille): SideKey) -> Option<f64> {
         let bytes = share_bytes(self.workload.bytes, permille);
-        if bytes == 0 {
-            None
-        } else if side == 0 {
-            Some(self.predict_host(threads, affinity, bytes))
-        } else {
-            Some(self.predict_device_on(side - 1, threads, affinity, bytes))
-        }
+        (bytes != 0).then(|| self.predict(side, threads, affinity, bytes))
     }
 
     /// Batched model queries: the keys with work are scored through rayon-parallel
@@ -437,13 +408,7 @@ impl SideTimes for PredictionEvaluator {
             .enumerate()
             .filter(|&(_, (_, _, share))| share_bytes(total_bytes, share) != 0)
             .collect();
-        let (model, featurize) = match side {
-            0 => (&self.host_model, host_features as fn(_, _, _) -> Vec<f64>),
-            _ => (
-                &self.device_models[side - 1],
-                device_features as fn(_, _, _) -> Vec<f64>,
-            ),
-        };
+        let model = &self.models[side];
         let predictions: Vec<Vec<f64>> = queried
             .chunks(TABLE_BATCH)
             .collect::<Vec<_>>()
@@ -452,14 +417,14 @@ impl SideTimes for PredictionEvaluator {
                 let mut width = 0;
                 let mut matrix: Vec<f64> = Vec::new();
                 for &(_, (t, a, share)) in chunk {
-                    let row = featurize(t, a, share_bytes(total_bytes, share));
+                    let row = features(side, t, a, share_bytes(total_bytes, share));
                     width = row.len();
                     matrix.extend(row);
                 }
                 model
                     .predict_batch(&matrix, width)
                     .into_iter()
-                    // exactly `predict_host` / `predict_device_on`: clamp at zero
+                    // exactly `predict`: clamp at zero
                     .map(|prediction| prediction.max(0.0))
                     .collect()
             })
@@ -532,8 +497,8 @@ const TABLE_BATCH: usize = 256;
 ///
 /// Memoization is keyed by value, so the evaluator is total and every energy is
 /// **bit-identical** to the source's direct path on every configuration: the tables
-/// store exactly what the source returns (`predict_host` / `predict_device_on` for
-/// the models, [`HeterogeneousPlatform::host_time`] /
+/// store exactly what the source returns ([`PredictionEvaluator::predict`] for the
+/// models, [`HeterogeneousPlatform::host_time`] /
 /// [`HeterogeneousPlatform::device_time`] for the platform), idle sides short-circuit
 /// to 0 without a query, and the max-composition replicates
 /// [`PredictionEvaluator::energy`] and [`HeterogeneousPlatform::execute`] operation
@@ -692,10 +657,10 @@ impl<'a, S: SideTimes> LazyTabulatedEvaluator<'a, S> {
         if !self.inner.scores(space.accelerator_count()) {
             return;
         }
-        // every (threads, affinity) of an axis against the distinct share values of
-        // its simplex position (column 0 is the host)
-        let keys = |threads: &[u32], affinities: &[Affinity], position: usize| {
-            let mut shares: Vec<u32> = space.splits().iter().map(|split| split[position]).collect();
+        // every (threads, affinity) of a side against the distinct share values of
+        // its split position
+        for (side, (threads, affinities)) in space.sides().enumerate() {
+            let mut shares: Vec<u32> = space.splits().iter().map(|split| split[side]).collect();
             shares.sort_unstable();
             shares.dedup();
             let mut keys = Vec::with_capacity(threads.len() * affinities.len() * shares.len());
@@ -704,11 +669,7 @@ impl<'a, S: SideTimes> LazyTabulatedEvaluator<'a, S> {
                     keys.extend(shares.iter().map(|&share| (t, a, share)));
                 }
             }
-            keys
-        };
-        self.fill_side(0, keys(&space.host_threads, &space.host_affinities, 0));
-        for (index, axis) in space.device_axes.iter().enumerate() {
-            self.fill_side(index + 1, keys(&axis.threads, &axis.affinities, index + 1));
+            self.fill_side(side, keys);
         }
     }
 
@@ -768,18 +729,26 @@ impl<'a, S: SideTimes> LazyTabulatedEvaluator<'a, S> {
             return indexed_outcome(grid, (0, f64::INFINITY), evaluations);
         }
         self.fill(grid);
+        // one row of times over the splits per (threads, affinity) of each side, in
+        // `config_at`'s digit order: threads outer
+        let mut side_rows = grid
+            .sides()
+            .enumerate()
+            .map(|(side, (threads, affinities))| {
+                let table = read_lock(&self.sides[side]);
+                let row = |t, a| -> Vec<f64> {
+                    let splits = grid.splits().iter();
+                    splits.map(|split| table[&(t, a, split[side])]).collect()
+                };
+                threads
+                    .iter()
+                    .flat_map(|&t| affinities.iter().map(move |&a| row(t, a)))
+                    .collect::<Vec<_>>()
+            });
+        let hosts = side_rows.next().unwrap_or_default();
         // the device max-fold of every device combination, last device fastest
         let mut folds: Vec<Vec<f64>> = vec![vec![0.0; grid.splits().len()]];
-        for (index, axis) in grid.device_axes.iter().enumerate() {
-            let table = read_lock(&self.sides[index + 1]);
-            let rows = axis_rows(
-                grid.splits(),
-                &axis.threads,
-                &axis.affinities,
-                index + 1,
-                |t, a, share| table[&(t, a, share)],
-            );
-            drop(table);
+        for rows in side_rows {
             folds = folds
                 .iter()
                 .flat_map(|fold| {
@@ -788,15 +757,6 @@ impl<'a, S: SideTimes> LazyTabulatedEvaluator<'a, S> {
                 })
                 .collect();
         }
-        let table = read_lock(&self.sides[0]);
-        let hosts = axis_rows(
-            grid.splits(),
-            &grid.host_threads,
-            &grid.host_affinities,
-            0,
-            |t, a, share| table[&(t, a, share)],
-        );
-        drop(table);
 
         let best = hosts
             .iter()
@@ -830,27 +790,6 @@ fn indexed_outcome(
             trace: OptimizationTrace::new(),
         },
     })
-}
-
-/// One row of times over `splits` (at simplex `position`) per `(threads, affinity)`
-/// of an axis, threads outer — the digit order of `config_at`.
-fn axis_rows(
-    splits: &[Vec<u32>],
-    threads: &[u32],
-    affinities: &[Affinity],
-    position: usize,
-    time: impl Fn(u32, Affinity, u32) -> f64,
-) -> Vec<Vec<f64>> {
-    threads
-        .iter()
-        .flat_map(|&t| affinities.iter().map(move |&a| (t, a)))
-        .map(|(t, a)| {
-            splits
-                .iter()
-                .map(|split| time(t, a, split[position]))
-                .collect()
-        })
-        .collect()
 }
 
 impl<S: SideTimes> Objective<SystemConfiguration> for LazyTabulatedEvaluator<'_, S> {

@@ -18,16 +18,9 @@ use rand::SeedableRng;
 use rayon::prelude::*;
 use wd_ml::{BoostedTreesRegressor, BoostingParams, Dataset, ErrorHistogram, Regressor};
 
-use crate::config::DeviceAxis;
+use crate::config::{side_axis, DeviceAxis};
 use crate::evaluator::PredictionEvaluator;
-use crate::features::{device_feature_names, device_features, host_feature_names, host_features};
-
-/// Which side of the platform an experiment ran on (for accelerators: which one).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Side {
-    Host,
-    Device(usize),
-}
+use crate::features::{feature_names, features};
 
 /// One experiment of the training campaign, with its metadata retained so accuracy can
 /// be reported per thread count / affinity / input size.
@@ -308,9 +301,9 @@ impl TrainingCampaign {
     }
 
     /// Execute the host half of the campaign and return it as a dataset
-    /// (features per [`crate::features::host_feature_names`], targets in seconds).
+    /// (features per [`crate::features::feature_names`], targets in seconds).
     pub fn host_dataset(&self, platform: &HeterogeneousPlatform) -> wd_ml::Dataset {
-        Self::records_to_dataset(self.generate(platform, Side::Host), host_feature_names())
+        self.dataset(platform, 0)
     }
 
     /// Execute the campaign half of accelerator `device_index` and return it as a
@@ -320,15 +313,14 @@ impl TrainingCampaign {
         platform: &HeterogeneousPlatform,
         device_index: usize,
     ) -> wd_ml::Dataset {
-        Self::records_to_dataset(
-            self.generate(platform, Side::Device(device_index)),
-            device_feature_names(),
-        )
+        self.dataset(platform, device_index + 1)
     }
 
-    fn records_to_dataset(records: Vec<ExperimentRecord>, names: Vec<String>) -> wd_ml::Dataset {
-        let mut data = wd_ml::Dataset::new(names);
-        for record in records {
+    /// Side `side`'s experiments as a dataset (side 0 is the host, `d + 1`
+    /// accelerator `d`).
+    fn dataset(&self, platform: &HeterogeneousPlatform, side: usize) -> wd_ml::Dataset {
+        let mut data = wd_ml::Dataset::new(feature_names(side));
+        for record in self.generate(platform, side) {
             data.push(record.features, record.measured)
                 .expect("campaign rows match the feature schema");
         }
@@ -354,22 +346,16 @@ impl TrainingCampaign {
             platform.accelerator_count()
         );
         // every side's records first (each side a parallel batch), then one boosted
-        // fit per side, all sides concurrently; results come back in side order
-        let sides: Vec<(Side, Vec<ExperimentRecord>)> = std::iter::once(Side::Host)
-            .chain((0..self.device_axes.len()).map(Side::Device))
+        // fit per side, all sides concurrently; results come back in side order (the
+        // host is side 0)
+        let sides: Vec<(usize, Vec<ExperimentRecord>)> = (0..self.device_axes.len() + 1)
             .map(|side| (side, self.generate(platform, side)))
             .collect();
         let host_experiments = sides[0].1.len();
         let device_experiments = sides[1..].iter().map(|(_, records)| records.len()).sum();
         let mut fits: Vec<(BoostedTreesRegressor, AccuracyReport)> = sides
             .into_par_iter()
-            .map(|(side, records)| {
-                let names = match side {
-                    Side::Host => host_feature_names(),
-                    Side::Device(_) => device_feature_names(),
-                };
-                self.fit_side(&records, names, boosting)
-            })
+            .map(|(side, records)| self.fit_side(&records, feature_names(side), boosting))
             .collect();
         let (device_models, device_accuracies) = fits.split_off(1).into_iter().unzip();
         let (host_model, host_accuracy) = fits.remove(0);
@@ -384,15 +370,14 @@ impl TrainingCampaign {
         }
     }
 
-    /// The deterministic experiment order of one side of the campaign.
-    fn experiment_list(&self, side: Side) -> Vec<(Genome, WorkloadProfile, u32, Affinity)> {
-        let (threads_list, affinity_list) = match side {
-            Side::Host => (&self.host_threads, &self.host_affinities),
-            Side::Device(index) => {
-                let axis = &self.device_axes[index];
-                (&axis.threads, &axis.affinities)
-            }
-        };
+    /// The deterministic experiment order of one side of the campaign (side 0 is the
+    /// host, `d + 1` accelerator `d`).
+    fn experiment_list(&self, side: usize) -> Vec<(Genome, WorkloadProfile, u32, Affinity)> {
+        let (threads_list, affinity_list) = side_axis(
+            (&self.host_threads, &self.host_affinities),
+            &self.device_axes,
+            side,
+        );
         let mut experiments: Vec<(Genome, WorkloadProfile, u32, Affinity)> = Vec::with_capacity(
             threads_list.len() * affinity_list.len() * self.fractions.len() * self.genomes.len(),
         );
@@ -417,31 +402,19 @@ impl TrainingCampaign {
     /// The simulator is stateless and its noise model is a pure hash of the
     /// experiment context, so the records are identical to a sequential campaign,
     /// in the same deterministic order.
-    fn generate(&self, platform: &HeterogeneousPlatform, side: Side) -> Vec<ExperimentRecord> {
+    fn generate(&self, platform: &HeterogeneousPlatform, side: usize) -> Vec<ExperimentRecord> {
         let experiments = self.experiment_list(side);
         let run_one =
             |(genome, share, threads, affinity): (Genome, WorkloadProfile, u32, Affinity)| {
                 let cfg = ExecutionConfig::new(threads, affinity);
-                let measured = match side {
-                    Side::Host => {
-                        platform
-                            .execute_host_only(&share, &cfg)
-                            .expect("valid host experiment")
-                            .t_total
-                    }
-                    Side::Device(index) => {
-                        platform
-                            .execute_device_only_on(index, &share, &cfg)
-                            .expect("valid device experiment")
-                            .t_total
-                    }
-                };
-                let features = match side {
-                    Side::Host => host_features(threads, affinity, share.bytes),
-                    Side::Device(_) => device_features(threads, affinity, share.bytes),
-                };
+                let measured = match side.checked_sub(1) {
+                    None => platform.execute_host_only(&share, &cfg),
+                    Some(device) => platform.execute_device_only_on(device, &share, &cfg),
+                }
+                .expect("valid campaign experiment")
+                .t_total;
                 ExperimentRecord {
-                    features,
+                    features: features(side, threads, affinity, share.bytes),
                     threads,
                     affinity,
                     genome,
@@ -544,12 +517,12 @@ mod tests {
         let campaign = TrainingCampaign::reduced_for(&platform);
         let boosting = BoostingParams::fast();
         let models = campaign.run(&platform, boosting);
-        let serial = |side: Side, names: Vec<String>| {
+        let serial = |side: usize, names: Vec<String>| {
             let records = campaign.generate(&platform, side);
             campaign.fit_side(&records, names, boosting)
         };
 
-        let (host_model, host_accuracy) = serial(Side::Host, host_feature_names());
+        let (host_model, host_accuracy) = serial(0, feature_names(0));
         assert_eq!(
             format!("{:?}", models.host_model),
             format!("{host_model:?}")
@@ -560,7 +533,7 @@ mod tests {
         );
         assert_eq!(models.device_models.len(), 2);
         for index in 0..2 {
-            let (model, accuracy) = serial(Side::Device(index), device_feature_names());
+            let (model, accuracy) = serial(index + 1, feature_names(index + 1));
             assert_eq!(
                 format!("{:?}", models.device_models[index]),
                 format!("{model:?}"),
@@ -605,7 +578,7 @@ mod tests {
 
         // the two devices are genuinely different: their models disagree on the same
         // share
-        let features = device_features(60, Affinity::Balanced, 1_000_000_000);
+        let features = features(1, 60, Affinity::Balanced, 1_000_000_000);
         let phi = models.device_models[0].predict_one(&features);
         let gpu = models.device_models[1].predict_one(&features);
         assert!(phi > 0.0 && gpu > 0.0);

@@ -236,7 +236,9 @@ impl ShardedCampaign {
         store.flush()?;
 
         Ok(CampaignOutcome {
-            best_config: scan.config_at(best_index)?,
+            best_config: space
+                .config_at(best_index)
+                .ok_or(CampaignError::MissingConfig { index: best_index })?,
             best_energy,
             best_index,
             evaluations: reports.iter().map(|report| report.evaluations).sum(),
@@ -261,14 +263,6 @@ where
     O: Objective<S::Config> + Sync,
     R: ResultStore<S::Config> + Sync,
 {
-    /// The configuration at `index`, which the space promised through its
-    /// `space_len`.
-    fn config_at(&self, index: usize) -> Result<S::Config, CampaignError> {
-        self.space
-            .config_at(index)
-            .ok_or(CampaignError::MissingConfig { index })
-    }
-
     /// Scan one shard's (non-empty) range batch by batch: look the batch up in the
     /// store, evaluate only the misses, record them, and fold the best by index.
     fn shard(&self, shard: usize, range: Range<usize>) -> Result<ShardReport, CampaignError> {
@@ -276,8 +270,13 @@ where
         let mut best: Option<(usize, f64)> = None;
         for start in range.clone().step_by(self.batch_size) {
             let end = start.saturating_add(self.batch_size).min(range.end);
+            // every index is below the `space_len` the space promised
             let configs: Vec<S::Config> = (start..end)
-                .map(|index| self.config_at(index))
+                .map(|index| {
+                    self.space
+                        .config_at(index)
+                        .ok_or(CampaignError::MissingConfig { index })
+                })
                 .collect::<Result<_, _>>()?;
             let mut energies = vec![0.0f64; configs.len()];
             let mut pending: Vec<usize> = Vec::new();

@@ -131,14 +131,6 @@ impl Recorder for JsonlExporter {
         ));
     }
 
-    fn observe(&self, name: &str, value: f64) {
-        self.append_line(&format!(
-            "{{\"type\":\"observe\",\"name\":\"{}\",\"value\":{value},\"bits\":\"{:016x}\"}}",
-            escape_json(name),
-            value.to_bits()
-        ));
-    }
-
     fn span(&self, name: &str, seconds: f64, fields: &[(&str, FieldValue)]) {
         self.append_line(&format!(
             "{{\"type\":\"span\",\"name\":\"{}\",\"seconds\":{seconds},\"seconds_bits\":\"{:016x}\"{}}}",

@@ -10,8 +10,8 @@
 //! on-disk result store, and the platform simulator's execution breakdowns — reports
 //! through a single [`Recorder`] trait instead of scattering point-in-time structs.
 //!
-//! * [`Recorder`] — the sink trait: counters, gauges, histogram observations,
-//!   spans, per-iteration events and structured progress events.
+//! * [`Recorder`] — the sink trait: counters, gauges, spans, per-iteration events
+//!   and structured progress events.
 //! * [`NoopRecorder`] — the zero-overhead default; hot loops guard emissions with
 //!   [`Recorder::enabled`], so unobserved runs stay bit-identical and within noise
 //!   of the pre-instrumentation code (asserted by the `observability_overhead`
@@ -64,8 +64,7 @@ mod sync;
 pub use exporter::JsonlExporter;
 pub use recorder::{FieldValue, IterationEvent, NoopRecorder, Recorder};
 pub use registry::{
-    HistogramSummary, IterationSummary, MetricsSnapshot, Registry, SpanSummary,
-    METRICS_SCHEMA_VERSION,
+    IterationSummary, MetricsSnapshot, Registry, SpanSummary, METRICS_SCHEMA_VERSION,
 };
 pub use replay::{EventLog, ObsEvent};
 

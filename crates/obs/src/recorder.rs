@@ -76,11 +76,6 @@ pub trait Recorder: Send + Sync {
         let _ = (name, value);
     }
 
-    /// Record one observation of `value` in the histogram `name`.
-    fn observe(&self, name: &str, value: f64) {
-        let _ = (name, value);
-    }
-
     /// Record a completed span: a named unit of work that took `seconds`, with
     /// structured attributes.
     fn span(&self, name: &str, seconds: f64, fields: &[(&str, FieldValue)]) {
@@ -123,7 +118,6 @@ mod tests {
         assert!(!Recorder::enabled(&recorder));
         recorder.counter("c", 1);
         recorder.gauge("g", 2.0);
-        recorder.observe("h", 3.0);
         recorder.span("s", 0.1, &[("k", FieldValue::Bool(true))]);
         recorder.iteration(
             "scope",

@@ -6,46 +6,6 @@ use std::sync::Mutex;
 use crate::recorder::{FieldValue, IterationEvent, Recorder};
 use crate::sync::lock;
 
-/// Aggregate of one histogram: count, sum and range of the observed values.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HistogramSummary {
-    /// Number of observations.
-    pub count: u64,
-    /// Sum of all observed values.
-    pub sum: f64,
-    /// Smallest observed value.
-    pub min: f64,
-    /// Largest observed value.
-    pub max: f64,
-}
-
-impl HistogramSummary {
-    fn record(&mut self, value: f64) {
-        self.count += 1;
-        self.sum += value;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    fn new(value: f64) -> Self {
-        HistogramSummary {
-            count: 1,
-            sum: value,
-            min: value,
-            max: value,
-        }
-    }
-
-    /// Mean of the observed values (0 when nothing was observed).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-}
-
 /// Aggregate of all spans recorded under one name.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpanSummary {
@@ -108,7 +68,6 @@ impl IterationSummary {
 struct RegistryInner {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, HistogramSummary>,
     spans: BTreeMap<String, SpanSummary>,
     iterations: BTreeMap<String, IterationSummary>,
     events: BTreeMap<String, u64>,
@@ -138,7 +97,6 @@ impl Registry {
         MetricsSnapshot {
             counters: inner.counters.clone(),
             gauges: inner.gauges.clone(),
-            histograms: inner.histograms.clone(),
             spans: inner.spans.clone(),
             iterations: inner.iterations.clone(),
             events: inner.events.clone(),
@@ -155,18 +113,6 @@ impl Recorder for Registry {
     fn gauge(&self, name: &str, value: f64) {
         let mut inner = lock(&self.inner);
         inner.gauges.insert(name.to_string(), value);
-    }
-
-    fn observe(&self, name: &str, value: f64) {
-        let mut inner = lock(&self.inner);
-        match inner.histograms.get_mut(name) {
-            Some(summary) => summary.record(value),
-            None => {
-                inner
-                    .histograms
-                    .insert(name.to_string(), HistogramSummary::new(value));
-            }
-        }
     }
 
     fn span(&self, name: &str, seconds: f64, fields: &[(&str, FieldValue)]) {
@@ -218,8 +164,6 @@ pub struct MetricsSnapshot {
     pub counters: BTreeMap<String, u64>,
     /// Gauges by name (last written value).
     pub gauges: BTreeMap<String, f64>,
-    /// Histogram summaries by name.
-    pub histograms: BTreeMap<String, HistogramSummary>,
     /// Span summaries by name.
     pub spans: BTreeMap<String, SpanSummary>,
     /// Iteration summaries by scope.
@@ -228,10 +172,11 @@ pub struct MetricsSnapshot {
     pub events: BTreeMap<String, u64>,
 }
 
-/// Schema identifier stamped into serialized metrics snapshots.  `v2` pairs every
-/// decimal `f64` with a `<name>_bits` sibling holding the exact IEEE-754 bit
+/// Schema identifier stamped into serialized metrics snapshots.  Every decimal
+/// `f64` is paired with a `<name>_bits` sibling holding the exact IEEE-754 bit
 /// pattern (the decimal is for human eyes; the bits are authoritative on replay).
-pub const METRICS_SCHEMA_VERSION: &str = "wd-obs-metrics/v2";
+/// `v3` drops `v2`'s `"histograms"` object.
+pub const METRICS_SCHEMA_VERSION: &str = "wd-obs-metrics/v3";
 
 impl MetricsSnapshot {
     /// Serialize the snapshot as a pretty-printed JSON report (hand-rolled — the
@@ -251,19 +196,6 @@ impl MetricsSnapshot {
         push_entries(&mut out, self.gauges.iter(), |gauge| {
             let pair = json_f64_pair("value", *gauge);
             format!("{{{pair}}}")
-        });
-        out.push_str("  },\n");
-
-        out.push_str("  \"histograms\": {");
-        push_entries(&mut out, self.histograms.iter(), |h| {
-            let count = h.count;
-            let fields = [
-                json_f64_pair("sum", h.sum),
-                json_f64_pair("min", h.min),
-                json_f64_pair("max", h.max),
-                json_f64_pair("mean", h.mean()),
-            ];
-            format!("{{\"count\": {count}, {}}}", fields.join(", "))
         });
         out.push_str("  },\n");
 
@@ -371,19 +303,11 @@ mod tests {
     }
 
     #[test]
-    fn histograms_and_spans_summarize() {
+    fn spans_summarize() {
         let registry = Registry::new();
-        for v in [1.0, 3.0, 2.0] {
-            registry.observe("energy", v);
-        }
         registry.span("run", 0.5, &[("iterations", FieldValue::U64(10))]);
         registry.span("run", 1.5, &[]);
         let snapshot = registry.snapshot();
-        let h = snapshot.histograms["energy"];
-        assert_eq!(h.count, 3);
-        assert_eq!(h.min, 1.0);
-        assert_eq!(h.max, 3.0);
-        assert!((h.mean() - 2.0).abs() < 1e-12);
         let s = snapshot.spans["run"];
         assert_eq!(s.count, 2);
         assert!((s.total_seconds - 2.0).abs() < 1e-12);
@@ -414,7 +338,6 @@ mod tests {
         registry.counter("b", 1);
         registry.counter("a", 2);
         registry.gauge("g", 0.25);
-        registry.observe("h", 2.0);
         registry.span("s", 0.125, &[]);
         let a = registry.snapshot().to_json();
         let b = registry.snapshot().to_json();

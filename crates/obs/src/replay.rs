@@ -27,13 +27,6 @@ pub enum ObsEvent {
         /// Value written (bit-exact).
         value: f64,
     },
-    /// A histogram observation.
-    Observe {
-        /// Histogram name.
-        name: String,
-        /// Observed value (bit-exact).
-        value: f64,
-    },
     /// A completed span.
     Span {
         /// Span name.
@@ -122,10 +115,6 @@ fn parse_event(line: &str) -> Option<ObsEvent> {
             delta: json_u64_field(line, "delta")?,
         }),
         "gauge" => Some(ObsEvent::Gauge {
-            name: json_str_field(line, "name")?,
-            value: json_f64_field(line, "value", "bits")?,
-        }),
-        "observe" => Some(ObsEvent::Observe {
             name: json_str_field(line, "name")?,
             value: json_f64_field(line, "value", "bits")?,
         }),

@@ -105,6 +105,19 @@ proptest! {
         prop_assert_eq!(outcome.best_config, target);
     }
 
+    /// `GridSpace::config_at` decodes exactly the `enumerate` order, and nothing past
+    /// its end.
+    #[test]
+    fn grid_space_config_at_matches_the_enumeration_order(width in 0u32..30, height in 0u32..30) {
+        let space = GridSpace { width, height };
+        let all = space.enumerate().unwrap();
+        prop_assert_eq!(space.space_len(), Some(all.len()));
+        for (index, config) in all.iter().enumerate() {
+            prop_assert_eq!(space.config_at(index), Some(*config));
+        }
+        prop_assert_eq!(space.config_at(all.len()), None);
+    }
+
     /// Every heuristic returns an energy it actually evaluated (best ≤ every recorded
     /// proposal) and respects its evaluation budget.
     #[test]

@@ -329,6 +329,38 @@ fn the_runner_rejects_what_the_platform_cannot_run_before_searching() {
         .unwrap();
     assert!(em.measured_energy.is_finite());
 
+    // 480 threads on the Xeon Phi, which runs at most 240, wherever it gets work
+    let too_wide_phi = ConfigurationSpace::two_way(
+        vec![48],
+        vec![Affinity::Scatter],
+        vec![240, 480],
+        vec![Affinity::Balanced],
+        vec![0, 500, 1000],
+    );
+    let runner = MethodRunner::new(&platform, &workload, None, 1)
+        .with_grid(too_wide_phi.clone())
+        .with_space(too_wide_phi);
+    for method in [MethodKind::Em, MethodKind::Sam] {
+        let error = runner.run(method, 50).unwrap_err();
+        assert!(error.starts_with(&format!("{method}: ")), "{error}");
+        assert!(error.contains("Xeon Phi"), "{error}");
+        assert!(error.contains("at most 240"), "{error}");
+    }
+
+    // an accelerator that never receives work is never validated either
+    let idle_phi = ConfigurationSpace::two_way(
+        vec![48],
+        vec![Affinity::Scatter],
+        vec![480],
+        vec![Affinity::Balanced],
+        vec![1000],
+    );
+    let em = MethodRunner::new(&platform, &workload, None, 1)
+        .with_grid(idle_phi)
+        .run(MethodKind::Em, 0)
+        .unwrap();
+    assert!(em.measured_energy.is_finite());
+
     // two accelerators on a one-accelerator platform
     let runner = MethodRunner::new(&platform, &workload, None, 1)
         .with_grid(ConfigurationSpace::tiny_multi())

@@ -6,11 +6,12 @@ use std::path::PathBuf;
 
 use workdist::autotune::{
     campaign_context, run_enumeration_sharded, ConfigurationSpace, MeasurementEvaluator,
-    MethodKind, MethodRunner, SystemConfiguration,
+    MethodKind, MethodRunner, SystemConfiguration, TrainingCampaign,
 };
 use workdist::dist::{JsonlStore, MemoryStore, ResultStore, ShardedCampaign};
 use workdist::dna::Genome;
-use workdist::opt::{CacheStats, CountingObjective, ParallelEnumeration};
+use workdist::ml::BoostingParams;
+use workdist::opt::{CacheStats, CountingObjective, ParallelEnumeration, SearchSpace};
 use workdist::platform::HeterogeneousPlatform;
 
 fn evaluator() -> MeasurementEvaluator {
@@ -143,4 +144,51 @@ fn sharded_em_through_the_method_layer_matches_the_method_runner() {
             .unwrap();
     assert_eq!(resumed.cache.misses, 0);
     assert_eq!(resumed.best_config, runner_outcome.best_config);
+}
+
+#[test]
+fn sharded_eml_matches_the_method_runner_cold_and_warm() {
+    let platform = HeterogeneousPlatform::emil();
+    let workload = Genome::Dog.workload();
+    let models = TrainingCampaign::reduced().run(&platform, BoostingParams::fast());
+    let grid = ConfigurationSpace::tiny();
+    let runner_outcome = MethodRunner::new(&platform, &workload, Some(&models), 1)
+        .with_grid(grid.clone())
+        .run(MethodKind::Eml, 0)
+        .unwrap();
+
+    for shards in [1usize, 3] {
+        let store = MemoryStore::new();
+        for pass in ["cold", "warm"] {
+            let sharded = run_enumeration_sharded(
+                &platform,
+                &workload,
+                Some(&models),
+                MethodKind::Eml,
+                &grid,
+                shards,
+                &store,
+            )
+            .unwrap();
+            let context = format!("{shards} shards, {pass}");
+            assert_eq!(sharded.best_config, runner_outcome.best_config, "{context}");
+            assert_eq!(
+                sharded.search_energy.to_bits(),
+                runner_outcome.search_energy.to_bits(),
+                "{context}"
+            );
+            assert_eq!(
+                sharded.measured_energy.to_bits(),
+                runner_outcome.measured_energy.to_bits(),
+                "{context}"
+            );
+            assert_eq!(sharded.evaluations, runner_outcome.evaluations, "{context}");
+            let expected_misses = if pass == "cold" {
+                grid.space_len()
+            } else {
+                Some(0)
+            };
+            assert_eq!(Some(sharded.cache.misses), expected_misses, "{context}");
+        }
+    }
 }
