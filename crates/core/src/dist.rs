@@ -274,6 +274,72 @@ mod tests {
     }
 
     #[test]
+    fn a_reopened_store_serves_exactly_the_intact_records_of_canonical_keys() {
+        let path = std::env::temp_dir().join(format!(
+            "hetero_autotune-dist-index-{}.jsonl",
+            std::process::id()
+        ));
+        let line = |key: &str, energy: f64| {
+            format!(
+                "{{\"config\":\"{key}\",\"energy\":{energy},\"bits\":\"{:016x}\"}}",
+                energy.to_bits()
+            )
+        };
+        let legacy = |host_percent| {
+            SystemConfiguration::with_host_percent(
+                48,
+                Affinity::Scatter,
+                240,
+                Affinity::Balanced,
+                host_percent,
+            )
+        };
+        let extended = SystemConfiguration::new(
+            48,
+            Affinity::Scatter,
+            500,
+            vec![
+                DeviceSetting::new(240, Affinity::Balanced, 300),
+                DeviceSetting::new(448, Affinity::Balanced, 200),
+            ],
+        )
+        .unwrap();
+        let awkward: f64 = 0.1 + 0.2;
+        let served = [
+            (legacy(60), awkward),
+            (extended.clone(), 1e-300),
+            (legacy(40), 2.75),
+        ];
+        let contents = [
+            line("48|scatter|240|balanced|600", awkward),
+            line("48|scatter|500|240|balanced|300|448|balanced|200", 1e-300),
+            "{\"config\":\"48|scatter|240|balanced|400\",\"energy\":2.75}".to_string(),
+            line("48|scatter|240|balanced|200", 2.5).replace("\"energy\":2.5", "\"energy\":2.6"),
+            line("48|sideways|240|balanced|600", 1.0),
+            line("048|scatter|240|balanced|300", 1.0),
+            line("+48|scatter|240|balanced|300", 1.0),
+            "{\"config\":\"48|scatter|240|balanced|100\",\"ener".to_string(),
+        ]
+        .join("\n");
+        std::fs::write(&path, contents).unwrap();
+
+        let store: JsonlStore<SystemConfiguration> = JsonlStore::open(&path).unwrap();
+        assert_eq!(store.skipped_lines(), 5);
+        assert_eq!(store.len(), served.len());
+        for (config, energy) in &served {
+            assert_eq!(
+                store.lookup(config).map(f64::to_bits),
+                Some(energy.to_bits())
+            );
+        }
+        for host_percent in [10, 20, 30] {
+            assert_eq!(store.lookup(&legacy(host_percent)), None);
+        }
+        drop(store);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
     fn sharded_em_matches_the_method_runner_bit_for_bit() {
         let platform = platform();
         let workload = Genome::Cat.workload();

@@ -2,9 +2,10 @@
 //!
 //! A [`ConfigKey`] maps a configuration to a single-line string that (a) is unique per
 //! configuration, (b) survives a write/read round trip unchanged, and (c) is safe to
-//! embed verbatim inside a JSON string.  The on-disk [`crate::JsonlStore`] keys its
-//! records by this encoding, so two processes (or two runs of the same process) agree
-//! on which configurations have already been evaluated.
+//! embed verbatim inside a JSON string.  The on-disk [`crate::JsonlStore`] writes its
+//! records under this encoding and decodes each key once when it loads them, so two
+//! processes (or two runs of the same process) agree on which configurations have
+//! already been evaluated.
 
 /// A configuration type with a stable, JSON-string-safe textual key.
 ///
@@ -14,10 +15,18 @@
 /// * the encoding contains no `"`, `\` or control characters (it is embedded in a JSON
 ///   string without escaping) and no newlines (one record per line);
 /// * the encoding is *stable*: it must not change between runs, or persisted campaigns
-///   would silently lose their warm state.
+///   would silently lose their warm state;
+/// * [`ConfigKey::write_key`] appends exactly [`ConfigKey::encode_key`].
 pub trait ConfigKey: Sized {
     /// Encode this configuration as a stable single-line key.
     fn encode_key(&self) -> String;
+
+    /// Append this configuration's key to `out`.  The default appends
+    /// [`ConfigKey::encode_key`]; types that can write in place override it, so
+    /// a caller that reuses `out` encodes without allocating.
+    fn write_key(&self, out: &mut String) {
+        out.push_str(&self.encode_key());
+    }
 
     /// Decode a key produced by [`ConfigKey::encode_key`]; `None` for foreign input.
     fn decode_key(key: &str) -> Option<Self>;
@@ -28,6 +37,28 @@ macro_rules! impl_int_key {
         impl ConfigKey for $t {
             fn encode_key(&self) -> String {
                 self.to_string()
+            }
+
+            fn write_key(&self, out: &mut String) {
+                // digits by hand: `write!` costs several times as much, and a
+                // store checks every key it loads by writing it again
+                let value = *self as i128;
+                if value < 0 {
+                    out.push('-');
+                }
+                // every implementing type fits in 64 bits, where division is cheap
+                let mut magnitude = value.unsigned_abs() as u64;
+                let mut digits = [0u8; 20];
+                let mut start = digits.len();
+                loop {
+                    start -= 1;
+                    digits[start] = b'0' + (magnitude % 10) as u8;
+                    magnitude /= 10;
+                    if magnitude == 0 {
+                        break;
+                    }
+                }
+                out.extend(digits[start..].iter().map(|&digit| char::from(digit)));
             }
 
             fn decode_key(key: &str) -> Option<Self> {
@@ -51,7 +82,15 @@ impl_int_key!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 /// the scan is unambiguous.
 impl<A: ConfigKey, B: ConfigKey> ConfigKey for (A, B) {
     fn encode_key(&self) -> String {
-        format!("{},{}", self.0.encode_key(), self.1.encode_key())
+        let mut key = String::new();
+        self.write_key(&mut key);
+        key
+    }
+
+    fn write_key(&self, out: &mut String) {
+        self.0.write_key(out);
+        out.push(',');
+        self.1.write_key(out);
     }
 
     fn decode_key(key: &str) -> Option<Self> {
@@ -118,6 +157,37 @@ mod tests {
         // foreign input with the wrong arity still decodes to None
         assert_eq!(<((u32, u32), u32)>::decode_key("1,2"), None);
         assert_eq!(<((u32, u32), u32)>::decode_key("1,2,3,4"), None);
+    }
+
+    #[test]
+    fn integer_write_key_matches_display() {
+        let mut out = String::new();
+        for value in [0u64, 1, 9, 10, 99, 100, 4_294_967_295, u64::MAX] {
+            out.clear();
+            value.write_key(&mut out);
+            assert_eq!(out, value.to_string());
+        }
+        for value in [0i64, -1, -10, 42, i64::MIN, i64::MAX] {
+            out.clear();
+            value.write_key(&mut out);
+            assert_eq!(out, value.to_string());
+        }
+        for value in [i8::MIN, -1, 0, i8::MAX] {
+            out.clear();
+            value.write_key(&mut out);
+            assert_eq!(out, value.to_string());
+        }
+    }
+
+    #[test]
+    fn write_key_appends_the_encoding() {
+        let mut out = String::from("prefix|");
+        ((1u32, 2u32), (-3i64, 40u8)).write_key(&mut out);
+        assert_eq!(out, "prefix|1,2,-3,40");
+        assert_eq!(
+            &out["prefix|".len()..],
+            ((1u32, 2u32), (-3i64, 40u8)).encode_key()
+        );
     }
 
     #[test]

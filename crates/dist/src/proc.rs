@@ -36,8 +36,9 @@
 //!   flushed before the next fence check, so a segment that stops growing
 //!   for the staleness horizon marks a stalled worker.  The coordinator
 //!   **salvages** every segment (clean exit or not) through the
-//!   order-independent merge: only keys absent from `merged.jsonl` are copied,
-//!   so replayed or duplicated segments are harmless.
+//!   order-independent merge: only keys absent from `merged.jsonl` are
+//!   appended, in segment order and as the worker wrote them, so replayed or
+//!   duplicated segments are harmless.
 //! * `segments/slot-<i>-g<g>.done` — commit marker a worker writes (atomic
 //!   rename) after flushing its segment; exit 0 without it is still a failure.
 //! * `logs/slot-<i>-g<g>.log` — the worker's stdout/stderr, and `logs/pids` —
@@ -84,7 +85,7 @@ use crate::error::CampaignError;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::key::ConfigKey;
 use crate::scheduler::{Event, Grant, RetryPolicy, Scheduler, Verdict};
-use crate::store::{read_result_records, JsonlStore, ResultStore};
+use crate::store::{JsonlStore, ResultStore};
 
 /// Schema header of the campaign manifest file.
 pub const PROC_MANIFEST_VERSION: &str = "wd-dist-proc-manifest/v1";
@@ -725,27 +726,22 @@ fn shutdown_workers(live: &mut Vec<LiveWorker>) {
     }
 }
 
-/// Copy every record of `segment` whose key is absent from `store` (the
-/// order-independent merge: duplicates are identical by determinism, so
-/// first-writer-wins is safe), in sorted-key order for reproducible logs, as
-/// one [`ResultStore::record_batch`] append.
+/// Append every record of `segment` whose key is absent from `store`, in
+/// segment order, and return how many were appended (the order-independent
+/// merge: duplicates are identical by determinism, so first-writer-wins is
+/// safe).  The segment is streamed once by [`JsonlStore::append_absent`]: a
+/// line in the written shape is copied byte for byte, torn and foreign lines
+/// are skipped, and a key repeated within the segment (workers never write
+/// one) is taken at its first line.
 fn salvage_segment(store: &JsonlStore<(u32, u32)>, segment: &Path) -> Result<usize, CampaignError> {
-    let (records, _torn) = read_result_records(segment).map_err(CampaignError::Transport)?;
-    let mut entries: Vec<(String, f64)> = records.into_iter().collect();
-    entries.sort_by(|a, b| a.0.cmp(&b.0));
-    let (configs, energies): (Vec<(u32, u32)>, Vec<f64>) = entries
-        .into_iter()
-        .filter_map(|(key, energy)| Some((<(u32, u32)>::decode_key(&key)?, energy)))
-        .filter(|(config, _)| store.lookup(config).is_none())
-        .unzip();
-    if !configs.is_empty() {
-        store.record_batch(&configs, &energies);
-        // The segment's keys count as durable from now on (later grants skip
-        // them), so they must be on disk in the merged log before the
-        // coordinator acts on them: a coordinator crash cannot lose them.
-        store.flush()?;
-    }
-    Ok(configs.len())
+    let salvaged = store
+        .append_absent(segment)
+        .map_err(CampaignError::Transport)?;
+    // The segment's keys count as durable from now on (later grants skip
+    // them), so they must be on disk in the merged log before the
+    // coordinator acts on them: a coordinator crash cannot lose them.
+    store.flush()?;
+    Ok(salvaged)
 }
 
 /// Everything one coordinator run drives: the work directory, the merged
@@ -1252,6 +1248,7 @@ impl ProcCampaign {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::read_result_records;
 
     #[test]
     fn workload_spec_round_trips_and_scores_the_bowl() {
@@ -1477,7 +1474,7 @@ mod tests {
     }
 
     #[test]
-    fn salvage_appends_what_one_record_per_absent_key_would() {
+    fn salvage_appends_new_keys_in_segment_order_copying_written_lines_verbatim() {
         let dir = std::env::temp_dir().join(format!("wd-proc-salvage-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
@@ -1488,53 +1485,86 @@ mod tests {
             center_y: 3,
         };
         let space = spec.space();
-        let merged_keys: Vec<(u32, u32)> = [0, 3, 11, 40, 77]
-            .map(|i| space.config_at(i).unwrap())
-            .to_vec();
-        let open_merged = |name: &str| {
-            let store: JsonlStore<(u32, u32)> = JsonlStore::open(dir.join(name)).unwrap();
-            for config in &merged_keys {
-                store.record(config, spec.evaluate(config));
-            }
-            store
+        let at = |index: usize| space.config_at(index).unwrap();
+        let line = |config: (u32, u32), energy: f64| {
+            format!(
+                "{{\"config\":\"{}\",\"energy\":{energy},\"bits\":\"{:016x}\"}}\n",
+                config.encode_key(),
+                energy.to_bits()
+            )
         };
+        let merged = dir.join("merged.jsonl");
+        let store: JsonlStore<(u32, u32)> = JsonlStore::open(&merged).unwrap();
+        for config in [at(0), at(3), at(40)] {
+            store.record(&config, spec.evaluate(&config));
+        }
+        store.flush().unwrap();
+        let before = std::fs::read(&merged).unwrap();
 
-        // A segment out of order, with a key twice, keys the merged store holds,
-        // and a torn tail.
-        let segment_keys: Vec<(u32, u32)> = [90, 3, 17, 2, 17, 100, 40, 25, 9, 119]
-            .map(|i| space.config_at(i).unwrap())
-            .to_vec();
+        // New keys out of index order, a key the merged log holds, a repeat of a
+        // new key with another energy, a decimal-only line, a line whose decimal
+        // disagrees with its bits, a non-canonical key and a torn tail.
+        let (new_a, new_b, decimal_only, disagreeing) = (at(90), at(17), at(25), at(100));
+        let decimal = spec.evaluate(&decimal_only);
+        let kept = [
+            line(new_a, spec.evaluate(&new_a)),
+            line(new_b, spec.evaluate(&new_b)),
+        ];
         let segment = dir.join("segment.jsonl");
-        let writer: JsonlStore<(u32, u32)> = JsonlStore::open(&segment).unwrap();
-        for config in &segment_keys {
-            writer.record(config, spec.evaluate(config));
-        }
-        writer.inject_torn_write("4,4");
-        drop(writer);
+        std::fs::write(
+            &segment,
+            [
+                format!("{{\"schema\":\"{}\"}}\n", crate::STORE_SCHEMA_VERSION),
+                kept[0].clone(),
+                line(at(3), spec.evaluate(&at(3))),
+                kept[1].clone(),
+                line(new_b, 1234.5),
+                format!(
+                    "{{\"config\":\"{}\",\"energy\":{decimal}}}\n",
+                    decimal_only.encode_key()
+                ),
+                line(disagreeing, spec.evaluate(&disagreeing)).replacen(
+                    "\"energy\":",
+                    "\"energy\":1",
+                    1,
+                ),
+                "{\"config\":\"07,3\",\"energy\":2,\"bits\":\"4000000000000000\"}\n".to_string(),
+                "{\"config\":\"4,4\",\"ener".to_string(),
+            ]
+            .concat(),
+        )
+        .unwrap();
 
-        let store = open_merged("merged.jsonl");
-        let salvaged = salvage_segment(&store, &segment).unwrap();
+        assert_eq!(salvage_segment(&store, &segment).unwrap(), 3);
+        assert_eq!(store.lookup(&new_b), Some(spec.evaluate(&new_b)));
         drop(store);
-
-        let reference = open_merged("reference.jsonl");
-        let mut absent: Vec<(u32, u32)> = segment_keys
-            .iter()
-            .filter(|config| !merged_keys.contains(config))
-            .copied()
-            .collect();
-        absent.sort_by_key(|config| config.encode_key());
-        absent.dedup();
-        for config in &absent {
-            reference.record(config, spec.evaluate(config));
-        }
-        drop(reference);
-
-        assert_eq!(salvaged, absent.len());
-        assert_eq!(salvaged, 7);
+        let mut want = before;
+        want.extend(kept.concat().bytes());
+        want.extend(line(decimal_only, decimal).bytes());
         assert_eq!(
-            std::fs::read(dir.join("merged.jsonl")).unwrap(),
-            std::fs::read(dir.join("reference.jsonl")).unwrap()
+            String::from_utf8(std::fs::read(&merged).unwrap()).unwrap(),
+            String::from_utf8(want).unwrap()
         );
+
+        let reopened: JsonlStore<(u32, u32)> = JsonlStore::open(&merged).unwrap();
+        assert_eq!(reopened.skipped_lines(), 0);
+        let mut entries = reopened.entries();
+        entries.sort_by_key(|&(config, _)| config);
+        let mut expected: Vec<((u32, u32), f64)> =
+            [at(0), at(3), at(40), new_a, new_b, decimal_only]
+                .map(|config| (config, spec.evaluate(&config)))
+                .to_vec();
+        expected.sort_by_key(|&(config, _)| config);
+        assert_eq!(entries, expected);
+        drop(reopened);
+
+        // A missing segment (a worker that died before opening it) salvages nothing.
+        let store: JsonlStore<(u32, u32)> = JsonlStore::open(&merged).unwrap();
+        assert_eq!(
+            salvage_segment(&store, &dir.join("absent.jsonl")).unwrap(),
+            0
+        );
+        drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

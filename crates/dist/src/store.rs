@@ -16,16 +16,15 @@
 //! them ([`ResultStore::record_stats`]), giving an audit trail of how much work each
 //! run actually performed.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::hash::Hash;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
-use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, RwLock};
 
-use wd_obs::Recorder;
 use wd_opt::CacheStats;
 
 use crate::key::ConfigKey;
@@ -157,9 +156,14 @@ where
 /// on load, so round trips are exact; the decimal `energy` field (written with
 /// round-tripping `Display`) must parse to the same bits, or the line is skipped as
 /// corrupt (any NaN matches any NaN).
-/// Configurations are keyed by their [`ConfigKey`] encoding.  The loader tolerates a
-/// truncated final line (the footprint of a killed campaign) and foreign lines by
-/// skipping them; [`JsonlStore::skipped_lines`] reports how many were dropped.
+/// A record's `config` is the [`ConfigKey`] encoding of its configuration, and the
+/// in-memory index is keyed by the configuration itself: each key is decoded once, at
+/// load, and lookups and appends hash the configuration directly.  A key that does
+/// not decode, or that decodes to a configuration whose own encoding is spelled
+/// differently (`07,3` or `+7,3` for `(7, 3)`), is not one this store writes and is
+/// skipped like a foreign line.  The loader tolerates a truncated final line (the
+/// footprint of a killed campaign) and foreign lines by skipping them;
+/// [`JsonlStore::skipped_lines`] reports how many were dropped.
 /// Loading reads the file through one reused line buffer and parses a result line
 /// in exactly the written shape in one pass; every other line (other record kinds,
 /// hand-written, torn or foreign lines) goes through the general parser, whose
@@ -189,7 +193,7 @@ where
 #[derive(Debug)]
 pub struct JsonlStore<C> {
     path: PathBuf,
-    map: RwLock<HashMap<String, f64>>,
+    map: RwLock<HashMap<C, f64>>,
     writer: Mutex<BufWriter<File>>,
     stats: Mutex<CacheStats>,
     write_error: Mutex<Option<io::Error>>,
@@ -199,7 +203,6 @@ pub struct JsonlStore<C> {
     io: IoCounters,
     // held for RAII only: dropping the store removes the `<path>.lock` sentinel
     _lock: StoreLock,
-    _config: PhantomData<fn(&C) -> C>,
 }
 
 /// The held advisory append lock of one open [`JsonlStore`]: the `<path>.lock`
@@ -293,20 +296,20 @@ impl StoreLock {
 /// Load the result records of the log at `path` **read-only**: no append handle, no
 /// tail sealing, and no single-writer lock is taken or required.
 ///
-/// This is the view a worker process uses to warm-load a merged store that the
-/// coordinator holds open (and locked) for append, and the view the coordinator
-/// uses to salvage the segment of a dead worker.  Keys are the raw [`ConfigKey`]
-/// encodings; the second element counts malformed/torn lines skipped (a flushed,
-/// quiescent log reads back with zero).
+/// This is the view for inspecting a log that a live store holds open (and locked)
+/// for append: a campaign's merged log, or a worker's segment.  Keys are the raw
+/// [`ConfigKey`] encodings as written, undecoded, with a later record of a key
+/// replacing an earlier one; the second element counts malformed/torn lines
+/// skipped (a flushed, quiescent log reads back with zero).
 pub fn read_result_records(path: &Path) -> io::Result<(HashMap<String, f64>, usize)> {
     let mut map = HashMap::new();
     let mut skipped = 0usize;
     if !path.exists() {
         return Ok((map, skipped));
     }
-    read_lines(path, |record| match record {
+    read_lines(path, |line| match line.and_then(parse_line) {
         Some(Record::Result(key, energy)) => {
-            map.insert(key, energy);
+            map.insert(key.to_string(), energy);
         }
         Some(_) => {}
         None => skipped += 1,
@@ -314,12 +317,12 @@ pub fn read_result_records(path: &Path) -> io::Result<(HashMap<String, f64>, usi
     Ok((map, skipped))
 }
 
-/// Parse every line of the log at `path` through one reused buffer, handing each
-/// non-blank line's [`parse_line`] verdict to `visit`; a line holding a byte no
-/// record encodes (not UTF-8) is as unreadable as a torn one and arrives as
-/// `None`.  Returns the bytes consumed, counting a final line without its
-/// newline as if it had one (the size of the file once its tail is sealed).
-fn read_lines(path: &Path, mut visit: impl FnMut(Option<Record>)) -> io::Result<u64> {
+/// Read every line of the log at `path` through one reused buffer, handing each
+/// non-blank line to `visit`; a line holding a byte no record encodes (not
+/// UTF-8) is as unreadable as a torn one and arrives as `None`.  Returns the
+/// bytes consumed, counting a final line without its newline as if it had one
+/// (the size of the file once its tail is sealed).
+fn read_lines(path: &Path, mut visit: impl FnMut(Option<&str>)) -> io::Result<u64> {
     let mut reader = BufReader::new(File::open(path)?);
     let mut buffer = Vec::new();
     let mut bytes = 0u64;
@@ -332,7 +335,7 @@ fn read_lines(path: &Path, mut visit: impl FnMut(Option<Record>)) -> io::Result<
         bytes += line.len() as u64 + 1;
         match std::str::from_utf8(line) {
             Ok(line) if line.trim().is_empty() => {}
-            Ok(line) => visit(parse_line(line)),
+            Ok(line) => visit(Some(line)),
             Err(_) => visit(None),
         }
     }
@@ -369,11 +372,11 @@ pub struct StoreIoStats {
 pub const STORE_SCHEMA_VERSION: &str = "wd-dist-store/v2";
 
 #[derive(Debug)]
-enum Record {
-    Result(String, f64),
+enum Record<'a> {
+    Result(&'a str, f64),
     Stats(CacheStats),
-    Context(String),
-    Schema(String),
+    Context(&'a str),
+    Schema(&'a str),
     /// The `{"gen":N}` header that logs compacted by earlier versions of this
     /// crate carry; recognised so those logs still load without skipped lines,
     /// and otherwise ignored.
@@ -420,9 +423,9 @@ fn agrees(decimal: f64, energy: f64) -> bool {
 
 /// Parse one log line: the canonical result line in one pass, anything else through
 /// [`parse_general`].
-fn parse_line(line: &str) -> Option<Record> {
+fn parse_line(line: &str) -> Option<Record<'_>> {
     match parse_canonical(line) {
-        Some((key, energy)) => Some(Record::Result(key.to_string(), energy)),
+        Some((key, energy)) => Some(Record::Result(key, energy)),
         None => parse_general(line),
     }
 }
@@ -446,12 +449,12 @@ fn parse_canonical(line: &str) -> Option<(&str, f64)> {
 }
 
 /// Parse any record kind, each field found wherever it sits on the line.
-fn parse_general(line: &str) -> Option<Record> {
+fn parse_general(line: &str) -> Option<Record<'_>> {
     if let Some(schema) = json_str_field(line, "schema") {
-        return Some(Record::Schema(schema.to_string()));
+        return Some(Record::Schema(schema));
     }
     if let Some(context) = json_str_field(line, "context") {
-        return Some(Record::Context(context.to_string()));
+        return Some(Record::Context(context));
     }
     if let Some(key) = json_str_field(line, "config") {
         // `None` without a decimal field, `Some(None)` for one that does not parse
@@ -478,7 +481,7 @@ fn parse_general(line: &str) -> Option<Record> {
             }
             None => decimal??,
         };
-        return Some(Record::Result(key.to_string(), energy));
+        return Some(Record::Result(key, energy));
     }
     if json_uint_field(line, "gen").is_some() {
         return Some(Record::LegacyGeneration);
@@ -492,7 +495,23 @@ fn parse_general(line: &str) -> Option<Record> {
     None
 }
 
-impl<C: ConfigKey> JsonlStore<C> {
+/// The configuration `key` encodes, when `key` is that configuration's own
+/// encoding.  `scratch` is reused across calls, so the check allocates nothing
+/// per key for configurations that write their key in place.
+fn decode_canonical<C: ConfigKey>(key: &str, scratch: &mut String) -> Option<C> {
+    let config = C::decode_key(key)?;
+    scratch.clear();
+    config.write_key(scratch);
+    (scratch == key).then_some(config)
+}
+
+/// How many records to make room for before indexing the log at `path`: one per
+/// 64 bytes, about the length of a result line with a short key.
+fn index_capacity_hint(path: &Path) -> io::Result<usize> {
+    Ok(usize::try_from(std::fs::metadata(path)?.len() / 64).unwrap_or(0))
+}
+
+impl<C: ConfigKey + Eq + Hash + Clone> JsonlStore<C> {
     /// Open (or create) the store at `path`, loading every intact record.
     ///
     /// No context check is performed — prefer [`JsonlStore::open_with_context`] for
@@ -509,16 +528,23 @@ impl<C: ConfigKey> JsonlStore<C> {
         let mut loaded_bytes = 0u64;
         let mut needs_seal = false;
         if path.exists() {
-            loaded_bytes = read_lines(&path, |record| {
+            map.reserve(index_capacity_hint(&path)?);
+            let mut scratch = String::new();
+            loaded_bytes = read_lines(&path, |line| {
                 saw_lines = true;
-                match record {
+                match line.and_then(parse_line) {
                     Some(Record::Result(key, energy)) => {
-                        loaded_records += 1;
-                        map.insert(key, energy);
+                        match decode_canonical(key, &mut scratch) {
+                            Some(config) => {
+                                loaded_records += 1;
+                                map.insert(config, energy);
+                            }
+                            None => skipped += 1,
+                        }
                     }
                     Some(Record::Stats(loaded)) => stats += loaded,
-                    Some(Record::Context(loaded)) => context = Some(loaded),
-                    Some(Record::Schema(loaded)) => schema = Some(loaded),
+                    Some(Record::Context(loaded)) => context = Some(loaded.to_string()),
+                    Some(Record::Schema(loaded)) => schema = Some(loaded.to_string()),
                     Some(Record::LegacyGeneration) => {}
                     None => skipped += 1,
                 }
@@ -554,7 +580,6 @@ impl<C: ConfigKey> JsonlStore<C> {
                 ..IoCounters::default()
             },
             _lock: lock,
-            _config: PhantomData,
         };
         if !saw_lines {
             // stamp fresh stores with the current schema version so future readers
@@ -644,12 +669,11 @@ impl<C: ConfigKey> JsonlStore<C> {
         self.schema.as_deref()
     }
 
-    /// Decode every stored record back into configurations (records whose key no
-    /// longer decodes — e.g. written by an older schema — are skipped).
+    /// Every stored configuration with its energy, in no particular order.
     pub fn entries(&self) -> Vec<(C, f64)> {
         read_lock(&self.map)
             .iter()
-            .filter_map(|(key, &energy)| Some((C::decode_key(key)?, energy)))
+            .map(|(config, &energy)| (config.clone(), energy))
             .collect()
     }
 
@@ -665,25 +689,6 @@ impl<C: ConfigKey> JsonlStore<C> {
         }
     }
 
-    /// Publish [`JsonlStore::io_stats`] to `recorder` as counters named
-    /// `{scope}.store.*` (e.g. `campaign.store.appended_records`).  Call once at the
-    /// end of a run — counters are cumulative, so publishing twice double-counts.
-    pub fn publish_io(&self, recorder: &dyn Recorder, scope: &str) {
-        if !recorder.enabled() {
-            return;
-        }
-        let io = self.io_stats();
-        for (name, value) in [
-            ("loaded_records", io.loaded_records),
-            ("loaded_bytes", io.loaded_bytes),
-            ("skipped_lines", io.skipped_lines),
-            ("appended_records", io.appended_records),
-            ("appended_bytes", io.appended_bytes),
-        ] {
-            recorder.counter(&format!("{scope}.store.{name}"), value);
-        }
-    }
-
     /// Durably append a torn (truncated, unparseable) record line for `hint` — the
     /// footprint a crash in the middle of a batch append leaves behind.  A worker
     /// injecting [`crate::FaultKind::TornWrite`] calls this before it aborts; a
@@ -695,6 +700,69 @@ impl<C: ConfigKey> JsonlStore<C> {
         // i.e. as the fragment looks once the tail is sealed, so the injection
         // stays local to one record)
         self.append(&format!("{{\"config\":\"{hint}\",\"ener"));
+    }
+
+    /// Append every result record of the log at `path` whose configuration this
+    /// store does not hold yet, in the log's order, and return how many were
+    /// appended.
+    ///
+    /// The log is read once, with the checks of a load: torn, foreign and
+    /// non-canonical lines are skipped.  A configuration is taken at its first
+    /// intact line; a later line of it, like a line of a configuration the store
+    /// already holds, is skipped.  A line [`parse_canonical`] accepts is copied
+    /// byte for byte as read; any other result line (a decimal-only one, say) is
+    /// rewritten by [`write_result_line`].  As with
+    /// [`ResultStore::record_batch`], a write error stops the appends and
+    /// surfaces at the next [`ResultStore::flush`]; the returned error is a read
+    /// error of `path`.  A missing log appends nothing.
+    pub(crate) fn append_absent(&self, path: &Path) -> io::Result<usize> {
+        if !path.exists() {
+            return Ok(0);
+        }
+        let mut map = write_lock(&self.map);
+        map.reserve(index_capacity_hint(path)?);
+        let mut writer = lock(&self.writer);
+        let mut out = Tally {
+            inner: &mut *writer,
+            bytes: 0,
+        };
+        let mut scratch = String::new();
+        let (mut lines, mut bytes) = (0, 0);
+        let mut wrote = Ok(());
+        read_lines(path, |line| {
+            let (Some(line), Ok(())) = (line, &wrote) else {
+                return;
+            };
+            let (key, energy, verbatim) = match parse_canonical(line) {
+                Some((key, energy)) => (key, energy, true),
+                None => match parse_general(line) {
+                    Some(Record::Result(key, energy)) => (key, energy, false),
+                    _ => return,
+                },
+            };
+            let Some(Entry::Vacant(slot)) =
+                decode_canonical(key, &mut scratch).map(|config| map.entry(config))
+            else {
+                return;
+            };
+            wrote = if verbatim {
+                out.write_all(line.as_bytes())
+                    .and_then(|()| out.write_all(b"\n"))
+            } else {
+                write_result_line(&mut out, key, energy)
+            };
+            if wrote.is_ok() {
+                slot.insert(energy);
+                lines += 1;
+                bytes = out.bytes;
+            }
+        })?;
+        self.io.appended_records.fetch_add(lines, Ordering::Relaxed);
+        self.io.appended_bytes.fetch_add(bytes, Ordering::Relaxed);
+        if let Err(error) = wrote {
+            lock(&self.write_error).get_or_insert(error);
+        }
+        Ok(lines as usize)
     }
 
     /// Append `line`, flush it to the OS so a kill cannot lose it, and remember the
@@ -752,16 +820,16 @@ impl<W: Write> Write for Tally<W> {
     }
 }
 
-impl<C: ConfigKey> ResultStore<C> for JsonlStore<C> {
+impl<C: ConfigKey + Eq + Hash + Clone> ResultStore<C> for JsonlStore<C> {
     fn lookup(&self, config: &C) -> Option<f64> {
-        read_lock(&self.map).get(&config.encode_key()).copied()
+        read_lock(&self.map).get(config).copied()
     }
 
     fn lookup_batch(&self, configs: &[C]) -> Vec<Option<f64>> {
         let map = read_lock(&self.map);
         configs
             .iter()
-            .map(|config| map.get(&config.encode_key()).copied())
+            .map(|config| map.get(config).copied())
             .collect()
     }
 
@@ -771,7 +839,6 @@ impl<C: ConfigKey> ResultStore<C> for JsonlStore<C> {
 
     fn record_batch(&self, configs: &[C], energies: &[f64]) {
         assert_eq!(configs.len(), energies.len());
-        let keys: Vec<String> = configs.iter().map(ConfigKey::encode_key).collect();
         {
             // one writer lock for the whole batch keeps shard appends contiguous; the
             // trailing flush bounds what a kill can lose to this batch
@@ -782,12 +849,18 @@ impl<C: ConfigKey> ResultStore<C> for JsonlStore<C> {
             };
             // counters cover whole lines only: a write error mid-line stops the batch
             let (mut lines, mut bytes) = (0, 0);
-            let wrote = keys.iter().zip(energies).try_for_each(|(key, &energy)| {
-                write_result_line(&mut out, key, energy)?;
-                lines += 1;
-                bytes = out.bytes;
-                Ok(())
-            });
+            let mut key = String::new();
+            let wrote = configs
+                .iter()
+                .zip(energies)
+                .try_for_each(|(config, &energy)| {
+                    key.clear();
+                    config.write_key(&mut key);
+                    write_result_line(&mut out, &key, energy)?;
+                    lines += 1;
+                    bytes = out.bytes;
+                    Ok(())
+                });
             self.io.appended_records.fetch_add(lines, Ordering::Relaxed);
             self.io.appended_bytes.fetch_add(bytes, Ordering::Relaxed);
             if let Err(error) = wrote.and_then(|()| writer.flush()) {
@@ -795,8 +868,8 @@ impl<C: ConfigKey> ResultStore<C> for JsonlStore<C> {
             }
         }
         let mut map = write_lock(&self.map);
-        for (key, &energy) in keys.into_iter().zip(energies) {
-            map.insert(key, energy);
+        for (config, &energy) in configs.iter().zip(energies) {
+            map.insert(config.clone(), energy);
         }
     }
 
@@ -1130,21 +1203,6 @@ mod tests {
         assert_eq!(io.loaded_bytes, std::fs::metadata(&path).unwrap().len());
         assert_eq!(io.skipped_lines, 0);
         assert_eq!(io.appended_records, 0);
-
-        // counters publish under the requested scope
-        let registry = wd_obs::Registry::new();
-        store.publish_io(&registry, "campaign");
-        let snapshot = registry.snapshot();
-        assert_eq!(
-            snapshot.counters.get("campaign.store.loaded_records"),
-            Some(&4)
-        );
-        assert_eq!(
-            snapshot.counters.get("campaign.store.appended_records"),
-            Some(&0)
-        );
-        // and a disabled recorder costs nothing and records nothing
-        store.publish_io(&wd_obs::NoopRecorder, "campaign");
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1288,7 +1346,7 @@ mod tests {
     #[test]
     fn the_one_pass_parser_agrees_with_the_general_one() {
         let verdict =
-            |line: &[u8], parse: fn(&str) -> Option<Record>| match std::str::from_utf8(line)
+            |line: &[u8], parse: fn(&str) -> Option<Record<'_>>| match std::str::from_utf8(line)
                 .ok()
                 .and_then(parse)
             {
@@ -1324,6 +1382,52 @@ mod tests {
             }
         }
         assert!(checked > 1_000);
+    }
+
+    #[test]
+    fn the_index_serves_exactly_the_intact_records_of_canonical_keys() {
+        let path = temp_path("typed-index");
+        let awkward: f64 = 0.1 + 0.2;
+        let line = |key: &str, energy: f64| JsonlStore::<(u32, u32)>::result_line(key, energy);
+        let served = [((3, 4), awkward), ((0, 0), 1e-300), ((5, 6), 2.75)];
+        let contents = [
+            line("3,4", awkward),
+            line("0,0", 1e-300),
+            "{\"config\":\"5,6\",\"energy\":2.75}".to_string(),
+            line("7,8", 2.5).replace("\"energy\":2.5", "\"energy\":2.6"),
+            line("x,7", 1.0),
+            line("07,3", 1.0),
+            line("+7,3", 1.0),
+            "{\"config\":\"9,9\",\"ener".to_string(),
+        ]
+        .join("\n");
+        std::fs::write(&path, contents).unwrap();
+
+        let store: JsonlStore<(u32, u32)> = JsonlStore::open(&path).unwrap();
+        assert_eq!(store.skipped_lines(), 5);
+        assert_eq!(store.io_stats().loaded_records, 3);
+        let mut entries = store.entries();
+        entries.sort_by_key(|&(config, _)| config);
+        let mut want = served.to_vec();
+        want.sort_by_key(|&(config, _)| config);
+        assert_eq!(
+            entries
+                .iter()
+                .map(|&(c, e)| (c, e.to_bits()))
+                .collect::<Vec<_>>(),
+            want.iter()
+                .map(|&(c, e)| (c, e.to_bits()))
+                .collect::<Vec<_>>()
+        );
+        for (config, energy) in served {
+            assert_eq!(
+                store.lookup(&config).map(f64::to_bits),
+                Some(energy.to_bits())
+            );
+        }
+        assert_eq!(store.lookup_batch(&[(7, 8), (7, 3), (9, 9)]), [None; 3]);
+        drop(store);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
