@@ -72,14 +72,14 @@ impl Autotuner {
     }
 
     /// Replace the training campaign (drops any already-trained models).
-    pub fn with_campaign(mut self, campaign: TrainingCampaign) -> Self {
+    fn with_campaign(mut self, campaign: TrainingCampaign) -> Self {
         self.campaign = campaign;
         self.models = None;
         self
     }
 
     /// Replace the boosting hyper-parameters (drops any already-trained models).
-    pub fn with_boosting(mut self, boosting: BoostingParams) -> Self {
+    fn with_boosting(mut self, boosting: BoostingParams) -> Self {
         self.boosting = boosting;
         self.models = None;
         self
@@ -105,11 +105,6 @@ impl Autotuner {
     /// The workload being tuned.
     pub fn workload(&self) -> &WorkloadProfile {
         &self.workload
-    }
-
-    /// Whether the prediction models have been trained yet.
-    pub fn is_trained(&self) -> bool {
-        self.models.is_some()
     }
 
     /// Train (or return the already-trained) prediction models.
@@ -157,13 +152,13 @@ mod tests {
         let mut tuner = Autotuner::quick_setup(3)
             .with_grid(ConfigurationSpace::tiny())
             .with_space(ConfigurationSpace::tiny());
-        assert!(!tuner.is_trained());
+        assert!(tuner.models.is_none());
 
         let sam = tuner.run(MethodKind::Sam, 100).unwrap();
-        assert!(!tuner.is_trained(), "SAM must not trigger training");
+        assert!(tuner.models.is_none(), "SAM must not trigger training");
 
         let saml = tuner.run(MethodKind::Saml, 100).unwrap();
-        assert!(tuner.is_trained(), "SAML triggers lazy training");
+        assert!(tuner.models.is_some(), "SAML triggers lazy training");
 
         let em = tuner.run(MethodKind::Em, 0).unwrap();
         let eml = tuner.run(MethodKind::Eml, 0).unwrap();
@@ -197,9 +192,9 @@ mod tests {
             .with_grid(ConfigurationSpace::tiny())
             .with_space(ConfigurationSpace::tiny());
         let _ = tuner.models();
-        assert!(tuner.is_trained());
+        assert!(tuner.models.is_some());
         let tuner = tuner.with_campaign(TrainingCampaign::reduced());
-        assert!(!tuner.is_trained());
+        assert!(tuner.models.is_none());
     }
 
     #[test]
@@ -209,7 +204,7 @@ mod tests {
             .with_space(ConfigurationSpace::tiny());
         let _ = tuner.models();
         let mut tuner = tuner.with_workload(Genome::Dog.workload());
-        assert!(tuner.is_trained());
+        assert!(tuner.models.is_some());
         assert_eq!(tuner.workload().name, "dog");
         let outcome = tuner.run(MethodKind::Saml, 60).unwrap();
         assert!(outcome.measured_energy > 0.0);

@@ -438,7 +438,7 @@ pub(crate) fn side_axis<'a>(
 /// Workload splits are an explicit list of permille share vectors
 /// (`[host, device1, ..., deviceN]`, each summing to 1000) — for one accelerator this
 /// is the paper's scalar "workload fraction" parameter, for N accelerators it is a
-/// discrete simplex (see [`ConfigurationSpace::simplex_splits`]).
+/// discrete simplex (see [`ConfigurationSpace::multi_accelerator`]).
 ///
 /// The split list is fixed at construction ([`ConfigurationSpace::splits`] reads it),
 /// so the split-move index the neighbour moves use, built on first use and shared by
@@ -663,27 +663,18 @@ impl ConfigurationSpace {
         Self::from_parts(host_threads, host_affinities, device_axes, splits)
     }
 
-    /// All share vectors `[host, device1, ..., deviceN]` whose entries are multiples
-    /// of `step_permille` and sum to 1000 — the discrete simplex the N-way splits
-    /// live on.  `step_permille` must divide 1000.  Vectors are ordered
-    /// lexicographically (host share ascending, then device shares), so for one
-    /// accelerator the order matches the paper's ascending workload-fraction list.
-    pub fn simplex_splits(accelerators: usize, step_permille: u32) -> Vec<Vec<u32>> {
-        assert!(accelerators >= 1, "at least one accelerator is required");
-        Self::simplex_splits_heterogeneous(&vec![step_permille; accelerators + 1])
-    }
-
-    /// [`ConfigurationSpace::simplex_splits`] with one step per simplex position:
-    /// all share vectors `[host, device1, ..., deviceN]` summing to 1000 in which
-    /// every position is a multiple of *its own* `steps_permille` entry (host first).
+    /// All share vectors `[host, device1, ..., deviceN]` summing to 1000 in which
+    /// every position is a multiple of *its own* `steps_permille` entry (host
+    /// first) — the discrete simplex the N-way splits live on.
     ///
     /// Every step must divide 1000 (so the simplex is never empty — the
     /// all-on-the-last-device vector always qualifies).  Positions before the last
     /// iterate their own step grid and the last device takes the remainder, which is
     /// kept only when it lands on that device's grid; with uniform steps this prunes
-    /// nothing and reproduces `simplex_splits` exactly, element for element.  The
-    /// lexicographic (host-ascending) order is preserved.
-    pub fn simplex_splits_heterogeneous(steps_permille: &[u32]) -> Vec<Vec<u32>> {
+    /// nothing.  Vectors are ordered lexicographically (host share ascending, then
+    /// device shares), so for one accelerator the order matches the paper's
+    /// ascending workload-fraction list.
+    fn simplex_splits_heterogeneous(steps_permille: &[u32]) -> Vec<Vec<u32>> {
         assert!(
             steps_permille.len() >= 2,
             "a split needs the host plus at least one accelerator, got {} positions",
@@ -1205,13 +1196,13 @@ mod tests {
     #[test]
     fn simplex_splits_cover_exactly_the_step_grid() {
         // one accelerator: the simplex is the paper's scalar fraction list
-        let one = ConfigurationSpace::simplex_splits(1, 25);
+        let one = ConfigurationSpace::simplex_splits_heterogeneous(&[25, 25]);
         assert_eq!(one.len(), 41);
         assert_eq!(one.first().unwrap(), &vec![0, 1000]);
         assert_eq!(one.last().unwrap(), &vec![1000, 0]);
 
         // two accelerators with 10 % steps: C(12, 2) = 66 compositions
-        let two = ConfigurationSpace::simplex_splits(2, 100);
+        let two = ConfigurationSpace::simplex_splits_heterogeneous(&[100, 100, 100]);
         assert_eq!(two.len(), 66);
         for split in &two {
             assert_eq!(split.len(), 3);
@@ -1223,19 +1214,10 @@ mod tests {
         assert_eq!(unique.len(), two.len());
 
         // three accelerators with 25 % steps: C(4 + 3, 3) = 35 compositions
-        assert_eq!(ConfigurationSpace::simplex_splits(3, 250).len(), 35);
-    }
-
-    #[test]
-    fn heterogeneous_steps_reproduce_the_uniform_simplex_exactly() {
-        // the uniform constructors are wrappers: same vectors, same order
-        for (accelerators, step) in [(1usize, 25u32), (1, 100), (2, 100), (2, 250), (3, 250)] {
-            assert_eq!(
-                ConfigurationSpace::simplex_splits(accelerators, step),
-                ConfigurationSpace::simplex_splits_heterogeneous(&vec![step; accelerators + 1]),
-                "{accelerators} accelerators, step {step}"
-            );
-        }
+        assert_eq!(
+            ConfigurationSpace::simplex_splits_heterogeneous(&[250, 250, 250, 250]).len(),
+            35
+        );
     }
 
     #[test]
@@ -1266,7 +1248,9 @@ mod tests {
         sorted.dedup();
         assert_eq!(sorted, mixed, "lexicographic order, no duplicates");
         // and the coarse slow device shrinks the simplex well below the uniform grid
-        assert!(mixed.len() < ConfigurationSpace::simplex_splits(2, 100).len());
+        assert!(
+            mixed.len() < ConfigurationSpace::simplex_splits_heterogeneous(&[100, 100, 100]).len()
+        );
     }
 
     #[test]

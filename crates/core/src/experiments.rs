@@ -166,11 +166,16 @@ pub enum SpeedupBaseline {
 }
 
 impl ConvergenceStudy {
-    /// Run the study with the default number of annealing repetitions per budget.
-    ///
-    /// See [`ConvergenceStudy::run_with_repeats`]; three repetitions keep the
+    /// Run the study: for every genome run EM and EML once and, per iteration budget,
+    /// run SAM, SAML and GAML three times with independent seeds and keep the run
+    /// with the median measured execution time.  Three repetitions keep the
     /// run-to-run variance of the stochastic annealer from obscuring the
     /// convergence trend, matching the smooth curves the paper plots.
+    ///
+    /// # Panics
+    ///
+    /// If a method run fails: `models` trained for fewer accelerators than the paper
+    /// space describes, or a platform that cannot run the paper's grid.
     pub fn run(
         platform: &HeterogeneousPlatform,
         models: &TrainedModels,
@@ -181,16 +186,9 @@ impl ConvergenceStudy {
         Self::run_with_repeats(platform, models, genomes, budgets, seed, 3)
     }
 
-    /// Run the study: for every genome run EM and EML once and, per iteration budget,
-    /// run SAM, SAML and GAML `repeats` times with independent seeds and keep the run
-    /// with the median measured execution time.  All runs of one genome and method go
-    /// to the rayon workers as one batch.
-    ///
-    /// # Panics
-    ///
-    /// If a method run fails: `models` trained for fewer accelerators than the paper
-    /// space describes, or a platform that cannot run the paper's grid.
-    pub fn run_with_repeats(
+    /// [`ConvergenceStudy::run`] with `repeats` annealing runs per budget.  All runs
+    /// of one genome and method go to the rayon workers as one batch.
+    fn run_with_repeats(
         platform: &HeterogeneousPlatform,
         models: &TrainedModels,
         genomes: &[Genome],

@@ -125,25 +125,6 @@ impl ModelComparison {
             })
             .collect()
     }
-
-    /// The family with the lowest MAPE on the host data.
-    pub fn best_host_family(&self) -> ModelFamily {
-        Self::best_of(&self.host)
-    }
-
-    /// The family with the lowest MAPE on accelerator `index`'s data, or `None` when
-    /// the platform has no accelerator `index`.
-    pub fn best_device_family_for(&self, index: usize) -> Option<ModelFamily> {
-        self.devices.get(index).map(|scores| Self::best_of(scores))
-    }
-
-    fn best_of(scores: &[FamilyScore]) -> ModelFamily {
-        scores
-            .iter()
-            .min_by(|a, b| a.mape.total_cmp(&b.mape))
-            .map(|s| s.family)
-            .unwrap_or(ModelFamily::BoostedTrees)
-    }
 }
 
 #[cfg(test)]
@@ -166,12 +147,16 @@ mod tests {
         assert_eq!(comparison.host.len(), 3);
         assert_eq!(comparison.devices.len(), 1);
         assert_eq!(comparison.devices[0].len(), 3);
-        assert_eq!(comparison.best_host_family(), ModelFamily::BoostedTrees);
-        assert_eq!(
-            comparison.best_device_family_for(0),
-            Some(ModelFamily::BoostedTrees)
-        );
-        assert_eq!(comparison.best_device_family_for(1), None);
+        for scores in std::iter::once(&comparison.host).chain(&comparison.devices) {
+            let boosted = scores
+                .iter()
+                .find(|score| score.family == ModelFamily::BoostedTrees)
+                .unwrap();
+            assert!(
+                scores.iter().all(|score| boosted.mape <= score.mape),
+                "{scores:?}"
+            );
+        }
         for score in comparison
             .host
             .iter()

@@ -268,7 +268,7 @@ impl TrainingCampaign {
     }
 
     /// Replace the per-accelerator axes.
-    pub fn with_device_axes(mut self, device_axes: Vec<DeviceAxis>) -> Self {
+    fn with_device_axes(mut self, device_axes: Vec<DeviceAxis>) -> Self {
         assert!(
             !device_axes.is_empty(),
             "at least one device axis is required"
@@ -278,7 +278,7 @@ impl TrainingCampaign {
     }
 
     /// Number of host-side experiments this campaign performs.
-    pub fn host_experiment_count(&self) -> usize {
+    fn host_experiment_count(&self) -> usize {
         self.host_threads.len()
             * self.host_affinities.len()
             * self.fractions.len()
@@ -286,7 +286,7 @@ impl TrainingCampaign {
     }
 
     /// Number of device-side experiments this campaign performs (all accelerators).
-    pub fn device_experiment_count(&self) -> usize {
+    fn device_experiment_count(&self) -> usize {
         self.device_axes
             .iter()
             .map(|axis| axis.threads.len() * axis.affinities.len())

@@ -113,7 +113,7 @@ impl ShardedCampaign {
     }
 
     /// Run the campaign: shard `space`, evaluate every shard through `store`-backed
-    /// `objective`, merge, and record the merged stats into the store.
+    /// `objective` and merge; the merged store counters are the outcome's `stats`.
     ///
     /// The campaign reads the space through its indexed access only
     /// ([`SearchSpace::space_len`] / [`SearchSpace::config_at`]) and is
@@ -232,7 +232,6 @@ impl ShardedCampaign {
                 ("misses", u64_of(stats.misses)),
             ],
         );
-        store.record_stats(stats);
         store.flush()?;
 
         Ok(CampaignOutcome {
@@ -453,15 +452,6 @@ mod tests {
         assert_eq!(warm.best_config, cold.best_config);
         assert_eq!(warm.best_energy.to_bits(), cold.best_energy.to_bits());
         assert_eq!(warm.best_index, cold.best_index);
-
-        // the store audit trail accumulated both runs
-        assert_eq!(
-            store.recorded_stats(),
-            CacheStats {
-                hits: 144,
-                misses: 144
-            }
-        );
     }
 
     #[test]

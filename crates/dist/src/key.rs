@@ -15,17 +15,17 @@
 /// * the encoding contains no `"`, `\` or control characters (it is embedded in a JSON
 ///   string without escaping) and no newlines (one record per line);
 /// * the encoding is *stable*: it must not change between runs, or persisted campaigns
-///   would silently lose their warm state;
-/// * [`ConfigKey::write_key`] appends exactly [`ConfigKey::encode_key`].
+///   would silently lose their warm state.
 pub trait ConfigKey: Sized {
-    /// Encode this configuration as a stable single-line key.
-    fn encode_key(&self) -> String;
+    /// Append this configuration's stable single-line key to `out`, in place, so a
+    /// caller that reuses `out` encodes without allocating.
+    fn write_key(&self, out: &mut String);
 
-    /// Append this configuration's key to `out`.  The default appends
-    /// [`ConfigKey::encode_key`]; types that can write in place override it, so
-    /// a caller that reuses `out` encodes without allocating.
-    fn write_key(&self, out: &mut String) {
-        out.push_str(&self.encode_key());
+    /// This configuration's key as a new `String`.
+    fn encode_key(&self) -> String {
+        let mut key = String::new();
+        self.write_key(&mut key);
+        key
     }
 
     /// Decode a key produced by [`ConfigKey::encode_key`]; `None` for foreign input.
@@ -35,10 +35,6 @@ pub trait ConfigKey: Sized {
 macro_rules! impl_int_key {
     ($($t:ty),*) => {$(
         impl ConfigKey for $t {
-            fn encode_key(&self) -> String {
-                self.to_string()
-            }
-
             fn write_key(&self, out: &mut String) {
                 // digits by hand: `write!` costs several times as much, and a
                 // store checks every key it loads by writing it again
@@ -81,12 +77,6 @@ impl_int_key!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 /// consumes is fixed by its type structure, so at most one split point can decode —
 /// the scan is unambiguous.
 impl<A: ConfigKey, B: ConfigKey> ConfigKey for (A, B) {
-    fn encode_key(&self) -> String {
-        let mut key = String::new();
-        self.write_key(&mut key);
-        key
-    }
-
     fn write_key(&self, out: &mut String) {
         self.0.write_key(out);
         out.push(',');

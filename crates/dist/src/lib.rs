@@ -14,11 +14,11 @@
 //!   lowest-energy/earliest-global-index rule ([`wd_opt::better_indexed`]).  The
 //!   merged result is **bit-identical** to a single-node run for every shard count,
 //!   batch size and shard completion order.
-//! * [`ResultStore`] persists every `(configuration, energy)` pair as it is produced
-//!   plus the merged [`wd_opt::CacheStats`] of each run.  [`JsonlStore`] is the
-//!   on-disk implementation (append-only JSON lines, exact IEEE-754 round trip,
-//!   tolerant of truncated tails), [`MemoryStore`] the in-process one.  A killed or
-//!   repeated campaign resumes against a warm store with **zero** re-evaluations.
+//! * [`ResultStore`] persists every `(configuration, energy)` pair as it is
+//!   produced.  [`JsonlStore`] is the on-disk implementation (append-only JSON
+//!   lines, exact IEEE-754 round trip, tolerant of truncated tails), [`MemoryStore`]
+//!   the in-process one.  A killed or repeated campaign resumes against a warm
+//!   store with **zero** re-evaluations.
 //! * [`ProcCampaign`] is the fault-tolerant driver: it runs the campaign across
 //!   real worker processes that survive `kill -9`, with leases and fencing tokens
 //!   on disk, retries, work-stealing and salvage of every worker's segment, and
@@ -78,6 +78,4 @@ pub use proc::{
     PROC_MANIFEST_VERSION,
 };
 pub use scheduler::RetryPolicy;
-pub use store::{
-    read_result_records, JsonlStore, MemoryStore, ResultStore, StoreIoStats, STORE_SCHEMA_VERSION,
-};
+pub use store::{read_result_records, JsonlStore, MemoryStore, ResultStore, STORE_SCHEMA_VERSION};

@@ -11,10 +11,6 @@
 //!   bit pattern of every energy, so a reloaded store reproduces results *bit for bit*;
 //!   the loader skips truncated or foreign lines, so a campaign killed mid-write loses
 //!   at most the record being written.
-//!
-//! Stores also accumulate the merged [`CacheStats`] of the campaigns that ran against
-//! them ([`ResultStore::record_stats`]), giving an audit trail of how much work each
-//! run actually performed.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -22,10 +18,7 @@ use std::fs::{File, OpenOptions};
 use std::hash::Hash;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, RwLock};
-
-use wd_opt::CacheStats;
 
 use crate::key::ConfigKey;
 use crate::sync::{lock, read_lock, write_lock};
@@ -61,13 +54,6 @@ pub trait ResultStore<C> {
         }
     }
 
-    /// Fold a campaign's merged hit/miss counters into the store's running total.
-    fn record_stats(&self, stats: CacheStats);
-
-    /// Accumulated counters over every campaign recorded so far (for a persistent
-    /// store: including previous processes).
-    fn recorded_stats(&self) -> CacheStats;
-
     /// Number of distinct configurations stored.
     fn len(&self) -> usize;
 
@@ -88,7 +74,6 @@ pub trait ResultStore<C> {
 #[derive(Debug, Default)]
 pub struct MemoryStore<C> {
     map: RwLock<HashMap<C, f64>>,
-    stats: Mutex<CacheStats>,
 }
 
 impl<C> MemoryStore<C> {
@@ -96,7 +81,6 @@ impl<C> MemoryStore<C> {
     pub fn new() -> Self {
         MemoryStore {
             map: RwLock::new(HashMap::new()),
-            stats: Mutex::new(CacheStats::default()),
         }
     }
 }
@@ -129,14 +113,6 @@ where
         }
     }
 
-    fn record_stats(&self, stats: CacheStats) {
-        *lock(&self.stats) += stats;
-    }
-
-    fn recorded_stats(&self) -> CacheStats {
-        *lock(&self.stats)
-    }
-
     fn len(&self) -> usize {
         read_lock(&self.map).len()
     }
@@ -144,13 +120,18 @@ where
 
 /// An append-only on-disk [`ResultStore`], one JSON object per line.
 ///
-/// Three record kinds exist:
+/// A store writes three line kinds: the schema stamp of a fresh file, the context
+/// stamp of [`JsonlStore::open_with_context`] and one result line per record.
 ///
 /// ```text
+/// {"schema":"wd-dist-store/v2"}
 /// {"context":"em|human-genome|3170000000"}
 /// {"config":"<key>","energy":1.234,"bits":"3ff3be76c8b43958"}
-/// {"stats":{"hits":19926,"misses":0}}
 /// ```
+///
+/// The loader also recognises, and ignores, two line kinds that earlier versions
+/// of this crate wrote: the `{"gen":N}` header of a compacted log and a
+/// campaign's `{"stats":{"hits":H,"misses":M}}` line.
 ///
 /// `bits` is the hexadecimal IEEE-754 bit pattern of the energy and is authoritative
 /// on load, so round trips are exact; the decimal `energy` field (written with
@@ -195,12 +176,9 @@ pub struct JsonlStore<C> {
     path: PathBuf,
     map: RwLock<HashMap<C, f64>>,
     writer: Mutex<BufWriter<File>>,
-    stats: Mutex<CacheStats>,
     write_error: Mutex<Option<io::Error>>,
     skipped_lines: usize,
     context: Option<String>,
-    schema: Option<String>,
-    io: IoCounters,
     // held for RAII only: dropping the store removes the `<path>.lock` sentinel
     _lock: StoreLock,
 }
@@ -319,20 +297,16 @@ pub fn read_result_records(path: &Path) -> io::Result<(HashMap<String, f64>, usi
 
 /// Read every line of the log at `path` through one reused buffer, handing each
 /// non-blank line to `visit`; a line holding a byte no record encodes (not
-/// UTF-8) is as unreadable as a torn one and arrives as `None`.  Returns the
-/// bytes consumed, counting a final line without its newline as if it had one
-/// (the size of the file once its tail is sealed).
-fn read_lines(path: &Path, mut visit: impl FnMut(Option<&str>)) -> io::Result<u64> {
+/// UTF-8) is as unreadable as a torn one and arrives as `None`.
+fn read_lines(path: &Path, mut visit: impl FnMut(Option<&str>)) -> io::Result<()> {
     let mut reader = BufReader::new(File::open(path)?);
     let mut buffer = Vec::new();
-    let mut bytes = 0u64;
     loop {
         buffer.clear();
         if reader.read_until(b'\n', &mut buffer)? == 0 {
-            return Ok(bytes);
+            return Ok(());
         }
         let line = buffer.strip_suffix(b"\n").unwrap_or(&buffer);
-        bytes += line.len() as u64 + 1;
         match std::str::from_utf8(line) {
             Ok(line) if line.trim().is_empty() => {}
             Ok(line) => visit(Some(line)),
@@ -341,46 +315,19 @@ fn read_lines(path: &Path, mut visit: impl FnMut(Option<&str>)) -> io::Result<u6
     }
 }
 
-#[derive(Debug, Default)]
-struct IoCounters {
-    loaded_records: u64,
-    loaded_bytes: u64,
-    appended_records: AtomicU64,
-    appended_bytes: AtomicU64,
-}
-
-/// A point-in-time copy of one [`JsonlStore`]'s I/O counters — how much this store
-/// instance read at load time and has written since.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StoreIoStats {
-    /// Result records loaded from the file when this instance was opened.
-    pub loaded_records: u64,
-    /// Bytes of the file consumed at load time.
-    pub loaded_bytes: u64,
-    /// Malformed/truncated lines skipped at load time.
-    pub skipped_lines: u64,
-    /// Lines durably appended by this instance (results, stats, stamps).
-    pub appended_records: u64,
-    /// Bytes durably appended by this instance (including newlines).
-    pub appended_bytes: u64,
-}
-
 /// The schema version stamped into the header line of freshly created stores,
 /// e.g. `{"schema":"wd-dist-store/v2"}`.  Stores written before the header existed
-/// load fine (their version reads as `None`); future migrations key off this stamp
-/// to detect old layouts.
+/// load fine; future migrations key off this stamp to detect old layouts.
 pub const STORE_SCHEMA_VERSION: &str = "wd-dist-store/v2";
 
 #[derive(Debug)]
 enum Record<'a> {
     Result(&'a str, f64),
-    Stats(CacheStats),
     Context(&'a str),
-    Schema(&'a str),
-    /// The `{"gen":N}` header that logs compacted by earlier versions of this
-    /// crate carry; recognised so those logs still load without skipped lines,
-    /// and otherwise ignored.
-    LegacyGeneration,
+    /// A line the loader recognises and skips without counting it: the
+    /// `{"schema":…}` stamp, and the `{"gen":N}` header and `{"stats":…}` lines
+    /// that earlier versions of this crate wrote.
+    Ignored,
 }
 
 /// Extract the value of a `"name":"<value>"` string field.
@@ -450,8 +397,8 @@ fn parse_canonical(line: &str) -> Option<(&str, f64)> {
 
 /// Parse any record kind, each field found wherever it sits on the line.
 fn parse_general(line: &str) -> Option<Record<'_>> {
-    if let Some(schema) = json_str_field(line, "schema") {
-        return Some(Record::Schema(schema));
+    if json_str_field(line, "schema").is_some() {
+        return Some(Record::Ignored);
     }
     if let Some(context) = json_str_field(line, "context") {
         return Some(Record::Context(context));
@@ -483,16 +430,11 @@ fn parse_general(line: &str) -> Option<Record<'_>> {
         };
         return Some(Record::Result(key, energy));
     }
-    if json_uint_field(line, "gen").is_some() {
-        return Some(Record::LegacyGeneration);
-    }
-    if line.contains("\"stats\"") {
-        return Some(Record::Stats(CacheStats {
-            hits: json_uint_field(line, "hits")? as usize,
-            misses: json_uint_field(line, "misses")? as usize,
-        }));
-    }
-    None
+    let legacy = json_uint_field(line, "gen").is_some()
+        || (line.contains("\"stats\"")
+            && json_uint_field(line, "hits").is_some()
+            && json_uint_field(line, "misses").is_some());
+    legacy.then_some(Record::Ignored)
 }
 
 /// The configuration `key` encodes, when `key` is that configuration's own
@@ -519,33 +461,26 @@ impl<C: ConfigKey + Eq + Hash + Clone> JsonlStore<C> {
     pub fn open(path: impl AsRef<Path>) -> io::Result<Self> {
         let path = path.as_ref().to_path_buf();
         let mut map = HashMap::new();
-        let mut stats = CacheStats::default();
         let mut skipped = 0usize;
         let mut context = None;
-        let mut schema = None;
         let mut saw_lines = false;
-        let mut loaded_records = 0u64;
-        let mut loaded_bytes = 0u64;
         let mut needs_seal = false;
         if path.exists() {
             map.reserve(index_capacity_hint(&path)?);
             let mut scratch = String::new();
-            loaded_bytes = read_lines(&path, |line| {
+            read_lines(&path, |line| {
                 saw_lines = true;
                 match line.and_then(parse_line) {
                     Some(Record::Result(key, energy)) => {
                         match decode_canonical(key, &mut scratch) {
                             Some(config) => {
-                                loaded_records += 1;
                                 map.insert(config, energy);
                             }
                             None => skipped += 1,
                         }
                     }
-                    Some(Record::Stats(loaded)) => stats += loaded,
                     Some(Record::Context(loaded)) => context = Some(loaded.to_string()),
-                    Some(Record::Schema(loaded)) => schema = Some(loaded.to_string()),
-                    Some(Record::LegacyGeneration) => {}
+                    Some(Record::Ignored) => {}
                     None => skipped += 1,
                 }
             })?;
@@ -560,8 +495,6 @@ impl<C: ConfigKey + Eq + Hash + Clone> JsonlStore<C> {
         let lock = StoreLock::acquire(&path)?;
         let mut writer = BufWriter::new(OpenOptions::new().create(true).append(true).open(&path)?);
         if needs_seal {
-            // `loaded_bytes` already counted the phantom newline of the partial
-            // tail, so it matches the sealed file size without adjustment
             writer.write_all(b"\n")?;
             writer.flush()?;
         }
@@ -569,27 +502,16 @@ impl<C: ConfigKey + Eq + Hash + Clone> JsonlStore<C> {
             path,
             map: RwLock::new(map),
             writer: Mutex::new(writer),
-            stats: Mutex::new(stats),
             write_error: Mutex::new(None),
             skipped_lines: skipped,
             context,
-            schema,
-            io: IoCounters {
-                loaded_records,
-                loaded_bytes,
-                ..IoCounters::default()
-            },
             _lock: lock,
         };
         if !saw_lines {
             // stamp fresh stores with the current schema version so future readers
-            // can detect (and migrate) old layouts; pre-header stores keep `None`
+            // can detect (and migrate) old layouts
             store.append(&format!("{{\"schema\":\"{STORE_SCHEMA_VERSION}\"}}"));
             store.flush()?;
-            return Ok(JsonlStore {
-                schema: Some(STORE_SCHEMA_VERSION.to_string()),
-                ..store
-            });
         }
         Ok(store)
     }
@@ -647,46 +569,9 @@ impl<C: ConfigKey + Eq + Hash + Clone> JsonlStore<C> {
         }
     }
 
-    /// The file backing this store.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// The context this store was stamped with, when present.
-    pub fn context(&self) -> Option<&str> {
-        self.context.as_deref()
-    }
-
     /// Number of malformed/truncated lines skipped while loading.
     pub fn skipped_lines(&self) -> usize {
         self.skipped_lines
-    }
-
-    /// The schema version this store's file was stamped with *when it was loaded*
-    /// ([`STORE_SCHEMA_VERSION`] for stores created by this code; `None` for stores
-    /// written before the header existed).
-    pub fn schema_version(&self) -> Option<&str> {
-        self.schema.as_deref()
-    }
-
-    /// Every stored configuration with its energy, in no particular order.
-    pub fn entries(&self) -> Vec<(C, f64)> {
-        read_lock(&self.map)
-            .iter()
-            .map(|(config, &energy)| (config.clone(), energy))
-            .collect()
-    }
-
-    /// This instance's I/O counters: records/bytes read at load time and durably
-    /// appended since.
-    pub fn io_stats(&self) -> StoreIoStats {
-        StoreIoStats {
-            loaded_records: self.io.loaded_records,
-            loaded_bytes: self.io.loaded_bytes,
-            skipped_lines: self.skipped_lines as u64,
-            appended_records: self.io.appended_records.load(Ordering::Relaxed),
-            appended_bytes: self.io.appended_bytes.load(Ordering::Relaxed),
-        }
     }
 
     /// Durably append a torn (truncated, unparseable) record line for `hint` — the
@@ -722,12 +607,8 @@ impl<C: ConfigKey + Eq + Hash + Clone> JsonlStore<C> {
         let mut map = write_lock(&self.map);
         map.reserve(index_capacity_hint(path)?);
         let mut writer = lock(&self.writer);
-        let mut out = Tally {
-            inner: &mut *writer,
-            bytes: 0,
-        };
         let mut scratch = String::new();
-        let (mut lines, mut bytes) = (0, 0);
+        let mut lines = 0;
         let mut wrote = Ok(());
         read_lines(path, |line| {
             let (Some(line), Ok(())) = (line, &wrote) else {
@@ -746,23 +627,21 @@ impl<C: ConfigKey + Eq + Hash + Clone> JsonlStore<C> {
                 return;
             };
             wrote = if verbatim {
-                out.write_all(line.as_bytes())
-                    .and_then(|()| out.write_all(b"\n"))
+                writer
+                    .write_all(line.as_bytes())
+                    .and_then(|()| writer.write_all(b"\n"))
             } else {
-                write_result_line(&mut out, key, energy)
+                write_result_line(&mut *writer, key, energy)
             };
             if wrote.is_ok() {
                 slot.insert(energy);
                 lines += 1;
-                bytes = out.bytes;
             }
         })?;
-        self.io.appended_records.fetch_add(lines, Ordering::Relaxed);
-        self.io.appended_bytes.fetch_add(bytes, Ordering::Relaxed);
         if let Err(error) = wrote {
             lock(&self.write_error).get_or_insert(error);
         }
-        Ok(lines as usize)
+        Ok(lines)
     }
 
     /// Append `line`, flush it to the OS so a kill cannot lose it, and remember the
@@ -771,11 +650,6 @@ impl<C: ConfigKey + Eq + Hash + Clone> JsonlStore<C> {
         let mut writer = lock(&self.writer);
         if let Err(error) = writeln!(writer, "{line}").and_then(|()| writer.flush()) {
             lock(&self.write_error).get_or_insert(error);
-        } else {
-            self.io.appended_records.fetch_add(1, Ordering::Relaxed);
-            self.io
-                .appended_bytes
-                .fetch_add(line.len() as u64 + 1, Ordering::Relaxed);
         }
     }
 
@@ -802,24 +676,6 @@ fn write_result_line(out: &mut impl Write, key: &str, energy: f64) -> io::Result
     )
 }
 
-/// A writer that counts the bytes it passes on.
-struct Tally<W> {
-    inner: W,
-    bytes: u64,
-}
-
-impl<W: Write> Write for Tally<W> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let written = self.inner.write(buf)?;
-        self.bytes += written as u64;
-        Ok(written)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
-
 impl<C: ConfigKey + Eq + Hash + Clone> ResultStore<C> for JsonlStore<C> {
     fn lookup(&self, config: &C) -> Option<f64> {
         read_lock(&self.map).get(config).copied()
@@ -841,14 +697,9 @@ impl<C: ConfigKey + Eq + Hash + Clone> ResultStore<C> for JsonlStore<C> {
         assert_eq!(configs.len(), energies.len());
         {
             // one writer lock for the whole batch keeps shard appends contiguous; the
-            // trailing flush bounds what a kill can lose to this batch
+            // trailing flush bounds what a kill can lose to this batch, and a write
+            // error stops it
             let mut writer = lock(&self.writer);
-            let mut out = Tally {
-                inner: &mut *writer,
-                bytes: 0,
-            };
-            // counters cover whole lines only: a write error mid-line stops the batch
-            let (mut lines, mut bytes) = (0, 0);
             let mut key = String::new();
             let wrote = configs
                 .iter()
@@ -856,13 +707,8 @@ impl<C: ConfigKey + Eq + Hash + Clone> ResultStore<C> for JsonlStore<C> {
                 .try_for_each(|(config, &energy)| {
                     key.clear();
                     config.write_key(&mut key);
-                    write_result_line(&mut out, &key, energy)?;
-                    lines += 1;
-                    bytes = out.bytes;
-                    Ok(())
+                    write_result_line(&mut *writer, &key, energy)
                 });
-            self.io.appended_records.fetch_add(lines, Ordering::Relaxed);
-            self.io.appended_bytes.fetch_add(bytes, Ordering::Relaxed);
             if let Err(error) = wrote.and_then(|()| writer.flush()) {
                 lock(&self.write_error).get_or_insert(error);
             }
@@ -871,18 +717,6 @@ impl<C: ConfigKey + Eq + Hash + Clone> ResultStore<C> for JsonlStore<C> {
         for (config, &energy) in configs.iter().zip(energies) {
             map.insert(config.clone(), energy);
         }
-    }
-
-    fn record_stats(&self, stats: CacheStats) {
-        self.append(&format!(
-            "{{\"stats\":{{\"hits\":{},\"misses\":{}}}}}",
-            stats.hits, stats.misses
-        ));
-        *lock(&self.stats) += stats;
-    }
-
-    fn recorded_stats(&self) -> CacheStats {
-        *lock(&self.stats)
     }
 
     fn len(&self) -> usize {
@@ -910,7 +744,7 @@ mod tests {
     }
 
     #[test]
-    fn memory_store_round_trips_and_accumulates_stats() {
+    fn memory_store_round_trips() {
         let store: MemoryStore<(u32, u32)> = MemoryStore::new();
         assert!(store.is_empty());
         assert_eq!(store.lookup(&(1, 2)), None);
@@ -919,9 +753,6 @@ mod tests {
         assert_eq!(store.len(), 3);
         assert_eq!(store.lookup(&(3, 4)), Some(1.5));
         assert_eq!(store.lookup_batch(&[(1, 2), (9, 9)]), vec![Some(0.5), None]);
-        store.record_stats(CacheStats { hits: 2, misses: 3 });
-        store.record_stats(CacheStats { hits: 1, misses: 0 });
-        assert_eq!(store.recorded_stats(), CacheStats { hits: 3, misses: 3 });
         store.flush().unwrap();
     }
 
@@ -937,7 +768,6 @@ mod tests {
             for (config, energy) in pairs {
                 store.record(&config, energy);
             }
-            store.record_stats(CacheStats { hits: 0, misses: 3 });
             store.flush().unwrap();
         }
         {
@@ -947,11 +777,6 @@ mod tests {
             for (config, energy) in pairs {
                 assert_eq!(store.lookup(&config).unwrap().to_bits(), energy.to_bits());
             }
-            assert_eq!(store.recorded_stats(), CacheStats { hits: 0, misses: 3 });
-            let mut entries = store.entries();
-            entries.sort_by_key(|(config, _)| *config);
-            assert_eq!(entries.len(), 3);
-            assert_eq!(entries[2].0, (13, 5));
         }
         std::fs::remove_file(&path).unwrap();
     }
@@ -1000,7 +825,6 @@ mod tests {
         assert_eq!(store.len(), 1);
         assert_eq!(store.skipped_lines(), 1);
         assert_eq!(store.lookup(&2), None);
-        assert_eq!(store.io_stats().loaded_bytes, contents.len() as u64);
         drop(store);
         std::fs::remove_file(&path).unwrap();
     }
@@ -1012,10 +836,15 @@ mod tests {
         {
             let store: JsonlStore<u32> =
                 JsonlStore::open_with_context(&path, "em|human|3170000000").unwrap();
-            assert_eq!(store.context(), Some("em|human|3170000000"));
             store.record(&1, 1.0);
             store.flush().unwrap();
         }
+        // the stamp follows the schema line of the fresh file
+        let contents = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(
+            contents.lines().nth(1),
+            Some("{\"context\":\"em|human|3170000000\"}")
+        );
         // the same context re-opens and resumes
         {
             let store: JsonlStore<u32> =
@@ -1079,25 +908,31 @@ mod tests {
     fn fresh_stores_are_stamped_with_the_schema_version() {
         let path = temp_path("schema");
         let _ = std::fs::remove_file(&path);
+        let header = format!("{{\"schema\":\"{STORE_SCHEMA_VERSION}\"}}\n");
         {
             let store: JsonlStore<u32> = JsonlStore::open(&path).unwrap();
-            assert_eq!(store.schema_version(), Some(STORE_SCHEMA_VERSION));
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), header);
             store.record(&1, 1.0);
             store.flush().unwrap();
         }
-        // the header is a recognised record kind, not a skipped foreign line
+        // the header is a recognised record kind, not a skipped foreign line, and a
+        // reopened store does not stamp its file again
+        let written = std::fs::read(&path).unwrap();
         let reopened: JsonlStore<u32> = JsonlStore::open(&path).unwrap();
-        assert_eq!(reopened.schema_version(), Some(STORE_SCHEMA_VERSION));
         assert_eq!(reopened.skipped_lines(), 0);
         assert_eq!(reopened.len(), 1);
+        assert_eq!(std::fs::read(&path).unwrap(), written);
+        drop(reopened);
         std::fs::remove_file(&path).unwrap();
 
-        // pre-header stores load fine and report no version
+        // pre-header stores load fine and stay unstamped
         let old = temp_path("schema-old");
-        std::fs::write(&old, "{\"config\":\"7\",\"energy\":1.5}\n").unwrap();
+        let contents = "{\"config\":\"7\",\"energy\":1.5}\n";
+        std::fs::write(&old, contents).unwrap();
         let store: JsonlStore<u32> = JsonlStore::open(&old).unwrap();
-        assert_eq!(store.schema_version(), None);
         assert_eq!(store.lookup(&7), Some(1.5));
+        assert_eq!(std::fs::read_to_string(&old).unwrap(), contents);
+        drop(store);
         std::fs::remove_file(&old).unwrap();
     }
 
@@ -1174,39 +1009,6 @@ mod tests {
     }
 
     #[test]
-    fn io_counters_track_loads_and_appends() {
-        let path = temp_path("io-counters");
-        let _ = std::fs::remove_file(&path);
-        {
-            let store: JsonlStore<u32> = JsonlStore::open(&path).unwrap();
-            let io = store.io_stats();
-            assert_eq!(io.loaded_records, 0);
-            // the fresh-store schema stamp is already an append
-            assert_eq!(io.appended_records, 1);
-            assert!(io.appended_bytes > 0);
-
-            store.record(&1, 1.0);
-            store.record_batch(&[2, 3], &[2.0, 2.0]);
-            store.record(&2, 5.0); // duplicate key: a fourth result line on disk
-            store.record_stats(CacheStats { hits: 1, misses: 4 });
-            store.flush().unwrap();
-            let io = store.io_stats();
-            assert_eq!(io.appended_records, 1 + 4 + 1);
-            let on_disk = std::fs::metadata(&path).unwrap().len();
-            assert_eq!(io.appended_bytes, on_disk);
-        }
-        // a reopened store counts what it loaded (4 result lines, 3 keys) byte for byte
-        let store: JsonlStore<u32> = JsonlStore::open(&path).unwrap();
-        assert_eq!(store.len(), 3);
-        let io = store.io_stats();
-        assert_eq!(io.loaded_records, 4);
-        assert_eq!(io.loaded_bytes, std::fs::metadata(&path).unwrap().len());
-        assert_eq!(io.skipped_lines, 0);
-        assert_eq!(io.appended_records, 0);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
     fn unterminated_tails_are_sealed_on_open() {
         let path = temp_path("seal");
         let _ = std::fs::remove_file(&path);
@@ -1226,7 +1028,6 @@ mod tests {
         assert_eq!(store.skipped_lines(), 1);
         let sealed = std::fs::metadata(&path).unwrap().len();
         assert_eq!(sealed, contents.len() as u64 + 1);
-        assert_eq!(store.io_stats().loaded_bytes, sealed);
         store.record(&3, 3.0);
         store.flush().unwrap();
         drop(store);
@@ -1281,7 +1082,8 @@ mod tests {
     #[test]
     fn logs_compacted_by_earlier_versions_still_load_cleanly() {
         // the shape earlier versions' compaction wrote: schema, a `{"gen":N}` header,
-        // the context stamp, one record per key, one merged stats line
+        // the context stamp, one record per key, one merged stats line; then a
+        // later campaign's stats line
         let path = temp_path("legacy-gen");
         let awkward: f64 = 0.1 + 0.2;
         std::fs::write(
@@ -1291,7 +1093,8 @@ mod tests {
                  {{\"gen\":1}}\n\
                  {{\"context\":\"em|human|legacy\"}}\n\
                  {}\n{}\n\
-                 {{\"stats\":{{\"hits\":6,\"misses\":7}}}}\n",
+                 {{\"stats\":{{\"hits\":6,\"misses\":7}}}}\n\
+                 {{\"stats\":{{\"hits\":3,\"misses\":1}}}}\n",
                 JsonlStore::<u32>::result_line("1", 3.0),
                 JsonlStore::<u32>::result_line("2", awkward),
             ),
@@ -1300,11 +1103,9 @@ mod tests {
         let store: JsonlStore<u32> =
             JsonlStore::open_with_context(&path, "em|human|legacy").unwrap();
         assert_eq!(store.skipped_lines(), 0);
-        assert_eq!(store.schema_version(), Some(STORE_SCHEMA_VERSION));
         assert_eq!(store.len(), 2);
         assert_eq!(store.lookup(&1), Some(3.0));
         assert_eq!(store.lookup(&2).unwrap().to_bits(), awkward.to_bits());
-        assert_eq!(store.recorded_stats(), CacheStats { hits: 6, misses: 7 });
         drop(store);
         std::fs::remove_file(&path).unwrap();
     }
@@ -1405,20 +1206,7 @@ mod tests {
 
         let store: JsonlStore<(u32, u32)> = JsonlStore::open(&path).unwrap();
         assert_eq!(store.skipped_lines(), 5);
-        assert_eq!(store.io_stats().loaded_records, 3);
-        let mut entries = store.entries();
-        entries.sort_by_key(|&(config, _)| config);
-        let mut want = served.to_vec();
-        want.sort_by_key(|&(config, _)| config);
-        assert_eq!(
-            entries
-                .iter()
-                .map(|&(c, e)| (c, e.to_bits()))
-                .collect::<Vec<_>>(),
-            want.iter()
-                .map(|&(c, e)| (c, e.to_bits()))
-                .collect::<Vec<_>>()
-        );
+        assert_eq!(store.len(), served.len());
         for (config, energy) in served {
             assert_eq!(
                 store.lookup(&config).map(f64::to_bits),
@@ -1427,6 +1215,39 @@ mod tests {
         }
         assert_eq!(store.lookup_batch(&[(7, 8), (7, 3), (9, 9)]), [None; 3]);
         drop(store);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_campaign_log_holds_its_stamps_and_results_and_nothing_else() {
+        use crate::ShardedCampaign;
+        use wd_opt::space::GridSpace;
+        use wd_opt::SearchSpace;
+
+        let path = temp_path("campaign-bytes");
+        let _ = std::fs::remove_file(&path);
+        let space = GridSpace {
+            width: 6,
+            height: 4,
+        };
+        let bowl = |&(x, y): &(u32, u32)| f64::from(x).powi(2) + 0.1 * f64::from(y);
+        let context = "bowl|6x4";
+        let store: JsonlStore<(u32, u32)> = JsonlStore::open_with_context(&path, context).unwrap();
+        // one shard appends its batches in index order, so the bytes are exact
+        let campaign = ShardedCampaign::new(1);
+        let cold = campaign.run(&space, &bowl, &store).unwrap();
+        let warm = campaign.run(&space, &bowl, &store).unwrap();
+        assert_eq!((cold.stats.misses, warm.stats.hits), (24, 24));
+        drop(store);
+
+        let mut want =
+            format!("{{\"schema\":\"{STORE_SCHEMA_VERSION}\"}}\n{{\"context\":\"{context}\"}}\n");
+        for index in 0..space.space_len().unwrap() {
+            let config = space.config_at(index).unwrap();
+            want += &JsonlStore::<(u32, u32)>::result_line(&config.encode_key(), bowl(&config));
+            want.push('\n');
+        }
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), want);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -2,7 +2,9 @@
 //! binding that is still live at a call into *another* declared lock-holding module
 //! risks lock-order inversion (the recorder seams make these cross-module calls
 //! easy to add by accident).  The manifest in `lint.conf` names each lock module
-//! and the identifiers that acquire its lock from outside.
+//! and the identifiers that acquire its lock from outside.  An identifier that no
+//! `fn` of its module's file defines would silently check nothing, so a stale or
+//! misspelled manifest entry is a finding too.
 
 use crate::config::{Config, LockModule};
 use crate::lexer::TokenKind;
@@ -17,6 +19,10 @@ struct Guard {
 }
 
 pub fn check(config: &Config, files: &[SourceFile], findings: &mut Vec<Finding>) {
+    for module in &config.lock_modules {
+        let file = files.iter().find(|file| file.rel_path == module.rel_path);
+        check_manifest(module, file, findings);
+    }
     for file in files {
         let Some(own) = config
             .lock_modules
@@ -31,6 +37,35 @@ pub fn check(config: &Config, files: &[SourceFile], findings: &mut Vec<Finding>)
             .filter(|m| m.rel_path != own.rel_path)
             .collect();
         scan_file(file, own, &foreign, findings);
+    }
+}
+
+/// Report every entry point of `module` that no non-test `fn` of its file (absent:
+/// none) defines.
+fn check_manifest(module: &LockModule, file: Option<&SourceFile>, findings: &mut Vec<Finding>) {
+    let defined: Vec<&str> = file.map_or_else(Vec::new, |file| {
+        (0..file.tokens.len())
+            .filter(|&idx| {
+                file.tokens[idx].kind == TokenKind::Ident
+                    && file.token_text(idx) == "fn"
+                    && !file.is_test_token(idx)
+            })
+            .filter_map(|idx| file.next_code_token(idx))
+            .map(|name| file.token_text(name))
+            .collect()
+    });
+    for entry in &module.entry_points {
+        if !defined.contains(&entry.as_str()) {
+            findings.push(Finding {
+                lint: NAME.to_string(),
+                path: module.rel_path.clone(),
+                line: 0,
+                message: format!(
+                    "lint.conf declares `{entry}` an entry point of lock module `{}`, but no `fn {entry}` is defined here: the entry checks nothing",
+                    module.name
+                ),
+            });
+        }
     }
 }
 
@@ -155,4 +190,35 @@ fn guard_binding(file: &SourceFile, let_idx: usize) -> Option<(String, usize)> {
         }
     }
     acquires.then_some((name, cursor))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn manifest_entries_no_fn_defines_are_findings() {
+        // `lokup` is a typo of a real entry point, `helper` is defined only in tests
+        let config =
+            Config::parse("lock-module: store src/store.rs lookup lokup helper\n").unwrap();
+        let text = "pub fn lookup() {}\n#[cfg(test)]\nmod tests {\n    fn helper() {}\n}\n";
+        let files = [SourceFile::new("src/store.rs".into(), text.into())];
+        let mut findings = Vec::new();
+        check(&config, &files, &mut findings);
+        let flagged: Vec<(&str, usize)> = findings
+            .iter()
+            .map(|finding| (finding.path.as_str(), finding.line))
+            .collect();
+        assert_eq!(flagged, [("src/store.rs", 0); 2]);
+        assert!(findings[0].message.contains("`lokup`"));
+        assert!(
+            findings[1].message.contains("`helper`"),
+            "a test fn defines no entry point"
+        );
+
+        // a declared file that is not there defines nothing
+        let mut findings = Vec::new();
+        check(&config, &[], &mut findings);
+        assert_eq!(findings.len(), 3);
+    }
 }

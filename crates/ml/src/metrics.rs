@@ -16,7 +16,7 @@ pub fn absolute_errors(measured: &[f64], predicted: &[f64]) -> Vec<f64> {
 
 /// Percent errors `100 * |measured - predicted| / measured`, element-wise.
 /// Rows with a zero measured value are reported as 0 to avoid dividing by zero.
-pub fn percent_errors(measured: &[f64], predicted: &[f64]) -> Vec<f64> {
+fn percent_errors(measured: &[f64], predicted: &[f64]) -> Vec<f64> {
     measured
         .iter()
         .zip(predicted)

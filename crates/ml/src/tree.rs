@@ -313,11 +313,6 @@ impl RegressionTree {
         }
     }
 
-    /// Number of nodes in the fitted tree (0 before fitting).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Depth of the fitted tree (0 for a single leaf or an unfitted tree).
     pub fn depth(&self) -> usize {
         fn depth_of(nodes: &[Node], index: usize) -> usize {
@@ -724,7 +719,7 @@ mod tests {
         });
         let d = step_dataset();
         tree.fit(&d).unwrap();
-        assert_eq!(tree.node_count(), 1);
+        assert_eq!(tree.flatten().len(), 1);
         assert_eq!(tree.depth(), 0);
         assert!((tree.predict_one(&[3.0]) - 5.5).abs() < 1e-9);
     }
@@ -753,7 +748,7 @@ mod tests {
             max_split_candidates: 64,
         });
         tree.fit(&d).unwrap();
-        assert_eq!(tree.node_count(), 1);
+        assert_eq!(tree.flatten().len(), 1);
     }
 
     #[test]
@@ -764,7 +759,7 @@ mod tests {
         }
         let mut tree = RegressionTree::new(TreeParams::default());
         tree.fit(&d).unwrap();
-        assert_eq!(tree.node_count(), 1);
+        assert_eq!(tree.flatten().len(), 1);
         assert!((tree.predict_one(&[100.0]) - 7.0).abs() < 1e-12);
     }
 
@@ -816,7 +811,7 @@ mod tests {
         });
         tree.fit(&d).unwrap();
         let flat = tree.flatten();
-        assert_eq!(flat.len(), tree.node_count());
+        assert_eq!(flat.len(), tree.nodes.len());
         for i in 0..d.len() {
             let arena = tree.predict_one(d.features(i));
             let flattened = flat.predict_one(d.features(i));

@@ -123,24 +123,12 @@ impl Placement {
         self.threads_per_core.iter().sum()
     }
 
-    /// Number of cores with at least one thread.
-    pub fn active_cores(&self) -> u32 {
-        self.threads_per_core.iter().filter(|&&t| t > 0).count() as u32
-    }
-
     /// Number of active cores on the given socket.
     pub fn active_cores_on_socket(&self, socket: u32) -> u32 {
         self.threads_per_core
             .iter()
             .enumerate()
             .filter(|(core, &t)| t > 0 && self.topology.socket_of_core(*core as u32) == socket)
-            .count() as u32
-    }
-
-    /// Number of sockets with at least one active core.
-    pub fn active_sockets(&self) -> u32 {
-        (0..self.topology.sockets())
-            .filter(|&s| self.active_cores_on_socket(s) > 0)
             .count() as u32
     }
 
@@ -214,6 +202,16 @@ mod tests {
         Topology::new(1, 61, 4, 1)
     }
 
+    /// `(active cores, active sockets)` of `p`, from the per-socket counts the
+    /// performance model reads.
+    fn active(p: &Placement) -> (u32, u32) {
+        let per_socket: Vec<u32> = (0..p.topology().sockets())
+            .map(|socket| p.active_cores_on_socket(socket))
+            .collect();
+        let sockets = per_socket.iter().filter(|&&cores| cores > 0).count();
+        (per_socket.iter().sum(), sockets as u32)
+    }
+
     #[test]
     fn names_round_trip() {
         for a in Affinity::ALL {
@@ -237,16 +235,14 @@ mod tests {
     fn compact_uses_fewest_cores() {
         let p = Affinity::Compact.place(&host(), 6);
         assert_eq!(p.total_threads(), 6);
-        assert_eq!(p.active_cores(), 3); // 2 threads per core
-        assert_eq!(p.active_sockets(), 1);
+        assert_eq!(active(&p), (3, 1)); // 2 threads per core
     }
 
     #[test]
     fn scatter_uses_most_cores_and_both_sockets() {
         let p = Affinity::Scatter.place(&host(), 6);
         assert_eq!(p.total_threads(), 6);
-        assert_eq!(p.active_cores(), 6); // 1 thread per core
-        assert_eq!(p.active_sockets(), 2);
+        assert_eq!(active(&p), (6, 2)); // 1 thread per core
     }
 
     #[test]
@@ -260,7 +256,7 @@ mod tests {
     fn scatter_wraps_to_second_hardware_thread() {
         let p = Affinity::Scatter.place(&host(), 30);
         assert_eq!(p.total_threads(), 30);
-        assert_eq!(p.active_cores(), 24);
+        assert_eq!(active(&p).0, 24);
         // 30 - 24 = 6 cores carry a second hyper-thread
         let twos = p.per_core().iter().filter(|&&t| t == 2).count();
         assert_eq!(twos, 6);
@@ -270,21 +266,21 @@ mod tests {
     fn balanced_spreads_evenly_on_phi() {
         let p = Affinity::Balanced.place(&phi(), 120);
         assert_eq!(p.total_threads(), 120);
-        assert_eq!(p.active_cores(), 60);
+        assert_eq!(active(&p).0, 60);
         assert!(p.per_core().iter().all(|&t| t == 2));
     }
 
     #[test]
     fn balanced_with_few_threads_uses_one_thread_per_core() {
         let p = Affinity::Balanced.place(&phi(), 30);
-        assert_eq!(p.active_cores(), 30);
+        assert_eq!(active(&p).0, 30);
         assert!(p.per_core().iter().all(|&t| t <= 1));
     }
 
     #[test]
     fn compact_on_phi_fills_cores_four_deep() {
         let p = Affinity::Compact.place(&phi(), 16);
-        assert_eq!(p.active_cores(), 4);
+        assert_eq!(active(&p).0, 4);
         assert!(p.per_core().iter().take(4).all(|&t| t == 4));
     }
 

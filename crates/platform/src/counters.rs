@@ -44,7 +44,7 @@ impl ExecutionStats {
 
     /// Fraction of the device-side wall clock spent on offload overhead rather than
     /// compute (0 when nothing was offloaded).
-    pub fn offload_overhead_share(&self) -> f64 {
+    fn offload_overhead_share(&self) -> f64 {
         let overhead = self.transfer_seconds + self.launch_seconds;
         let total = overhead + self.device_compute_seconds;
         if total <= 0.0 {
@@ -56,7 +56,7 @@ impl ExecutionStats {
 
     /// Publish this breakdown to `recorder` as gauges named `{scope}.exec.*` — one
     /// gauge per field plus the derived [`ExecutionStats::host_share`] and
-    /// [`ExecutionStats::offload_overhead_share`] ratios.  Gauges are last-write-wins,
+    /// `offload_overhead_share` ratios.  Gauges are last-write-wins,
     /// so publishing the stats of several executions under one scope keeps the most
     /// recent breakdown (publish under distinct scopes to keep them all).
     pub fn publish(&self, recorder: &dyn wd_obs::Recorder, scope: &str) {

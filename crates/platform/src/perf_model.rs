@@ -93,7 +93,7 @@ impl PerfModel {
     ///
     /// The returned value multiplies the *time per byte*: 1.0 for the reference DNA
     /// scan, larger for more expensive or less vectorizable workloads.
-    pub fn workload_cost_scale(&self, spec: &DeviceSpec, workload: &WorkloadProfile) -> f64 {
+    fn workload_cost_scale(&self, spec: &DeviceSpec, workload: &WorkloadProfile) -> f64 {
         let lanes = (spec.simd_width_bits as f64 / 64.0).max(1.0);
         let reference = REFERENCE_VECTORIZABLE / lanes + (1.0 - REFERENCE_VECTORIZABLE);
         let actual = workload.vectorizable / lanes + (1.0 - workload.vectorizable);
@@ -101,7 +101,7 @@ impl PerfModel {
     }
 
     /// Efficiency multiplier of the chosen affinity policy on the given device kind.
-    pub fn affinity_efficiency(&self, kind: DeviceKind, affinity: Affinity) -> f64 {
+    fn affinity_efficiency(&self, kind: DeviceKind, affinity: Affinity) -> f64 {
         match (kind, affinity) {
             (DeviceKind::HostCpu, Affinity::Scatter) => 1.0,
             (DeviceKind::HostCpu, Affinity::None) => self.params.none_affinity_efficiency,

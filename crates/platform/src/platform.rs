@@ -230,7 +230,7 @@ impl HeterogeneousPlatform {
     }
 
     /// Same as [`HeterogeneousPlatform::emil_with_gpu`] with a caller-chosen noise seed.
-    pub fn emil_with_gpu_seed(seed: u64) -> Self {
+    fn emil_with_gpu_seed(seed: u64) -> Self {
         HeterogeneousPlatform {
             host: DeviceSpec::xeon_e5_2695v2_dual(),
             accelerators: vec![DeviceSpec::xeon_phi_7120p(), DeviceSpec::generic_gpu()],

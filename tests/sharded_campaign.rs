@@ -86,14 +86,6 @@ fn four_shard_campaign_over_the_table_i_grid_is_bit_identical_and_resumes_free()
         );
         assert_eq!(warm.best_config, single.best_config);
         assert_eq!(warm.best_energy.to_bits(), single.best_energy.to_bits());
-        // the audit trail remembers both campaigns
-        assert_eq!(
-            store.recorded_stats(),
-            CacheStats {
-                hits: 19_926,
-                misses: 19_926
-            }
-        );
     }
     std::fs::remove_file(&path).unwrap();
 }
