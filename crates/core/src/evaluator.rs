@@ -20,9 +20,9 @@
 //!
 //! Both are also *separable*: the host's time and each accelerator's time depend only
 //! on that side's own `(threads, affinity, share)`, for the simulator
-//! ([`HeterogeneousPlatform::host_time`] / [`HeterogeneousPlatform::device_time`]) as
-//! for the models.  Both therefore implement [`SideTimes`], and one tabulating
-//! evaluator, [`LazyTabulatedEvaluator`], puts per-side time tables in front of
+//! ([`HeterogeneousPlatform::side_time`], by side index) as for the models.  Both
+//! therefore implement [`SideTimes`], and one tabulating evaluator,
+//! [`LazyTabulatedEvaluator`], puts per-side time tables in front of
 //! either: filled on first touch or in batches, composed by Eq. 2's max-fold, and
 //! scanned by index over a whole grid.  EM and EML are the same scan
 //! ([`LazyTabulatedEvaluator::scan`]) over measured and predicted tables, and SAM and
@@ -102,9 +102,9 @@ fn device_key(device: DeviceSetting) -> SideKey {
 /// The platform is separable, so [`MeasurementEvaluator::lazy_tabulated`] puts
 /// *measured per-side tables* in front of it: each distinct `(threads, affinity,
 /// share)` of the host or of an accelerator is simulated once
-/// ([`HeterogeneousPlatform::host_time`] / [`HeterogeneousPlatform::device_time`]) and
-/// every configuration is scored by table probes — bit-identical to this evaluator's
-/// own [`Objective`] path, which stays one real [`HeterogeneousPlatform::execute`] per
+/// ([`HeterogeneousPlatform::side_time`] of its side index) and every configuration
+/// is scored by table probes — bit-identical to this evaluator's own [`Objective`]
+/// path, which stays one real [`HeterogeneousPlatform::execute`] per
 /// configuration.  EM scans such tables and SAM walks over them.
 #[derive(Debug, Clone)]
 pub struct MeasurementEvaluator {
@@ -213,11 +213,8 @@ impl MeasurementEvaluator {
             }
             for &t in threads {
                 for &a in affinities {
-                    let cfg = ExecutionConfig::new(t, a);
-                    match side.checked_sub(1) {
-                        None => self.platform.validate_host(&cfg)?,
-                        Some(device) => self.platform.validate_accelerator(device, &cfg)?,
-                    }
+                    self.platform
+                        .validate_side(side, &ExecutionConfig::new(t, a))?;
                 }
             }
         }
@@ -245,12 +242,9 @@ impl SideTimes for MeasurementEvaluator {
         // the fraction exactly as `SystemConfiguration::partition` builds it
         let fraction = f64::from(permille) / 1000.0;
         let cfg = ExecutionConfig::new(threads, affinity);
-        let time = match side {
-            0 => self.platform.host_time(&self.workload, fraction, &cfg),
-            _ => self
-                .platform
-                .device_time(side - 1, &self.workload, fraction, &cfg),
-        };
+        let time = self
+            .platform
+            .side_time(side, &self.workload, fraction, &cfg);
         Some(time.unwrap_or(f64::INFINITY))
     }
 }
@@ -498,9 +492,8 @@ const TABLE_BATCH: usize = 256;
 /// Memoization is keyed by value, so the evaluator is total and every energy is
 /// **bit-identical** to the source's direct path on every configuration: the tables
 /// store exactly what the source returns ([`PredictionEvaluator::predict`] for the
-/// models, [`HeterogeneousPlatform::host_time`] /
-/// [`HeterogeneousPlatform::device_time`] for the platform), idle sides short-circuit
-/// to 0 without a query, and the max-composition replicates
+/// models, [`HeterogeneousPlatform::side_time`] for the platform), idle sides
+/// short-circuit to 0 without a query, and the max-composition replicates
 /// [`PredictionEvaluator::energy`] and [`HeterogeneousPlatform::execute`] operation
 /// for operation.  A configuration the source cannot score ([`SideTimes::scores`])
 /// scores `+∞`.

@@ -406,13 +406,9 @@ impl TrainingCampaign {
         let experiments = self.experiment_list(side);
         let run_one =
             |(genome, share, threads, affinity): (Genome, WorkloadProfile, u32, Affinity)| {
-                let cfg = ExecutionConfig::new(threads, affinity);
-                let measured = match side.checked_sub(1) {
-                    None => platform.execute_host_only(&share, &cfg),
-                    Some(device) => platform.execute_device_only_on(device, &share, &cfg),
-                }
-                .expect("valid campaign experiment")
-                .t_total;
+                let measured = platform
+                    .side_time(side, &share, 1.0, &ExecutionConfig::new(threads, affinity))
+                    .expect("valid campaign experiment");
                 ExperimentRecord {
                     features: features(side, threads, affinity, share.bytes),
                     threads,

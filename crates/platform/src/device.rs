@@ -18,16 +18,6 @@ pub enum DeviceKind {
     ManyCoreAccelerator,
 }
 
-impl DeviceKind {
-    /// Human readable label used in reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            DeviceKind::HostCpu => "host",
-            DeviceKind::ManyCoreAccelerator => "device",
-        }
-    }
-}
-
 /// Architectural description of one device of the heterogeneous platform.
 ///
 /// The fields up to `cache_mb` mirror the hardware datasheet values reported in the

@@ -91,36 +91,6 @@ impl Partition {
         })
     }
 
-    /// Split expressed as a host percentage (the paper's "workload fraction" parameter,
-    /// 0..=100).  Percentages above 100 are rejected, like [`Partition::new`] rejects
-    /// fractions above 1.
-    pub fn from_host_percent(host_percent: u32) -> Result<Self, PlatformError> {
-        if host_percent > 100 {
-            return Err(PlatformError::InvalidPartition {
-                reason: format!("host percentage must lie in 0..=100, got {host_percent}"),
-            });
-        }
-        Self::two_way(f64::from(host_percent) / 100.0)
-    }
-
-    /// Everything on the host.
-    pub fn host_only(accelerators: usize) -> Self {
-        let mut fractions = vec![0.0; accelerators + 1];
-        fractions[0] = 1.0;
-        Partition { fractions }
-    }
-
-    /// Everything on the (first) accelerator.
-    pub fn device_only(accelerators: usize) -> Self {
-        assert!(
-            accelerators >= 1,
-            "device_only requires at least one accelerator"
-        );
-        let mut fractions = vec![0.0; accelerators + 1];
-        fractions[1] = 1.0;
-        Partition { fractions }
-    }
-
     /// The host's share (0..=1).
     pub fn host_fraction(&self) -> f64 {
         self.fractions[0]
@@ -278,8 +248,8 @@ impl HeterogeneousPlatform {
     /// device compute (double-buffered streaming).
     ///
     /// Each side's time depends only on that side's own threads, affinity and share:
-    /// `t_host` is exactly [`HeterogeneousPlatform::host_time`] and each accelerator's
-    /// time exactly [`HeterogeneousPlatform::device_time`] for the same inputs, which
+    /// `t_host` is exactly [`HeterogeneousPlatform::side_time`] of side 0 and each
+    /// accelerator `d`'s time exactly that of side `d + 1` for the same inputs, which
     /// is what lets a caller tabulate the simulator side by side.
     pub fn execute(
         &self,
@@ -288,43 +258,35 @@ impl HeterogeneousPlatform {
         host_cfg: &ExecutionConfig,
         device_cfgs: &[ExecutionConfig],
     ) -> Result<Measurement, PlatformError> {
-        self.validate(workload, partition, host_cfg, device_cfgs)?;
+        self.check_shape(workload, partition, device_cfgs)?;
 
         let mut stats = ExecutionStats::default();
-
-        let host_share = workload.fraction(partition.host_fraction());
-        let t_host = match self.host_run(&host_share, host_cfg) {
-            None => 0.0,
-            Some(run) => {
-                stats.host_bytes = host_share.bytes;
-                stats.host_threads = host_cfg.threads;
-                stats.host_rate = run.compute.aggregate_rate;
-                stats.host_compute_seconds = run.compute.parallel + run.compute.serial;
-                run.time
+        let (mut t_host, mut t_device_max) = (0.0_f64, 0.0_f64);
+        let cfgs = std::iter::once(host_cfg).chain(device_cfgs);
+        for (side, (&fraction, cfg)) in partition.fractions.iter().zip(cfgs).enumerate() {
+            if fraction > 0.0 {
+                self.validate_side(side, cfg)?;
             }
-        };
-
-        let mut t_device_max: f64 = 0.0;
-        for (idx, accel) in self.accelerators.iter().enumerate() {
-            let fraction = partition
-                .device_fractions()
-                .get(idx)
-                .copied()
-                .unwrap_or(0.0);
             let share = workload.fraction(fraction);
-            let cfg = device_cfgs[idx];
-            let Some(run) = self.device_run(idx, accel, &share, &cfg) else {
+            let Some(run) = self.side_run(side, &share, cfg)? else {
                 continue;
             };
-            stats.device_bytes += share.bytes;
-            stats.device_threads += cfg.threads;
-            stats.device_rate += run.compute.aggregate_rate;
-            stats.transfer_seconds += run.transfer;
-            stats.launch_seconds += self.offload.launch_overhead_s;
-            stats.device_compute_seconds = stats
-                .device_compute_seconds
-                .max(run.compute.parallel + run.compute.serial);
-            t_device_max = t_device_max.max(run.time);
+            let compute = run.compute.parallel + run.compute.serial;
+            if side == 0 {
+                stats.host_bytes = share.bytes;
+                stats.host_threads = cfg.threads;
+                stats.host_rate = run.compute.aggregate_rate;
+                stats.host_compute_seconds = compute;
+                t_host = run.time;
+            } else {
+                stats.device_bytes += share.bytes;
+                stats.device_threads += cfg.threads;
+                stats.device_rate += run.compute.aggregate_rate;
+                stats.transfer_seconds += run.transfer;
+                stats.launch_seconds += self.offload.launch_overhead_s;
+                stats.device_compute_seconds = stats.device_compute_seconds.max(compute);
+                t_device_max = t_device_max.max(run.time);
+            }
         }
 
         Ok(Measurement {
@@ -335,116 +297,86 @@ impl HeterogeneousPlatform {
         })
     }
 
-    /// The host's time for running `fraction` of `workload` under `cfg` — the
-    /// `t_host` [`HeterogeneousPlatform::execute`] reports for any partition with
-    /// that host fraction, bit for bit (0 when the share holds no bytes).
+    /// Side `side`'s time (0 the host, `d + 1` accelerator `d`, offload included) for
+    /// running `fraction` of `workload` under `cfg` — the time
+    /// [`HeterogeneousPlatform::execute`] reports for that side for any partition
+    /// giving it that fraction, bit for bit (0 when the share holds no bytes).
     ///
     /// # Errors
     ///
-    /// [`PlatformError::EmptyWorkload`] for a zero-byte workload; when `fraction > 0`,
-    /// the error `execute` reports for a host configuration that cannot run.
-    pub fn host_time(
+    /// [`PlatformError::EmptyWorkload`] for a zero-byte workload,
+    /// [`PlatformError::InvalidPartition`] for a fraction outside `[0, 1]` (NaN
+    /// included, as [`Partition::new`] rejects it) or a side past the last
+    /// accelerator; when `fraction > 0`, the error `execute` reports for a
+    /// configuration that side cannot run.
+    pub fn side_time(
         &self,
+        side: usize,
         workload: &WorkloadProfile,
         fraction: f64,
         cfg: &ExecutionConfig,
     ) -> Result<f64, PlatformError> {
         Self::check_workload(workload)?;
+        if !(0.0..=1.0).contains(&fraction) {
+            return Err(PlatformError::InvalidPartition {
+                reason: format!("side {side}'s fraction must lie in [0,1], got {fraction}"),
+            });
+        }
         if fraction > 0.0 {
-            self.validate_host(cfg)?;
+            self.validate_side(side, cfg)?;
         }
         Ok(self
-            .host_run(&workload.fraction(fraction), cfg)
+            .side_run(side, &workload.fraction(fraction), cfg)?
             .map_or(0.0, |run| run.time))
     }
 
-    /// Accelerator `index`'s time for running `fraction` of `workload` under `cfg`,
-    /// offload included — the time [`HeterogeneousPlatform::execute`] folds into
-    /// `t_device` for that accelerator, bit for bit (0 when the share holds no bytes).
-    ///
-    /// # Errors
-    ///
-    /// [`PlatformError::InvalidPartition`] for an index the platform has no
-    /// accelerator for, [`PlatformError::EmptyWorkload`] for a zero-byte workload;
-    /// when `fraction > 0`, the error `execute` reports for a device configuration
-    /// that cannot run.
-    pub fn device_time(
+    /// Side `side`'s part of one execution, `None` for an empty share.  The host
+    /// computes in place; an accelerator pays the offload launch and the PCIe
+    /// transfers.  Each side salts its noise differently: `0x01` for the host,
+    /// `0x10 + d` for accelerator `d`.
+    fn side_run(
         &self,
-        index: usize,
-        workload: &WorkloadProfile,
-        fraction: f64,
-        cfg: &ExecutionConfig,
-    ) -> Result<f64, PlatformError> {
-        let accel = self.accelerator(index)?;
-        Self::check_workload(workload)?;
-        if fraction > 0.0 {
-            self.validate_device(accel, cfg)?;
-        }
-        Ok(self
-            .device_run(index, accel, &workload.fraction(fraction), cfg)
-            .map_or(0.0, |run| run.time))
-    }
-
-    /// The host's side of one execution, `None` for an empty share.
-    fn host_run(&self, share: &WorkloadProfile, cfg: &ExecutionConfig) -> Option<SideRun> {
-        if share.is_empty() {
-            return None;
-        }
-        let compute = self
-            .perf
-            .compute_time(&self.host, cfg.affinity, cfg.threads, share);
-        let noise = self.noise.factor(&[
-            0x01,
-            u64::from(cfg.threads),
-            cfg.affinity as u64,
-            share.bytes,
-        ]);
-        Some(SideRun {
-            time: compute.total() * noise,
-            compute,
-            transfer: 0.0,
-        })
-    }
-
-    /// Accelerator `idx`'s side of one execution, `None` for an empty share.
-    fn device_run(
-        &self,
-        idx: usize,
-        accel: &DeviceSpec,
+        side: usize,
         share: &WorkloadProfile,
         cfg: &ExecutionConfig,
-    ) -> Option<SideRun> {
+    ) -> Result<Option<SideRun>, PlatformError> {
+        let spec = self.spec(side)?;
         if share.is_empty() {
-            return None;
+            return Ok(None);
         }
         let compute = self
             .perf
-            .compute_time(accel, cfg.affinity, cfg.threads, share);
-        let result_bytes = (share.bytes as f64 * share.result_bytes_per_input_byte).ceil() as u64;
-        let transfer_in = self.offload.transfer_to_device(share.bytes);
-        let transfer_back = self.offload.transfer_to_host(result_bytes);
-
-        // The input stream is double-buffered: chunks are scanned while the next
-        // chunk is in flight, so transfer and compute overlap.
-        let overlapped = compute.parallel.max(transfer_in);
-        let time = self.offload.launch_overhead_s
-            + compute.setup
-            + compute.serial
-            + compute.spawn
-            + overlapped
-            + transfer_back;
-
+            .compute_time(spec, cfg.affinity, cfg.threads, share);
+        let (time, transfer, salt) = match side.checked_sub(1) {
+            None => (compute.total(), 0.0, 0x01),
+            Some(d) => {
+                let result_bytes =
+                    (share.bytes as f64 * share.result_bytes_per_input_byte).ceil() as u64;
+                let transfer_in = self.offload.transfer_to_device(share.bytes);
+                let transfer_back = self.offload.transfer_to_host(result_bytes);
+                // The input stream is double-buffered: chunks are scanned while the
+                // next chunk is in flight, so transfer and compute overlap.
+                let overlapped = compute.parallel.max(transfer_in);
+                let time = self.offload.launch_overhead_s
+                    + compute.setup
+                    + compute.serial
+                    + compute.spawn
+                    + overlapped
+                    + transfer_back;
+                (time, transfer_in + transfer_back, 0x10 + d as u64)
+            }
+        };
         let noise = self.noise.factor(&[
-            0x10 + idx as u64,
+            salt,
             u64::from(cfg.threads),
             cfg.affinity as u64,
             share.bytes,
         ]);
-        Some(SideRun {
+        Ok(Some(SideRun {
             time: time * noise,
             compute,
-            transfer: transfer_in + transfer_back,
-        })
+            transfer,
+        }))
     }
 
     /// Simulate many executions of `workload` in one batch, one [`Measurement`] per
@@ -472,68 +404,12 @@ impl HeterogeneousPlatform {
             .collect()
     }
 
-    /// Run the whole workload on the host only.
-    pub fn execute_host_only(
-        &self,
-        workload: &WorkloadProfile,
-        host_cfg: &ExecutionConfig,
-    ) -> Result<Measurement, PlatformError> {
-        let dummy_cfgs: Vec<ExecutionConfig> = self
-            .accelerators
-            .iter()
-            .map(|_| ExecutionConfig::new(1, Affinity::Balanced))
-            .collect();
-        self.execute(
-            workload,
-            &Partition::host_only(self.accelerators.len()),
-            host_cfg,
-            &dummy_cfgs,
-        )
-    }
-
-    /// Run the whole workload on the first accelerator only.
-    pub fn execute_device_only(
-        &self,
-        workload: &WorkloadProfile,
-        device_cfg: &ExecutionConfig,
-    ) -> Result<Measurement, PlatformError> {
-        self.execute_device_only_on(0, workload, device_cfg)
-    }
-
-    /// Run the whole workload on accelerator `index` only (the per-device entry point
-    /// the multi-accelerator training campaign uses to characterise each device).
-    pub fn execute_device_only_on(
-        &self,
-        index: usize,
-        workload: &WorkloadProfile,
-        device_cfg: &ExecutionConfig,
-    ) -> Result<Measurement, PlatformError> {
-        assert!(
-            index < self.accelerators.len(),
-            "accelerator index {index} out of range (platform has {})",
-            self.accelerators.len()
-        );
-        let mut cfgs: Vec<ExecutionConfig> = self
-            .accelerators
-            .iter()
-            .map(|_| ExecutionConfig::new(1, Affinity::Balanced))
-            .collect();
-        cfgs[index] = *device_cfg;
-        let mut fractions = vec![0.0; self.accelerators.len() + 1];
-        fractions[index + 1] = 1.0;
-        self.execute(
-            workload,
-            &Partition { fractions },
-            &ExecutionConfig::new(1, Affinity::Scatter),
-            &cfgs,
-        )
-    }
-
-    fn validate(
+    /// Check that `execute` has a workload, and a share and a configuration per
+    /// accelerator.
+    fn check_shape(
         &self,
         workload: &WorkloadProfile,
         partition: &Partition,
-        host_cfg: &ExecutionConfig,
         device_cfgs: &[ExecutionConfig],
     ) -> Result<(), PlatformError> {
         Self::check_workload(workload)?;
@@ -552,73 +428,19 @@ impl HeterogeneousPlatform {
                 configs: device_cfgs.len(),
             });
         }
-        let sum: f64 = partition.host_fraction() + partition.device_fractions().iter().sum::<f64>();
-        if (sum - 1.0).abs() > Partition::SUM_TOLERANCE {
-            return Err(PlatformError::InvalidPartition {
-                reason: format!("fractions must sum to 1.0, got {sum}"),
-            });
-        }
-
-        if partition.host_fraction() > 0.0 {
-            self.validate_host(host_cfg)?;
-        }
-        for (idx, accel) in self.accelerators.iter().enumerate() {
-            let fraction = partition.device_fractions()[idx];
-            if fraction > 0.0 {
-                self.validate_device(accel, &device_cfgs[idx])?;
-            }
-        }
         Ok(())
     }
 
-    /// Check that the host can run `cfg`: the validation
-    /// [`HeterogeneousPlatform::execute`] applies to a host that receives work.
+    /// Check that side `side` (0 the host, `d + 1` accelerator `d`) exists and can
+    /// run `cfg`: the validation [`HeterogeneousPlatform::execute`] applies to a side
+    /// that receives work.
     ///
     /// # Errors
     ///
-    /// The error `execute` reports for that host configuration.
-    pub fn validate_host(&self, cfg: &ExecutionConfig) -> Result<(), PlatformError> {
-        self.validate_device(&self.host, cfg)
-    }
-
-    /// Check that accelerator `index` exists and can run `cfg`: the validation
-    /// [`HeterogeneousPlatform::execute`] applies to an accelerator that receives work.
-    ///
-    /// # Errors
-    ///
-    /// [`PlatformError::InvalidPartition`] for an index the platform has no
-    /// accelerator for, else the error `execute` reports for that configuration.
-    pub fn validate_accelerator(
-        &self,
-        index: usize,
-        cfg: &ExecutionConfig,
-    ) -> Result<(), PlatformError> {
-        self.validate_device(self.accelerator(index)?, cfg)
-    }
-
-    fn accelerator(&self, index: usize) -> Result<&DeviceSpec, PlatformError> {
-        self.accelerators
-            .get(index)
-            .ok_or_else(|| PlatformError::InvalidPartition {
-                reason: format!(
-                    "accelerator {index} does not exist (the platform has {})",
-                    self.accelerators.len()
-                ),
-            })
-    }
-
-    fn check_workload(workload: &WorkloadProfile) -> Result<(), PlatformError> {
-        if workload.bytes == 0 {
-            return Err(PlatformError::EmptyWorkload);
-        }
-        Ok(())
-    }
-
-    fn validate_device(
-        &self,
-        spec: &DeviceSpec,
-        cfg: &ExecutionConfig,
-    ) -> Result<(), PlatformError> {
+    /// [`PlatformError::InvalidPartition`] for a side past the last accelerator, else
+    /// the error `execute` reports for that configuration.
+    pub fn validate_side(&self, side: usize, cfg: &ExecutionConfig) -> Result<(), PlatformError> {
+        let spec = self.spec(side)?;
         if cfg.threads == 0 {
             return Err(PlatformError::ZeroThreads {
                 device: spec.name.clone(),
@@ -640,6 +462,29 @@ impl HeterogeneousPlatform {
                 device: spec.name.clone(),
                 affinity: cfg.affinity,
             });
+        }
+        Ok(())
+    }
+
+    /// The device of side `side`.
+    fn spec(&self, side: usize) -> Result<&DeviceSpec, PlatformError> {
+        match side.checked_sub(1) {
+            None => Ok(&self.host),
+            Some(d) => self
+                .accelerators
+                .get(d)
+                .ok_or_else(|| PlatformError::InvalidPartition {
+                    reason: format!(
+                        "side {side} does not exist (the platform has {} accelerator(s))",
+                        self.accelerators.len()
+                    ),
+                }),
+        }
+    }
+
+    fn check_workload(workload: &WorkloadProfile) -> Result<(), PlatformError> {
+        if workload.bytes == 0 {
+            return Err(PlatformError::EmptyWorkload);
         }
         Ok(())
     }
@@ -671,12 +516,6 @@ mod tests {
         assert!((p.host_fraction() - 0.6).abs() < 1e-12);
         assert!((p.device_fractions()[0] - 0.4).abs() < 1e-12);
 
-        let p = Partition::from_host_percent(70).unwrap();
-        assert!((p.host_fraction() - 0.7).abs() < 1e-12);
-
-        assert_eq!(Partition::host_only(1).device_fractions(), &[0.0]);
-        assert_eq!(Partition::device_only(1).host_fraction(), 0.0);
-
         assert!(Partition::new(vec![0.5, 0.6]).is_err());
         assert!(Partition::new(vec![-0.1, 1.1]).is_err());
         assert!(Partition::new(vec![]).is_err());
@@ -694,38 +533,30 @@ mod tests {
         assert!(Partition::two_way(-0.1).is_err());
         assert!(Partition::two_way(1.5).is_err());
         assert!(Partition::two_way(f64::INFINITY).is_err());
-        assert!(Partition::from_host_percent(101).is_err());
-        assert!(Partition::from_host_percent(100).is_ok());
         assert!(Partition::two_way(0.0).is_ok());
         assert!(Partition::two_way(1.0).is_ok());
         assert!(ExecutionRequest::two_way(f64::NAN, host48(), phi240()).is_err());
     }
 
     #[test]
-    fn execute_device_only_on_targets_the_requested_accelerator() {
+    fn side_time_targets_the_requested_accelerator() {
         let platform = HeterogeneousPlatform::emil_with_gpu().without_noise();
         assert_eq!(platform.accelerator_count(), 2);
-        let phi = platform
-            .execute_device_only_on(0, &human(), &phi240())
-            .unwrap();
+        let phi = platform.side_time(1, &human(), 1.0, &phi240()).unwrap();
         let gpu = platform
-            .execute_device_only_on(1, &human(), &ExecutionConfig::new(448, Affinity::Balanced))
+            .side_time(
+                2,
+                &human(),
+                1.0,
+                &ExecutionConfig::new(448, Affinity::Balanced),
+            )
             .unwrap();
-        assert!(phi.t_device > 0.0 && gpu.t_device > 0.0);
-        assert_eq!(phi.t_host, 0.0);
-        assert_eq!(gpu.t_host, 0.0);
+        assert!(phi > 0.0 && gpu > 0.0);
         // the two accelerators are genuinely different devices
-        assert_ne!(phi.t_device, gpu.t_device);
-        // index 0 matches the single-accelerator entry point on the emil platform
+        assert_ne!(phi, gpu);
+        // side 1 is the same Phi on the single-accelerator emil platform
         let emil = HeterogeneousPlatform::emil().without_noise();
-        assert_eq!(
-            emil.execute_device_only(&human(), &phi240())
-                .unwrap()
-                .t_device,
-            emil.execute_device_only_on(0, &human(), &phi240())
-                .unwrap()
-                .t_device
-        );
+        assert_eq!(emil.side_time(1, &human(), 1.0, &phi240()), Ok(phi));
     }
 
     #[test]
@@ -746,39 +577,28 @@ mod tests {
     #[test]
     fn host_only_and_device_only_baselines_match_paper_anchors() {
         let platform = HeterogeneousPlatform::emil().without_noise();
-        let host_only = platform.execute_host_only(&human(), &host48()).unwrap();
-        let device_only = platform.execute_device_only(&human(), &phi240()).unwrap();
+        let host_only = platform.side_time(0, &human(), 1.0, &host48()).unwrap();
+        let device_only = platform.side_time(1, &human(), 1.0, &phi240()).unwrap();
         // Paper anchors: host-only ≈ 0.74 s, device-only ≈ 0.9-1.0 s for the human genome.
+        assert!((0.55..=0.95).contains(&host_only), "host-only {host_only}");
         assert!(
-            (0.55..=0.95).contains(&host_only.t_total),
-            "host-only {}",
-            host_only.t_total
+            (0.8..=1.4).contains(&device_only),
+            "device-only {device_only}"
         );
-        assert!(
-            (0.8..=1.4).contains(&device_only.t_total),
-            "device-only {}",
-            device_only.t_total
-        );
-        assert!(device_only.t_total > host_only.t_total);
+        assert!(device_only > host_only);
     }
 
     #[test]
     fn a_mixed_split_beats_both_baselines_for_large_inputs() {
         let platform = HeterogeneousPlatform::emil().without_noise();
-        let host_only = platform
-            .execute_host_only(&human(), &host48())
-            .unwrap()
-            .t_total;
-        let device_only = platform
-            .execute_device_only(&human(), &phi240())
-            .unwrap()
-            .t_total;
+        let host_only = platform.side_time(0, &human(), 1.0, &host48()).unwrap();
+        let device_only = platform.side_time(1, &human(), 1.0, &phi240()).unwrap();
         let best_mixed = (1..100)
             .map(|pct| {
                 platform
                     .execute(
                         &human(),
-                        &Partition::from_host_percent(pct).unwrap(),
+                        &Partition::two_way(f64::from(pct) / 100.0).unwrap(),
                         &host48(),
                         &[phi240()],
                     )
@@ -804,15 +624,12 @@ mod tests {
         // Fig. 2a: with a 190 MB input and 48 host threads, any offloading loses to
         // CPU-only because of the offload overhead.
         let platform = HeterogeneousPlatform::emil().without_noise();
-        let host_only = platform
-            .execute_host_only(&small(), &host48())
-            .unwrap()
-            .t_total;
+        let host_only = platform.side_time(0, &small(), 1.0, &host48()).unwrap();
         for pct in (10..=90).step_by(10) {
             let mixed = platform
                 .execute(
                     &small(),
-                    &Partition::from_host_percent(pct).unwrap(),
+                    &Partition::two_way(f64::from(pct) / 100.0).unwrap(),
                     &host48(),
                     &[phi240()],
                 )
@@ -838,7 +655,7 @@ mod tests {
             let t = platform
                 .execute(
                     &large,
-                    &Partition::from_host_percent(pct).unwrap(),
+                    &Partition::two_way(f64::from(pct) / 100.0).unwrap(),
                     &host4,
                     &[phi240()],
                 )
@@ -853,7 +670,7 @@ mod tests {
             best_pct <= 40,
             "optimum host share should be small with 4 host threads, got {best_pct}%"
         );
-        let host_only = platform.execute_host_only(&large, &host4).unwrap().t_total;
+        let host_only = platform.side_time(0, &large, 1.0, &host4).unwrap();
         assert!(best < host_only);
     }
 
@@ -1034,33 +851,114 @@ mod tests {
                 &[phi240(), gpu],
             )
             .unwrap();
-        let host = platform.host_time(&workload, 0.5, &host48()).unwrap();
-        let phi = platform.device_time(0, &workload, 0.3, &phi240()).unwrap();
-        let gpu = platform.device_time(1, &workload, 0.2, &gpu).unwrap();
+        let host = platform.side_time(0, &workload, 0.5, &host48()).unwrap();
+        let phi = platform.side_time(1, &workload, 0.3, &phi240()).unwrap();
+        let gpu = platform.side_time(2, &workload, 0.2, &gpu).unwrap();
         assert_eq!(m.t_host.to_bits(), host.to_bits());
         assert_eq!(m.t_device.to_bits(), phi.max(gpu).to_bits());
 
         // an idle side reports 0 and, as in `execute`, is not validated
         let invalid = ExecutionConfig::new(0, Affinity::None);
-        assert_eq!(platform.host_time(&workload, 0.0, &invalid), Ok(0.0));
-        assert_eq!(platform.device_time(1, &workload, 0.0, &invalid), Ok(0.0));
+        assert_eq!(platform.side_time(0, &workload, 0.0, &invalid), Ok(0.0));
+        assert_eq!(platform.side_time(2, &workload, 0.0, &invalid), Ok(0.0));
         // a side with work reports `execute`'s errors
         let too_many = ExecutionConfig::new(64, Affinity::Scatter);
         assert!(matches!(
-            platform.host_time(&workload, 0.5, &too_many),
+            platform.side_time(0, &workload, 0.5, &too_many),
             Err(PlatformError::TooManyThreads { .. })
         ));
         assert!(matches!(
-            platform.device_time(0, &workload.fraction(0.0), 0.5, &phi240()),
+            platform.side_time(1, &workload.fraction(0.0), 0.5, &phi240()),
             Err(PlatformError::EmptyWorkload)
         ));
         assert!(matches!(
-            platform.device_time(2, &workload, 0.5, &phi240()),
+            platform.side_time(3, &workload, 0.5, &phi240()),
             Err(PlatformError::InvalidPartition { .. })
         ));
-        assert!(platform.validate_accelerator(2, &phi240()).is_err());
-        assert!(platform.validate_host(&too_many).is_err());
-        assert!(platform.validate_host(&host48()).is_ok());
+        // a fraction outside [0, 1] is rejected as `Partition::new` rejects it,
+        // before the configuration is looked at
+        for fraction in [f64::NAN, -0.5, 1.5] {
+            for side in 0..3 {
+                assert!(
+                    matches!(
+                        platform.side_time(side, &workload, fraction, &invalid),
+                        Err(PlatformError::InvalidPartition { .. })
+                    ),
+                    "side {side}, fraction {fraction}"
+                );
+            }
+        }
+        assert!(platform.validate_side(3, &phi240()).is_err());
+        assert!(platform.validate_side(0, &too_many).is_err());
+        assert!(platform.validate_side(0, &host48()).is_ok());
+    }
+
+    #[test]
+    fn two_accelerator_times_are_pinned_bit_for_bit() {
+        // Recorded on the noisy Emil + GPU node: every side's noise salt, share and
+        // offload path shows in these bits, the GPU's included.
+        let platform = HeterogeneousPlatform::emil_with_gpu();
+        let workload = human();
+        let (phi, gpu) = (phi240(), ExecutionConfig::new(448, Affinity::Balanced));
+        let cases: [([f64; 3], [u64; 3]); 4] = [
+            (
+                [0.5, 0.3, 0.2],
+                [0x3fd8031c6e5df916, 0x3fd839bb567cd47c, 0x3fd839bb567cd47c],
+            ),
+            ([1.0, 0.0, 0.0], [0x3fe633d83bb6d012, 0, 0x3fe633d83bb6d012]),
+            ([0.0, 1.0, 0.0], [0, 0x3fec721f35c7b9fa, 0x3fec721f35c7b9fa]),
+            ([0.0, 0.0, 1.0], [0, 0x3fe82cd01a743934, 0x3fe82cd01a743934]),
+        ];
+        for (fractions, bits) in cases {
+            let m = platform
+                .execute(
+                    &workload,
+                    &Partition::new(fractions.to_vec()).unwrap(),
+                    &host48(),
+                    &[phi, gpu],
+                )
+                .unwrap();
+            let got = [m.t_host, m.t_device, m.t_total].map(f64::to_bits);
+            assert_eq!(got, bits, "{fractions:?}");
+        }
+        // the stats fold of the three-way run: rates, transfers, launches, compute
+        let s = platform
+            .execute(
+                &workload,
+                &Partition::new(vec![0.5, 0.3, 0.2]).unwrap(),
+                &host48(),
+                &[phi, gpu],
+            )
+            .unwrap()
+            .stats;
+        let stats = [
+            s.host_rate,
+            s.device_rate,
+            s.transfer_seconds,
+            s.launch_seconds,
+            s.host_compute_seconds,
+            s.device_compute_seconds,
+        ];
+        assert_eq!(
+            stats.map(f64::to_bits),
+            [
+                0x41f54e6387878788,
+                0x4206bbce1b21778e,
+                0x3fd05f16de6c1cda,
+                0x3fbeb851eb851eb8,
+                0x3fd411e20e1814a4,
+                0x3fcbd0be76a9e54f,
+            ]
+        );
+        let sides = [
+            platform.side_time(0, &workload, 0.5, &host48()),
+            platform.side_time(1, &workload, 0.3, &phi),
+            platform.side_time(2, &workload, 0.2, &gpu),
+        ];
+        assert_eq!(
+            sides.map(|t| t.unwrap().to_bits()),
+            [0x3fd8031c6e5df916, 0x3fd839bb567cd47c, 0x3fd3a3a228db06bd]
+        );
     }
 
     #[test]
@@ -1070,7 +968,7 @@ mod tests {
         let m = platform
             .execute(
                 &human(),
-                &Partition::host_only(1),
+                &Partition::two_way(1.0).unwrap(),
                 &host48(),
                 &[ExecutionConfig::new(0, Affinity::None)],
             )

@@ -91,11 +91,6 @@ impl WorkloadProfile {
         shared
     }
 
-    /// Input size in megabytes (decimal, as used on the paper's x-axes).
-    pub fn megabytes(&self) -> f64 {
-        self.bytes as f64 / 1e6
-    }
-
     /// Input size in gigabytes (decimal).
     pub fn gigabytes(&self) -> f64 {
         self.bytes as f64 / 1e9
@@ -177,7 +172,6 @@ mod tests {
     #[test]
     fn unit_conversions() {
         let w = WorkloadProfile::dna_scan("x", 3_250_000_000);
-        assert!((w.megabytes() - 3250.0).abs() < 1e-9);
         assert!((w.gigabytes() - 3.25).abs() < 1e-12);
     }
 

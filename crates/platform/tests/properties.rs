@@ -105,7 +105,7 @@ proptest! {
         let workload = WorkloadProfile::dna_scan("w", mb * 1_000_000);
         let m = platform.execute(
             &workload,
-            &Partition::from_host_percent(host_pct).unwrap(),
+            &Partition::two_way(f64::from(host_pct) / 100.0).unwrap(),
             &ExecutionConfig::new(host_threads, host_aff),
             &[ExecutionConfig::new(device_threads, device_aff)],
         ).unwrap();
@@ -130,8 +130,8 @@ proptest! {
         let workload = WorkloadProfile::dna_scan("w", mb * 1_000_000);
         let cfg_h = ExecutionConfig::new(24, Affinity::Scatter);
         let cfg_d = ExecutionConfig::new(120, Affinity::Balanced);
-        let a = platform.execute(&workload, &Partition::from_host_percent(host_pct).unwrap(), &cfg_h, &[cfg_d]).unwrap();
-        let b = platform.execute(&workload, &Partition::from_host_percent(host_pct).unwrap(), &cfg_h, &[cfg_d]).unwrap();
+        let a = platform.execute(&workload, &Partition::two_way(f64::from(host_pct) / 100.0).unwrap(), &cfg_h, &[cfg_d]).unwrap();
+        let b = platform.execute(&workload, &Partition::two_way(f64::from(host_pct) / 100.0).unwrap(), &cfg_h, &[cfg_d]).unwrap();
         prop_assert_eq!(a.t_total, b.t_total);
         prop_assert_eq!(a.t_host, b.t_host);
         prop_assert_eq!(a.t_device, b.t_device);

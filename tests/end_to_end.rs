@@ -173,23 +173,25 @@ fn genome_workloads_drive_the_simulator() {
         assert_eq!(profile.bytes, genome.nominal_bytes());
 
         let host = platform
-            .execute_host_only(&profile, &ExecutionConfig::new(48, Affinity::Scatter))
+            .side_time(
+                0,
+                &profile,
+                1.0,
+                &ExecutionConfig::new(48, Affinity::Scatter),
+            )
             .unwrap();
         let device = platform
-            .execute_device_only(&profile, &ExecutionConfig::new(240, Affinity::Balanced))
+            .side_time(
+                1,
+                &profile,
+                1.0,
+                &ExecutionConfig::new(240, Affinity::Balanced),
+            )
             .unwrap();
         // paper anchors: host-only runs take well under 1 s at 48 threads, device-only
         // runs are slower but in the same order of magnitude
-        assert!(
-            host.t_total > 0.3 && host.t_total < 1.2,
-            "{genome}: host {}",
-            host.t_total
-        );
-        assert!(
-            device.t_total > host.t_total && device.t_total < 2.0,
-            "{genome}: device {}",
-            device.t_total
-        );
+        assert!(host > 0.3 && host < 1.2, "{genome}: host {host}");
+        assert!(device > host && device < 2.0, "{genome}: device {device}");
     }
 }
 
@@ -202,10 +204,7 @@ fn larger_genomes_take_longer() {
         .map(|g| {
             (
                 g.nominal_bytes(),
-                platform
-                    .execute_host_only(&g.workload(), &cfg)
-                    .unwrap()
-                    .t_total,
+                platform.side_time(0, &g.workload(), 1.0, &cfg).unwrap(),
             )
         })
         .collect();
