@@ -7,6 +7,12 @@
 //! moves files and processes and watches segment growth, passing elapsed time
 //! in backoff ticks.
 //!
+//! The coordinator wakes on a worker's exit, or after its poll interval at the
+//! latest: each worker's stdout is a pipe that a forwarder thread copies into
+//! the worker's log, and the pipe's close (the worker exiting) is sent to the
+//! coordinator, which reaps that worker and regrants its slot at once.
+//! Fencing, backoff expiry and the manifest re-read run on the poll cadence.
+//!
 //! ## On-disk protocol (everything lives under one work directory)
 //!
 //! * `manifest` — campaign description (workload, slot count, batch size,
@@ -41,7 +47,8 @@
 //!   duplicated segments are harmless.
 //! * `segments/slot-<i>-g<g>.done` — commit marker a worker writes (atomic
 //!   rename) after flushing its segment; exit 0 without it is still a failure.
-//! * `logs/slot-<i>-g<g>.log` — the worker's stdout/stderr, and `logs/pids` —
+//! * `logs/slot-<i>-g<g>.log` — the worker's stderr, and its stdout as the
+//!   coordinator's forwarder copies it from the pipe, and `logs/pids` —
 //!   one `slot generation pid` line per spawn (the chaos harness reads this to
 //!   aim its `kill -9`).
 //!
@@ -69,11 +76,13 @@
 //! every batch landed; bounded by the interrupted batches otherwise).
 
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
+use std::fs::OpenOptions;
 use std::io::{self, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use wd_obs::{FieldValue, NoopRecorder, Recorder};
@@ -263,14 +272,6 @@ impl ProcManifest {
             batch: number("batch")?,
             total,
         })
-    }
-
-    /// Rewrite only the slot count — the elasticity knob a controller (or a
-    /// test) turns while the campaign is running.
-    pub fn rewrite_slots(path: &Path, slots: usize) -> io::Result<()> {
-        let mut manifest = ProcManifest::read(path)?;
-        manifest.slots = slots.max(1);
-        manifest.write(path)
     }
 }
 
@@ -712,7 +713,12 @@ struct LiveWorker {
     /// `Fleet::generation_base` past it.
     generation: u64,
     fenced: bool,
+    /// The worker's stdout pipe has closed, so the worker is exiting.
+    exiting: bool,
     child: Child,
+    /// Copies the worker's stdout into its log, then sends the attempt on
+    /// [`Fleet::exits`].
+    forwarder: JoinHandle<()>,
     /// The segment's length at the last poll (`None` while it does not exist).
     segment_len: Option<u64>,
     /// When `segment_len` last changed (the spawn, at first).
@@ -723,6 +729,8 @@ fn shutdown_workers(live: &mut Vec<LiveWorker>) {
     while let Some(mut worker) = live.pop() {
         let _ = worker.child.kill();
         let _ = worker.child.wait();
+        // The pipe closed with the process, so the forwarder has reached EOF.
+        let _ = worker.forwarder.join();
     }
 }
 
@@ -756,9 +764,27 @@ struct Fleet<'a> {
     worker_bin: PathBuf,
     scheduler: Scheduler<'a>,
     live: Vec<LiveWorker>,
+    /// Each forwarder sends its attempt `(slot, generation)` here when its
+    /// worker's stdout closes.
+    exits: Receiver<(usize, u64)>,
+    exit_sender: Sender<(usize, u64)>,
     report: ProcReport,
     recorder: &'a dyn Recorder,
     scope: &'a str,
+}
+
+impl Fleet<'_> {
+    /// Mark the live attempt whose stdout pipe closed as exiting.  An attempt
+    /// already reaped matches no live worker and is dropped.
+    fn pipe_closed(&mut self, (slot, generation): (usize, u64)) {
+        if let Some(worker) = self
+            .live
+            .iter_mut()
+            .find(|worker| worker.slot == slot && worker.generation == generation)
+        {
+            worker.exiting = true;
+        }
+    }
 }
 
 /// Wall-clock budget of one [`ProcCampaign`] run.
@@ -784,7 +810,8 @@ pub struct ProcCampaign {
 impl ProcCampaign {
     /// A campaign over `shard_count` worker slots with defaults tuned for the
     /// test-scale workloads: 64-config batches, 25 ms backoff tick, fencing
-    /// after 400 ms without segment growth, 2 s injected stalls, 120 s
+    /// after 400 ms without segment growth, a coordinator that wakes on a
+    /// worker's exit or after 10 ms at the latest, 2 s injected stalls, 120 s
     /// wall-clock budget.
     pub fn new(shard_count: usize) -> Self {
         ProcCampaign {
@@ -822,7 +849,9 @@ impl ProcCampaign {
 
     /// Override the transport timing: backoff tick, staleness horizon (how
     /// long a worker's segment may go without growing before its lease is
-    /// fenced), and coordinator poll interval.
+    /// fenced), and coordinator poll interval (the longest the coordinator
+    /// waits while no worker exits; fencing, backoff expiry and the manifest
+    /// re-read run on it).
     pub fn with_timing(
         mut self,
         tick: Duration,
@@ -931,6 +960,7 @@ impl ProcCampaign {
             .map_err(CampaignError::Transport)?;
 
         let plan = ShardPlan::new(total, self.shard_count.saturating_mul(RANGES_PER_SLOT));
+        let (exit_sender, exits) = mpsc::channel();
         let mut fleet = Fleet {
             work,
             generation_base,
@@ -944,13 +974,15 @@ impl ProcCampaign {
                 &self.faults,
             ),
             live: Vec::new(),
+            exits,
+            exit_sender,
             report: ProcReport::default(),
             recorder,
             scope,
         };
         let driven = self.drive(&mut fleet);
         // Every exit path reaps what is still running (settled zombies, or the
-        // whole fleet when the campaign failed).
+        // whole fleet when the campaign failed) and joins its forwarders.
         shutdown_workers(&mut fleet.live);
         driven?;
         fleet.report.dead_slots = fleet.scheduler.dead_slots();
@@ -971,10 +1003,11 @@ impl ProcCampaign {
         })
     }
 
-    /// The coordinator's poll loop — resize, reap and fence, grant, sleep —
+    /// The coordinator's poll loop — resize, reap and fence, grant, wait —
     /// until every range is committed and only fenced zombies (if any) remain.
-    /// Reaping before granting regrants a slot freed in this poll in this
-    /// poll.  A failed or fenced range backs off for at least one tick
+    /// The wait ends when a worker exits, or after `poll_interval` at the
+    /// latest.  Reaping before granting regrants a slot freed in this poll in
+    /// this poll.  A failed or fenced range backs off for at least one tick
     /// ([`RetryPolicy::default`]), so it is never regranted in the tick its
     /// failure was reported.
     fn drive(&self, fleet: &mut Fleet<'_>) -> Result<(), CampaignError> {
@@ -1045,7 +1078,10 @@ impl ProcCampaign {
             } else {
                 zombie_grace_since = None;
             }
-            std::thread::sleep(self.poll_interval);
+            // Wake on a worker's exit, or after `poll_interval` at the latest.
+            if let Ok(attempt) = fleet.exits.recv_timeout(self.poll_interval) {
+                fleet.pipe_closed(attempt);
+            }
         }
     }
 
@@ -1061,7 +1097,13 @@ impl ProcCampaign {
         let generation = fleet.generation_base + grant.generation;
         write_atomic(&work.lease(slot, generation), &skip.encode())
             .map_err(CampaignError::Transport)?;
-        let log = File::create(work.log(slot, generation)).map_err(CampaignError::Transport)?;
+        // The worker's stderr and the forwarder copying its stdout share one
+        // file offset; append mode keeps either from overwriting the other.
+        let log = OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(work.log(slot, generation))
+            .map_err(CampaignError::Transport)?;
         let err_log = log.try_clone().map_err(CampaignError::Transport)?;
         let mut command = Command::new(&fleet.worker_bin);
         command
@@ -1076,7 +1118,7 @@ impl ProcCampaign {
             .arg("--end")
             .arg(grant.range.end.to_string())
             .stdin(Stdio::null())
-            .stdout(Stdio::from(log))
+            .stdout(Stdio::piped())
             .stderr(Stdio::from(err_log));
         if let Some(event) = grant.fault {
             command.env(
@@ -1089,7 +1131,28 @@ impl ProcCampaign {
                 ),
             );
         }
-        let child = command.spawn().map_err(CampaignError::Transport)?;
+        let mut child = command.spawn().map_err(CampaignError::Transport)?;
+        let stdout = child.stdout.take();
+        let exits = fleet.exit_sender.clone();
+        let attempt = (slot, grant.generation);
+        let forwarder = std::thread::Builder::new()
+            .name(format!("wd-forward-{slot}-g{generation}"))
+            .spawn(move || {
+                if let Some(mut stdout) = stdout {
+                    let mut log = log;
+                    let _ = io::copy(&mut stdout, &mut log);
+                }
+                // The receiver outlives every worker; a failed send is moot.
+                let _ = exits.send(attempt);
+            });
+        let forwarder = match forwarder {
+            Ok(forwarder) => forwarder,
+            Err(error) => {
+                let _ = child.kill();
+                let _ = child.wait();
+                return Err(CampaignError::Transport(error));
+            }
+        };
         if let Ok(mut pids) = OpenOptions::new()
             .create(true)
             .append(true)
@@ -1127,24 +1190,39 @@ impl ProcCampaign {
             slot,
             generation: grant.generation,
             fenced: false,
+            exiting: false,
             child,
+            forwarder,
             segment_len: None,
             grown_at: Instant::now(),
         })
     }
 
-    /// Reap exited workers and fence the ones whose segment has not grown for
-    /// the staleness horizon, reporting both to the scheduler.
+    /// Reap exited workers (waiting for the ones whose stdout closed) and
+    /// fence the ones whose segment has not grown for the staleness horizon,
+    /// reporting both to the scheduler.
     fn reap(&self, fleet: &mut Fleet<'_>, now: u64) -> Result<(), CampaignError> {
         let (recorder, scope) = (fleet.recorder, fleet.scope);
+        while let Ok(attempt) = fleet.exits.try_recv() {
+            fleet.pipe_closed(attempt);
+        }
         let mut index = 0;
         while index < fleet.live.len() {
-            let status = fleet.live[index]
-                .child
-                .try_wait()
-                .map_err(CampaignError::Transport)?;
+            let worker = &mut fleet.live[index];
+            // A closed stdout means the worker is exiting, and it becomes a
+            // zombie a moment later: `try_wait` often runs before that and
+            // would leave the exit to the next poll, so wait for it.  Workers
+            // never close stdout before they exit (a stalled one keeps it
+            // open), so this wait is bounded by the exit itself.
+            let status = if worker.exiting {
+                worker.child.wait().map(Some)
+            } else {
+                worker.child.try_wait()
+            }
+            .map_err(CampaignError::Transport)?;
             if let Some(status) = status {
                 let worker = fleet.live.remove(index);
+                let _ = worker.forwarder.join();
                 let slot = worker.slot;
                 let generation = fleet.generation_base + worker.generation;
                 // Salvage whatever the attempt persisted, clean exit or not;
@@ -1292,8 +1370,10 @@ mod tests {
         };
         manifest.write(&path).unwrap();
         assert_eq!(ProcManifest::read(&path).unwrap(), manifest);
-        ProcManifest::rewrite_slots(&path, 5).unwrap();
-        assert_eq!(ProcManifest::read(&path).unwrap().slots, 5);
+        let mut resized = ProcManifest::read(&path).unwrap();
+        resized.slots = 5;
+        resized.write(&path).unwrap();
+        assert_eq!(ProcManifest::read(&path).unwrap(), resized);
 
         std::fs::write(&path, "not-a-manifest/v9\n").unwrap();
         let err = ProcManifest::read(&path).unwrap_err();

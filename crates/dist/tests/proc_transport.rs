@@ -2,7 +2,8 @@
 //! `wd-worker`): a real fleet of worker processes, a real `kill -9`
 //! mid-campaign, injected worker death, evaluation errors and torn appends,
 //! lease fencing of a stalled zombie, and elastic slot counts via a
-//! mid-campaign manifest rewrite.  Every scenario must converge to a
+//! mid-campaign manifest rewrite, and a coordinator that wakes on a worker's
+//! exit rather than its poll interval.  Every scenario must converge to a
 //! `CampaignOutcome` bit-identical to a fault-free single-process run, with
 //! `ProcCampaign::run_observed` proving through `verification_evaluations`
 //! that persisted keys are never re-evaluated.
@@ -10,12 +11,12 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use wd_dist::proc::{ProcManifest, WorkDir, EXIT_FENCED, RANGES_PER_SLOT};
 use wd_dist::{
-    read_result_records, CampaignOutcome, ConfigKey, FaultEvent, FaultKind, FaultPlan, JsonlStore,
-    MemoryStore, ProcCampaign, ProcOutcome, ResultStore, WorkloadSpec,
+    read_result_records, CampaignError, CampaignOutcome, ConfigKey, FaultEvent, FaultKind,
+    FaultPlan, JsonlStore, MemoryStore, ProcCampaign, ProcOutcome, ResultStore, WorkloadSpec,
 };
 use wd_obs::{FieldValue, Recorder};
 use wd_opt::{Objective, SearchSpace};
@@ -493,7 +494,9 @@ fn manifest_rewrite_grows_the_fleet_mid_campaign() {
             std::thread::sleep(Duration::from_millis(5));
         }
         std::thread::sleep(Duration::from_millis(120));
-        ProcManifest::rewrite_slots(&manifest_path, 5).expect("rewrite slots");
+        let mut manifest = ProcManifest::read(&manifest_path).expect("read manifest");
+        manifest.slots = 5;
+        manifest.write(&manifest_path).expect("rewrite slots");
     });
 
     let got = campaign.run(&spec, &dir).expect("elastic campaign");
@@ -512,5 +515,169 @@ fn manifest_rewrite_grows_the_fleet_mid_campaign() {
     assert_eq!(got.report.verification_evaluations, 0);
 
     assert_bit_identical(&got, &reference(&spec, 2, 2), &spec, &dir);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_finished_worker_wakes_the_coordinator_before_its_poll_interval() {
+    let spec = bowl(40, 30); // 1200 configurations, 8 ranges of 150
+    let dir = scratch_dir("wake");
+    // Two slots run eight ranges, so each slot hands off to its next range at
+    // least three times.  A coordinator that noticed exits only on its 5 s
+    // poll would spend at least 15 s in those handoffs.
+    let poll = Duration::from_secs(5);
+    let campaign = ProcCampaign::new(2)
+        .with_batch_size(16)
+        .with_worker_bin(worker_bin())
+        .with_timing(Duration::from_millis(25), Duration::from_secs(60), poll);
+    let started = Instant::now();
+    let got = campaign.run(&spec, &dir).expect("fleet campaign");
+    let elapsed = started.elapsed();
+
+    assert!(elapsed < poll, "took {elapsed:?}, report: {:?}", got.report);
+    assert_eq!(got.report.spawned, 2 * RANGES_PER_SLOT);
+    assert_eq!(got.report.completed, got.report.spawned);
+    assert_eq!(got.report.verification_evaluations, 0);
+    assert_bit_identical(&got, &reference(&spec, 2, 16), &spec, &dir);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Records when the first `worker.exited` event is published.
+#[derive(Debug, Default)]
+struct FirstExit {
+    at: Mutex<Option<Instant>>,
+}
+
+impl Recorder for FirstExit {
+    fn event(&self, _scope: &str, kind: &str, _fields: &[(&str, FieldValue)]) {
+        if kind == "worker.exited" {
+            self.at.lock().unwrap().get_or_insert_with(Instant::now);
+        }
+    }
+}
+
+#[test]
+fn a_killed_worker_wakes_the_coordinator_before_its_poll_interval() {
+    let spec = bowl(20, 20); // 400 configurations, 4 ranges of 100
+    let dir = scratch_dir("kill-wake");
+    // One slot, whose first attempt stalls after 2 durable batches until the
+    // test kills it; the horizon is far away, so no fence fires.
+    let poll = Duration::from_secs(2);
+    let campaign = ProcCampaign::new(1)
+        .with_batch_size(10)
+        .with_worker_bin(worker_bin())
+        .with_faults(FaultPlan::from_events(vec![FaultEvent {
+            slot: 0,
+            attempt: 0,
+            after_batches: 2,
+            kind: FaultKind::Stall,
+        }]))
+        .with_stall_ms(60_000)
+        .with_timing(Duration::from_millis(1), Duration::from_secs(60), poll);
+
+    // The kill lands once both batches are in the attempt's segment (a
+    // schema line and 20 records), where the worker stalls.
+    let work = WorkDir::new(&dir);
+    let (pids_path, segment) = (work.pids(), work.segment(0, 1));
+    let killer = std::thread::spawn(move || {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            assert!(Instant::now() < deadline, "the worker never stalled");
+            let stalled = std::fs::read_to_string(&segment)
+                .is_ok_and(|text| text.ends_with('\n') && text.lines().count() == 21);
+            let pid = std::fs::read_to_string(&pids_path)
+                .ok()
+                .and_then(|text| Some(text.lines().next()?.split(' ').nth(2)?.to_string()));
+            if let (true, Some(pid)) = (stalled, pid) {
+                let killed_at = Instant::now();
+                let status = Command::new("kill")
+                    .args(["-9", &pid])
+                    .status()
+                    .expect("spawn kill");
+                assert!(status.success(), "kill -9 {pid} failed");
+                return killed_at;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    });
+
+    let recorder = FirstExit::default();
+    let got = campaign
+        .run_observed(&spec, &dir, &recorder, "proc")
+        .expect("campaign survives kill -9");
+    let killed_at = killer.join().expect("killer thread");
+
+    // The killed attempt is the first to exit; its closed pipe wakes the
+    // coordinator well inside the poll interval.
+    let exited_at = recorder.at.lock().unwrap().expect("an exit was reaped");
+    let woke_after = exited_at.saturating_duration_since(killed_at);
+    assert!(
+        woke_after < poll / 2,
+        "reaped {woke_after:?} after the kill"
+    );
+    assert_eq!(got.report.failed_attempts, 1, "report: {:?}", got.report);
+    assert_eq!(got.report.worker_evaluations, 400 - 20);
+    assert_eq!(got.report.verification_evaluations, 0);
+    assert_bit_identical(&got, &reference(&spec, 1, 10), &spec, &dir);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn worker_output_lands_in_its_log_with_stdout_piped() {
+    let spec = bowl(8, 8); // 64 configurations, 4 ranges of 16
+    let dir = scratch_dir("logs");
+    std::fs::create_dir_all(&dir).expect("work dir");
+    // A wrapper prints a line on stdout, breaks its attempt's lease and runs
+    // the real worker, which prints `wd-worker: ...` on stderr and exits
+    // EXIT_USAGE.  The script is written by a child process, so no file
+    // descriptor of this process holds it open for writing when it runs.
+    let wrapper = dir.join("wrapper.sh");
+    let script = format!(
+        "#!/bin/sh\necho \"forwarded: slot $4 generation $6\"\n\
+         echo '9 1' > \"$2/leases/slot-$4-g$6.lease\"\nexec '{}' \"$@\"\n",
+        worker_bin()
+    );
+    let written = Command::new("sh")
+        .args(["-c", "printf '%s' \"$1\" > \"$0\" && chmod +x \"$0\""])
+        .arg(&wrapper)
+        .arg(&script)
+        .status()
+        .expect("write the wrapper");
+    assert!(written.success());
+
+    let work_root = dir.join("work");
+    let result = ProcCampaign::new(1)
+        .with_worker_bin(&wrapper)
+        .with_timing(
+            Duration::from_millis(1),
+            Duration::from_secs(60),
+            Duration::from_millis(5),
+        )
+        .run(&spec, &work_root);
+    assert!(
+        matches!(result, Err(CampaignError::RangeAbandoned { .. })),
+        "every attempt fails on its lease: {result:?}"
+    );
+
+    let logs: Vec<PathBuf> = std::fs::read_dir(work_root.join("logs"))
+        .expect("logs dir")
+        .map(|entry| entry.expect("log entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "log"))
+        .collect();
+    assert!(!logs.is_empty());
+    for log in logs {
+        let text = std::fs::read_to_string(&log).expect("read log");
+        assert!(
+            text.contains("forwarded: slot 0 generation"),
+            "{}: {text}",
+            log.display()
+        );
+        assert!(text.contains("wd-worker: "), "{}: {text}", log.display());
+        assert!(
+            text.contains("malformed skip run `9 1`"),
+            "{}: {text}",
+            log.display()
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
